@@ -27,10 +27,10 @@ cmake --build build-tsan
 # model", "Checkpoint write-back", "Small-file packing & chunk
 # staging").
 ./build-tsan/tests/monarch_tests \
-    --gtest_filter='MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:Pack*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
+    --gtest_filter='MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:ReadLadder*:Pack*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
 # ... and the rest of the suite.
 ./build-tsan/tests/monarch_tests \
-    --gtest_filter='-MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:Pack*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
+    --gtest_filter='-MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:ReadLadder*:Pack*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
 
 cmake -B build-asan -G Ninja -DMONARCH_SANITIZE=address \
       -DMONARCH_BUILD_BENCHMARKS=OFF -DMONARCH_BUILD_EXAMPLES=OFF

@@ -543,6 +543,14 @@ Result<MonarchConfig> BuildMonarchConfig(const ParsedConfig& parsed) {
   config.placement.staging_chunk_bytes = parsed.staging_chunk_bytes;
   config.placement.tier_inflight_cap_bytes = parsed.tier_inflight_cap_bytes;
   config.placement.prefetch_lookahead = parsed.prefetch_lookahead;
+  // Chunk staging never advertises its copies to the cluster directory,
+  // so a packed peer node would serve every file it does not own from
+  // the PFS.
+  if (parsed.pack.enabled && parsed.peer.enabled) {
+    return InvalidArgumentError(
+        "[pack] enabled cannot be combined with [peer] enabled: chunk "
+        "copies are never shared with peers");
+  }
   if (parsed.pack.enabled &&
       parsed.pack.chunk_bytes > parsed.staging_chunk_bytes) {
     return InvalidArgumentError(

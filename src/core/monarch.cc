@@ -20,7 +20,7 @@ namespace {
 /// Render one Stats() view as registry samples (the Monarch pull source).
 std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
   std::vector<obs::MetricSample> out;
-  out.reserve(stats.levels.size() * 6 + 12);
+  out.reserve(stats.levels.size() * 6 + 48);
   auto sample = [&out](std::string name, std::string label,
                        obs::MetricKind kind, std::string unit,
                        std::uint64_t value, std::string help) {
@@ -57,6 +57,10 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
            obs::MetricKind::kCounter, "events", level.circuit_opens,
            "times this level's circuit breaker tripped open");
   }
+  sample("monarch.read.degraded_fallbacks", "", obs::MetricKind::kCounter,
+         "ops", stats.degraded_fallbacks,
+         "reads a cache tier failed to serve (error, open breaker, or corrupt "
+         "copy) that the PFS absorbed");
   const PlacementStats& p = stats.placement;
   sample("monarch.placement.scheduled", "", obs::MetricKind::kCounter, "ops",
          p.scheduled, "background placement tasks enqueued");
@@ -69,9 +73,13 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          p.failed, "placements aborted on backend errors");
   sample("monarch.placement.bytes_staged", "", obs::MetricKind::kCounter,
          "bytes", p.bytes_staged, "bytes copied into cache tiers");
-  // `monarch.placement.evictions` is an owned registry counter
-  // (PlacementHandler ctor), not a per-instance sample — the ablation
-  // benches read it like every other placement stat.
+  sample("monarch.placement.evictions", "", obs::MetricKind::kCounter, "ops",
+         p.evictions, "placed copies dropped to make room for incoming files");
+  sample("monarch.placement.evicted_bytes", "", obs::MetricKind::kCounter,
+         "bytes", p.evicted_bytes, "bytes freed from cache tiers by evictions");
+  sample("monarch.placement.eviction_refused", "", obs::MetricKind::kCounter,
+         "ops", p.eviction_refused,
+         "evictions the policy refused or that freed no usable room");
   sample("monarch.placement.retries", "", obs::MetricKind::kCounter, "ops",
          p.retries, "failed stagings left retryable for a later access");
   sample("monarch.placement.quarantined", "", obs::MetricKind::kCounter, "ops",
@@ -119,6 +127,13 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
   sample("qos.low_retention_resident_bytes", "", obs::MetricKind::kGauge,
          "bytes", p.low_retention_resident_bytes,
          "cache-tier bytes currently held by low-retention (scan) copies");
+  sample("qos.cross_class_evictions", "", obs::MetricKind::kCounter, "ops",
+         p.cross_class_evictions,
+         "evictions where a low-retention tenant dropped a demand working-"
+         "set copy (zero by construction)");
+  sample("qos.scan_stage_refusals", "", obs::MetricKind::kCounter, "ops",
+         p.scan_stage_refusals,
+         "scan stagings refused by the low-retention resident cap");
   sample("monarch.placement.inflight_bytes", "", obs::MetricKind::kGauge,
          "bytes", p.inflight_bytes,
          "bytes of staging copies currently in flight across all tiers");
@@ -128,8 +143,22 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
   sample("monarch.placement.buffer_pool_capacity_bytes", "",
          obs::MetricKind::kGauge, "bytes", p.buffer_pool_capacity_bytes,
          "configured chunk-buffer budget (staging_buffer_bytes)");
-  // Pack gauges are emitted unconditionally (zeros without an index) so
-  // the catalogue diff holds on non-pack instances too.
+  // Chunk counters and pack gauges are emitted unconditionally (zeros
+  // without pack mode or an index) so the catalogue diff holds on
+  // non-pack instances too.
+  sample("monarch.chunk.hits", "", obs::MetricKind::kCounter, "ops",
+         stats.chunk_hits,
+         "pack-mode reads fully served from resident chunks on a cache tier");
+  sample("monarch.chunk.misses", "", obs::MetricKind::kCounter, "ops",
+         stats.chunk_misses,
+         "pack-mode reads that touched the PFS (non-resident chunks)");
+  sample("monarch.chunk.staged", "", obs::MetricKind::kCounter, "ops",
+         p.chunks_staged, "chunk copies published to cache tiers (pack mode)");
+  sample("monarch.chunk.stored_bytes", "", obs::MetricKind::kCounter, "bytes",
+         p.chunk_stored_bytes,
+         "post-codec bytes written to cache tiers by chunk staging");
+  sample("monarch.chunk.evicted", "", obs::MetricKind::kCounter, "ops",
+         p.chunks_evicted, "chunk copies dropped from cache tiers");
   sample("monarch.pack.extents", "", obs::MetricKind::kGauge, "extents",
          stats.pack_extents,
          "container extents in the loaded pack index (0 = unpacked)");
@@ -149,6 +178,20 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
   return out;
 }
 
+/// Alloc-free (after warmup) chunk-object name for the read hot path:
+/// one thread_local string is reused across calls, so serving a
+/// resident chunk never heap-allocates in steady state.
+const std::string& ChunkObjectNameTL(const std::string& file,
+                                     std::uint32_t chunk) {
+  thread_local std::string object;
+  object.assign(file);
+  object.append("#c");
+  char index[16];
+  const int len = std::snprintf(index, sizeof(index), "%u", chunk);
+  object.append(index, static_cast<std::size_t>(len));
+  return object;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<Monarch>> Monarch::Create(MonarchConfig config) {
@@ -158,6 +201,14 @@ Result<std::unique_ptr<Monarch>> Monarch::Create(MonarchConfig config) {
   if (config.cache_tiers.empty()) {
     return InvalidArgumentError(
         "config needs at least one cache tier above the PFS");
+  }
+  // Chunk staging never advertises its copies to the cluster directory,
+  // so a packed peer node would serve every file it does not own from
+  // the PFS.
+  if (config.placement.pack.enabled && config.peer_tier.has_value()) {
+    return InvalidArgumentError(
+        "pack mode (placement.pack.enabled) cannot be combined with a peer "
+        "tier (peer_tier): chunk copies are never shared with peers");
   }
 
   // Small-file packing (ISSUE 9): when pack mode is on and the dataset
@@ -279,19 +330,9 @@ Monarch::Monarch(MonarchConfig config,
       "reads rerouted to the PFS after a tier copy vanished (eviction race)");
   read_errors_ = registry.GetCounter(
       "monarch.read.errors", "ops", "Monarch::Read calls that returned an error");
-  read_degraded_fallbacks_ = registry.GetCounter(
-      "monarch.read.degraded_fallbacks", "ops",
-      "reads a cache tier failed to serve (error, open breaker, or corrupt "
-      "copy) that the PFS absorbed");
   read_latency_ = registry.GetHistogram(
       "monarch.read.latency_us", "us",
       "end-to-end Monarch::Read latency distribution");
-  chunk_hits_counter_ = registry.GetCounter(
-      "monarch.chunk.hits", "ops",
-      "pack-mode reads fully served from resident chunks on a cache tier");
-  chunk_misses_counter_ = registry.GetCounter(
-      "monarch.chunk.misses", "ops",
-      "pack-mode reads that touched the PFS (non-resident chunks)");
   // Multi-tenant QoS (ISSUE 10): the broker sits under every tier driver
   // so each byte — demand reads, staging writes, checkpoint drains — is
   // charged to the ambient tenant, with this instance's identity as the
@@ -311,37 +352,91 @@ Monarch::Monarch(MonarchConfig config,
 
 Monarch::~Monarch() { Shutdown(); }
 
+/// The caller's end of one read. Every rung fetches through it, so both
+/// lanes run the same ladder and the same checks; only where the bytes
+/// land differs.
+struct Monarch::ReadAccess {
+  /// Copy lane: the caller's buffer, filled in place.
+  std::span<std::byte> dst;
+  /// Lend lane: the byte cap, the A/B lever, and the view being served.
+  bool lend = false;
+  std::uint64_t max_bytes = 0;
+  bool allow_zero_copy = true;
+  storage::ReadView view;
+
+  [[nodiscard]] std::uint64_t limit() const noexcept {
+    return lend ? max_bytes : dst.size();
+  }
+
+  /// Up to `n` bytes of `object` at `offset` on `tier`: read into
+  /// dst[pos, pos + n), or lent as a view.
+  Result<std::span<const std::byte>> Fetch(StorageDriver& tier,
+                                           std::string_view object,
+                                           std::uint64_t offset,
+                                           std::size_t pos, std::uint64_t n) {
+    if (lend) {
+      auto lent = tier.ReadZeroCopy(object, offset, n, allow_zero_copy);
+      if (!lent.ok()) return lent.status();
+      view = std::move(lent).value();
+      return view.data();
+    }
+    auto read = tier.Read(object, offset,
+                          dst.subspan(pos, static_cast<std::size_t>(n)));
+    if (!read.ok()) return read.status();
+    return std::span<const std::byte>(dst.data() + pos, read.value());
+  }
+
+  /// Room for `n` decoded bytes at dst[pos..): the caller's buffer, or a
+  /// private buffer the view keeps alive (decoding is inherently a copy,
+  /// so zero_copy() reports false).
+  std::span<std::byte> Buffer(std::size_t pos, std::size_t n) {
+    if (!lend) return dst.subspan(pos, n);
+    auto copy = std::make_shared<std::vector<std::byte>>(n);
+    view = storage::ReadView(*copy, copy, /*zero_copy=*/false);
+    return *copy;
+  }
+
+  /// The `n` bytes served so far, wherever they landed.
+  [[nodiscard]] std::span<const std::byte> Served(std::size_t n) const {
+    return lend ? view.data() : std::span<const std::byte>(dst.data(), n);
+  }
+};
+
 Result<std::size_t> Monarch::Read(std::string_view name, std::uint64_t offset,
                                   std::span<std::byte> dst) {
-  // Instrumentation is lock-free: the counters/histogram below are
-  // relaxed atomics resolved at construction, and the span costs one
-  // atomic load while tracing is disabled.
-  const obs::TraceSpan span("monarch.read", "core");
-  if (read_requests_ != nullptr) read_requests_->Increment();
-  const Stopwatch timer;
-  auto result = ReadImpl(name, offset, dst);
-  if (result.ok()) {
-    if (read_latency_ != nullptr) read_latency_->Record(timer.Elapsed());
-  } else if (read_errors_ != nullptr) {
-    read_errors_->Increment();
-  }
-  return result;
+  ReadAccess access;
+  access.dst = dst;
+  auto lease = Serve(name, offset, access);
+  if (!lease.ok()) return lease.status();
+  return lease->size();
 }
 
 Result<ReadLease> Monarch::ReadZeroCopy(std::string_view name,
                                         std::uint64_t offset,
                                         std::uint64_t max_bytes,
                                         bool allow_zero_copy) {
+  ReadAccess access;
+  access.lend = true;
+  access.max_bytes = max_bytes;
+  access.allow_zero_copy = allow_zero_copy;
+  return Serve(name, offset, access);
+}
+
+Result<ReadLease> Monarch::Serve(std::string_view name, std::uint64_t offset,
+                                 ReadAccess& access) {
+  // Instrumentation is lock-free: the counters/histogram below are
+  // relaxed atomics resolved at construction, and the span costs one
+  // atomic load while tracing is disabled.
   const obs::TraceSpan span("monarch.read", "core");
   if (read_requests_ != nullptr) read_requests_->Increment();
   const Stopwatch timer;
-  auto result = ReadZeroCopyImpl(name, offset, max_bytes, allow_zero_copy);
-  if (result.ok()) {
+  auto lease = Ladder(name, offset, access);
+  if (lease.ok()) {
     if (read_latency_ != nullptr) read_latency_->Record(timer.Elapsed());
   } else if (read_errors_ != nullptr) {
     read_errors_->Increment();
   }
-  return result;
+  return lease;
 }
 
 Result<FileInfoPtr> Monarch::PrepareRead(std::string_view name,
@@ -377,38 +472,57 @@ int Monarch::ServingLevelHint(std::string_view name) const {
   return hierarchy_->pfs_level();
 }
 
-Result<std::size_t> Monarch::ReadImpl(std::string_view name,
-                                      std::uint64_t offset,
-                                      std::span<std::byte> dst) {
+Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
+                                  ReadAccess& access) {
   MONARCH_ASSIGN_OR_RETURN(FileInfoPtr info, PrepareRead(name, offset));
 
   // Pin the file for the duration of this read (ISSUE 6): an eviction
   // that claims it while the pin is held reverts and picks another
-  // victim, so an in-flight demand read never loses its tier copy.
+  // victim, so an in-flight demand read never loses its tier copy. On
+  // success the pin moves into the returned lease — Read drops it on
+  // return, ReadZeroCopy keeps it until the caller is done with the lent
+  // bytes.
   info->read_pins.fetch_add(1, std::memory_order_acq_rel);
   struct PinGuard {
     FileInfo* file;
-    ~PinGuard() { file->read_pins.fetch_sub(1, std::memory_order_acq_rel); }
+    ~PinGuard() {
+      if (file != nullptr) {
+        file->read_pins.fetch_sub(1, std::memory_order_acq_rel);
+      }
+    }
   } pin_guard{info.get()};
 
-  // Pack mode (ISSUE 9): chunk-granularity serve/claim path.
-  if (placement_->options().pack.enabled) {
-    return ReadChunkedImpl(info, name, offset, dst);
-  }
-
-  // ① consult the namespace for the file's current level, ② read from
-  // that tier's driver — unless its circuit breaker is open, in which
-  // case the tier is skipped without a doomed attempt. The file's only
-  // other copy is the authoritative one on the PFS, so every rung of the
-  // degradation ladder lands there.
+  // ① Consult the namespace for the file's current level — in pack mode
+  // (ISSUE 9) its chunk tier, when every chunk the request touches is
+  // resident. A lent view never spans two chunk objects, so the lend
+  // lane only asks for the first chunk's share (short views are legal —
+  // callers loop).
   const int pfs = hierarchy_->pfs_level();
   const int peer = hierarchy_->peer_level();
   int level = info->level.load(std::memory_order_acquire);
+  pack::ChunkMap* cm = nullptr;
+  std::uint64_t length = 0;
+  if (placement_->options().pack.enabled) {
+    cm = info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
+    level = pfs;
+    if (offset < info->size) {
+      length = std::min<std::uint64_t>(access.limit(), info->size - offset);
+      if (access.lend) {
+        const std::uint32_t c = cm->ChunkOf(offset);
+        length = std::min<std::uint64_t>(
+            length, cm->ChunkOffset(c) + cm->ChunkLogicalBytes(c) - offset);
+      }
+      if (length > 0 && cm->tier() >= 0 && cm->RangeResident(offset, length)) {
+        level = cm->tier();
+      }
+    }
+  }
+  // ② Read from that tier — unless its circuit breaker is open, in which
+  // case the tier is skipped without a doomed attempt.
   if (level != pfs && hierarchy_->NextServingLevel(level) != level) {
-    CountDegradedFallback("circuit_open", name, level);
+    CountDegradedFallback(FallbackCause::kCircuitOpen, name, level);
     level = pfs;
   }
-
   // Peer rung (ISSUE 4): a PFS-resident file that another node already
   // staged is closer over the interconnect than on the shared PFS. Route
   // the read to the peer level when the cluster directory advertises a
@@ -419,237 +533,136 @@ Result<std::size_t> Monarch::ReadImpl(std::string_view name,
     if (hierarchy_->Level(peer).health().AllowRequest()) {
       level = peer;
     } else {
-      CountDegradedFallback("circuit_open", name, peer);
+      CountDegradedFallback(FallbackCause::kCircuitOpen, name, peer);
     }
   }
 
-  auto read = hierarchy_->Level(level).Read(name, offset, dst);
-  if (read.ok() && level != pfs && level != peer &&
-      !VerifyTierRead(info, level, offset, dst, read.value())) {
-    // The staged copy is corrupt: it has been quarantined; re-read the
-    // authoritative bytes.
-    CountDegradedFallback("corruption", name, level);
-    level = pfs;
-    read = hierarchy_->Level(level).Read(name, offset, dst);
-  }
-  if (!read.ok() && level != pfs) {
-    // Any upper-tier failure degrades to the PFS rather than surfacing to
-    // the framework: kNotFound means the copy vanished (eviction race or
-    // quarantine on another thread); everything else is a tier fault that
-    // survived the driver's retries. Peer failures are counted apart so
-    // the cluster benches can reconcile interconnect rescue traffic.
-    if (level == peer) {
-      CountDegradedFallback(read.status().code() == StatusCode::kNotFound
-                                ? "peer_miss"
-                                : "peer_error",
-                            name, level);
-    } else if (read.status().code() == StatusCode::kNotFound) {
-      if (read_pfs_fallbacks_ != nullptr) read_pfs_fallbacks_->Increment();
+  // The file's only other copy is the authoritative one on the PFS, so
+  // every failed rung of the degradation ladder lands there: the caller
+  // sees bytes, never the tier's error.
+  Result<std::span<const std::byte>> served = std::span<const std::byte>{};
+  if (level != pfs) {
+    if (cm != nullptr) {
+      served = ServeChunks(info, *cm, level, offset, length, access);
     } else {
-      CountDegradedFallback("tier_error", name, level);
-    }
-    level = pfs;
-    read = hierarchy_->Level(level).Read(name, offset, dst);
-  }
-  if (!read.ok()) return read;
-
-  FinishRead(info, name, level, offset, read.value(),
-             offset == 0 && read.value() > 0
-                 ? std::span<const std::byte>(dst.data(), read.value())
-                 : std::span<const std::byte>{});
-  return read;
-}
-
-Result<ReadLease> Monarch::ReadZeroCopyImpl(std::string_view name,
-                                            std::uint64_t offset,
-                                            std::uint64_t max_bytes,
-                                            bool allow_zero_copy) {
-  MONARCH_ASSIGN_OR_RETURN(FileInfoPtr info, PrepareRead(name, offset));
-
-  // Same eviction pin as ReadImpl, but on success its ownership moves
-  // into the returned lease — the copy stays pinned until the caller is
-  // done with the lent bytes, not just until this call returns.
-  info->read_pins.fetch_add(1, std::memory_order_acq_rel);
-  bool pin_transferred = false;
-  struct PinGuard {
-    FileInfo* file;
-    const bool* transferred;
-    ~PinGuard() {
-      if (!*transferred) {
-        file->read_pins.fetch_sub(1, std::memory_order_acq_rel);
+      served = access.Fetch(hierarchy_->Level(level), name, offset, 0,
+                            access.limit());
+      if (served.ok() && level != peer &&
+          !VerifyTierRead(info, level, offset, served.value())) {
+        served = DataLossError("staged copy of '" + info->name +
+                               "' failed verification");
       }
     }
-  } pin_guard{info.get(), &pin_transferred};
-
-  // Pack mode (ISSUE 9): chunk-granularity zero-copy lane.
-  if (placement_->options().pack.enabled) {
-    return ReadZeroCopyChunkedImpl(info, name, offset, max_bytes,
-                                   allow_zero_copy, pin_transferred);
-  }
-
-  // Same degradation ladder as ReadImpl, running over lent views.
-  const int pfs = hierarchy_->pfs_level();
-  const int peer = hierarchy_->peer_level();
-  int level = info->level.load(std::memory_order_acquire);
-  if (level != pfs && hierarchy_->NextServingLevel(level) != level) {
-    CountDegradedFallback("circuit_open", name, level);
-    level = pfs;
-  }
-  if (level == pfs && peer >= 0 && config_.peer_view != nullptr &&
-      config_.peer_view->HasRemoteCopy(info->name)) {
-    if (hierarchy_->Level(peer).health().AllowRequest()) {
-      level = peer;
-    } else {
-      CountDegradedFallback("circuit_open", name, peer);
+    if (!served.ok()) {
+      // kNotFound means the copy vanished (eviction race or quarantine on
+      // another thread) and kDataLoss that it failed verification and was
+      // dropped; anything else is a tier fault that survived the driver's
+      // retries. Peer failures are counted apart so the cluster benches
+      // can reconcile interconnect rescue traffic.
+      const StatusCode code = served.status().code();
+      if (level == peer) {
+        CountDegradedFallback(code == StatusCode::kNotFound
+                                  ? FallbackCause::kPeerMiss
+                                  : FallbackCause::kPeerError,
+                              name, level);
+      } else if (code == StatusCode::kDataLoss) {
+        CountDegradedFallback(FallbackCause::kCorruption, name, level);
+      } else if (code == StatusCode::kNotFound) {
+        if (read_pfs_fallbacks_ != nullptr) read_pfs_fallbacks_->Increment();
+      } else {
+        CountDegradedFallback(FallbackCause::kTierError, name, level);
+      }
+      level = pfs;
     }
   }
-
-  auto view =
-      hierarchy_->Level(level).ReadZeroCopy(name, offset, max_bytes,
-                                            allow_zero_copy);
-  if (view.ok() && level != pfs && level != peer &&
-      !VerifyTierRead(info, level, offset, view.value().data(),
-                      view.value().size())) {
-    // The staged copy is corrupt and has been quarantined; drop the
-    // tainted view and re-read the authoritative bytes.
-    CountDegradedFallback("corruption", name, level);
-    level = pfs;
-    view = hierarchy_->Level(level).ReadZeroCopy(name, offset, max_bytes,
-                                                 allow_zero_copy);
+  if (level == pfs) {
+    served = access.Fetch(hierarchy_->Level(pfs), name, offset, 0,
+                          access.limit());
+    if (!served.ok()) return served.status();
   }
-  if (!view.ok() && level != pfs) {
-    if (level == peer) {
-      CountDegradedFallback(view.status().code() == StatusCode::kNotFound
-                                ? "peer_miss"
-                                : "peer_error",
-                            name, level);
-    } else if (view.status().code() == StatusCode::kNotFound) {
-      if (read_pfs_fallbacks_ != nullptr) read_pfs_fallbacks_->Increment();
-    } else {
-      CountDegradedFallback("tier_error", name, level);
-    }
-    level = pfs;
-    view = hierarchy_->Level(level).ReadZeroCopy(name, offset, max_bytes,
-                                                 allow_zero_copy);
-  }
-  if (!view.ok()) return view.status();
 
-  FinishRead(info, name, level, offset, view.value().size(),
-             offset == 0 ? view.value().data()
-                         : std::span<const std::byte>{});
-  pin_transferred = true;
-  return ReadLease(std::move(view).value(), std::move(info), level);
+  FinishRead(info, name, level, offset, served.value());
+  pin_guard.file = nullptr;  // the lease owns the pin from here on
+  storage::ReadView view =
+      access.lend ? std::move(access.view)
+                  : storage::ReadView(served.value(), nullptr,
+                                      /*zero_copy=*/false);
+  return ReadLease(std::move(view), std::move(info), level);
 }
 
-namespace {
-
-/// Alloc-free (after warmup) chunk-object name for the read hot path:
-/// one thread_local string is reused across calls, so serving a
-/// resident chunk never heap-allocates in steady state.
-const std::string& ChunkObjectNameTL(const std::string& file,
-                                     std::uint32_t chunk) {
-  thread_local std::string object;
-  object.assign(file);
-  object.append("#c");
-  char index[16];
-  const int len = std::snprintf(index, sizeof(index), "%u", chunk);
-  object.append(index, static_cast<std::size_t>(len));
-  return object;
-}
-
-}  // namespace
-
-bool Monarch::ServeResidentChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
-                                 std::uint32_t chunk, int level,
-                                 std::uint64_t offset_in_chunk,
-                                 std::span<std::byte> dst) {
-  const pack::ChunkMap::ChunkMeta meta = cm.Meta(chunk);
-  const std::uint32_t logical_n = cm.ChunkLogicalBytes(chunk);
+Result<std::span<const std::byte>> Monarch::ServeChunks(
+    const FileInfoPtr& info, pack::ChunkMap& cm, int level,
+    std::uint64_t offset, std::uint64_t length, ReadAccess& access) {
   StorageDriver& tier = hierarchy_->Level(level);
   const pack::Codec* codec = placement_->pack_codec();
-  const std::string& object = ChunkObjectNameTL(info->name, chunk);
-
-  bool corrupt = false;
-  bool served = false;
-  Status error = Status::Ok();
-  if (codec == nullptr) {
-    // Identity codec: the chunk object holds the logical bytes; read the
-    // requested slice straight into the caller's buffer. Whole-chunk
-    // reads are verified against the recorded CRC when verify_on_read is
-    // set (slices would need a full-chunk readback to check).
-    auto read = tier.Read(object, offset_in_chunk, dst);
-    if (!read.ok()) {
-      error = read.status();
-    } else if (read.value() != dst.size()) {
-      corrupt = true;
-    } else if (config_.resilience.verify_on_read && offset_in_chunk == 0 &&
-               dst.size() == logical_n &&
-               Crc32c(std::span<const std::byte>(dst)) != meta.crc_logical) {
-      corrupt = true;
+  for (std::uint64_t pos = 0; pos < length;) {
+    const std::uint32_t c = cm.ChunkOf(offset + pos);
+    const pack::ChunkMap::ChunkMeta meta = cm.Meta(c);
+    const std::uint32_t logical_n = cm.ChunkLogicalBytes(c);
+    const std::uint64_t in_chunk = offset + pos - cm.ChunkOffset(c);
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(logical_n - in_chunk, length - pos));
+    const auto at = static_cast<std::size_t>(pos);
+    const bool whole = in_chunk == 0 && n == logical_n;
+    const std::string& object = ChunkObjectNameTL(info->name, c);
+    bool intact = false;
+    if (codec == nullptr) {
+      // Identity codec: the chunk object holds the logical bytes. Whole-
+      // chunk reads are verified against the recorded CRC when
+      // verify_on_read is set (slices would need a full-chunk readback
+      // to check); a short read is corrupt either way.
+      auto got = access.Fetch(tier, object, in_chunk, at, n);
+      if (!got.ok()) return got.status();
+      intact = got.value().size() == n &&
+               !(config_.resilience.verify_on_read && whole &&
+                 Crc32c(got.value()) != meta.crc_logical);
     } else {
-      served = true;
-    }
-  } else {
-    // Compressed chunk: pull the stored bytes through a reusable
-    // per-thread scratch buffer, verify the stored-side CRC (a corrupt
-    // stream must never reach the decoder), decode — straight into the
-    // caller's buffer when the request covers the whole chunk — and
-    // verify the logical side.
-    thread_local std::vector<std::byte> stored_scratch;
-    thread_local std::vector<std::byte> logical_scratch;
-    stored_scratch.resize(meta.stored_bytes);
-    auto read = tier.Read(object, 0, stored_scratch);
-    if (!read.ok()) {
-      error = read.status();
-    } else if (read.value() != meta.stored_bytes ||
-               Crc32c(std::span<const std::byte>(stored_scratch)) !=
-                   meta.crc_stored) {
-      corrupt = true;
-    } else {
-      const obs::TraceSpan span("pack.decompress", "core");
-      std::span<std::byte> logical;
-      if (offset_in_chunk == 0 && dst.size() == logical_n) {
-        logical = dst;
-      } else {
-        logical_scratch.resize(logical_n);
-        logical = logical_scratch;
-      }
-      if (!codec->Decode(stored_scratch, logical).ok() ||
-          Crc32c(std::span<const std::byte>(logical)) != meta.crc_logical) {
-        corrupt = true;
-      } else {
-        if (logical.data() != dst.data()) {
-          std::copy_n(logical.begin() +
-                          static_cast<std::ptrdiff_t>(offset_in_chunk),
-                      dst.size(), dst.begin());
+      // Compressed chunk: pull the stored bytes through a reusable
+      // per-thread scratch buffer, verify the stored-side CRC (a corrupt
+      // stream must never reach the decoder), decode — straight into the
+      // destination when the request covers the whole chunk — and verify
+      // the logical side.
+      thread_local std::vector<std::byte> stored;
+      thread_local std::vector<std::byte> scratch;
+      stored.resize(meta.stored_bytes);
+      auto got = tier.Read(object, 0, stored);
+      if (!got.ok()) return got.status();
+      if (got.value() == meta.stored_bytes &&
+          Crc32c(std::span<const std::byte>(stored)) == meta.crc_stored) {
+        const obs::TraceSpan span("pack.decompress", "core");
+        const std::span<std::byte> out = access.Buffer(at, n);
+        if (!whole) scratch.resize(logical_n);
+        const std::span<std::byte> logical =
+            whole ? out : std::span<std::byte>(scratch);
+        intact = codec->Decode(stored, logical).ok() &&
+                 Crc32c(std::span<const std::byte>(logical)) ==
+                     meta.crc_logical;
+        if (intact && !whole) {
+          std::copy_n(logical.begin() + static_cast<std::ptrdiff_t>(in_chunk),
+                      n, out.begin());
         }
-        served = true;
       }
     }
-  }
-  if (served) return true;
-
-  if (corrupt) {
-    // Drop the bad copy so a later read re-stages it from the
-    // authoritative extent bytes — corruption degrades to PFS
-    // performance, never wrong bytes.
-    MLOG_WARN << "staged chunk '" << object << "' on tier '" << tier.name()
-              << "' failed verification; dropping it";
-    std::lock_guard lock(cm.placement_mutex());
-    const std::uint64_t stored = cm.TryEvict(chunk);
-    if (stored > 0) {
-      (void)tier.Delete(object);
-      tier.Release(stored);
+    if (!intact) {
+      // Drop the bad copy so a later read re-stages it from the
+      // authoritative extent bytes — corruption degrades to PFS
+      // performance, never wrong bytes.
+      MLOG_WARN << "staged chunk '" << object << "' on tier '" << tier.name()
+                << "' failed verification; dropping it";
+      {
+        std::lock_guard lock(cm.placement_mutex());
+        const std::uint64_t dropped = cm.TryEvict(c);
+        if (dropped > 0) {
+          (void)tier.Delete(object);
+          tier.Release(dropped);
+        }
+      }
+      return DataLossError("staged chunk '" + object +
+                           "' failed verification");
     }
-    CountDegradedFallback("corruption", info->name, level);
-  } else if (error.code() == StatusCode::kNotFound) {
-    // Eviction race: the chunk vanished between the residency check and
-    // the read. Same accounting as the whole-file fallback.
-    if (read_pfs_fallbacks_ != nullptr) read_pfs_fallbacks_->Increment();
-  } else {
-    CountDegradedFallback("tier_error", info->name, level);
+    pos += n;
   }
-  return false;
+  return access.Served(static_cast<std::size_t>(length));
 }
 
 void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
@@ -679,165 +692,15 @@ void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
   placement_->ScheduleChunkPlacement(info, std::move(claimed));
 }
 
-void Monarch::FinishChunkedMiss(std::string_view name, std::uint64_t offset,
-                                std::size_t bytes_read) {
-  chunk_misses_.fetch_add(1, std::memory_order_relaxed);
-  if (chunk_misses_counter_ != nullptr) chunk_misses_counter_->Increment();
-  auto& counters =
-      *served_[static_cast<std::size_t>(hierarchy_->pfs_level())];
-  counters.reads.fetch_add(1, std::memory_order_relaxed);
-  counters.bytes.fetch_add(bytes_read, std::memory_order_relaxed);
-  if (offset == 0 && hints_active_.load(std::memory_order_acquire)) {
-    AdvancePrefetchCursor(name);
-  }
-}
-
-Result<std::size_t> Monarch::ReadChunkedImpl(const FileInfoPtr& info,
-                                             std::string_view name,
-                                             std::uint64_t offset,
-                                             std::span<std::byte> dst) {
-  const int pfs = hierarchy_->pfs_level();
-  const std::uint64_t length =
-      offset >= info->size
-          ? 0
-          : std::min<std::uint64_t>(dst.size(), info->size - offset);
-  pack::ChunkMap* cm =
-      info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
-
-  // Every overlapping chunk resident → serve the request chunk by chunk
-  // from the assigned tier; no PFS traffic at all.
-  if (length > 0 && cm->RangeResident(offset, length)) {
-    const int level = cm->tier();
-    if (level >= 0 && level != pfs &&
-        hierarchy_->NextServingLevel(level) == level) {
-      std::uint64_t pos = offset;
-      std::span<std::byte> out = dst.subspan(0, length);
-      bool served = true;
-      while (!out.empty()) {
-        const std::uint32_t c = cm->ChunkOf(pos);
-        const std::uint64_t in_chunk = pos - cm->ChunkOffset(c);
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(cm->ChunkLogicalBytes(c) - in_chunk,
-                                    out.size()));
-        if (!ServeResidentChunk(info, *cm, c, level, in_chunk,
-                                out.subspan(0, n))) {
-          served = false;  // counted inside; re-read everything from PFS
-          break;
-        }
-        pos += n;
-        out = out.subspan(n);
-      }
-      if (served) {
-        chunk_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (chunk_hits_counter_ != nullptr) chunk_hits_counter_->Increment();
-        FinishRead(info, name, level, offset,
-                   static_cast<std::size_t>(length), {});
-        return static_cast<std::size_t>(length);
-      }
-    }
-  }
-
-  // Miss (or partially resident, or the tier is sick): the request is
-  // served by the authoritative PFS copy — through the pack index when
-  // the dataset is packed — and the touched chunks are claimed for
-  // background staging. PFS bytes scale with bytes *touched*.
-  auto read = hierarchy_->Level(pfs).Read(name, offset, dst);
-  if (!read.ok()) return read;
-  if (read.value() > 0) {
-    TriggerChunkStaging(info, *cm, offset, read.value());
-  }
-  FinishChunkedMiss(name, offset, read.value());
-  return read;
-}
-
-Result<ReadLease> Monarch::ReadZeroCopyChunkedImpl(
-    FileInfoPtr info, std::string_view name, std::uint64_t offset,
-    std::uint64_t max_bytes, bool allow_zero_copy, bool& pin_transferred) {
-  const int pfs = hierarchy_->pfs_level();
-  const std::uint64_t length =
-      offset >= info->size
-          ? 0
-          : std::min<std::uint64_t>(max_bytes, info->size - offset);
-  pack::ChunkMap* cm =
-      info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
-
-  if (length > 0) {
-    const std::uint32_t c = cm->ChunkOf(offset);
-    const int level = cm->tier();
-    if (cm->IsResident(c) && level >= 0 && level != pfs &&
-        hierarchy_->NextServingLevel(level) == level) {
-      // Serve within the first overlapping chunk, clipped to its end —
-      // short views are legal (ReadZeroCopy callers loop).
-      const std::uint64_t in_chunk = offset - cm->ChunkOffset(c);
-      const std::uint64_t avail = std::min<std::uint64_t>(
-          length, cm->ChunkLogicalBytes(c) - in_chunk);
-      if (placement_->pack_codec() == nullptr) {
-        auto view = hierarchy_->Level(level).ReadZeroCopy(
-            ChunkObjectNameTL(info->name, c), in_chunk, avail,
-            allow_zero_copy);
-        if (view.ok() && view.value().size() == avail) {
-          chunk_hits_.fetch_add(1, std::memory_order_relaxed);
-          if (chunk_hits_counter_ != nullptr) {
-            chunk_hits_counter_->Increment();
-          }
-          FinishRead(info, name, level, offset, view.value().size(), {});
-          pin_transferred = true;
-          return ReadLease(std::move(view).value(), std::move(info), level);
-        }
-        if (!view.ok() &&
-            view.status().code() == StatusCode::kNotFound) {
-          if (read_pfs_fallbacks_ != nullptr) {
-            read_pfs_fallbacks_->Increment();
-          }
-        } else if (!view.ok()) {
-          CountDegradedFallback("tier_error", name, level);
-        }
-      } else {
-        // Compressed chunk: decode the whole chunk into a heap buffer
-        // the returned view keeps alive (zero_copy() reports false —
-        // decompression is inherently a copy).
-        auto logical = std::make_shared<std::vector<std::byte>>(
-            cm->ChunkLogicalBytes(c));
-        if (ServeResidentChunk(info, *cm, c, level, 0, *logical)) {
-          const std::span<const std::byte> data(
-              logical->data() + in_chunk, static_cast<std::size_t>(avail));
-          storage::ReadView view(data, std::move(logical),
-                                 /*zero_copy=*/false);
-          chunk_hits_.fetch_add(1, std::memory_order_relaxed);
-          if (chunk_hits_counter_ != nullptr) {
-            chunk_hits_counter_->Increment();
-          }
-          FinishRead(info, name, level, offset, data.size(), {});
-          pin_transferred = true;
-          return ReadLease(std::move(view), std::move(info), level);
-        }
-      }
-    }
-  }
-
-  // Miss: lend from the PFS (the pack layer serves packed names out of
-  // their extents) and claim whatever the view actually covered.
-  auto view = hierarchy_->Level(pfs).ReadZeroCopy(name, offset, max_bytes,
-                                                  allow_zero_copy);
-  if (!view.ok()) return view.status();
-  if (view.value().size() > 0) {
-    TriggerChunkStaging(info, *cm, offset, view.value().size());
-  }
-  FinishChunkedMiss(name, offset, view.value().size());
-  pin_transferred = true;
-  return ReadLease(std::move(view).value(), std::move(info), pfs);
-}
-
 void Monarch::FinishRead(const FileInfoPtr& info, std::string_view name,
                          int level, std::uint64_t offset,
-                         std::size_t bytes_read,
-                         std::span<const std::byte> donated) {
+                         std::span<const std::byte> served) {
   const int pfs = hierarchy_->pfs_level();
   const int peer = hierarchy_->peer_level();
 
   auto& counters = *served_[static_cast<std::size_t>(level)];
   counters.reads.fetch_add(1, std::memory_order_relaxed);
-  counters.bytes.fetch_add(bytes_read, std::memory_order_relaxed);
+  counters.bytes.fetch_add(served.size(), std::memory_order_relaxed);
 
   if (level != pfs && info->prefetched.exchange(false)) {
     // First demand read of a copy that a look-ahead hint staged: the
@@ -845,38 +708,48 @@ void Monarch::FinishRead(const FileInfoPtr& info, std::string_view name,
     prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // First access to a PFS-resident file: claim it and stage a copy in the
-  // background (③/④). Any leading bytes the framework's request already
-  // pulled are donated to the placement task — the full file when the
-  // read covered it (old fast path), a prefix otherwise — so the staging
-  // pipeline never re-reads them from the PFS. The §III-B partial-read
-  // optimisation fetches the rest in the background (disabled => only
-  // full reads stage).
-  // Shard ownership (ISSUE 4): with a peer view installed, each node
-  // stages only the files it owns — demand reads of peer-owned files go
-  // owner-first / PFS-second and never trigger local staging. A read
-  // served by a PEER still stages when this node is an owner (ISSUE 7):
-  // with replication > 1 the later owners' reads are satisfied by the
-  // first owner's copy, and without this their replicas would never
-  // materialise — the donated bytes mean the copy costs no extra PFS
-  // traffic.
-  if ((level == pfs || level == peer) && !placement_->stopped() &&
-      (config_.peer_view == nullptr ||
-       config_.peer_view->ShouldStageLocally(info->name))) {
+  if (placement_->options().pack.enabled) {
+    // Pack mode stages chunks, never files: a miss read the request from
+    // the authoritative PFS — so PFS traffic scales with bytes *touched*
+    // — and claims exactly the touched chunks for demand staging.
+    if (level != pfs) {
+      chunk_hits_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      chunk_misses_.fetch_add(1, std::memory_order_relaxed);
+      TriggerChunkStaging(info, *info->chunk_map(), offset, served.size());
+    }
+  } else if ((level == pfs || level == peer) && !placement_->stopped() &&
+             (config_.peer_view == nullptr ||
+              config_.peer_view->ShouldStageLocally(info->name))) {
+    // First access to a PFS-resident file: claim it and stage a copy in
+    // the background (③/④). Any leading bytes the framework's request
+    // already pulled are donated to the placement task — the full file
+    // when the read covered it (old fast path), a prefix otherwise — so
+    // the staging pipeline never re-reads them from the PFS. The §III-B
+    // partial-read optimisation fetches the rest in the background
+    // (disabled => only full reads stage).
+    // Shard ownership (ISSUE 4): with a peer view installed, each node
+    // stages only the files it owns — demand reads of peer-owned files
+    // go owner-first / PFS-second and never trigger local staging. A
+    // read served by a PEER still stages when this node is an owner
+    // (ISSUE 7): with replication > 1 the later owners' reads are
+    // satisfied by the first owner's copy, and without this their
+    // replicas would never materialise — the donated bytes mean the copy
+    // costs no extra PFS traffic.
     // An offset-0 read (file open) re-arms a file whose last demand
     // staging was refused by the eviction policy; later chunks of the
     // same pass leave the latch alone so one open retries at most once.
     if (offset == 0) info->stage_refused.store(false, std::memory_order_release);
-    const bool full_read = offset == 0 && bytes_read == info->size;
+    const bool full_read = offset == 0 && served.size() == info->size;
     if ((full_read ||
          placement_->options().fetch_full_file_on_partial_read) &&
         !info->stage_refused.load(std::memory_order_acquire)) {
       if (info->TryBeginFetch()) {
         std::optional<std::vector<std::byte>> content;
-        if (offset == 0 && !donated.empty()) {
+        if (offset == 0 && !served.empty()) {
           // The copy happens ONLY when a staging task actually claims
           // the file — never on the per-read hot path.
-          content.emplace(donated.begin(), donated.end());
+          content.emplace(served.begin(), served.end());
         }
         placement_->SchedulePlacement(info, std::move(content));
       } else if (info->state.load(std::memory_order_acquire) ==
@@ -898,15 +771,17 @@ void Monarch::FinishRead(const FileInfoPtr& info, std::string_view name,
 
 bool Monarch::VerifyTierRead(const FileInfoPtr& info, int level,
                              std::uint64_t offset,
-                             std::span<const std::byte> data, std::size_t n) {
+                             std::span<const std::byte> data) {
   // Only whole-file reads can be checked against the staged-copy CRC —
-  // chunked reads would need per-block checksums. That covers the dlsim
+  // partial reads would need per-block checksums. That covers the dlsim
   // trainer (sample == file) and any full-fetch read path.
   if (!config_.resilience.verify_on_read) return true;
-  if (offset != 0 || n != info->size || !info->HasStagedCrc()) return true;
+  if (offset != 0 || data.size() != info->size || !info->HasStagedCrc()) {
+    return true;
+  }
   const std::uint64_t expected =
       info->staged_crc.load(std::memory_order_acquire);
-  if (Crc32c(data.subspan(0, n)) == expected) return true;
+  if (Crc32c(data) == expected) return true;
   MLOG_WARN << "read of '" << info->name << "' from tier '"
             << hierarchy_->Level(level).name()
             << "' failed CRC verification; quarantining the copy";
@@ -914,28 +789,19 @@ bool Monarch::VerifyTierRead(const FileInfoPtr& info, int level,
   return false;
 }
 
-void Monarch::CountDegradedFallback(const char* cause, std::string_view name,
+void Monarch::CountDegradedFallback(FallbackCause cause, std::string_view name,
                                     int level) {
-  if (read_degraded_fallbacks_ != nullptr) {
-    read_degraded_fallbacks_->Increment();
-  }
-  if (std::string_view(cause) == "circuit_open") {
-    fallbacks_circuit_open_.fetch_add(1, std::memory_order_relaxed);
-  } else if (std::string_view(cause) == "corruption") {
-    fallbacks_corruption_.fetch_add(1, std::memory_order_relaxed);
-  } else if (std::string_view(cause) == "peer_miss") {
-    fallbacks_peer_miss_.fetch_add(1, std::memory_order_relaxed);
-  } else if (std::string_view(cause) == "peer_error") {
-    fallbacks_peer_error_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    fallbacks_tier_error_.fetch_add(1, std::memory_order_relaxed);
-  }
+  static constexpr const char* kCauseNames[] = {
+      "circuit_open", "tier_error", "corruption", "peer_miss", "peer_error"};
+  const auto index = static_cast<std::size_t>(cause);
+  fallbacks_[index].fetch_add(1, std::memory_order_relaxed);
   obs::EventTracer& tracer = obs::EventTracer::Global();
   if (tracer.enabled()) {
     tracer.RecordInstant(
         "monarch.read.fallback", "resilience",
-        "\"file\":" + obs::JsonQuote(name) + ",\"cause\":\"" + cause +
-            "\",\"tier\":" + obs::JsonQuote(hierarchy_->Level(level).name()));
+        "\"file\":" + obs::JsonQuote(name) + ",\"cause\":\"" +
+            kCauseNames[index] + "\",\"tier\":" +
+            obs::JsonQuote(hierarchy_->Level(level).name()));
   }
 }
 
@@ -994,12 +860,10 @@ void Monarch::AdvancePrefetchCursor(std::string_view name) {
 
 void Monarch::TopUpPrefetch() {
   if (placement_->stopped()) return;
-  const bool pack = placement_->options().pack.enabled;
-  // Claim under the lock (so the window accounting stays consistent),
-  // enqueue outside it (SchedulePlacement takes the handler's own lock).
-  std::vector<FileInfoPtr> claimed;
-  std::vector<std::pair<FileInfoPtr, std::vector<std::uint32_t>>>
-      chunk_claimed;
+  // Advance the window under the lock (so its accounting stays
+  // consistent), claim and enqueue outside it (scheduling takes the
+  // handler's own lock).
+  std::vector<FileInfoPtr> window;
   {
     std::lock_guard lock(hint_mu_);
     const auto lookahead =
@@ -1007,40 +871,43 @@ void Monarch::TopUpPrefetch() {
     const std::size_t limit =
         std::min(hinted_order_.size(), hint_cursor_ + lookahead);
     for (; hint_scheduled_ < limit; ++hint_scheduled_) {
-      const FileInfoPtr& info = hinted_order_[hint_scheduled_];
-      // Hints for peer-owned files are skipped, not claimed: the owner
-      // stages them and this node reads them over the interconnect.
-      if (config_.peer_view != nullptr &&
-          !config_.peer_view->ShouldStageLocally(info->name)) {
-        continue;
-      }
-      if (pack) {
-        // Chunked files are prefetched whole, but chunk by chunk: claim
-        // every non-resident chunk instead of the file-level fetch flag.
-        pack::ChunkMap* cm =
-            info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
-        std::vector<std::uint32_t> chunks;
-        for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
-          if (!cm->IsResident(c) && cm->TryClaim(c)) chunks.push_back(c);
-        }
-        if (!chunks.empty()) {
-          info->prefetched.store(true, std::memory_order_release);
-          chunk_claimed.emplace_back(info, std::move(chunks));
-        }
-      } else if (info->TryBeginFetch()) {
-        info->prefetched.store(true, std::memory_order_release);
-        claimed.push_back(info);
-      }
+      window.push_back(hinted_order_[hint_scheduled_]);
     }
   }
-  for (FileInfoPtr& info : claimed) {
-    placement_->SchedulePlacement(std::move(info), std::nullopt,
-                                  StagingLane::kPrefetch);
+  for (FileInfoPtr& info : window) {
+    ClaimAndSchedule(std::move(info), StagingLane::kPrefetch, /*hinted=*/true);
   }
-  for (auto& [info, chunks] : chunk_claimed) {
+}
+
+bool Monarch::ClaimAndSchedule(FileInfoPtr info, StagingLane lane,
+                               bool hinted) {
+  // Shard ownership (ISSUE 4): each node stages only its own shard; the
+  // rest of the dataset reaches it through the peer tier.
+  if (config_.peer_view != nullptr &&
+      !config_.peer_view->ShouldStageLocally(info->name)) {
+    return false;
+  }
+  std::vector<std::uint32_t> chunks;
+  if (placement_->options().pack.enabled) {
+    // Chunked files stage whole, but chunk by chunk: claim every
+    // non-resident chunk instead of the file-level fetch flag.
+    pack::ChunkMap* cm =
+        info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
+    for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
+      if (!cm->IsResident(c) && cm->TryClaim(c)) chunks.push_back(c);
+    }
+    if (chunks.empty()) return false;
+  } else if (!info->TryBeginFetch()) {
+    return false;
+  }
+  if (hinted) info->prefetched.store(true, std::memory_order_release);
+  if (chunks.empty()) {
+    placement_->SchedulePlacement(std::move(info), std::nullopt, lane);
+  } else {
     placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks),
-                                       StagingLane::kPrefetch);
+                                       lane);
   }
+  return true;
 }
 
 Result<std::uint64_t> Monarch::FileSize(std::string_view name) {
@@ -1051,29 +918,11 @@ Result<std::uint64_t> Monarch::FileSize(std::string_view name) {
 std::uint64_t Monarch::Prestage(bool block) {
   std::uint64_t scheduled = 0;
   for (const auto& entry : metadata_.Snapshot()) {
-    // Shard ownership (ISSUE 4): prestage only this node's shard; the
-    // rest of the dataset reaches it through the peer tier.
-    if (config_.peer_view != nullptr &&
-        !config_.peer_view->ShouldStageLocally(entry.name)) {
-      continue;
-    }
     FileInfoPtr info = metadata_.Lookup(entry.name);
-    if (!info) continue;
-    if (placement_->options().pack.enabled) {
-      pack::ChunkMap* cm =
-          info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
-      std::vector<std::uint32_t> chunks;
-      for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
-        if (!cm->IsResident(c) && cm->TryClaim(c)) chunks.push_back(c);
-      }
-      if (chunks.empty()) continue;
-      placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks));
+    if (info && ClaimAndSchedule(std::move(info), StagingLane::kDemand,
+                                 /*hinted=*/false)) {
       ++scheduled;
-      continue;
     }
-    if (!info->TryBeginFetch()) continue;
-    placement_->SchedulePlacement(std::move(info), std::nullopt);
-    ++scheduled;
   }
   if (block) placement_->Drain();
   return scheduled;
@@ -1081,34 +930,19 @@ std::uint64_t Monarch::Prestage(bool block) {
 
 Result<std::uint64_t> Monarch::RestageFile(const std::string& name) {
   if (placement_->stopped()) return std::uint64_t{0};
-  // Ownership may have shifted again since the repair task was queued —
-  // re-check the gate at drain time, not enqueue time.
-  if (config_.peer_view != nullptr &&
-      !config_.peer_view->ShouldStageLocally(name)) {
-    return std::uint64_t{0};
-  }
   FileInfoPtr info = metadata_.Lookup(name);
   if (!info) {
     return NotFoundError("restage of unindexed file '" + name + "'");
   }
   const std::uint64_t size = info->size;
-  if (placement_->options().pack.enabled) {
-    pack::ChunkMap* cm =
-        info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
-    std::vector<std::uint32_t> chunks;
-    for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
-      if (!cm->IsResident(c) && cm->TryClaim(c)) chunks.push_back(c);
-    }
-    if (chunks.empty()) return std::uint64_t{0};
-    placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks),
-                                       StagingLane::kPrefetch);
-    return size;
-  }
-  if (!info->TryBeginFetch()) return std::uint64_t{0};
+  // Ownership may have shifted again since the repair task was queued —
+  // ClaimAndSchedule re-checks the gate at drain time, not enqueue time.
   // Repair rides the PREFETCH lane: the two-lane pipeline guarantees it
   // parks behind demand staging and respects the in-flight byte caps.
-  placement_->SchedulePlacement(std::move(info), std::nullopt,
-                                StagingLane::kPrefetch);
+  if (!ClaimAndSchedule(std::move(info), StagingLane::kPrefetch,
+                        /*hinted=*/false)) {
+    return std::uint64_t{0};
+  }
   return size;
 }
 
@@ -1213,16 +1047,15 @@ MonarchStats Monarch::Stats() const {
   }
   stats.placement = placement_->Stats();
   stats.prefetch_hits = prefetch_hits_.load(std::memory_order_relaxed);
-  stats.fallbacks_circuit_open =
-      fallbacks_circuit_open_.load(std::memory_order_relaxed);
-  stats.fallbacks_tier_error =
-      fallbacks_tier_error_.load(std::memory_order_relaxed);
-  stats.fallbacks_corruption =
-      fallbacks_corruption_.load(std::memory_order_relaxed);
-  stats.fallbacks_peer_miss =
-      fallbacks_peer_miss_.load(std::memory_order_relaxed);
-  stats.fallbacks_peer_error =
-      fallbacks_peer_error_.load(std::memory_order_relaxed);
+  const auto fallbacks = [this](FallbackCause cause) {
+    return fallbacks_[static_cast<std::size_t>(cause)].load(
+        std::memory_order_relaxed);
+  };
+  stats.fallbacks_circuit_open = fallbacks(FallbackCause::kCircuitOpen);
+  stats.fallbacks_tier_error = fallbacks(FallbackCause::kTierError);
+  stats.fallbacks_corruption = fallbacks(FallbackCause::kCorruption);
+  stats.fallbacks_peer_miss = fallbacks(FallbackCause::kPeerMiss);
+  stats.fallbacks_peer_error = fallbacks(FallbackCause::kPeerError);
   stats.degraded_fallbacks =
       stats.fallbacks_circuit_open + stats.fallbacks_tier_error +
       stats.fallbacks_corruption + stats.fallbacks_peer_miss +

@@ -18,6 +18,8 @@
 // with room. Shutdown() (or the destructor) drains in-flight staging.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -63,7 +65,8 @@ struct MonarchConfig {
   /// Optional cooperative peer-cache tier (ISSUE 4): an engine serving
   /// other nodes' staged copies over the interconnect, slotted directly
   /// above the PFS as a read-only level. `quota_bytes` is ignored (the
-  /// bytes live on the peers). Requires `peer_view`.
+  /// bytes live on the peers). Requires `peer_view`; cannot be combined
+  /// with pack mode (`placement.pack.enabled`).
   std::optional<TierSpec> peer_tier;
   /// Cluster placement knowledge backing the peer tier: shard ownership
   /// for staging decisions, remote-copy lookups for the read path, and
@@ -280,85 +283,71 @@ class Monarch {
   explicit Monarch(MonarchConfig config,
                    std::unique_ptr<StorageHierarchy> hierarchy);
 
-  /// Read() minus instrumentation (Read wraps this with the span, the
-  /// request/error counters, and the latency histogram).
-  Result<std::size_t> ReadImpl(std::string_view name, std::uint64_t offset,
-                               std::span<std::byte> dst);
+  /// Why a rung of the degradation ladder fell through to the PFS
+  /// (indexes `fallbacks_`; MonarchStats reports each one).
+  enum class FallbackCause {
+    kCircuitOpen,
+    kTierError,
+    kCorruption,
+    kPeerMiss,
+    kPeerError,
+    kCount
+  };
 
-  /// ReadZeroCopy() minus instrumentation.
-  Result<ReadLease> ReadZeroCopyImpl(std::string_view name,
-                                     std::uint64_t offset,
-                                     std::uint64_t max_bytes,
-                                     bool allow_zero_copy);
+  /// The caller's end of one read (monarch.cc): Read copies into its
+  /// span, ReadZeroCopy lends a view.
+  struct ReadAccess;
+
+  /// Read() and ReadZeroCopy(): the span, the request/error counters and
+  /// the latency histogram around Ladder().
+  Result<ReadLease> Serve(std::string_view name, std::uint64_t offset,
+                          ReadAccess& access);
+
+  /// The serve ladder (§III-B): serve from the file's current level —
+  /// its resident chunks in pack mode — or a peer's copy, otherwise from
+  /// the PFS. A failed rung counts its cause and re-reads from the PFS.
+  /// The returned lease owns the file's eviction read-pin.
+  Result<ReadLease> Ladder(std::string_view name, std::uint64_t offset,
+                           ReadAccess& access);
+
+  /// Pack-mode rung (ISSUE 9): serve [offset, offset + length) chunk by
+  /// chunk from the tier at `level`, decoding through the staging codec.
+  /// A chunk that fails verification is dropped (so staging can retry
+  /// it) and reported as kDataLoss.
+  Result<std::span<const std::byte>> ServeChunks(
+      const FileInfoPtr& info, pack::ChunkMap& cm, int level,
+      std::uint64_t offset, std::uint64_t length, ReadAccess& access);
 
   /// Shared head of both read paths: look up (or lazily register) the
   /// file, stamp the access clock, and note the policy access.
   Result<FileInfoPtr> PrepareRead(std::string_view name, std::uint64_t offset);
 
   /// Shared tail of both read paths: serve counters, prefetch-hit
-  /// bookkeeping, staging trigger, prefetch-cursor advance. `donated`
-  /// holds the leading bytes of an offset-0 read when available.
+  /// bookkeeping, whole-file or chunk staging trigger, prefetch-cursor
+  /// advance. `served` holds the bytes handed to the caller.
   void FinishRead(const FileInfoPtr& info, std::string_view name, int level,
-                  std::uint64_t offset, std::size_t bytes_read,
-                  std::span<const std::byte> donated);
+                  std::uint64_t offset, std::span<const std::byte> served);
 
   /// Full-file tier reads against a recorded CRC when verify_on_read is
   /// set. Returns false when the copy is corrupt (and quarantines it).
   bool VerifyTierRead(const FileInfoPtr& info, int level, std::uint64_t offset,
-                      std::span<const std::byte> data, std::size_t n);
+                      std::span<const std::byte> data);
 
   /// Count one rung of the degradation ladder: a read the tier at `level`
-  /// could not serve and the PFS absorbed. `cause` is one of
-  /// "circuit_open" | "tier_error" | "corruption" | "peer_miss" |
-  /// "peer_error".
-  void CountDegradedFallback(const char* cause, std::string_view name,
+  /// could not serve and the PFS absorbed.
+  void CountDegradedFallback(FallbackCause cause, std::string_view name,
                              int level);
-
-  /// Pack mode (ISSUE 9): serve [offset, offset + dst.size()) of a
-  /// chunked file. When every overlapping chunk is resident, the request
-  /// is served chunk by chunk from the assigned tier (decoding through
-  /// the staging codec); otherwise the whole request reads from the
-  /// authoritative PFS — so PFS traffic scales with bytes *touched* —
-  /// and the touched chunks are claimed for demand staging.
-  Result<std::size_t> ReadChunkedImpl(const FileInfoPtr& info,
-                                      std::string_view name,
-                                      std::uint64_t offset,
-                                      std::span<std::byte> dst);
-
-  /// Pack mode, zero-copy lane. A resident first chunk serves a view
-  /// clipped to the chunk boundary (short views are legal — callers
-  /// loop); the compressed codec decodes into a heap buffer the view
-  /// keeps alive (zero_copy() reports false). Anything else falls back
-  /// to the PFS. Sets `pin_transferred` when the returned lease took
-  /// over the caller's read pin.
-  Result<ReadLease> ReadZeroCopyChunkedImpl(FileInfoPtr info,
-                                            std::string_view name,
-                                            std::uint64_t offset,
-                                            std::uint64_t max_bytes,
-                                            bool allow_zero_copy,
-                                            bool& pin_transferred);
-
-  /// Serve one resident chunk slice (`dst` = logical bytes at
-  /// `offset_in_chunk`) from the tier at `level`, decoding when the
-  /// codec is active. Verifies the stored-side CRC before decode and
-  /// the logical-side CRC after; a bad copy is dropped (so staging can
-  /// retry it) and counted as a degraded fallback. Returns false when
-  /// the caller must re-read from the PFS.
-  bool ServeResidentChunk(const FileInfoPtr& info, pack::ChunkMap& cm,
-                          std::uint32_t chunk, int level,
-                          std::uint64_t offset_in_chunk,
-                          std::span<std::byte> dst);
 
   /// Claim the non-resident chunks overlapping [offset, offset+length)
   /// and enqueue one demand-lane chunk staging task for them.
   void TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
                            std::uint64_t offset, std::uint64_t length);
 
-  /// Shared tail of the pack-mode PFS miss paths: serve counters and
-  /// the prefetch-cursor advance, WITHOUT the whole-file staging
-  /// trigger of FinishRead (pack mode stages chunks, never files).
-  void FinishChunkedMiss(std::string_view name, std::uint64_t offset,
-                         std::size_t bytes_read);
+  /// Claim `info` for background staging on `lane` — the file-level
+  /// fetch, or every non-resident chunk in pack mode — and enqueue it.
+  /// Skips files another node owns; `hinted` marks a look-ahead claim.
+  /// Returns false when nothing was claimed.
+  bool ClaimAndSchedule(FileInfoPtr info, StagingLane lane, bool hinted);
 
   /// A demand read of `name` landed: advance the prefetch cursor past it
   /// and top up the look-ahead window with new PREFETCH-lane claims.
@@ -406,22 +395,16 @@ class Monarch {
   obs::Counter* read_requests_ = nullptr;
   obs::Counter* read_pfs_fallbacks_ = nullptr;
   obs::Counter* read_errors_ = nullptr;
-  obs::Counter* read_degraded_fallbacks_ = nullptr;
   obs::Histogram* read_latency_ = nullptr;
 
-  // Chunk-read outcomes (pack mode): owned registry counters plus the
-  // per-instance tallies Stats() reports.
-  obs::Counter* chunk_hits_counter_ = nullptr;
-  obs::Counter* chunk_misses_counter_ = nullptr;
+  // Chunk-read outcomes (pack mode) and per-cause fallback tallies; the
+  // pull source exports them as `monarch.chunk.{hits,misses}` and
+  // `monarch.read.degraded_fallbacks`.
   std::atomic<std::uint64_t> chunk_hits_{0};
   std::atomic<std::uint64_t> chunk_misses_{0};
-
-  // Per-cause fallback tallies behind `monarch.read.degraded_fallbacks`.
-  std::atomic<std::uint64_t> fallbacks_circuit_open_{0};
-  std::atomic<std::uint64_t> fallbacks_tier_error_{0};
-  std::atomic<std::uint64_t> fallbacks_corruption_{0};
-  std::atomic<std::uint64_t> fallbacks_peer_miss_{0};
-  std::atomic<std::uint64_t> fallbacks_peer_error_{0};
+  std::array<std::atomic<std::uint64_t>,
+             static_cast<std::size_t>(FallbackCause::kCount)>
+      fallbacks_{};
 
   // The async submission/completion ring (declared after everything its
   // workers touch; destroyed — joining the workers — before any of it).

@@ -56,6 +56,11 @@ void PlacementHandler::NoteCopyDropped(FileInfo& file) noexcept {
   }
 }
 
+void PlacementHandler::CancelPrefetch(FileInfo& file) noexcept {
+  prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
+  file.prefetched.store(false, std::memory_order_relaxed);
+}
+
 PlacementHandler::PlacementHandler(StorageHierarchy& hierarchy,
                                    MetadataContainer& metadata,
                                    PlacementPolicyPtr policy,
@@ -73,32 +78,6 @@ PlacementHandler::PlacementHandler(StorageHierarchy& hierarchy,
                 std::max<std::uint64_t>(1, options.staging_chunk_bytes),
                 std::max<std::uint64_t>(1, options.staging_buffer_bytes))),
       inflight_bytes_(hierarchy.num_levels(), 0) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  evictions_counter_ = registry.GetCounter(
-      "monarch.placement.evictions", "ops",
-      "placed copies dropped to make room for incoming files");
-  evicted_bytes_counter_ = registry.GetCounter(
-      "monarch.placement.evicted_bytes", "bytes",
-      "bytes freed from cache tiers by evictions");
-  eviction_refused_counter_ = registry.GetCounter(
-      "monarch.placement.eviction_refused", "ops",
-      "evictions the policy refused or that freed no usable room");
-  chunk_staged_counter_ = registry.GetCounter(
-      "monarch.chunk.staged", "ops",
-      "chunk copies published to cache tiers (pack mode)");
-  chunk_stored_bytes_counter_ = registry.GetCounter(
-      "monarch.chunk.stored_bytes", "bytes",
-      "post-codec bytes written to cache tiers by chunk staging");
-  chunk_evicted_counter_ = registry.GetCounter(
-      "monarch.chunk.evicted", "ops",
-      "chunk copies dropped from cache tiers");
-  cross_class_counter_ = registry.GetCounter(
-      "qos.cross_class_evictions", "ops",
-      "evictions where a low-retention tenant dropped a demand working-"
-      "set copy (zero by construction)");
-  scan_refusal_counter_ = registry.GetCounter(
-      "qos.scan_stage_refusals", "ops",
-      "scan stagings refused by the low-retention resident cap");
   // Fair-queue classes (ISSUE 10): interactive and training are the
   // demand band, scan/drain/prefetch the background band. With QoS off
   // every class weighs 1 — the queue degenerates to the original
@@ -155,48 +134,27 @@ PlacementHandler::~PlacementHandler() {
 void PlacementHandler::SchedulePlacement(
     FileInfoPtr file, std::optional<std::vector<std::byte>> content,
     StagingLane lane) {
-  if (stopped_.load(std::memory_order_relaxed)) {
-    if (lane == StagingLane::kPrefetch) {
-      prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
-      file->prefetched.store(false, std::memory_order_relaxed);
-    }
-    file->AbortFetch(/*permanently=*/false);
-    return;
-  }
-  scheduled_.fetch_add(1, std::memory_order_relaxed);
-  if (lane == StagingLane::kPrefetch) {
-    prefetch_scheduled_.fetch_add(1, std::memory_order_relaxed);
-  }
   // The task owns the FileInfo reference and (optionally) the bytes the
   // read path already fetched, avoiding a second PFS read (§III-B, ③/④).
-  StagingTask task{std::move(file), std::move(content), lane, {},
-                   SnapshotTenant()};
-  {
-    std::lock_guard lock(mu_);
-    PushLocked(std::move(task));
-  }
-  cv_.notify_one();
+  Enqueue({std::move(file), std::move(content), lane, {}, SnapshotTenant()});
 }
 
 void PlacementHandler::ScheduleChunkPlacement(FileInfoPtr file,
                                               std::vector<std::uint32_t> chunks,
                                               StagingLane lane) {
   if (chunks.empty()) return;
-  StagingTask task;
-  task.file = std::move(file);
-  task.lane = lane;
-  task.chunks = std::move(chunks);
-  task.tenant = SnapshotTenant();
+  Enqueue({std::move(file), std::nullopt, lane, std::move(chunks),
+           SnapshotTenant()});
+}
+
+void PlacementHandler::Enqueue(StagingTask task) {
   if (stopped_.load(std::memory_order_relaxed)) {
-    if (lane == StagingLane::kPrefetch) {
-      prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
-      task.file->prefetched.store(false, std::memory_order_relaxed);
-    }
-    ReleaseChunkClaims(task);
+    if (task.lane == StagingLane::kPrefetch) CancelPrefetch(*task.file);
+    ReleaseClaims(task);
     return;
   }
   scheduled_.fetch_add(1, std::memory_order_relaxed);
-  if (lane == StagingLane::kPrefetch) {
+  if (task.lane == StagingLane::kPrefetch) {
     prefetch_scheduled_.fetch_add(1, std::memory_order_relaxed);
   }
   {
@@ -247,15 +205,10 @@ std::size_t PlacementHandler::CancelPrefetches() {
     deferred_.clear();
   }
   for (const StagingTask& task : cancelled) {
-    task.file->prefetched.store(false, std::memory_order_relaxed);
-    if (task.chunks.empty()) {
-      task.file->AbortFetch(/*permanently=*/false);
-    } else {
-      // Chunk tasks never claimed the file-level fetch; just hand the
-      // chunk claims back so a later read can re-trigger staging.
-      ReleaseChunkClaims(task);
-    }
-    prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
+    CancelPrefetch(*task.file);
+    // Back to the retryable PFS-only state (chunk tasks hand their chunk
+    // claims back) so a later read can re-trigger staging.
+    ReleaseClaims(task);
   }
   drain_cv_.notify_all();
   return cancelled.size();
@@ -346,6 +299,36 @@ void PlacementHandler::RecordStagingFailure(const FileInfoPtr& file) {
   }
 }
 
+bool PlacementHandler::RefuseScanStaging(const StagingTask& task) {
+  // Scan resistance (ISSUE 10): a low-retention tenant past its
+  // resident cap is refused — its reads keep being served straight from
+  // the PFS instead of churning the cache tiers.
+  const std::uint64_t cap = options_.qos.scan_stage_cap_bytes;
+  if (!task.tenant.low_retention || cap == 0 ||
+      low_retention_resident_bytes_.load(std::memory_order_relaxed) +
+              task.file->size <=
+          cap) {
+    return false;
+  }
+  scan_stage_refusals_.fetch_add(1, std::memory_order_relaxed);
+  if (task.lane == StagingLane::kPrefetch) CancelPrefetch(*task.file);
+  task.file->stage_refused.store(true, std::memory_order_release);
+  ReleaseClaims(task);
+  return true;
+}
+
+void PlacementHandler::CountNoSpace(const StagingTask& task) {
+  rejected_no_space_.fetch_add(1, std::memory_order_relaxed);
+  obs::EventTracer& tracer = obs::EventTracer::Global();
+  if (tracer.enabled()) {
+    tracer.RecordInstant("placement.rejected_no_space", "placement",
+                         "\"file\":" + obs::JsonQuote(task.file->name));
+  }
+  // A prefetch rejection is never permanent: a later demand read may
+  // still place the file (e.g. after evictions free room).
+  if (task.lane == StagingLane::kPrefetch) CancelPrefetch(*task.file);
+}
+
 Status PlacementHandler::StreamCopy(
     const FileInfoPtr& file, const std::optional<std::vector<std::byte>>& prefix,
     StorageDriver& destination, std::uint32_t& crc) {
@@ -425,44 +408,16 @@ void PlacementHandler::PlaceFile(StagingTask task) {
                        ",\"bytes\":" + std::to_string(file->size) +
                        ",\"lane\":\"" + LaneName(task.lane) + "\"");
   }
-
-  // Scan resistance (ISSUE 10): a low-retention tenant past its
-  // resident cap is refused — its reads keep being served straight from
-  // the PFS instead of churning the cache tiers.
-  const bool low_retention = task.tenant.low_retention;
-  const std::uint64_t scan_cap = options_.qos.scan_stage_cap_bytes;
-  if (low_retention && scan_cap > 0 &&
-      low_retention_resident_bytes_.load(std::memory_order_relaxed) +
-              file->size >
-          scan_cap) {
-    scan_stage_refusals_.fetch_add(1, std::memory_order_relaxed);
-    scan_refusal_counter_->Increment();
-    if (task.lane == StagingLane::kPrefetch) {
-      prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
-      file->prefetched.store(false, std::memory_order_relaxed);
-    }
-    file->stage_refused.store(true, std::memory_order_release);
-    file->AbortFetch(/*permanently=*/false);
-    return;
-  }
+  if (RefuseScanStaging(task)) return;
 
   // 1. Choose (and reserve) the destination level, falling back to
   // policy-driven eviction when no tier has room (EvictAndReserve gates
   // on what the policy and lane allow).
-  std::optional<int> level = policy_->PickLevel(hierarchy_, file->size);
-  if (!level.has_value()) level = EvictAndReserve(file, task.lane, file->size);
+  const std::optional<int> level =
+      EvictAndReserve(file, task.lane, file->size);
   if (!level.has_value()) {
-    rejected_no_space_.fetch_add(1, std::memory_order_relaxed);
-    obs::EventTracer& tracer = obs::EventTracer::Global();
-    if (tracer.enabled()) {
-      tracer.RecordInstant("placement.rejected_no_space", "placement",
-                           "\"file\":" + obs::JsonQuote(file->name));
-    }
+    CountNoSpace(task);
     if (task.lane == StagingLane::kPrefetch) {
-      // A prefetch rejection is never permanent: a later demand read may
-      // still place the file (e.g. after evictions free room).
-      prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
-      file->prefetched.store(false, std::memory_order_relaxed);
       file->AbortFetch(/*permanently=*/false);
     } else if (options_.enable_eviction || policy_->EvictsUnderPressure()) {
       // Eviction makes quota headroom dynamic: this rejection only means
@@ -489,6 +444,7 @@ void PlacementHandler::PlaceFile(StagingTask task) {
   // tier is saturated (any completion on the tier un-parks it); demand
   // copies are exempt so a read-triggered stage never waits here.
   const StagingLane lane = task.lane;
+  const bool low_retention = task.tenant.low_retention;
   if (!AdmitInflight(*level, task)) {
     destination.Release(file->size);
     return;
@@ -623,8 +579,7 @@ bool PlacementHandler::EvictOne(const FileInfoPtr& victim) {
   // objects, not a whole-file copy: drop them through the chunk path.
   if (pack::ChunkMap* cm = vf.chunk_map();
       cm != nullptr && cm->ResidentCount() > 0) {
-    return EvictChunks(victim,
-                       std::numeric_limits<std::uint64_t>::max()) > 0;
+    return EvictChunkCopies(victim) > 0;
   }
   // Claim the victim: kPlaced -> kFetching blocks concurrent readers
   // from trusting its level while we delete the copy.
@@ -663,12 +618,9 @@ bool PlacementHandler::EvictOne(const FileInfoPtr& victim) {
     // Unreachable under the guard above; counted so a future regression
     // shows up in `qos.cross_class_evictions` instead of hiding.
     cross_class_evictions_.fetch_add(1, std::memory_order_relaxed);
-    cross_class_counter_->Increment();
   }
   evictions_.fetch_add(1, std::memory_order_relaxed);
   evicted_bytes_.fetch_add(vf.size, std::memory_order_relaxed);
-  evictions_counter_->Increment();
-  evicted_bytes_counter_->Increment(vf.size);
   obs::EventTracer& tracer = obs::EventTracer::Global();
   if (tracer.enabled()) {
     tracer.RecordInstant("placement.evict", "placement",
@@ -679,20 +631,30 @@ bool PlacementHandler::EvictOne(const FileInfoPtr& victim) {
   return true;
 }
 
-std::optional<int> PlacementHandler::EvictAndReserve(const FileInfoPtr& file,
-                                                     StagingLane lane,
-                                                     std::uint64_t bytes) {
+std::optional<int> PlacementHandler::EvictAndReserve(
+    const FileInfoPtr& file, StagingLane lane, std::uint64_t bytes,
+    std::optional<int> level) {
+  // With `level` set only that tier may take the bytes: a chunked file's
+  // chunks are pinned to it by the tier assignment, so space anywhere
+  // else does not help.
+  auto reserve = [&]() -> std::optional<int> {
+    if (!level.has_value()) return policy_->PickLevel(hierarchy_, bytes);
+    if (hierarchy_.Level(*level).Reserve(bytes)) return level;
+    return std::nullopt;
+  };
+  if (std::optional<int> reserved = reserve()) return reserved;
   const bool may_evict =
       lane == StagingLane::kDemand
           ? options_.enable_eviction || policy_->EvictsUnderPressure()
           : policy_->PrefetchMayEvict();
   if (!may_evict) return std::nullopt;
 
-  // The policy ranks; this loop claims and drops. Re-ask PickLevel after
-  // each successful eviction — freed space is first-come-first-served
-  // under concurrent workers, so the reservation is the only proof.
-  // Low-retention (scan) copies are tried first: they are explicitly
-  // marked expendable, so demand working sets survive pressure longest.
+  // The policy ranks; this loop claims and drops. Re-try the reservation
+  // after each successful eviction — freed space is first-come-first-
+  // served under concurrent workers, so the reservation is the only
+  // proof. Low-retention (scan) copies are tried first: they are
+  // explicitly marked expendable, so demand working sets survive
+  // pressure longest.
   std::vector<FileInfoPtr> victims = policy_->SelectVictims(
       metadata_, *file, lane == StagingLane::kDemand);
   if (options_.qos.enabled) {
@@ -704,11 +666,18 @@ std::optional<int> PlacementHandler::EvictAndReserve(const FileInfoPtr& file,
   }
   for (const FileInfoPtr& victim : victims) {
     if (victim == file) continue;
+    if (level.has_value()) {
+      const pack::ChunkMap* vcm = victim->chunk_map();
+      const int victim_level =
+          vcm != nullptr && vcm->ResidentCount() > 0
+              ? vcm->tier()
+              : victim->level.load(std::memory_order_acquire);
+      if (victim_level != *level) continue;
+    }
     if (!EvictOne(victim)) continue;
-    if (auto level = policy_->PickLevel(hierarchy_, bytes)) return level;
+    if (std::optional<int> reserved = reserve()) return reserved;
   }
   eviction_refused_.fetch_add(1, std::memory_order_relaxed);
-  eviction_refused_counter_->Increment();
   obs::EventTracer& tracer = obs::EventTracer::Global();
   if (tracer.enabled()) {
     tracer.RecordInstant("placement.evict_refused", "placement",
@@ -718,7 +687,11 @@ std::optional<int> PlacementHandler::EvictAndReserve(const FileInfoPtr& file,
   return std::nullopt;
 }
 
-void PlacementHandler::ReleaseChunkClaims(const StagingTask& task) {
+void PlacementHandler::ReleaseClaims(const StagingTask& task) {
+  if (task.chunks.empty()) {
+    task.file->AbortFetch(/*permanently=*/false);
+    return;
+  }
   pack::ChunkMap* cm = task.file->chunk_map();
   if (cm == nullptr) return;
   for (const std::uint32_t c : task.chunks) cm->ReleaseClaim(c);
@@ -771,8 +744,6 @@ std::uint64_t PlacementHandler::EvictChunks(const FileInfoPtr& victim,
   if (dropped > 0) {
     chunks_evicted_.fetch_add(dropped, std::memory_order_relaxed);
     evicted_bytes_.fetch_add(freed, std::memory_order_relaxed);
-    chunk_evicted_counter_->Increment(dropped);
-    evicted_bytes_counter_->Increment(freed);
     obs::EventTracer& tracer = obs::EventTracer::Global();
     if (tracer.enabled()) {
       tracer.RecordInstant("placement.evict", "placement",
@@ -785,49 +756,6 @@ std::uint64_t PlacementHandler::EvictChunks(const FileInfoPtr& victim,
   return freed;
 }
 
-bool PlacementHandler::EvictForChunkOn(int level, const FileInfoPtr& incoming,
-                                       std::uint64_t stored_bytes,
-                                       StagingLane lane) {
-  const bool may_evict =
-      lane == StagingLane::kDemand
-          ? options_.enable_eviction || policy_->EvictsUnderPressure()
-          : policy_->PrefetchMayEvict();
-  if (!may_evict) return false;
-  StorageDriver& tier = hierarchy_.Level(level);
-  std::vector<FileInfoPtr> victims = policy_->SelectVictims(
-      metadata_, *incoming, lane == StagingLane::kDemand);
-  if (options_.qos.enabled) {
-    std::stable_partition(victims.begin(), victims.end(),
-                          [](const FileInfoPtr& v) {
-                            return v->low_retention.load(
-                                std::memory_order_acquire);
-                          });
-  }
-  for (const FileInfoPtr& victim : victims) {
-    if (victim == incoming) continue;
-    // Only victims resident on this level can free room here: the
-    // incoming file's chunks are pinned to `level` by the tier
-    // assignment, so space anywhere else does not help.
-    const pack::ChunkMap* vcm = victim->chunk_map();
-    const int victim_level =
-        vcm != nullptr && vcm->ResidentCount() > 0
-            ? vcm->tier()
-            : victim->level.load(std::memory_order_acquire);
-    if (victim_level != level) continue;
-    if (!EvictOne(victim)) continue;
-    if (tier.Reserve(stored_bytes)) return true;
-  }
-  eviction_refused_.fetch_add(1, std::memory_order_relaxed);
-  eviction_refused_counter_->Increment();
-  obs::EventTracer& tracer = obs::EventTracer::Global();
-  if (tracer.enabled()) {
-    tracer.RecordInstant("placement.evict_refused", "placement",
-                         "\"file\":" + obs::JsonQuote(incoming->name) +
-                             ",\"bytes\":" + std::to_string(stored_bytes));
-  }
-  return false;
-}
-
 std::optional<int> PlacementHandler::ReserveChunk(const FileInfoPtr& file,
                                                   pack::ChunkMap& cm,
                                                   std::uint64_t stored_bytes,
@@ -836,8 +764,8 @@ std::optional<int> PlacementHandler::ReserveChunk(const FileInfoPtr& file,
   if (level < 0) {
     // No tier assigned yet: let the policy pick one (reserving the
     // bytes there), then race to install it as the file's tier.
-    std::optional<int> picked = policy_->PickLevel(hierarchy_, stored_bytes);
-    if (!picked.has_value()) picked = EvictAndReserve(file, lane, stored_bytes);
+    const std::optional<int> picked =
+        EvictAndReserve(file, lane, stored_bytes);
     if (!picked.has_value()) return std::nullopt;
     {
       std::lock_guard lock(cm.placement_mutex());
@@ -848,10 +776,7 @@ std::optional<int> PlacementHandler::ReserveChunk(const FileInfoPtr& file,
     // through to reserve on the winner's tier instead.
     hierarchy_.Level(*picked).Release(stored_bytes);
   }
-  StorageDriver& tier = hierarchy_.Level(level);
-  if (tier.Reserve(stored_bytes)) return level;
-  if (EvictForChunkOn(level, file, stored_bytes, lane)) return level;
-  return std::nullopt;
+  return EvictAndReserve(file, lane, stored_bytes, level);
 }
 
 void PlacementHandler::PlaceChunks(StagingTask task) {
@@ -864,25 +789,8 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
                        ",\"chunks\":" + std::to_string(task.chunks.size()) +
                        ",\"lane\":\"" + LaneName(task.lane) + "\"");
   }
-
-  // Scan resistance, chunk flavour: past the cap, refuse instead of
-  // staging (the claims go back so a later read can retry).
+  if (RefuseScanStaging(task)) return;
   const bool low_retention = task.tenant.low_retention;
-  const std::uint64_t scan_cap = options_.qos.scan_stage_cap_bytes;
-  if (low_retention && scan_cap > 0 &&
-      low_retention_resident_bytes_.load(std::memory_order_relaxed) +
-              file->size >
-          scan_cap) {
-    scan_stage_refusals_.fetch_add(1, std::memory_order_relaxed);
-    scan_refusal_counter_->Increment();
-    if (task.lane == StagingLane::kPrefetch) {
-      prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
-      file->prefetched.store(false, std::memory_order_relaxed);
-    }
-    file->stage_refused.store(true, std::memory_order_release);
-    ReleaseChunkClaims(task);
-    return;
-  }
 
   // One pooled lease carries the logical bytes of every chunk in the
   // task (pack.chunk_bytes is clamped to the pool's chunk size); the
@@ -973,8 +881,6 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
     chunks_staged_.fetch_add(1, std::memory_order_relaxed);
     chunk_stored_bytes_.fetch_add(stored.size(), std::memory_order_relaxed);
     bytes_staged_.fetch_add(logical_n, std::memory_order_relaxed);
-    chunk_staged_counter_->Increment();
-    chunk_stored_bytes_counter_->Increment(stored.size());
   }
 
   if (next >= task.chunks.size()) return;  // every chunk published
@@ -985,18 +891,10 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
   rest.chunks.assign(task.chunks.begin() +
                          static_cast<std::ptrdiff_t>(next),
                      task.chunks.end());
-  ReleaseChunkClaims(rest);
+  ReleaseClaims(rest);
   if (rejected) {
-    rejected_no_space_.fetch_add(1, std::memory_order_relaxed);
-    obs::EventTracer& tracer = obs::EventTracer::Global();
-    if (tracer.enabled()) {
-      tracer.RecordInstant("placement.rejected_no_space", "placement",
-                           "\"file\":" + obs::JsonQuote(file->name));
-    }
-    if (task.lane == StagingLane::kPrefetch) {
-      prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
-      file->prefetched.store(false, std::memory_order_relaxed);
-    } else {
+    CountNoSpace(task);
+    if (task.lane == StagingLane::kDemand) {
       // Latch so chunked readers stop re-enqueueing doomed demand
       // stagings chunk by chunk; the next offset-0 read re-arms it.
       file->stage_refused.store(true, std::memory_order_release);

@@ -62,7 +62,6 @@
 #include "core/placement_policy.h"
 #include "core/resilience.h"
 #include "core/storage_hierarchy.h"
-#include "obs/metrics_registry.h"
 #include "pack/codec.h"
 #include "pack/options.h"
 #include "qos/fair_queue.h"
@@ -298,6 +297,23 @@ class PlacementHandler {
   [[nodiscard]] double TaskCost(const StagingTask& task) const noexcept;
   /// Enqueue on the fair queue. Caller holds mu_.
   void PushLocked(StagingTask task);
+  /// Count and enqueue a claimed task — or, once scheduling stopped,
+  /// cancel it and hand its claims back. Never blocks.
+  void Enqueue(StagingTask task);
+  /// Back out of a task without staging: abort the file-level fetch, or
+  /// release every chunk claim (resetting the chunk tier when nothing
+  /// ended up resident).
+  void ReleaseClaims(const StagingTask& task);
+  /// A speculative task dropped before staging: count it and clear the
+  /// file's hint marking.
+  void CancelPrefetch(FileInfo& file) noexcept;
+  /// Scan resistance (ISSUE 10): true when a low-retention task would
+  /// push its tenant past `qos.scan_stage_cap_bytes`; the refusal is
+  /// counted, stage_refused latched and the task's claims released.
+  bool RefuseScanStaging(const StagingTask& task);
+  /// No level had room even after eviction: count the rejection, and
+  /// cancel a prefetch task (a prefetch rejection is never permanent).
+  void CountNoSpace(const StagingTask& task);
   /// Low-retention bookkeeping when a staged copy disappears (eviction,
   /// quarantine): clears the file's marking and returns the resident
   /// gauge's share.
@@ -320,13 +336,16 @@ class PlacementHandler {
   /// retryable (a later access re-claims it) or mark it unplaceable once
   /// the per-file cap is hit.
   void RecordStagingFailure(const FileInfoPtr& file);
-  /// Policy-driven eviction: walk the policy's victim ranking, dropping
-  /// placed copies until PickLevel succeeds for `bytes` (the whole file,
-  /// or one stored chunk in pack mode). Returns the reserved level, or
-  /// nullopt when the lane may not evict, the policy offered no victims,
-  /// or the freed space still was not enough.
+  /// Reserve `bytes` (the whole file, or one stored chunk in pack mode)
+  /// on the level PickLevel chooses — or only on `level` when set — and,
+  /// when nothing has room, walk the policy's victim ranking (filtered
+  /// to `level` when set), dropping placed copies until the reservation
+  /// succeeds. Returns the reserved level, or nullopt when the lane may
+  /// not evict, the policy offered no victims, or the freed space still
+  /// was not enough.
   std::optional<int> EvictAndReserve(const FileInfoPtr& file,
-                                     StagingLane lane, std::uint64_t bytes);
+                                     StagingLane lane, std::uint64_t bytes,
+                                     std::optional<int> level = std::nullopt);
   /// Drop one placed copy: claim it (kPlaced -> kFetching), honour read
   /// pins, delete the bytes, release the quota, notify the peer view.
   /// Returns false when the claim failed or the file was pinned. A
@@ -347,13 +366,6 @@ class PlacementHandler {
   /// stored bytes were freed (or the file ran dry). Returns bytes freed.
   std::uint64_t EvictChunks(const FileInfoPtr& victim,
                             std::uint64_t needed_bytes);
-  /// Policy-ranked eviction restricted to victims resident on `level`
-  /// until Reserve(stored_bytes) succeeds there. Returns success.
-  bool EvictForChunkOn(int level, const FileInfoPtr& incoming,
-                       std::uint64_t stored_bytes, StagingLane lane);
-  /// Back out of a chunk task without staging: release every claim and,
-  /// if the file ended up with no resident chunks, reset its state.
-  void ReleaseChunkClaims(const StagingTask& task);
 
   /// Take the in-flight accounting for `task`'s copy to `level`. For the
   /// prefetch lane, parks the task (moving from it) and returns false
@@ -400,19 +412,6 @@ class PlacementHandler {
   /// Codec for chunk staging, resolved once from options_.pack.codec
   /// (falls back to the identity codec on an unknown name).
   const pack::Codec* codec_ = nullptr;
-
-  /// Process-wide eviction counters (docs/OBSERVABILITY.md §1), owned
-  /// like `storage.retries`: resolved once at construction so eviction
-  /// activity reports through the registry like every other placement
-  /// stat (the per-instance counts stay in Stats()).
-  obs::Counter* evictions_counter_ = nullptr;
-  obs::Counter* evicted_bytes_counter_ = nullptr;
-  obs::Counter* eviction_refused_counter_ = nullptr;
-  obs::Counter* chunk_staged_counter_ = nullptr;
-  obs::Counter* chunk_stored_bytes_counter_ = nullptr;
-  obs::Counter* chunk_evicted_counter_ = nullptr;
-  obs::Counter* cross_class_counter_ = nullptr;   ///< qos.cross_class_evictions
-  obs::Counter* scan_refusal_counter_ = nullptr;  ///< qos.scan_stage_refusals
 
   // Per-class fair work queue (ISSUE 10; the original two lanes are the
   // degenerate case: every demand task on the training class, prefetch

@@ -191,12 +191,17 @@ void ReadRing::WorkerLoop() {
 
     // Per-tier coalescing: group the batch by the files' current serving
     // level so consecutive ops hit the same driver. Stable, so same-tier
-    // ops keep their submission order.
+    // ops keep their submission order. Levels are snapshotted first:
+    // placement and eviction move them concurrently, and a comparator
+    // whose answers change mid-sort breaks std::stable_sort's ordering
+    // precondition (it can walk off the batch).
     if (batch.size() > 1) {
+      for (Pending& pending : batch) {
+        pending.level_hint = monarch_.ServingLevelHint(pending.op.name);
+      }
       std::stable_sort(batch.begin(), batch.end(),
-                       [this](const Pending& a, const Pending& b) {
-                         return monarch_.ServingLevelHint(a.op.name) <
-                                monarch_.ServingLevelHint(b.op.name);
+                       [](const Pending& a, const Pending& b) {
+                         return a.level_hint < b.level_hint;
                        });
     }
     for (Pending& pending : batch) {

@@ -142,6 +142,8 @@ class ReadRing {
     /// Submitter's ambient tenant, re-installed on the executing worker
     /// so ring reads stay attributable (ISSUE 10). Unset = no tenant.
     std::optional<qos::TenantContext> tenant;
+    /// Serving level snapshotted for the per-tier batch sort.
+    int level_hint = 0;
   };
 
   void WorkerLoop();

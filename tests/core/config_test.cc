@@ -226,6 +226,18 @@ TEST(BuildMonarchConfigTest, SsdWithoutRootRejected) {
                      BuildMonarchConfig(parsed));
 }
 
+TEST(BuildMonarchConfigTest, PackWithPeersRejected) {
+  auto parsed = ParseConfig(
+      "[monarch]\ndataset_dir=d\n[tier.0]\nprofile=ram\nquota=1KiB\n"
+      "[pfs]\nprofile=ram\n[pack]\nenabled=true\n[peer]\nenabled=true\n");
+  ASSERT_OK(parsed);
+  const auto built = BuildMonarchConfig(parsed.value());
+  EXPECT_STATUS_CODE(StatusCode::kInvalidArgument, built);
+  const std::string message = built.status().ToString();
+  EXPECT_NE(std::string::npos, message.find("[pack]")) << message;
+  EXPECT_NE(std::string::npos, message.find("[peer]")) << message;
+}
+
 TEST(MonarchFromIniTest, EndToEndOverRealDirectories) {
   TempDir dir("config_e2e");
   // Stage a tiny dataset on the "PFS" directory.
