@@ -20,6 +20,9 @@
 //   g2  packed sparse PFS bytes <= 0.5x the naive arm's
 //   g3  packed sparse PFS bytes <= 4x the bytes actually touched
 //   g4  packed-lz effective local-tier capacity >= 1.5x
+//   g5  packed full-epoch PFS bytes <= 1.05x the naive arm's (a chunk
+//       miss donates the bytes it read to chunk staging, so staging
+//       never reads them a second time)
 #include <cstdint>
 #include <iostream>
 #include <memory>
@@ -250,6 +253,13 @@ int Run() {
                 << arm.sparse_touched_bytes << "\n";
       ok = false;
     }
+    if (static_cast<double>(arm.epoch_pfs_bytes) >
+        1.05 * static_cast<double>(naive.epoch_pfs_bytes)) {
+      std::cout << "GATE g5 FAILED: " << arm.name << " epoch PFS bytes "
+                << arm.epoch_pfs_bytes << " > 1.05x naive "
+                << naive.epoch_pfs_bytes << "\n";
+      ok = false;
+    }
   }
   if (arms[2].effective_capacity < 1.5) {
     std::cout << "GATE g4 FAILED: packed-lz effective capacity "
@@ -262,7 +272,8 @@ int Run() {
 
   if (!ok) return 1;
   std::cout << "GATES OK: sparse PFS traffic scales with bytes touched; "
-               "lz stretches the local tier "
+               "a packed epoch reads the PFS once; lz stretches the local "
+               "tier "
             << Table::Num(arms[2].effective_capacity, 2) << "x\n";
   return 0;
 }

@@ -78,8 +78,9 @@ MONARCH_FIG4_ARMS=sweep ./build/bench/fig4_partial_dataset
 # Small-file packing gates (ISSUE 9): naive vs packed-none vs packed-lz
 # over the same generated dataset. Exits non-zero when the sparse pass's
 # PFS bytes stop scaling with bytes touched, the lz arm's effective
-# local-tier capacity drops below 1.5x, or the arms' sample digests
-# diverge.
+# local-tier capacity drops below 1.5x, the arms' sample digests
+# diverge, or a packed full epoch reads more than 1.05x the naive arm's
+# PFS bytes (chunk-miss donation).
 ./build/bench/ext_smallfile
 # Multi-tenant QoS gates (ISSUE 10): interactive p99 must stay within
 # 2x of its solo baseline as scan tenants ramp, aggregate scan

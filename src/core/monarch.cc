@@ -109,6 +109,10 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
   sample("monarch.placement.donated_bytes", "", obs::MetricKind::kCounter,
          "bytes", p.donated_bytes,
          "triggering-read bytes reused by staging instead of re-read");
+  sample("monarch.placement.donation_held_bytes", "", obs::MetricKind::kGauge,
+         "bytes", p.donation_held_bytes,
+         "triggering-read bytes queued staging tasks hold (capped by "
+         "staging_buffer_bytes)");
   sample("monarch.placement.queue_depth", "demand", obs::MetricKind::kGauge,
          "tasks", p.queue_depth_demand, "staging tasks waiting, by lane");
   sample("monarch.placement.queue_depth", "prefetch", obs::MetricKind::kGauge,
@@ -148,10 +152,12 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
   // non-pack instances too.
   sample("monarch.chunk.hits", "", obs::MetricKind::kCounter, "ops",
          stats.chunk_hits,
-         "pack-mode reads fully served from resident chunks on a cache tier");
+         "pack-mode reads (not chunks) fully served from resident chunks on "
+         "a cache tier");
   sample("monarch.chunk.misses", "", obs::MetricKind::kCounter, "ops",
          stats.chunk_misses,
-         "pack-mode reads that touched the PFS (non-resident chunks)");
+         "pack-mode reads (not chunks) that touched the PFS (non-resident "
+         "chunks)");
   sample("monarch.chunk.staged", "", obs::MetricKind::kCounter, "ops",
          p.chunks_staged, "chunk copies published to cache tiers (pack mode)");
   sample("monarch.chunk.stored_bytes", "", obs::MetricKind::kCounter, "bytes",
@@ -667,8 +673,8 @@ Result<std::span<const std::byte>> Monarch::ServeChunks(
 
 void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
                                   std::uint64_t offset,
-                                  std::uint64_t length) {
-  if (length == 0 || placement_->stopped()) return;
+                                  std::span<const std::byte> served) {
+  if (served.empty() || placement_->stopped()) return;
   // Shard ownership (ISSUE 4): chunk staging honours the same gate as
   // whole-file staging.
   if (config_.peer_view != nullptr &&
@@ -682,14 +688,34 @@ void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
   } else if (info->stage_refused.load(std::memory_order_acquire)) {
     return;
   }
+  const std::uint64_t end = offset + served.size();
   const std::uint32_t first = cm.ChunkOf(offset);
-  const std::uint32_t last = cm.ChunkOf(offset + length - 1);
+  const std::uint32_t last = cm.ChunkOf(end - 1);
   std::vector<std::uint32_t> claimed;
+  // [donated_begin, donated_end): the span of claimed chunks this read
+  // covers in full — the bytes staging can take from it instead of the
+  // PFS. Partly covered edge chunks are re-read there.
+  std::uint64_t donated_begin = end;
+  std::uint64_t donated_end = offset;
   for (std::uint32_t c = first; c <= last; ++c) {
-    if (!cm.IsResident(c) && cm.TryClaim(c)) claimed.push_back(c);
+    if (cm.IsResident(c) || !cm.TryClaim(c)) continue;
+    claimed.push_back(c);
+    const std::uint64_t chunk_begin = cm.ChunkOffset(c);
+    const std::uint64_t chunk_end = chunk_begin + cm.ChunkLogicalBytes(c);
+    if (chunk_begin >= offset && chunk_end <= end) {
+      donated_begin = std::min(donated_begin, chunk_begin);
+      donated_end = std::max(donated_end, chunk_end);
+    }
   }
   if (claimed.empty()) return;
-  placement_->ScheduleChunkPlacement(info, std::move(claimed));
+  const std::span<const std::byte> donated =
+      donated_begin < donated_end
+          ? served.subspan(static_cast<std::size_t>(donated_begin - offset),
+                           static_cast<std::size_t>(donated_end -
+                                                    donated_begin))
+          : std::span<const std::byte>{};
+  placement_->ScheduleChunkPlacement(info, std::move(claimed), donated_begin,
+                                     donated);
 }
 
 void Monarch::FinishRead(const FileInfoPtr& info, std::string_view name,
@@ -711,12 +737,13 @@ void Monarch::FinishRead(const FileInfoPtr& info, std::string_view name,
   if (placement_->options().pack.enabled) {
     // Pack mode stages chunks, never files: a miss read the request from
     // the authoritative PFS — so PFS traffic scales with bytes *touched*
-    // — and claims exactly the touched chunks for demand staging.
+    // — claims exactly the touched chunks for demand staging, and donates
+    // the served bytes of the chunks it covered in full.
     if (level != pfs) {
       chunk_hits_.fetch_add(1, std::memory_order_relaxed);
     } else {
       chunk_misses_.fetch_add(1, std::memory_order_relaxed);
-      TriggerChunkStaging(info, *info->chunk_map(), offset, served.size());
+      TriggerChunkStaging(info, *info->chunk_map(), offset, served);
     }
   } else if ((level == pfs || level == peer) && !placement_->stopped() &&
              (config_.peer_view == nullptr ||
@@ -745,13 +772,10 @@ void Monarch::FinishRead(const FileInfoPtr& info, std::string_view name,
          placement_->options().fetch_full_file_on_partial_read) &&
         !info->stage_refused.load(std::memory_order_acquire)) {
       if (info->TryBeginFetch()) {
-        std::optional<std::vector<std::byte>> content;
-        if (offset == 0 && !served.empty()) {
-          // The copy happens ONLY when a staging task actually claims
-          // the file — never on the per-read hot path.
-          content.emplace(served.begin(), served.end());
-        }
-        placement_->SchedulePlacement(info, std::move(content));
+        // The donation is copied ONLY when a staging task actually claims
+        // the file — never on the per-read hot path.
+        placement_->SchedulePlacement(
+            info, offset == 0 ? served : std::span<const std::byte>{});
       } else if (info->state.load(std::memory_order_acquire) ==
                  PlacementState::kFetching) {
         // Someone else holds the fetch — possibly a hint still queued
@@ -902,10 +926,10 @@ bool Monarch::ClaimAndSchedule(FileInfoPtr info, StagingLane lane,
   }
   if (hinted) info->prefetched.store(true, std::memory_order_release);
   if (chunks.empty()) {
-    placement_->SchedulePlacement(std::move(info), std::nullopt, lane);
+    placement_->SchedulePlacement(std::move(info), {}, lane);
   } else {
-    placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks),
-                                       lane);
+    placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks), 0,
+                                       {}, lane);
   }
   return true;
 }

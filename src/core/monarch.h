@@ -338,10 +338,12 @@ class Monarch {
   void CountDegradedFallback(FallbackCause cause, std::string_view name,
                              int level);
 
-  /// Claim the non-resident chunks overlapping [offset, offset+length)
-  /// and enqueue one demand-lane chunk staging task for them.
+  /// Claim the non-resident chunks the `served` bytes at `offset`
+  /// overlap and enqueue one demand-lane chunk staging task for them,
+  /// donating the served bytes of the claimed chunks they fully cover.
   void TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
-                           std::uint64_t offset, std::uint64_t length);
+                           std::uint64_t offset,
+                           std::span<const std::byte> served);
 
   /// Claim `info` for background staging on `lane` — the file-level
   /// fetch, or every non-resident chunk in pack mode — and enqueue it.

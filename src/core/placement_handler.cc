@@ -131,20 +131,36 @@ PlacementHandler::~PlacementHandler() {
   CancelPrefetches();
 }
 
-void PlacementHandler::SchedulePlacement(
-    FileInfoPtr file, std::optional<std::vector<std::byte>> content,
-    StagingLane lane) {
-  // The task owns the FileInfo reference and (optionally) the bytes the
-  // read path already fetched, avoiding a second PFS read (§III-B, ③/④).
-  Enqueue({std::move(file), std::move(content), lane, {}, SnapshotTenant()});
+void PlacementHandler::SchedulePlacement(FileInfoPtr file,
+                                         std::span<const std::byte> prefix,
+                                         StagingLane lane) {
+  // The task owns the FileInfo reference and (budget permitting) the
+  // bytes the read path already fetched, avoiding a second PFS read
+  // (§III-B, ③/④).
+  Enqueue({std::move(file), Donate(0, prefix), lane, {}, SnapshotTenant()});
 }
 
-void PlacementHandler::ScheduleChunkPlacement(FileInfoPtr file,
-                                              std::vector<std::uint32_t> chunks,
-                                              StagingLane lane) {
+void PlacementHandler::ScheduleChunkPlacement(
+    FileInfoPtr file, std::vector<std::uint32_t> chunks,
+    std::uint64_t donated_offset, std::span<const std::byte> donated,
+    StagingLane lane) {
   if (chunks.empty()) return;
-  Enqueue({std::move(file), std::nullopt, lane, std::move(chunks),
-           SnapshotTenant()});
+  Enqueue({std::move(file), Donate(donated_offset, donated), lane,
+           std::move(chunks), SnapshotTenant()});
+}
+
+PlacementHandler::Donation PlacementHandler::Donate(
+    std::uint64_t offset, std::span<const std::byte> bytes) {
+  if (bytes.empty()) return {};
+  // Queued donations are capped by the staging-memory budget: past it,
+  // the task goes without and re-reads those bytes from the PFS.
+  std::uint64_t held = donation_held_bytes_.load(std::memory_order_relaxed);
+  do {
+    if (held + bytes.size() > options_.staging_buffer_bytes) return {};
+  } while (!donation_held_bytes_.compare_exchange_weak(
+      held, held + bytes.size(), std::memory_order_relaxed));
+  return {offset, std::vector<std::byte>(bytes.begin(), bytes.end()),
+          BudgetCharge(&donation_held_bytes_, Uncharge{bytes.size()})};
 }
 
 void PlacementHandler::Enqueue(StagingTask task) {
@@ -329,50 +345,53 @@ void PlacementHandler::CountNoSpace(const StagingTask& task) {
   if (task.lane == StagingLane::kPrefetch) CancelPrefetch(*task.file);
 }
 
-Status PlacementHandler::StreamCopy(
-    const FileInfoPtr& file, const std::optional<std::vector<std::byte>>& prefix,
-    StorageDriver& destination, std::uint32_t& crc) {
-  const std::uint64_t chunk_bytes = pool_.chunk_bytes();
-  std::uint64_t offset = 0;
-  crc = 0;
-
-  // Donated leading bytes: the triggering partial read already paid the
-  // PFS for these, so they enter the pipeline straight from memory.
-  if (prefix.has_value() && !prefix->empty()) {
-    const std::span<const std::byte> donated(*prefix);
-    while (offset < donated.size()) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(chunk_bytes, donated.size() - offset));
-      const auto slice = donated.subspan(static_cast<std::size_t>(offset), n);
-      crc = Crc32c(slice, crc);
-      MONARCH_RETURN_IF_ERROR(destination.WriteAt(file->name, offset, slice));
-      offset += n;
-      chunks_copied_.fetch_add(1, std::memory_order_relaxed);
-    }
-    donated_bytes_.fetch_add(donated.size(), std::memory_order_relaxed);
+Result<std::span<const std::byte>> PlacementHandler::SliceSource(
+    const StagingTask& task, std::uint64_t offset, std::size_t n,
+    std::optional<BufferPool::Lease>& lease) {
+  // Donated bytes: the triggering read already paid the PFS for these,
+  // so they enter the pipeline straight from memory.
+  const Donation& donation = task.donation;
+  if (offset >= donation.offset &&
+      offset + n <= donation.offset + donation.bytes.size()) {
+    donated_bytes_.fetch_add(n, std::memory_order_relaxed);
+    return std::span<const std::byte>(donation.bytes)
+        .subspan(static_cast<std::size_t>(offset - donation.offset), n);
   }
+  if (!lease.has_value()) lease.emplace(pool_.Acquire());
+  const std::span<std::byte> buffer(lease->bytes().data(), n);
+  auto read = hierarchy_.Pfs().Read(task.file->name, offset, buffer);
+  if (!read.ok()) return read.status();
+  if (read.value() != n) {
+    return InternalError("short PFS read of '" + task.file->name + "' at " +
+                         std::to_string(offset) + ": got " +
+                         std::to_string(read.value()) + " of " +
+                         std::to_string(n) + " bytes");
+  }
+  return std::span<const std::byte>(buffer);
+}
 
-  // Stream the remainder from the PFS through one pooled buffer — peak
-  // staging memory is the pool budget, never the file size.
-  if (offset < file->size) {
-    BufferPool::Lease lease = pool_.Acquire();
-    while (offset < file->size) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(chunk_bytes, file->size - offset));
-      const std::span<std::byte> buffer(lease.bytes().data(), n);
-      auto read = hierarchy_.Pfs().Read(file->name, offset, buffer);
-      if (!read.ok()) return read.status();
-      if (read.value() != n) {
-        return InternalError("short PFS read of '" + file->name + "' at " +
-                             std::to_string(offset) + ": got " +
-                             std::to_string(read.value()) + " of " +
-                             std::to_string(n) + " bytes");
-      }
-      crc = Crc32c(buffer, crc);
-      MONARCH_RETURN_IF_ERROR(destination.WriteAt(file->name, offset, buffer));
-      offset += n;
-      chunks_copied_.fetch_add(1, std::memory_order_relaxed);
-    }
+Status PlacementHandler::StreamCopy(const StagingTask& task,
+                                    StorageDriver& destination,
+                                    std::uint32_t& crc) {
+  const FileInfo& file = *task.file;
+  const std::uint64_t chunk_bytes = pool_.chunk_bytes();
+  const std::uint64_t donated_end = task.donation.bytes.size();
+  crc = 0;
+  // The donated prefix first, then the remainder streamed from the PFS
+  // through one pooled buffer — peak staging memory is the pool budget,
+  // never the file size. No slice straddles the end of the prefix, so no
+  // donated byte is re-read.
+  std::optional<BufferPool::Lease> lease;
+  for (std::uint64_t offset = 0; offset < file.size;) {
+    std::uint64_t n = std::min<std::uint64_t>(chunk_bytes, file.size - offset);
+    if (offset < donated_end) n = std::min(n, donated_end - offset);
+    MONARCH_ASSIGN_OR_RETURN(
+        const std::span<const std::byte> slice,
+        SliceSource(task, offset, static_cast<std::size_t>(n), lease));
+    crc = Crc32c(slice, crc);
+    MONARCH_RETURN_IF_ERROR(destination.WriteAt(file.name, offset, slice));
+    offset += n;
+    chunks_copied_.fetch_add(1, std::memory_order_relaxed);
   }
   return Status::Ok();
 }
@@ -455,11 +474,15 @@ void PlacementHandler::PlaceFile(StagingTask task) {
   // the chunked pipeline: donated prefix first, then streamed PFS reads.
   std::uint32_t crc = 0;
   Status written = Status::Ok();
-  if (task.content.has_value() && task.content->size() == file->size) {
-    crc = Crc32c(*task.content);
-    written = destination.Write(file->name, *task.content);
+  if (!task.donation.bytes.empty() &&
+      task.donation.bytes.size() == file->size) {
+    crc = Crc32c(task.donation.bytes);
+    written = destination.Write(file->name, task.donation.bytes);
+    if (written.ok()) {
+      donated_bytes_.fetch_add(file->size, std::memory_order_relaxed);
+    }
   } else {
-    written = StreamCopy(file, task.content, destination, crc);
+    written = StreamCopy(task, destination, crc);
   }
   if (!written.ok()) {
     MLOG_WARN << "placement copy of '" << file->name << "' to tier '"
@@ -792,10 +815,12 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
   if (RefuseScanStaging(task)) return;
   const bool low_retention = task.tenant.low_retention;
 
-  // One pooled lease carries the logical bytes of every chunk in the
-  // task (pack.chunk_bytes is clamped to the pool's chunk size); the
-  // codec output and verification scratch are reused across chunks.
-  BufferPool::Lease lease = pool_.Acquire();
+  // Chunks the triggering read fully covered come from its donation;
+  // one pooled lease, taken only when a chunk must be re-read from the
+  // PFS, carries the others (pack.chunk_bytes is clamped to the pool's
+  // chunk size). The codec output and verification scratch are reused
+  // across chunks.
+  std::optional<BufferPool::Lease> lease;
   std::vector<std::byte> encoded;
   std::vector<std::byte> readback;
 
@@ -806,19 +831,12 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
     const std::uint32_t c = task.chunks[next];
     const std::uint64_t offset = cm->ChunkOffset(c);
     const std::uint32_t logical_n = cm->ChunkLogicalBytes(c);
-    const std::span<std::byte> logical(lease.bytes().data(), logical_n);
-    auto read = hierarchy_.Pfs().Read(file->name, offset, logical);
-    if (!read.ok()) {
-      failure = read.status();
+    auto source = SliceSource(task, offset, logical_n, lease);
+    if (!source.ok()) {
+      failure = source.status();
       break;
     }
-    if (read.value() != logical_n) {
-      failure = InternalError("short PFS read of '" + file->name + "' at " +
-                              std::to_string(offset) + ": got " +
-                              std::to_string(read.value()) + " of " +
-                              std::to_string(logical_n) + " bytes");
-      break;
-    }
+    const std::span<const std::byte> logical = source.value();
     pack::ChunkMap::ChunkMeta meta;
     meta.crc_logical = Crc32c(logical);
     std::span<const std::byte> stored(logical);
@@ -950,6 +968,8 @@ PlacementStats PlacementHandler::Stats() const {
   s.prefetch_cancelled = prefetch_cancelled_.load(std::memory_order_relaxed);
   s.chunks_copied = chunks_copied_.load(std::memory_order_relaxed);
   s.donated_bytes = donated_bytes_.load(std::memory_order_relaxed);
+  s.donation_held_bytes =
+      donation_held_bytes_.load(std::memory_order_relaxed);
   s.chunks_staged = chunks_staged_.load(std::memory_order_relaxed);
   s.chunk_stored_bytes = chunk_stored_bytes_.load(std::memory_order_relaxed);
   s.chunks_evicted = chunks_evicted_.load(std::memory_order_relaxed);

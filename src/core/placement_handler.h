@@ -9,8 +9,8 @@
 //   2. stream the file tier-to-tier in fixed-size chunks drawn from a
 //      bounded, reusable buffer pool (peak staging memory is
 //      `staging_buffer_bytes`, never a function of file sizes), reusing
-//      any leading bytes the triggering read already pulled instead of
-//      re-reading them from the PFS,
+//      the bytes the triggering read already pulled (its donation)
+//      instead of re-reading them from the PFS,
 //   3. publish the copy — recording its incrementally computed CRC32C
 //      and, when verify_staged_writes is on, reading it back chunk by
 //      chunk to prove the bytes landed intact — and flip the file's
@@ -53,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -92,8 +93,9 @@ struct PlacementOptions {
   /// policy's PrefetchMayEvict() allows it (clairvoyant).
   bool enable_eviction = false;
 
-  /// Total budget for the chunk buffer pool — the hard cap on staging
-  /// memory (`[placement] staging_buffer_bytes`).
+  /// Total budget for the chunk buffer pool — the hard cap on leased
+  /// staging buffers (`[placement] staging_buffer_bytes`). Bytes held by
+  /// queued donations are capped at the same amount, counted apart.
   std::uint64_t staging_buffer_bytes = 64ULL * 1024 * 1024;
 
   /// Copy granularity: each pooled buffer holds one chunk of this size
@@ -152,6 +154,7 @@ struct PlacementStats {
   std::uint64_t prefetch_cancelled = 0;  ///< hints dropped before staging
   std::uint64_t chunks_copied = 0;       ///< chunk writes across all copies
   std::uint64_t donated_bytes = 0;       ///< triggering-read bytes reused
+  std::uint64_t donation_held_bytes = 0;  ///< gauge: donated bytes held
   std::uint64_t queue_depth_demand = 0;  ///< gauge: demand tasks waiting
   std::uint64_t queue_depth_prefetch = 0; ///< gauge: prefetch waiting+parked
   std::uint64_t inflight_bytes = 0;      ///< gauge: bytes being copied now
@@ -196,21 +199,27 @@ class PlacementHandler {
   PlacementHandler(const PlacementHandler&) = delete;
   PlacementHandler& operator=(const PlacementHandler&) = delete;
 
-  /// Called after `file` was claimed (TryBeginFetch). `content`: bytes
-  /// the triggering read already pulled — the full file, or a leading
-  /// prefix that the chunk pipeline extends with PFS reads (donated
-  /// bytes are never re-read). Never blocks the caller.
-  void SchedulePlacement(FileInfoPtr file,
-                         std::optional<std::vector<std::byte>> content,
+  /// Called after `file` was claimed (TryBeginFetch). `prefix`: bytes
+  /// the triggering read already pulled from offset 0 — the full file, or
+  /// a leading prefix that the chunk pipeline extends with PFS reads. It
+  /// is donated (copied into the task, never re-read) when the staging-
+  /// memory budget has room, else the copy re-reads it from the PFS.
+  /// Never blocks the caller.
+  void SchedulePlacement(FileInfoPtr file, std::span<const std::byte> prefix,
                          StagingLane lane = StagingLane::kDemand);
 
   /// Chunk-granularity staging (pack mode). `chunks` are chunk indexes
   /// the caller already claimed via ChunkMap::TryClaim; the handler
-  /// stages each one — PFS read at the chunk's offset, optional codec
-  /// encode, CRC on both sides — through the same two-lane pipeline and
-  /// releases every claim (publish or back-out). Never blocks.
+  /// stages each one — codec encode, CRC on both sides — through the same
+  /// two-lane pipeline and releases every claim (publish or back-out).
+  /// `donated` holds the file's bytes from `donated_offset` that the
+  /// triggering read pulled; chunks it fully covers are staged from it
+  /// (budget permitting, as for SchedulePlacement), the rest re-read from
+  /// the PFS at the chunk's offset. Never blocks.
   void ScheduleChunkPlacement(FileInfoPtr file,
                               std::vector<std::uint32_t> chunks,
+                              std::uint64_t donated_offset,
+                              std::span<const std::byte> donated,
                               StagingLane lane = StagingLane::kDemand);
 
   /// A demand read overtook a queued (or parked) prefetch of `file`:
@@ -278,9 +287,28 @@ class PlacementHandler {
   }
 
  private:
+  /// A donation's share of the staging-memory budget, handed back when
+  /// the owning task is destroyed — finished, backed out or cancelled.
+  struct Uncharge {
+    std::uint64_t bytes;
+    void operator()(std::atomic<std::uint64_t>* held) const noexcept {
+      held->fetch_sub(bytes, std::memory_order_relaxed);
+    }
+  };
+  using BudgetCharge = std::unique_ptr<std::atomic<std::uint64_t>, Uncharge>;
+
+  /// Bytes the triggering read already pulled: the file's bytes
+  /// [offset, offset + bytes.size()). Whole-file tasks donate from
+  /// offset 0; empty = nothing donated.
+  struct Donation {
+    std::uint64_t offset = 0;
+    std::vector<std::byte> bytes;
+    BudgetCharge charge;
+  };
+
   struct StagingTask {
     FileInfoPtr file;
-    std::optional<std::vector<std::byte>> content;
+    Donation donation;
     StagingLane lane = StagingLane::kDemand;
     /// Claimed chunk indexes (pack mode); empty = whole-file task.
     std::vector<std::uint32_t> chunks;
@@ -297,6 +325,10 @@ class PlacementHandler {
   [[nodiscard]] double TaskCost(const StagingTask& task) const noexcept;
   /// Enqueue on the fair queue. Caller holds mu_.
   void PushLocked(StagingTask task);
+  /// Copy `bytes` (the file's bytes from `offset`) into a donation when
+  /// the queued donations plus them fit `staging_buffer_bytes`; an empty
+  /// donation otherwise.
+  Donation Donate(std::uint64_t offset, std::span<const std::byte> bytes);
   /// Count and enqueue a claimed task — or, once scheduling stopped,
   /// cancel it and hand its claims back. Never blocks.
   void Enqueue(StagingTask task);
@@ -323,12 +355,17 @@ class PlacementHandler {
   /// Stage one file. Returns normally whether the copy succeeded,
   /// failed, or was parked on the in-flight cap.
   void PlaceFile(StagingTask task);
-  /// Chunk loop: write the donated `prefix` (if any), then stream the
-  /// rest of the file from the PFS through one pooled buffer.
+  /// The file's bytes [offset, offset + n) for one staging slice: a view
+  /// of the task's donation when it covers the whole range, else a PFS
+  /// read into the pooled `lease` (acquired on first use).
+  Result<std::span<const std::byte>> SliceSource(
+      const StagingTask& task, std::uint64_t offset, std::size_t n,
+      std::optional<BufferPool::Lease>& lease);
+  /// Chunk loop: write the donated prefix (if any), then stream the rest
+  /// of the file from the PFS through one pooled buffer.
   /// `crc` accumulates over every byte in file order.
-  Status StreamCopy(const FileInfoPtr& file,
-                    const std::optional<std::vector<std::byte>>& prefix,
-                    StorageDriver& destination, std::uint32_t& crc);
+  Status StreamCopy(const StagingTask& task, StorageDriver& destination,
+                    std::uint32_t& crc);
   /// Chunked read-back verification against `crc` (bounded memory).
   bool VerifyStagedCopy(const FileInfoPtr& file, StorageDriver& destination,
                         std::uint32_t crc);
@@ -401,6 +438,9 @@ class PlacementHandler {
   std::atomic<std::uint64_t> prefetch_cancelled_{0};
   std::atomic<std::uint64_t> chunks_copied_{0};
   std::atomic<std::uint64_t> donated_bytes_{0};
+  /// Bytes held by queued and running donations (BudgetCharge). Declared
+  /// before the queues so it outlives the tasks they destroy.
+  std::atomic<std::uint64_t> donation_held_bytes_{0};
   std::atomic<std::uint64_t> chunks_staged_{0};
   std::atomic<std::uint64_t> chunk_stored_bytes_{0};
   std::atomic<std::uint64_t> chunks_evicted_{0};

@@ -144,6 +144,12 @@ class FairQueue {
     T item;
   };
   struct ClassState {
+    // Move-only, so the vector relocates (never copies) the queued items
+    // and T may itself be move-only.
+    ClassState() = default;
+    ClassState(ClassState&&) = default;
+    ClassState& operator=(ClassState&&) = default;
+
     bool registered = false;
     int band = 0;
     double weight = 1.0;

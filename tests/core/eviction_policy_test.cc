@@ -261,7 +261,7 @@ class EvictionHandlerTest : public ::testing::Test {
   /// Claim + demand-stage + drain.
   void Stage(const FileInfoPtr& file) {
     ASSERT_TRUE(file->TryBeginFetch());
-    handler_->SchedulePlacement(file, std::nullopt);
+    handler_->SchedulePlacement(file, {});
     handler_->Drain();
   }
 

@@ -55,7 +55,7 @@ TEST_F(PlacementHandlerTest, PlacesFileWithoutContent) {
   Build({100});
   auto file = AddPfsFile("f", "0123456789");
   ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, std::nullopt);
+  handler_->SchedulePlacement(file, {});
   handler_->Drain();
 
   EXPECT_EQ(PlacementState::kPlaced, file->state.load());
@@ -93,7 +93,7 @@ TEST_F(PlacementHandlerTest, NoSpaceMarksUnplaceable) {
   Build({5});
   auto file = AddPfsFile("f", "too-big-for-tier");
   ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, std::nullopt);
+  handler_->SchedulePlacement(file, {});
   handler_->Drain();
 
   EXPECT_EQ(PlacementState::kUnplaceable, file->state.load());
@@ -108,9 +108,9 @@ TEST_F(PlacementHandlerTest, SpillsToSecondTierWhenFirstFull) {
   auto f2 = AddPfsFile("f2", "0123456789");  // tier0 full -> tier1
   ASSERT_TRUE(f1->TryBeginFetch());
   ASSERT_TRUE(f2->TryBeginFetch());
-  handler_->SchedulePlacement(f1, std::nullopt);
+  handler_->SchedulePlacement(f1, {});
   handler_->Drain();
-  handler_->SchedulePlacement(f2, std::nullopt);
+  handler_->SchedulePlacement(f2, {});
   handler_->Drain();
 
   EXPECT_EQ(0, f1->level.load());
@@ -129,7 +129,7 @@ TEST_F(PlacementHandlerTest, PfsReadFailureReleasesReservationAndRetries) {
   // placement itself fail the fault has to outlast the attempt budget.
   faulty->FailNextReads(100);
   ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, std::nullopt);
+  handler_->SchedulePlacement(file, {});
   handler_->Drain();
 
   EXPECT_EQ(PlacementState::kPfsOnly, file->state.load())
@@ -142,7 +142,7 @@ TEST_F(PlacementHandlerTest, PfsReadFailureReleasesReservationAndRetries) {
   // A later attempt succeeds once the fault clears.
   faulty->FailNextReads(0);
   ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, std::nullopt);
+  handler_->SchedulePlacement(file, {});
   handler_->Drain();
   EXPECT_EQ(PlacementState::kPlaced, file->state.load());
 }
@@ -152,7 +152,7 @@ TEST_F(PlacementHandlerTest, StopSchedulingAbortsNewPlacements) {
   auto file = AddPfsFile("f", "abc");
   handler_->StopScheduling();
   ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, std::nullopt);
+  handler_->SchedulePlacement(file, {});
   handler_->Drain();
   EXPECT_EQ(PlacementState::kPfsOnly, file->state.load());
   EXPECT_EQ(0u, handler_->Stats().scheduled);
@@ -165,7 +165,7 @@ TEST_F(PlacementHandlerTest, ManyFilesAllPlacedConcurrently) {
     auto file =
         AddPfsFile("f" + std::to_string(i), std::string(100, 'a' + i % 26));
     ASSERT_TRUE(file->TryBeginFetch());
-    handler_->SchedulePlacement(file, std::nullopt);
+    handler_->SchedulePlacement(file, {});
     files.push_back(std::move(file));
   }
   handler_->Drain();
@@ -180,13 +180,13 @@ TEST_F(PlacementHandlerTest, EvictionDisabledByDefault) {
   Build({15});
   auto f1 = AddPfsFile("f1", "0123456789");
   ASSERT_TRUE(f1->TryBeginFetch());
-  handler_->SchedulePlacement(f1, std::nullopt);
+  handler_->SchedulePlacement(f1, {});
   handler_->Drain();
   ASSERT_EQ(PlacementState::kPlaced, f1->state.load());
 
   auto f2 = AddPfsFile("f2", "0123456789");
   ASSERT_TRUE(f2->TryBeginFetch());
-  handler_->SchedulePlacement(f2, std::nullopt);
+  handler_->SchedulePlacement(f2, {});
   handler_->Drain();
 
   // The paper's no-eviction policy: f1 stays, f2 is unplaceable.
@@ -203,14 +203,14 @@ TEST_F(PlacementHandlerTest, EvictionModeMakesRoomLru) {
   auto f1 = AddPfsFile("f1", "0123456789");
   f1->last_access.store(1);
   ASSERT_TRUE(f1->TryBeginFetch());
-  handler_->SchedulePlacement(f1, std::nullopt);
+  handler_->SchedulePlacement(f1, {});
   handler_->Drain();
   ASSERT_EQ(PlacementState::kPlaced, f1->state.load());
 
   auto f2 = AddPfsFile("f2", "0123456789");
   f2->last_access.store(2);
   ASSERT_TRUE(f2->TryBeginFetch());
-  handler_->SchedulePlacement(f2, std::nullopt);
+  handler_->SchedulePlacement(f2, {});
   handler_->Drain();
 
   // f1 (older access) was evicted to admit f2.

@@ -66,7 +66,7 @@ class QosPlacementTest : public ::testing::Test {
   void StageAs(const qos::TenantContext& tenant, const FileInfoPtr& file) {
     ASSERT_TRUE(file->TryBeginFetch());
     qos::ScopedTenant scope(tenant);
-    handler_->SchedulePlacement(file, std::nullopt);
+    handler_->SchedulePlacement(file, {});
     handler_->Drain();
   }
 

@@ -204,7 +204,11 @@ class StagingPipelineTest : public ::testing::Test {
              std::optional<std::vector<std::byte>> content,
              StagingLane lane = StagingLane::kDemand) {
     ASSERT_TRUE(file->TryBeginFetch()) << file->name;
-    handler_->SchedulePlacement(file, std::move(content), lane);
+    handler_->SchedulePlacement(
+        file,
+        content ? std::span<const std::byte>(*content)
+                : std::span<const std::byte>{},
+        lane);
   }
 
   storage::StorageEnginePtr pfs_engine_;
@@ -443,7 +447,7 @@ TEST_F(StagingPipelineTest, CancelPrefetchesReturnsFilesRetryable) {
 TEST_F(StagingPipelineTest, DonatedPrefixIsNotReReadFromPfs) {
   PlacementOptions options;
   options.staging_chunk_bytes = 4;
-  options.staging_buffer_bytes = 8;
+  options.staging_buffer_bytes = 16;  // room for the 10-byte donation
   Build({1000}, options);
 
   const std::string payload = "0123456789ABCDEFGHIJ";  // 20 bytes
@@ -466,6 +470,54 @@ TEST_F(StagingPipelineTest, DonatedPrefixIsNotReReadFromPfs) {
   EXPECT_EQ(payload, Text(staged));
   EXPECT_EQ(Crc32c(Bytes(payload)), file->staged_crc.load())
       << "CRC must accumulate over donated and streamed chunks alike";
+}
+
+TEST_F(StagingPipelineTest, DonationsShareTheStagingBudget) {
+  PlacementOptions options;
+  options.staging_chunk_bytes = 4;
+  options.staging_buffer_bytes = 20;  // room for two 10-byte donations
+  auto gate = std::make_shared<GateEngine>("held");
+  Build({1000}, options, /*num_threads=*/1, gate);
+
+  const std::string payload = "0123456789";
+  auto held = AddPfsFile("held", payload);
+  auto queued = AddPfsFile("queued", payload);
+  auto next = AddPfsFile("next", payload);
+  const auto before = pfs_engine_->Stats().Snapshot();
+
+  // The only worker parks inside "held"'s copy while "queued" waits:
+  // their two donations fill the budget.
+  Stage(held, Bytes(payload));
+  gate->AwaitBlocked();
+  Stage(queued, Bytes(payload));
+  EXPECT_EQ(20u, handler_->Stats().donation_held_bytes);
+
+  // The next miss would overrun it, so it stages without its donation.
+  Stage(next, Bytes(payload));
+  EXPECT_EQ(20u, handler_->Stats().donation_held_bytes);
+
+  gate->ReleaseBlocked();
+  handler_->Drain();
+  for (const auto& file : {held, queued, next}) {
+    EXPECT_EQ(PlacementState::kPlaced, file->state.load()) << file->name;
+    std::vector<std::byte> staged(payload.size());
+    ASSERT_OK(cache_engines_[0]->Read(file->name, 0, staged));
+    EXPECT_EQ(payload, Text(staged)) << file->name;
+  }
+  const auto delta = pfs_engine_->Stats().Snapshot() - before;
+  EXPECT_EQ(10u, delta.bytes_read)
+      << "only the undonated file may re-read the PFS";
+  EXPECT_EQ(20u, handler_->Stats().donated_bytes);
+  EXPECT_EQ(0u, handler_->Stats().donation_held_bytes)
+      << "every charge returns once staging is quiescent";
+
+  // A donation enqueued after scheduling stopped is released with its
+  // claim.
+  auto late = AddPfsFile("late", payload);
+  handler_->StopScheduling();
+  Stage(late, Bytes(payload));
+  EXPECT_EQ(PlacementState::kPfsOnly, late->state.load());
+  EXPECT_EQ(0u, handler_->Stats().donation_held_bytes);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/monarch.h"
 #include "core/placement_policy.h"
 #include "pack/chunk_map.h"
+#include "storage/faulty_engine.h"
 #include "storage/memory_engine.h"
 #include "util/rng.h"
 #include "workload/small_file_dataset.h"
@@ -37,9 +39,11 @@ class ChunkedReadTest : public ::testing::Test {
 
   /// Packed dataset + pack-enabled Monarch over a memory PFS and one
   /// memory cache tier.
-  Result<std::unique_ptr<Monarch>> Build(const std::string& codec,
-                                         std::uint64_t quota = 1'000'000,
-                                         const std::string& policy = "") {
+  /// `configure` may adjust the config last (resilience, tier engines).
+  Result<std::unique_ptr<Monarch>> Build(
+      const std::string& codec, std::uint64_t quota = 1'000'000,
+      const std::string& policy = "",
+      const std::function<void(MonarchConfig&)>& configure = {}) {
     spec_ = Spec();
     pfs_ = std::make_shared<storage::MemoryEngine>("pfs");
     local_ = std::make_shared<storage::MemoryEngine>("local");
@@ -60,8 +64,59 @@ class ChunkedReadTest : public ::testing::Test {
       if (!made.ok()) return made.status();
       config.policy = std::move(made).value();
     }
+    if (configure) configure(config);
     return Monarch::Create(std::move(config));
   }
+
+  /// Read `length` bytes of file `index` at `offset` on the copy lane
+  /// (Monarch::Read) or the lend lane (ReadZeroCopy, looping over short
+  /// views) and check them against the generator's payload.
+  void ReadAndCheck(Monarch& monarch, bool lend, std::uint64_t index,
+                    std::uint64_t offset, std::uint64_t length) {
+    const std::vector<std::byte> whole = Expected(index);
+    const std::string name = workload::SmallFilePath(spec_, index);
+    std::vector<std::byte> got(length);
+    if (lend) {
+      got.clear();
+      while (got.size() < length) {
+        auto lease = monarch.ReadZeroCopy(name, offset + got.size(),
+                                          length - got.size());
+        ASSERT_OK(lease);
+        ASSERT_GT(lease.value().size(), 0u);
+        got.insert(got.end(), lease.value().data().begin(),
+                   lease.value().data().end());
+      }
+    } else {
+      auto read = monarch.Read(name, offset, got);
+      ASSERT_OK(read);
+      got.resize(read.value());
+    }
+    ASSERT_EQ(length, got.size()) << "file " << index << " offset " << offset;
+    EXPECT_TRUE(std::equal(
+        got.begin(), got.end(),
+        whole.begin() + static_cast<std::ptrdiff_t>(offset)))
+        << "file " << index << " offset " << offset << " len " << length;
+  }
+
+  /// The chunk map of file `index` (pack mode creates it on first read).
+  pack::ChunkMap& ChunksOf(Monarch& monarch, std::uint64_t index) {
+    FileInfoPtr info =
+        monarch.metadata().Lookup(workload::SmallFilePath(spec_, index));
+    EXPECT_NE(nullptr, info);
+    EXPECT_NE(nullptr, info->chunk_map());
+    return *info->chunk_map();
+  }
+
+  /// Index of a file with at least `min_bytes` bytes.
+  std::uint64_t FileOfAtLeast(std::uint64_t min_bytes) const {
+    for (std::uint64_t f = 0; f < spec_.num_files; ++f) {
+      if (Expected(f).size() >= min_bytes) return f;
+    }
+    ADD_FAILURE() << "no file of " << min_bytes << " bytes";
+    return 0;
+  }
+
+  std::uint64_t PfsReadOps() { return pfs_->Stats().Snapshot().read_ops; }
 
   std::vector<std::byte> Expected(std::uint64_t index) const {
     return workload::SmallFilePayload(spec_, index);
@@ -239,6 +294,114 @@ TEST_F(ChunkedReadTest, CleanupDropsChunkCopies) {
   EXPECT_EQ(4u, monarch.value()->CleanupStagedCopies());
   EXPECT_EQ(0u, local_->TotalBytes());
   EXPECT_EQ(0u, monarch.value()->Stats().levels[0].occupancy_bytes);
+}
+
+// Chunk-miss donation: a pack-mode miss already read the requested bytes
+// from the PFS, so the chunks it covered in full are staged from those
+// bytes; only partly covered edge chunks are re-read.
+TEST_F(ChunkedReadTest, WholeFileMissDonatesEveryChunk) {
+  for (const std::string codec : {"none", "lz"}) {
+    for (const bool lend : {false, true}) {
+      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
+      auto monarch = Build(codec);
+      ASSERT_OK(monarch);
+      Monarch& m = **monarch;
+      const std::uint64_t f = FileOfAtLeast(3 * 1024);
+      const std::uint64_t size = Expected(f).size();
+
+      const std::uint64_t ops_before = PfsReadOps();
+      ReadAndCheck(m, lend, f, 0, size);
+      m.DrainPlacements();
+      EXPECT_EQ(ops_before + 1, PfsReadOps())
+          << "staging must reuse the miss's bytes, not re-read the PFS";
+      const pack::ChunkMap& cm = ChunksOf(m, f);
+      EXPECT_EQ(cm.num_chunks(), cm.ResidentCount());
+      EXPECT_EQ(size, m.Stats().placement.donated_bytes);
+      EXPECT_EQ(0u, m.Stats().placement.donation_held_bytes);
+
+      // Every chunk now serves byte-identical data from the tier.
+      const std::uint64_t hits_before = m.Stats().chunk_hits;
+      for (std::uint32_t c = 0; c < cm.num_chunks(); ++c) {
+        ReadAndCheck(m, lend, f, cm.ChunkOffset(c), cm.ChunkLogicalBytes(c));
+      }
+      EXPECT_EQ(hits_before + cm.num_chunks(), m.Stats().chunk_hits);
+      EXPECT_EQ(ops_before + 1, PfsReadOps());
+    }
+  }
+}
+
+TEST_F(ChunkedReadTest, UnalignedPartialMissDonatesOnlyCoveredChunks) {
+  for (const std::string codec : {"none", "lz"}) {
+    for (const bool lend : {false, true}) {
+      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
+      auto monarch = Build(codec);
+      ASSERT_OK(monarch);
+      Monarch& m = **monarch;
+      const std::uint64_t f = FileOfAtLeast(4 * 1024 + 1);
+      const std::uint64_t size = Expected(f).size();
+
+      // [700, 3300) with 1 KiB chunks: chunks 1 and 2 are covered, the
+      // edge chunks 0 and 3 only partly.
+      std::uint64_t ops_before = PfsReadOps();
+      ReadAndCheck(m, lend, f, 700, 2600);
+      m.DrainPlacements();
+      EXPECT_EQ(ops_before + 1 + 2, PfsReadOps())
+          << "only the two edge chunks may be re-read";
+      EXPECT_EQ(2u * 1024, m.Stats().placement.donated_bytes);
+      EXPECT_EQ(4u, ChunksOf(m, f).ResidentCount());
+
+      // A read from inside chunk 4 to the end of the file covers every
+      // later chunk, the short last one included: one edge re-read.
+      const std::uint64_t from = 4 * 1024 + 1;
+      ops_before = PfsReadOps();
+      const std::uint64_t donated_before = m.Stats().placement.donated_bytes;
+      ReadAndCheck(m, lend, f, from, size - from);
+      m.DrainPlacements();
+      EXPECT_EQ(ops_before + 1 + 1, PfsReadOps());
+      EXPECT_EQ(donated_before + (size > 5 * 1024 ? size - 5 * 1024 : 0),
+                m.Stats().placement.donated_bytes);
+
+      // The staged chunks serve the same bytes back.
+      ReadAndCheck(m, lend, f, 1024, 2048);
+      ReadAndCheck(m, lend, f, 0, 700);
+    }
+  }
+}
+
+TEST_F(ChunkedReadTest, DonatedChunkFailingReadbackIsDropped) {
+  for (const std::string codec : {"none", "lz"}) {
+    for (const bool lend : {false, true}) {
+      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
+      storage::FaultyEngine::FaultSpec faults;
+      faults.read_corruption_rate = 1.0;  // every readback is corrupt
+      auto monarch = Build(codec, 1'000'000, "", [&](MonarchConfig& config) {
+        config.resilience.verify_staged_writes = true;
+        config.cache_tiers[0].engine =
+            std::make_shared<storage::FaultyEngine>(local_, faults);
+      });
+      ASSERT_OK(monarch);
+      Monarch& m = **monarch;
+      const std::uint64_t f = FileOfAtLeast(3 * 1024);
+      const std::uint64_t size = Expected(f).size();
+
+      const std::uint64_t ops_before = PfsReadOps();
+      ReadAndCheck(m, lend, f, 0, size);
+      m.DrainPlacements();
+      EXPECT_EQ(ops_before + 1, PfsReadOps());
+      const MonarchStats stats = m.Stats();
+      EXPECT_EQ(1u, stats.placement.quarantined);
+      EXPECT_EQ(0u, stats.placement.chunks_staged);
+      EXPECT_EQ(0u, ChunksOf(m, f).ResidentCount());
+      EXPECT_EQ(0u, local_->TotalBytes()) << "the bad copy must be deleted";
+      EXPECT_EQ(0u, stats.levels[0].occupancy_bytes);
+
+      // The file still reads correctly, from the PFS.
+      const std::uint64_t misses_before = stats.chunk_misses;
+      ReadAndCheck(m, lend, f, 0, size);
+      EXPECT_EQ(misses_before + 1, m.Stats().chunk_misses);
+      m.DrainPlacements();
+    }
+  }
 }
 
 // TSan stress: concurrent chunked readers racing chunk eviction driven

@@ -27,7 +27,8 @@ AdmissionController::Options Capacity(std::uint64_t bytes) {
 TEST(AdmissionTest, DisabledControllerAdmitsEverything) {
   AdmissionController controller(Capacity(0));
   EXPECT_FALSE(controller.enabled());
-  EXPECT_EQ(AdmissionDecision::kAdmit, controller.Request(Job(1), 1u << 40));
+  EXPECT_EQ(AdmissionDecision::kAdmit,
+            controller.Request(Job(1), std::uint64_t{1} << 40));
 }
 
 TEST(AdmissionTest, AdmitsWithinQueueThreshold) {
