@@ -266,6 +266,10 @@ MembershipDelta FileDirectory::FinishTransition(
   // new view says is dead — the atomic retraction the tentpole asks for.
   const MembershipPtr new_m = next;
   Publish(std::move(next));
+  // Peers waiting on a copy re-check liveness: a downed copier no longer
+  // holds them, a revived one does again.
+  { std::lock_guard lock(copy_mu_); }
+  copy_cv_.notify_all();
 
   // Ownership-delta scan: diff the owner set of every known file under
   // the old vs new view, physically retract the downed node's rows, and
@@ -473,6 +477,40 @@ void FileDirectory::CountRemoteHit(int node) {
   remote_hits_[static_cast<std::size_t>(node)]->fetch_add(
       1, std::memory_order_relaxed);
   if (remote_hits_total_ != nullptr) remote_hits_total_->Increment();
+}
+
+void FileDirectory::BeginCopy(const std::string& name, int node) {
+  if (node < 0 || node >= num_nodes_) return;
+  std::lock_guard lock(copy_mu_);
+  std::vector<int>& nodes = copying_[name];
+  if (!Contains(nodes, node)) nodes.push_back(node);
+}
+
+void FileDirectory::EndCopy(const std::string& name, int node) {
+  {
+    std::lock_guard lock(copy_mu_);
+    auto it = copying_.find(name);
+    if (it == copying_.end()) return;
+    std::erase(it->second, node);
+    if (it->second.empty()) copying_.erase(it);
+  }
+  copy_cv_.notify_all();
+}
+
+bool FileDirectory::AwaitCopies(const std::string& name, int exclude_node) {
+  std::unique_lock lock(copy_mu_);
+  const auto copying = [&] {
+    auto it = copying_.find(name);
+    if (it == copying_.end()) return false;
+    const MembershipPtr m = membership();
+    return std::any_of(it->second.begin(), it->second.end(), [&](int node) {
+      return node != exclude_node &&
+             m->state[static_cast<std::size_t>(node)] == NodeState::kUp;
+    });
+  };
+  if (!copying()) return false;
+  copy_cv_.wait(lock, [&] { return !copying(); });
+  return true;
 }
 
 std::uint64_t FileDirectory::entries() const { return map_.Size(); }

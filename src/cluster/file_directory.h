@@ -13,6 +13,9 @@
 //     the placement callbacks (core/PeerView) as copies are published,
 //     evicted, or quarantined, and consulted by the read path to route
 //     demand reads across live holders before falling back to the PFS.
+//   * joins — which nodes hold a copy still IN FLIGHT that a peer may
+//     wait for instead of reading the file from the PFS itself. Waiters
+//     ignore nodes that are not live, and membership changes wake them.
 //   * repair — what must move to restore the replication factor after a
 //     loss (or hand a shard to a joiner). Each membership transition
 //     computes the ownership delta and feeds per-node re-staging queues
@@ -33,12 +36,14 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -167,6 +172,18 @@ class FileDirectory {
   /// Count one peer read served from `node`'s copy (resolver callback).
   void CountRemoteHit(int node);
 
+  // ---- in-flight copies (joins) -----------------------------------------
+
+  /// `node` began a joinable copy of `name` (queued demand or running).
+  void BeginCopy(const std::string& name, int node);
+
+  /// `node`'s joinable copy of `name` ended (published, failed, dropped).
+  void EndCopy(const std::string& name, int node);
+
+  /// Block while a live node other than `exclude_node` holds a joinable
+  /// copy of `name`. True when it waited.
+  bool AwaitCopies(const std::string& name, int exclude_node);
+
   // ---- re-staging -------------------------------------------------------
 
   /// Pop up to `max_files` queued repair tasks for `node` (files it now
@@ -263,6 +280,12 @@ class FileDirectory {
   mutable std::mutex restage_mu_;
   std::vector<std::deque<std::string>> restage_q_;
   std::vector<std::unordered_set<std::string>> restage_queued_;
+
+  /// Joinable copies in flight: file -> nodes copying it. Waiters sleep
+  /// on copy_cv_, woken by EndCopy and by every membership transition.
+  std::mutex copy_mu_;
+  std::condition_variable copy_cv_;
+  std::unordered_map<std::string, std::vector<int>> copying_;
 
   std::atomic<std::uint64_t> restage_enqueued_total_{0};
   std::atomic<std::uint64_t> restage_completed_total_{0};

@@ -117,6 +117,28 @@ class DirectoryPeerView final : public core::PeerView {
     group_->directory().MarkEvicted(name, self_);
   }
 
+  void SetStageEntry(StageEntry entry) override {
+    group_->SetStageEntry(self_, std::move(entry));
+  }
+
+  bool RequestOwnerStage(const std::string& name) override {
+    const int owner = group_->directory().PrimaryOwner(name);
+    return owner != self_ && group_->directory().IsLive(owner) &&
+           group_->RequestStage(owner, name);
+  }
+
+  bool AwaitRemoteCopy(const std::string& name) override {
+    return group_->directory().AwaitCopies(name, self_);
+  }
+
+  void OnCopyBegin(const std::string& name) override {
+    group_->directory().BeginCopy(name, self_);
+  }
+
+  void OnCopyEnd(const std::string& name) override {
+    group_->directory().EndCopy(name, self_);
+  }
+
  private:
   PeerGroup* group_;
   const int self_;
@@ -133,6 +155,7 @@ PeerGroup::PeerGroup(int num_nodes, PeerOptions options)
   profile.hop_latency = options_.interconnect_latency;
   network_ = std::make_shared<net::NetworkModel>(profile);
   engines_.resize(static_cast<std::size_t>(directory_.num_nodes()));
+  stage_entries_.resize(static_cast<std::size_t>(directory_.num_nodes()));
   holder_state_.reserve(static_cast<std::size_t>(directory_.num_nodes()));
   for (int node = 0; node < directory_.num_nodes(); ++node) {
     holder_state_.push_back(std::make_unique<HolderState>());
@@ -149,6 +172,20 @@ storage::StorageEnginePtr PeerGroup::NodeEngine(int node) const {
   if (node < 0 || node >= num_nodes()) return nullptr;
   std::lock_guard lock(engines_mu_);
   return engines_[static_cast<std::size_t>(node)];
+}
+
+void PeerGroup::SetStageEntry(int node, core::PeerView::StageEntry entry) {
+  if (node < 0 || node >= num_nodes()) return;
+  std::unique_lock lock(stage_mu_);
+  stage_entries_[static_cast<std::size_t>(node)] = std::move(entry);
+}
+
+bool PeerGroup::RequestStage(int node, const std::string& name) {
+  if (node < 0 || node >= num_nodes()) return false;
+  std::shared_lock lock(stage_mu_);
+  const core::PeerView::StageEntry& entry =
+      stage_entries_[static_cast<std::size_t>(node)];
+  return entry && entry(name);
 }
 
 storage::StorageEnginePtr PeerGroup::MakePeerEngine(int node) {

@@ -15,7 +15,10 @@
 //     network model. Plug it in as MonarchConfig::peer_tier.
 //   * MakePeerView(node)   — the core/PeerView gluing the node's
 //     placement callbacks and staging gate to the directory. Plug it in
-//     as MonarchConfig::peer_view.
+//     as MonarchConfig::peer_view. Through it each node's Monarch also
+//     registers its stage entry, so a non-owner about to read a cold
+//     file asks the owner to stage it and joins that copy instead of
+//     pulling the file from the PFS a second time.
 //
 // Churn control (ISSUE 7): KillNode/ReviveNode/JoinNode drive the
 // directory's membership AND the fabric's reachability together, so a
@@ -32,6 +35,8 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
+#include <string>
 #include <vector>
 
 #include "cluster/file_directory.h"
@@ -111,6 +116,13 @@ class PeerGroup {
     return options_;
   }
 
+  /// Install (empty: remove) `node`'s stage entry. Removal waits for
+  /// RequestStage calls in flight against it.
+  void SetStageEntry(int node, core::PeerView::StageEntry entry);
+
+  /// Run `node`'s stage entry for `name`; false when none is installed.
+  bool RequestStage(int node, const std::string& name);
+
   /// The engine registered for `node`, or null. Used by the resolver.
   [[nodiscard]] storage::StorageEnginePtr NodeEngine(int node) const;
 
@@ -141,6 +153,10 @@ class PeerGroup {
   mutable std::mutex engines_mu_;
   std::vector<storage::StorageEnginePtr> engines_;
   std::vector<std::unique_ptr<HolderState>> holder_state_;
+  /// Per-node stage entries: requests run under the shared lock, so
+  /// SetStageEntry's exclusive lock waits them out.
+  std::shared_mutex stage_mu_;
+  std::vector<core::PeerView::StageEntry> stage_entries_;
 };
 
 }  // namespace monarch::cluster

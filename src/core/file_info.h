@@ -77,6 +77,16 @@ struct FileInfo {
   /// priority.
   std::atomic<bool> stage_refused{false};
 
+  /// True while a whole-file copy of this file can be joined: a
+  /// demand-lane task for it is queued, or any copy of it is running.
+  /// A read that would go to the PFS waits for it to clear and then
+  /// serves from the copy, so each file crosses the PFS once. The
+  /// placement handler sets it and clears it (with a wake-up) on every
+  /// exit of the copy and on every path that drops the task unrun. A
+  /// queued look-ahead hint is never joinable: its worker may be the
+  /// very one the reader is queued behind.
+  std::atomic<bool> joinable{false};
+
   /// Scan-resistance marking (ISSUE 10): set when the staged copy was
   /// placed on behalf of a low-retention tenant (a full-scan data-prep
   /// job). Low-retention copies are fair game for any evictor, but a
@@ -131,6 +141,23 @@ struct FileInfo {
     state.store(permanently ? PlacementState::kUnplaceable
                             : PlacementState::kPfsOnly,
                 std::memory_order_release);
+  }
+
+  void BeginJoinable() noexcept {
+    joinable.store(true, std::memory_order_release);
+  }
+
+  void EndJoinable() noexcept {
+    joinable.store(false, std::memory_order_release);
+    joinable.notify_all();
+  }
+
+  /// Block until no joinable copy is in flight (an event wait: no sleep,
+  /// no poll, no timeout). Returns false when there was none to join.
+  bool AwaitJoinable() const noexcept {
+    if (!joinable.load(std::memory_order_acquire)) return false;
+    joinable.wait(true, std::memory_order_acquire);
+    return true;
   }
 
   [[nodiscard]] bool HasStagedCrc() const noexcept {

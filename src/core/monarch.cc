@@ -61,6 +61,14 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          "ops", stats.degraded_fallbacks,
          "reads a cache tier failed to serve (error, open breaker, or corrupt "
          "copy) that the PFS absorbed");
+  sample("monarch.read.copy_joins", "", obs::MetricKind::kCounter, "ops",
+         stats.copy_joins,
+         "reads bound for the PFS served instead from this node's in-flight "
+         "copy of the file, after waiting for it");
+  sample("monarch.read.peer_copy_joins", "", obs::MetricKind::kCounter, "ops",
+         stats.peer_copy_joins,
+         "non-owner reads bound for the PFS served instead over the peer rung "
+         "from the copy they asked the owner to stage");
   const PlacementStats& p = stats.placement;
   sample("monarch.placement.scheduled", "", obs::MetricKind::kCounter, "ops",
          p.scheduled, "background placement tasks enqueued");
@@ -313,6 +321,13 @@ Result<std::unique_ptr<Monarch>> Monarch::Create(MonarchConfig config) {
   MLOG_INFO << "monarch: indexed " << indexed << " files from '"
             << monarch->config_.dataset_dir << "' in "
             << monarch->metadata_.init_seconds() << "s";
+  // Peers may now ask this node, as a file's owner, to stage it for
+  // them. Shutdown unregisters the entry before the instance goes away.
+  if (monarch->config_.peer_view != nullptr) {
+    Monarch* self = monarch.get();
+    monarch->config_.peer_view->SetStageEntry(
+        [self](const std::string& name) { return self->StageForPeer(name); });
+  }
   return monarch;
 }
 
@@ -339,6 +354,9 @@ Monarch::Monarch(MonarchConfig config,
   read_latency_ = registry.GetHistogram(
       "monarch.read.latency_us", "us",
       "end-to-end Monarch::Read latency distribution");
+  read_join_wait_ = registry.GetHistogram(
+      "monarch.read.join_wait_us", "us",
+      "time reads spent waiting on an in-flight copy they joined");
   // Multi-tenant QoS (ISSUE 10): the broker sits under every tier driver
   // so each byte — demand reads, staging writes, checkpoint drains — is
   // charged to the ambient tenant, with this instance's identity as the
@@ -523,6 +541,19 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
       }
     }
   }
+  // Join: a whole-file read bound for the PFS while a copy of the file
+  // is already moving waits for that copy and serves from it, so the
+  // file crosses the PFS once. Afterwards the re-loaded level is the
+  // copy's tier, or still the PFS when the copy failed or was refused.
+  // A queued hint is never joinable: FinishRead promotes it, and only
+  // later reads join the promoted copy.
+  enum class Join { kNone, kLocal, kPeer } joined = Join::kNone;
+  if (level == pfs && cm == nullptr &&
+      info->joinable.load(std::memory_order_acquire)) {
+    TimedJoin(name, "local", [&] { return info->AwaitJoinable(); });
+    joined = Join::kLocal;
+    level = info->level.load(std::memory_order_acquire);
+  }
   // ② Read from that tier — unless its circuit breaker is open, in which
   // case the tier is skipped without a doomed attempt.
   if (level != pfs && hierarchy_->NextServingLevel(level) != level) {
@@ -534,12 +565,26 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
   // the read to the peer level when the cluster directory advertises a
   // remote copy and the peer breaker admits requests. (`info->name` is
   // the owned key — no temporary for the directory lookup.)
-  if (level == pfs && peer >= 0 && config_.peer_view != nullptr &&
-      config_.peer_view->HasRemoteCopy(info->name)) {
-    if (hierarchy_->Level(peer).health().AllowRequest()) {
-      level = peer;
-    } else {
-      CountDegradedFallback(FallbackCause::kCircuitOpen, name, peer);
+  if (level == pfs && peer >= 0 && config_.peer_view != nullptr) {
+    PeerView& view = *config_.peer_view;
+    bool remote = view.HasRemoteCopy(info->name);
+    // Cluster join: a non-owner asks the file's owner to stage it and
+    // waits for that copy rather than pulling the file from the PFS too.
+    if (!remote && !view.ShouldStageLocally(info->name) &&
+        hierarchy_->Level(peer).health().AllowRequest()) {
+      joined = Join::kPeer;
+      TimedJoin(name, "peer", [&] {
+        view.RequestOwnerStage(info->name);
+        return view.AwaitRemoteCopy(info->name);
+      });
+      remote = view.HasRemoteCopy(info->name);
+    }
+    if (remote) {
+      if (hierarchy_->Level(peer).health().AllowRequest()) {
+        level = peer;
+      } else {
+        CountDegradedFallback(FallbackCause::kCircuitOpen, name, peer);
+      }
     }
   }
 
@@ -587,6 +632,11 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
     if (!served.ok()) return served.status();
   }
 
+  if (joined == Join::kLocal && level != pfs && level != peer) {
+    copy_joins_.fetch_add(1, std::memory_order_relaxed);
+  } else if (joined == Join::kPeer && level == peer) {
+    peer_copy_joins_.fetch_add(1, std::memory_order_relaxed);
+  }
   FinishRead(info, name, level, offset, served.value());
   pin_guard.file = nullptr;  // the lease owns the pin from here on
   storage::ReadView view =
@@ -811,6 +861,27 @@ bool Monarch::VerifyTierRead(const FileInfoPtr& info, int level,
             << "' failed CRC verification; quarantining the copy";
   placement_->QuarantineCopy(info);
   return false;
+}
+
+void Monarch::TimedJoin(std::string_view name, const char* kind,
+                        const std::function<bool()>& wait) {
+  obs::TraceSpan span("monarch.read.join", "core");
+  if (span.active()) {
+    span.set_args_json("\"file\":" + obs::JsonQuote(name) + ",\"kind\":\"" +
+                       kind + "\"");
+  }
+  const Stopwatch timer;
+  if (wait() && read_join_wait_ != nullptr) {
+    read_join_wait_->Record(timer.Elapsed());
+  }
+}
+
+bool Monarch::StageForPeer(const std::string& name) {
+  if (placement_->stopped()) return false;
+  FileInfoPtr info = metadata_.Lookup(name);
+  return info != nullptr &&
+         ClaimAndSchedule(std::move(info), StagingLane::kDemand,
+                          /*hinted=*/false);
 }
 
 void Monarch::CountDegradedFallback(FallbackCause cause, std::string_view name,
@@ -1040,6 +1111,8 @@ std::uint64_t Monarch::CleanupStagedCopies() {
 void Monarch::Shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
+  // No more stage requests from peers; waits out any in flight.
+  if (config_.peer_view != nullptr) config_.peer_view->SetStageEntry(nullptr);
   // Quiesce the async ring first: queued ops cancel, in-flight ops finish
   // against a still-fully-alive instance, workers join.
   if (ring_) ring_->Shutdown();
@@ -1084,6 +1157,8 @@ MonarchStats Monarch::Stats() const {
       stats.fallbacks_circuit_open + stats.fallbacks_tier_error +
       stats.fallbacks_corruption + stats.fallbacks_peer_miss +
       stats.fallbacks_peer_error;
+  stats.copy_joins = copy_joins_.load(std::memory_order_relaxed);
+  stats.peer_copy_joins = peer_copy_joins_.load(std::memory_order_relaxed);
   stats.chunk_hits = chunk_hits_.load(std::memory_order_relaxed);
   stats.chunk_misses = chunk_misses_.load(std::memory_order_relaxed);
   if (pack_index_ != nullptr) {

@@ -21,6 +21,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -133,6 +134,13 @@ struct MonarchStats {
   std::uint64_t fallbacks_corruption = 0;     ///< staged copy failed its CRC
   std::uint64_t fallbacks_peer_miss = 0;      ///< peer copy vanished mid-read
   std::uint64_t fallbacks_peer_error = 0;     ///< peer read failed after retries
+
+  /// Joins: reads bound for the PFS that instead waited on a copy of
+  /// the file already in flight and were served from it — this node's
+  /// own copy, or (peer mode) the copy a non-owner asked the file's
+  /// owner to stage.
+  std::uint64_t copy_joins = 0;
+  std::uint64_t peer_copy_joins = 0;
 
   /// Chunk-granularity read outcomes (ISSUE 9; pack mode only). A hit is
   /// a read fully served from resident chunks on a cache tier; a miss
@@ -305,8 +313,10 @@ class Monarch {
 
   /// The serve ladder (§III-B): serve from the file's current level —
   /// its resident chunks in pack mode — or a peer's copy, otherwise from
-  /// the PFS. A failed rung counts its cause and re-reads from the PFS.
-  /// The returned lease owns the file's eviction read-pin.
+  /// the PFS. A whole-file read bound for the PFS first joins a copy of
+  /// the file already in flight, locally or at its owner. A failed rung
+  /// counts its cause and re-reads from the PFS. The returned lease owns
+  /// the file's eviction read-pin.
   Result<ReadLease> Ladder(std::string_view name, std::uint64_t offset,
                            ReadAccess& access);
 
@@ -332,6 +342,16 @@ class Monarch {
   /// set. Returns false when the copy is corrupt (and quarantines it).
   bool VerifyTierRead(const FileInfoPtr& info, int level, std::uint64_t offset,
                       std::span<const std::byte> data);
+
+  /// Run one join wait (`kind` "local" or "peer") under its own trace
+  /// span; `wait` returns whether it waited, and only then is its
+  /// duration recorded.
+  void TimedJoin(std::string_view name, const char* kind,
+                 const std::function<bool()>& wait);
+
+  /// The stage entry this instance registers with its peer view: a
+  /// peer asks it, as the file's owner, to claim a demand copy.
+  bool StageForPeer(const std::string& name);
 
   /// Count one rung of the degradation ladder: a read the tier at `level`
   /// could not serve and the PFS absorbed.
@@ -398,6 +418,9 @@ class Monarch {
   obs::Counter* read_pfs_fallbacks_ = nullptr;
   obs::Counter* read_errors_ = nullptr;
   obs::Histogram* read_latency_ = nullptr;
+  obs::Histogram* read_join_wait_ = nullptr;
+  std::atomic<std::uint64_t> copy_joins_{0};
+  std::atomic<std::uint64_t> peer_copy_joins_{0};
 
   // Chunk-read outcomes (pack mode) and per-cause fallback tallies; the
   // pull source exports them as `monarch.chunk.{hits,misses}` and

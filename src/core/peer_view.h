@@ -11,9 +11,15 @@
 //    node currently advertises a placed copy this node could fetch over
 //    the interconnect instead of hitting the PFS;
 //  * OnStaged()/OnDropped() keep the directory in sync with this node's
-//    placements (publish, quarantine, eviction, cleanup).
+//    placements (publish, quarantine, eviction, cleanup);
+//  * joins: a non-owner about to read a cold file from the PFS instead
+//    asks its owner to stage it (RequestOwnerStage), waits for that copy
+//    (AwaitRemoteCopy) and reads it over the peer rung. OnCopyBegin()/
+//    OnCopyEnd() publish this node's joinable copies; SetStageEntry()
+//    is how the owner's Monarch takes those requests.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -38,6 +44,29 @@ class PeerView {
   /// This node's placed copy of `name` is gone (quarantine, eviction,
   /// shutdown cleanup) — stop advertising it to peers.
   virtual void OnDropped(const std::string& name) = 0;
+
+  /// How a node stages a file on a peer's behalf: claim a demand-lane
+  /// copy of `name`; true when a copy was claimed.
+  using StageEntry = std::function<bool(const std::string& name)>;
+
+  /// Install this node's stage entry, or remove it with an empty one.
+  /// Removal waits for calls in flight, so the entry's target may be
+  /// destroyed once it returns.
+  virtual void SetStageEntry(StageEntry entry) = 0;
+
+  /// Ask the primary live owner of `name` to claim a demand copy of it.
+  /// False when this node is that owner, the owner has no stage entry,
+  /// or it claimed nothing (placed, already in flight, unplaceable).
+  virtual bool RequestOwnerStage(const std::string& name) = 0;
+
+  /// Block while another live node holds a joinable copy of `name`;
+  /// membership changes wake the wait. True when it waited.
+  virtual bool AwaitRemoteCopy(const std::string& name) = 0;
+
+  /// This node's joinable copy of `name` began / ended (reported where
+  /// the placement handler sets and clears FileInfo::joinable).
+  virtual void OnCopyBegin(const std::string& name) = 0;
+  virtual void OnCopyEnd(const std::string& name) = 0;
 };
 
 using PeerViewPtr = std::shared_ptr<PeerView>;

@@ -163,6 +163,16 @@ PlacementHandler::Donation PlacementHandler::Donate(
           BudgetCharge(&donation_held_bytes_, Uncharge{bytes.size()})};
 }
 
+void PlacementHandler::BeginJoinable(FileInfo& file) {
+  file.BeginJoinable();
+  if (peer_view_ != nullptr) peer_view_->OnCopyBegin(file.name);
+}
+
+void PlacementHandler::EndJoinable(FileInfo& file) {
+  file.EndJoinable();
+  if (peer_view_ != nullptr) peer_view_->OnCopyEnd(file.name);
+}
+
 void PlacementHandler::Enqueue(StagingTask task) {
   if (stopped_.load(std::memory_order_relaxed)) {
     if (task.lane == StagingLane::kPrefetch) CancelPrefetch(*task.file);
@@ -172,6 +182,9 @@ void PlacementHandler::Enqueue(StagingTask task) {
   scheduled_.fetch_add(1, std::memory_order_relaxed);
   if (task.lane == StagingLane::kPrefetch) {
     prefetch_scheduled_.fetch_add(1, std::memory_order_relaxed);
+  } else if (task.chunks.empty()) {
+    // Before the push: the worker's clear can never precede this set.
+    BeginJoinable(*task.file);
   }
   {
     std::lock_guard lock(mu_);
@@ -198,6 +211,9 @@ bool PlacementHandler::PromoteToDemand(const FileInfoPtr& file) {
     }
     found->lane = StagingLane::kDemand;
     found->tenant = promoter;
+    // Still under mu_, so no worker can have popped (and finished) the
+    // task before it is marked.
+    if (found->chunks.empty()) BeginJoinable(*found->file);
     PushLocked(std::move(*found));
   }
   prefetch_promoted_.fetch_add(1, std::memory_order_relaxed);
@@ -419,6 +435,14 @@ void PlacementHandler::PlaceFile(StagingTask task) {
   // Own reference, not an alias into the task: parking moves the task
   // into `deferred_`, which would leave `task.file` null.
   const FileInfoPtr file = task.file;
+  // A running copy is joinable whatever its lane; every exit below —
+  // publish, failure, refusal, parking — ends it and wakes the joiners.
+  BeginJoinable(*file);
+  struct JoinGuard {
+    PlacementHandler* handler;
+    FileInfo* file;
+    ~JoinGuard() { handler->EndJoinable(*file); }
+  } join_guard{this, file.get()};
   // Spans the whole schedule→complete staging of one file. Args are only
   // rendered when tracing is live (active() gate).
   obs::TraceSpan span("placement.stage", "placement");
@@ -713,6 +737,7 @@ std::optional<int> PlacementHandler::EvictAndReserve(
 void PlacementHandler::ReleaseClaims(const StagingTask& task) {
   if (task.chunks.empty()) {
     task.file->AbortFetch(/*permanently=*/false);
+    EndJoinable(*task.file);
     return;
   }
   pack::ChunkMap* cm = task.file->chunk_map();

@@ -24,6 +24,13 @@
 // read that overtakes a queued prefetch promotes it to the demand lane;
 // prefetch never evicts and a prefetch rejection is never permanent.
 //
+// Joinable copies: while a demand task for a file is queued, or any
+// copy of it runs, the handler keeps FileInfo::joinable set (and tells
+// the peer view), so a read that would go to the PFS waits for the copy
+// instead of pulling the file a second time. One guard clears it on
+// every exit of PlaceFile; ReleaseClaims clears it for tasks dropped
+// unrun. Queued prefetch tasks are not joinable.
+//
 // Failure handling (ISSUE 2): backend I/O is retried inside the storage
 // drivers; a staging attempt that still fails is re-tried on a later
 // access until the per-file cap (max_placement_attempts) marks the file
@@ -224,8 +231,9 @@ class PlacementHandler {
 
   /// A demand read overtook a queued (or parked) prefetch of `file`:
   /// move the task to the demand lane so it stops waiting behind other
-  /// speculative work. Returns false when no queued prefetch matched
-  /// (the copy may already be running or done).
+  /// speculative work — and becomes joinable for later reads. Returns
+  /// false when no queued prefetch matched (the copy may already be
+  /// running or done).
   bool PromoteToDemand(const FileInfoPtr& file);
 
   /// Drop every queued/parked prefetch task and return the files to the
@@ -332,10 +340,14 @@ class PlacementHandler {
   /// Count and enqueue a claimed task — or, once scheduling stopped,
   /// cancel it and hand its claims back. Never blocks.
   void Enqueue(StagingTask task);
-  /// Back out of a task without staging: abort the file-level fetch, or
-  /// release every chunk claim (resetting the chunk tier when nothing
-  /// ended up resident).
+  /// Back out of a task without staging: abort the file-level fetch
+  /// (ending its joinable copy), or release every chunk claim
+  /// (resetting the chunk tier when nothing ended up resident).
   void ReleaseClaims(const StagingTask& task);
+  /// Mark `file`'s whole-file copy joinable, here and in the peer view.
+  void BeginJoinable(FileInfo& file);
+  /// Clear the mark and wake the reads waiting on it.
+  void EndJoinable(FileInfo& file);
   /// A speculative task dropped before staging: count it and clear the
   /// file's hint marking.
   void CancelPrefetch(FileInfo& file) noexcept;

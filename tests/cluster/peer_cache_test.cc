@@ -129,7 +129,14 @@ TEST(PeerCacheTest, ShardedStagingServesSteadyStateWithoutPfs) {
   const std::uint64_t owned1 = world.OwnedCount(1);
   ASSERT_EQ(static_cast<std::uint64_t>(kFiles), owned0 + owned1);
 
+  const auto warm_before = world.pfs->Stats().Snapshot();
   world.WarmUp();
+  // Node 0 warmed up first and asked node 1 to stage node 1's shard
+  // rather than read it from the PFS itself: every file crossed the PFS
+  // exactly once, through its owner.
+  EXPECT_EQ(static_cast<std::uint64_t>(kFiles),
+            (world.pfs->Stats().Snapshot() - warm_before).read_ops);
+  EXPECT_EQ(owned1, world.nodes[0].monarch->Stats().peer_copy_joins);
 
   // Each node staged exactly its shard — never a non-owned file — so the
   // cluster holds the dataset once, not once per node.
@@ -156,20 +163,21 @@ TEST(PeerCacheTest, ShardedStagingServesSteadyStateWithoutPfs) {
   EXPECT_EQ(0u, pfs_delta.read_ops);
   EXPECT_EQ(0u, pfs_delta.bytes_read);
 
-  // The non-owned half of each epoch crossed the fabric; everything
-  // reconciles: interconnect transfers == peer-level reads == directory
-  // remote hits, and the ladder never fired.
+  // The non-owned half of every epoch — the first included — crossed
+  // the fabric; everything reconciles: interconnect transfers ==
+  // peer-level reads == directory remote hits, and the ladder never
+  // fired.
   const auto stats0 = world.nodes[0].monarch->Stats();
   const auto stats1 = world.nodes[1].monarch->Stats();
-  EXPECT_EQ(owned1, stats0.levels[peer].reads);
+  EXPECT_EQ(2 * owned1, stats0.levels[peer].reads);
   EXPECT_EQ(2 * owned0, stats1.levels[peer].reads);
   EXPECT_EQ(0u, stats0.degraded_fallbacks);
   EXPECT_EQ(0u, stats1.degraded_fallbacks);
-  EXPECT_EQ(owned1 + 2 * owned0, world.group->network()->transfers());
-  EXPECT_EQ((owned1 + 2 * owned0) * kFileBytes,
+  EXPECT_EQ(2 * owned1 + 2 * owned0, world.group->network()->transfers());
+  EXPECT_EQ((2 * owned1 + 2 * owned0) * kFileBytes,
             world.group->network()->bytes_transferred());
   EXPECT_EQ(2 * owned0, world.group->directory().StatsFor(0).remote_hits);
-  EXPECT_EQ(owned1, world.group->directory().StatsFor(1).remote_hits);
+  EXPECT_EQ(2 * owned1, world.group->directory().StatsFor(1).remote_hits);
 }
 
 // Satellite (d): the owner node's engine goes UNAVAILABLE mid-read. A

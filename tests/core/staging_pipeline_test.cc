@@ -1,24 +1,25 @@
 // Pipelined staging engine tests: the two-lane queue (demand priority,
 // promotion, per-tier in-flight caps), the chunked copy path (CRC
 // equivalence with the full-buffer fast path, bounded peak memory,
-// donated prefixes) and the look-ahead prefetch cursor driven through
-// Monarch::HintUpcoming. Suite names (StagingPipeline*, BufferPool*)
-// are part of scripts/check.sh's TSan filter.
+// donated prefixes), the look-ahead prefetch cursor driven through
+// Monarch::HintUpcoming, and reads joining a copy already in flight.
+// Suite names (StagingPipeline*, BufferPool*) are part of
+// scripts/check.sh's TSan filter.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "../gate_engine.h"
 #include "../test_support.h"
 #include "core/monarch.h"
 #include "core/placement_handler.h"
+#include "storage/faulty_engine.h"
 #include "storage/memory_engine.h"
 #include "util/buffer_pool.h"
 #include "util/crc32c.h"
@@ -27,6 +28,7 @@ namespace monarch::core {
 namespace {
 
 using monarch::testing::Bytes;
+using monarch::testing::GateEngine;
 using monarch::testing::Text;
 
 /// Spin-wait for an asynchronous condition (worker-thread state changes).
@@ -37,88 +39,6 @@ bool WaitFor(const std::function<bool()>& pred, int timeout_ms = 5000) {
   }
   return pred();
 }
-
-/// Memory engine wrapper that records the order files are first written
-/// in and can block the copy of one chosen file until released — the
-/// lever the lane-ordering tests use to hold a worker mid-copy while the
-/// queues fill up behind it.
-class GateEngine : public storage::StorageEngine {
- public:
-  explicit GateEngine(std::string block_path)
-      : inner_(std::make_shared<storage::MemoryEngine>("gated")),
-        block_path_(std::move(block_path)) {}
-
-  ~GateEngine() override { ReleaseBlocked(); }
-
-  /// Blocks until the gated file's copy has started (and parked itself).
-  void AwaitBlocked() {
-    std::unique_lock lock(mu_);
-    started_cv_.wait(lock, [this] { return blocked_; });
-  }
-
-  void ReleaseBlocked() {
-    {
-      std::lock_guard lock(mu_);
-      released_ = true;
-    }
-    release_cv_.notify_all();
-  }
-
-  [[nodiscard]] std::vector<std::string> write_order() const {
-    std::lock_guard lock(mu_);
-    return order_;
-  }
-
-  Result<std::size_t> Read(std::string_view path, std::uint64_t offset,
-                           std::span<std::byte> dst) override {
-    return inner_->Read(path, offset, dst);
-  }
-  Status Write(const std::string& path,
-               std::span<const std::byte> data) override {
-    RecordAndMaybeBlock(path);
-    return inner_->Write(path, data);
-  }
-  Status WriteAt(const std::string& path, std::uint64_t offset,
-                 std::span<const std::byte> data) override {
-    if (offset == 0) RecordAndMaybeBlock(path);
-    return inner_->WriteAt(path, offset, data);
-  }
-  Status Delete(const std::string& path) override {
-    return inner_->Delete(path);
-  }
-  Result<std::uint64_t> FileSize(const std::string& path) override {
-    return inner_->FileSize(path);
-  }
-  Result<bool> Exists(const std::string& path) override {
-    return inner_->Exists(path);
-  }
-  Result<std::vector<storage::FileStat>> ListFiles(
-      const std::string& dir) override {
-    return inner_->ListFiles(dir);
-  }
-  storage::IoStats& Stats() override { return inner_->Stats(); }
-  [[nodiscard]] std::string Name() const override { return "gate"; }
-
- private:
-  void RecordAndMaybeBlock(const std::string& path) {
-    std::unique_lock lock(mu_);
-    order_.push_back(path);
-    if (path == block_path_ && !released_) {
-      blocked_ = true;
-      started_cv_.notify_all();
-      release_cv_.wait(lock, [this] { return released_; });
-    }
-  }
-
-  std::shared_ptr<storage::MemoryEngine> inner_;
-  const std::string block_path_;
-  mutable std::mutex mu_;
-  std::condition_variable started_cv_;
-  std::condition_variable release_cv_;
-  std::vector<std::string> order_;
-  bool blocked_ = false;
-  bool released_ = false;
-};
 
 // ---------------------------------------------------------------------------
 // BufferPool
@@ -520,6 +440,43 @@ TEST_F(StagingPipelineTest, DonationsShareTheStagingBudget) {
   EXPECT_EQ(0u, handler_->Stats().donation_held_bytes);
 }
 
+TEST_F(StagingPipelineTest, JoinableMarksDemandCopiesNotQueuedHints) {
+  auto gate = std::make_shared<GateEngine>("blocker");
+  Build({1000}, {}, /*num_threads=*/1, gate);
+
+  // A running copy is joinable whatever its lane.
+  auto blocker = AddPfsFile("blocker", "bbbbbbbbbb");
+  Stage(blocker, Bytes("bbbbbbbbbb"), StagingLane::kPrefetch);
+  gate->AwaitBlocked();
+  EXPECT_TRUE(blocker->joinable.load());
+
+  // Queued behind it: the demand copy is joinable, the hint is not —
+  // until a demand read promotes it.
+  auto demand = AddPfsFile("demand", "dddddddddd");
+  auto hinted = AddPfsFile("hinted", "hhhhhhhhhh");
+  Stage(demand, std::nullopt, StagingLane::kDemand);
+  Stage(hinted, std::nullopt, StagingLane::kPrefetch);
+  EXPECT_TRUE(demand->joinable.load());
+  EXPECT_FALSE(hinted->joinable.load());
+  EXPECT_TRUE(handler_->PromoteToDemand(hinted));
+  EXPECT_TRUE(hinted->joinable.load());
+
+  gate->ReleaseBlocked();
+  handler_->Drain();
+  for (const auto& file : {blocker, demand, hinted}) {
+    EXPECT_EQ(PlacementState::kPlaced, file->state.load()) << file->name;
+    EXPECT_FALSE(file->joinable.load()) << file->name;
+    EXPECT_FALSE(file->AwaitJoinable()) << "nothing left to join";
+  }
+
+  // A task dropped unrun (enqueued after stop) leaves nothing to join.
+  auto late = AddPfsFile("late", "llllllllll");
+  handler_->StopScheduling();
+  Stage(late, std::nullopt, StagingLane::kDemand);
+  EXPECT_EQ(PlacementState::kPfsOnly, late->state.load());
+  EXPECT_FALSE(late->joinable.load());
+}
+
 // ---------------------------------------------------------------------------
 // Monarch look-ahead prefetching (HintUpcoming -> prefetch cursor)
 
@@ -697,6 +654,203 @@ TEST_F(StagingPipelineMonarchTest, HintIsNoOpWhenLookaheadDisabled) {
       << "prefetch_lookahead=0 disables the cursor entirely";
   EXPECT_EQ(0u, stats.placement.scheduled);
   EXPECT_EQ("one", ReadAll(**monarch, "data/f1", 3));
+}
+
+// ---------------------------------------------------------------------------
+// Joining an in-flight copy: a whole-file read bound for the PFS while a
+// copy of the file is moving waits for the copy and serves from it.
+
+constexpr std::size_t kJoinFileBytes = 4096;
+constexpr std::size_t kJoinChunkBytes = 1024;
+
+std::string JoinPayload(char seed) {
+  std::string payload(kJoinFileBytes, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>(seed + i % 23);
+  }
+  return payload;
+}
+
+/// One Monarch whose single cache tier is a GateEngine holding the first
+/// write of one file, over a FaultyEngine (write failures, corrupt
+/// read-backs) over memory. Two files: `data/target`, whose later chunks
+/// are read while a copy of it is in flight, and `data/blocker`.
+class StagingPipelineJoinTest : public ::testing::Test {
+ protected:
+  void Build(const std::string& gated, std::uint64_t quota = 1 << 20,
+             PlacementPolicyPtr policy = nullptr,
+             std::size_t blocker_bytes = kJoinFileBytes) {
+    pfs_ = std::make_shared<storage::MemoryEngine>("pfs");
+    ASSERT_OK(pfs_->Write("data/target", Bytes(target_)));
+    ASSERT_OK(pfs_->Write("data/blocker",
+                          Bytes(JoinPayload('b').substr(0, blocker_bytes))));
+    faulty_ = std::make_shared<storage::FaultyEngine>(
+        std::make_shared<storage::MemoryEngine>("local"),
+        storage::FaultyEngine::FaultSpec{});
+    gate_ = std::make_shared<GateEngine>(gated, faulty_);
+    MonarchConfig config;
+    config.cache_tiers.push_back(TierSpec{"local", gate_, quota});
+    config.pfs = TierSpec{"pfs", pfs_, 0};
+    config.dataset_dir = "data";
+    config.placement.num_threads = 1;
+    config.policy = std::move(policy);
+    config.resilience.retry.max_attempts = 1;
+    auto monarch = Monarch::Create(std::move(config));
+    ASSERT_OK(monarch);
+    monarch_ = std::move(monarch).value();
+  }
+
+  /// The `kJoinChunkBytes` of `name` at `offset`.
+  std::string ReadChunk(const std::string& name, std::uint64_t offset) {
+    std::vector<std::byte> buf(kJoinChunkBytes);
+    auto read = monarch_->Read(name, offset, buf);
+    EXPECT_OK(read);
+    buf.resize(read.value_or(0));
+    return Text(buf);
+  }
+
+  /// Read a later chunk of the target on another thread — the read that
+  /// joins the in-flight copy — and check it is still waiting.
+  void StartJoiner() {
+    joiner_ = std::thread([this] {
+      joined_bytes_ = ReadChunk("data/target", kJoinChunkBytes);
+      joiner_done_.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(joiner_done_.load())
+        << "a read bound for the PFS must wait for the copy in flight";
+  }
+
+  /// Wait for the joiner, check it got the right bytes, and let the
+  /// copies (a failed one is re-tried by the joiner's read) settle.
+  void FinishJoiner() {
+    joiner_.join();
+    EXPECT_EQ(target_.substr(kJoinChunkBytes, kJoinChunkBytes), joined_bytes_);
+    monarch_->DrainPlacements();
+    const FileInfoPtr info = monarch_->metadata().Lookup("data/target");
+    ASSERT_TRUE(info != nullptr);
+    EXPECT_FALSE(info->joinable.load());
+  }
+
+  const std::string target_ = JoinPayload('t');
+  std::shared_ptr<storage::MemoryEngine> pfs_;
+  std::shared_ptr<storage::FaultyEngine> faulty_;
+  std::shared_ptr<GateEngine> gate_;
+  std::unique_ptr<Monarch> monarch_;
+  std::thread joiner_;
+  std::atomic<bool> joiner_done_{false};
+  std::string joined_bytes_;
+};
+
+TEST_F(StagingPipelineJoinTest, JoinerWakesOnPublishAndServesFromTier) {
+  Build("data/target");
+  // The open reads chunk 0 from the PFS and schedules the copy, which
+  // the gate holds mid-flight.
+  EXPECT_EQ(target_.substr(0, kJoinChunkBytes), ReadChunk("data/target", 0));
+  gate_->AwaitBlocked();
+  StartJoiner();
+  gate_->ReleaseBlocked();
+  FinishJoiner();
+
+  const MonarchStats stats = monarch_->Stats();
+  EXPECT_EQ(1u, stats.copy_joins);
+  EXPECT_EQ(1u, stats.levels[0].reads) << "the joiner read the published copy";
+  EXPECT_EQ(1u, stats.pfs_reads()) << "only the open touched the PFS";
+}
+
+TEST_F(StagingPipelineJoinTest, JoinerWakesOnCopyWriteFailureToPfs) {
+  Build("data/target");
+  EXPECT_EQ(target_.substr(0, kJoinChunkBytes), ReadChunk("data/target", 0));
+  gate_->AwaitBlocked();
+  StartJoiner();
+  faulty_->FailNextWrites(1);  // the held write fails once released
+  gate_->ReleaseBlocked();
+  FinishJoiner();
+
+  const MonarchStats stats = monarch_->Stats();
+  EXPECT_EQ(0u, stats.copy_joins);
+  EXPECT_EQ(2u, stats.pfs_reads()) << "the failed copy sends the joiner on";
+  EXPECT_GE(stats.placement.failed, 1u);
+}
+
+TEST_F(StagingPipelineJoinTest, JoinerWakesOnVerificationMismatchToPfs) {
+  Build("data/target");  // verify_staged_writes is on by default
+  EXPECT_EQ(target_.substr(0, kJoinChunkBytes), ReadChunk("data/target", 0));
+  gate_->AwaitBlocked();
+  StartJoiner();
+  faulty_->CorruptNextReads(1);  // the copy's read-back
+  gate_->ReleaseBlocked();
+  FinishJoiner();
+
+  const MonarchStats stats = monarch_->Stats();
+  EXPECT_EQ(0u, stats.copy_joins);
+  EXPECT_EQ(2u, stats.pfs_reads());
+  EXPECT_GE(stats.placement.quarantined, 1u);
+}
+
+TEST_F(StagingPipelineJoinTest, JoinerWakesOnLruNoSpaceRefusalToPfs) {
+  // The tier holds the 1 KiB blocker but never the 4 KiB target, even
+  // after evicting everything.
+  Build("data/blocker", /*quota=*/2048, MakeLruPolicy(),
+        /*blocker_bytes=*/kJoinChunkBytes);
+  EXPECT_EQ(JoinPayload('b').substr(0, kJoinChunkBytes),
+            ReadChunk("data/blocker", 0));
+  gate_->AwaitBlocked();  // the only worker is held
+  // The target's demand copy queues behind it; the joiner waits on it.
+  EXPECT_EQ(target_.substr(0, kJoinChunkBytes), ReadChunk("data/target", 0));
+  StartJoiner();
+  gate_->ReleaseBlocked();
+  FinishJoiner();
+
+  const MonarchStats stats = monarch_->Stats();
+  EXPECT_EQ(0u, stats.copy_joins);
+  EXPECT_EQ(1u, stats.placement.rejected_no_space);
+  const FileInfoPtr info = monarch_->metadata().Lookup("data/target");
+  ASSERT_TRUE(info != nullptr);
+  EXPECT_TRUE(info->stage_refused.load());
+}
+
+TEST_F(StagingPipelineJoinTest, JoinerWakesAcrossShutdownWithQueuedCopy) {
+  Build("data/blocker");
+  EXPECT_EQ(JoinPayload('b').substr(0, kJoinChunkBytes),
+            ReadChunk("data/blocker", 0));
+  gate_->AwaitBlocked();
+  EXPECT_EQ(target_.substr(0, kJoinChunkBytes), ReadChunk("data/target", 0));
+  StartJoiner();
+  // Stop and shut down while the target's demand copy is still queued:
+  // demand work survives the stop, runs once the worker is free, and
+  // its exit wakes the joiner.
+  monarch_->StopPlacement();
+  std::thread shutdown([this] { monarch_->Shutdown(); });
+  gate_->ReleaseBlocked();
+  shutdown.join();
+  FinishJoiner();
+  EXPECT_EQ(1u, monarch_->Stats().copy_joins);
+}
+
+TEST_F(StagingPipelineJoinTest, ColdChunkedReadCostsTwoPfsReads) {
+  Build("data/target");
+  const auto before = pfs_->Stats().Snapshot();
+  std::string whole;
+  std::thread reader([&] {
+    for (std::uint64_t offset = 0; offset < kJoinFileBytes;
+         offset += kJoinChunkBytes) {
+      whole += ReadChunk("data/target", offset);
+    }
+  });
+  // Hold the copy long enough that reads which did not join it would
+  // all have reached the PFS.
+  gate_->AwaitBlocked();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate_->ReleaseBlocked();
+  reader.join();
+  monarch_->DrainPlacements();
+
+  EXPECT_EQ(target_, whole);
+  // The open's chunk, then the copy of the remainder — the other chunks
+  // join the copy instead of re-reading the file.
+  EXPECT_EQ(2u, (pfs_->Stats().Snapshot() - before).read_ops);
+  EXPECT_EQ(1u, monarch_->Stats().copy_joins);
 }
 
 }  // namespace
