@@ -14,8 +14,9 @@ cmake --build build-tsan
 # The observability, placement, staging-pipeline, resilience, peer-
 # cache, churn, and checkpoint suites are the concurrency-critical ones:
 # they assert the lock-free metrics hot path, the tracer's export-vs-
-# writer race, the two-lane staging queue (demand priority, promotion,
-# in-flight caps, buffer pool), the circuit-breaker state machine under
+# writer race, the FairQueue staging queue (demand priority, promotion,
+# in-flight gauge, buffer pool) and the shared copy-drop path (evict,
+# quarantine, cleanup), the circuit-breaker state machine under
 # concurrent readers, the cluster file directory's register/lookup/evict
 # and membership-retraction races, the re-staging pumps draining while
 # membership flips, the checkpoint drain lane racing Save/Flush/

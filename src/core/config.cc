@@ -150,9 +150,6 @@ Status ApplyPlacementKey(ParsedConfig& config, const std::string& key,
                              ParseByteSize(value));
   } else if (key == "staging_chunk_bytes") {
     MONARCH_ASSIGN_OR_RETURN(config.staging_chunk_bytes, ParseByteSize(value));
-  } else if (key == "tier_inflight_cap_bytes") {
-    MONARCH_ASSIGN_OR_RETURN(config.tier_inflight_cap_bytes,
-                             ParseByteSize(value));
   } else if (key == "prefetch_lookahead") {
     MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
     config.prefetch_lookahead = static_cast<int>(n);
@@ -541,7 +538,6 @@ Result<MonarchConfig> BuildMonarchConfig(const ParsedConfig& parsed) {
   config.placement.fetch_full_file_on_partial_read = parsed.fetch_full_file;
   config.placement.staging_buffer_bytes = parsed.staging_buffer_bytes;
   config.placement.staging_chunk_bytes = parsed.staging_chunk_bytes;
-  config.placement.tier_inflight_cap_bytes = parsed.tier_inflight_cap_bytes;
   config.placement.prefetch_lookahead = parsed.prefetch_lookahead;
   // Chunk staging never advertises its copies to the cluster directory,
   // so a packed peer node would serve every file it does not own from
@@ -602,7 +598,6 @@ std::vector<ConfigKeyInfo> ConfigKeyCatalogue() {
       {"placement", "policy", "clairvoyant"},
       {"placement", "staging_buffer_bytes", "64MiB"},
       {"placement", "staging_chunk_bytes", "4MiB"},
-      {"placement", "tier_inflight_cap_bytes", "0"},
       {"placement", "prefetch_lookahead", "8"},
       {"placement", "hotspot_decay_interval", "256"},
       {"placement", "clairvoyant_protect_window", "64"},

@@ -27,7 +27,6 @@
 //                           ;   | clairvoyant (docs/PLACEMENT.md)
 //   staging_buffer_bytes = 64MiB   ; chunk-buffer-pool budget
 //   staging_chunk_bytes = 4MiB     ; copy granularity
-//   tier_inflight_cap_bytes = 0    ; prefetch in-flight cap per tier
 //   prefetch_lookahead = 0         ; hinted files staged ahead (0 = off)
 //   hotspot_decay_interval = 256   ; accesses between frequency halvings
 //   clairvoyant_protect_window = 64  ; upcoming accesses never evicted
@@ -166,7 +165,6 @@ struct ParsedConfig {
   std::string placement_policy = "first-fit";
   std::uint64_t staging_buffer_bytes = PlacementOptions{}.staging_buffer_bytes;
   std::uint64_t staging_chunk_bytes = PlacementOptions{}.staging_chunk_bytes;
-  std::uint64_t tier_inflight_cap_bytes = 0;
   int prefetch_lookahead = 0;
   /// Per-policy eviction knobs (docs/PLACEMENT.md).
   PlacementPolicyKnobs policy_knobs;

@@ -121,21 +121,13 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          "bytes", p.donation_held_bytes,
          "triggering-read bytes queued staging tasks hold (capped by "
          "staging_buffer_bytes)");
-  sample("monarch.placement.queue_depth", "demand", obs::MetricKind::kGauge,
-         "tasks", p.queue_depth_demand, "staging tasks waiting, by lane");
-  sample("monarch.placement.queue_depth", "prefetch", obs::MetricKind::kGauge,
-         "tasks", p.queue_depth_prefetch, "staging tasks waiting, by lane");
-  // Per-class fair-queue depths (ISSUE 10): same metric, finer labels —
-  // the demand/prefetch labels above stay as lane aggregates.
-  sample("monarch.placement.queue_depth", "interactive",
-         obs::MetricKind::kGauge, "tasks", p.queue_depth_interactive,
-         "staging tasks waiting, by lane");
-  sample("monarch.placement.queue_depth", "training", obs::MetricKind::kGauge,
-         "tasks", p.queue_depth_training, "staging tasks waiting, by lane");
-  sample("monarch.placement.queue_depth", "scan", obs::MetricKind::kGauge,
-         "tasks", p.queue_depth_scan, "staging tasks waiting, by lane");
-  sample("monarch.placement.queue_depth", "drain", obs::MetricKind::kGauge,
-         "tasks", p.queue_depth_drain, "staging tasks waiting, by lane");
+  for (int c = 0; c < qos::kNumIoClasses; ++c) {
+    sample("monarch.placement.queue_depth",
+           qos::IoClassName(static_cast<qos::IoClass>(c)),
+           obs::MetricKind::kGauge, "tasks",
+           p.queue_depth[static_cast<std::size_t>(c)],
+           "staging tasks waiting, by I/O class");
+  }
   sample("qos.low_retention_resident_bytes", "", obs::MetricKind::kGauge,
          "bytes", p.low_retention_resident_bytes,
          "cache-tier bytes currently held by low-retention (scan) copies");
@@ -1032,8 +1024,8 @@ Result<std::uint64_t> Monarch::RestageFile(const std::string& name) {
   const std::uint64_t size = info->size;
   // Ownership may have shifted again since the repair task was queued —
   // ClaimAndSchedule re-checks the gate at drain time, not enqueue time.
-  // Repair rides the PREFETCH lane: the two-lane pipeline guarantees it
-  // parks behind demand staging and respects the in-flight byte caps.
+  // Repair rides the PREFETCH lane: the staging queue serves it only
+  // when no demand-band work is queued.
   if (!ClaimAndSchedule(std::move(info), StagingLane::kPrefetch,
                         /*hinted=*/false)) {
     return std::uint64_t{0};
@@ -1073,37 +1065,11 @@ std::uint64_t Monarch::CleanupStagedCopies() {
   placement_->StopScheduling();
   placement_->Drain();
 
-  const int pfs_level = hierarchy_->pfs_level();
   std::uint64_t removed = 0;
   for (const auto& entry : metadata_.Snapshot()) {
     if (entry.state != PlacementState::kPlaced) continue;
     FileInfoPtr info = metadata_.Lookup(entry.name);
-    if (!info) continue;
-    // Chunk-resident files drop all their chunk objects through the
-    // placement handler (which also flips the state back to PFS-only).
-    if (pack::ChunkMap* cm = info->chunk_map();
-        cm != nullptr && cm->ResidentCount() > 0) {
-      if (placement_->EvictChunkCopies(info) > 0) ++removed;
-      continue;
-    }
-    // Claim the file (kPlaced -> kFetching) so concurrent readers stop
-    // trusting the tier copy, then revert it to PFS-resident.
-    PlacementState expected = PlacementState::kPlaced;
-    if (!info->state.compare_exchange_strong(expected,
-                                             PlacementState::kFetching,
-                                             std::memory_order_acq_rel)) {
-      continue;
-    }
-    const int level = info->level.load(std::memory_order_acquire);
-    info->level.store(pfs_level, std::memory_order_release);
-    info->AbortFetch(/*permanently=*/false);
-    // Retract the cluster-directory advertisement before the bytes go.
-    if (config_.peer_view != nullptr) config_.peer_view->OnDropped(info->name);
-    StorageDriver& tier = hierarchy_->Level(level);
-    if (tier.Delete(info->name).ok()) {
-      tier.Release(info->size);
-      ++removed;
-    }
+    if (info && placement_->CleanupCopy(info)) ++removed;
   }
   return removed;
 }

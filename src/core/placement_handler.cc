@@ -1,7 +1,6 @@
 #include "core/placement_handler.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "obs/event_tracer.h"
@@ -49,11 +48,12 @@ void PlacementHandler::PushLocked(StagingTask task) {
   queue_.Push(cls, cost, std::move(task));
 }
 
-void PlacementHandler::NoteCopyDropped(FileInfo& file) noexcept {
-  if (file.low_retention.exchange(false, std::memory_order_acq_rel)) {
-    low_retention_resident_bytes_.fetch_sub(file.size,
-                                            std::memory_order_relaxed);
+bool PlacementHandler::NoteCopyDropped(FileInfo& file) noexcept {
+  if (!file.low_retention.exchange(false, std::memory_order_acq_rel)) {
+    return false;
   }
+  low_retention_resident_bytes_.fetch_sub(file.size, std::memory_order_relaxed);
+  return true;
 }
 
 void PlacementHandler::CancelPrefetch(FileInfo& file) noexcept {
@@ -76,12 +76,11 @@ PlacementHandler::PlacementHandler(StorageHierarchy& hierarchy,
       pool_(options.staging_buffer_bytes,
             std::min<std::uint64_t>(
                 std::max<std::uint64_t>(1, options.staging_chunk_bytes),
-                std::max<std::uint64_t>(1, options.staging_buffer_bytes))),
-      inflight_bytes_(hierarchy.num_levels(), 0) {
+                std::max<std::uint64_t>(1, options.staging_buffer_bytes))) {
   // Fair-queue classes (ISSUE 10): interactive and training are the
   // demand band, scan/drain/prefetch the background band. With QoS off
   // every class weighs 1 — the queue degenerates to the original
-  // two-lane demand-before-prefetch behaviour.
+  // demand-before-prefetch behaviour.
   const qos::QosOptions& q = options_.qos;
   queue_.RegisterClass(qos::ClassIndex(qos::IoClass::kInteractive), 0,
                        q.enabled ? q.interactive_weight : 1.0);
@@ -125,10 +124,6 @@ PlacementHandler::~PlacementHandler() {
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-  // A prefetch copy that was running during shutdown may have parked
-  // itself after the cancel above; return those files to the retryable
-  // state instead of leaving them stuck in kFetching.
-  CancelPrefetches();
 }
 
 void PlacementHandler::SchedulePlacement(FileInfoPtr file,
@@ -199,16 +194,11 @@ bool PlacementHandler::PromoteToDemand(const FileInfoPtr& file) {
   const qos::TenantContext promoter = SnapshotTenant();
   {
     std::lock_guard lock(mu_);
-    auto match = [&file](const StagingTask& t) {
-      return t.file == file && t.lane == StagingLane::kPrefetch;
-    };
-    std::optional<StagingTask> found = queue_.Extract(match);
-    if (!found.has_value()) {
-      auto dit = std::find_if(deferred_.begin(), deferred_.end(), match);
-      if (dit == deferred_.end()) return false;
-      found = std::move(*dit);
-      deferred_.erase(dit);
-    }
+    std::optional<StagingTask> found =
+        queue_.Extract([&file](const StagingTask& t) {
+          return t.file == file && t.lane == StagingLane::kPrefetch;
+        });
+    if (!found.has_value()) return false;
     found->lane = StagingLane::kDemand;
     found->tenant = promoter;
     // Still under mu_, so no worker can have popped (and finished) the
@@ -233,8 +223,6 @@ std::size_t PlacementHandler::CancelPrefetches() {
     cancelled = queue_.ExtractAll([](const StagingTask& t) {
       return t.lane == StagingLane::kPrefetch;
     });
-    for (auto& task : deferred_) cancelled.push_back(std::move(task));
-    deferred_.clear();
   }
   for (const StagingTask& task : cancelled) {
     CancelPrefetch(*task.file);
@@ -276,37 +264,6 @@ void PlacementHandler::WorkerLoop() {
     }
     drain_cv_.notify_all();
   }
-}
-
-bool PlacementHandler::AdmitInflight(int level, StagingTask& task) {
-  const std::uint64_t size = task.file->size;
-  const std::uint64_t cap = options_.tier_inflight_cap_bytes;
-  std::lock_guard lock(mu_);
-  auto& inflight = inflight_bytes_[static_cast<std::size_t>(level)];
-  // The `inflight > 0` guard makes parking self-resolving: some other
-  // copy is in flight on this tier, and its FinishInflight (under this
-  // mutex) splices the parked task back into the prefetch queue.
-  if (task.lane == StagingLane::kPrefetch && cap > 0 && inflight > 0 &&
-      inflight + size > cap) {
-    deferred_.push_back(std::move(task));
-    return false;
-  }
-  inflight += size;
-  return true;
-}
-
-void PlacementHandler::FinishInflight(int level, std::uint64_t size) {
-  bool wake = false;
-  {
-    std::lock_guard lock(mu_);
-    inflight_bytes_[static_cast<std::size_t>(level)] -= size;
-    if (!deferred_.empty()) {
-      for (auto& task : deferred_) PushLocked(std::move(task));
-      deferred_.clear();
-      wake = true;
-    }
-  }
-  if (wake) cv_.notify_all();
 }
 
 void PlacementHandler::RecordStagingFailure(const FileInfoPtr& file) {
@@ -432,11 +389,9 @@ bool PlacementHandler::VerifyStagedCopy(const FileInfoPtr& file,
 }
 
 void PlacementHandler::PlaceFile(StagingTask task) {
-  // Own reference, not an alias into the task: parking moves the task
-  // into `deferred_`, which would leave `task.file` null.
-  const FileInfoPtr file = task.file;
+  const FileInfoPtr& file = task.file;
   // A running copy is joinable whatever its lane; every exit below —
-  // publish, failure, refusal, parking — ends it and wakes the joiners.
+  // publish, failure, refusal — ends it and wakes the joiners.
   BeginJoinable(*file);
   struct JoinGuard {
     PlacementHandler* handler;
@@ -482,18 +437,9 @@ void PlacementHandler::PlaceFile(StagingTask task) {
   }
 
   StorageDriver& destination = hierarchy_.Level(*level);
+  inflight_bytes_.fetch_add(file->size, std::memory_order_relaxed);
 
-  // 2. Per-tier staging-bandwidth cap: a prefetch copy parks while the
-  // tier is saturated (any completion on the tier un-parks it); demand
-  // copies are exempt so a read-triggered stage never waits here.
-  const StagingLane lane = task.lane;
-  const bool low_retention = task.tenant.low_retention;
-  if (!AdmitInflight(*level, task)) {
-    destination.Release(file->size);
-    return;
-  }
-
-  // 3. Copy. A full-content task (the triggering read covered the whole
+  // 2. Copy. A full-content task (the triggering read covered the whole
   // file) is a single put of bytes already in memory; anything else is
   // the chunked pipeline: donated prefix first, then streamed PFS reads.
   std::uint32_t crc = 0;
@@ -515,12 +461,12 @@ void PlacementHandler::PlaceFile(StagingTask task) {
     // retry starts clean and readers never see a truncated copy.
     (void)destination.Delete(file->name);
     destination.Release(file->size);
-    FinishInflight(*level, file->size);
+    inflight_bytes_.fetch_sub(file->size, std::memory_order_relaxed);
     RecordStagingFailure(file);
     return;
   }
 
-  // 4. Optionally read the copy back (chunked, bounded memory) and prove
+  // 3. Optionally read the copy back (chunked, bounded memory) and prove
   // the bytes landed intact — a corrupted staged copy must degrade to a
   // failed placement, never get published as a serving replica.
   if (resilience_.verify_staged_writes &&
@@ -531,7 +477,7 @@ void PlacementHandler::PlaceFile(StagingTask task) {
     // whether or not the delete found anything on disk.
     (void)destination.Delete(file->name);
     destination.Release(file->size);
-    FinishInflight(*level, file->size);
+    inflight_bytes_.fetch_sub(file->size, std::memory_order_relaxed);
     quarantined_.fetch_add(1, std::memory_order_relaxed);
     obs::EventTracer& tracer = obs::EventTracer::Global();
     if (tracer.enabled()) {
@@ -549,7 +495,7 @@ void PlacementHandler::PlaceFile(StagingTask task) {
   // observes kPlaced also observes the CRC it may verify against.
   file->staged_crc.store(crc, std::memory_order_release);
   file->fetch_failures.store(0, std::memory_order_relaxed);
-  if (low_retention) {
+  if (task.tenant.low_retention) {
     if (!file->low_retention.exchange(true, std::memory_order_acq_rel)) {
       low_retention_resident_bytes_.fetch_add(file->size,
                                               std::memory_order_relaxed);
@@ -564,43 +510,86 @@ void PlacementHandler::PlaceFile(StagingTask task) {
   if (peer_view_ != nullptr) peer_view_->OnStaged(file->name, *level);
   completed_.fetch_add(1, std::memory_order_relaxed);
   bytes_staged_.fetch_add(file->size, std::memory_order_relaxed);
-  if (lane == StagingLane::kPrefetch) {
+  if (task.lane == StagingLane::kPrefetch) {
     prefetch_completed_.fetch_add(1, std::memory_order_relaxed);
   }
-  FinishInflight(*level, file->size);
+  inflight_bytes_.fetch_sub(file->size, std::memory_order_relaxed);
 }
 
-bool PlacementHandler::QuarantineCopy(const FileInfoPtr& file) {
-  // Claim the file exactly like an eviction: kPlaced -> kFetching stops
-  // concurrent readers from trusting its level while we delete the copy.
+bool PlacementHandler::DropCopy(const FileInfoPtr& file, DropReason reason) {
+  FileInfo& f = *file;
+  // Claim the file: kPlaced -> kFetching stops concurrent readers from
+  // trusting its level while the copy is deleted.
   PlacementState expected = PlacementState::kPlaced;
-  if (!file->state.compare_exchange_strong(expected, PlacementState::kFetching,
-                                           std::memory_order_acq_rel)) {
+  if (!f.state.compare_exchange_strong(expected, PlacementState::kFetching,
+                                       std::memory_order_acq_rel)) {
     return false;  // already being fetched/evicted/quarantined elsewhere
   }
-  const int level = file->level.load(std::memory_order_acquire);
+  // Read pins (ISSUE 6): a demand read is mid-flight on this file's
+  // staged copy, so an eviction reverts the claim — its bytes stay until
+  // the read ends. The pin is checked after the claim so a reader that
+  // pinned first is always honoured; one that pins after this check
+  // degrades to the pre-pinning behaviour (kNotFound -> PFS fallback).
+  // Corrupt bytes and end-of-job cleanup do not wait for readers.
+  if (reason == DropReason::kEvict &&
+      f.read_pins.load(std::memory_order_acquire) > 0) {
+    f.state.store(PlacementState::kPlaced, std::memory_order_release);
+    eviction_pinned_skips_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  const int level = f.level.load(std::memory_order_acquire);
   if (level == hierarchy_.pfs_level()) {
-    // Nothing staged to quarantine (level already points at the source).
-    file->state.store(PlacementState::kPlaced, std::memory_order_release);
+    // Nothing staged (stale snapshot); leave the file as we found it.
+    f.state.store(PlacementState::kPlaced, std::memory_order_release);
     return false;
   }
   StorageDriver& tier = hierarchy_.Level(level);
-  file->level.store(hierarchy_.pfs_level(), std::memory_order_release);
-  if (peer_view_ != nullptr) peer_view_->OnDropped(file->name);
-  if (tier.Delete(file->name).ok()) {
-    tier.Release(file->size);
-  }
-  NoteCopyDropped(*file);
-  quarantined_.fetch_add(1, std::memory_order_relaxed);
+  f.level.store(hierarchy_.pfs_level(), std::memory_order_release);
+  // Retract the cluster-directory advertisement before the bytes go.
+  if (peer_view_ != nullptr) peer_view_->OnDropped(f.name);
+  if (reason != DropReason::kQuarantine) f.AbortFetch(/*permanently=*/false);
+  if (tier.Delete(f.name).ok()) tier.Release(f.size);
+  const bool was_low_retention = NoteCopyDropped(f);
+
   obs::EventTracer& tracer = obs::EventTracer::Global();
-  if (tracer.enabled()) {
-    tracer.RecordInstant("placement.quarantine", "resilience",
-                         "\"file\":" + obs::JsonQuote(file->name) +
-                             ",\"tier\":" + obs::JsonQuote(tier.name()) +
-                             ",\"phase\":\"read\"");
+  switch (reason) {
+    case DropReason::kEvict: {
+      if (const qos::TenantContext* requester = qos::CurrentTenant();
+          requester != nullptr && requester->low_retention &&
+          !was_low_retention) {
+        // Unreachable under EvictOne's guard; counted so a future
+        // regression shows up in `qos.cross_class_evictions`.
+        cross_class_evictions_.fetch_add(1, std::memory_order_relaxed);
+      }
+      evictions_.fetch_add(1, std::memory_order_relaxed);
+      evicted_bytes_.fetch_add(f.size, std::memory_order_relaxed);
+      if (tracer.enabled()) {
+        tracer.RecordInstant("placement.evict", "placement",
+                             "\"file\":" + obs::JsonQuote(f.name) +
+                                 ",\"bytes\":" + std::to_string(f.size) +
+                                 ",\"tier\":" + obs::JsonQuote(tier.name()));
+      }
+      break;
+    }
+    case DropReason::kQuarantine:
+      quarantined_.fetch_add(1, std::memory_order_relaxed);
+      if (tracer.enabled()) {
+        tracer.RecordInstant("placement.quarantine", "resilience",
+                             "\"file\":" + obs::JsonQuote(f.name) +
+                                 ",\"tier\":" + obs::JsonQuote(tier.name()) +
+                                 ",\"phase\":\"read\"");
+      }
+      MLOG_WARN << "quarantined corrupt copy of '" << f.name << "' on tier '"
+                << tier.name() << "'; reads fall back to the PFS";
+      break;
+    case DropReason::kCleanup:
+      break;
   }
-  MLOG_WARN << "quarantined corrupt copy of '" << file->name << "' on tier '"
-            << tier.name() << "'; reads fall back to the PFS";
+  return true;
+}
+
+bool PlacementHandler::QuarantineCopy(const FileInfoPtr& file) {
+  if (!DropCopy(file, DropReason::kQuarantine)) return false;
   // A corrupt copy counts toward the per-file cap so persistent
   // corruption eventually parks the file as unplaceable; with
   // restage_after_quarantine off the file is parked immediately.
@@ -611,71 +600,31 @@ bool PlacementHandler::QuarantineCopy(const FileInfoPtr& file) {
   return true;
 }
 
+bool PlacementHandler::CleanupCopy(const FileInfoPtr& file) {
+  if (pack::ChunkMap* cm = file->chunk_map();
+      cm != nullptr && cm->ResidentCount() > 0) {
+    return EvictChunks(file) > 0;
+  }
+  return DropCopy(file, DropReason::kCleanup);
+}
+
 bool PlacementHandler::EvictOne(const FileInfoPtr& victim) {
-  FileInfo& vf = *victim;
   // Scan resistance (ISSUE 10): a low-retention requester may only
   // evict other low-retention copies — it can never push out a demand
   // working set, so `qos.cross_class_evictions` stays zero by
   // construction.
   const qos::TenantContext* requester = qos::CurrentTenant();
   if (requester != nullptr && requester->low_retention &&
-      !vf.low_retention.load(std::memory_order_acquire)) {
+      !victim->low_retention.load(std::memory_order_acquire)) {
     return false;
   }
   // Chunk-resident victims (pack mode) hold per-chunk quota and tier
   // objects, not a whole-file copy: drop them through the chunk path.
-  if (pack::ChunkMap* cm = vf.chunk_map();
+  if (pack::ChunkMap* cm = victim->chunk_map();
       cm != nullptr && cm->ResidentCount() > 0) {
-    return EvictChunkCopies(victim) > 0;
+    return EvictChunks(victim) > 0;
   }
-  // Claim the victim: kPlaced -> kFetching blocks concurrent readers
-  // from trusting its level while we delete the copy.
-  PlacementState expected = PlacementState::kPlaced;
-  if (!vf.state.compare_exchange_strong(expected, PlacementState::kFetching,
-                                        std::memory_order_acq_rel)) {
-    return false;
-  }
-  // Read pins (ISSUE 6): a demand read is mid-flight on this file's
-  // staged copy. Revert the claim — its bytes stay until the read ends.
-  // The pin is checked after the claim so a reader that pinned first is
-  // always honoured; one that pins after this check degrades to the
-  // pre-pinning behaviour (kNotFound -> PFS fallback).
-  if (vf.read_pins.load(std::memory_order_acquire) > 0) {
-    vf.state.store(PlacementState::kPlaced, std::memory_order_release);
-    eviction_pinned_skips_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const int victim_level = vf.level.load(std::memory_order_acquire);
-  if (victim_level == hierarchy_.pfs_level()) {
-    // Nothing staged (stale snapshot); leave the file as we found it.
-    vf.state.store(PlacementState::kPlaced, std::memory_order_release);
-    return false;
-  }
-  StorageDriver& tier = hierarchy_.Level(victim_level);
-  vf.level.store(hierarchy_.pfs_level(), std::memory_order_release);
-  if (peer_view_ != nullptr) peer_view_->OnDropped(vf.name);
-  vf.AbortFetch(/*permanently=*/false);  // back to PFS-only
-  if (!tier.Delete(vf.name).ok()) return false;
-  tier.Release(vf.size);
-  const bool was_low_retention =
-      vf.low_retention.load(std::memory_order_acquire);
-  NoteCopyDropped(vf);
-  if (requester != nullptr && requester->low_retention &&
-      !was_low_retention) {
-    // Unreachable under the guard above; counted so a future regression
-    // shows up in `qos.cross_class_evictions` instead of hiding.
-    cross_class_evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  evicted_bytes_.fetch_add(vf.size, std::memory_order_relaxed);
-  obs::EventTracer& tracer = obs::EventTracer::Global();
-  if (tracer.enabled()) {
-    tracer.RecordInstant("placement.evict", "placement",
-                         "\"file\":" + obs::JsonQuote(vf.name) +
-                             ",\"bytes\":" + std::to_string(vf.size) +
-                             ",\"tier\":" + obs::JsonQuote(tier.name()));
-  }
-  return true;
+  return DropCopy(victim, DropReason::kEvict);
 }
 
 std::optional<int> PlacementHandler::EvictAndReserve(
@@ -747,8 +696,7 @@ void PlacementHandler::ReleaseClaims(const StagingTask& task) {
   cm->MaybeResetTier();
 }
 
-std::uint64_t PlacementHandler::EvictChunks(const FileInfoPtr& victim,
-                                            std::uint64_t needed_bytes) {
+std::uint64_t PlacementHandler::EvictChunks(const FileInfoPtr& victim) {
   FileInfo& vf = *victim;
   pack::ChunkMap* cm = vf.chunk_map();
   if (cm == nullptr) return 0;
@@ -765,8 +713,7 @@ std::uint64_t PlacementHandler::EvictChunks(const FileInfoPtr& victim,
   std::uint64_t dropped = 0;
   {
     std::lock_guard lock(cm->placement_mutex());
-    for (std::uint32_t c = 0;
-         c < cm->num_chunks() && freed < needed_bytes; ++c) {
+    for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
       const std::uint64_t stored = cm->TryEvict(c);
       if (stored == 0) continue;
       (void)tier.Delete(pack::ChunkObjectName(vf.name, c));
@@ -968,7 +915,7 @@ void PlacementHandler::NoteAccess(const FileInfo& file) {
 void PlacementHandler::Drain() {
   std::unique_lock lock(mu_);
   drain_cv_.wait(lock, [this] {
-    return queue_.empty() && deferred_.empty() && active_ == 0;
+    return queue_.empty() && active_ == 0;
   });
 }
 
@@ -1005,27 +952,12 @@ PlacementStats PlacementHandler::Stats() const {
       scan_stage_refusals_.load(std::memory_order_relaxed);
   s.low_retention_resident_bytes =
       low_retention_resident_bytes_.load(std::memory_order_relaxed);
+  s.inflight_bytes = inflight_bytes_.load(std::memory_order_relaxed);
   {
     std::lock_guard lock(mu_);
-    s.queue_depth_interactive = queue_.class_depth(
-        qos::ClassIndex(qos::IoClass::kInteractive));
-    s.queue_depth_training =
-        queue_.class_depth(qos::ClassIndex(qos::IoClass::kTraining));
-    s.queue_depth_scan =
-        queue_.class_depth(qos::ClassIndex(qos::IoClass::kScan));
-    s.queue_depth_drain =
-        queue_.class_depth(qos::ClassIndex(qos::IoClass::kDrain));
-    // The original two-lane gauges survive as aggregates: every demand-
-    // band class counts as demand, the prefetch class (plus parked
-    // tasks) as prefetch.
-    s.queue_depth_demand = s.queue_depth_interactive +
-                           s.queue_depth_training + s.queue_depth_scan +
-                           s.queue_depth_drain;
-    s.queue_depth_prefetch =
-        queue_.class_depth(qos::ClassIndex(qos::IoClass::kPrefetch)) +
-        deferred_.size();
-    s.inflight_bytes_per_level = inflight_bytes_;
-    for (const std::uint64_t bytes : inflight_bytes_) s.inflight_bytes += bytes;
+    for (int c = 0; c < qos::kNumIoClasses; ++c) {
+      s.queue_depth[static_cast<std::size_t>(c)] = queue_.class_depth(c);
+    }
   }
   s.buffer_pool_used_bytes = pool_.in_use_bytes();
   s.buffer_pool_capacity_bytes = pool_.capacity_bytes();

@@ -1,5 +1,5 @@
 // PlacementHandler: MONARCH's background staging engine (§III-A/B),
-// rebuilt as a pipelined, two-lane copy service.
+// rebuilt as a pipelined copy service behind one fair staging queue.
 //
 // When the read path sees a file that only exists on the PFS, it claims
 // the file (FileInfo CAS) and hands it to this module. Dedicated worker
@@ -16,13 +16,14 @@
 //      chunk to prove the bytes landed intact — and flip the file's
 //      level so subsequent reads are served from it.
 //
-// Two lanes: DEMAND tasks come from actual reads and always run first;
-// PREFETCH tasks come from look-ahead hints (Monarch::HintUpcoming) and
-// only run when no demand work is queued. A per-tier in-flight byte cap
-// additionally parks prefetch copies while a tier's staging bandwidth is
-// saturated, so speculative work cannot starve demand staging. A demand
-// read that overtakes a queued prefetch promotes it to the demand lane;
-// prefetch never evicts and a prefetch rejection is never permanent.
+// One staging queue: every task waits in a qos::FairQueue keyed by I/O
+// class. DEMAND tasks come from actual reads and ride their tenant's
+// class; PREFETCH tasks come from look-ahead hints (Monarch::HintUpcoming)
+// and repair, and ride the prefetch class in the background band, so
+// they only run when no demand-band work is queued. A demand read that
+// overtakes a queued prefetch promotes it: the task is extracted from
+// the prefetch class and re-pushed on the reader's class. Prefetch never
+// evicts (clairvoyant aside) and a prefetch rejection is never permanent.
 //
 // Joinable copies: while a demand task for a file is queued, or any
 // copy of it runs, the handler keeps FileInfo::joinable set (and tells
@@ -45,18 +46,17 @@
 // capable policies (lru, hotspot, clairvoyant; docs/PLACEMENT.md) make
 // the opposite bet for partial-fit datasets: when PickLevel finds no
 // room, the handler walks the policy's victim ranking and drops placed
-// copies — through the same claim/delete/OnDropped path as quarantine,
-// honouring read pins — until the incoming file fits. The demand lane
+// copies — through DropCopy, the one drop path quarantine and cleanup
+// share, honouring read pins — until the incoming file fits. The demand lane
 // evicts whenever the policy allows it (or the enable_eviction ablation
 // forces it); the prefetch lane only under clairvoyant, whose
 // speculative copies are certain future reads.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -109,19 +109,13 @@ struct PlacementOptions {
   /// (`[placement] staging_chunk_bytes`).
   std::uint64_t staging_chunk_bytes = 4ULL * 1024 * 1024;
 
-  /// Per-tier cap on bytes being staged concurrently by the PREFETCH
-  /// lane; 0 = uncapped. While a tier carries this much in-flight
-  /// staging, further prefetch copies park until a copy completes —
-  /// demand staging is exempt (`[placement] tier_inflight_cap_bytes`).
-  std::uint64_t tier_inflight_cap_bytes = 0;
-
   /// How many hinted files the prefetch cursor keeps in flight ahead of
   /// the newest demand read; 0 disables look-ahead prefetching
   /// (`[placement] prefetch_lookahead`). Consumed by Monarch, carried
   /// here so one options struct configures the whole staging engine.
   int prefetch_lookahead = 0;
 
-  /// Multi-tenant QoS (ISSUE 10). When `qos.enabled`, the two-lane
+  /// Multi-tenant QoS (ISSUE 10). When `qos.enabled`, the demand/prefetch
   /// queue generalizes to per-class weighted fair queuing (interactive >
   /// training > scan > drain/prefetch) and low-retention tenants are
   /// scan-resisted: they may only evict other low-retention copies, and
@@ -162,12 +156,9 @@ struct PlacementStats {
   std::uint64_t chunks_copied = 0;       ///< chunk writes across all copies
   std::uint64_t donated_bytes = 0;       ///< triggering-read bytes reused
   std::uint64_t donation_held_bytes = 0;  ///< gauge: donated bytes held
-  std::uint64_t queue_depth_demand = 0;  ///< gauge: demand tasks waiting
-  std::uint64_t queue_depth_prefetch = 0; ///< gauge: prefetch waiting+parked
+  /// Gauge: staging tasks waiting, per I/O class (qos::ClassIndex).
+  std::array<std::uint64_t, qos::kNumIoClasses> queue_depth{};
   std::uint64_t inflight_bytes = 0;      ///< gauge: bytes being copied now
-  /// Per-hierarchy-level breakdown of `inflight_bytes` (monarchctl
-  /// stage-status; the in-flight cap is enforced per tier).
-  std::vector<std::uint64_t> inflight_bytes_per_level;
   std::uint64_t buffer_pool_used_bytes = 0;      ///< gauge
   std::uint64_t buffer_pool_capacity_bytes = 0;  ///< gauge
 
@@ -178,10 +169,6 @@ struct PlacementStats {
   std::uint64_t chunk_failures = 0;       ///< chunk copies that failed
 
   // Multi-tenant QoS (ISSUE 10; docs/OBSERVABILITY.md §1).
-  std::uint64_t queue_depth_interactive = 0;  ///< gauge: class depth
-  std::uint64_t queue_depth_training = 0;     ///< gauge: class depth
-  std::uint64_t queue_depth_scan = 0;         ///< gauge: class depth
-  std::uint64_t queue_depth_drain = 0;        ///< gauge: class depth
   /// Evictions where a low-retention requester dropped a non-low-
   /// retention copy. Zero by construction: the victim walk skips them.
   std::uint64_t cross_class_evictions = 0;
@@ -218,7 +205,7 @@ class PlacementHandler {
   /// Chunk-granularity staging (pack mode). `chunks` are chunk indexes
   /// the caller already claimed via ChunkMap::TryClaim; the handler
   /// stages each one — codec encode, CRC on both sides — through the same
-  /// two-lane pipeline and releases every claim (publish or back-out).
+  /// staging queue and releases every claim (publish or back-out).
   /// `donated` holds the file's bytes from `donated_offset` that the
   /// triggering read pulled; chunks it fully covers are staged from it
   /// (budget permitting, as for SchedulePlacement), the rest re-read from
@@ -229,32 +216,30 @@ class PlacementHandler {
                               std::span<const std::byte> donated,
                               StagingLane lane = StagingLane::kDemand);
 
-  /// A demand read overtook a queued (or parked) prefetch of `file`:
-  /// move the task to the demand lane so it stops waiting behind other
+  /// A demand read overtook a queued prefetch of `file`: re-queue the
+  /// task on the reader's class so it stops waiting behind other
   /// speculative work — and becomes joinable for later reads. Returns
   /// false when no queued prefetch matched (the copy may already be
   /// running or done).
   bool PromoteToDemand(const FileInfoPtr& file);
 
-  /// Drop every queued/parked prefetch task and return the files to the
+  /// Drop every queued prefetch task and return the files to the
   /// retryable PFS-only state. Used at StopPlacement/shutdown; returns
   /// the number of cancelled hints.
   std::size_t CancelPrefetches();
 
-  /// Remove `file`'s tier copy because its bytes failed verification:
-  /// claim it (kPlaced -> kFetching), delete the copy, release the
-  /// quota, and reset the file to PFS-resident (or unplaceable once past
-  /// the failure cap). Returns false when another thread already holds
-  /// the file in a non-kPlaced state. Thread-safe.
+  /// Remove `file`'s tier copy because its bytes failed verification
+  /// (DropCopy), then reset the file to PFS-resident — or unplaceable
+  /// once past the failure cap, or at once with restage_after_quarantine
+  /// off. Returns false when another thread already holds the file in a
+  /// non-kPlaced state. Thread-safe.
   bool QuarantineCopy(const FileInfoPtr& file);
 
-  /// Drop every resident chunk copy of `file` (pack mode): delete the
-  /// chunk objects, release their quota, and reset the file to
-  /// PFS-resident once nothing remains. Honours read pins. Returns the
-  /// stored bytes freed (Monarch::CleanupStagedCopies, tests).
-  std::uint64_t EvictChunkCopies(const FileInfoPtr& file) {
-    return EvictChunks(file, std::numeric_limits<std::uint64_t>::max());
-  }
+  /// Remove `file`'s staged copy for the end-of-job cleanup
+  /// (Monarch::CleanupStagedCopies): a whole-file copy through DropCopy,
+  /// read pins notwithstanding; chunk copies (pack mode) through
+  /// EvictChunks, which honours them. Returns true when a copy went.
+  bool CleanupCopy(const FileInfoPtr& file);
 
   /// Forward the whole-run demand access sequence to the policy
   /// (Monarch::InstallRunSchedule; the clairvoyant policy consumes it).
@@ -359,13 +344,26 @@ class PlacementHandler {
   /// cancel a prefetch task (a prefetch rejection is never permanent).
   void CountNoSpace(const StagingTask& task);
   /// Low-retention bookkeeping when a staged copy disappears (eviction,
-  /// quarantine): clears the file's marking and returns the resident
-  /// gauge's share.
-  void NoteCopyDropped(FileInfo& file) noexcept;
+  /// quarantine, cleanup): clears the file's marking and returns the
+  /// resident gauge's share. Returns whether the copy was low-retention.
+  bool NoteCopyDropped(FileInfo& file) noexcept;
+
+  /// Why a placed whole-file copy is dropped (counters and traces).
+  enum class DropReason { kEvict, kQuarantine, kCleanup };
+  /// Drop `file`'s placed whole-file copy: claim it (kPlaced ->
+  /// kFetching), point the file at the PFS, retract it from the peer
+  /// view, delete the bytes, release the quota and the low-retention
+  /// share, then count and trace the drop under `reason`. Evicted and
+  /// cleaned-up files return to the retryable PFS-only state; a
+  /// quarantined one stays claimed for QuarantineCopy to settle. A copy
+  /// whose delete fails stops serving all the same; its quota stays
+  /// reserved. Returns false, leaving the file as it was, when the claim
+  /// fails, nothing is staged, or (eviction only) a read pins the file.
+  bool DropCopy(const FileInfoPtr& file, DropReason reason);
 
   void WorkerLoop();
-  /// Stage one file. Returns normally whether the copy succeeded,
-  /// failed, or was parked on the in-flight cap.
+  /// Stage one file. Returns normally whether the copy succeeded or
+  /// failed.
   void PlaceFile(StagingTask task);
   /// The file's bytes [offset, offset + n) for one staging slice: a view
   /// of the task's donation when it covers the whole range, else a PFS
@@ -395,10 +393,10 @@ class PlacementHandler {
   std::optional<int> EvictAndReserve(const FileInfoPtr& file,
                                      StagingLane lane, std::uint64_t bytes,
                                      std::optional<int> level = std::nullopt);
-  /// Drop one placed copy: claim it (kPlaced -> kFetching), honour read
-  /// pins, delete the bytes, release the quota, notify the peer view.
-  /// Returns false when the claim failed or the file was pinned. A
-  /// chunk-resident victim drops all of its chunks via EvictChunks.
+  /// Drop one placed copy for space (DropCopy, honouring read pins and
+  /// scan resistance). Returns false when the claim failed or the file
+  /// was pinned. A chunk-resident victim drops all of its chunks via
+  /// EvictChunks.
   bool EvictOne(const FileInfoPtr& victim);
 
   /// Stage the claimed chunks of one task (pack mode).
@@ -411,17 +409,10 @@ class PlacementHandler {
                                   pack::ChunkMap& cm,
                                   std::uint64_t stored_bytes,
                                   StagingLane lane);
-  /// Drop resident chunks of `victim` until at least `needed_bytes` of
-  /// stored bytes were freed (or the file ran dry). Returns bytes freed.
-  std::uint64_t EvictChunks(const FileInfoPtr& victim,
-                            std::uint64_t needed_bytes);
-
-  /// Take the in-flight accounting for `task`'s copy to `level`. For the
-  /// prefetch lane, parks the task (moving from it) and returns false
-  /// when the tier is already past the cap (progress guaranteed: parking
-  /// requires another copy in flight on that tier).
-  bool AdmitInflight(int level, StagingTask& task);
-  void FinishInflight(int level, std::uint64_t size);
+  /// Drop every resident chunk of `victim` and reset it to PFS-resident
+  /// once nothing remains; honours read pins. Returns the stored bytes
+  /// freed.
+  std::uint64_t EvictChunks(const FileInfoPtr& victim);
 
   StorageHierarchy& hierarchy_;
   MetadataContainer& metadata_;
@@ -460,6 +451,7 @@ class PlacementHandler {
   std::atomic<std::uint64_t> cross_class_evictions_{0};
   std::atomic<std::uint64_t> scan_stage_refusals_{0};
   std::atomic<std::uint64_t> low_retention_resident_bytes_{0};
+  std::atomic<std::uint64_t> inflight_bytes_{0};  ///< gauge, all tiers
 
   /// Codec for chunk staging, resolved once from options_.pack.codec
   /// (falls back to the identity codec on an unknown name).
@@ -467,15 +459,11 @@ class PlacementHandler {
 
   // Per-class fair work queue (ISSUE 10; the original two lanes are the
   // degenerate case: every demand task on the training class, prefetch
-  // on the prefetch class). `deferred_` holds prefetch tasks parked by
-  // the per-tier in-flight cap; any copy completion splices them back
-  // into the queue (under mu_, so no wakeup is lost).
+  // on the prefetch class).
   mutable std::mutex mu_;
   std::condition_variable cv_;        ///< workers wait here
   std::condition_variable drain_cv_;  ///< Drain() waits here
   qos::FairQueue<StagingTask> queue_;
-  std::vector<StagingTask> deferred_;
-  std::vector<std::uint64_t> inflight_bytes_;  ///< per level, under mu_
   int active_ = 0;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;

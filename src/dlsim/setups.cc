@@ -134,8 +134,6 @@ Result<Setup> MakeMonarchSetup(const fs::path& pfs_root,
   monarch_config.dataset_dir = config.dataset.directory;
   monarch_config.placement.num_threads = config.placement_threads;
   monarch_config.placement.prefetch_lookahead = config.prefetch_lookahead;
-  monarch_config.placement.tier_inflight_cap_bytes =
-      config.tier_inflight_cap_bytes;
   if (config.staging_buffer_bytes != 0) {
     monarch_config.placement.staging_buffer_bytes = config.staging_buffer_bytes;
   }

@@ -37,8 +37,6 @@ struct ExperimentConfig {
   /// (0 = keep the PlacementOptions defaults).
   std::uint64_t staging_buffer_bytes = 0;
   std::uint64_t staging_chunk_bytes = 0;
-  /// MONARCH per-tier prefetch in-flight byte cap (0 = uncapped).
-  std::uint64_t tier_inflight_cap_bytes = 0;
   /// MONARCH placement policy by config name (first-fit | round-robin |
   /// lru | hotspot | clairvoyant); empty = first-fit. The fig4 policy
   /// sweep varies this; docs/PLACEMENT.md is the handbook.

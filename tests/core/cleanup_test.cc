@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "../test_support.h"
 #include "core/monarch.h"
+#include "qos/tenant.h"
 #include "storage/memory_engine.h"
 
 namespace monarch::core {
@@ -14,7 +16,8 @@ using monarch::testing::Bytes;
 class CleanupTest : public ::testing::Test {
  protected:
   Result<std::unique_ptr<Monarch>> Build(bool cleanup_on_shutdown,
-                                         int files = 4) {
+                                         int files = 4,
+                                         qos::QosOptions qos = {}) {
     pfs_ = std::make_shared<storage::MemoryEngine>("pfs");
     local_ = std::make_shared<storage::MemoryEngine>("local");
     for (int i = 0; i < files; ++i) {
@@ -28,6 +31,7 @@ class CleanupTest : public ::testing::Test {
     config.dataset_dir = "data";
     config.placement.num_threads = 2;
     config.cleanup_staged_on_shutdown = cleanup_on_shutdown;
+    config.placement.qos = qos;
     return Monarch::Create(std::move(config));
   }
 
@@ -52,6 +56,35 @@ TEST_F(CleanupTest, CleanupRemovesStagedCopiesAndResetsOccupancy) {
   EXPECT_EQ(4u, monarch.value()->CleanupStagedCopies());
   EXPECT_EQ(0u, local_->TotalBytes());
   EXPECT_EQ(0u, monarch.value()->Stats().levels[0].occupancy_bytes);
+}
+
+TEST_F(CleanupTest, CleanupReturnsTheLowRetentionShare) {
+  // A scan tenant's copies count toward the gauge scan_stage_cap_bytes
+  // is checked against; cleanup must hand their share back with them, or
+  // the scan tenant is refused later with nothing resident.
+  qos::QosOptions qos;
+  qos.enabled = true;
+  qos.scan_stage_cap_bytes = 40;
+  auto monarch = Build(false, 4, qos);
+  ASSERT_OK(monarch);
+  qos::TenantContext scanner;
+  scanner.io_class = qos::IoClass::kScan;
+  scanner.low_retention = true;
+  {
+    qos::ScopedTenant scope(scanner);
+    StageAll(**monarch);
+  }
+  ASSERT_EQ(40u,
+            monarch.value()->Stats().placement.low_retention_resident_bytes);
+
+  EXPECT_EQ(4u, monarch.value()->CleanupStagedCopies());
+  EXPECT_EQ(0u,
+            monarch.value()->Stats().placement.low_retention_resident_bytes);
+  for (int i = 0; i < 4; ++i) {
+    const std::string name = "data/f" + std::to_string(i);
+    EXPECT_FALSE(monarch.value()->metadata().Lookup(name)->low_retention)
+        << name;
+  }
 }
 
 TEST_F(CleanupTest, ReadsAfterCleanupFallBackToPfs) {

@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "../test_support.h"
 #include "qos/tenant.h"
@@ -38,7 +42,8 @@ qos::TenantContext Scanner() {
 
 class QosPlacementTest : public ::testing::Test {
  protected:
-  void Build(std::uint64_t quota, PlacementOptions options = {}) {
+  void Build(std::uint64_t quota, PlacementOptions options = {},
+             PeerViewPtr peer_view = nullptr) {
     options.qos.enabled = true;
     options.enable_eviction = true;
     options.num_threads = 2;
@@ -52,7 +57,8 @@ class QosPlacementTest : public ::testing::Test {
     hierarchy_ =
         std::move(StorageHierarchy::Create(std::move(drivers))).value();
     handler_ = std::make_unique<PlacementHandler>(
-        *hierarchy_, metadata_, MakeFirstFitPolicy(), options);
+        *hierarchy_, metadata_, MakeFirstFitPolicy(), options,
+        ResilienceOptions{}, std::move(peer_view));
   }
 
   FileInfoPtr AddPfsFile(const std::string& name, const std::string& data) {
@@ -206,12 +212,117 @@ TEST_F(QosPlacementTest, QueuesDrainAcrossAllClasses) {
 
   const auto stats = handler_->Stats();
   EXPECT_EQ(2u, stats.completed);
-  EXPECT_EQ(0u, stats.queue_depth_interactive);
-  EXPECT_EQ(0u, stats.queue_depth_training);
-  EXPECT_EQ(0u, stats.queue_depth_scan);
-  EXPECT_EQ(0u, stats.queue_depth_drain);
-  EXPECT_EQ(0u, stats.queue_depth_demand);
+  for (const std::uint64_t depth : stats.queue_depth) EXPECT_EQ(0u, depth);
 }
+
+// ---------------------------------------------------------------------------
+// One copy-drop path: eviction, quarantine and cleanup all drop a placed
+// whole-file copy through PlacementHandler::DropCopy.
+
+/// Records the drop notifications the cluster directory would receive.
+class RecordingPeerView final : public PeerView {
+ public:
+  bool HasRemoteCopy(const std::string&) override { return false; }
+  bool ShouldStageLocally(const std::string&) override { return true; }
+  void OnStaged(const std::string&, int) override {}
+  void OnDropped(const std::string& name) override {
+    std::lock_guard lock(mu_);
+    dropped_.push_back(name);
+  }
+  void SetStageEntry(StageEntry) override {}
+  bool RequestOwnerStage(const std::string&) override { return false; }
+  bool AwaitRemoteCopy(const std::string&) override { return false; }
+  void OnCopyBegin(const std::string&) override {}
+  void OnCopyEnd(const std::string&) override {}
+
+  std::vector<std::string> dropped() const {
+    std::lock_guard lock(mu_);
+    return dropped_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::string> dropped_;
+};
+
+enum class Drop { kEvict, kQuarantine, kCleanup };
+
+/// (how the copy is dropped, whether a reader holds a pin on it)
+class CopyDropTest
+    : public QosPlacementTest,
+      public ::testing::WithParamInterface<std::tuple<Drop, bool>> {};
+
+TEST_P(CopyDropTest, DropsThePlacedCopyOnce) {
+  const auto [drop, pinned] = GetParam();
+  auto peers = std::make_shared<RecordingPeerView>();
+  PlacementOptions options;
+  options.qos.scan_stage_cap_bytes = 10;
+  Build(10, options, peers);
+
+  auto scan = AddPfsFile("scan", "0123456789");
+  StageAs(Scanner(), scan);
+  ASSERT_EQ(PlacementState::kPlaced, scan->state.load());
+  ASSERT_EQ(10u, handler_->Stats().low_retention_resident_bytes);
+  if (pinned) scan->read_pins.fetch_add(1);
+
+  switch (drop) {
+    case Drop::kEvict:
+      // The full tier only takes the trainer's file by evicting.
+      StageAs(Trainer(), AddPfsFile("train", "01234"));
+      break;
+    case Drop::kQuarantine:
+      handler_->QuarantineCopy(scan);
+      break;
+    case Drop::kCleanup:
+      handler_->CleanupCopy(scan);
+      break;
+  }
+
+  if (pinned && drop == Drop::kEvict) {
+    // Only eviction waits for the reader mid-flight on the copy.
+    EXPECT_EQ(PlacementState::kPlaced, scan->state.load());
+    EXPECT_EQ(0, scan->level.load());
+    EXPECT_EQ(10u, hierarchy_->Level(0).occupancy_bytes());
+    EXPECT_TRUE(peers->dropped().empty());
+    EXPECT_EQ(10u, handler_->Stats().low_retention_resident_bytes);
+    EXPECT_EQ(1u, handler_->Stats().eviction_pinned_skips);
+    return;
+  }
+  EXPECT_NE(PlacementState::kPlaced, scan->state.load());
+  EXPECT_EQ(hierarchy_->pfs_level(), scan->level.load());
+  auto exists = cache_engine_->Exists("scan");
+  ASSERT_OK(exists);
+  EXPECT_FALSE(exists.value());
+  EXPECT_EQ(drop == Drop::kEvict ? 5u : 0u,
+            hierarchy_->Level(0).occupancy_bytes());
+  EXPECT_EQ(std::vector<std::string>{"scan"}, peers->dropped());
+  EXPECT_FALSE(scan->low_retention.load());
+  EXPECT_EQ(0u, handler_->Stats().low_retention_resident_bytes);
+
+  // The dropped copy's share is back: a fresh scan staging passes the
+  // scan cap again.
+  auto fresh = AddPfsFile("fresh", "abcde");
+  StageAs(Scanner(), fresh);
+  EXPECT_EQ(PlacementState::kPlaced, fresh->state.load());
+  EXPECT_EQ(0u, handler_->Stats().scan_stage_refusals);
+  EXPECT_EQ(5u, handler_->Stats().low_retention_resident_bytes);
+}
+
+std::string DropCaseName(
+    const ::testing::TestParamInfo<std::tuple<Drop, bool>>& param_info) {
+  const auto [drop, pinned] = param_info.param;
+  const char* name = drop == Drop::kEvict        ? "evict"
+                     : drop == Drop::kQuarantine ? "quarantine"
+                                                 : "cleanup";
+  return std::string(name) + (pinned ? "_pinned" : "");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PlacementHandler, CopyDropTest,
+    ::testing::Combine(::testing::Values(Drop::kEvict, Drop::kQuarantine,
+                                         Drop::kCleanup),
+                       ::testing::Bool()),
+    DropCaseName);
 
 }  // namespace
 }  // namespace monarch::core

@@ -1,5 +1,5 @@
-// Pipelined staging engine tests: the two-lane queue (demand priority,
-// promotion, per-tier in-flight caps), the chunked copy path (CRC
+// Pipelined staging engine tests: the fair staging queue (demand
+// priority, promotion, in-flight gauge), the chunked copy path (CRC
 // equivalence with the full-buffer fast path, bounded peak memory,
 // donated prefixes), the look-ahead prefetch cursor driven through
 // Monarch::HintUpcoming, and reads joining a copy already in flight.
@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,15 +29,6 @@ namespace {
 using monarch::testing::Bytes;
 using monarch::testing::GateEngine;
 using monarch::testing::Text;
-
-/// Spin-wait for an asynchronous condition (worker-thread state changes).
-bool WaitFor(const std::function<bool()>& pred, int timeout_ms = 5000) {
-  for (int i = 0; i < timeout_ms; ++i) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return pred();
-}
 
 // ---------------------------------------------------------------------------
 // BufferPool
@@ -216,12 +206,14 @@ TEST_F(StagingPipelineTest, DemandNeverQueuedBehindPrefetch) {
 
   {
     const auto stats = handler_->Stats();
-    EXPECT_EQ(1u, stats.queue_depth_demand);
-    EXPECT_EQ(4u, stats.queue_depth_prefetch);
+    EXPECT_EQ(1u, stats.queue_depth[qos::ClassIndex(qos::IoClass::kTraining)]);
+    EXPECT_EQ(4u, stats.queue_depth[qos::ClassIndex(qos::IoClass::kPrefetch)]);
+    EXPECT_EQ(10u, stats.inflight_bytes) << "only the gated blocker copies";
   }
 
   gate->ReleaseBlocked();
   handler_->Drain();
+  EXPECT_EQ(0u, handler_->Stats().inflight_bytes);
 
   const auto order = gate->write_order();
   ASSERT_EQ(6u, order.size());
@@ -234,42 +226,6 @@ TEST_F(StagingPipelineTest, DemandNeverQueuedBehindPrefetch) {
   }
   EXPECT_EQ(5u, handler_->Stats().prefetch_scheduled);
   EXPECT_EQ(5u, handler_->Stats().prefetch_completed);
-}
-
-TEST_F(StagingPipelineTest, InflightCapParksPrefetchButNotDemand) {
-  auto gate = std::make_shared<GateEngine>("blocker");
-  PlacementOptions options;
-  options.tier_inflight_cap_bytes = 10;
-  Build({1000}, options, /*num_threads=*/2, gate);
-
-  // Fill the tier's in-flight budget with a gated demand copy.
-  auto blocker = AddPfsFile("blocker", "bbbbbbbbbb");  // 10 bytes == cap
-  Stage(blocker, Bytes("bbbbbbbbbb"), StagingLane::kDemand);
-  gate->AwaitBlocked();
-
-  // A prefetch copy must park (tier saturated), not run.
-  auto parked = AddPfsFile("parked", "pppppppppp");
-  Stage(parked, Bytes("pppppppppp"), StagingLane::kPrefetch);
-  ASSERT_TRUE(WaitFor([&] {
-    return handler_->Stats().queue_depth_prefetch == 1;
-  })) << "prefetch past the in-flight cap must park, not copy";
-
-  // A demand copy is exempt from the cap and completes while the tier is
-  // still saturated by the blocker.
-  auto demand = AddPfsFile("demand", "dddddddddd");
-  Stage(demand, Bytes("dddddddddd"), StagingLane::kDemand);
-  ASSERT_TRUE(WaitFor([&] {
-    return demand->state.load() == PlacementState::kPlaced;
-  })) << "demand staging must not wait on the prefetch in-flight cap";
-  EXPECT_EQ(1u, handler_->Stats().queue_depth_prefetch)
-      << "the parked prefetch stays parked while the tier is saturated";
-
-  gate->ReleaseBlocked();
-  handler_->Drain();
-  EXPECT_EQ(PlacementState::kPlaced, blocker->state.load());
-  EXPECT_EQ(PlacementState::kPlaced, parked->state.load())
-      << "parked prefetches resume once the tier drains";
-  EXPECT_EQ(0u, handler_->Stats().inflight_bytes);
 }
 
 TEST_F(StagingPipelineTest, PrefetchNeverEvictsEvenInEvictionMode) {

@@ -30,8 +30,8 @@
 //                           [--policy NAME] [--quota BYTES]
 //       Drive the pipelined staging engine with a hinted demo workload
 //       and print its status: the active placement policy and its
-//       eviction counters (docs/PLACEMENT.md), per-lane queue depths,
-//       in-flight bytes per tier, buffer-pool occupancy, and the
+//       eviction counters (docs/PLACEMENT.md), per-class queue depths,
+//       total in-flight bytes, buffer-pool occupancy, and the
 //       prefetch hit/waste counters (DESIGN.md "Staging pipeline").
 //       --quota shrinks the demo tier so eviction-capable policies
 //       actually evict.
@@ -471,7 +471,7 @@ int CmdMetrics(const Args& args) {
 }
 
 /// Drive the pipelined staging engine with a hinted demo workload and
-/// print its status: queue depths per lane, in-flight bytes per tier,
+/// print its status: queue depths per I/O class, total in-flight bytes,
 /// buffer-pool occupancy, and the prefetch hit/waste counters
 /// (docs/OBSERVABILITY.md "Staging pipeline").
 int CmdStageStatus(const Args& args) {
@@ -557,21 +557,18 @@ int CmdStageStatus(const Args& args) {
             << " bytes=" << FormatByteSize(p.evicted_bytes)
             << " refused=" << p.eviction_refused
             << " pinned_skips=" << p.eviction_pinned_skips << "\n"
-            << "  queue depth     demand=" << p.queue_depth_demand
-            << " prefetch=" << p.queue_depth_prefetch << "\n"
+            << "  queue depth    ";
+  for (int c = 0; c < qos::kNumIoClasses; ++c) {
+    std::cout << " " << qos::IoClassName(static_cast<qos::IoClass>(c)) << "="
+              << p.queue_depth[static_cast<std::size_t>(c)];
+  }
+  std::cout << "\n"
             << "  buffer pool     used=" << FormatByteSize(
                    p.buffer_pool_used_bytes)
             << " / " << FormatByteSize(p.buffer_pool_capacity_bytes) << "\n"
             << "  in-flight       total="
-            << FormatByteSize(p.inflight_bytes) << "\n";
-  for (std::size_t i = 0; i < p.inflight_bytes_per_level.size(); ++i) {
-    const std::string tier = i < stats.levels.size()
-                                 ? stats.levels[i].tier_name
-                                 : "level" + std::to_string(i);
-    std::cout << "    " << tier << "  "
-              << FormatByteSize(p.inflight_bytes_per_level[i]) << "\n";
-  }
-  std::cout << "  prefetch        scheduled=" << p.prefetch_scheduled
+            << FormatByteSize(p.inflight_bytes) << "\n"
+            << "  prefetch        scheduled=" << p.prefetch_scheduled
             << " completed=" << p.prefetch_completed
             << " promoted=" << p.prefetch_promoted
             << " cancelled=" << p.prefetch_cancelled << "\n"
