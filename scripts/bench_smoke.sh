@@ -15,9 +15,10 @@
 # for quick inspection: the demand-vs-prefetch first-epoch comparison,
 # the vanilla / monarch / monarch-peer PFS-traffic comparison, the
 # direct-PFS vs write-back stall gap, the kill/revive digest and
-# replication-repair check, the per-policy steady-state hit rates
-# (docs/PLACEMENT.md), the sync-copy vs async-zero-copy reads/sec
-# sweep with its >=2x-at-64-threads acceptance gate (ISSUE 8), the
+# replication-repair check, the per-policy steady epoch and PFS MiB
+# with its evicting-vs-first-fit gate (docs/PLACEMENT.md), the
+# sync-copy vs async-zero-copy reads/sec sweep with its
+# >=2x-at-64-threads acceptance gate, the
 # 1k->1M lookup-p99 drift gate, and the packed-vs-naive sparse-PFS /
 # compression / digest gates (ISSUE 9), and the interactive-p99 /
 # scan-throughput / cross-class-eviction QoS gates (ISSUE 10).
@@ -83,8 +84,10 @@ run_bench ext_checkpoint ./build/bench/ext_checkpoint
 # repair asserted in the JSON (3 epochs minimum so the outage has an
 # epoch boundary to span).
 run_bench ext_churn env MONARCH_BENCH_EPOCHS=3 ./build/bench/ext_churn
-# Policy-sweep arm only (4 overcommit ratios x 4 eviction policies); the
-# full fig4 figure arms are too slow for a smoke pass.
+# Policy-sweep arm only (4 overcommit ratios x 3 placement policies); the
+# full fig4 figure arms are too slow for a smoke pass. Exits non-zero
+# (a "FAIL sweep:" line) when an evicting policy's steady epoch is more
+# than 10% slower than first-fit's at the same overcommit.
 run_bench fig4_partial_dataset env MONARCH_FIG4_ARMS=sweep \
   ./build/bench/fig4_partial_dataset
 # Async read-path gate: sync-copy vs async-zero-copy reads/sec at

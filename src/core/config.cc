@@ -142,9 +142,6 @@ Status ApplyPlacementKey(ParsedConfig& config, const std::string& key,
                                   ": hotspot_decay_interval must be >= 1");
     }
     config.policy_knobs.hotspot_decay_interval = n;
-  } else if (key == "clairvoyant_protect_window") {
-    MONARCH_ASSIGN_OR_RETURN(config.policy_knobs.clairvoyant_protect_window,
-                             ParseU64(value, line_no));
   } else if (key == "staging_buffer_bytes") {
     MONARCH_ASSIGN_OR_RETURN(config.staging_buffer_bytes,
                              ParseByteSize(value));
@@ -595,12 +592,11 @@ std::vector<ConfigKeyInfo> ConfigKeyCatalogue() {
       {"pfs", "root", "/tmp/monarch/pfs"},
       {"pfs", "quota", "0"},
       {"pfs", "seed", "42"},
-      {"placement", "policy", "clairvoyant"},
+      {"placement", "policy", "lru"},
       {"placement", "staging_buffer_bytes", "64MiB"},
       {"placement", "staging_chunk_bytes", "4MiB"},
       {"placement", "prefetch_lookahead", "8"},
       {"placement", "hotspot_decay_interval", "256"},
-      {"placement", "clairvoyant_protect_window", "64"},
       {"resilience", "retry_max_attempts", "4"},
       {"resilience", "retry_initial_backoff_us", "50"},
       {"resilience", "retry_multiplier", "2.0"},

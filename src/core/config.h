@@ -24,12 +24,11 @@
 //
 //   [placement]             ; optional — staging-pipeline knobs
 //   policy = first-fit      ; first-fit | round-robin | lru | hotspot
-//                           ;   | clairvoyant (docs/PLACEMENT.md)
+//                           ;   (docs/PLACEMENT.md)
 //   staging_buffer_bytes = 64MiB   ; chunk-buffer-pool budget
 //   staging_chunk_bytes = 4MiB     ; copy granularity
 //   prefetch_lookahead = 0         ; hinted files staged ahead (0 = off)
 //   hotspot_decay_interval = 256   ; accesses between frequency halvings
-//   clairvoyant_protect_window = 64  ; upcoming accesses never evicted
 //
 //   [resilience]            ; optional — defaults match ResilienceOptions
 //   retry_max_attempts = 4

@@ -62,10 +62,10 @@ struct FileInfo {
   /// read served from a cache tier — that exchange is one prefetch hit.
   std::atomic<bool> prefetched{false};
 
-  /// In-flight demand reads of this file (ISSUE 6). A nonzero count pins
-  /// the staged copy against eviction: the evictor claims the file, sees
-  /// the pin, and reverts — so an active read never loses its tier copy
-  /// mid-flight. Readers that pin after the evictor's check fall back to
+  /// In-flight demand reads and open visits (Monarch::PinVisit) of this
+  /// file. A nonzero count pins the staged copy against eviction: the
+  /// evictor claims the file, sees the pin, and reverts — so an active
+  /// read never loses its tier copy mid-flight. Readers that pin after the evictor's check fall back to
   /// the PFS exactly like the pre-pinning eviction race.
   std::atomic<int> read_pins{0};
 

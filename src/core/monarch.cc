@@ -475,10 +475,17 @@ Result<FileInfoPtr> Monarch::PrepareRead(std::string_view name,
       std::memory_order_relaxed);
 
   // Policy bookkeeping at file-visit granularity: the loader reads files
-  // in chunks, so only the offset-0 read marks a new access (the
-  // clairvoyant schedule clock and hotspot counters advance here).
+  // in chunks, so only the offset-0 read marks a new access (the run
+  // schedule's clock and hotspot counters advance here).
   if (offset == 0) placement_->NoteAccess(*info);
   return info;
+}
+
+ReadLease Monarch::PinVisit(std::string_view name) {
+  FileInfoPtr info = metadata_.Lookup(name);
+  if (!info) return {};
+  info->read_pins.fetch_add(1, std::memory_order_acq_rel);
+  return ReadLease({}, std::move(info), -1);
 }
 
 int Monarch::ServingLevelHint(std::string_view name) const {

@@ -195,6 +195,12 @@ class Monarch {
       std::uint64_t max_bytes = std::numeric_limits<std::uint64_t>::max(),
       bool allow_zero_copy = true);
 
+  /// Pin `name` for one file visit (a MonarchSource holds this from its
+  /// construction to its destruction): eviction skips the file's staged
+  /// copy while the returned lease lives. The lease lends no bytes; it
+  /// is empty when the file is not indexed.
+  [[nodiscard]] ReadLease PinVisit(std::string_view name);
+
   /// File size from the virtual namespace (no backend round trip for
   /// indexed files).
   Result<std::uint64_t> FileSize(std::string_view name);
@@ -218,9 +224,10 @@ class Monarch {
 
   /// Publish the WHOLE run's access order — every epoch's shuffled file
   /// list, in epoch order — before training starts (ISSUE 6). The
-  /// concatenated sequence is handed to the placement policy; the
-  /// clairvoyant policy derives per-file next-access times from it and
-  /// evicts Belady-style. Policies without a schedule hook ignore it.
+  /// concatenated sequence becomes the eviction ranking of an evicting
+  /// policy: victims go farthest next use first (Belady), and the
+  /// prefetch lane may evict residents needed later than its file.
+  /// Non-evicting policies ignore it.
   /// Unlike HintUpcoming this does not drive the prefetch cursor; the
   /// per-epoch hints still do that.
   void InstallRunSchedule(const std::vector<std::vector<std::string>>& epochs);
@@ -278,6 +285,10 @@ class Monarch {
   /// The active placement policy (monarchctl stage-status, tests).
   [[nodiscard]] const PlacementPolicy& policy() const noexcept {
     return placement_->policy();
+  }
+  /// What ranks evictions (PlacementHandler::EvictionRanking).
+  [[nodiscard]] std::string EvictionRanking() const {
+    return placement_->EvictionRanking();
   }
   [[nodiscard]] StorageHierarchy& hierarchy() noexcept { return *hierarchy_; }
 

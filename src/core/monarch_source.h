@@ -2,7 +2,9 @@
 // instance. This is the repo's equivalent of the paper's TensorFlow
 // driver patch — a reader built on this source issues the same record-
 // oriented I/O as one built on a plain engine, except every pread becomes
-// a Monarch.read(filename, ...) call.
+// a Monarch.read(filename, ...) call. A source is one file visit: it pins
+// the file from construction to destruction, so eviction never drops a
+// copy the visit is still reading (Monarch::PinVisit).
 #pragma once
 
 #include <string>
@@ -16,7 +18,9 @@ namespace monarch::core {
 class MonarchSource final : public tfrecord::RandomAccessSource {
  public:
   MonarchSource(Monarch& monarch, std::string path)
-      : monarch_(monarch), path_(std::move(path)) {}
+      : monarch_(monarch),
+        path_(std::move(path)),
+        visit_(monarch_.PinVisit(path_)) {}
 
   Result<std::size_t> ReadAt(std::uint64_t offset,
                              std::span<std::byte> dst) override {
@@ -30,6 +34,7 @@ class MonarchSource final : public tfrecord::RandomAccessSource {
  private:
   Monarch& monarch_;
   std::string path_;
+  ReadLease visit_;
 };
 
 }  // namespace monarch::core

@@ -417,7 +417,7 @@ void PlacementHandler::PlaceFile(StagingTask task) {
     CountNoSpace(task);
     if (task.lane == StagingLane::kPrefetch) {
       file->AbortFetch(/*permanently=*/false);
-    } else if (options_.enable_eviction || policy_->EvictsUnderPressure()) {
+    } else if (Evicts()) {
       // Eviction makes quota headroom dynamic: this rejection only means
       // the policy protected every current resident (or lost the claim
       // races), not that the file can never fit. Leave it retryable so a
@@ -639,20 +639,24 @@ std::optional<int> PlacementHandler::EvictAndReserve(
     return std::nullopt;
   };
   if (std::optional<int> reserved = reserve()) return reserved;
-  const bool may_evict =
-      lane == StagingLane::kDemand
-          ? options_.enable_eviction || policy_->EvictsUnderPressure()
-          : policy_->PrefetchMayEvict();
-  if (!may_evict) return std::nullopt;
+  if (!Evicts()) return std::nullopt;
+  // The run schedule ranks when installed; without it a prefetch is a
+  // guess, which must not destroy placed data, and the policy ranks for
+  // the demand lane.
+  const bool demand = lane == StagingLane::kDemand;
+  std::optional<std::vector<FileInfoPtr>> ranked =
+      schedule_.SelectVictims(metadata_, *file, demand);
+  if (!ranked.has_value()) {
+    if (!demand) return std::nullopt;
+    ranked = policy_->SelectVictims(metadata_, *file);
+  }
 
-  // The policy ranks; this loop claims and drops. Re-try the reservation
-  // after each successful eviction — freed space is first-come-first-
-  // served under concurrent workers, so the reservation is the only
-  // proof. Low-retention (scan) copies are tried first: they are
-  // explicitly marked expendable, so demand working sets survive
-  // pressure longest.
-  std::vector<FileInfoPtr> victims = policy_->SelectVictims(
-      metadata_, *file, lane == StagingLane::kDemand);
+  // This loop claims and drops. Re-try the reservation after each
+  // successful eviction — freed space is first-come-first-served under
+  // concurrent workers, so the reservation is the only proof.
+  // Low-retention (scan) copies are tried first: they are explicitly
+  // marked expendable, so demand working sets survive pressure longest.
+  std::vector<FileInfoPtr>& victims = *ranked;
   if (options_.qos.enabled) {
     std::stable_partition(victims.begin(), victims.end(),
                           [](const FileInfoPtr& v) {
@@ -899,17 +903,26 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
 
 void PlacementHandler::InstallSchedule(
     const std::vector<std::string>& sequence) {
-  policy_->OnSchedule(sequence);
+  if (policy_->EvictsUnderPressure()) schedule_.Install(sequence);
   obs::EventTracer& tracer = obs::EventTracer::Global();
   if (tracer.enabled()) {
     tracer.RecordInstant("placement.schedule", "placement",
                          "\"accesses\":" + std::to_string(sequence.size()) +
-                             ",\"policy\":" + obs::JsonQuote(policy_->Name()));
+                             ",\"policy\":" + obs::JsonQuote(policy_->Name()) +
+                             ",\"ranked_by\":" +
+                             obs::JsonQuote(EvictionRanking()));
   }
 }
 
 void PlacementHandler::NoteAccess(const FileInfo& file) {
   policy_->OnAccess(file);
+  if (policy_->EvictsUnderPressure()) schedule_.NoteAccess(file.name);
+}
+
+std::string PlacementHandler::EvictionRanking() const {
+  if (schedule_.length() == 0) return "policy (" + policy_->Name() + ")";
+  return "schedule (clock " + std::to_string(schedule_.clock()) + " of " +
+         std::to_string(schedule_.length()) + " accesses)";
 }
 
 void PlacementHandler::Drain() {

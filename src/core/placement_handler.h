@@ -22,8 +22,8 @@
 // and repair, and ride the prefetch class in the background band, so
 // they only run when no demand-band work is queued. A demand read that
 // overtakes a queued prefetch promotes it: the task is extracted from
-// the prefetch class and re-pushed on the reader's class. Prefetch never
-// evicts (clairvoyant aside) and a prefetch rejection is never permanent.
+// the prefetch class and re-pushed on the reader's class. Prefetch evicts
+// only by the run schedule, and a prefetch rejection is never permanent.
 //
 // Joinable copies: while a demand task for a file is queued, or any
 // copy of it runs, the handler keeps FileInfo::joinable set (and tells
@@ -43,14 +43,16 @@
 // Evictions (ISSUE 6): the paper's first-fit policy never evicts — with
 // random per-epoch access every file is equally likely, so replacement
 // would only add tier-to-tier traffic ("I/O trashing"). The eviction-
-// capable policies (lru, hotspot, clairvoyant; docs/PLACEMENT.md) make
-// the opposite bet for partial-fit datasets: when PickLevel finds no
-// room, the handler walks the policy's victim ranking and drops placed
-// copies — through DropCopy, the one drop path quarantine and cleanup
-// share, honouring read pins — until the incoming file fits. The demand lane
+// capable policies (lru, hotspot; docs/PLACEMENT.md) make the opposite
+// bet for partial-fit datasets: when PickLevel finds no room, the
+// handler walks a victim ranking and drops placed copies — through
+// DropCopy, the one drop path quarantine and cleanup share, honouring
+// read and visit pins — until the incoming file fits. The demand lane
 // evicts whenever the policy allows it (or the enable_eviction ablation
-// forces it); the prefetch lane only under clairvoyant, whose
-// speculative copies are certain future reads.
+// forces it). When the trainer has published the run's schedule, the
+// handler ranks by it (RunSchedule, Belady: farthest next use first)
+// instead of by the policy, and the prefetch lane may then evict too,
+// but only residents needed later than its own file.
 #pragma once
 
 #include <array>
@@ -61,6 +63,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -96,8 +99,8 @@ struct PlacementOptions {
   /// Force the demand lane to evict even under a policy that does not
   /// evict on its own (FirstFitPolicy's ablation arm: LRU-ordered
   /// victims). Policies whose EvictsUnderPressure() is true evict
-  /// regardless of this flag; the prefetch lane evicts only when the
-  /// policy's PrefetchMayEvict() allows it (clairvoyant).
+  /// regardless of this flag; the prefetch lane evicts only by an
+  /// installed run schedule.
   bool enable_eviction = false;
 
   /// Total budget for the chunk buffer pool — the hard cap on leased
@@ -241,13 +244,18 @@ class PlacementHandler {
   /// EvictChunks, which honours them. Returns true when a copy went.
   bool CleanupCopy(const FileInfoPtr& file);
 
-  /// Forward the whole-run demand access sequence to the policy
-  /// (Monarch::InstallRunSchedule; the clairvoyant policy consumes it).
+  /// Install the whole-run demand access sequence
+  /// (Monarch::InstallRunSchedule) as the eviction ranking. Ignored
+  /// unless the policy evicts (the enable_eviction ablation keeps LRU).
   void InstallSchedule(const std::vector<std::string>& sequence);
 
-  /// Forward one demand access to the policy (offset-0 reads only — the
-  /// policy sees file visits, not chunks).
+  /// One demand file visit (offset-0 reads only, not chunks): policy
+  /// bookkeeping, and the schedule clock when one is installed.
   void NoteAccess(const FileInfo& file);
+
+  /// What ranks evictions, for operators: "schedule (clock C of L
+  /// accesses)" or "policy (<name>)".
+  [[nodiscard]] std::string EvictionRanking() const;
 
   [[nodiscard]] const PlacementPolicy& policy() const noexcept {
     return *policy_;
@@ -383,13 +391,18 @@ class PlacementHandler {
   /// retryable (a later access re-claims it) or mark it unplaceable once
   /// the per-file cap is hit.
   void RecordStagingFailure(const FileInfoPtr& file);
+  /// Whether the demand lane may evict: the policy evicts under
+  /// pressure, or the enable_eviction ablation forces it.
+  [[nodiscard]] bool Evicts() const noexcept {
+    return options_.enable_eviction || policy_->EvictsUnderPressure();
+  }
   /// Reserve `bytes` (the whole file, or one stored chunk in pack mode)
   /// on the level PickLevel chooses — or only on `level` when set — and,
-  /// when nothing has room, walk the policy's victim ranking (filtered
-  /// to `level` when set), dropping placed copies until the reservation
-  /// succeeds. Returns the reserved level, or nullopt when the lane may
-  /// not evict, the policy offered no victims, or the freed space still
-  /// was not enough.
+  /// when nothing has room, walk the victim ranking (the run schedule's
+  /// when installed, else the policy's; filtered to `level` when set),
+  /// dropping placed copies until the reservation succeeds. Returns the
+  /// reserved level, or nullopt when the lane may not evict, the ranking
+  /// offered no victims, or the freed space still was not enough.
   std::optional<int> EvictAndReserve(const FileInfoPtr& file,
                                      StagingLane lane, std::uint64_t bytes,
                                      std::optional<int> level = std::nullopt);
@@ -417,6 +430,8 @@ class PlacementHandler {
   StorageHierarchy& hierarchy_;
   MetadataContainer& metadata_;
   PlacementPolicyPtr policy_;
+  /// The run's access order, installed only when the policy evicts.
+  RunSchedule schedule_;
   PlacementOptions options_;
   ResilienceOptions resilience_;
   PeerViewPtr peer_view_;

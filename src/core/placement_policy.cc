@@ -40,8 +40,7 @@ std::vector<FileInfoPtr> RankedPlacedFiles(const MetadataContainer& metadata,
 }  // namespace
 
 std::vector<FileInfoPtr> PlacementPolicy::SelectVictims(
-    const MetadataContainer& metadata, const FileInfo& incoming,
-    bool /*incoming_active*/) {
+    const MetadataContainer& metadata, const FileInfo& incoming) {
   // LRU order: oldest access stamp first. This is both the LruPolicy
   // ranking and the default for the enable_eviction ablation.
   return RankedPlacedFiles(
@@ -100,8 +99,7 @@ std::uint64_t HotspotPolicy::FrequencyOf(const std::string& name) const {
 }
 
 std::vector<FileInfoPtr> HotspotPolicy::SelectVictims(
-    const MetadataContainer& metadata, const FileInfo& incoming,
-    bool /*incoming_active*/) {
+    const MetadataContainer& metadata, const FileInfo& incoming) {
   std::lock_guard lock(mu_);
   // Coldest first: lowest decayed count, ties broken by oldest access.
   // The count is packed into the key's high bits so one 64-bit sort key
@@ -121,46 +119,50 @@ std::vector<FileInfoPtr> HotspotPolicy::SelectVictims(
       /*ascending=*/true);
 }
 
-ClairvoyantPolicy::ClairvoyantPolicy(std::uint64_t protect_window)
-    : protect_window_(protect_window) {}
-
-void ClairvoyantPolicy::OnSchedule(const std::vector<std::string>& sequence) {
+void RunSchedule::Install(const std::vector<std::string>& sequence) {
   std::lock_guard lock(mu_);
   positions_.clear();
-  last_consumed_.clear();
   clock_ = 0;
+  length_ = sequence.size();
   for (std::uint64_t i = 0; i < sequence.size(); ++i) {
     positions_[sequence[i]].push_back(i);
   }
-  schedule_installed_ = !sequence.empty();
 }
 
-std::uint64_t ClairvoyantPolicy::NextAccessLocked(
-    const std::string& name) const {
+std::uint64_t RunSchedule::NextAccessLocked(const std::string& name) const {
   const auto it = positions_.find(name);
   if (it == positions_.end()) return kNever;
   std::deque<std::uint64_t>& queue = it->second;
-  while (!queue.empty() && queue.front() < clock_) queue.pop_front();
+  // Reader threads interleave, so a pending position behind the clock is
+  // usually a visit running late: it is needed now. It is a visit that
+  // never came once the file's following position lies closer to the
+  // clock; drop it then.
+  while (queue.size() > 1 && queue.front() < clock_ &&
+         (queue[1] <= clock_ || clock_ - queue.front() > queue[1] - clock_)) {
+    queue.pop_front();
+  }
   return queue.empty() ? kNever : queue.front();
 }
 
-void ClairvoyantPolicy::OnAccess(const FileInfo& file) {
+void RunSchedule::NoteAccess(const std::string& name) {
   std::lock_guard lock(mu_);
-  if (!schedule_installed_) return;
-  const auto it = positions_.find(file.name);
-  if (it == positions_.end()) return;
-  std::deque<std::uint64_t>& queue = it->second;
-  if (queue.empty()) return;
-  // Consume this file's earliest pending occurrence and advance the
-  // clock to it. Reader threads interleave, so accesses arrive slightly
-  // out of schedule order; max() keeps the clock monotonic.
-  const std::uint64_t position = queue.front();
-  queue.pop_front();
+  const std::uint64_t position = NextAccessLocked(name);
+  if (position == kNever) return;
+  positions_.find(name)->second.pop_front();
   clock_ = std::max(clock_, position + 1);
-  last_consumed_[file.name] = position;
 }
 
-std::optional<std::uint64_t> ClairvoyantPolicy::NextAccessOf(
+std::uint64_t RunSchedule::clock() const {
+  std::lock_guard lock(mu_);
+  return clock_;
+}
+
+std::uint64_t RunSchedule::length() const {
+  std::lock_guard lock(mu_);
+  return length_;
+}
+
+std::optional<std::uint64_t> RunSchedule::NextAccessOf(
     const std::string& name) const {
   std::lock_guard lock(mu_);
   const std::uint64_t next = NextAccessLocked(name);
@@ -168,58 +170,25 @@ std::optional<std::uint64_t> ClairvoyantPolicy::NextAccessOf(
   return next;
 }
 
-std::uint64_t ClairvoyantPolicy::ScheduleClock() const {
-  std::lock_guard lock(mu_);
-  return clock_;
-}
-
-std::vector<FileInfoPtr> ClairvoyantPolicy::SelectVictims(
+std::optional<std::vector<FileInfoPtr>> RunSchedule::SelectVictims(
     const MetadataContainer& metadata, const FileInfo& incoming,
-    bool incoming_active) {
+    bool incoming_active) const {
   std::lock_guard lock(mu_);
-  if (!schedule_installed_) {
-    // No schedule (plain HintUpcoming-free runs): degrade to LRU.
-    return PlacementPolicy::SelectVictims(metadata, incoming,
-                                          incoming_active);
+  if (length_ == 0) return std::nullopt;
+  // The bar a victim's next use must clear: none for a demand staging,
+  // whose read is running now; the prefetched file's own next access
+  // otherwise.
+  std::uint64_t bar = 0;
+  if (!incoming_active) {
+    bar = NextAccessLocked(incoming.name);
+    if (bar == kNever) return std::vector<FileInfoPtr>{};
   }
-  // The bar the incoming file must beat. A speculative prefetch is worth
-  // its next scheduled access; a demand staging is being read RIGHT NOW
-  // (its remaining chunks are served from the new copy), so its
-  // effective next access is the current clock no matter what the
-  // schedule says later.
-  const std::uint64_t incoming_next =
-      incoming_active ? clock_ : NextAccessLocked(incoming.name);
-  if (incoming_next == kNever) {
-    // A prefetch of a file the schedule never (again) names: caching it
-    // cannot pay off, so nothing should yield space for it.
-    return {};
-  }
-  // Belady: evict the placed file whose next access is farthest away —
-  // but never one needed within the protect window (those are exactly
-  // what the look-ahead prefetcher just staged), and never one needed
-  // sooner than the incoming file itself.
-  const std::uint64_t horizon = clock_ + protect_window_;
   return RankedPlacedFiles(
       metadata, incoming,
-      [this, incoming_next,
-       horizon](const FileInfo& f) -> std::optional<std::uint64_t> {
+      [this, bar, incoming_active](
+          const FileInfo& f) -> std::optional<std::uint64_t> {
         const std::uint64_t next = NextAccessLocked(f.name);
-        if (next != kNever && (next <= horizon || next <= incoming_next)) {
-          return std::nullopt;  // needed soon: protected
-        }
-        // Also protect files consumed recently on the PAST side: a file
-        // whose access just rolled by is likely mid-visit (later chunks
-        // of the same read still being served by parallel readers), and
-        // a freshly demand-placed copy would otherwise be the farthest-
-        // next-access file — evicting it before its own read finishes
-        // throws the copy away at its moment of maximum value. Visits
-        // overlap across reader threads, so the past window is wider
-        // than the schedule-position one.
-        const auto consumed = last_consumed_.find(f.name);
-        if (consumed != last_consumed_.end() &&
-            consumed->second + 4 * protect_window_ >= clock_) {
-          return std::nullopt;
-        }
+        if (!incoming_active && next <= bar) return std::nullopt;
         return next;
       },
       /*ascending=*/false);
@@ -235,9 +204,6 @@ PlacementPolicyPtr MakeLruPolicy() { return std::make_unique<LruPolicy>(); }
 PlacementPolicyPtr MakeHotspotPolicy(std::uint64_t decay_interval) {
   return std::make_unique<HotspotPolicy>(decay_interval);
 }
-PlacementPolicyPtr MakeClairvoyantPolicy(std::uint64_t protect_window) {
-  return std::make_unique<ClairvoyantPolicy>(protect_window);
-}
 
 Result<PlacementPolicyPtr> MakePlacementPolicyByName(
     const std::string& name, const PlacementPolicyKnobs& knobs) {
@@ -248,11 +214,13 @@ Result<PlacementPolicyPtr> MakePlacementPolicyByName(
     return MakeHotspotPolicy(knobs.hotspot_decay_interval);
   }
   if (name == "clairvoyant") {
-    return MakeClairvoyantPolicy(knobs.clairvoyant_protect_window);
+    return InvalidArgumentError(
+        "placement policy 'clairvoyant' was removed: every evicting policy "
+        "ranks by the run schedule when one is published; use 'lru'");
   }
   return InvalidArgumentError(
       "unknown placement policy '" + name +
-      "' (expected first-fit | round-robin | lru | hotspot | clairvoyant)");
+      "' (expected first-fit | round-robin | lru | hotspot)");
 }
 
 }  // namespace monarch::core

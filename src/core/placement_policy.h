@@ -10,7 +10,6 @@
 //   PickLevel        stage-in decision (reserves quota; race-free)
 //   SelectVictims    evict-out decision: placed files to drop, best first
 //   OnAccess         one demand access of a file (policy bookkeeping)
-//   OnSchedule       the whole run's access sequence, when known
 //
 // Shipped policies (docs/PLACEMENT.md is the handbook):
 //   first-fit    the paper's: fastest-tier-first, never evicts on its own
@@ -18,10 +17,10 @@
 //   lru          first-fit staging + least-recently-accessed eviction
 //   hotspot      first-fit staging + dm-cache-style decayed-frequency
 //                eviction (cold files go first)
-//   clairvoyant  first-fit staging + Belady eviction over the whole-run
-//                shuffle schedule (farthest-next-access goes first); the
-//                only policy whose *prefetch* lane may evict, because its
-//                speculative copies are certain future reads
+//
+// When the trainer publishes the run's schedule, an evicting policy's
+// handler ranks victims by RunSchedule (Belady) instead of the policy's
+// SelectVictims.
 //
 // PickLevel both selects a level and reserves the quota on it (the
 // reservation is the only way the decision can be made race-free under a
@@ -58,37 +57,22 @@ class PlacementPolicy {
   [[nodiscard]] virtual std::string Name() const = 0;
 
   /// Whether the DEMAND lane may evict placed files when PickLevel finds
-  /// no room. The paper's policies answer no (never evict); the ISSUE 6
-  /// policies answer yes.
+  /// no room. The paper's policies answer no (never evict); lru and
+  /// hotspot answer yes.
   [[nodiscard]] virtual bool EvictsUnderPressure() const { return false; }
-
-  /// Whether the PREFETCH lane may evict too. Only clairvoyant: its
-  /// speculative copies are certain future reads, so trading a far-future
-  /// file for a near-future one is a guaranteed win, not a gamble.
-  [[nodiscard]] virtual bool PrefetchMayEvict() const { return false; }
-
-  /// The whole run's demand access sequence (every epoch's shuffled file
-  /// order, concatenated), when the integration layer can compute it in
-  /// advance. Replaces any previous schedule. Default: ignored.
-  virtual void OnSchedule(const std::vector<std::string>& /*sequence*/) {}
 
   /// One demand access of `file` (the read path calls this once per file
   /// visit, not per chunk). Default: ignored — FileInfo::last_access is
   /// maintained by the read path regardless.
   virtual void OnAccess(const FileInfo& /*file*/) {}
 
-  /// Rank placed files as eviction candidates to make room for
-  /// `incoming`, best victim first. `incoming_active` says a demand read
-  /// of `incoming` is in flight right now (placing it also serves that
-  /// read's remaining chunks — its effective next access is *now*);
-  /// false means a speculative prefetch. May return files the caller
-  /// cannot claim (lost races, pinned reads) — the caller walks the list
-  /// until enough space is free. An empty list refuses the eviction. The
-  /// default is LRU order, so any policy combined with the
+  /// Rank placed files other than `incoming` as eviction candidates,
+  /// best victim first. May return files the caller cannot claim (lost
+  /// races, pinned reads): the caller walks the list until enough space
+  /// is free. The default is LRU order, so any policy combined with the
   /// `enable_eviction` ablation keeps the pre-ISSUE-6 behaviour.
   virtual std::vector<FileInfoPtr> SelectVictims(
-      const MetadataContainer& metadata, const FileInfo& incoming,
-      bool incoming_active);
+      const MetadataContainer& metadata, const FileInfo& incoming);
 };
 
 using PlacementPolicyPtr = std::unique_ptr<PlacementPolicy>;
@@ -136,8 +120,7 @@ class HotspotPolicy final : public FirstFitPolicy {
   [[nodiscard]] bool EvictsUnderPressure() const override { return true; }
   void OnAccess(const FileInfo& file) override;
   std::vector<FileInfoPtr> SelectVictims(const MetadataContainer& metadata,
-                                         const FileInfo& incoming,
-                                         bool incoming_active) override;
+                                         const FileInfo& incoming) override;
 
   /// Current decayed access count of `name` (tests).
   [[nodiscard]] std::uint64_t FrequencyOf(const std::string& name) const;
@@ -149,70 +132,68 @@ class HotspotPolicy final : public FirstFitPolicy {
   std::uint64_t accesses_since_decay_ = 0;                    ///< under mu_
 };
 
-/// Belady's algorithm over the known whole-run schedule (NoPFS-style):
-/// every epoch's shuffle order derives from a seeded RNG, so the full
-/// access sequence is computable before the run starts. OnSchedule
-/// installs it; OnAccess advances a virtual clock through it; victims are
-/// the placed files whose next access is farthest in the future — and
-/// never a file needed within `protect_window` upcoming accesses, nor one
-/// needed sooner than the incoming file itself. Without a schedule the
-/// policy degrades to LRU (the base-class ranking).
-class ClairvoyantPolicy final : public FirstFitPolicy {
+/// The run's published demand access order (Monarch::InstallRunSchedule:
+/// every epoch's shuffled file list, concatenated), owned by the
+/// PlacementHandler of an evicting policy. Install records each file's
+/// schedule positions, NoteAccess consumes one per file visit and
+/// advances the access clock, and SelectVictims ranks placed files the
+/// Belady way: farthest next use first. Thread-safe.
+class RunSchedule {
  public:
-  explicit ClairvoyantPolicy(std::uint64_t protect_window = 64);
+  /// Replace the schedule and restart the clock; an empty sequence
+  /// uninstalls it.
+  void Install(const std::vector<std::string>& sequence);
+  /// One demand visit of `name`: consume its pending position and move
+  /// the clock past it.
+  void NoteAccess(const std::string& name);
 
-  [[nodiscard]] std::string Name() const override { return "clairvoyant"; }
-  [[nodiscard]] bool EvictsUnderPressure() const override { return true; }
-  [[nodiscard]] bool PrefetchMayEvict() const override { return true; }
-  void OnSchedule(const std::vector<std::string>& sequence) override;
-  void OnAccess(const FileInfo& file) override;
-  std::vector<FileInfoPtr> SelectVictims(const MetadataContainer& metadata,
-                                         const FileInfo& incoming,
-                                         bool incoming_active) override;
-
-  /// Schedule position of `name`'s next unconsumed access, or nullopt
-  /// when the schedule never (again) names it (tests/monarchctl).
+  /// Schedule positions consumed so far (the clock) and in total; a
+  /// length of 0 means no schedule is installed.
+  [[nodiscard]] std::uint64_t clock() const;
+  [[nodiscard]] std::uint64_t length() const;
+  /// Position of `name`'s next pending access, or nullopt when the
+  /// schedule never (again) names it.
   [[nodiscard]] std::optional<std::uint64_t> NextAccessOf(
       const std::string& name) const;
-  /// Current virtual clock: schedule positions < this are consumed.
-  [[nodiscard]] std::uint64_t ScheduleClock() const;
+
+  /// Placed files other than `incoming`, farthest next use first and
+  /// never-again files ahead of all. A demand staging (`incoming_active`:
+  /// its read is running now) may take any of them. A prefetch only
+  /// those needed later than its own next access, and none at all when
+  /// the schedule never names it again. nullopt when no schedule is
+  /// installed: the caller ranks by its policy instead.
+  [[nodiscard]] std::optional<std::vector<FileInfoPtr>> SelectVictims(
+      const MetadataContainer& metadata, const FileInfo& incoming,
+      bool incoming_active) const;
 
  private:
-  /// Next unconsumed position of `name`, `kNever` when none. Drops
-  /// positions already behind the clock. Caller holds mu_.
+  /// Next pending position of `name`, `kNever` when none. Caller holds
+  /// mu_.
   std::uint64_t NextAccessLocked(const std::string& name) const;
 
   static constexpr std::uint64_t kNever = ~0ull;
 
-  const std::uint64_t protect_window_;
   mutable std::mutex mu_;
-  /// Per-file queue of schedule positions, ascending; fronts already
-  /// behind `clock_` are lazily dropped. Under mu_.
+  /// Per-file pending schedule positions, ascending. Under mu_.
   mutable std::unordered_map<std::string, std::deque<std::uint64_t>>
       positions_;
-  /// Last consumed schedule position per file: files within
-  /// `protect_window_` behind the clock are still mid-visit (chunked
-  /// readers) and never evicted. Under mu_.
-  std::unordered_map<std::string, std::uint64_t> last_consumed_;
-  std::uint64_t clock_ = 0;        ///< under mu_
-  bool schedule_installed_ = false;  ///< under mu_
+  std::uint64_t clock_ = 0;   ///< under mu_
+  std::uint64_t length_ = 0;  ///< under mu_; 0 = not installed
 };
 
 PlacementPolicyPtr MakeFirstFitPolicy();
 PlacementPolicyPtr MakeRoundRobinPolicy();
 PlacementPolicyPtr MakeLruPolicy();
 PlacementPolicyPtr MakeHotspotPolicy(std::uint64_t decay_interval = 256);
-PlacementPolicyPtr MakeClairvoyantPolicy(std::uint64_t protect_window = 64);
 
 /// Per-policy tuning knobs (`[placement]` INI section; docs/CONFIG.md).
 struct PlacementPolicyKnobs {
   std::uint64_t hotspot_decay_interval = 256;
-  std::uint64_t clairvoyant_protect_window = 64;
 };
 
 /// Construct a policy from its config name: first-fit | round-robin |
-/// lru | hotspot | clairvoyant. Unknown names are errors (config typos
-/// fail before a multi-hour job starts).
+/// lru | hotspot. Unknown names are errors (config typos fail before a
+/// multi-hour job starts).
 Result<PlacementPolicyPtr> MakePlacementPolicyByName(
     const std::string& name, const PlacementPolicyKnobs& knobs = {});
 

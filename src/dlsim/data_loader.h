@@ -52,8 +52,8 @@ struct Sample {
 /// The deterministic per-epoch file order: `files` shuffled with the
 /// epoch index mixed into the seed (tf.data reshuffle_each_iteration).
 /// EpochLoader uses this for its reading order, and the Trainer uses the
-/// same function to precompute the WHOLE run's access sequence for the
-/// clairvoyant placement policy (ISSUE 6) — one definition, so the
+/// same function to precompute the WHOLE run's access sequence for
+/// MONARCH's eviction ranking — one definition, so the
 /// exported schedule can never drift from what the loader actually reads.
 std::vector<std::string> ShuffledFileOrder(std::vector<std::string> files,
                                            std::uint64_t shuffle_seed,

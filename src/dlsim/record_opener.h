@@ -42,8 +42,7 @@ class RecordFileOpener {
   /// file list per epoch, epoch order — before the first epoch starts
   /// (the per-epoch shuffles are seeded, so the full sequence is
   /// computable up front). Openers backed by a schedule-aware store
-  /// (MONARCH's clairvoyant placement policy, ISSUE 6) hook this; the
-  /// default ignores it.
+  /// (MONARCH ranks evictions by it) hook this; the default ignores it.
   virtual void OnRunSchedule(
       const std::vector<std::vector<std::string>>& /*epochs*/) {}
 

@@ -38,10 +38,10 @@ struct ExperimentConfig {
   std::uint64_t staging_buffer_bytes = 0;
   std::uint64_t staging_chunk_bytes = 0;
   /// MONARCH placement policy by config name (first-fit | round-robin |
-  /// lru | hotspot | clairvoyant); empty = first-fit. The fig4 policy
-  /// sweep varies this; docs/PLACEMENT.md is the handbook.
+  /// lru | hotspot); empty = first-fit. The fig4 policy sweep varies
+  /// this; docs/PLACEMENT.md is the handbook.
   std::string placement_policy;
-  /// Per-policy eviction knobs (hotspot decay, clairvoyant window).
+  /// Per-policy eviction knobs (hotspot decay).
   core::PlacementPolicyKnobs policy_knobs;
   /// Seed for PFS contention + shuffling; vary per run for error bars.
   std::uint64_t run_seed = 1;

@@ -54,8 +54,8 @@ Result<TrainingResult> Trainer::Train() {
   // Whole-run schedule export (ISSUE 6): every epoch's shuffle order is
   // deterministic given (seed, epoch), so the full access sequence is
   // knowable before the first read. Publish it through the opener — the
-  // MONARCH integration feeds it to the clairvoyant placement policy;
-  // every other opener ignores it.
+  // MONARCH integration ranks evictions by it (Belady); every other
+  // opener ignores it.
   {
     std::vector<std::vector<std::string>> run_schedule;
     run_schedule.reserve(static_cast<std::size_t>(

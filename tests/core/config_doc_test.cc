@@ -116,9 +116,9 @@ TEST(ConfigDocTest, EveryCatalogueSampleParses) {
   ASSERT_TRUE(parsed.ok()) << parsed.status() << "\nfrom INI:\n" << ini.str();
 
   // Spot-check that the samples flowed through to the parsed view.
-  EXPECT_EQ(parsed->placement_policy, "clairvoyant");
+  EXPECT_EQ(parsed->placement_policy, "lru");
   EXPECT_EQ(parsed->policy_knobs.hotspot_decay_interval, 256u);
-  EXPECT_EQ(parsed->policy_knobs.clairvoyant_protect_window, 64u);
+  EXPECT_EQ(catalogue.size(), 68u);
   ASSERT_EQ(parsed->cache_tiers.size(), 1u);
   EXPECT_TRUE(parsed->peer.enabled);
   EXPECT_TRUE(parsed->checkpoint.enabled);

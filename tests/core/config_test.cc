@@ -83,6 +83,20 @@ TEST(ParseConfigTest, RejectsUnknownKeysAndSections) {
                      ParseConfig("[mystery]\nx=1\n"));
 }
 
+TEST(ParseConfigTest, RejectsRemovedClairvoyantPolicyAndWindow) {
+  const std::string base = std::string(kValidIni) + "[placement]\n";
+  const auto window = ParseConfig(base + "clairvoyant_protect_window = 64\n");
+  EXPECT_STATUS_CODE(StatusCode::kInvalidArgument, window);
+  EXPECT_NE(window.status().message().find("unknown placement key"),
+            std::string::npos)
+      << window.status();
+  const auto policy = ParseConfig(base + "policy = clairvoyant\n");
+  EXPECT_STATUS_CODE(StatusCode::kInvalidArgument, policy);
+  EXPECT_NE(policy.status().message().find("'lru'"), std::string::npos)
+      << policy.status();
+  EXPECT_OK(ParseConfig(base + "policy = lru\n"));
+}
+
 TEST(ParseConfigTest, RejectsStructuralErrors) {
   // No PFS.
   EXPECT_STATUS_CODE(

@@ -1,7 +1,9 @@
 // Eviction-correctness tests for the ISSUE 6 placement policies: the
-// policy-side ranking rules (Belady ordering, protect windows, hotspot
-// decay) and the handler-side mechanics they plug into (read pins,
-// peer-directory notifications, dynamic headroom after refusals).
+// ranking rules (LRU, hotspot decay, and the run schedule's Belady
+// ordering — the Clairvoyant* cases, after Dryden et al.'s clairvoyant
+// prefetcher) and the handler-side mechanics they plug into (read pins,
+// schedule-ranked eviction on both lanes, peer-directory notifications,
+// dynamic headroom after refusals).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -55,24 +57,26 @@ class EvictionPolicyTest : public ::testing::Test {
 };
 
 TEST_F(EvictionPolicyTest, FactoryKnowsEveryPolicyAndRejectsTypos) {
-  for (const auto& [name, evicts, prefetch_evicts] :
-       std::vector<std::tuple<std::string, bool, bool>>{
-           {"first-fit", false, false},
-           {"round-robin", false, false},
-           {"lru", true, false},
-           {"hotspot", true, false},
-           {"clairvoyant", true, true}}) {
+  for (const auto& [name, evicts] : std::vector<std::pair<std::string, bool>>{
+           {"first-fit", false},
+           {"round-robin", false},
+           {"lru", true},
+           {"hotspot", true}}) {
     auto policy = MakePlacementPolicyByName(name);
     ASSERT_TRUE(policy.ok()) << name;
     EXPECT_EQ((*policy)->Name(), name);
     EXPECT_EQ((*policy)->EvictsUnderPressure(), evicts) << name;
-    EXPECT_EQ((*policy)->PrefetchMayEvict(), prefetch_evicts) << name;
   }
   // "" means "the default" for configs that never set the key.
   ASSERT_TRUE(MakePlacementPolicyByName("").ok());
   EXPECT_EQ((*MakePlacementPolicyByName(""))->Name(), "first-fit");
   EXPECT_FALSE(MakePlacementPolicyByName("belady").ok());
   EXPECT_FALSE(MakePlacementPolicyByName("LRU").ok()) << "names are exact";
+  // The removed Belady policy points its users at the replacement.
+  const auto removed = MakePlacementPolicyByName("clairvoyant");
+  ASSERT_FALSE(removed.ok());
+  EXPECT_NE(removed.status().message().find("'lru'"), std::string::npos)
+      << removed.status();
 }
 
 TEST_F(EvictionPolicyTest, LruRanksOldestAccessFirst) {
@@ -81,11 +85,11 @@ TEST_F(EvictionPolicyTest, LruRanksOldestAccessFirst) {
   Placed("c", /*last_access=*/20);
   auto incoming = Incoming("d");
   LruPolicy lru;
-  EXPECT_EQ(Names(lru.SelectVictims(metadata_, *incoming, false)),
+  EXPECT_EQ(Names(lru.SelectVictims(metadata_, *incoming)),
             (std::vector<std::string>{"b", "c", "a"}));
   // The incoming file itself is never its own victim.
   auto self = Placed("e", 1);
-  const auto victims = Names(lru.SelectVictims(metadata_, *self, true));
+  const auto victims = Names(lru.SelectVictims(metadata_, *self));
   EXPECT_EQ(std::count(victims.begin(), victims.end(), "e"), 0);
 }
 
@@ -99,7 +103,7 @@ TEST_F(EvictionPolicyTest, HotspotDecayHalvesCountsAndEvictsColdestFirst) {
   EXPECT_EQ(policy.FrequencyOf("cold"), 1u);
 
   auto incoming = Incoming("new");
-  auto victims = Names(policy.SelectVictims(metadata_, *incoming, true));
+  auto victims = Names(policy.SelectVictims(metadata_, *incoming));
   ASSERT_EQ(victims.size(), 2u);
   EXPECT_EQ(victims.front(), "cold");
 
@@ -110,122 +114,112 @@ TEST_F(EvictionPolicyTest, HotspotDecayHalvesCountsAndEvictsColdestFirst) {
 }
 
 TEST_F(EvictionPolicyTest, ClairvoyantTracksScheduleClockAndNextAccess) {
-  ClairvoyantPolicy policy(/*protect_window=*/2);
-  auto a = Placed("a");
-  auto b = Placed("b");
-  policy.OnSchedule({"a", "b", "a", "c"});
-  EXPECT_EQ(policy.ScheduleClock(), 0u);
-  ASSERT_TRUE(policy.NextAccessOf("a").has_value());
-  EXPECT_EQ(*policy.NextAccessOf("a"), 0u);
-  EXPECT_EQ(*policy.NextAccessOf("b"), 1u);
-  EXPECT_FALSE(policy.NextAccessOf("never-named").has_value());
+  RunSchedule schedule;
+  EXPECT_EQ(schedule.length(), 0u) << "nothing installed yet";
+  schedule.Install({"a", "b", "a", "c"});
+  EXPECT_EQ(schedule.length(), 4u);
+  EXPECT_EQ(schedule.clock(), 0u);
+  ASSERT_TRUE(schedule.NextAccessOf("a").has_value());
+  EXPECT_EQ(*schedule.NextAccessOf("a"), 0u);
+  EXPECT_EQ(*schedule.NextAccessOf("b"), 1u);
+  EXPECT_FALSE(schedule.NextAccessOf("never-named").has_value());
 
-  policy.OnAccess(*a);
-  EXPECT_EQ(policy.ScheduleClock(), 1u);
-  EXPECT_EQ(*policy.NextAccessOf("a"), 2u);
-  policy.OnAccess(*b);
-  policy.OnAccess(*a);
-  EXPECT_EQ(policy.ScheduleClock(), 3u);
-  EXPECT_FALSE(policy.NextAccessOf("a").has_value())
+  schedule.NoteAccess("a");
+  EXPECT_EQ(schedule.clock(), 1u);
+  EXPECT_EQ(*schedule.NextAccessOf("a"), 2u);
+  schedule.NoteAccess("b");
+  schedule.NoteAccess("a");
+  EXPECT_EQ(schedule.clock(), 3u);
+  EXPECT_FALSE(schedule.NextAccessOf("a").has_value())
       << "both occurrences consumed";
 
   // Reinstalling a schedule resets the clock and the consumed history.
-  policy.OnSchedule({"b", "a"});
-  EXPECT_EQ(policy.ScheduleClock(), 0u);
-  EXPECT_EQ(*policy.NextAccessOf("a"), 1u);
+  schedule.Install({"b", "a"});
+  EXPECT_EQ(schedule.clock(), 0u);
+  EXPECT_EQ(*schedule.NextAccessOf("a"), 1u);
+}
+
+TEST_F(EvictionPolicyTest, ClairvoyantLateVisitConsumesItsOwnPosition) {
+  // Two readers: "y" (position 1) is opened before "x" (position 0).
+  // The clock passes x's position, but x's late visit must consume that
+  // position, not its next epoch's, or the clock would jump an epoch.
+  RunSchedule schedule;
+  schedule.Install({"x", "y", "z", "w", "x", "y", "z", "w"});
+  schedule.NoteAccess("y");
+  EXPECT_EQ(schedule.clock(), 2u);
+  EXPECT_EQ(*schedule.NextAccessOf("x"), 0u) << "late, so needed now";
+  schedule.NoteAccess("x");
+  EXPECT_EQ(schedule.clock(), 2u);
+  EXPECT_EQ(*schedule.NextAccessOf("x"), 4u);
+
+  // A visit that never came ("z" at 2) is dropped once the file's next
+  // position lies closer to the clock than the missed one.
+  schedule.NoteAccess("w");
+  EXPECT_EQ(*schedule.NextAccessOf("z"), 2u);
+  schedule.NoteAccess("x");
+  schedule.NoteAccess("y");
+  EXPECT_EQ(schedule.clock(), 6u);
+  EXPECT_EQ(*schedule.NextAccessOf("z"), 6u);
 }
 
 TEST_F(EvictionPolicyTest, ClairvoyantEvictsFarthestNextAccess) {
-  ClairvoyantPolicy policy(/*protect_window=*/0);
   Placed("soon");
   Placed("later");
   Placed("farthest");
+  Placed("one-shot");
   auto incoming = Incoming("incoming");
-  policy.OnSchedule({"incoming", "soon", "later", "farthest"});
-  const auto victims =
-      Names(policy.SelectVictims(metadata_, *incoming, false));
-  // Belady: farthest next access first; "soon"/"later" rank behind it
-  // but are still offered (the handler stops once space suffices).
-  ASSERT_FALSE(victims.empty());
-  EXPECT_EQ(victims.front(), "farthest");
-}
-
-TEST_F(EvictionPolicyTest, ClairvoyantNeverEvictsWithinProtectWindow) {
-  ClairvoyantPolicy policy(/*protect_window=*/4);
-  Placed("imminent");   // next access 1: inside the window
-  Placed("far");        // next access 20: evictable
-  auto incoming = Incoming("incoming");
-  std::vector<std::string> schedule(21, "filler");
-  schedule[1] = "imminent";
-  schedule[10] = "incoming";
-  schedule[20] = "far";
-  policy.OnSchedule(schedule);
-  const auto victims =
-      Names(policy.SelectVictims(metadata_, *incoming, false));
-  EXPECT_EQ(std::count(victims.begin(), victims.end(), "imminent"), 0)
-      << "a file needed within the protect window must never be a victim";
-  EXPECT_EQ(victims, std::vector<std::string>{"far"});
+  RunSchedule schedule;
+  schedule.Install({"one-shot", "incoming", "soon", "later", "farthest"});
+  schedule.NoteAccess("one-shot");
+  const auto victims = schedule.SelectVictims(metadata_, *incoming, true);
+  ASSERT_TRUE(victims.has_value());
+  // Belady: a file never named again goes first, then farthest next use;
+  // the demand lane may take any of them (the handler stops once space
+  // suffices).
+  EXPECT_EQ(Names(*victims),
+            (std::vector<std::string>{"one-shot", "farthest", "later", "soon"}));
 }
 
 TEST_F(EvictionPolicyTest, ClairvoyantProtectsSoonerNeededResidents) {
-  // The resident is needed BEFORE the incoming prefetch: evicting it
-  // would trade a near hit for a far one, so the eviction is refused.
-  ClairvoyantPolicy policy(/*protect_window=*/0);
+  // The resident is needed BEFORE the prefetched file: evicting it would
+  // trade a near hit for a far one, so the eviction is refused.
   Placed("resident");
+  Placed("after");
   auto incoming = Incoming("incoming");
-  policy.OnSchedule({"filler", "resident", "incoming"});
-  EXPECT_TRUE(policy.SelectVictims(metadata_, *incoming, false).empty());
+  RunSchedule schedule;
+  schedule.Install({"filler", "resident", "incoming", "after"});
+  EXPECT_EQ(Names(*schedule.SelectVictims(metadata_, *incoming, false)),
+            std::vector<std::string>{"after"});
 
-  // The same incoming file being demand-read RIGHT NOW is worth "now":
-  // the resident's position 1 is later than the clock, so it yields.
-  // (Past-side protection does not apply — "resident" was never read.)
-  const auto victims =
-      Names(policy.SelectVictims(metadata_, *incoming, true));
-  EXPECT_EQ(victims, std::vector<std::string>{"resident"});
+  // The same file being demand-read RIGHT NOW is worth "now": every
+  // resident may yield.
+  EXPECT_EQ(Names(*schedule.SelectVictims(metadata_, *incoming, true)),
+            (std::vector<std::string>{"after", "resident"}));
 }
 
 TEST_F(EvictionPolicyTest, ClairvoyantRefusesPrefetchOfNeverAgainFile) {
-  ClairvoyantPolicy policy(/*protect_window=*/0);
   Placed("resident");
   auto incoming = Incoming("one-shot");
-  policy.OnSchedule({"one-shot", "filler", "resident"});
-  policy.OnAccess(*incoming);  // its only occurrence is consumed
+  RunSchedule schedule;
+  schedule.Install({"one-shot", "filler", "resident"});
+  schedule.NoteAccess("one-shot");  // its only occurrence is consumed
   // A speculative prefetch of a never-again file cannot pay off.
-  EXPECT_TRUE(policy.SelectVictims(metadata_, *incoming, false).empty());
+  EXPECT_TRUE(schedule.SelectVictims(metadata_, *incoming, false)->empty());
   // But an active demand read of it still deserves the space.
-  EXPECT_FALSE(policy.SelectVictims(metadata_, *incoming, true).empty());
-}
-
-TEST_F(EvictionPolicyTest, ClairvoyantProtectsRecentlyConsumedFiles) {
-  // Past-side protection: a file whose schedule position just rolled by
-  // is likely mid-visit (chunked readers) and must not be the victim,
-  // even when its NEXT access is the farthest of all.
-  ClairvoyantPolicy policy(/*protect_window=*/2);
-  auto fresh = Placed("fresh");
-  Placed("other");
-  auto incoming = Incoming("incoming");
-  std::vector<std::string> schedule(30, "filler");
-  schedule[0] = "fresh";
-  schedule[2] = "incoming";
-  schedule[10] = "other";
-  schedule[29] = "fresh";  // farthest next access -> Belady's top pick
-  policy.OnSchedule(schedule);
-  policy.OnAccess(*fresh);  // consume position 0: the visit is in flight
-  const auto victims =
-      Names(policy.SelectVictims(metadata_, *incoming, true));
-  EXPECT_EQ(std::count(victims.begin(), victims.end(), "fresh"), 0)
-      << "consumed within 4x the protect window: still mid-visit";
-  EXPECT_EQ(victims, std::vector<std::string>{"other"});
+  EXPECT_FALSE(schedule.SelectVictims(metadata_, *incoming, true)->empty());
 }
 
 TEST_F(EvictionPolicyTest, ClairvoyantWithoutScheduleDegradesToLru) {
-  ClairvoyantPolicy policy;
   Placed("old", /*last_access=*/1);
   Placed("new", /*last_access=*/2);
   auto incoming = Incoming("incoming");
-  const auto victims =
-      Names(policy.SelectVictims(metadata_, *incoming, true));
-  EXPECT_EQ(victims, (std::vector<std::string>{"old", "new"}));
+  RunSchedule schedule;
+  EXPECT_FALSE(schedule.SelectVictims(metadata_, *incoming, true).has_value());
+  schedule.Install({});
+  EXPECT_EQ(schedule.length(), 0u) << "an empty sequence uninstalls";
+  LruPolicy lru;
+  EXPECT_EQ(Names(lru.SelectVictims(metadata_, *incoming)),
+            (std::vector<std::string>{"old", "new"}));
 }
 
 // ---------------------------------------------------------------------
@@ -262,6 +256,13 @@ class EvictionHandlerTest : public ::testing::Test {
   void Stage(const FileInfoPtr& file) {
     ASSERT_TRUE(file->TryBeginFetch());
     handler_->SchedulePlacement(file, {});
+    handler_->Drain();
+  }
+
+  /// Claim + prefetch-stage + drain.
+  void Prefetch(const FileInfoPtr& file) {
+    ASSERT_TRUE(file->TryBeginFetch());
+    handler_->SchedulePlacement(file, {}, StagingLane::kPrefetch);
     handler_->Drain();
   }
 
@@ -317,31 +318,88 @@ TEST_F(EvictionHandlerTest, DynamicHeadroomAfterRefusal) {
   // because headroom is dynamic — the same file can fit later once an
   // eviction frees room. (Under first-fit the same rejection is
   // terminal: kUnplaceable.)
-  Build(/*quota=*/15, MakeClairvoyantPolicy(/*protect_window=*/0));
+  Build(/*quota=*/15, MakeLruPolicy());
   auto resident = AddPfsFile("resident", "0123456789");
   Stage(resident);
   ASSERT_EQ(PlacementState::kPlaced, resident->state.load());
 
   // The schedule says the resident is needed before "blocked" is ever
-  // read again, so clairvoyant refuses to displace it.
+  // read, so a prefetch of "blocked" may not displace it.
   auto blocked = AddPfsFile("blocked", "0123456789");
   handler_->InstallSchedule({"resident", "blocked"});
-  Stage(blocked);
+  Prefetch(blocked);
   EXPECT_EQ(PlacementState::kPfsOnly, blocked->state.load())
       << "refusal must leave the file retryable, not unplaceable";
-  EXPECT_TRUE(blocked->stage_refused.load());
   EXPECT_GE(handler_->Stats().eviction_refused, 1u);
 
   // The schedule advances past the resident's last access: now the same
   // incoming file wins and the previously-refused placement succeeds.
   handler_->NoteAccess(*resident);
-  blocked->stage_refused.store(false);
-  Stage(blocked);
+  Prefetch(blocked);
   EXPECT_EQ(PlacementState::kPlaced, blocked->state.load());
   EXPECT_EQ(PlacementState::kPfsOnly, resident->state.load());
   EXPECT_EQ(1u, handler_->Stats().evictions);
   EXPECT_EQ(10u, hierarchy_->Level(0).occupancy_bytes())
       << "evicted quota must be released, placed quota reserved";
+}
+
+TEST_F(EvictionHandlerTest, ScheduledLruEvictsFarthestNextUse) {
+  // With a published schedule an lru handler ranks by next use, not by
+  // recency: "recent" was read last but is not needed again until after
+  // "stale", so it is the one that yields.
+  Build(/*quota=*/25, MakeLruPolicy());
+  auto stale = AddPfsFile("stale", "0123456789");
+  stale->last_access.store(1);
+  Stage(stale);
+  auto recent = AddPfsFile("recent", "0123456789");
+  recent->last_access.store(2);
+  Stage(recent);
+  handler_->InstallSchedule({"incoming", "stale", "recent"});
+  EXPECT_EQ("schedule (clock 0 of 3 accesses)", handler_->EvictionRanking());
+
+  auto incoming = AddPfsFile("incoming", "0123456789");
+  handler_->NoteAccess(*incoming);
+  EXPECT_EQ("schedule (clock 1 of 3 accesses)", handler_->EvictionRanking());
+  Stage(incoming);
+  EXPECT_EQ(PlacementState::kPlaced, incoming->state.load());
+  EXPECT_EQ(PlacementState::kPlaced, stale->state.load())
+      << "the least recent file is needed soonest and must stay";
+  EXPECT_EQ(PlacementState::kPfsOnly, recent->state.load());
+}
+
+TEST_F(EvictionHandlerTest, ScheduledPrefetchMayEvictUnderLru) {
+  Build(/*quota=*/15, MakeLruPolicy());
+  EXPECT_EQ("policy (lru)", handler_->EvictionRanking());
+  auto resident = AddPfsFile("resident", "0123456789");
+  Stage(resident);
+  auto wanted = AddPfsFile("wanted", "0123456789");
+
+  // Without a schedule a prefetch is a guess and may not evict.
+  Prefetch(wanted);
+  EXPECT_EQ(PlacementState::kPfsOnly, wanted->state.load());
+  EXPECT_EQ(PlacementState::kPlaced, resident->state.load());
+
+  // With one, "wanted" is a certain read ahead of the resident's next
+  // use, so the prefetch lane takes its space.
+  handler_->InstallSchedule({"wanted", "resident"});
+  Prefetch(wanted);
+  EXPECT_EQ(PlacementState::kPlaced, wanted->state.load());
+  EXPECT_EQ(PlacementState::kPfsOnly, resident->state.load());
+  EXPECT_EQ(1u, handler_->Stats().prefetch_completed);
+}
+
+TEST_F(EvictionHandlerTest, FirstFitIgnoresTheSchedule) {
+  // A non-evicting policy never consults the schedule: it keeps ranking
+  // by itself, and its prefetch lane never evicts.
+  Build(/*quota=*/15, MakeFirstFitPolicy());
+  auto resident = AddPfsFile("resident", "0123456789");
+  Stage(resident);
+  handler_->InstallSchedule({"wanted", "resident"});
+  EXPECT_EQ("policy (first-fit)", handler_->EvictionRanking());
+  auto wanted = AddPfsFile("wanted", "0123456789");
+  Prefetch(wanted);
+  EXPECT_EQ(PlacementState::kPfsOnly, wanted->state.load());
+  EXPECT_EQ(PlacementState::kPlaced, resident->state.load());
 }
 
 TEST_F(EvictionHandlerTest, EvictionNotifiesPeerDirectory) {

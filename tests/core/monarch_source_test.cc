@@ -110,6 +110,58 @@ TEST_F(MonarchSourceTest, CorrectWhileStagingRacesReads) {
   EXPECT_EQ(1u, monarch_->Stats().placement.completed);
 }
 
+TEST_F(MonarchSourceTest, OpenSourcePinsItsStagedCopyAgainstEviction) {
+  // Under lru with room for one file, reading a second file must evict
+  // the first, unless a source still has the first one open: the visit
+  // pin keeps a freshly staged copy through the eviction pass, and the
+  // copy loses that protection once the source is destroyed.
+  tfrecord::TFRecordWriter writer;
+  for (int i = 0; i < 50; ++i) {
+    writer.Append(Bytes("record-" + std::to_string(i)));
+  }
+  ASSERT_OK(writer.Flush(*pfs_, "data/other.tfrecord"));
+  const std::uint64_t file_bytes =
+      pfs_->FileSize("data/train.tfrecord").value();
+  ASSERT_EQ(file_bytes, pfs_->FileSize("data/other.tfrecord").value());
+  MonarchConfig config;
+  config.cache_tiers.push_back(TierSpec{"local", local_, file_bytes});
+  config.pfs = TierSpec{"pfs", pfs_, 0};
+  config.dataset_dir = "data";
+  config.placement.num_threads = 2;
+  config.policy = MakeLruPolicy();
+  auto monarch = Monarch::Create(std::move(config));
+  ASSERT_OK(monarch);
+  monarch_ = std::move(monarch).value();
+  const FileInfoPtr train = monarch_->metadata().Lookup("data/train.tfrecord");
+  const FileInfoPtr other = monarch_->metadata().Lookup("data/other.tfrecord");
+  ASSERT_TRUE(train && other);
+
+  std::vector<std::byte> whole(file_bytes);
+  auto read_other = [&] {
+    ASSERT_OK(monarch_->Read("data/other.tfrecord", 0, whole));
+    monarch_->DrainPlacements();
+  };
+  {
+    MonarchSource source(*monarch_, "data/train.tfrecord");
+    std::vector<std::byte> head(64);
+    ASSERT_OK(source.ReadAt(0, head));
+    monarch_->DrainPlacements();
+    ASSERT_EQ(PlacementState::kPlaced, train->state.load());
+
+    read_other();
+    EXPECT_EQ(PlacementState::kPlaced, train->state.load())
+        << "the open visit must keep its staged copy";
+    EXPECT_NE(PlacementState::kPlaced, other->state.load());
+    EXPECT_GE(monarch_->Stats().placement.eviction_pinned_skips, 1u);
+    ASSERT_OK(source.ReadAt(file_bytes - 64, head));
+  }
+  read_other();  // the next visit's offset-0 read re-arms the staging
+  EXPECT_EQ(PlacementState::kPlaced, other->state.load());
+  EXPECT_EQ(PlacementState::kPfsOnly, train->state.load())
+      << "a closed visit no longer protects the copy";
+  EXPECT_EQ(1u, monarch_->Stats().placement.evictions);
+}
+
 TEST_F(MonarchSourceTest, MissingFileSurfacesNotFound) {
   MonarchSource source(*monarch_, "data/ghost.tfrecord");
   std::vector<std::byte> buf(16);

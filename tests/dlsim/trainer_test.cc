@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "../test_support.h"
+#include "core/monarch.h"
+#include "dlsim/monarch_opener.h"
 #include "storage/memory_engine.h"
 #include "workload/dataset_generator.h"
 
@@ -219,6 +221,78 @@ TEST_F(TrainerTest, MissingFileFailsTraining) {
   Trainer trainer(files, std::make_unique<EngineOpener>(engine_),
                   FastConfig(1));
   EXPECT_STATUS_CODE(StatusCode::kNotFound, trainer.Train());
+}
+
+/// Forwards to a MonarchOpener and, at each epoch start, drains staging
+/// and records how many copies have been published so far.
+class StagingCounter final : public RecordFileOpener {
+ public:
+  StagingCounter(core::Monarch& monarch, std::vector<std::uint64_t>* staged)
+      : monarch_(monarch), inner_(monarch), staged_(staged) {}
+
+  Result<tfrecord::RandomAccessSourcePtr> Open(
+      const std::string& path) override {
+    return inner_.Open(path);
+  }
+  void OnEpochStart(int epoch) override {
+    monarch_.DrainPlacements();
+    staged_->push_back(monarch_.Stats().placement.completed);
+    inner_.OnEpochStart(epoch);
+  }
+  void OnRunSchedule(
+      const std::vector<std::vector<std::string>>& epochs) override {
+    inner_.OnRunSchedule(epochs);
+  }
+  [[nodiscard]] std::string Name() const override { return "counting"; }
+
+ private:
+  core::Monarch& monarch_;
+  MonarchOpener inner_;
+  std::vector<std::uint64_t>* staged_;
+};
+
+TEST_F(TrainerTest, ScheduledLruStagesAboutHalfTheFilesPerSteadyEpoch) {
+  // 64 equal files, room for half of them, one reader, 4 shuffled
+  // epochs. Ranked by the published schedule (Belady), a steady epoch
+  // re-stages about half the files; ranked by recency, about 85 %.
+  workload::DatasetSpec spec;
+  spec.directory = "uniform";
+  spec.num_files = 64;
+  spec.samples_per_file = 4;
+  spec.mean_sample_bytes = 1024;
+  spec.sample_size_jitter = 0;
+  auto manifest = workload::GenerateDataset(*engine_, spec);
+  ASSERT_OK(manifest);
+
+  core::MonarchConfig mc;
+  mc.cache_tiers.push_back(
+      core::TierSpec{"local", std::make_shared<storage::MemoryEngine>("local"),
+                     manifest.value().total_bytes / 2});
+  mc.pfs = core::TierSpec{"pfs", engine_, 0};
+  mc.dataset_dir = spec.directory;
+  mc.placement.num_threads = 2;
+  mc.policy = core::MakeLruPolicy();
+  auto monarch = core::Monarch::Create(std::move(mc));
+  ASSERT_OK(monarch);
+
+  TrainerConfig config = FastConfig(4);
+  config.loader.reader_threads = 1;
+  config.loader.shuffle_seed = 5;
+  std::vector<std::uint64_t> staged;
+  Trainer trainer(manifest.value().file_paths,
+                  std::make_unique<StagingCounter>(**monarch, &staged),
+                  config);
+  ASSERT_OK(trainer.Train());
+  (*monarch)->DrainPlacements();
+  staged.push_back((*monarch)->Stats().placement.completed);
+
+  ASSERT_EQ(5u, staged.size());
+  for (std::size_t epoch = 2; epoch <= 4; ++epoch) {
+    const std::uint64_t in_epoch = staged[epoch] - staged[epoch - 1];
+    EXPECT_LE(in_epoch * 100, 60u * spec.num_files)
+        << "epoch " << epoch << " staged " << in_epoch << " of "
+        << spec.num_files << " files";
+  }
 }
 
 }  // namespace

@@ -29,8 +29,9 @@
 //   monarchctl stage-status [--files N] [--lookahead N] [--read-fraction F]
 //                           [--policy NAME] [--quota BYTES]
 //       Drive the pipelined staging engine with a hinted demo workload
-//       and print its status: the active placement policy and its
-//       eviction counters (docs/PLACEMENT.md), per-class queue depths,
+//       and print its status: the active placement policy, what ranks
+//       its evictions (the published run schedule or the policy) and
+//       its eviction counters (docs/PLACEMENT.md), per-class queue depths,
 //       total in-flight bytes, buffer-pool occupancy, and the
 //       prefetch hit/waste counters (DESIGN.md "Staging pipeline").
 //       --quota shrinks the demo tier so eviction-capable policies
@@ -180,7 +181,7 @@ void PrintUsage() {
       "  monarchctl metrics dump [--format text|json] [--workload demo|none]\n"
       "  monarchctl trace   export FILE.json [--workload demo|none]\n"
       "  monarchctl stage-status [--files N] [--lookahead N] [--read-fraction F]\n"
-      "                     [--policy first-fit|round-robin|lru|hotspot|clairvoyant]\n"
+      "                     [--policy first-fit|round-robin|lru|hotspot]\n"
       "                     [--quota BYTES]\n"
       "  monarchctl pack-status [--files N] [--codec none|lz] [--chunk-bytes N]\n"
       "  monarchctl faults  [--local-rate R] [--pfs-rate R] [--corrupt-rate R]\n"
@@ -519,9 +520,11 @@ int CmdStageStatus(const Args& args) {
     return 2;
   }
 
-  // Publish the epoch order (what a data loader does), then demand-read
-  // the leading fraction of it so the cursor rolls and hits accrue; the
-  // tail of the hint list stays speculative (staged but never read).
+  // Publish the run schedule and the epoch order (what a trainer and its
+  // data loader do), then demand-read the leading fraction of it so the
+  // cursor rolls and hits accrue; the tail of the hint list stays
+  // speculative (staged but never read).
+  monarch.value()->InstallRunSchedule({order});
   monarch.value()->HintUpcoming(order);
   const int to_read = std::min(
       files, std::max(0, static_cast<int>(read_fraction * files + 0.5)));
@@ -552,7 +555,7 @@ int CmdStageStatus(const Args& args) {
             << "  policy          name=" << monarch.value()->policy().Name()
             << " evicts_under_pressure="
             << (monarch.value()->policy().EvictsUnderPressure() ? "yes" : "no")
-            << "\n"
+            << " ranked_by=" << monarch.value()->EvictionRanking() << "\n"
             << "  evictions       count=" << p.evictions
             << " bytes=" << FormatByteSize(p.evicted_bytes)
             << " refused=" << p.eviction_refused
