@@ -102,8 +102,9 @@ run_bench micro_metadata_scale ./build/bench/micro_metadata_scale
 # over the same generated dataset. Exits non-zero when the sparse pass's
 # PFS bytes stop scaling with bytes touched, the lz arm's effective
 # local-tier capacity drops below 1.5x, the arms' sample digests
-# diverge, or a packed full epoch reads more than 1.05x the naive arm's
-# PFS bytes (chunk-miss donation).
+# diverge, a packed full epoch reads more than 1.05x the naive arm's
+# PFS bytes (chunk-miss donation), or a warm packed epoch issues more
+# than one local-tier read op per whole-file read (run objects).
 run_bench ext_smallfile ./build/bench/ext_smallfile
 # Multi-tenant QoS gates (ISSUE 10): interactive p99 must stay within
 # 2x of its solo baseline as scan tenants ramp, aggregate scan

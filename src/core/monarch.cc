@@ -164,7 +164,8 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          p.chunk_stored_bytes,
          "post-codec bytes written to cache tiers by chunk staging");
   sample("monarch.chunk.evicted", "", obs::MetricKind::kCounter, "ops",
-         p.chunks_evicted, "chunk copies dropped from cache tiers");
+         p.chunks_evicted,
+         "chunks dropped from cache tiers (a whole run object at a time)");
   sample("monarch.pack.extents", "", obs::MetricKind::kGauge, "extents",
          stats.pack_extents,
          "container extents in the loaded pack index (0 = unpacked)");
@@ -650,72 +651,117 @@ Result<std::span<const std::byte>> Monarch::ServeChunks(
     std::uint64_t offset, std::uint64_t length, ReadAccess& access) {
   StorageDriver& tier = hierarchy_->Level(level);
   const pack::Codec* codec = placement_->pack_codec();
+  const std::uint32_t last_touched = cm.ChunkOf(offset + length - 1);
   for (std::uint64_t pos = 0; pos < length;) {
-    const std::uint32_t c = cm.ChunkOf(offset + pos);
-    const pack::ChunkMap::ChunkMeta meta = cm.Meta(c);
-    const std::uint32_t logical_n = cm.ChunkLogicalBytes(c);
-    const std::uint64_t in_chunk = offset + pos - cm.ChunkOffset(c);
-    const auto n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(logical_n - in_chunk, length - pos));
-    const auto at = static_cast<std::size_t>(pos);
-    const bool whole = in_chunk == 0 && n == logical_n;
-    const std::string& object = ChunkObjectNameTL(info->name, c);
+    // One run segment: the touched chunks from here on that share a run
+    // object. Their stored bytes sit back to back in it, so one tier
+    // read fetches them all.
+    const std::uint32_t first = cm.ChunkOf(offset + pos);
+    const pack::ChunkMap::ChunkMeta head = cm.Meta(first);
+    std::uint32_t last = first;
+    while (last < last_touched &&
+           cm.Meta(last + 1).run_start == head.run_start) {
+      ++last;
+    }
+    const std::uint64_t begin = offset + pos;
+    const std::uint64_t end = std::min(
+        offset + length, cm.ChunkOffset(last) + cm.ChunkLogicalBytes(last));
+    const std::string& object = ChunkObjectNameTL(info->name, head.run_start);
+    Status fetched = Status::Ok();
     bool intact = false;
     if (codec == nullptr) {
-      // Identity codec: the chunk object holds the logical bytes. Whole-
-      // chunk reads are verified against the recorded CRC when
-      // verify_on_read is set (slices would need a full-chunk readback
-      // to check); a short read is corrupt either way.
-      auto got = access.Fetch(tier, object, in_chunk, at, n);
-      if (!got.ok()) return got.status();
-      intact = got.value().size() == n &&
-               !(config_.resilience.verify_on_read && whole &&
-                 Crc32c(got.value()) != meta.crc_logical);
+      // Identity codec: the run holds the logical bytes, so the segment
+      // is fetched straight into place. Whole chunks are verified against
+      // their recorded CRC when verify_on_read is set (slices would need
+      // a full-chunk readback to check); a short read is corrupt anyway.
+      const auto n = static_cast<std::size_t>(end - begin);
+      auto got = access.Fetch(tier, object,
+                              head.run_offset + (begin - cm.ChunkOffset(first)),
+                              static_cast<std::size_t>(pos), n);
+      if (!got.ok()) {
+        fetched = got.status();
+      } else {
+        intact = got.value().size() == n;
+        for (std::uint32_t c = first;
+             intact && config_.resilience.verify_on_read && c <= last; ++c) {
+          const std::uint64_t chunk_begin = cm.ChunkOffset(c);
+          const std::uint32_t logical_n = cm.ChunkLogicalBytes(c);
+          if (chunk_begin < begin || chunk_begin + logical_n > end) continue;
+          intact = Crc32c(got.value().subspan(
+                       static_cast<std::size_t>(chunk_begin - begin),
+                       logical_n)) == cm.Meta(c).crc_logical;
+        }
+      }
     } else {
-      // Compressed chunk: pull the stored bytes through a reusable
-      // per-thread scratch buffer, verify the stored-side CRC (a corrupt
-      // stream must never reach the decoder), decode — straight into the
-      // destination when the request covers the whole chunk — and verify
-      // the logical side.
+      // Compressed run: pull the segment's stored bytes through a
+      // reusable per-thread scratch buffer, then per chunk verify the
+      // stored-side CRC (a corrupt stream must never reach the decoder),
+      // decode — straight into the destination when the request covers
+      // the whole chunk — and verify the logical side.
       thread_local std::vector<std::byte> stored;
       thread_local std::vector<std::byte> scratch;
-      stored.resize(meta.stored_bytes);
-      auto got = tier.Read(object, 0, stored);
-      if (!got.ok()) return got.status();
-      if (got.value() == meta.stored_bytes &&
-          Crc32c(std::span<const std::byte>(stored)) == meta.crc_stored) {
-        const obs::TraceSpan span("pack.decompress", "core");
-        const std::span<std::byte> out = access.Buffer(at, n);
-        if (!whole) scratch.resize(logical_n);
-        const std::span<std::byte> logical =
-            whole ? out : std::span<std::byte>(scratch);
-        intact = codec->Decode(stored, logical).ok() &&
-                 Crc32c(std::span<const std::byte>(logical)) ==
-                     meta.crc_logical;
-        if (intact && !whole) {
-          std::copy_n(logical.begin() + static_cast<std::ptrdiff_t>(in_chunk),
-                      n, out.begin());
+      const pack::ChunkMap::ChunkMeta tail = cm.Meta(last);
+      stored.resize(std::max<std::uint64_t>(
+          std::uint64_t{tail.run_offset} + tail.stored_bytes,
+          head.run_offset) - head.run_offset);
+      auto got = tier.Read(object, head.run_offset, stored);
+      if (!got.ok()) {
+        fetched = got.status();
+      } else {
+        intact = got.value() == stored.size();
+        for (std::uint32_t c = first; intact && c <= last; ++c) {
+          const pack::ChunkMap::ChunkMeta meta = cm.Meta(c);
+          const std::uint64_t chunk_begin = cm.ChunkOffset(c);
+          const std::uint32_t logical_n = cm.ChunkLogicalBytes(c);
+          const std::uint64_t from = std::max(begin, chunk_begin);
+          const auto n = static_cast<std::size_t>(
+              std::min<std::uint64_t>(end, chunk_begin + logical_n) - from);
+          const std::size_t at = meta.run_offset - head.run_offset;
+          intact = at + meta.stored_bytes <= stored.size();
+          if (!intact) break;
+          const std::span<const std::byte> chunk_stored =
+              std::span<const std::byte>(stored).subspan(at,
+                                                         meta.stored_bytes);
+          if (Crc32c(chunk_stored) != meta.crc_stored) {
+            intact = false;
+            break;
+          }
+          const obs::TraceSpan span("pack.decompress", "core");
+          const bool whole = n == logical_n;
+          const std::span<std::byte> out =
+              access.Buffer(static_cast<std::size_t>(from - offset), n);
+          if (!whole) scratch.resize(logical_n);
+          const std::span<std::byte> logical =
+              whole ? out : std::span<std::byte>(scratch);
+          intact = codec->Decode(chunk_stored, logical).ok() &&
+                   Crc32c(std::span<const std::byte>(logical)) ==
+                       meta.crc_logical;
+          if (intact && !whole) {
+            std::copy_n(logical.begin() +
+                            static_cast<std::ptrdiff_t>(from - chunk_begin),
+                        n, out.begin());
+          }
         }
       }
     }
+    // Drop a run whose object is corrupt or gone, so a later miss
+    // re-stages it from the authoritative extent bytes: corruption
+    // degrades to PFS performance, never wrong bytes, and a vanished
+    // object does not stay "resident" forever. Other tier faults leave
+    // the run alone.
+    if (fetched.code() == StatusCode::kNotFound) {
+      placement_->DropChunkRun(info, first);
+      return fetched;
+    }
+    if (!fetched.ok()) return fetched;
     if (!intact) {
-      // Drop the bad copy so a later read re-stages it from the
-      // authoritative extent bytes — corruption degrades to PFS
-      // performance, never wrong bytes.
-      MLOG_WARN << "staged chunk '" << object << "' on tier '" << tier.name()
+      MLOG_WARN << "staged run '" << object << "' on tier '" << tier.name()
                 << "' failed verification; dropping it";
-      {
-        std::lock_guard lock(cm.placement_mutex());
-        const std::uint64_t dropped = cm.TryEvict(c);
-        if (dropped > 0) {
-          (void)tier.Delete(object);
-          tier.Release(dropped);
-        }
-      }
-      return DataLossError("staged chunk '" + object +
+      placement_->DropChunkRun(info, first);
+      return DataLossError("staged run '" + object +
                            "' failed verification");
     }
-    pos += n;
+    pos = end - offset;
   }
   return access.Served(static_cast<std::size_t>(length));
 }

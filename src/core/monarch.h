@@ -331,10 +331,11 @@ class Monarch {
   Result<ReadLease> Ladder(std::string_view name, std::uint64_t offset,
                            ReadAccess& access);
 
-  /// Pack-mode rung (ISSUE 9): serve [offset, offset + length) chunk by
-  /// chunk from the tier at `level`, decoding through the staging codec.
-  /// A chunk that fails verification is dropped (so staging can retry
-  /// it) and reported as kDataLoss.
+  /// Pack-mode rung (ISSUE 9): serve [offset, offset + length) from the
+  /// tier at `level`, one tier read per run segment touched, decoding
+  /// each chunk through the staging codec. A run that fails verification
+  /// is dropped (so staging can retry it) and reported as kDataLoss; one
+  /// whose object vanished is dropped and reported as kNotFound.
   Result<std::span<const std::byte>> ServeChunks(
       const FileInfoPtr& info, pack::ChunkMap& cm, int level,
       std::uint64_t offset, std::uint64_t length, ReadAccess& access);

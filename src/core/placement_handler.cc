@@ -1,6 +1,7 @@
 #include "core/placement_handler.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "obs/event_tracer.h"
@@ -324,21 +325,46 @@ Result<std::span<const std::byte>> PlacementHandler::SliceSource(
   // Donated bytes: the triggering read already paid the PFS for these,
   // so they enter the pipeline straight from memory.
   const Donation& donation = task.donation;
-  if (offset >= donation.offset &&
-      offset + n <= donation.offset + donation.bytes.size()) {
-    donated_bytes_.fetch_add(n, std::memory_order_relaxed);
-    return std::span<const std::byte>(donation.bytes)
-        .subspan(static_cast<std::size_t>(offset - donation.offset), n);
+  const std::uint64_t end = offset + n;
+  std::uint64_t donated_begin = std::max(offset, donation.offset);
+  std::uint64_t donated_end =
+      std::min(end, donation.offset + donation.bytes.size());
+  std::span<const std::byte> donated;
+  if (donated_begin < donated_end) {
+    donated = std::span<const std::byte>(donation.bytes)
+                  .subspan(static_cast<std::size_t>(donated_begin -
+                                                    donation.offset),
+                           static_cast<std::size_t>(donated_end -
+                                                    donated_begin));
+  } else {
+    donated_begin = donated_end = end;
   }
+  donated_bytes_.fetch_add(donated.size(), std::memory_order_relaxed);
+  if (donated.size() == n) return donated;
+
+  // Otherwise the slice is assembled in the pooled lease: the donated
+  // part copied in, the stretches before and after it each read from the
+  // PFS with one read.
   if (!lease.has_value()) lease.emplace(pool_.Acquire());
   const std::span<std::byte> buffer(lease->bytes().data(), n);
-  auto read = hierarchy_.Pfs().Read(task.file->name, offset, buffer);
-  if (!read.ok()) return read.status();
-  if (read.value() != n) {
-    return InternalError("short PFS read of '" + task.file->name + "' at " +
-                         std::to_string(offset) + ": got " +
-                         std::to_string(read.value()) + " of " +
-                         std::to_string(n) + " bytes");
+  if (!donated.empty()) {
+    std::memcpy(buffer.data() + (donated_begin - offset), donated.data(),
+                donated.size());
+  }
+  for (const auto& [from, to] : {std::pair{offset, donated_begin},
+                                 std::pair{donated_end, end}}) {
+    if (from >= to) continue;
+    const std::size_t want = static_cast<std::size_t>(to - from);
+    auto read = hierarchy_.Pfs().Read(
+        task.file->name, from,
+        buffer.subspan(static_cast<std::size_t>(from - offset), want));
+    if (!read.ok()) return read.status();
+    if (read.value() != want) {
+      return InternalError("short PFS read of '" + task.file->name +
+                           "' at " + std::to_string(from) + ": got " +
+                           std::to_string(read.value()) + " of " +
+                           std::to_string(want) + " bytes");
+    }
   }
   return std::span<const std::byte>(buffer);
 }
@@ -700,6 +726,44 @@ void PlacementHandler::ReleaseClaims(const StagingTask& task) {
   cm->MaybeResetTier();
 }
 
+pack::ChunkMap::EvictedRun PlacementHandler::DropRunLocked(
+    const FileInfo& file, pack::ChunkMap& cm, StorageDriver& tier,
+    std::uint32_t chunk) {
+  const pack::ChunkMap::EvictedRun run = cm.TryEvictRun(chunk);
+  if (run.chunks > 0) {
+    (void)tier.Delete(pack::ChunkObjectName(file.name, run.start));
+    tier.Release(run.stored_bytes);
+  }
+  return run;
+}
+
+void PlacementHandler::FoldBackIfEmptyLocked(FileInfo& file,
+                                             pack::ChunkMap& cm) {
+  if (cm.ResidentCount() > 0) return;
+  cm.MaybeResetTier();
+  NoteCopyDropped(file);
+  // The file no longer serves anything from a tier; fold it back to
+  // PFS-resident through the same claim the whole-file evictor uses
+  // (readers mid-lookup fall back to the PFS on kNotFound).
+  PlacementState expected = PlacementState::kPlaced;
+  if (file.state.compare_exchange_strong(expected, PlacementState::kFetching,
+                                         std::memory_order_acq_rel)) {
+    file.level.store(hierarchy_.pfs_level(), std::memory_order_release);
+    file.AbortFetch(/*permanently=*/false);
+  }
+}
+
+void PlacementHandler::DropChunkRun(const FileInfoPtr& file,
+                                    std::uint32_t chunk) {
+  pack::ChunkMap* cm = file->chunk_map();
+  if (cm == nullptr) return;
+  std::lock_guard lock(cm->placement_mutex());
+  const int level = cm->tier();
+  if (level < 0 || level == hierarchy_.pfs_level()) return;
+  DropRunLocked(*file, *cm, hierarchy_.Level(level), chunk);
+  FoldBackIfEmptyLocked(*file, *cm);
+}
+
 std::uint64_t PlacementHandler::EvictChunks(const FileInfoPtr& victim) {
   FileInfo& vf = *victim;
   pack::ChunkMap* cm = vf.chunk_map();
@@ -718,27 +782,11 @@ std::uint64_t PlacementHandler::EvictChunks(const FileInfoPtr& victim) {
   {
     std::lock_guard lock(cm->placement_mutex());
     for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
-      const std::uint64_t stored = cm->TryEvict(c);
-      if (stored == 0) continue;
-      (void)tier.Delete(pack::ChunkObjectName(vf.name, c));
-      tier.Release(stored);
-      freed += stored;
-      ++dropped;
+      const pack::ChunkMap::EvictedRun run = DropRunLocked(vf, *cm, tier, c);
+      freed += run.stored_bytes;
+      dropped += run.chunks;
     }
-    if (cm->ResidentCount() == 0) {
-      cm->MaybeResetTier();
-      NoteCopyDropped(vf);
-      // The file no longer serves anything from a tier; fold it back to
-      // PFS-resident through the same claim the whole-file evictor uses
-      // (readers mid-lookup fall back to the PFS on kNotFound).
-      PlacementState expected = PlacementState::kPlaced;
-      if (vf.state.compare_exchange_strong(expected,
-                                           PlacementState::kFetching,
-                                           std::memory_order_acq_rel)) {
-        vf.level.store(hierarchy_.pfs_level(), std::memory_order_release);
-        vf.AbortFetch(/*permanently=*/false);
-      }
-    }
+    FoldBackIfEmptyLocked(vf, *cm);
   }
   if (dropped > 0) {
     chunks_evicted_.fetch_add(dropped, std::memory_order_relaxed);
@@ -778,104 +826,157 @@ std::optional<int> PlacementHandler::ReserveChunk(const FileInfoPtr& file,
   return EvictAndReserve(file, lane, stored_bytes, level);
 }
 
+Result<bool> PlacementHandler::StageRun(
+    const StagingTask& task, pack::ChunkMap& cm, std::uint32_t first,
+    std::span<const pack::ChunkMap::ChunkMeta> metas,
+    std::span<const std::byte> stored) {
+  const FileInfoPtr& file = task.file;
+  const std::optional<int> level =
+      ReserveChunk(file, cm, stored.size(), task.lane);
+  if (!level.has_value()) return false;
+  StorageDriver& tier = hierarchy_.Level(*level);
+  const std::string object = pack::ChunkObjectName(file->name, first);
+  Status written = tier.Write(object, stored);
+  if (written.ok() && resilience_.verify_staged_writes) {
+    std::vector<std::byte> readback(stored.size());
+    auto rb = tier.Read(object, 0, readback);
+    if (!rb.ok() || rb.value() != stored.size() ||
+        Crc32c(std::span<const std::byte>(readback)) != Crc32c(stored)) {
+      quarantined_.fetch_add(1, std::memory_order_relaxed);
+      written = DataLossError("staged run failed verification: " + object);
+    }
+  }
+  if (!written.ok()) {
+    (void)tier.Delete(object);
+    tier.Release(stored.size());
+    return written;
+  }
+  const auto last =
+      static_cast<std::uint32_t>(first + metas.size() - 1);
+  const std::uint64_t logical = cm.ChunkOffset(last) +
+                                cm.ChunkLogicalBytes(last) -
+                                cm.ChunkOffset(first);
+  {
+    std::lock_guard lock(cm.placement_mutex());
+    if (cm.PublishRun(first, metas) == 0) {
+      // First resident run: the file now serves (partially) from a
+      // tier. Flip the whole-file state so the eviction policies see it
+      // as placed and readers route offset lookups via the map.
+      file->fetch_failures.store(0, std::memory_order_relaxed);
+      if (task.tenant.low_retention &&
+          !file->low_retention.exchange(true, std::memory_order_acq_rel)) {
+        low_retention_resident_bytes_.fetch_add(file->size,
+                                                std::memory_order_relaxed);
+      }
+      file->FinishFetch(*level);
+      completed_.fetch_add(1, std::memory_order_relaxed);
+      if (task.lane == StagingLane::kPrefetch) {
+        prefetch_completed_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  }
+  chunks_staged_.fetch_add(metas.size(), std::memory_order_relaxed);
+  chunk_stored_bytes_.fetch_add(stored.size(), std::memory_order_relaxed);
+  bytes_staged_.fetch_add(logical, std::memory_order_relaxed);
+  return true;
+}
+
 void PlacementHandler::PlaceChunks(StagingTask task) {
   const FileInfoPtr file = task.file;
   pack::ChunkMap* cm = file->chunk_map();
   if (cm == nullptr) return;  // claims imply a map; defensive only
   obs::TraceSpan span("pack.stage", "placement");
-  if (span.active()) {
+  std::size_t runs = 0;
+  auto trace_args = [&] {
+    if (!span.active()) return;
     span.set_args_json("\"file\":" + obs::JsonQuote(file->name) +
                        ",\"chunks\":" + std::to_string(task.chunks.size()) +
+                       ",\"runs\":" + std::to_string(runs) +
                        ",\"lane\":\"" + LaneName(task.lane) + "\"");
+  };
+  if (RefuseScanStaging(task)) {
+    trace_args();
+    return;
   }
-  if (RefuseScanStaging(task)) return;
-  const bool low_retention = task.tenant.low_retention;
 
-  // Chunks the triggering read fully covered come from its donation;
-  // one pooled lease, taken only when a chunk must be re-read from the
-  // PFS, carries the others (pack.chunk_bytes is clamped to the pool's
-  // chunk size). The codec output and verification scratch are reused
-  // across chunks.
+  // Each maximal run of consecutive claimed chunks stages as one tier
+  // object holding the chunks' stored bytes back to back, cut where the
+  // run's worst-case stored bytes would overflow one pooled buffer (so
+  // its logical bytes fit the lease too). The run's logical bytes come
+  // from the donation, or from the pooled lease that the PFS fills once
+  // per undonated stretch; the encoder's scratch is reused across runs.
+  const std::uint64_t cap =
+      std::min<std::uint64_t>(pool_.chunk_bytes(), UINT32_MAX);
+  auto max_stored = [&](std::uint32_t c) -> std::uint64_t {
+    const std::uint32_t n = cm->ChunkLogicalBytes(c);
+    return codec_ != nullptr ? codec_->MaxStoredSize(n) : n;
+  };
   std::optional<BufferPool::Lease> lease;
-  std::vector<std::byte> encoded;
-  std::vector<std::byte> readback;
+  std::vector<std::byte> encoded;    // the run's stored bytes (lz)
+  std::vector<std::byte> chunk_out;  // one chunk's stored bytes (lz)
+  std::vector<pack::ChunkMap::ChunkMeta> metas;
 
-  std::size_t next = 0;
+  std::size_t next = 0;  // first task chunk not yet published
   bool rejected = false;
   Status failure = Status::Ok();
-  for (; next < task.chunks.size(); ++next) {
-    const std::uint32_t c = task.chunks[next];
-    const std::uint64_t offset = cm->ChunkOffset(c);
-    const std::uint32_t logical_n = cm->ChunkLogicalBytes(c);
-    auto source = SliceSource(task, offset, logical_n, lease);
+  while (next < task.chunks.size()) {
+    const std::uint32_t first = task.chunks[next];
+    std::uint32_t count = 1;
+    for (std::uint64_t worst = max_stored(first);
+         next + count < task.chunks.size() &&
+         task.chunks[next + count] == first + count &&
+         worst + max_stored(first + count) <= cap;
+         ++count) {
+      worst += max_stored(first + count);
+    }
+    const std::uint64_t run_offset = cm->ChunkOffset(first);
+    auto source = SliceSource(
+        task, run_offset,
+        static_cast<std::size_t>(cm->ChunkOffset(first + count - 1) +
+                                 cm->ChunkLogicalBytes(first + count - 1) -
+                                 run_offset),
+        lease);
     if (!source.ok()) {
       failure = source.status();
       break;
     }
     const std::span<const std::byte> logical = source.value();
-    pack::ChunkMap::ChunkMeta meta;
-    meta.crc_logical = Crc32c(logical);
-    std::span<const std::byte> stored(logical);
-    if (codec_ != nullptr) {
-      const Status encoded_ok = codec_->Encode(logical, encoded);
-      if (!encoded_ok.ok()) {
-        failure = encoded_ok;
-        break;
-      }
-      stored = encoded;
-    }
-    meta.stored_bytes = static_cast<std::uint32_t>(stored.size());
-    meta.crc_stored = Crc32c(stored);
 
-    const std::optional<int> level =
-        ReserveChunk(file, *cm, stored.size(), task.lane);
-    if (!level.has_value()) {
+    metas.clear();
+    encoded.clear();
+    for (std::uint32_t c = first; c < first + count && failure.ok(); ++c) {
+      const std::span<const std::byte> chunk = logical.subspan(
+          static_cast<std::size_t>(cm->ChunkOffset(c) - run_offset),
+          cm->ChunkLogicalBytes(c));
+      pack::ChunkMap::ChunkMeta& meta = metas.emplace_back();
+      meta.crc_logical = Crc32c(chunk);
+      meta.stored_bytes = static_cast<std::uint32_t>(chunk.size());
+      meta.crc_stored = meta.crc_logical;
+      if (codec_ != nullptr) {
+        failure = codec_->Encode(chunk, chunk_out);
+        encoded.insert(encoded.end(), chunk_out.begin(), chunk_out.end());
+        meta.stored_bytes = static_cast<std::uint32_t>(chunk_out.size());
+        meta.crc_stored = Crc32c(chunk_out);
+      }
+    }
+    if (!failure.ok()) break;
+    // Identity codec: the stored run is the logical run itself.
+    Result<bool> staged =
+        StageRun(task, *cm, first, metas,
+                 codec_ != nullptr ? std::span<const std::byte>(encoded)
+                                   : logical);
+    if (!staged.ok()) {
+      failure = staged.status();
+      break;
+    }
+    if (!staged.value()) {
       rejected = true;
       break;
     }
-    StorageDriver& tier = hierarchy_.Level(*level);
-    const std::string object = pack::ChunkObjectName(file->name, c);
-    Status written = tier.Write(object, stored);
-    if (written.ok() && resilience_.verify_staged_writes) {
-      readback.resize(stored.size());
-      auto rb = tier.Read(object, 0, readback);
-      if (!rb.ok() || rb.value() != stored.size() ||
-          Crc32c(std::span<const std::byte>(readback)) != meta.crc_stored) {
-        quarantined_.fetch_add(1, std::memory_order_relaxed);
-        written =
-            DataLossError("staged chunk failed verification: " + object);
-      }
-    }
-    if (!written.ok()) {
-      (void)tier.Delete(object);
-      tier.Release(stored.size());
-      failure = written;
-      break;
-    }
-    {
-      std::lock_guard lock(cm->placement_mutex());
-      if (cm->Publish(c, meta) == 1) {
-        // First resident chunk: the file now serves (partially) from a
-        // tier. Flip the whole-file state so the eviction policies see
-        // it as placed and readers route offset lookups via the map.
-        file->fetch_failures.store(0, std::memory_order_relaxed);
-        if (low_retention &&
-            !file->low_retention.exchange(true,
-                                          std::memory_order_acq_rel)) {
-          low_retention_resident_bytes_.fetch_add(
-              file->size, std::memory_order_relaxed);
-        }
-        file->FinishFetch(*level);
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        if (task.lane == StagingLane::kPrefetch) {
-          prefetch_completed_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    chunks_staged_.fetch_add(1, std::memory_order_relaxed);
-    chunk_stored_bytes_.fetch_add(stored.size(), std::memory_order_relaxed);
-    bytes_staged_.fetch_add(logical_n, std::memory_order_relaxed);
+    ++runs;
+    next += count;
   }
+  trace_args();
 
   if (next >= task.chunks.size()) return;  // every chunk published
 

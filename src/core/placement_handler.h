@@ -205,14 +205,15 @@ class PlacementHandler {
   void SchedulePlacement(FileInfoPtr file, std::span<const std::byte> prefix,
                          StagingLane lane = StagingLane::kDemand);
 
-  /// Chunk-granularity staging (pack mode). `chunks` are chunk indexes
-  /// the caller already claimed via ChunkMap::TryClaim; the handler
-  /// stages each one — codec encode, CRC on both sides — through the same
-  /// staging queue and releases every claim (publish or back-out).
-  /// `donated` holds the file's bytes from `donated_offset` that the
-  /// triggering read pulled; chunks it fully covers are staged from it
-  /// (budget permitting, as for SchedulePlacement), the rest re-read from
-  /// the PFS at the chunk's offset. Never blocks.
+  /// Chunk-granularity staging (pack mode). `chunks` are ascending chunk
+  /// indexes the caller already claimed via ChunkMap::TryClaim; the
+  /// handler stages them — codec encode, CRC on both sides — through the
+  /// same staging queue, each run of consecutive chunks as one tier
+  /// object, and releases every claim (publish or back-out). `donated`
+  /// holds the file's bytes from `donated_offset` that the triggering
+  /// read pulled; the bytes it covers are staged from it (budget
+  /// permitting, as for SchedulePlacement), each stretch it does not is
+  /// read from the PFS with one read. Never blocks.
   void ScheduleChunkPlacement(FileInfoPtr file,
                               std::vector<std::uint32_t> chunks,
                               std::uint64_t donated_offset,
@@ -237,6 +238,12 @@ class PlacementHandler {
   /// off. Returns false when another thread already holds the file in a
   /// non-kPlaced state. Thread-safe.
   bool QuarantineCopy(const FileInfoPtr& file);
+
+  /// Drop the run holding chunk `chunk` of `file` because the read path
+  /// found its tier object corrupt or gone: delete the object, release
+  /// its bytes once, and fold the file back to PFS-resident when nothing
+  /// else stays resident. A later miss re-stages the chunks. Thread-safe.
+  void DropChunkRun(const FileInfoPtr& file, std::uint32_t chunk);
 
   /// Remove `file`'s staged copy for the end-of-job cleanup
   /// (Monarch::CleanupStagedCopies): a whole-file copy through DropCopy,
@@ -373,9 +380,11 @@ class PlacementHandler {
   /// Stage one file. Returns normally whether the copy succeeded or
   /// failed.
   void PlaceFile(StagingTask task);
-  /// The file's bytes [offset, offset + n) for one staging slice: a view
-  /// of the task's donation when it covers the whole range, else a PFS
-  /// read into the pooled `lease` (acquired on first use).
+  /// The file's bytes [offset, offset + n) for one staging slice (n fits
+  /// one pooled buffer): a view of the task's donation when it covers
+  /// the whole range, else assembled in the pooled `lease` (acquired on
+  /// first use) — the donated part copied in, the stretches before and
+  /// after it read from the PFS with one read each.
   Result<std::span<const std::byte>> SliceSource(
       const StagingTask& task, std::uint64_t offset, std::size_t n,
       std::optional<BufferPool::Lease>& lease);
@@ -396,7 +405,7 @@ class PlacementHandler {
   [[nodiscard]] bool Evicts() const noexcept {
     return options_.enable_eviction || policy_->EvictsUnderPressure();
   }
-  /// Reserve `bytes` (the whole file, or one stored chunk in pack mode)
+  /// Reserve `bytes` (the whole file, or one stored run in pack mode)
   /// on the level PickLevel chooses — or only on `level` when set — and,
   /// when nothing has room, walk the victim ranking (the run schedule's
   /// when installed, else the policy's; filtered to `level` when set),
@@ -412,7 +421,7 @@ class PlacementHandler {
   /// EvictChunks.
   bool EvictOne(const FileInfoPtr& victim);
 
-  /// Stage the claimed chunks of one task (pack mode).
+  /// Stage the claimed chunks of one task (pack mode), run by run.
   void PlaceChunks(StagingTask task);
   /// Ensure `file`'s chunk map has a tier and that tier has room for
   /// `stored_bytes` (reserving them). Evicts per the lane's rules when
@@ -422,7 +431,26 @@ class PlacementHandler {
                                   pack::ChunkMap& cm,
                                   std::uint64_t stored_bytes,
                                   StagingLane lane);
-  /// Drop every resident chunk of `victim` and reset it to PFS-resident
+  /// One run of the task's chunks, [first, first + metas.size()), whose
+  /// stored bytes are `stored`: one reservation, one Write of the run
+  /// object, one verify_staged_writes readback, one publish. Returns
+  /// true once published, false when no tier had room, or the error
+  /// that failed the copy (the object is deleted, its bytes released).
+  Result<bool> StageRun(const StagingTask& task, pack::ChunkMap& cm,
+                        std::uint32_t first,
+                        std::span<const pack::ChunkMap::ChunkMeta> metas,
+                        std::span<const std::byte> stored);
+  /// Drop the run holding `chunk` (if resident): clear its chunks, delete
+  /// its object from `tier` and release its bytes. Caller holds the
+  /// chunk map's placement mutex.
+  pack::ChunkMap::EvictedRun DropRunLocked(const FileInfo& file,
+                                           pack::ChunkMap& cm,
+                                           StorageDriver& tier,
+                                           std::uint32_t chunk);
+  /// Once nothing of `file` stays resident, reset its chunk tier and fold
+  /// it back to PFS-resident. Caller holds the placement mutex.
+  void FoldBackIfEmptyLocked(FileInfo& file, pack::ChunkMap& cm);
+  /// Drop every resident run of `victim` and reset it to PFS-resident
   /// once nothing remains; honours read pins. Returns the stored bytes
   /// freed.
   std::uint64_t EvictChunks(const FileInfoPtr& victim);

@@ -13,20 +13,27 @@
 //              bitmap; a set claim bit means exactly one staging task
 //              owns the chunk (the dedup that stops N readers of the
 //              same cold chunk from scheduling N copies).
-//   mutators   Publish / TryEvict / tier transitions: serialized per
+//   mutators   PublishRun / TryEvictRun / tier transitions: serialized per
 //              file by `placement_mutex()` — staging and eviction are
 //              I/O-bound, a mutex there costs nothing and removes every
 //              meta/residency torn-state race.
 //
-// A resident chunk's metadata is immutable: Publish requires the claim
-// bit (one owner), TryClaim refuses resident chunks, so nobody can
-// rewrite meta while a reader might be using it.
+// Resident chunks live in runs: one staging pass writes each maximal
+// stretch of consecutive chunks it claimed as one tier object
+// (ChunkObjectName(file, first chunk)) holding their stored bytes back
+// to back. A chunk's meta records its run's first chunk and its byte
+// offset inside that object. A run is published and dropped as a unit.
+//
+// A resident chunk's metadata is immutable: PublishRun requires the
+// claim bits (one owner), TryClaim refuses resident chunks, so nobody
+// can rewrite meta while a reader might be using it.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +46,16 @@ class ChunkMap {
     std::uint32_t stored_bytes = 0;  ///< post-codec bytes on the tier
     std::uint32_t crc_stored = 0;    ///< CRC32C of the stored bytes
     std::uint32_t crc_logical = 0;   ///< CRC32C of the logical bytes
+    /// Where the stored bytes live; PublishRun fills these in.
+    std::uint32_t run_start = 0;   ///< first chunk of the run (object)
+    std::uint32_t run_offset = 0;  ///< byte offset inside the run object
+  };
+
+  /// One dropped run (TryEvictRun); chunks == 0 when nothing was dropped.
+  struct EvictedRun {
+    std::uint32_t start = 0;
+    std::uint32_t chunks = 0;
+    std::uint64_t stored_bytes = 0;  ///< quota the run object held
   };
 
   ChunkMap(std::uint64_t file_bytes, std::uint64_t chunk_bytes)
@@ -50,7 +67,8 @@ class ChunkMap {
         resident_bits_((num_chunks_ + 63) / 64),
         claimed_bits_((num_chunks_ + 63) / 64),
         meta_lo_(num_chunks_),
-        meta_hi_(num_chunks_) {
+        meta_hi_(num_chunks_),
+        run_(num_chunks_) {
     assert(chunk_bytes > 0);
   }
 
@@ -115,10 +133,13 @@ class ChunkMap {
   /// returned true; immutable while the chunk stays resident.
   [[nodiscard]] ChunkMeta Meta(std::uint32_t index) const {
     const std::uint64_t lo = meta_lo_[index].load(std::memory_order_acquire);
+    const std::uint64_t run = run_[index].load(std::memory_order_acquire);
     ChunkMeta meta;
     meta.stored_bytes = static_cast<std::uint32_t>(lo >> 32u);
     meta.crc_stored = static_cast<std::uint32_t>(lo);
     meta.crc_logical = meta_hi_[index].load(std::memory_order_acquire);
+    meta.run_start = static_cast<std::uint32_t>(run >> 32u);
+    meta.run_offset = static_cast<std::uint32_t>(run);
     return meta;
   }
 
@@ -160,7 +181,7 @@ class ChunkMap {
 
   // -------------------------------- mutators (hold placement_mutex())
 
-  /// Serializes Publish / TryEvict / tier transitions per file.
+  /// Serializes PublishRun / TryEvictRun / tier transitions per file.
   [[nodiscard]] std::mutex& placement_mutex() { return placement_mu_; }
 
   /// Assign the file's staging level if unassigned; returns the level
@@ -181,44 +202,67 @@ class ChunkMap {
     }
   }
 
-  /// Publish a staged chunk: record its meta, flip the resident bit
-  /// (release — readers that see the bit see the meta), drop the
-  /// claim. Returns the resident count after the publish. Caller holds
-  /// the claim bit and placement_mutex().
-  std::uint32_t Publish(std::uint32_t index, const ChunkMeta& meta) {
-    meta_lo_[index].store(
-        (static_cast<std::uint64_t>(meta.stored_bytes) << 32u) |
-            meta.crc_stored,
-        std::memory_order_release);
-    meta_hi_[index].store(meta.crc_logical, std::memory_order_release);
-    resident_stored_bytes_.fetch_add(meta.stored_bytes,
-                                     std::memory_order_acq_rel);
-    resident_logical_bytes_.fetch_add(ChunkLogicalBytes(index),
-                                      std::memory_order_acq_rel);
-    resident_bits_[index / 64].fetch_or(Bit(index),
-                                        std::memory_order_acq_rel);
-    const std::uint32_t count =
-        resident_count_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    ReleaseClaim(index);
-    return count;
+  /// Publish a staged run: chunks [first, first + metas.size()), whose
+  /// stored bytes sit back to back in one tier object in that order.
+  /// Records each chunk's meta and place in the run, then flips the
+  /// resident bits (release — readers that see a bit see its meta) and
+  /// drops the claims. Returns the resident count before the publish
+  /// (0 = the file's first resident run). Caller holds every claim bit
+  /// and placement_mutex().
+  std::uint32_t PublishRun(std::uint32_t first,
+                           std::span<const ChunkMeta> metas) {
+    std::uint64_t run_offset = 0;  // ends as the run's stored bytes
+    std::uint64_t logical = 0;
+    for (std::uint32_t i = 0; i < metas.size(); ++i) {
+      const std::uint32_t index = first + i;
+      const ChunkMeta& meta = metas[i];
+      meta_lo_[index].store(
+          (static_cast<std::uint64_t>(meta.stored_bytes) << 32u) |
+              meta.crc_stored,
+          std::memory_order_release);
+      meta_hi_[index].store(meta.crc_logical, std::memory_order_release);
+      run_[index].store((static_cast<std::uint64_t>(first) << 32u) |
+                            run_offset,
+                        std::memory_order_release);
+      run_offset += meta.stored_bytes;
+      logical += ChunkLogicalBytes(index);
+    }
+    assert(run_offset <= UINT32_MAX);
+    resident_stored_bytes_.fetch_add(run_offset, std::memory_order_acq_rel);
+    resident_logical_bytes_.fetch_add(logical, std::memory_order_acq_rel);
+    for (std::uint32_t i = 0; i < metas.size(); ++i) {
+      const std::uint32_t index = first + i;
+      resident_bits_[index / 64].fetch_or(Bit(index),
+                                          std::memory_order_acq_rel);
+      ReleaseClaim(index);
+    }
+    return resident_count_.fetch_add(
+        static_cast<std::uint32_t>(metas.size()), std::memory_order_acq_rel);
   }
 
-  /// Claim chunk `index` for eviction by clearing its resident bit.
-  /// Returns the stored bytes freed (0 = not resident / lost the
-  /// race). Caller holds placement_mutex() and deletes the tier object
-  /// + releases quota afterwards.
-  std::uint64_t TryEvict(std::uint32_t index) {
-    const std::uint64_t bit = Bit(index);
-    const std::uint64_t prev = resident_bits_[index / 64].fetch_and(
-        ~bit, std::memory_order_acq_rel);
-    if ((prev & bit) == 0) return 0;
-    const ChunkMeta meta = Meta(index);
-    resident_stored_bytes_.fetch_sub(meta.stored_bytes,
+  /// Drop the run holding chunk `index` by clearing the resident bits of
+  /// all its chunks. Returns what went (chunks == 0: not resident / lost
+  /// the race). Caller holds placement_mutex() and deletes the run's
+  /// tier object + releases its stored bytes afterwards.
+  EvictedRun TryEvictRun(std::uint32_t index) {
+    EvictedRun run;
+    if (!IsResident(index)) return run;
+    run.start = Meta(index).run_start;
+    // Runs are disjoint, so the resident chunks from the start that
+    // still name it are exactly this run.
+    for (std::uint32_t c = run.start;
+         c < num_chunks_ && IsResident(c) && Meta(c).run_start == run.start;
+         ++c) {
+      resident_bits_[c / 64].fetch_and(~Bit(c), std::memory_order_acq_rel);
+      run.stored_bytes += Meta(c).stored_bytes;
+      resident_logical_bytes_.fetch_sub(ChunkLogicalBytes(c),
+                                        std::memory_order_acq_rel);
+      ++run.chunks;
+    }
+    resident_stored_bytes_.fetch_sub(run.stored_bytes,
                                      std::memory_order_acq_rel);
-    resident_logical_bytes_.fetch_sub(ChunkLogicalBytes(index),
-                                      std::memory_order_acq_rel);
-    resident_count_.fetch_sub(1, std::memory_order_acq_rel);
-    return meta.stored_bytes;
+    resident_count_.fetch_sub(run.chunks, std::memory_order_acq_rel);
+    return run;
   }
 
  private:
@@ -236,6 +280,8 @@ class ChunkMap {
   /// read path a consistent pair.
   std::vector<std::atomic<std::uint64_t>> meta_lo_;
   std::vector<std::atomic<std::uint32_t>> meta_hi_;  ///< crc_logical
+  /// Per-chunk (run_start << 32 | run_offset).
+  std::vector<std::atomic<std::uint64_t>> run_;
 
   std::atomic<std::uint32_t> resident_count_{0};
   std::atomic<std::uint32_t> claims_{0};
@@ -246,9 +292,9 @@ class ChunkMap {
   std::mutex placement_mu_;
 };
 
-/// Tier object name of one staged chunk. '#' cannot appear in pack
-/// logical names (PackWriter rejects it), so chunk objects never
-/// collide with whole-file staged copies.
+/// Tier object name of the run that starts at chunk `index`. '#' cannot
+/// appear in pack logical names (PackWriter rejects it), so run objects
+/// never collide with whole-file staged copies.
 inline std::string ChunkObjectName(const std::string& file,
                                    std::uint32_t index) {
   return file + "#c" + std::to_string(index);

@@ -1,5 +1,6 @@
 #include "pack/codec.h"
 
+#include <array>
 #include <cstring>
 #include <string>
 
@@ -60,7 +61,6 @@ constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kTailLiterals = 5;   ///< never match into the tail
 constexpr std::size_t kMaxOffset = 65535;
 constexpr unsigned kHashBits = 13;
-constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;
 
 std::uint32_t Load32(const std::byte* p) {
   std::uint32_t v = 0;
@@ -102,15 +102,28 @@ class LzCodec final : public Codec {
     const std::size_t match_end = size > kTailLiterals
                                       ? size - kTailLiterals
                                       : 0;
-    std::vector<std::uint32_t> table(std::size_t{1} << kHashBits, kNoPos);
+    // The window-hash table is per thread and reused, so a call neither
+    // allocates nor clears it: a slot holds (generation << 32 | position)
+    // and counts only when its generation is this call's. Every call thus
+    // starts from an empty table and emits the same stream a fresh one
+    // would.
+    thread_local std::array<std::uint64_t, std::size_t{1} << kHashBits>
+        table{};
+    thread_local std::uint32_t generation = 0;
+    if (++generation == 0) {
+      table.fill(0);
+      generation = 1;
+    }
+    const std::uint64_t tag = std::uint64_t{generation} << 32U;
 
     std::size_t anchor = 0;
     std::size_t pos = 0;
     while (pos + kMinMatch <= match_end) {
-      const std::uint32_t hash = HashWindow(Load32(src + pos));
-      const std::uint32_t candidate = table[hash];
-      table[hash] = static_cast<std::uint32_t>(pos);
-      if (candidate == kNoPos || pos - candidate > kMaxOffset ||
+      std::uint64_t& slot = table[HashWindow(Load32(src + pos))];
+      const std::uint64_t previous = slot;
+      slot = tag | pos;
+      const std::size_t candidate = static_cast<std::uint32_t>(previous);
+      if ((previous >> 32U) != generation || pos - candidate > kMaxOffset ||
           Load32(src + candidate) != Load32(src + pos)) {
         ++pos;
         continue;
@@ -173,9 +186,16 @@ class LzCodec final : public Codec {
       if (out + match_len > out_size) {
         return Malformed("match overruns logical size");
       }
-      // Byte-wise copy: overlapping back-references are the RLE case.
-      for (std::size_t i = 0; i < match_len; ++i, ++out) {
-        logical[out] = logical[out - offset];
+      if (offset >= match_len) {
+        std::memcpy(logical.data() + out, logical.data() + out - offset,
+                    match_len);
+        out += match_len;
+      } else {
+        // Overlapping back-reference (offset 1 is run-length encoding):
+        // each byte may be one this copy just wrote.
+        for (std::size_t i = 0; i < match_len; ++i, ++out) {
+          logical[out] = logical[out - offset];
+        }
       }
     }
     if (out != out_size) {

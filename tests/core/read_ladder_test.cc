@@ -62,14 +62,11 @@ struct World {
   std::unique_ptr<Monarch> monarch;
   Layout layout = Layout::kLoose;
 
-  /// The tier objects holding the staged copy of kName.
+  /// The tier objects holding the staged copy of kName. In pack mode the
+  /// whole-file read stages all of its chunks as one run object.
   [[nodiscard]] std::vector<std::string> StagedObjects() const {
     if (layout == Layout::kLoose) return {kName};
-    std::vector<std::string> objects;
-    for (std::uint32_t c = 0; c < kFileBytes / kChunkBytes; ++c) {
-      objects.push_back(pack::ChunkObjectName(kName, c));
-    }
-    return objects;
+    return {pack::ChunkObjectName(kName, 0)};
   }
 };
 

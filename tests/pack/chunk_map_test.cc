@@ -32,7 +32,8 @@ TEST(ChunkMapTest, ClaimPublishEvictLifecycle) {
   {
     std::lock_guard lock(cm.placement_mutex());
     EXPECT_EQ(0, cm.AssignTier(0));
-    EXPECT_EQ(1u, cm.Publish(1, meta));
+    EXPECT_EQ(0u, cm.PublishRun(1, {&meta, 1}))
+        << "the file's first resident run";
   }
   EXPECT_TRUE(cm.IsResident(1));
   EXPECT_EQ(0u, cm.Claims()) << "publish releases the claim";
@@ -43,8 +44,8 @@ TEST(ChunkMapTest, ClaimPublishEvictLifecycle) {
 
   {
     std::lock_guard lock(cm.placement_mutex());
-    EXPECT_EQ(100u, cm.TryEvict(1));
-    EXPECT_EQ(0u, cm.TryEvict(1)) << "double-evict loses the race";
+    EXPECT_EQ(100u, cm.TryEvictRun(1).stored_bytes);
+    EXPECT_EQ(0u, cm.TryEvictRun(1).chunks) << "double-evict loses the race";
     cm.MaybeResetTier();
   }
   EXPECT_FALSE(cm.IsResident(1));
@@ -58,8 +59,9 @@ TEST(ChunkMapTest, RangeResident) {
   EXPECT_FALSE(cm.RangeResident(0, 1));
   for (std::uint32_t c : {1u, 2u}) {
     ASSERT_TRUE(cm.TryClaim(c));
+    const ChunkMap::ChunkMeta meta;
     std::lock_guard lock(cm.placement_mutex());
-    cm.Publish(c, {});
+    cm.PublishRun(c, {&meta, 1});
   }
   EXPECT_TRUE(cm.RangeResident(256, 512));
   EXPECT_TRUE(cm.RangeResident(300, 100));
@@ -83,6 +85,49 @@ TEST(ChunkMapTest, TierStaysWhileClaimsOutstanding) {
     cm.MaybeResetTier();
   }
   EXPECT_EQ(-1, cm.tier());
+}
+
+TEST(ChunkMapTest, RunsPublishAndDropAsAUnit) {
+  ChunkMap cm(1000, 256);
+  std::vector<ChunkMap::ChunkMeta> metas(3);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(cm.TryClaim(i + 1));
+    metas[i].stored_bytes = 10 * (i + 1);
+    metas[i].crc_logical = i;
+  }
+  ASSERT_TRUE(cm.TryClaim(0));
+  ChunkMap::ChunkMeta lone;
+  lone.stored_bytes = 7;
+  {
+    std::lock_guard lock(cm.placement_mutex());
+    EXPECT_EQ(0u, cm.PublishRun(1, metas));
+    EXPECT_EQ(3u, cm.PublishRun(0, {&lone, 1}));
+  }
+  EXPECT_EQ(0u, cm.Claims());
+  EXPECT_EQ(4u, cm.ResidentCount());
+  EXPECT_EQ(67u, cm.ResidentStoredBytes());
+  // Each chunk knows its run and where its bytes sit inside it.
+  EXPECT_EQ(0u, cm.Meta(0).run_start);
+  for (std::uint32_t c = 1; c <= 3; ++c) EXPECT_EQ(1u, cm.Meta(c).run_start);
+  EXPECT_EQ(0u, cm.Meta(1).run_offset);
+  EXPECT_EQ(10u, cm.Meta(2).run_offset);
+  EXPECT_EQ(30u, cm.Meta(3).run_offset);
+  EXPECT_EQ(2u, cm.Meta(3).crc_logical);
+
+  // Dropping any chunk of a run drops the whole run, and only it.
+  ChunkMap::EvictedRun run;
+  {
+    std::lock_guard lock(cm.placement_mutex());
+    run = cm.TryEvictRun(2);
+  }
+  EXPECT_EQ(1u, run.start);
+  EXPECT_EQ(3u, run.chunks);
+  EXPECT_EQ(60u, run.stored_bytes);
+  EXPECT_TRUE(cm.IsResident(0));
+  for (std::uint32_t c = 1; c <= 3; ++c) EXPECT_FALSE(cm.IsResident(c));
+  EXPECT_EQ(1u, cm.ResidentCount());
+  EXPECT_EQ(7u, cm.ResidentStoredBytes());
+  EXPECT_EQ(256u, cm.ResidentLogicalBytes());
 }
 
 TEST(ChunkMapTest, ConcurrentClaimersGetDisjointChunks) {
@@ -118,7 +163,7 @@ TEST(ChunkMapTest, ConcurrentPublishersAndReaders) {
       meta.crc_logical = ~c;
       std::lock_guard lock(cm.placement_mutex());
       cm.AssignTier(0);
-      cm.Publish(c, meta);
+      cm.PublishRun(c, {&meta, 1});
     }
   });
   std::thread reader([&] {

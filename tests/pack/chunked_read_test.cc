@@ -8,6 +8,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -117,6 +118,31 @@ class ChunkedReadTest : public ::testing::Test {
   }
 
   std::uint64_t PfsReadOps() { return pfs_->Stats().Snapshot().read_ops; }
+  std::uint64_t LocalReadOps() {
+    return local_->Stats().Snapshot().read_ops;
+  }
+
+  /// Names of every object on the cache tier.
+  std::vector<std::string> TierObjects() {
+    std::vector<std::string> names;
+    auto listed = local_->ListFiles("");
+    EXPECT_OK(listed);
+    if (listed.ok()) {
+      for (const storage::FileStat& stat : listed.value()) {
+        names.push_back(stat.path);
+      }
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  }
+
+  /// How many views the lend lane needs for [offset, offset + length):
+  /// one per chunk touched.
+  std::uint64_t ViewsFor(Monarch& monarch, std::uint64_t index,
+                         std::uint64_t offset, std::uint64_t length) {
+    const pack::ChunkMap& cm = ChunksOf(monarch, index);
+    return cm.ChunkOf(offset + length - 1) - cm.ChunkOf(offset) + 1;
+  }
 
   std::vector<std::byte> Expected(std::uint64_t index) const {
     return workload::SmallFilePayload(spec_, index);
@@ -401,6 +427,249 @@ TEST_F(ChunkedReadTest, DonatedChunkFailingReadbackIsDropped) {
       EXPECT_EQ(misses_before + 1, m.Stats().chunk_misses);
       m.DrainPlacements();
     }
+  }
+}
+
+// Run layout: a staging pass writes each stretch of consecutive chunks
+// it claimed as one tier object, and a read fetches each run segment it
+// touches with one tier read.
+TEST_F(ChunkedReadTest, WholeFileMissStagesOneRunObject) {
+  for (const std::string codec : {"none", "lz"}) {
+    for (const bool lend : {false, true}) {
+      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
+      auto monarch = Build(codec);
+      ASSERT_OK(monarch);
+      Monarch& m = **monarch;
+      const std::uint64_t f = FileOfAtLeast(3 * 1024);
+      const std::string name = workload::SmallFilePath(spec_, f);
+      const std::uint64_t size = Expected(f).size();
+
+      ReadAndCheck(m, lend, f, 0, size);
+      m.DrainPlacements();
+      const pack::ChunkMap& cm = ChunksOf(m, f);
+      ASSERT_EQ(cm.num_chunks(), cm.ResidentCount());
+      EXPECT_EQ(std::vector<std::string>{pack::ChunkObjectName(name, 0)},
+                TierObjects());
+      EXPECT_EQ(cm.ResidentStoredBytes(), local_->TotalBytes());
+
+      // Warm: the copy lane reads the whole file with one tier op; the
+      // lend lane, one chunk per view, with one op per view.
+      const std::uint64_t ops_before = LocalReadOps();
+      const std::uint64_t hits_before = m.Stats().chunk_hits;
+      ReadAndCheck(m, lend, f, 0, size);
+      const std::uint64_t reads = lend ? cm.num_chunks() : 1;
+      EXPECT_EQ(ops_before + reads, LocalReadOps());
+      EXPECT_EQ(hits_before + reads, m.Stats().chunk_hits);
+    }
+  }
+}
+
+TEST_F(ChunkedReadTest, ReadSpanningTwoRunsCostsOneOpPerRun) {
+  for (const std::string codec : {"none", "lz"}) {
+    for (const bool lend : {false, true}) {
+      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
+      auto monarch = Build(codec);
+      ASSERT_OK(monarch);
+      Monarch& m = **monarch;
+      const std::uint64_t f = FileOfAtLeast(4 * 1024);
+      const std::string name = workload::SmallFilePath(spec_, f);
+
+      // Two misses, two runs: [700, 2600) claims chunks 0-2, and
+      // [2600, 4096) then claims chunk 3 (chunk 2 is already resident).
+      ReadAndCheck(m, lend, f, 700, 1900);
+      m.DrainPlacements();
+      ReadAndCheck(m, lend, f, 2600, 4096 - 2600);
+      m.DrainPlacements();
+      EXPECT_EQ((std::vector<std::string>{pack::ChunkObjectName(name, 0),
+                                          pack::ChunkObjectName(name, 3)}),
+                TierObjects());
+      const pack::ChunkMap& cm = ChunksOf(m, f);
+      EXPECT_EQ(0u, cm.Meta(2).run_start);
+      EXPECT_EQ(3u, cm.Meta(3).run_start);
+
+      // An unaligned read across both runs: oracle bytes from the tier,
+      // one op per run on the copy lane, one per view on the lend lane.
+      const std::uint64_t ops_before = LocalReadOps();
+      const std::uint64_t hits_before = m.Stats().chunk_hits;
+      ReadAndCheck(m, lend, f, 1500, 3900 - 1500);
+      const std::uint64_t views = ViewsFor(m, f, 1500, 2400);
+      EXPECT_EQ(ops_before + (lend ? views : 2), LocalReadOps());
+      EXPECT_EQ(hits_before + (lend ? views : 1), m.Stats().chunk_hits);
+    }
+  }
+}
+
+TEST_F(ChunkedReadTest, EvictionAndCleanupDeleteEveryRunObject) {
+  for (const std::string codec : {"none", "lz"}) {
+    for (const bool lend : {false, true}) {
+      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
+      // Quota for ~3 files: LRU evicts whole files, run by run.
+      auto monarch = Build(codec, /*quota=*/6 * 1024, "lru");
+      ASSERT_OK(monarch);
+      Monarch& m = **monarch;
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::uint64_t f = 0; f < spec_.num_files; ++f) {
+          const std::uint64_t size = Expected(f).size();
+          // Two misses per file: its head, then the rest — two runs.
+          ReadAndCheck(m, lend, f, 0, std::min<std::uint64_t>(size, 1500));
+          m.DrainPlacements();
+          if (size > 1500) ReadAndCheck(m, lend, f, 1500, size - 1500);
+          m.DrainPlacements();
+        }
+      }
+      EXPECT_GT(m.Stats().placement.chunks_evicted, 0u);
+      // No orphan: every object on the tier is a resident run.
+      std::uint64_t resident = 0;
+      for (std::uint64_t f = 0; f < spec_.num_files; ++f) {
+        resident += ChunksOf(m, f).ResidentStoredBytes();
+      }
+      EXPECT_EQ(resident, local_->TotalBytes());
+      EXPECT_EQ(resident, m.Stats().levels[0].occupancy_bytes);
+
+      EXPECT_GT(m.CleanupStagedCopies(), 0u);
+      EXPECT_TRUE(TierObjects().empty());
+      EXPECT_EQ(0u, m.Stats().levels[0].occupancy_bytes);
+    }
+  }
+}
+
+TEST_F(ChunkedReadTest, CorruptRunDropsAllItsChunks) {
+  for (const std::string codec : {"none", "lz"}) {
+    for (const bool lend : {false, true}) {
+      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
+      // The identity codec only checks whole chunks, and only with
+      // verify_on_read.
+      auto monarch = Build(codec, 1'000'000, "", [](MonarchConfig& config) {
+        config.resilience.verify_on_read = true;
+      });
+      ASSERT_OK(monarch);
+      Monarch& m = **monarch;
+      const std::uint64_t f = FileOfAtLeast(3 * 1024);
+      const std::string name = workload::SmallFilePath(spec_, f);
+      const std::uint64_t size = Expected(f).size();
+      ReadAndCheck(m, lend, f, 0, size);
+      m.DrainPlacements();
+      const pack::ChunkMap& cm = ChunksOf(m, f);
+      ASSERT_EQ(cm.num_chunks(), cm.ResidentCount());
+
+      // Garble the middle of the run object, inside chunk 1's bytes.
+      const std::string object = pack::ChunkObjectName(name, 0);
+      std::vector<std::byte> bytes(local_->FileSize(object).value());
+      ASSERT_OK(local_->Read(object, 0, bytes));
+      const std::uint32_t at = cm.Meta(1).run_offset;
+      for (std::uint32_t b = 0; b < cm.Meta(1).stored_bytes; ++b) {
+        bytes[at + b] ^= std::byte{0x5C};
+      }
+      ASSERT_OK(local_->Write(object, bytes));
+
+      // A read of chunk 1 alone still returns oracle bytes, and drops the
+      // whole run: every chunk, the object and its quota. Its PFS miss
+      // then stages chunk 1 alone, as a run of its own.
+      const auto corrupt_before = m.Stats().fallbacks_corruption;
+      ReadAndCheck(m, lend, f, 1024, 1024);
+      EXPECT_EQ(corrupt_before + 1, m.Stats().fallbacks_corruption);
+      m.DrainPlacements();
+      EXPECT_EQ(1u, cm.ResidentCount());
+      EXPECT_TRUE(cm.IsResident(1));
+      EXPECT_EQ(std::vector<std::string>{pack::ChunkObjectName(name, 1)},
+                TierObjects());
+      EXPECT_EQ(cm.ResidentStoredBytes(),
+                m.Stats().levels[0].occupancy_bytes);
+
+      // The next pass re-stages it, and the tier serves it again.
+      ReadAndCheck(m, lend, f, 0, size);
+      m.DrainPlacements();
+      EXPECT_EQ(cm.num_chunks(), cm.ResidentCount());
+      const std::uint64_t hits_before = m.Stats().chunk_hits;
+      ReadAndCheck(m, lend, f, 1024, 1024);
+      EXPECT_EQ(hits_before + 1, m.Stats().chunk_hits);
+    }
+  }
+}
+
+TEST_F(ChunkedReadTest, LendLaneServesChunkFromMiddleOfRun) {
+  for (const std::string codec : {"none", "lz"}) {
+    SCOPED_TRACE("codec " + codec);
+    auto monarch = Build(codec);
+    ASSERT_OK(monarch);
+    Monarch& m = **monarch;
+    const std::uint64_t f = FileOfAtLeast(3 * 1024);
+    const std::vector<std::byte> whole = Expected(f);
+    const std::string name = workload::SmallFilePath(spec_, f);
+    ReadAndCheck(m, /*lend=*/false, f, 0, whole.size());
+    m.DrainPlacements();
+
+    const std::uint64_t ops_before = LocalReadOps();
+    auto lease = m.ReadZeroCopy(name, 2048 + 5);
+    ASSERT_OK(lease);
+    EXPECT_EQ(0, lease.value().level()) << "served by the tier";
+    ASSERT_EQ(1024u - 5, lease.value().size()) << "one chunk per view";
+    EXPECT_TRUE(std::equal(lease.value().data().begin(),
+                           lease.value().data().end(),
+                           whole.begin() + 2048 + 5));
+    EXPECT_EQ(codec == "none", lease.value().zero_copy());
+    EXPECT_EQ(ops_before + 1, LocalReadOps());
+  }
+}
+
+// A run object deleted behind the driver must not stay "resident": the
+// read that finds it gone drops the run and its quota, so the next miss
+// re-stages it and later reads are served by the tier again.
+TEST_F(ChunkedReadTest, VanishedRunObjectIsDroppedAndRestaged) {
+  for (const std::string codec : {"none", "lz"}) {
+    for (const bool lend : {false, true}) {
+      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
+      auto monarch = Build(codec);
+      ASSERT_OK(monarch);
+      Monarch& m = **monarch;
+      const std::uint64_t f = FileOfAtLeast(3 * 1024);
+      const std::string name = workload::SmallFilePath(spec_, f);
+      const std::uint64_t size = Expected(f).size();
+      ReadAndCheck(m, lend, f, 0, size);
+      m.DrainPlacements();
+      ASSERT_OK(local_->Delete(pack::ChunkObjectName(name, 0)));
+
+      const std::uint64_t misses_before = m.Stats().chunk_misses;
+      ReadAndCheck(m, lend, f, 0, size);  // from the PFS
+      EXPECT_LT(misses_before, m.Stats().chunk_misses);
+      m.DrainPlacements();
+
+      const pack::ChunkMap& cm = ChunksOf(m, f);
+      EXPECT_EQ(cm.num_chunks(), cm.ResidentCount());
+      EXPECT_EQ(cm.ResidentStoredBytes(),
+                m.Stats().levels[0].occupancy_bytes)
+          << "the vanished run's quota must be released once";
+      const std::uint64_t hits_before = m.Stats().chunk_hits;
+      const std::uint64_t pfs_before = PfsReadOps();
+      ReadAndCheck(m, lend, f, 0, size);
+      EXPECT_LT(hits_before, m.Stats().chunk_hits);
+      EXPECT_EQ(pfs_before, PfsReadOps()) << "the tier serves it again";
+    }
+  }
+}
+
+// Undonated stretches (hints, Prestage, repair) are read from the PFS
+// once per run, not once per chunk.
+TEST_F(ChunkedReadTest, PrestageReadsEachFileWithOnePfsRead) {
+  for (const std::string codec : {"none", "lz"}) {
+    SCOPED_TRACE("codec " + codec);
+    auto monarch = Build(codec);
+    ASSERT_OK(monarch);
+    Monarch& m = **monarch;
+    std::uint64_t chunks = 0;
+    for (std::uint64_t f = 0; f < spec_.num_files; ++f) {
+      chunks += (Expected(f).size() + 1023) / 1024;
+    }
+    ASSERT_GT(chunks, spec_.num_files);
+    const std::uint64_t ops_before = PfsReadOps();
+    EXPECT_EQ(spec_.num_files, m.Prestage(/*block=*/true));
+    EXPECT_EQ(ops_before + spec_.num_files, PfsReadOps());
+    EXPECT_EQ(chunks, m.Stats().placement.chunks_staged);
+    EXPECT_EQ(spec_.num_files, TierObjects().size());
+    for (std::uint64_t f = 0; f < spec_.num_files; ++f) {
+      ReadAndCheck(m, /*lend=*/false, f, 0, Expected(f).size());
+    }
+    EXPECT_EQ(ops_before + spec_.num_files, PfsReadOps());
   }
 }
 
