@@ -15,8 +15,9 @@ cmake --build build-tsan
 # cache, churn, and checkpoint suites are the concurrency-critical ones:
 # they assert the lock-free metrics hot path, the tracer's export-vs-
 # writer race, the FairQueue staging queue (demand priority, promotion,
-# in-flight gauge, buffer pool) and the shared copy-drop path (evict,
-# quarantine, cleanup), the circuit-breaker state machine under
+# in-flight gauge, buffer pool), the shared copy-drop path (evict,
+# quarantine, cleanup, vanished) and the run schedule's clock and
+# look-ahead window, the circuit-breaker state machine under
 # concurrent readers, the cluster file directory's register/lookup/evict
 # and membership-retraction races, the re-staging pumps draining while
 # membership flips, the checkpoint drain lane racing Save/Flush/
@@ -28,10 +29,10 @@ cmake --build build-tsan
 # model", "Checkpoint write-back", "Small-file packing & chunk
 # staging").
 ./build-tsan/tests/monarch_tests \
-    --gtest_filter='MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:ReadLadder*:Pack*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
+    --gtest_filter='MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:RunSchedule*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:ReadLadder*:Pack*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
 # ... and the rest of the suite.
 ./build-tsan/tests/monarch_tests \
-    --gtest_filter='-MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:ReadLadder*:Pack*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
+    --gtest_filter='-MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:RunSchedule*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:ReadLadder*:Pack*:Chunk*:Qos*:FairQueue*:Admission*:RateLimiter*'
 
 cmake -B build-asan -G Ninja -DMONARCH_SANITIZE=address \
       -DMONARCH_BUILD_BENCHMARKS=OFF -DMONARCH_BUILD_EXAMPLES=OFF

@@ -57,7 +57,7 @@ struct FileInfo {
   /// file cannot hammer the staging pool on every access.
   std::atomic<int> fetch_failures{0};
 
-  /// Set when a look-ahead hint (not a demand read) claimed this file's
+  /// Set when look-ahead (not a demand read) claimed this file's
   /// fetch. The read path exchanges it back to false on the first demand
   /// read served from a cache tier — that exchange is one prefetch hit.
   std::atomic<bool> prefetched{false};
@@ -83,7 +83,7 @@ struct FileInfo {
   /// serves from the copy, so each file crosses the PFS once. The
   /// placement handler sets it and clears it (with a wake-up) on every
   /// exit of the copy and on every path that drops the task unrun. A
-  /// queued look-ahead hint is never joinable: its worker may be the
+  /// queued look-ahead prefetch is never joinable: its worker may be the
   /// very one the reader is queued behind.
   std::atomic<bool> joinable{false};
 

@@ -98,7 +98,7 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          "files marked unplaceable after exhausting max_placement_attempts");
   sample("monarch.placement.prefetch_scheduled", "", obs::MetricKind::kCounter,
          "ops", p.prefetch_scheduled,
-         "look-ahead hints enqueued on the prefetch lane");
+         "look-ahead and repair tasks enqueued on the prefetch lane");
   sample("monarch.placement.prefetch_completed", "", obs::MetricKind::kCounter,
          "ops", p.prefetch_completed,
          "prefetch-lane copies published to a cache tier");
@@ -107,10 +107,10 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          "queued prefetches moved to the demand lane by an overtaking read");
   sample("monarch.placement.prefetch_cancelled", "", obs::MetricKind::kCounter,
          "ops", p.prefetch_cancelled,
-         "hints dropped before staging (no space, stop, or shutdown)");
+         "prefetches dropped before staging (no space, stop, or shutdown)");
   sample("monarch.placement.prefetch_hits", "", obs::MetricKind::kCounter,
          "ops", stats.prefetch_hits,
-         "demand reads served from a copy a look-ahead hint staged");
+         "demand reads served from a copy look-ahead staged");
   sample("monarch.placement.chunks_copied", "", obs::MetricKind::kCounter,
          "chunks", p.chunks_copied,
          "fixed-size chunk writes performed by the staging pipeline");
@@ -545,7 +545,7 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
   // is already moving waits for that copy and serves from it, so the
   // file crosses the PFS once. Afterwards the re-loaded level is the
   // copy's tier, or still the PFS when the copy failed or was refused.
-  // A queued hint is never joinable: FinishRead promotes it, and only
+  // A queued prefetch is never joinable: FinishRead promotes it, and only
   // later reads join the promoted copy.
   enum class Join { kNone, kLocal, kPeer } joined = Join::kNone;
   if (level == pfs && cm == nullptr &&
@@ -620,6 +620,12 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
         CountDegradedFallback(FallbackCause::kCorruption, name, level);
       } else if (code == StatusCode::kNotFound) {
         if (read_pfs_fallbacks_ != nullptr) read_pfs_fallbacks_->Increment();
+        // A whole-file copy that vanished must not stay "placed": drop it
+        // (releasing its quota) so this read re-stages the file. Chunk
+        // runs are dropped by ServeChunks.
+        if (cm == nullptr) {
+          placement_->DropCopy(info, PlacementHandler::DropReason::kVanished);
+        }
       } else {
         CountDegradedFallback(FallbackCause::kTierError, name, level);
       }
@@ -637,7 +643,7 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
   } else if (joined == Join::kPeer && level == peer) {
     peer_copy_joins_.fetch_add(1, std::memory_order_relaxed);
   }
-  FinishRead(info, name, level, offset, served.value());
+  FinishRead(info, level, offset, served.value());
   pin_guard.file = nullptr;  // the lease owns the pin from here on
   storage::ReadView view =
       access.lend ? std::move(access.view)
@@ -813,8 +819,8 @@ void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
                                      donated);
 }
 
-void Monarch::FinishRead(const FileInfoPtr& info, std::string_view name,
-                         int level, std::uint64_t offset,
+void Monarch::FinishRead(const FileInfoPtr& info, int level,
+                         std::uint64_t offset,
                          std::span<const std::byte> served) {
   const int pfs = hierarchy_->pfs_level();
   const int peer = hierarchy_->peer_level();
@@ -824,8 +830,8 @@ void Monarch::FinishRead(const FileInfoPtr& info, std::string_view name,
   counters.bytes.fetch_add(served.size(), std::memory_order_relaxed);
 
   if (level != pfs && info->prefetched.exchange(false)) {
-    // First demand read of a copy that a look-ahead hint staged: the
-    // prefetch paid off before demand ever touched the PFS.
+    // First demand read of a copy that look-ahead staged: the prefetch
+    // paid off before demand ever touched the PFS.
     prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -873,18 +879,18 @@ void Monarch::FinishRead(const FileInfoPtr& info, std::string_view name,
             info, offset == 0 ? served : std::span<const std::byte>{});
       } else if (info->state.load(std::memory_order_acquire) ==
                  PlacementState::kFetching) {
-        // Someone else holds the fetch — possibly a hint still queued
-        // behind other speculative work. Demand has overtaken it: move
-        // it to the demand lane.
+        // Someone else holds the fetch — possibly a prefetch still
+        // queued behind other speculative work. Demand has overtaken it:
+        // move it to the demand lane.
         placement_->PromoteToDemand(info);
       }
     }
   }
 
-  // Keep the look-ahead window rolling: a demand read of a hinted file
-  // moves the cursor past it and claims the next files in order.
-  if (offset == 0 && hints_active_.load(std::memory_order_acquire)) {
-    AdvancePrefetchCursor(name);
+  // Keep the look-ahead window rolling: this visit moved the schedule
+  // clock (PrepareRead), so claim the files now within reach of it.
+  if (offset == 0 && placement_->options().prefetch_lookahead > 0) {
+    TopUpPrefetch();
   }
 }
 
@@ -924,9 +930,15 @@ void Monarch::TimedJoin(std::string_view name, const char* kind,
 bool Monarch::StageForPeer(const std::string& name) {
   if (placement_->stopped()) return false;
   FileInfoPtr info = metadata_.Lookup(name);
-  return info != nullptr &&
-         ClaimAndSchedule(std::move(info), StagingLane::kDemand,
-                          /*hinted=*/false);
+  if (info == nullptr) return false;
+  if (ClaimAndSchedule(info, StagingLane::kDemand, /*lookahead=*/false)) {
+    return true;
+  }
+  // Held as a queued prefetch: promote it, as a local read would, so the
+  // copy becomes joinable and the peer waits for it instead of the PFS.
+  return info->state.load(std::memory_order_acquire) ==
+             PlacementState::kFetching &&
+         placement_->PromoteToDemand(info);
 }
 
 void Monarch::CountDegradedFallback(FallbackCause cause, std::string_view name,
@@ -945,33 +957,6 @@ void Monarch::CountDegradedFallback(FallbackCause cause, std::string_view name,
   }
 }
 
-void Monarch::HintUpcoming(std::span<const std::string> upcoming) {
-  if (placement_->options().prefetch_lookahead <= 0) return;
-  std::size_t installed = 0;
-  {
-    std::lock_guard lock(hint_mu_);
-    hinted_order_.clear();
-    hint_index_.clear();
-    hinted_order_.reserve(upcoming.size());
-    for (const std::string& name : upcoming) {
-      FileInfoPtr info = metadata_.Lookup(name);
-      if (!info) continue;  // unknown files cannot be prefetched
-      hint_index_.emplace(name, hinted_order_.size());
-      hinted_order_.push_back(std::move(info));
-    }
-    hint_cursor_ = 0;
-    hint_scheduled_ = 0;
-    installed = hinted_order_.size();
-    hints_active_.store(installed != 0, std::memory_order_release);
-  }
-  obs::EventTracer& tracer = obs::EventTracer::Global();
-  if (tracer.enabled()) {
-    tracer.RecordInstant("placement.hint", "placement",
-                         "\"files\":" + std::to_string(installed));
-  }
-  TopUpPrefetch();
-}
-
 void Monarch::InstallRunSchedule(
     const std::vector<std::vector<std::string>>& epochs) {
   std::vector<std::string> sequence;
@@ -982,45 +967,23 @@ void Monarch::InstallRunSchedule(
     sequence.insert(sequence.end(), epoch.begin(), epoch.end());
   }
   placement_->InstallSchedule(sequence);
-}
-
-void Monarch::AdvancePrefetchCursor(std::string_view name) {
-  bool advanced = false;
-  {
-    std::lock_guard lock(hint_mu_);
-    auto it = hint_index_.find(name);
-    if (it == hint_index_.end()) return;
-    if (it->second >= hint_cursor_) {
-      hint_cursor_ = it->second + 1;
-      advanced = true;
-    }
-  }
-  if (advanced) TopUpPrefetch();
+  if (placement_->options().prefetch_lookahead > 0) TopUpPrefetch();
 }
 
 void Monarch::TopUpPrefetch() {
   if (placement_->stopped()) return;
-  // Advance the window under the lock (so its accounting stays
-  // consistent), claim and enqueue outside it (scheduling takes the
-  // handler's own lock).
-  std::vector<FileInfoPtr> window;
-  {
-    std::lock_guard lock(hint_mu_);
-    const auto lookahead =
-        static_cast<std::size_t>(placement_->options().prefetch_lookahead);
-    const std::size_t limit =
-        std::min(hinted_order_.size(), hint_cursor_ + lookahead);
-    for (; hint_scheduled_ < limit; ++hint_scheduled_) {
-      window.push_back(hinted_order_[hint_scheduled_]);
+  for (const std::string& name : placement_->TakeAhead(static_cast<
+           std::uint64_t>(placement_->options().prefetch_lookahead))) {
+    // Unknown files cannot be prefetched.
+    if (FileInfoPtr info = metadata_.Lookup(name)) {
+      ClaimAndSchedule(std::move(info), StagingLane::kPrefetch,
+                       /*lookahead=*/true);
     }
-  }
-  for (FileInfoPtr& info : window) {
-    ClaimAndSchedule(std::move(info), StagingLane::kPrefetch, /*hinted=*/true);
   }
 }
 
 bool Monarch::ClaimAndSchedule(FileInfoPtr info, StagingLane lane,
-                               bool hinted) {
+                               bool lookahead) {
   // Shard ownership (ISSUE 4): each node stages only its own shard; the
   // rest of the dataset reaches it through the peer tier.
   if (config_.peer_view != nullptr &&
@@ -1040,7 +1003,7 @@ bool Monarch::ClaimAndSchedule(FileInfoPtr info, StagingLane lane,
   } else if (!info->TryBeginFetch()) {
     return false;
   }
-  if (hinted) info->prefetched.store(true, std::memory_order_release);
+  if (lookahead) info->prefetched.store(true, std::memory_order_release);
   if (chunks.empty()) {
     placement_->SchedulePlacement(std::move(info), {}, lane);
   } else {
@@ -1060,7 +1023,7 @@ std::uint64_t Monarch::Prestage(bool block) {
   for (const auto& entry : metadata_.Snapshot()) {
     FileInfoPtr info = metadata_.Lookup(entry.name);
     if (info && ClaimAndSchedule(std::move(info), StagingLane::kDemand,
-                                 /*hinted=*/false)) {
+                                 /*lookahead=*/false)) {
       ++scheduled;
     }
   }
@@ -1080,7 +1043,7 @@ Result<std::uint64_t> Monarch::RestageFile(const std::string& name) {
   // Repair rides the PREFETCH lane: the staging queue serves it only
   // when no demand-band work is queued.
   if (!ClaimAndSchedule(std::move(info), StagingLane::kPrefetch,
-                        /*hinted=*/false)) {
+                        /*lookahead=*/false)) {
     return std::uint64_t{0};
   }
   return size;
@@ -1106,8 +1069,7 @@ std::uint64_t Monarch::ReadvertisePlacedCopies() {
 void Monarch::StopPlacement() noexcept {
   placement_->StopScheduling();
   // Speculative work is pointless once placement stops: drop queued
-  // hints so the files return to the retryable PFS-only state.
-  hints_active_.store(false, std::memory_order_release);
+  // prefetches so the files return to the retryable PFS-only state.
   placement_->CancelPrefetches();
 }
 
@@ -1137,7 +1099,6 @@ void Monarch::Shutdown() {
   if (ring_) ring_->Shutdown();
   if (config_.cleanup_staged_on_shutdown) CleanupStagedCopies();
   placement_->StopScheduling();
-  hints_active_.store(false, std::memory_order_release);
   // Don't make shutdown wait on speculative copies that nothing will read.
   placement_->CancelPrefetches();
   placement_->Drain();

@@ -24,12 +24,10 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/metadata_container.h"
@@ -44,7 +42,6 @@
 #include "obs/metrics_registry.h"
 #include "pack/chunk_map.h"
 #include "pack/pack_index.h"
-#include "util/sharded_map.h"
 #include "util/status.h"
 
 namespace monarch::core {
@@ -122,8 +119,8 @@ struct MonarchStats {
   std::uint64_t dataset_bytes = 0;
   double metadata_init_seconds = 0;
 
-  /// Demand reads served from a cache tier whose copy a look-ahead hint
-  /// (HintUpcoming) staged before the read arrived.
+  /// Demand reads served from a cache tier whose copy look-ahead over
+  /// the run schedule (InstallRunSchedule) staged before the read arrived.
   std::uint64_t prefetch_hits = 0;
 
   /// Degradation-ladder outcomes (ISSUE 2): reads that a cache tier
@@ -187,7 +184,7 @@ class Monarch {
   /// (POSIX-backed tiers) up to `max_bytes` from `offset`, returned as a
   /// ReadLease that (a) keeps the underlying page alive and (b) holds the
   /// file's eviction read-pin until released. Runs the same degradation
-  /// ladder, CRC verification, staging triggers, and prefetch-cursor
+  /// ladder, CRC verification, staging triggers, and look-ahead
   /// bookkeeping as Read. `allow_zero_copy=false` forces the copying
   /// lane (the benches' A/B lever).
   Result<ReadLease> ReadZeroCopy(
@@ -213,23 +210,15 @@ class Monarch {
   /// (always constructed; sized by MonarchConfig::read).
   [[nodiscard]] ReadRing& read_ring() noexcept { return *ring_; }
 
-  /// Publish the upcoming read order (a data loader calls this with each
-  /// epoch's shuffled file list before reading it). When
-  /// `[placement] prefetch_lookahead` is nonzero, a prefetch cursor
-  /// stages up to that many hinted files ahead of the newest demand
-  /// read on the PREFETCH lane — speculative work that never delays or
-  /// evicts demand staging. Replaces any previous hint list; a no-op
-  /// when look-ahead is disabled.
-  void HintUpcoming(std::span<const std::string> upcoming);
-
   /// Publish the WHOLE run's access order — every epoch's shuffled file
-  /// list, in epoch order — before training starts (ISSUE 6). The
-  /// concatenated sequence becomes the eviction ranking of an evicting
-  /// policy: victims go farthest next use first (Belady), and the
-  /// prefetch lane may evict residents needed later than its file.
-  /// Non-evicting policies ignore it.
-  /// Unlike HintUpcoming this does not drive the prefetch cursor; the
-  /// per-epoch hints still do that.
+  /// list, in epoch order — before training starts: the one way to tell
+  /// Monarch what is read next. When `[placement] prefetch_lookahead` is
+  /// nonzero, look-ahead stages up to that many scheduled files ahead of
+  /// the newest demand read on the PREFETCH lane, across epoch
+  /// boundaries. Under an evicting policy the sequence also ranks
+  /// victims farthest next use first (Belady), and the prefetch lane may
+  /// evict residents needed later than its file. Replaces any previous
+  /// schedule; ignored by a non-evicting policy without look-ahead.
   void InstallRunSchedule(const std::vector<std::vector<std::string>>& epochs);
 
   /// Stage the dataset into the cache tiers BEFORE training — the
@@ -345,10 +334,10 @@ class Monarch {
   Result<FileInfoPtr> PrepareRead(std::string_view name, std::uint64_t offset);
 
   /// Shared tail of both read paths: serve counters, prefetch-hit
-  /// bookkeeping, whole-file or chunk staging trigger, prefetch-cursor
-  /// advance. `served` holds the bytes handed to the caller.
-  void FinishRead(const FileInfoPtr& info, std::string_view name, int level,
-                  std::uint64_t offset, std::span<const std::byte> served);
+  /// bookkeeping, whole-file or chunk staging trigger, look-ahead top-up.
+  /// `served` holds the bytes handed to the caller.
+  void FinishRead(const FileInfoPtr& info, int level, std::uint64_t offset,
+                  std::span<const std::byte> served);
 
   /// Full-file tier reads against a recorded CRC when verify_on_read is
   /// set. Returns false when the copy is corrupt (and quarantines it).
@@ -379,16 +368,12 @@ class Monarch {
 
   /// Claim `info` for background staging on `lane` — the file-level
   /// fetch, or every non-resident chunk in pack mode — and enqueue it.
-  /// Skips files another node owns; `hinted` marks a look-ahead claim.
-  /// Returns false when nothing was claimed.
-  bool ClaimAndSchedule(FileInfoPtr info, StagingLane lane, bool hinted);
+  /// Skips files another node owns; `lookahead` marks a look-ahead
+  /// claim. Returns false when nothing was claimed.
+  bool ClaimAndSchedule(FileInfoPtr info, StagingLane lane, bool lookahead);
 
-  /// A demand read of `name` landed: advance the prefetch cursor past it
-  /// and top up the look-ahead window with new PREFETCH-lane claims.
-  void AdvancePrefetchCursor(std::string_view name);
-  /// Claim hinted files in [scheduled, cursor + lookahead) that are still
-  /// PFS-only and enqueue them on the prefetch lane. Caller must NOT hold
-  /// hint_mu_.
+  /// Claim the scheduled files the handler hands out (TakeAhead) that
+  /// are still PFS-only and enqueue them on the prefetch lane.
   void TopUpPrefetch();
 
   MonarchConfig config_;
@@ -400,20 +385,7 @@ class Monarch {
   pack::PackIndexPtr pack_index_;
 
   std::atomic<std::uint64_t> access_clock_{0};
-
-  // Look-ahead prefetch state (tentpole (3), DESIGN.md "staging
-  // pipeline"). `hints_active_` lets the read path skip the mutex
-  // entirely while no hint list is installed.
-  std::atomic<bool> hints_active_{false};
   std::atomic<std::uint64_t> prefetch_hits_{0};
-  std::mutex hint_mu_;
-  std::vector<FileInfoPtr> hinted_order_;               ///< under hint_mu_
-  /// under hint_mu_; transparent hash so the read path probes it with a
-  /// string_view (no temporary key)
-  std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
-      hint_index_;
-  std::size_t hint_cursor_ = 0;     ///< first hint not yet demand-read
-  std::size_t hint_scheduled_ = 0;  ///< first hint not yet claimed
 
   /// reads/bytes served per hierarchy level (vector sized at Create).
   struct LevelCounters {

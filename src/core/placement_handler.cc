@@ -556,7 +556,8 @@ bool PlacementHandler::DropCopy(const FileInfoPtr& file, DropReason reason) {
   // the read ends. The pin is checked after the claim so a reader that
   // pinned first is always honoured; one that pins after this check
   // degrades to the pre-pinning behaviour (kNotFound -> PFS fallback).
-  // Corrupt bytes and end-of-job cleanup do not wait for readers.
+  // Corrupt or vanished bytes and end-of-job cleanup do not wait for
+  // readers.
   if (reason == DropReason::kEvict &&
       f.read_pins.load(std::memory_order_acquire) > 0) {
     f.state.store(PlacementState::kPlaced, std::memory_order_release);
@@ -574,7 +575,10 @@ bool PlacementHandler::DropCopy(const FileInfoPtr& file, DropReason reason) {
   // Retract the cluster-directory advertisement before the bytes go.
   if (peer_view_ != nullptr) peer_view_->OnDropped(f.name);
   if (reason != DropReason::kQuarantine) f.AbortFetch(/*permanently=*/false);
-  if (tier.Delete(f.name).ok()) tier.Release(f.size);
+  if (const Status deleted = tier.Delete(f.name);
+      deleted.ok() || deleted.code() == StatusCode::kNotFound) {
+    tier.Release(f.size);
+  }
   const bool was_low_retention = NoteCopyDropped(f);
 
   obs::EventTracer& tracer = obs::EventTracer::Global();
@@ -609,6 +613,7 @@ bool PlacementHandler::DropCopy(const FileInfoPtr& file, DropReason reason) {
                 << tier.name() << "'; reads fall back to the PFS";
       break;
     case DropReason::kCleanup:
+    case DropReason::kVanished:
       break;
   }
   return true;
@@ -666,12 +671,14 @@ std::optional<int> PlacementHandler::EvictAndReserve(
   };
   if (std::optional<int> reserved = reserve()) return reserved;
   if (!Evicts()) return std::nullopt;
-  // The run schedule ranks when installed; without it a prefetch is a
-  // guess, which must not destroy placed data, and the policy ranks for
-  // the demand lane.
+  // The run schedule ranks when installed under an evicting policy;
+  // without it a prefetch is a guess, which must not destroy placed data,
+  // and the policy ranks for the demand lane.
   const bool demand = lane == StagingLane::kDemand;
-  std::optional<std::vector<FileInfoPtr>> ranked =
-      schedule_.SelectVictims(metadata_, *file, demand);
+  std::optional<std::vector<FileInfoPtr>> ranked;
+  if (policy_->EvictsUnderPressure()) {
+    ranked = schedule_.SelectVictims(metadata_, *file, demand);
+  }
   if (!ranked.has_value()) {
     if (!demand) return std::nullopt;
     ranked = policy_->SelectVictims(metadata_, *file);
@@ -1004,7 +1011,7 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
 
 void PlacementHandler::InstallSchedule(
     const std::vector<std::string>& sequence) {
-  if (policy_->EvictsUnderPressure()) schedule_.Install(sequence);
+  if (TracksSchedule()) schedule_.Install(sequence);
   obs::EventTracer& tracer = obs::EventTracer::Global();
   if (tracer.enabled()) {
     tracer.RecordInstant("placement.schedule", "placement",
@@ -1017,11 +1024,13 @@ void PlacementHandler::InstallSchedule(
 
 void PlacementHandler::NoteAccess(const FileInfo& file) {
   policy_->OnAccess(file);
-  if (policy_->EvictsUnderPressure()) schedule_.NoteAccess(file.name);
+  if (TracksSchedule()) schedule_.NoteAccess(file.name);
 }
 
 std::string PlacementHandler::EvictionRanking() const {
-  if (schedule_.length() == 0) return "policy (" + policy_->Name() + ")";
+  if (!policy_->EvictsUnderPressure() || schedule_.length() == 0) {
+    return "policy (" + policy_->Name() + ")";
+  }
   return "schedule (clock " + std::to_string(schedule_.clock()) + " of " +
          std::to_string(schedule_.length()) + " accesses)";
 }

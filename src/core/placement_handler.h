@@ -18,11 +18,12 @@
 //
 // One staging queue: every task waits in a qos::FairQueue keyed by I/O
 // class. DEMAND tasks come from actual reads and ride their tenant's
-// class; PREFETCH tasks come from look-ahead hints (Monarch::HintUpcoming)
-// and repair, and ride the prefetch class in the background band, so
-// they only run when no demand-band work is queued. A demand read that
-// overtakes a queued prefetch promotes it: the task is extracted from
-// the prefetch class and re-pushed on the reader's class. Prefetch evicts
+// class; PREFETCH tasks come from look-ahead over the run schedule
+// (TakeAhead) and repair, and ride the prefetch class in the background
+// band, so they only run when no demand-band work is queued. A demand
+// read (or a peer's stage request) that overtakes a queued prefetch
+// promotes it: the task is extracted from the prefetch class and
+// re-pushed on the reader's class. Prefetch evicts
 // only by the run schedule, and a prefetch rejection is never permanent.
 //
 // Joinable copies: while a demand task for a file is queued, or any
@@ -49,10 +50,11 @@
 // DropCopy, the one drop path quarantine and cleanup share, honouring
 // read and visit pins — until the incoming file fits. The demand lane
 // evicts whenever the policy allows it (or the enable_eviction ablation
-// forces it). When the trainer has published the run's schedule, the
-// handler ranks by it (RunSchedule, Belady: farthest next use first)
-// instead of by the policy, and the prefetch lane may then evict too,
-// but only residents needed later than its own file.
+// forces it). The trainer publishes the run's schedule (RunSchedule)
+// once; it feeds look-ahead prefetch, and under an evicting policy the
+// handler also ranks by it (Belady: farthest next use first) instead of
+// by the policy, and the prefetch lane may then evict too, but only
+// residents needed later than its own file.
 #pragma once
 
 #include <array>
@@ -83,7 +85,7 @@
 namespace monarch::core {
 
 /// Which queue a staging task belongs to. Demand tasks (read-triggered)
-/// always pop before prefetch tasks (hint-triggered).
+/// always pop before prefetch tasks (look-ahead and repair).
 enum class StagingLane { kDemand, kPrefetch };
 
 struct PlacementOptions {
@@ -112,8 +114,8 @@ struct PlacementOptions {
   /// (`[placement] staging_chunk_bytes`).
   std::uint64_t staging_chunk_bytes = 4ULL * 1024 * 1024;
 
-  /// How many hinted files the prefetch cursor keeps in flight ahead of
-  /// the newest demand read; 0 disables look-ahead prefetching
+  /// How many scheduled files look-ahead keeps in flight ahead of the
+  /// newest demand read; 0 disables look-ahead prefetching
   /// (`[placement] prefetch_lookahead`). Consumed by Monarch, carried
   /// here so one options struct configures the whole staging engine.
   int prefetch_lookahead = 0;
@@ -152,10 +154,10 @@ struct PlacementStats {
   std::uint64_t abandoned = 0;     ///< files past max_placement_attempts
 
   // Pipelined-staging telemetry (docs/OBSERVABILITY.md §1).
-  std::uint64_t prefetch_scheduled = 0;  ///< hint-lane tasks enqueued
-  std::uint64_t prefetch_completed = 0;  ///< hint-lane copies published
-  std::uint64_t prefetch_promoted = 0;   ///< hints overtaken by demand reads
-  std::uint64_t prefetch_cancelled = 0;  ///< hints dropped before staging
+  std::uint64_t prefetch_scheduled = 0;  ///< prefetch-lane tasks enqueued
+  std::uint64_t prefetch_completed = 0;  ///< prefetch-lane copies published
+  std::uint64_t prefetch_promoted = 0;   ///< prefetches overtaken by demand
+  std::uint64_t prefetch_cancelled = 0;  ///< prefetches dropped unstaged
   std::uint64_t chunks_copied = 0;       ///< chunk writes across all copies
   std::uint64_t donated_bytes = 0;       ///< triggering-read bytes reused
   std::uint64_t donation_held_bytes = 0;  ///< gauge: donated bytes held
@@ -229,8 +231,23 @@ class PlacementHandler {
 
   /// Drop every queued prefetch task and return the files to the
   /// retryable PFS-only state. Used at StopPlacement/shutdown; returns
-  /// the number of cancelled hints.
+  /// the number of cancelled prefetches.
   std::size_t CancelPrefetches();
+
+  /// Why a placed whole-file copy is dropped (counters and traces).
+  /// kVanished: the read path found the tier object gone.
+  enum class DropReason { kEvict, kQuarantine, kCleanup, kVanished };
+  /// Drop `file`'s placed whole-file copy: claim it (kPlaced ->
+  /// kFetching), point the file at the PFS, retract it from the peer
+  /// view, delete the bytes, release the quota (also when the object is
+  /// already gone) and the low-retention share, then count and trace the
+  /// drop under `reason`. All but a quarantined file return to the
+  /// retryable PFS-only state; that one stays claimed for QuarantineCopy
+  /// to settle. A copy whose delete fails stops serving all the same;
+  /// its quota stays reserved. Returns false, leaving the file as it
+  /// was, when the claim fails, nothing is staged, or (eviction only) a
+  /// read pins the file. Thread-safe.
+  bool DropCopy(const FileInfoPtr& file, DropReason reason);
 
   /// Remove `file`'s tier copy because its bytes failed verification
   /// (DropCopy), then reset the file to PFS-resident — or unplaceable
@@ -252,13 +269,21 @@ class PlacementHandler {
   bool CleanupCopy(const FileInfoPtr& file);
 
   /// Install the whole-run demand access sequence
-  /// (Monarch::InstallRunSchedule) as the eviction ranking. Ignored
-  /// unless the policy evicts (the enable_eviction ablation keeps LRU).
+  /// (Monarch::InstallRunSchedule). Kept when the policy evicts or
+  /// look-ahead is on; it ranks victims only under an evicting policy
+  /// (first-fit and the enable_eviction ablation keep their ranking).
   void InstallSchedule(const std::vector<std::string>& sequence);
 
   /// One demand file visit (offset-0 reads only, not chunks): policy
   /// bookkeeping, and the schedule clock when one is installed.
   void NoteAccess(const FileInfo& file);
+
+  /// The scheduled names look-ahead should claim next: those not yet
+  /// handed out, up to `n` positions past the schedule clock
+  /// (RunSchedule::TakeAhead). Empty without a schedule.
+  [[nodiscard]] std::vector<std::string> TakeAhead(std::uint64_t n) {
+    return schedule_.TakeAhead(n);
+  }
 
   /// What ranks evictions, for operators: "schedule (clock C of L
   /// accesses)" or "policy (<name>)".
@@ -349,7 +374,7 @@ class PlacementHandler {
   /// Clear the mark and wake the reads waiting on it.
   void EndJoinable(FileInfo& file);
   /// A speculative task dropped before staging: count it and clear the
-  /// file's hint marking.
+  /// file's look-ahead marking.
   void CancelPrefetch(FileInfo& file) noexcept;
   /// Scan resistance (ISSUE 10): true when a low-retention task would
   /// push its tenant past `qos.scan_stage_cap_bytes`; the refusal is
@@ -362,19 +387,6 @@ class PlacementHandler {
   /// quarantine, cleanup): clears the file's marking and returns the
   /// resident gauge's share. Returns whether the copy was low-retention.
   bool NoteCopyDropped(FileInfo& file) noexcept;
-
-  /// Why a placed whole-file copy is dropped (counters and traces).
-  enum class DropReason { kEvict, kQuarantine, kCleanup };
-  /// Drop `file`'s placed whole-file copy: claim it (kPlaced ->
-  /// kFetching), point the file at the PFS, retract it from the peer
-  /// view, delete the bytes, release the quota and the low-retention
-  /// share, then count and trace the drop under `reason`. Evicted and
-  /// cleaned-up files return to the retryable PFS-only state; a
-  /// quarantined one stays claimed for QuarantineCopy to settle. A copy
-  /// whose delete fails stops serving all the same; its quota stays
-  /// reserved. Returns false, leaving the file as it was, when the claim
-  /// fails, nothing is staged, or (eviction only) a read pins the file.
-  bool DropCopy(const FileInfoPtr& file, DropReason reason);
 
   void WorkerLoop();
   /// Stage one file. Returns normally whether the copy succeeded or
@@ -405,13 +417,19 @@ class PlacementHandler {
   [[nodiscard]] bool Evicts() const noexcept {
     return options_.enable_eviction || policy_->EvictsUnderPressure();
   }
+  /// Whether the run schedule is kept: it ranks an evicting policy's
+  /// victims, and it feeds look-ahead prefetch.
+  [[nodiscard]] bool TracksSchedule() const noexcept {
+    return policy_->EvictsUnderPressure() || options_.prefetch_lookahead > 0;
+  }
   /// Reserve `bytes` (the whole file, or one stored run in pack mode)
   /// on the level PickLevel chooses — or only on `level` when set — and,
-  /// when nothing has room, walk the victim ranking (the run schedule's
-  /// when installed, else the policy's; filtered to `level` when set),
-  /// dropping placed copies until the reservation succeeds. Returns the
-  /// reserved level, or nullopt when the lane may not evict, the ranking
-  /// offered no victims, or the freed space still was not enough.
+  /// when nothing has room, walk the victim ranking (an evicting
+  /// policy's run schedule when installed, else the policy's; filtered
+  /// to `level` when set), dropping placed copies until the reservation
+  /// succeeds. Returns the reserved level, or nullopt when the lane may
+  /// not evict, the ranking offered no victims, or the freed space still
+  /// was not enough.
   std::optional<int> EvictAndReserve(const FileInfoPtr& file,
                                      StagingLane lane, std::uint64_t bytes,
                                      std::optional<int> level = std::nullopt);
@@ -458,7 +476,8 @@ class PlacementHandler {
   StorageHierarchy& hierarchy_;
   MetadataContainer& metadata_;
   PlacementPolicyPtr policy_;
-  /// The run's access order, installed only when the policy evicts.
+  /// The run's access order, installed when the policy evicts or
+  /// look-ahead is on (TracksSchedule).
   RunSchedule schedule_;
   PlacementOptions options_;
   ResilienceOptions resilience_;

@@ -122,10 +122,14 @@ std::vector<FileInfoPtr> HotspotPolicy::SelectVictims(
 void RunSchedule::Install(const std::vector<std::string>& sequence) {
   std::lock_guard lock(mu_);
   positions_.clear();
+  sequence_.clear();
+  sequence_.reserve(sequence.size());
   clock_ = 0;
-  length_ = sequence.size();
+  taken_ = 0;
   for (std::uint64_t i = 0; i < sequence.size(); ++i) {
-    positions_[sequence[i]].push_back(i);
+    const auto it = positions_.try_emplace(sequence[i]).first;
+    it->second.push_back(i);
+    sequence_.push_back(&it->first);
   }
 }
 
@@ -152,6 +156,17 @@ void RunSchedule::NoteAccess(const std::string& name) {
   clock_ = std::max(clock_, position + 1);
 }
 
+std::vector<std::string> RunSchedule::TakeAhead(std::uint64_t n) {
+  std::lock_guard lock(mu_);
+  std::vector<std::string> names;
+  for (const std::uint64_t end = std::min<std::uint64_t>(
+           sequence_.size(), clock_ + n);
+       taken_ < end; ++taken_) {
+    names.push_back(*sequence_[taken_]);
+  }
+  return names;
+}
+
 std::uint64_t RunSchedule::clock() const {
   std::lock_guard lock(mu_);
   return clock_;
@@ -159,7 +174,7 @@ std::uint64_t RunSchedule::clock() const {
 
 std::uint64_t RunSchedule::length() const {
   std::lock_guard lock(mu_);
-  return length_;
+  return sequence_.size();
 }
 
 std::optional<std::uint64_t> RunSchedule::NextAccessOf(
@@ -174,7 +189,7 @@ std::optional<std::vector<FileInfoPtr>> RunSchedule::SelectVictims(
     const MetadataContainer& metadata, const FileInfo& incoming,
     bool incoming_active) const {
   std::lock_guard lock(mu_);
-  if (length_ == 0) return std::nullopt;
+  if (sequence_.empty()) return std::nullopt;
   // The bar a victim's next use must clear: none for a demand staging,
   // whose read is running now; the prefetched file's own next access
   // otherwise.

@@ -20,7 +20,7 @@
 //
 // When the trainer publishes the run's schedule, an evicting policy's
 // handler ranks victims by RunSchedule (Belady) instead of the policy's
-// SelectVictims.
+// SelectVictims, and look-ahead prefetch stages the files it names next.
 //
 // PickLevel both selects a level and reserves the quota on it (the
 // reservation is the only way the decision can be made race-free under a
@@ -134,18 +134,23 @@ class HotspotPolicy final : public FirstFitPolicy {
 
 /// The run's published demand access order (Monarch::InstallRunSchedule:
 /// every epoch's shuffled file list, concatenated), owned by the
-/// PlacementHandler of an evicting policy. Install records each file's
-/// schedule positions, NoteAccess consumes one per file visit and
-/// advances the access clock, and SelectVictims ranks placed files the
-/// Belady way: farthest next use first. Thread-safe.
+/// PlacementHandler — the one source of "what is read next". Install
+/// records each file's schedule positions, NoteAccess consumes one per
+/// file visit and advances the access clock, TakeAhead hands the
+/// look-ahead window to prefetch, and SelectVictims ranks placed files
+/// the Belady way: farthest next use first. Thread-safe.
 class RunSchedule {
  public:
-  /// Replace the schedule and restart the clock; an empty sequence
-  /// uninstalls it.
+  /// Replace the schedule and restart the clock and the look-ahead
+  /// window; an empty sequence uninstalls it.
   void Install(const std::vector<std::string>& sequence);
   /// One demand visit of `name`: consume its pending position and move
   /// the clock past it.
   void NoteAccess(const std::string& name);
+  /// The names at the positions not yet handed out, up to (excluding)
+  /// `clock + n`; each position is handed out once per Install. The
+  /// window runs on across epoch boundaries.
+  [[nodiscard]] std::vector<std::string> TakeAhead(std::uint64_t n);
 
   /// Schedule positions consumed so far (the clock) and in total; a
   /// length of 0 means no schedule is installed.
@@ -177,8 +182,11 @@ class RunSchedule {
   /// Per-file pending schedule positions, ascending. Under mu_.
   mutable std::unordered_map<std::string, std::deque<std::uint64_t>>
       positions_;
-  std::uint64_t clock_ = 0;   ///< under mu_
-  std::uint64_t length_ = 0;  ///< under mu_; 0 = not installed
+  /// The sequence itself, as pointers to positions_' keys (stable: map
+  /// nodes are only freed by Install). Under mu_.
+  std::vector<const std::string*> sequence_;
+  std::uint64_t clock_ = 0;  ///< under mu_
+  std::uint64_t taken_ = 0;  ///< under mu_; first position not handed out
 };
 
 PlacementPolicyPtr MakeFirstFitPolicy();

@@ -118,9 +118,6 @@ class GatedOpener final : public RecordFileOpener {
   }
 
   void OnEpochStart(int epoch) override { inner_->OnEpochStart(epoch); }
-  void OnEpochOrder(const std::vector<std::string>& order) override {
-    inner_->OnEpochOrder(order);
-  }
   void OnRunSchedule(
       const std::vector<std::vector<std::string>>& epochs) override {
     inner_->OnRunSchedule(epochs);

@@ -30,9 +30,8 @@ EpochLoader::EpochLoader(const std::vector<std::string>& files, int epoch,
       monitor_(monitor),
       config_(config),
       queue_(config.prefetch_samples) {
-  // Publish the order before any reader starts — a prefetching opener
-  // (MONARCH look-ahead) wants the hints installed ahead of the first
-  // demand read.
+  // Publish the order before any reader starts (RecordFileOpener::
+  // OnEpochOrder says why the hook stays).
   opener_.OnEpochOrder(shuffled_files_);
 
   const int readers = std::max(1, config_.reader_threads);

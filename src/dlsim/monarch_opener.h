@@ -54,8 +54,8 @@ class MonarchOpener final : public RecordFileOpener {
       : monarch_(monarch),
         stop_after_first_epoch_(stop_placement_after_first_epoch) {}
 
-  /// Attribute every source this opener hands out (and the epoch-hint
-  /// scheduling it triggers) to `tenant`.
+  /// Attribute every source this opener hands out (and the look-ahead
+  /// staging the run schedule triggers) to `tenant`.
   void SetTenant(qos::TenantContext tenant) { tenant_ = std::move(tenant); }
 
   Result<tfrecord::RandomAccessSourcePtr> Open(
@@ -72,20 +72,12 @@ class MonarchOpener final : public RecordFileOpener {
     if (stop_after_first_epoch_ && epoch > 1) monarch_.StopPlacement();
   }
 
-  void OnEpochOrder(const std::vector<std::string>& order) override {
-    // The shuffled order is exactly the upcoming read sequence — feed it
-    // to the look-ahead cursor (a no-op unless prefetch_lookahead > 0).
-    // The tenant is installed so the prefetch stagings this schedules
-    // carry the job's identity into the fair queue.
-    std::optional<qos::ScopedTenant> scope;
-    if (tenant_.has_value()) scope.emplace(*tenant_);
-    monarch_.HintUpcoming(order);
-  }
-
   void OnRunSchedule(
       const std::vector<std::vector<std::string>>& epochs) override {
-    // The whole run's access sequence, for Belady-style placement — a
-    // no-op unless the configured policy consumes schedules.
+    // The whole run's access sequence: it drives look-ahead prefetch and
+    // an evicting policy's Belady ranking. The tenant is installed so
+    // the prefetch stagings it schedules carry the job's identity into
+    // the fair queue.
     std::optional<qos::ScopedTenant> scope;
     if (tenant_.has_value()) scope.emplace(*tenant_);
     monarch_.InstallRunSchedule(epochs);

@@ -34,15 +34,18 @@ class RecordFileOpener {
   virtual void OnEpochStart(int /*epoch*/) {}
 
   /// The loader publishes the epoch's shuffled file order before its
-  /// readers start. Openers backed by a prefetching store (MONARCH's
-  /// look-ahead cursor) hook this; the default ignores it.
+  /// readers start. No store uses it any more (MONARCH's look-ahead reads
+  /// the run schedule below); it stays only because the benchmark
+  /// suite's timing opener overrides it, and goes with the next change
+  /// to that suite.
   virtual void OnEpochOrder(const std::vector<std::string>& /*order*/) {}
 
   /// The trainer publishes the WHOLE run's access order — one shuffled
   /// file list per epoch, epoch order — before the first epoch starts
   /// (the per-epoch shuffles are seeded, so the full sequence is
   /// computable up front). Openers backed by a schedule-aware store
-  /// (MONARCH ranks evictions by it) hook this; the default ignores it.
+  /// (MONARCH prefetches and ranks evictions by it) hook this; the
+  /// default ignores it.
   virtual void OnRunSchedule(
       const std::vector<std::vector<std::string>>& /*epochs*/) {}
 

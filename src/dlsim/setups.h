@@ -30,7 +30,7 @@ struct ExperimentConfig {
   std::uint64_t local_quota_bytes = 115ULL * 1024 * 1024;
   /// MONARCH placement-pool width (paper configuration: 6).
   int placement_threads = 6;
-  /// MONARCH look-ahead: hinted files kept staging ahead of the read
+  /// MONARCH look-ahead: scheduled files kept staging ahead of the read
   /// position (0 = demand-only, the paper's baseline behaviour).
   int prefetch_lookahead = 0;
   /// MONARCH staging pipeline: chunk-buffer-pool budget and granularity

@@ -59,12 +59,14 @@ struct Node {
 };
 
 /// Two nodes sharing a PeerGroup. Node `gated_node`'s local tier holds
-/// the first write of `gated_file` until released.
+/// the first write of `gated_file` until released. With `gated_lookahead`
+/// set, that node prefetches that far ahead through one placement worker.
 struct JoinWorld {
   std::unique_ptr<PeerGroup> group;
   std::vector<Node> nodes;
 
-  explicit JoinWorld(int gated_node = -1, const std::string& gated_file = "") {
+  explicit JoinWorld(int gated_node = -1, const std::string& gated_file = "",
+                     int gated_lookahead = 0) {
     group = std::make_unique<PeerGroup>(2);
     nodes.resize(2);
     for (int n = 0; n < 2; ++n) {
@@ -89,6 +91,10 @@ struct JoinWorld {
       config.pfs = core::TierSpec{"pfs", node.pfs, 0};
       config.dataset_dir = "data";
       config.placement.num_threads = 2;
+      if (n == gated_node && gated_lookahead > 0) {
+        config.placement.prefetch_lookahead = gated_lookahead;
+        config.placement.num_threads = 1;
+      }
       config.resilience.retry.max_attempts = 1;
       auto monarch = core::Monarch::Create(std::move(config));
       EXPECT_TRUE(monarch.ok()) << monarch.status().ToString();
@@ -181,6 +187,43 @@ TEST(PeerJoinTest, OwnerKilledMidCopyWakesWaiterToPfs) {
 
   world.nodes[1].gate->ReleaseBlocked();
   world.monarch(1).DrainPlacements();
+}
+
+TEST(PeerJoinTest, StageRequestPromotesOwnersQueuedPrefetch) {
+  // Two files node 1 owns: its single worker blocks inside the copy of
+  // the first, so look-ahead leaves the second queued as a prefetch.
+  std::vector<int> owned;
+  {
+    const FileDirectory directory(2);
+    for (int i = 0; i < kFiles; ++i) {
+      if (directory.PrimaryOwner(File(i)) == 1) owned.push_back(i);
+    }
+  }
+  ASSERT_GE(owned.size(), 2u);
+  const int blocker = owned[0];
+  const int target = owned[1];
+  JoinWorld world(/*gated_node=*/1, File(blocker), /*gated_lookahead=*/2);
+  world.monarch(1).InstallRunSchedule({{File(blocker), File(target)}});
+  world.nodes[1].gate->AwaitBlocked();
+
+  // Node 0's stage request promotes the queued prefetch to a joinable
+  // demand copy, and the read waits for it instead of reading the PFS.
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    world.ReadFile(0, target);
+    done.store(true);
+  });
+  while (!done.load() &&
+         world.monarch(1).Stats().placement.prefetch_promoted == 0) {
+    std::this_thread::yield();
+  }
+  world.nodes[1].gate->ReleaseBlocked();
+  reader.join();
+  world.monarch(1).DrainPlacements();
+
+  EXPECT_EQ(1u, world.monarch(1).Stats().placement.prefetch_promoted);
+  EXPECT_EQ(0u, world.PfsReadOps(0)) << "the non-owner never read the PFS";
+  EXPECT_EQ(1u, world.monarch(0).Stats().peer_copy_joins);
 }
 
 TEST(PeerJoinTest, OwnerStagingForPeerReconcilesWithPfsTraffic) {

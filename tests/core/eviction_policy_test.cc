@@ -1,9 +1,8 @@
 // Eviction-correctness tests for the ISSUE 6 placement policies: the
-// ranking rules (LRU, hotspot decay, and the run schedule's Belady
-// ordering — the Clairvoyant* cases, after Dryden et al.'s clairvoyant
-// prefetcher) and the handler-side mechanics they plug into (read pins,
-// schedule-ranked eviction on both lanes, peer-directory notifications,
-// dynamic headroom after refusals).
+// ranking rules (LRU, hotspot decay), the run schedule (RunSchedule*:
+// its clock, look-ahead window and Belady ordering) and the handler-side
+// mechanics they plug into (read pins, schedule-ranked eviction on both
+// lanes, peer-directory notifications, dynamic headroom after refusals).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -113,7 +112,15 @@ TEST_F(EvictionPolicyTest, HotspotDecayHalvesCountsAndEvictsColdestFirst) {
   EXPECT_EQ(policy.FrequencyOf("cold"), 0u);
 }
 
-TEST_F(EvictionPolicyTest, ClairvoyantTracksScheduleClockAndNextAccess) {
+// ---------------------------------------------------------------------
+// RunSchedule: the published run order — its clock, its look-ahead
+// window and its Belady ranking (after Dryden et al.'s clairvoyant
+// prefetcher).
+// ---------------------------------------------------------------------
+
+class RunScheduleTest : public EvictionPolicyTest {};
+
+TEST_F(RunScheduleTest, TracksScheduleClockAndNextAccess) {
   RunSchedule schedule;
   EXPECT_EQ(schedule.length(), 0u) << "nothing installed yet";
   schedule.Install({"a", "b", "a", "c"});
@@ -139,7 +146,7 @@ TEST_F(EvictionPolicyTest, ClairvoyantTracksScheduleClockAndNextAccess) {
   EXPECT_EQ(*schedule.NextAccessOf("a"), 1u);
 }
 
-TEST_F(EvictionPolicyTest, ClairvoyantLateVisitConsumesItsOwnPosition) {
+TEST_F(RunScheduleTest, LateVisitConsumesItsOwnPosition) {
   // Two readers: "y" (position 1) is opened before "x" (position 0).
   // The clock passes x's position, but x's late visit must consume that
   // position, not its next epoch's, or the clock would jump an epoch.
@@ -162,7 +169,7 @@ TEST_F(EvictionPolicyTest, ClairvoyantLateVisitConsumesItsOwnPosition) {
   EXPECT_EQ(*schedule.NextAccessOf("z"), 6u);
 }
 
-TEST_F(EvictionPolicyTest, ClairvoyantEvictsFarthestNextAccess) {
+TEST_F(RunScheduleTest, EvictsFarthestNextAccess) {
   Placed("soon");
   Placed("later");
   Placed("farthest");
@@ -180,7 +187,7 @@ TEST_F(EvictionPolicyTest, ClairvoyantEvictsFarthestNextAccess) {
             (std::vector<std::string>{"one-shot", "farthest", "later", "soon"}));
 }
 
-TEST_F(EvictionPolicyTest, ClairvoyantProtectsSoonerNeededResidents) {
+TEST_F(RunScheduleTest, ProtectsSoonerNeededResidents) {
   // The resident is needed BEFORE the prefetched file: evicting it would
   // trade a near hit for a far one, so the eviction is refused.
   Placed("resident");
@@ -197,7 +204,7 @@ TEST_F(EvictionPolicyTest, ClairvoyantProtectsSoonerNeededResidents) {
             (std::vector<std::string>{"after", "resident"}));
 }
 
-TEST_F(EvictionPolicyTest, ClairvoyantRefusesPrefetchOfNeverAgainFile) {
+TEST_F(RunScheduleTest, RefusesPrefetchOfNeverAgainFile) {
   Placed("resident");
   auto incoming = Incoming("one-shot");
   RunSchedule schedule;
@@ -209,7 +216,7 @@ TEST_F(EvictionPolicyTest, ClairvoyantRefusesPrefetchOfNeverAgainFile) {
   EXPECT_FALSE(schedule.SelectVictims(metadata_, *incoming, true)->empty());
 }
 
-TEST_F(EvictionPolicyTest, ClairvoyantWithoutScheduleDegradesToLru) {
+TEST_F(RunScheduleTest, WithoutScheduleDegradesToLru) {
   Placed("old", /*last_access=*/1);
   Placed("new", /*last_access=*/2);
   auto incoming = Incoming("incoming");
@@ -220,6 +227,36 @@ TEST_F(EvictionPolicyTest, ClairvoyantWithoutScheduleDegradesToLru) {
   LruPolicy lru;
   EXPECT_EQ(Names(lru.SelectVictims(metadata_, *incoming)),
             (std::vector<std::string>{"old", "new"}));
+}
+
+TEST_F(RunScheduleTest, TakeAheadHandsOutEachPositionOnce) {
+  RunSchedule schedule;
+  EXPECT_TRUE(schedule.TakeAhead(4).empty()) << "nothing installed yet";
+  schedule.Install({"a", "b", "c", "a", "d"});
+  EXPECT_EQ(schedule.TakeAhead(2), (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(schedule.TakeAhead(2).empty())
+      << "the window has not moved since";
+
+  // The window follows the clock: one visit opens one more position,
+  // and a visit that skips ahead opens everything up to its reach.
+  schedule.NoteAccess("a");
+  EXPECT_EQ(schedule.TakeAhead(2), std::vector<std::string>{"c"});
+  schedule.NoteAccess("c");
+  EXPECT_EQ(schedule.clock(), 3u);
+  EXPECT_EQ(schedule.TakeAhead(2), (std::vector<std::string>{"a", "d"}))
+      << "a name is handed out again at its next position";
+  EXPECT_TRUE(schedule.TakeAhead(10).empty()) << "the schedule is spent";
+}
+
+TEST_F(RunScheduleTest, TakeAheadRestartsOnInstall) {
+  RunSchedule schedule;
+  schedule.Install({"a", "b", "c"});
+  EXPECT_EQ(schedule.TakeAhead(8),
+            (std::vector<std::string>{"a", "b", "c"}));
+  schedule.Install({"c", "b"});
+  EXPECT_EQ(schedule.TakeAhead(1), std::vector<std::string>{"c"});
+  schedule.Install({});
+  EXPECT_TRUE(schedule.TakeAhead(8).empty()) << "uninstalled";
 }
 
 // ---------------------------------------------------------------------

@@ -366,6 +366,16 @@ TEST_F(MonarchTest, FallsBackToPfsWhenTierCopyVanishes) {
   ASSERT_OK(local_->Delete("data/f1"));
   EXPECT_EQ("resilient-bytes", ReadAll(**monarch, "data/f1", 15))
       << "read must fall back to the authoritative PFS copy";
+
+  // The vanished copy was dropped, its quota released, and the fallback
+  // read re-staged the file: the next read is a tier hit again.
+  monarch.value()->DrainPlacements();
+  const std::uint64_t pfs_reads = monarch.value()->Stats().pfs_reads();
+  EXPECT_EQ("resilient-bytes", ReadAll(**monarch, "data/f1", 15));
+  const auto stats = monarch.value()->Stats();
+  EXPECT_EQ(pfs_reads, stats.pfs_reads()) << "served from the tier";
+  EXPECT_EQ(15u, stats.levels[0].occupancy_bytes)
+      << "one copy of the file is accounted, not two";
 }
 
 TEST_F(MonarchTest, ThreeTierHierarchySpillsDownward) {

@@ -245,7 +245,7 @@ class RecordingPeerView final : public PeerView {
   std::vector<std::string> dropped_;
 };
 
-enum class Drop { kEvict, kQuarantine, kCleanup };
+enum class Drop { kEvict, kQuarantine, kCleanup, kVanished };
 
 /// (how the copy is dropped, whether a reader holds a pin on it)
 class CopyDropTest
@@ -275,6 +275,12 @@ TEST_P(CopyDropTest, DropsThePlacedCopyOnce) {
       break;
     case Drop::kCleanup:
       handler_->CleanupCopy(scan);
+      break;
+    case Drop::kVanished:
+      // The object went behind the driver; the quota must come back all
+      // the same.
+      ASSERT_OK(cache_engine_->Delete("scan"));
+      handler_->DropCopy(scan, PlacementHandler::DropReason::kVanished);
       break;
   }
 
@@ -313,14 +319,15 @@ std::string DropCaseName(
   const auto [drop, pinned] = param_info.param;
   const char* name = drop == Drop::kEvict        ? "evict"
                      : drop == Drop::kQuarantine ? "quarantine"
-                                                 : "cleanup";
+                     : drop == Drop::kCleanup    ? "cleanup"
+                                                 : "vanished";
   return std::string(name) + (pinned ? "_pinned" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PlacementHandler, CopyDropTest,
     ::testing::Combine(::testing::Values(Drop::kEvict, Drop::kQuarantine,
-                                         Drop::kCleanup),
+                                         Drop::kCleanup, Drop::kVanished),
                        ::testing::Bool()),
     DropCaseName);
 

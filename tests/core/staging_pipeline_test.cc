@@ -1,8 +1,9 @@
 // Pipelined staging engine tests: the fair staging queue (demand
 // priority, promotion, in-flight gauge), the chunked copy path (CRC
 // equivalence with the full-buffer fast path, bounded peak memory,
-// donated prefixes), the look-ahead prefetch cursor driven through
-// Monarch::HintUpcoming, and reads joining a copy already in flight.
+// donated prefixes), the look-ahead prefetch window driven by the run
+// schedule (Monarch::InstallRunSchedule), and reads joining a copy
+// already in flight.
 // Suite names (StagingPipeline*, BufferPool*) are part of
 // scripts/check.sh's TSan filter.
 #include <gtest/gtest.h>
@@ -109,7 +110,7 @@ class StagingPipelineTest : public ::testing::Test {
     return metadata_.Lookup(name);
   }
 
-  /// Claim + schedule in one step (what the read path / hint cursor do).
+  /// Claim + schedule in one step (what the read path and look-ahead do).
   void Stage(const FileInfoPtr& file,
              std::optional<std::vector<std::byte>> content,
              StagingLane lane = StagingLane::kDemand) {
@@ -434,7 +435,7 @@ TEST_F(StagingPipelineTest, JoinableMarksDemandCopiesNotQueuedHints) {
 }
 
 // ---------------------------------------------------------------------------
-// Monarch look-ahead prefetching (HintUpcoming -> prefetch cursor)
+// Monarch look-ahead prefetching (InstallRunSchedule -> TakeAhead window)
 
 class StagingPipelineMonarchTest : public ::testing::Test {
  protected:
@@ -486,7 +487,7 @@ TEST_F(StagingPipelineMonarchTest, HintedEpochServesEntirelyFromCache) {
 
   const std::vector<std::string> order{"data/f1", "data/f2", "data/f3",
                                        "data/f4", "data/f5", "data/f6"};
-  monarch.value()->HintUpcoming(order);
+  monarch.value()->InstallRunSchedule({order});
   monarch.value()->DrainPlacements();
 
   auto stats = monarch.value()->Stats();
@@ -499,7 +500,7 @@ TEST_F(StagingPipelineMonarchTest, HintedEpochServesEntirelyFromCache) {
 
   stats = monarch.value()->Stats();
   EXPECT_EQ(3u, stats.prefetch_hits)
-      << "every demand read hit a hint-staged copy";
+      << "every demand read hit a look-ahead copy";
   EXPECT_EQ(0u, stats.pfs_reads())
       << "a fully prefetched epoch never touches the PFS on the read path";
 }
@@ -517,7 +518,7 @@ TEST_F(StagingPipelineMonarchTest, LookaheadWindowLimitsClaims) {
 
   const std::vector<std::string> order{"data/f1", "data/f2", "data/f3",
                                        "data/f4"};
-  monarch.value()->HintUpcoming(order);
+  monarch.value()->InstallRunSchedule({order});
   monarch.value()->DrainPlacements();
   EXPECT_EQ(2u, monarch.value()->Stats().placement.prefetch_scheduled)
       << "the cursor claims at most `lookahead` files ahead of demand";
@@ -527,7 +528,7 @@ TEST_F(StagingPipelineMonarchTest, LookaheadWindowLimitsClaims) {
   monarch.value()->DrainPlacements();
   EXPECT_EQ(3u, monarch.value()->Stats().placement.prefetch_scheduled);
 
-  // Reading out of hint order still advances past the furthest read.
+  // Reading out of schedule order still advances past the furthest read.
   ReadAll(**monarch, "data/f3", 5);
   monarch.value()->DrainPlacements();
   EXPECT_EQ(4u, monarch.value()->Stats().placement.prefetch_scheduled);
@@ -543,14 +544,14 @@ TEST_F(StagingPipelineMonarchTest, DemandOvertakePromotesQueuedHint) {
       placement, /*num_threads=*/1, gate);
   ASSERT_OK(monarch);
 
-  // The hint claims all four files; the single worker blocks inside the
+  // Look-ahead claims all four files; the single worker blocks inside the
   // first copy, so f2..f4 sit queued on the prefetch lane.
   const std::vector<std::string> order{"data/b", "data/f2", "data/f3",
                                        "data/f4"};
-  monarch.value()->HintUpcoming(order);
+  monarch.value()->InstallRunSchedule({order});
   gate->AwaitBlocked();
 
-  // Demand overtakes the queued hint for f3: the read is served from the
+  // Demand overtakes the queued prefetch of f3: the read is served from the
   // PFS now and the copy moves to the demand lane.
   EXPECT_EQ("three", ReadAll(**monarch, "data/f3", 5));
   auto stats = monarch.value()->Stats();
@@ -560,7 +561,7 @@ TEST_F(StagingPipelineMonarchTest, DemandOvertakePromotesQueuedHint) {
   gate->ReleaseBlocked();
   monarch.value()->DrainPlacements();
 
-  // The promoted copy ran before the remaining hints.
+  // The promoted copy ran before the remaining prefetches.
   const auto write_order = gate->write_order();
   ASSERT_EQ(4u, write_order.size());
   EXPECT_EQ("data/f3", write_order[1]);
@@ -579,8 +580,8 @@ TEST_F(StagingPipelineMonarchTest, StopPlacementCancelsQueuedHints) {
       placement, /*num_threads=*/1, gate);
   ASSERT_OK(monarch);
 
-  monarch.value()->HintUpcoming(
-      std::vector<std::string>{"data/b", "data/f2", "data/f3", "data/f4"});
+  monarch.value()->InstallRunSchedule(
+      {{"data/b", "data/f2", "data/f3", "data/f4"}});
   gate->AwaitBlocked();
 
   monarch.value()->StopPlacement();
@@ -589,7 +590,7 @@ TEST_F(StagingPipelineMonarchTest, StopPlacementCancelsQueuedHints) {
 
   const auto stats = monarch.value()->Stats();
   EXPECT_EQ(3u, stats.placement.prefetch_cancelled)
-      << "queued hints are dropped when placement stops";
+      << "queued prefetches are dropped when placement stops";
   EXPECT_EQ(1u, stats.placement.completed)
       << "the in-flight copy runs to completion";
   // Cancelled files stay readable (from the PFS, placement being stopped).
@@ -601,8 +602,7 @@ TEST_F(StagingPipelineMonarchTest, HintIsNoOpWhenLookaheadDisabled) {
   auto monarch = Build(1 << 20, {{"f1", "one"}, {"f2", "two"}});
   ASSERT_OK(monarch);
 
-  monarch.value()->HintUpcoming(
-      std::vector<std::string>{"data/f1", "data/f2"});
+  monarch.value()->InstallRunSchedule({{"data/f1", "data/f2"}});
   monarch.value()->DrainPlacements();
 
   const auto stats = monarch.value()->Stats();
@@ -610,6 +610,85 @@ TEST_F(StagingPipelineMonarchTest, HintIsNoOpWhenLookaheadDisabled) {
       << "prefetch_lookahead=0 disables the cursor entirely";
   EXPECT_EQ(0u, stats.placement.scheduled);
   EXPECT_EQ("one", ReadAll(**monarch, "data/f1", 3));
+}
+
+TEST_F(StagingPipelineMonarchTest, LookaheadWindowCrossesEpochBoundary) {
+  PlacementOptions placement;
+  placement.prefetch_lookahead = 2;
+  auto monarch = Build(1 << 20,
+                       {{"f1", "one"},
+                        {"f2", "two"},
+                        {"f3", "three"},
+                        {"f4", "four"},
+                        {"f5", "five"}},
+                       placement);
+  ASSERT_OK(monarch);
+
+  const std::vector<std::string> epoch1{"data/f1", "data/f2", "data/f3"};
+  const std::vector<std::string> epoch2{"data/f4", "data/f5", "data/f1"};
+  monarch.value()->InstallRunSchedule({epoch1, epoch2});
+  monarch.value()->DrainPlacements();
+  EXPECT_EQ(2u, monarch.value()->Stats().placement.prefetch_scheduled);
+
+  // Read epoch 1 in order, letting each window land first. The window
+  // does not stop at the epoch's end: reading its last file claims
+  // epoch 2's files up to two ahead of it.
+  ReadAll(**monarch, "data/f1", 3);
+  monarch.value()->DrainPlacements();
+  ReadAll(**monarch, "data/f2", 3);
+  monarch.value()->DrainPlacements();
+  EXPECT_EQ(4u, monarch.value()->Stats().placement.prefetch_scheduled)
+      << "reading f2 claims f4, epoch 2's first file";
+  ReadAll(**monarch, "data/f3", 5);
+  monarch.value()->DrainPlacements();
+  EXPECT_EQ(5u, monarch.value()->Stats().placement.prefetch_scheduled)
+      << "reading epoch 1's last file claims f5";
+
+  EXPECT_EQ("four", ReadAll(**monarch, "data/f4", 4));
+  EXPECT_EQ("five", ReadAll(**monarch, "data/f5", 4));
+  const auto stats = monarch.value()->Stats();
+  EXPECT_EQ(5u, stats.prefetch_hits)
+      << "epoch 2 opens on copies staged during epoch 1";
+  EXPECT_EQ(0u, stats.pfs_reads());
+}
+
+TEST_F(StagingPipelineMonarchTest,
+       FirstFitPrefetchesFromRunScheduleWithoutRankingByIt) {
+  // First-fit with look-ahead keeps the schedule for prefetch only: its
+  // prefetch lane never evicts, and the enable_eviction ablation's
+  // demand lane keeps its LRU ranking.
+  PlacementOptions placement;
+  placement.prefetch_lookahead = 8;
+  placement.enable_eviction = true;
+  auto monarch = Build(/*local_quota=*/6,
+                       {{"f1", "one"}, {"f2", "two"}, {"f3", "six"}},
+                       placement, /*num_threads=*/1);
+  ASSERT_OK(monarch);
+
+  monarch.value()->InstallRunSchedule(
+      {{"data/f1", "data/f2", "data/f3", "data/f1"}});
+  monarch.value()->DrainPlacements();
+  EXPECT_EQ("policy (first-fit)", monarch.value()->EvictionRanking());
+  auto stats = monarch.value()->Stats();
+  EXPECT_EQ(3u, stats.placement.prefetch_scheduled);
+  EXPECT_EQ(2u, stats.placement.prefetch_completed)
+      << "f3 found no room, and a first-fit prefetch never evicts";
+  EXPECT_EQ(0u, stats.placement.evictions);
+
+  ReadAll(**monarch, "data/f1", 3);
+  ReadAll(**monarch, "data/f2", 3);
+  EXPECT_EQ(2u, monarch.value()->Stats().prefetch_hits);
+
+  // The demand read of f3 evicts by LRU: f1 was read least recently,
+  // though the schedule needs it next (Belady would drop f2).
+  ReadAll(**monarch, "data/f3", 3);
+  monarch.value()->DrainPlacements();
+  const MetadataContainer& metadata = monarch.value()->metadata();
+  EXPECT_EQ(PlacementState::kPfsOnly,
+            metadata.Lookup("data/f1")->state.load());
+  EXPECT_EQ(PlacementState::kPlaced, metadata.Lookup("data/f2")->state.load());
+  EXPECT_EQ(PlacementState::kPlaced, metadata.Lookup("data/f3")->state.load());
+  EXPECT_EQ(1u, monarch.value()->Stats().placement.evictions);
 }
 
 // ---------------------------------------------------------------------------

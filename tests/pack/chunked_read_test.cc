@@ -648,7 +648,7 @@ TEST_F(ChunkedReadTest, VanishedRunObjectIsDroppedAndRestaged) {
   }
 }
 
-// Undonated stretches (hints, Prestage, repair) are read from the PFS
+// Undonated stretches (look-ahead, Prestage, repair) are read from the PFS
 // once per run, not once per chunk.
 TEST_F(ChunkedReadTest, PrestageReadsEachFileWithOnePfsRead) {
   for (const std::string codec : {"none", "lz"}) {

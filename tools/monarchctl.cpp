@@ -28,7 +28,7 @@
 //
 //   monarchctl stage-status [--files N] [--lookahead N] [--read-fraction F]
 //                           [--policy NAME] [--quota BYTES]
-//       Drive the pipelined staging engine with a hinted demo workload
+//       Drive the pipelined staging engine with a scheduled demo workload
 //       and print its status: the active placement policy, what ranks
 //       its evictions (the published run schedule or the policy) and
 //       its eviction counters (docs/PLACEMENT.md), per-class queue depths,
@@ -471,7 +471,7 @@ int CmdMetrics(const Args& args) {
   return 0;
 }
 
-/// Drive the pipelined staging engine with a hinted demo workload and
+/// Drive the pipelined staging engine with a scheduled demo workload and
 /// print its status: queue depths per I/O class, total in-flight bytes,
 /// buffer-pool occupancy, and the prefetch hit/waste counters
 /// (docs/OBSERVABILITY.md "Staging pipeline").
@@ -520,19 +520,18 @@ int CmdStageStatus(const Args& args) {
     return 2;
   }
 
-  // Publish the run schedule and the epoch order (what a trainer and its
-  // data loader do), then demand-read the leading fraction of it so the
-  // cursor rolls and hits accrue; the tail of the hint list stays
-  // speculative (staged but never read).
+  // Publish the run schedule (what a trainer does), then demand-read the
+  // leading fraction of it so the look-ahead window rolls and hits
+  // accrue; the tail of the schedule stays speculative (staged but never
+  // read).
   monarch.value()->InstallRunSchedule({order});
-  monarch.value()->HintUpcoming(order);
   const int to_read = std::min(
       files, std::max(0, static_cast<int>(read_fraction * files + 0.5)));
   std::vector<std::byte> buffer(payload.size());
   for (int i = 0; i < to_read; ++i) {
     // Let the look-ahead window land before each read (a real loader's
     // compute time plays this role) so the demo reports deterministic
-    // hit counts instead of racing demand against its own hints.
+    // hit counts instead of racing demand against its own prefetches.
     monarch.value()->DrainPlacements();
     if (auto read = monarch.value()->Read(order[static_cast<std::size_t>(i)],
                                           0, buffer);
