@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "obs/event_tracer.h"
@@ -49,10 +50,6 @@ CheckpointManager::CheckpointManager(core::StorageHierarchy& hierarchy,
   journal_ =
       std::make_unique<ManifestJournal>(hierarchy_.Level(0),
                                         options_.dir + "/MANIFEST");
-  if (options_.drain_bandwidth_bytes_per_sec > 0) {
-    drain_limiter_.emplace(
-        static_cast<double>(options_.drain_bandwidth_bytes_per_sec));
-  }
   if (options_.qos_broker != nullptr) {
     // Attribute every drained byte to the drain tenant: the broker's
     // weighted shares are what keep a checkpoint flood from starving the
@@ -306,8 +303,7 @@ Status CheckpointManager::Save(const std::string& name,
       if (!write.ok()) break;
     }
     if (write.ok() && options_.verify_local_writes) {
-      auto readback =
-          ChecksumFile(driver, local_path, data.size(), /*limited=*/false);
+      auto readback = ChecksumFile(driver, local_path, data.size());
       if (!readback.ok()) {
         write = readback.status();
       } else if (readback.value() != crc) {
@@ -563,9 +559,6 @@ bool CheckpointManager::DrainOnce(const Entry& snapshot) {
     const std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(options_.chunk_bytes,
                                 snapshot.bytes - offset));
-    if (drain_limiter_.has_value()) {
-      drain_limiter_->Acquire(static_cast<double>(n));
-    }
     BufferPool::Lease lease = pool_.Acquire();
     std::span<std::byte> chunk(lease.bytes().data(), n);
     auto read = local.Read(local_path, offset, chunk);
@@ -578,9 +571,7 @@ bool CheckpointManager::DrainOnce(const Entry& snapshot) {
   if (options_.verify_drained_writes) {
     auto size = pfs_writer_->engine().FileSize(pfs_path);
     if (!size.ok() || size.value() != snapshot.bytes) return false;
-    auto readback =
-        ChecksumFile(*pfs_writer_, pfs_path, snapshot.bytes,
-                     /*limited=*/true);
+    auto readback = ChecksumFile(*pfs_writer_, pfs_path, snapshot.bytes);
     if (!readback.ok() || readback.value() != snapshot.crc) return false;
   }
   return true;
@@ -662,15 +653,12 @@ void CheckpointManager::ApplyRetentionLocked() {
 
 Result<std::uint32_t> CheckpointManager::ChecksumFile(
     core::StorageDriver& driver, const std::string& path,
-    std::uint64_t bytes, bool limited) {
+    std::uint64_t bytes) {
   std::uint32_t crc = 0;
   for (std::uint64_t offset = 0; offset < bytes;
        offset += options_.chunk_bytes) {
     const std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(options_.chunk_bytes, bytes - offset));
-    if (limited && drain_limiter_.has_value()) {
-      drain_limiter_->Acquire(static_cast<double>(n));
-    }
     BufferPool::Lease lease = pool_.Acquire();
     std::span<std::byte> chunk(lease.bytes().data(), n);
     MONARCH_ASSIGN_OR_RETURN(const std::size_t read,
@@ -697,7 +685,7 @@ Status CheckpointManager::WriteDirectToPfs(const Entry& entry,
   // the arm with no second copy to fall back on.
   MONARCH_ASSIGN_OR_RETURN(
       const std::uint32_t crc,
-      ChecksumFile(*pfs_writer_, path, data.size(), /*limited=*/false));
+      ChecksumFile(*pfs_writer_, path, data.size()));
   if (crc != entry.crc) {
     (void)pfs_writer_->Delete(path);
     return DataLossError("direct PFS write of '" + entry.name +

@@ -17,8 +17,9 @@
 // through a bounded util::BufferPool, the [resilience] retry/breaker
 // envelope (an internal writable StorageDriver over the PFS engine gives
 // drains the same bounded-backoff retries and circuit breaker as reads),
-// and a token-bucket bandwidth cap so a draining checkpoint can never
-// starve demand staging of the shared PFS. Durability is mandatory:
+// and, with a QoS broker installed, a drain tenant whose weighted share
+// keeps a draining checkpoint from starving demand reads and staging of
+// the shared PFS. Durability is mandatory:
 // a drain that exhausts its driver-level retries parks with capped
 // backoff and tries again until it succeeds or the manager shuts down —
 // the manifest lets an interrupted drain resume across a crash.
@@ -36,7 +37,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -51,7 +51,6 @@
 #include "qos/bandwidth_broker.h"
 #include "qos/tenant.h"
 #include "util/buffer_pool.h"
-#include "util/rate_limiter.h"
 
 namespace monarch::ckpt {
 
@@ -73,10 +72,6 @@ struct CheckpointOptions {
   /// durable. 0 keeps everything.
   int keep_last = 0;
 
-  /// Drain-lane bandwidth cap in bytes/s (token bucket); 0 = uncapped.
-  /// This is what keeps background drains from starving demand staging.
-  std::uint64_t drain_bandwidth_bytes_per_sec = 0;
-
   int drain_threads = 1;
 
   /// Chunk size and total buffer budget of the drain lane's copies.
@@ -97,10 +92,10 @@ struct CheckpointOptions {
   core::RetryPolicy retry;
   core::TierHealthOptions health;
 
-  /// Multi-tenant QoS (ISSUE 10): the drain lane's identity. Drain
-  /// workers install this tenant, so with a broker every drained byte is
-  /// charged to the drain class — demand tenants keep their shares even
-  /// while a checkpoint floods toward the PFS.
+  /// Multi-tenant QoS: the drain lane's identity. Drain workers install
+  /// this tenant, so with a broker every drained byte is charged to the
+  /// drain class — demand tenants keep their shares even while a
+  /// checkpoint floods toward the PFS.
   qos::TenantContext tenant{/*tenant_id=*/-1, "ckpt-drain",
                             qos::IoClass::kDrain, /*weight=*/1.0,
                             /*low_retention=*/false};
@@ -204,11 +199,10 @@ class CheckpointManager final : public core::CheckpointSink {
   /// Evict the oldest durable local copy to make room; false when none.
   bool EvictOneLocalLocked();
   void ApplyRetentionLocked();
-  /// Chunked CRC32C of `path` on `driver` (pool-buffered); rate-limited
-  /// when `limited` and a drain cap is configured.
+  /// Chunked CRC32C of `path` on `driver` (pool-buffered).
   Result<std::uint32_t> ChecksumFile(core::StorageDriver& driver,
                                      const std::string& path,
-                                     std::uint64_t bytes, bool limited);
+                                     std::uint64_t bytes);
   Status WriteDirectToPfs(const Entry& entry,
                           std::span<const std::byte> data);
 
@@ -222,7 +216,6 @@ class CheckpointManager final : public core::CheckpointSink {
   std::unique_ptr<core::StorageDriver> pfs_writer_;
   std::unique_ptr<ManifestJournal> journal_;
   BufferPool pool_;
-  std::optional<RateLimiter> drain_limiter_;
 
   mutable std::mutex mu_;
   std::condition_variable drain_cv_;   ///< wakes drain workers

@@ -35,8 +35,7 @@ RestagePump::PumpStats RestagePump::stats() const {
 }
 
 void RestagePump::Run() {
-  // One bucket per pump: the cap bounds THIS node's repair pull, the
-  // way drain_bandwidth bounds one node's checkpoint drain.
+  // One bucket per pump: the cap bounds THIS node's repair pull.
   RateLimiter bucket(options_.bandwidth_bps > 0 ? options_.bandwidth_bps
                                                 : 1.0);
   while (!stop_.load(std::memory_order_acquire)) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <climits>
 #include <sstream>
 
 #include "pack/codec.h"
@@ -43,6 +44,20 @@ Result<std::uint64_t> ParseU64(const std::string& value, int line_no) {
   return out;
 }
 
+// An integer key held in an `int`: a value above INT_MAX or below `min`
+// is an error, not a silent wrap.
+Result<int> ParseInt(const std::string& value, int line_no, int min) {
+  MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
+  if (n > static_cast<std::uint64_t>(INT_MAX) ||
+      n < static_cast<std::uint64_t>(min)) {
+    return InvalidArgumentError(
+        "line " + std::to_string(line_no) + ": integer '" + value +
+        "' outside [" + std::to_string(min) + ", " +
+        std::to_string(INT_MAX) + "]");
+  }
+  return static_cast<int>(n);
+}
+
 Result<double> ParseDouble(const std::string& value, int line_no) {
   double out = 0;
   auto [p, ec] =
@@ -57,8 +72,7 @@ Result<double> ParseDouble(const std::string& value, int line_no) {
 Status ApplyResilienceKey(ResilienceOptions& r, const std::string& key,
                           const std::string& value, int line_no) {
   if (key == "retry_max_attempts") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    r.retry.max_attempts = static_cast<int>(n);
+    MONARCH_ASSIGN_OR_RETURN(r.retry.max_attempts, ParseInt(value, line_no, 0));
   } else if (key == "retry_initial_backoff_us") {
     MONARCH_ASSIGN_OR_RETURN(const std::uint64_t us, ParseU64(value, line_no));
     r.retry.initial_backoff = Micros(static_cast<std::int64_t>(us));
@@ -86,15 +100,15 @@ Status ApplyResilienceKey(ResilienceOptions& r, const std::string& key,
     MONARCH_ASSIGN_OR_RETURN(const std::uint64_t us, ParseU64(value, line_no));
     r.health.cooldown = Micros(static_cast<std::int64_t>(us));
   } else if (key == "health_half_open_successes") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    r.health.half_open_successes = static_cast<int>(n);
+    MONARCH_ASSIGN_OR_RETURN(r.health.half_open_successes,
+                             ParseInt(value, line_no, 0));
   } else if (key == "verify_staged_writes") {
     MONARCH_ASSIGN_OR_RETURN(r.verify_staged_writes, ParseBool(value, line_no));
   } else if (key == "verify_on_read") {
     MONARCH_ASSIGN_OR_RETURN(r.verify_on_read, ParseBool(value, line_no));
   } else if (key == "max_placement_attempts") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    r.max_placement_attempts = static_cast<int>(n);
+    MONARCH_ASSIGN_OR_RETURN(r.max_placement_attempts,
+                             ParseInt(value, line_no, 0));
   } else if (key == "restage_after_quarantine") {
     MONARCH_ASSIGN_OR_RETURN(r.restage_after_quarantine,
                              ParseBool(value, line_no));
@@ -105,7 +119,9 @@ Status ApplyResilienceKey(ResilienceOptions& r, const std::string& key,
   return Status::Ok();
 }
 
-Status ApplyTierKey(ParsedTier& tier, const std::string& key,
+// `[pfs]` takes a cache tier's keys except `quota`: staging never
+// writes to the PFS, so nothing would read one.
+Status ApplyTierKey(ParsedTier& tier, bool is_pfs, const std::string& key,
                     const std::string& value, int line_no) {
   if (key == "name") {
     tier.name = value;
@@ -113,13 +129,14 @@ Status ApplyTierKey(ParsedTier& tier, const std::string& key,
     tier.profile = value;
   } else if (key == "root") {
     tier.root = value;
-  } else if (key == "quota") {
+  } else if (key == "quota" && !is_pfs) {
     MONARCH_ASSIGN_OR_RETURN(tier.quota_bytes, ParseByteSize(value));
   } else if (key == "seed") {
     MONARCH_ASSIGN_OR_RETURN(tier.seed, ParseU64(value, line_no));
   } else {
     return InvalidArgumentError("line " + std::to_string(line_no) +
-                                ": unknown tier key '" + key + "'");
+                                ": unknown " + (is_pfs ? "pfs" : "tier") +
+                                " key '" + key + "'");
   }
   return Status::Ok();
 }
@@ -148,94 +165,11 @@ Status ApplyPlacementKey(ParsedConfig& config, const std::string& key,
   } else if (key == "staging_chunk_bytes") {
     MONARCH_ASSIGN_OR_RETURN(config.staging_chunk_bytes, ParseByteSize(value));
   } else if (key == "prefetch_lookahead") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    config.prefetch_lookahead = static_cast<int>(n);
+    MONARCH_ASSIGN_OR_RETURN(config.prefetch_lookahead,
+                             ParseInt(value, line_no, 0));
   } else {
     return InvalidArgumentError("line " + std::to_string(line_no) +
                                 ": unknown placement key '" + key + "'");
-  }
-  return Status::Ok();
-}
-
-Status ApplyPeerKey(ParsedPeer& peer, const std::string& key,
-                    const std::string& value, int line_no) {
-  if (key == "enabled") {
-    MONARCH_ASSIGN_OR_RETURN(peer.enabled, ParseBool(value, line_no));
-  } else if (key == "interconnect_bandwidth") {
-    MONARCH_ASSIGN_OR_RETURN(peer.interconnect_bandwidth_bps,
-                             ParseByteSize(value));
-  } else if (key == "interconnect_latency_us") {
-    MONARCH_ASSIGN_OR_RETURN(peer.interconnect_latency_us,
-                             ParseU64(value, line_no));
-  } else if (key == "directory_shards") {
-    MONARCH_ASSIGN_OR_RETURN(peer.directory_shards, ParseU64(value, line_no));
-  } else if (key == "replication") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    if (n == 0) {
-      return InvalidArgumentError("line " + std::to_string(line_no) +
-                                  ": replication must be >= 1");
-    }
-    peer.replication = static_cast<int>(n);
-  } else if (key == "restage_bandwidth") {
-    MONARCH_ASSIGN_OR_RETURN(peer.restage_bandwidth_bps,
-                             ParseByteSize(value));
-  } else if (key == "max_failover_holders") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    if (n == 0) {
-      return InvalidArgumentError("line " + std::to_string(line_no) +
-                                  ": max_failover_holders must be >= 1");
-    }
-    peer.max_failover_holders = static_cast<int>(n);
-  } else if (key == "quarantine_failures") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    if (n == 0) {
-      return InvalidArgumentError("line " + std::to_string(line_no) +
-                                  ": quarantine_failures must be >= 1");
-    }
-    peer.quarantine_failures = static_cast<int>(n);
-  } else if (key == "churn_detection_lag_us") {
-    MONARCH_ASSIGN_OR_RETURN(peer.churn_detection_lag_us,
-                             ParseU64(value, line_no));
-  } else if (key == "churn_random_kills") {
-    MONARCH_ASSIGN_OR_RETURN(peer.churn_random_kills,
-                             ParseU64(value, line_no));
-  } else if (key == "churn_seed") {
-    MONARCH_ASSIGN_OR_RETURN(peer.churn_seed, ParseU64(value, line_no));
-  } else {
-    return InvalidArgumentError("line " + std::to_string(line_no) +
-                                ": unknown peer key '" + key + "'");
-  }
-  return Status::Ok();
-}
-
-Status ApplyCheckpointKey(ParsedCheckpoint& ckpt, const std::string& key,
-                          const std::string& value, int line_no) {
-  if (key == "enabled") {
-    MONARCH_ASSIGN_OR_RETURN(ckpt.enabled, ParseBool(value, line_no));
-  } else if (key == "dir") {
-    if (value.empty()) {
-      return InvalidArgumentError("line " + std::to_string(line_no) +
-                                  ": checkpoint dir must be non-empty");
-    }
-    ckpt.dir = value;
-  } else if (key == "keep_last") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    ckpt.keep_last = static_cast<int>(n);
-  } else if (key == "drain_bandwidth") {
-    MONARCH_ASSIGN_OR_RETURN(ckpt.drain_bandwidth_bytes_per_sec,
-                             ParseByteSize(value));
-  } else if (key == "drain_threads") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    if (n == 0) {
-      return InvalidArgumentError("line " + std::to_string(line_no) +
-                                  ": drain_threads must be >= 1");
-    }
-    ckpt.drain_threads = static_cast<int>(n);
-  } else if (key == "verify_on_restore") {
-    MONARCH_ASSIGN_OR_RETURN(ckpt.verify_on_restore, ParseBool(value, line_no));
-  } else {
-    return InvalidArgumentError("line " + std::to_string(line_no) +
-                                ": unknown checkpoint key '" + key + "'");
   }
   return Status::Ok();
 }
@@ -259,12 +193,6 @@ Status ApplyPackKey(pack::PackOptions& pack, const std::string& key,
                                   codec.status().message());
     }
     pack.codec = value;
-  } else if (key == "pack_extent_bytes") {
-    MONARCH_ASSIGN_OR_RETURN(pack.pack_extent_bytes, ParseByteSize(value));
-    if (pack.pack_extent_bytes == 0) {
-      return InvalidArgumentError("line " + std::to_string(line_no) +
-                                  ": pack_extent_bytes must be >= 1");
-    }
   } else {
     return InvalidArgumentError("line " + std::to_string(line_no) +
                                 ": unknown pack key '" + key + "'");
@@ -284,19 +212,6 @@ Status ApplyQosKey(qos::QosOptions& q, const std::string& key,
     MONARCH_ASSIGN_OR_RETURN(q.scan_weight, ParseDouble(value, line_no));
   } else if (key == "drain_weight") {
     MONARCH_ASSIGN_OR_RETURN(q.drain_weight, ParseDouble(value, line_no));
-  } else if (key == "tenant_share") {
-    MONARCH_ASSIGN_OR_RETURN(q.tenant_share, ParseDouble(value, line_no));
-  } else if (key == "total_bandwidth") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t bps, ParseByteSize(value));
-    q.total_bandwidth_bps = static_cast<double>(bps);
-  } else if (key == "admission_queue_threshold") {
-    MONARCH_ASSIGN_OR_RETURN(q.admission_queue_threshold,
-                             ParseDouble(value, line_no));
-  } else if (key == "admission_reject_threshold") {
-    MONARCH_ASSIGN_OR_RETURN(q.admission_reject_threshold,
-                             ParseDouble(value, line_no));
-  } else if (key == "work_conserving") {
-    MONARCH_ASSIGN_OR_RETURN(q.work_conserving, ParseBool(value, line_no));
   } else if (key == "scan_stage_cap") {
     MONARCH_ASSIGN_OR_RETURN(q.scan_stage_cap_bytes, ParseByteSize(value));
   } else {
@@ -316,19 +231,9 @@ Status ApplyQosKey(qos::QosOptions& q, const std::string& key,
 Status ApplyReadKey(ReadRingOptions& read, const std::string& key,
                     const std::string& value, int line_no) {
   if (key == "ring_depth") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    if (n == 0) {
-      return InvalidArgumentError("line " + std::to_string(line_no) +
-                                  ": ring_depth must be >= 1");
-    }
-    read.depth = static_cast<int>(n);
+    MONARCH_ASSIGN_OR_RETURN(read.depth, ParseInt(value, line_no, 1));
   } else if (key == "worker_threads") {
-    MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-    if (n == 0) {
-      return InvalidArgumentError("line " + std::to_string(line_no) +
-                                  ": worker_threads must be >= 1");
-    }
-    read.worker_threads = static_cast<int>(n);
+    MONARCH_ASSIGN_OR_RETURN(read.worker_threads, ParseInt(value, line_no, 1));
   } else if (key == "zero_copy") {
     MONARCH_ASSIGN_OR_RETURN(read.zero_copy, ParseBool(value, line_no));
   } else {
@@ -353,8 +258,6 @@ Result<ParsedConfig> ParseConfig(const std::string& ini_text) {
     kPfs,
     kPlacement,
     kResilience,
-    kPeer,
-    kCheckpoint,
     kRead,
     kPack,
     kQos
@@ -389,10 +292,6 @@ Result<ParsedConfig> ParseConfig(const std::string& ini_text) {
         section = Section::kPlacement;
       } else if (name == "resilience") {
         section = Section::kResilience;
-      } else if (name == "peer") {
-        section = Section::kPeer;
-      } else if (name == "checkpoint") {
-        section = Section::kCheckpoint;
       } else if (name == "read") {
         section = Section::kRead;
       } else if (name == "pack") {
@@ -400,11 +299,9 @@ Result<ParsedConfig> ParseConfig(const std::string& ini_text) {
       } else if (name == "qos") {
         section = Section::kQos;
       } else if (name.starts_with("tier.")) {
-        MONARCH_ASSIGN_OR_RETURN(
-            const std::uint64_t idx,
-            ParseU64(name.substr(5), line_no));
+        MONARCH_ASSIGN_OR_RETURN(tier_index,
+                                 ParseInt(name.substr(5), line_no, 0));
         section = Section::kTier;
-        tier_index = static_cast<int>(idx);
         tiers.try_emplace(tier_index);
       } else {
         return InvalidArgumentError("line " + std::to_string(line_no) +
@@ -429,9 +326,8 @@ Result<ParsedConfig> ParseConfig(const std::string& ini_text) {
         if (key == "dataset_dir") {
           config.dataset_dir = value;
         } else if (key == "placement_threads") {
-          MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n,
-                                   ParseU64(value, line_no));
-          config.placement_threads = static_cast<int>(n);
+          MONARCH_ASSIGN_OR_RETURN(config.placement_threads,
+                                   ParseInt(value, line_no, 0));
         } else if (key == "fetch_full_file") {
           MONARCH_ASSIGN_OR_RETURN(config.fetch_full_file,
                                    ParseBool(value, line_no));
@@ -442,10 +338,12 @@ Result<ParsedConfig> ParseConfig(const std::string& ini_text) {
         break;
       case Section::kTier:
         MONARCH_RETURN_IF_ERROR(
-            ApplyTierKey(tiers[tier_index], key, value, line_no));
+            ApplyTierKey(tiers[tier_index], /*is_pfs=*/false, key, value,
+                         line_no));
         break;
       case Section::kPfs:
-        MONARCH_RETURN_IF_ERROR(ApplyTierKey(config.pfs, key, value, line_no));
+        MONARCH_RETURN_IF_ERROR(
+            ApplyTierKey(config.pfs, /*is_pfs=*/true, key, value, line_no));
         break;
       case Section::kPlacement:
         MONARCH_RETURN_IF_ERROR(
@@ -454,14 +352,6 @@ Result<ParsedConfig> ParseConfig(const std::string& ini_text) {
       case Section::kResilience:
         MONARCH_RETURN_IF_ERROR(
             ApplyResilienceKey(config.resilience, key, value, line_no));
-        break;
-      case Section::kPeer:
-        MONARCH_RETURN_IF_ERROR(
-            ApplyPeerKey(config.peer, key, value, line_no));
-        break;
-      case Section::kCheckpoint:
-        MONARCH_RETURN_IF_ERROR(
-            ApplyCheckpointKey(config.checkpoint, key, value, line_no));
         break;
       case Section::kRead:
         MONARCH_RETURN_IF_ERROR(
@@ -536,14 +426,6 @@ Result<MonarchConfig> BuildMonarchConfig(const ParsedConfig& parsed) {
   config.placement.staging_buffer_bytes = parsed.staging_buffer_bytes;
   config.placement.staging_chunk_bytes = parsed.staging_chunk_bytes;
   config.placement.prefetch_lookahead = parsed.prefetch_lookahead;
-  // Chunk staging never advertises its copies to the cluster directory,
-  // so a packed peer node would serve every file it does not own from
-  // the PFS.
-  if (parsed.pack.enabled && parsed.peer.enabled) {
-    return InvalidArgumentError(
-        "[pack] enabled cannot be combined with [peer] enabled: chunk "
-        "copies are never shared with peers");
-  }
   if (parsed.pack.enabled &&
       parsed.pack.chunk_bytes > parsed.staging_chunk_bytes) {
     return InvalidArgumentError(
@@ -590,7 +472,6 @@ std::vector<ConfigKeyInfo> ConfigKeyCatalogue() {
       {"pfs", "name", "lustre"},
       {"pfs", "profile", "ram"},
       {"pfs", "root", "/tmp/monarch/pfs"},
-      {"pfs", "quota", "0"},
       {"pfs", "seed", "42"},
       {"placement", "policy", "lru"},
       {"placement", "staging_buffer_bytes", "64MiB"},
@@ -612,41 +493,18 @@ std::vector<ConfigKeyInfo> ConfigKeyCatalogue() {
       {"resilience", "verify_on_read", "false"},
       {"resilience", "max_placement_attempts", "3"},
       {"resilience", "restage_after_quarantine", "true"},
-      {"peer", "enabled", "true"},
-      {"peer", "interconnect_bandwidth", "1200MiB"},
-      {"peer", "interconnect_latency_us", "150"},
-      {"peer", "directory_shards", "16"},
-      {"peer", "replication", "1"},
-      {"peer", "restage_bandwidth", "0"},
-      {"peer", "max_failover_holders", "2"},
-      {"peer", "quarantine_failures", "3"},
-      {"peer", "churn_detection_lag_us", "0"},
-      {"peer", "churn_random_kills", "0"},
-      {"peer", "churn_seed", "42"},
       {"pack", "enabled", "true"},
       {"pack", "chunk_bytes", "256KiB"},
       {"pack", "codec", "lz"},
-      {"pack", "pack_extent_bytes", "64MiB"},
       {"qos", "enabled", "true"},
       {"qos", "interactive_weight", "8"},
       {"qos", "training_weight", "4"},
       {"qos", "scan_weight", "2"},
       {"qos", "drain_weight", "1"},
-      {"qos", "tenant_share", "1.0"},
-      {"qos", "total_bandwidth", "400MiB"},
-      {"qos", "admission_queue_threshold", "0.85"},
-      {"qos", "admission_reject_threshold", "1.5"},
-      {"qos", "work_conserving", "true"},
       {"qos", "scan_stage_cap", "64MiB"},
       {"read", "ring_depth", "256"},
       {"read", "worker_threads", "2"},
       {"read", "zero_copy", "true"},
-      {"checkpoint", "enabled", "true"},
-      {"checkpoint", "dir", "ckpt"},
-      {"checkpoint", "keep_last", "3"},
-      {"checkpoint", "drain_bandwidth", "200MiB"},
-      {"checkpoint", "drain_threads", "1"},
-      {"checkpoint", "verify_on_restore", "true"},
   };
 }
 

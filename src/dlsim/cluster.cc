@@ -348,18 +348,15 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
   // the whole cluster; every job becomes a tenant.
   qos::BandwidthBrokerPtr broker;
   if (config.qos.enabled && config.qos.total_bandwidth_bps > 0) {
-    qos::BandwidthBroker::Options broker_options;
-    broker_options.total_rate_bps = config.qos.total_bandwidth_bps;
-    broker_options.work_conserving = config.qos.work_conserving;
-    broker = std::make_shared<qos::BandwidthBroker>(broker_options);
+    broker = std::make_shared<qos::BandwidthBroker>(
+        qos::BandwidthBroker::Options{
+            .total_rate_bps = config.qos.total_bandwidth_bps});
   }
   std::unique_ptr<qos::AdmissionController> admission;
   if (config.qos.enabled && config.admission_capacity_bytes > 0) {
-    qos::AdmissionController::Options admission_options;
-    admission_options.capacity_bytes = config.admission_capacity_bytes;
-    admission_options.queue_threshold = config.qos.admission_queue_threshold;
-    admission_options.reject_threshold = config.qos.admission_reject_threshold;
-    admission = std::make_unique<qos::AdmissionController>(admission_options);
+    admission = std::make_unique<qos::AdmissionController>(
+        qos::AdmissionController::Options{
+            .capacity_bytes = config.admission_capacity_bytes});
   }
   // A job's placement footprint: the dataset it will try to keep
   // resident (every job here trains/scans the same shared dataset).
@@ -391,8 +388,7 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
     job.tenant.io_class = job.spec.io_class;
     job.tenant.weight = job.spec.weight > 0
                             ? job.spec.weight
-                            : config.qos.ClassWeight(job.spec.io_class) *
-                                  config.qos.tenant_share;
+                            : config.qos.ClassWeight(job.spec.io_class);
     job.tenant.low_retention = job.spec.io_class == qos::IoClass::kScan;
     job.pfs_engine = std::make_shared<storage::ThrottledEngine>(
         std::make_shared<storage::PosixEngine>(pfs_root,

@@ -52,8 +52,7 @@ enum class JobWorkload { kTraining, kInference, kScan };
 struct JobSpec {
   JobWorkload workload = JobWorkload::kTraining;
   qos::IoClass io_class = qos::IoClass::kTraining;
-  /// Bandwidth-share weight; 0 = the class default from QosOptions
-  /// scaled by tenant_share.
+  /// Bandwidth-share weight; 0 = the class weight from QosOptions.
   double weight = 0;
 };
 
@@ -71,8 +70,8 @@ struct ClusterConfig {
   int placement_threads = 6;
   std::uint64_t seed = 1;
 
-  /// Cooperative peer caching (ISSUE 4; `[peer]` in the INI dialect).
-  /// When set (monarch jobs only), the K nodes share one cluster
+  /// Cooperative peer caching, set in code (the INI has no peer
+  /// section). When set (monarch jobs only), the K nodes share one cluster
   /// FileDirectory: each stages only its consistent-hash shard of the
   /// dataset, and demand reads of the other shards go to the owning
   /// node's local tier over a simulated interconnect before falling back
@@ -84,7 +83,7 @@ struct ClusterConfig {
   std::size_t directory_shards = 16;
   int peer_replication = 1;
 
-  /// Node churn (ISSUE 7; `[peer]` churn_* keys). While a node is down
+  /// Node churn, set in code like peer sharing. While a node is down
   /// its reads gate — the trainer pauses and resumes on revive — so every
   /// job still consumes every sample and per-epoch digests stay
   /// comparable against a churn-free run. Killed nodes vanish from
@@ -105,11 +104,12 @@ struct ClusterConfig {
   /// time out, and exercise the replica-failover rung.
   std::uint64_t churn_detection_lag_us = 0;
 
-  /// Multi-tenant QoS (ISSUE 10; `[qos]` in the INI dialect). When
-  /// qos.enabled each job becomes a tenant: its class rides the staging
-  /// fair queue, its bytes charge a weighted share of one shared
-  /// BandwidthBroker (qos.total_bandwidth_bps > 0), and scan-class jobs
-  /// are scan-resistant (they can never evict demand working sets).
+  /// Multi-tenant QoS, set in code like peer sharing. When qos.enabled
+  /// each job becomes a tenant: its class rides the staging fair queue,
+  /// its bytes charge a weighted share of one shared BandwidthBroker
+  /// (built when qos.total_bandwidth_bps > 0; its other Options keep
+  /// their defaults), and scan-class jobs are scan-resistant (they can
+  /// never evict demand working sets).
   qos::QosOptions qos;
   /// Admission control: cluster cache capacity the committed footprints
   /// are checked against (0 = admit everything).

@@ -23,10 +23,6 @@ struct PackOptions {
   /// Per-chunk stage-in codec: "none" | "lz". Staged chunks are stored
   /// post-codec, so tier quota is charged compressed bytes.
   std::string codec = "none";
-
-  /// Target container-extent size for `PackWriter` (how much logical
-  /// payload lands in one extent file on the PFS).
-  std::uint64_t pack_extent_bytes = 64ull * 1024 * 1024;
 };
 
 }  // namespace monarch::pack

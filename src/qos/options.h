@@ -1,7 +1,7 @@
-// QosOptions: engine-free knobs of the multi-tenant QoS layer (ISSUE
-// 10; `[qos]` in the INI dialect). Carried inside PlacementOptions so
-// the staging pipeline, the eviction path and the config parser share
-// one source of truth.
+// QosOptions: engine-free knobs of the multi-tenant QoS layer. The
+// `[qos]` INI section fills every field but `total_bandwidth_bps`.
+// Carried inside PlacementOptions so the staging pipeline, the eviction
+// path and the config parser share one source of truth.
 #pragma once
 
 #include <cstdint>
@@ -23,25 +23,10 @@ struct QosOptions {
   double scan_weight = 2.0;
   double drain_weight = 1.0;
 
-  /// Default bandwidth-share weight of a tenant that doesn't specify
-  /// one (relative to its peers on the same broker).
-  double tenant_share = 1.0;
-
-  /// Aggregate byte rate the bandwidth broker apportions across tenants
-  /// (bytes/s). 0 disables per-tenant bandwidth enforcement.
+  /// Aggregate byte rate the dlsim cluster harness's shared bandwidth
+  /// broker apportions across tenants (bytes/s; 0 = no broker). A single
+  /// Monarch does not read it.
   double total_bandwidth_bps = 0.0;
-
-  /// Admission control: a new job queues when its placement footprint
-  /// would push committed bytes past `queue_threshold` x capacity, and
-  /// is rejected outright when the footprint alone exceeds
-  /// `reject_threshold` x capacity (it could never fit).
-  double admission_queue_threshold = 0.85;
-  double admission_reject_threshold = 1.5;
-
-  /// Work-conserving borrowing: idle tenants' shares are lent to active
-  /// ones (recomputed over a short activity window) instead of going to
-  /// waste.
-  bool work_conserving = true;
 
   /// Scan resistance: cap on the resident bytes low-retention tenants
   /// may hold on the cache tiers. Further scan stagings are refused

@@ -1,16 +1,18 @@
-// Drain-lane behaviour (ISSUE 5 acceptance): the background drain rides
-// the retry/circuit-breaker ladder through PFS outages, and a
-// bandwidth-capped drain never starves demand reads of the shared PFS.
+// Drain-lane behaviour: the background drain rides the retry/circuit-
+// breaker ladder through PFS outages, and with a QoS broker installed its
+// PFS bytes are charged to the drain tenant, apart from demand reads.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "../test_support.h"
 #include "ckpt/checkpoint_manager.h"
+#include "qos/bandwidth_broker.h"
 #include "storage/faulty_engine.h"
 #include "storage/memory_engine.h"
-#include "util/clock.h"
 
 namespace monarch::ckpt {
 namespace {
@@ -61,7 +63,7 @@ TEST(CheckpointDrainTest, PfsOutageAbsorbedByRetryLadder) {
   EXPECT_EQ(data, out);
 }
 
-TEST(CheckpointDrainTest, CappedDrainDoesNotStarveDemandReads) {
+TEST(CheckpointDrainTest, BrokerChargesDrainToTheDrainTenant) {
   auto local = std::make_shared<storage::MemoryEngine>("local");
   auto pfs = std::make_shared<storage::MemoryEngine>("pfs");
   const auto dataset = Payload(64 * 1024);
@@ -75,37 +77,63 @@ TEST(CheckpointDrainTest, CappedDrainDoesNotStarveDemandReads) {
   auto hierarchy =
       std::move(core::StorageHierarchy::Create(std::move(drivers))).value();
 
-  // A 2 MiB checkpoint behind a 2 MiB/s cap: the drain (copy + verify
-  // read-back, both metered) occupies the lane for upwards of a second.
-  CheckpointOptions options;
-  options.drain_bandwidth_bytes_per_sec = 2 << 20;
-  options.chunk_bytes = 64 * 1024;
-  CheckpointManager manager(*hierarchy, options);
-  ASSERT_OK(manager.Save("model", Payload(2 << 20)));
+  // One enabled broker over the PFS, fast enough never to throttle. Demand
+  // reads through the hierarchy's PFS driver fall back to `unattributed`
+  // only when no tenant is installed.
+  auto broker = std::make_shared<qos::BandwidthBroker>(
+      qos::BandwidthBroker::Options{.total_rate_bps = 1e12});
+  const qos::TenantContext demand{/*tenant_id=*/7, "trainer",
+                                  qos::IoClass::kTraining, /*weight=*/4.0,
+                                  /*low_retention=*/false};
+  const qos::TenantContext unattributed{/*tenant_id=*/8, "unattributed",
+                                        qos::IoClass::kTraining,
+                                        /*weight=*/1.0,
+                                        /*low_retention=*/false};
+  broker->RegisterTenant(demand);
+  hierarchy->Pfs().SetQosBroker(broker, unattributed);
 
-  // Demand reads against the same PFS driver while the capped drain is
-  // active: they must proceed at full speed — the cap throttles the
-  // drain lane, not the tier.
-  const Stopwatch wall;
-  std::vector<std::byte> buffer(dataset.size());
-  constexpr int kReads = 200;
-  for (int i = 0; i < kReads; ++i) {
+  CheckpointOptions options;
+  options.chunk_bytes = 64 * 1024;
+  options.qos_broker = broker;
+  CheckpointManager manager(*hierarchy, options);
+  const auto checkpoint = Payload(256 * 1024);
+  ASSERT_OK(manager.Save("model", checkpoint));
+  ASSERT_OK(manager.Flush());
+  ASSERT_EQ(1u, manager.GetStats().drains_completed);
+
+  const auto consumed = [&](int tenant_id) -> std::uint64_t {
+    for (const auto& usage : broker->Usage()) {
+      if (usage.tenant_id == tenant_id) return usage.consumed_bytes;
+    }
+    return 0;
+  };
+  const int drain_id = options.tenant.tenant_id;
+  bool drain_listed = false;
+  for (const auto& usage : broker->Usage()) {
+    if (usage.tenant_id != drain_id) continue;
+    drain_listed = true;
+    EXPECT_EQ("ckpt-drain", usage.name);
+    EXPECT_EQ(qos::IoClass::kDrain, usage.io_class);
+  }
+  EXPECT_TRUE(drain_listed);
+  // The drain wrote the checkpoint (and read it back to verify) as the
+  // drain tenant; no demand tenant paid for it.
+  const std::uint64_t drained = consumed(drain_id);
+  EXPECT_GE(drained, checkpoint.size());
+  EXPECT_EQ(0u, consumed(demand.tenant_id));
+  EXPECT_EQ(0u, consumed(unattributed.tenant_id));
+
+  // A demand read under its own tenant is charged to that tenant only.
+  {
+    qos::ScopedTenant scope(demand);
+    std::vector<std::byte> buffer(dataset.size());
     auto read = hierarchy->Pfs().Read("data/train.rec", 0, buffer);
     ASSERT_OK(read);
     ASSERT_EQ(dataset.size(), read.value());
   }
-  const double demand_seconds = wall.ElapsedSeconds();
-
-  // The drain must still be in flight (proving the reads overlapped an
-  // active capped drain), and the demand reads must not have been
-  // slowed to anywhere near the drain's bandwidth: 200 reads of 64 KiB
-  // at the 2 MiB/s cap would alone take ~6 s.
-  EXPECT_EQ(1u, manager.GetStats().pending_drains)
-      << "drain finished before the demand reads — cap not exercised";
-  EXPECT_LT(demand_seconds, 2.0);
-
-  ASSERT_OK(manager.Flush());
-  EXPECT_EQ(1u, manager.GetStats().drains_completed);
+  EXPECT_EQ(dataset.size(), consumed(demand.tenant_id));
+  EXPECT_EQ(drained, consumed(drain_id));
+  EXPECT_EQ(0u, consumed(unattributed.tenant_id));
 }
 
 }  // namespace

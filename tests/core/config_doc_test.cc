@@ -118,10 +118,8 @@ TEST(ConfigDocTest, EveryCatalogueSampleParses) {
   // Spot-check that the samples flowed through to the parsed view.
   EXPECT_EQ(parsed->placement_policy, "lru");
   EXPECT_EQ(parsed->policy_knobs.hotspot_decay_interval, 256u);
-  EXPECT_EQ(catalogue.size(), 68u);
+  EXPECT_EQ(catalogue.size(), 44u);
   ASSERT_EQ(parsed->cache_tiers.size(), 1u);
-  EXPECT_TRUE(parsed->peer.enabled);
-  EXPECT_TRUE(parsed->checkpoint.enabled);
 }
 
 /// Unknown keys stay hard errors in every section — the property the
@@ -137,7 +135,7 @@ TEST(ConfigDocTest, UnknownKeysAreRejectedPerSection) {
       "profile = ram\n";
   for (const std::string section :
        {"monarch", "tier.0", "pfs", "placement", "resilience", "peer",
-        "checkpoint", "qos"}) {
+        "checkpoint", "pack", "read", "qos"}) {
     const std::string ini =
         base + "[" + section + "]\nno_such_key = 1\n";
     const auto parsed = ParseConfig(ini);

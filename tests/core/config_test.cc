@@ -127,99 +127,65 @@ TEST(ParseConfigTest, RejectsStructuralErrors) {
                   "[tier.0]\nprofile=ram\nquota=1\n[pfs]\nprofile=raw\nroot=/p\n"));
 }
 
-TEST(ParseConfigTest, PeerSectionDisabledByDefault) {
-  auto parsed = ParseConfig(kValidIni);
-  ASSERT_OK(parsed);
-  EXPECT_FALSE(parsed.value().peer.enabled);
-  EXPECT_EQ(1'200'000'000u, parsed.value().peer.interconnect_bandwidth_bps);
-  EXPECT_EQ(150u, parsed.value().peer.interconnect_latency_us);
-  EXPECT_EQ(16u, parsed.value().peer.directory_shards);
-  EXPECT_EQ(1, parsed.value().peer.replication);
+// Every key ParseConfig accepts reaches a built Monarch. Cluster, churn
+// and checkpoint harnesses are configured in code, so INI sections and
+// keys for them must fail loudly instead of parsing into fields nothing
+// reads.
+TEST(ParseConfigTest, RejectsKnobsNoBuiltMonarchReads) {
+  const auto expect_rejected = [](const std::string& ini,
+                                  const std::string& needle) {
+    SCOPED_TRACE(ini);
+    const auto parsed = ParseConfig(std::string(kValidIni) + ini);
+    EXPECT_STATUS_CODE(StatusCode::kInvalidArgument, parsed);
+    EXPECT_NE(parsed.status().message().find(needle), std::string::npos)
+        << parsed.status();
+  };
+  expect_rejected("[peer]\nenabled = true\n", "unknown section 'peer'");
+  expect_rejected("[checkpoint]\nenabled = true\n",
+                  "unknown section 'checkpoint'");
+  for (const std::string key :
+       {"tenant_share", "total_bandwidth", "admission_queue_threshold",
+        "admission_reject_threshold", "work_conserving"}) {
+    expect_rejected("[qos]\n" + key + " = 1\n",
+                    "unknown qos key '" + key + "'");
+  }
+  expect_rejected("[pack]\npack_extent_bytes = 64MiB\n",
+                  "unknown pack key 'pack_extent_bytes'");
+  expect_rejected("[pfs]\nquota = 1GiB\n", "unknown pfs key 'quota'");
+  // The keys that stay in those sections still parse.
+  EXPECT_OK(ParseConfig(std::string(kValidIni) +
+                        "[qos]\nenabled = true\nscan_stage_cap = 1MiB\n"
+                        "[pack]\nenabled = true\n"));
 }
 
-TEST(ParseConfigTest, ParsesPeerSection) {
-  auto parsed = ParseConfig(
-      "[monarch]\ndataset_dir=d\n"
-      "[tier.0]\nprofile=ram\nquota=1KiB\n"
-      "[pfs]\nprofile=raw\nroot=/p\n"
-      "[peer]\n"
-      "enabled = true\n"
-      "interconnect_bandwidth = 2GiB\n"
-      "interconnect_latency_us = 80\n"
-      "directory_shards = 32\n"
-      "replication = 2\n");
-  ASSERT_OK(parsed);
-  EXPECT_TRUE(parsed.value().peer.enabled);
-  EXPECT_EQ(2_GiB, parsed.value().peer.interconnect_bandwidth_bps);
-  EXPECT_EQ(80u, parsed.value().peer.interconnect_latency_us);
-  EXPECT_EQ(32u, parsed.value().peer.directory_shards);
-  EXPECT_EQ(2, parsed.value().peer.replication);
-}
-
-TEST(ParseConfigTest, RejectsBadPeerKeys) {
+// A value that does not fit an `int` must not wrap into a different,
+// valid-looking one (a wrapped tier 2^32 would alias tier 0).
+TEST(ParseConfigTest, RejectsIntegersThatDoNotFitInt) {
   constexpr const char* kBase =
       "[monarch]\ndataset_dir=d\n[tier.0]\nprofile=ram\nquota=1KiB\n"
       "[pfs]\nprofile=raw\nroot=/p\n";
-  EXPECT_STATUS_CODE(StatusCode::kInvalidArgument,
-                     ParseConfig(std::string(kBase) + "[peer]\ntypo=1\n"));
-  EXPECT_STATUS_CODE(
-      StatusCode::kInvalidArgument,
-      ParseConfig(std::string(kBase) + "[peer]\nreplication=0\n"));
-  EXPECT_STATUS_CODE(
-      StatusCode::kInvalidArgument,
-      ParseConfig(std::string(kBase) + "[peer]\nenabled=maybe\n"));
-}
+  const auto rejected = [&](const std::string& extra) {
+    SCOPED_TRACE(extra);
+    EXPECT_STATUS_CODE(StatusCode::kInvalidArgument,
+                       ParseConfig(kBase + extra));
+  };
+  rejected("[tier.4294967296]\nprofile=ram\nquota=7KiB\n");
+  rejected("[tier.2147483648]\nprofile=ram\nquota=7KiB\n");
+  rejected("[monarch]\nplacement_threads = 4294967297\n");
+  rejected("[placement]\nprefetch_lookahead = 4294967295\n");
+  rejected("[resilience]\nretry_max_attempts = 2147483648\n");
+  rejected("[read]\nworker_threads = 4294967296\n");
+  rejected("[read]\nring_depth = 0\n");
+  rejected("[read]\nworker_threads = 0\n");
 
-TEST(ParseConfigTest, CheckpointSectionDisabledByDefault) {
-  auto parsed = ParseConfig(
-      "[monarch]\ndataset_dir=d\n[tier.0]\nprofile=ram\nquota=1KiB\n"
-      "[pfs]\nprofile=raw\nroot=/p\n");
-  ASSERT_OK(parsed);
-  EXPECT_FALSE(parsed.value().checkpoint.enabled);
-  EXPECT_EQ("ckpt", parsed.value().checkpoint.dir);
-  EXPECT_EQ(0, parsed.value().checkpoint.keep_last);
-  EXPECT_EQ(0u, parsed.value().checkpoint.drain_bandwidth_bytes_per_sec);
-  EXPECT_EQ(1, parsed.value().checkpoint.drain_threads);
-  EXPECT_TRUE(parsed.value().checkpoint.verify_on_restore);
-}
-
-TEST(ParseConfigTest, ParsesCheckpointSection) {
-  auto parsed = ParseConfig(
-      "[monarch]\ndataset_dir=d\n[tier.0]\nprofile=ram\nquota=1KiB\n"
-      "[pfs]\nprofile=raw\nroot=/p\n"
-      "[checkpoint]\n"
-      "enabled = true\n"
-      "dir = checkpoints\n"
-      "keep_last = 3\n"
-      "drain_bandwidth = 200MiB\n"
-      "drain_threads = 2\n"
-      "verify_on_restore = false\n");
-  ASSERT_OK(parsed);
-  EXPECT_TRUE(parsed.value().checkpoint.enabled);
-  EXPECT_EQ("checkpoints", parsed.value().checkpoint.dir);
-  EXPECT_EQ(3, parsed.value().checkpoint.keep_last);
-  EXPECT_EQ(200ull << 20,
-            parsed.value().checkpoint.drain_bandwidth_bytes_per_sec);
-  EXPECT_EQ(2, parsed.value().checkpoint.drain_threads);
-  EXPECT_FALSE(parsed.value().checkpoint.verify_on_restore);
-}
-
-TEST(ParseConfigTest, RejectsBadCheckpointKeys) {
-  constexpr const char* kBase =
-      "[monarch]\ndataset_dir=d\n[tier.0]\nprofile=ram\nquota=1KiB\n"
-      "[pfs]\nprofile=raw\nroot=/p\n";
-  EXPECT_STATUS_CODE(
-      StatusCode::kInvalidArgument,
-      ParseConfig(std::string(kBase) + "[checkpoint]\ntypo=1\n"));
-  EXPECT_STATUS_CODE(
-      StatusCode::kInvalidArgument,
-      ParseConfig(std::string(kBase) + "[checkpoint]\ndrain_threads=0\n"));
-  EXPECT_STATUS_CODE(
-      StatusCode::kInvalidArgument,
-      ParseConfig(std::string(kBase) + "[checkpoint]\ndir=\n"));
-  EXPECT_STATUS_CODE(
-      StatusCode::kInvalidArgument,
-      ParseConfig(std::string(kBase) + "[checkpoint]\nenabled=maybe\n"));
+  const auto at_max =
+      ParseConfig(std::string(kBase) +
+                  "[monarch]\nplacement_threads = 2147483647\n"
+                  "[read]\nring_depth = 2147483647\n");
+  ASSERT_OK(at_max);
+  EXPECT_EQ(2147483647, at_max->placement_threads);
+  EXPECT_EQ(2147483647, at_max->read.depth);
+  EXPECT_EQ(1024u, at_max->cache_tiers[0].quota_bytes);
 }
 
 TEST(BuildMonarchConfigTest, UnknownProfileRejected) {
@@ -238,18 +204,6 @@ TEST(BuildMonarchConfigTest, SsdWithoutRootRejected) {
   parsed.pfs = {"p", "raw", "/tmp/y", 0, 1};
   EXPECT_STATUS_CODE(StatusCode::kInvalidArgument,
                      BuildMonarchConfig(parsed));
-}
-
-TEST(BuildMonarchConfigTest, PackWithPeersRejected) {
-  auto parsed = ParseConfig(
-      "[monarch]\ndataset_dir=d\n[tier.0]\nprofile=ram\nquota=1KiB\n"
-      "[pfs]\nprofile=ram\n[pack]\nenabled=true\n[peer]\nenabled=true\n");
-  ASSERT_OK(parsed);
-  const auto built = BuildMonarchConfig(parsed.value());
-  EXPECT_STATUS_CODE(StatusCode::kInvalidArgument, built);
-  const std::string message = built.status().ToString();
-  EXPECT_NE(std::string::npos, message.find("[pack]")) << message;
-  EXPECT_NE(std::string::npos, message.find("[peer]")) << message;
 }
 
 TEST(MonarchFromIniTest, EndToEndOverRealDirectories) {

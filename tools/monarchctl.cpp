@@ -73,11 +73,10 @@
 //       the authoritative data.
 //
 //   monarchctl ckpt-status [--saves N] [--bytes SIZE] [--keep K]
-//                          [--drain-bandwidth RATE]
 //       Write-back checkpoint demo (DESIGN.md "Checkpoint write-back"):
 //       save N checkpoints through a CheckpointManager over an
-//       in-memory two-level hierarchy, drain them to the demo PFS under
-//       an optional bandwidth cap, then print the manifest table
+//       in-memory two-level hierarchy, drain them to the demo PFS, then
+//       print the manifest table
 //       (gen/name/bytes/crc/state/local) and the manager's counters.
 //
 //   monarchctl qos-status [--bandwidth RATE] [--capacity SIZE]
@@ -189,7 +188,7 @@ void PrintUsage() {
       "  monarchctl peer-status [--nodes N] [--files N] [--epochs N] [--replication R]\n"
       "  monarchctl cluster-status [--nodes N] [--files N] [--replication R] [--kill NODE]\n"
       "  monarchctl read-ring [--files N] [--ops N] [--depth D] [--workers W] [--zero-copy true|false]\n"
-      "  monarchctl ckpt-status [--saves N] [--bytes SIZE] [--keep K] [--drain-bandwidth RATE]\n"
+      "  monarchctl ckpt-status [--saves N] [--bytes SIZE] [--keep K]\n"
       "  monarchctl qos-status [--bandwidth RATE] [--capacity SIZE]\n";
 }
 
@@ -1103,18 +1102,15 @@ int CmdClusterStatus(const Args& args) {
   return 2;
 }
 
-/// The ISSUE-5 write-back checkpoint demo: a CheckpointManager over an
-/// in-memory two-level hierarchy saves N checkpoints, drains them to the
-/// demo PFS (optionally bandwidth-capped), and dumps the manifest table
-/// the satellite asks for.
+/// The write-back checkpoint demo: a CheckpointManager over an in-memory
+/// two-level hierarchy saves N checkpoints, drains them to the demo PFS,
+/// and dumps the manifest table.
 int CmdCkptStatus(const Args& args) {
   const int saves = std::max(1, std::atoi(args.GetOr("saves", "6").c_str()));
   const int keep = std::max(0, std::atoi(args.GetOr("keep", "0").c_str()));
   const auto bytes = ParseByteSize(args.GetOr("bytes", "256KiB"));
-  const auto bandwidth = ParseByteSize(args.GetOr("drain-bandwidth", "0"));
-  if (!bytes.ok() || !bandwidth.ok()) {
-    std::cerr << "ckpt-status: " << (bytes.ok() ? bandwidth : bytes).status()
-              << "\n";
+  if (!bytes.ok()) {
+    std::cerr << "ckpt-status: " << bytes.status() << "\n";
     return 1;
   }
 
@@ -1135,7 +1131,6 @@ int CmdCkptStatus(const Args& args) {
 
   ckpt::CheckpointOptions options;
   options.keep_last = keep;
-  options.drain_bandwidth_bytes_per_sec = bandwidth.value();
   options.chunk_bytes = 64 * 1024;
   options.buffer_bytes = 256 * 1024;
   ckpt::CheckpointManager manager(**hierarchy, options);
@@ -1159,10 +1154,6 @@ int CmdCkptStatus(const Args& args) {
   std::cout << "checkpoint write-back status (demo: " << saves << " saves of "
             << FormatByteSize(bytes.value()) << ", keep-last "
             << (keep == 0 ? std::string("all") : std::to_string(keep))
-            << ", drain cap "
-            << (bandwidth.value() == 0
-                    ? std::string("none")
-                    : FormatByteSize(bandwidth.value()) + "/s")
             << ")\n";
   Table table({"gen", "name", "bytes", "crc32c", "state", "local"});
   for (const auto& entry : manager.ManifestView()) {
