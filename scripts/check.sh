@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
+# The chunk reserve/publish/evict path and the pack-mode joins race the
+# staging workers, so a lost quota release or a missed wake-up shows in
+# only some runs: repeat the chunked-read suite and fail on any failure.
+./build/tests/monarch_tests --gtest_filter='ChunkedReadTest.*' \
+    --gtest_repeat=100 --gtest_brief=1
 
 cmake -B build-tsan -G Ninja -DMONARCH_SANITIZE=thread \
       -DMONARCH_BUILD_BENCHMARKS=OFF -DMONARCH_BUILD_EXAMPLES=OFF

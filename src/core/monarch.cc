@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <functional>
 #include <string_view>
+#include <thread>
 #include <utility>
 
 #include "obs/event_tracer.h"
@@ -64,7 +65,8 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
   sample("monarch.read.copy_joins", "", obs::MetricKind::kCounter, "ops",
          stats.copy_joins,
          "reads bound for the PFS served instead from this node's in-flight "
-         "copy of the file, after waiting for it");
+         "copy of the file (in pack mode, the staging task holding their "
+         "chunk claims), after waiting for it");
   sample("monarch.read.peer_copy_joins", "", obs::MetricKind::kCounter, "ops",
          stats.peer_copy_joins,
          "non-owner reads bound for the PFS served instead over the peer rung "
@@ -110,7 +112,7 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          "prefetches dropped before staging (no space, stop, or shutdown)");
   sample("monarch.placement.prefetch_hits", "", obs::MetricKind::kCounter,
          "ops", stats.prefetch_hits,
-         "demand reads served from a copy look-ahead staged");
+         "demand reads served from a copy look-ahead or read-ahead staged");
   sample("monarch.placement.chunks_copied", "", obs::MetricKind::kCounter,
          "chunks", p.chunks_copied,
          "fixed-size chunk writes performed by the staging pipeline");
@@ -175,6 +177,13 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
   sample("monarch.pack.logical_bytes", "", obs::MetricKind::kGauge, "bytes",
          stats.pack_logical_bytes,
          "logical bytes addressed through the pack index");
+  sample("monarch.pack.stretch_reads", "", obs::MetricKind::kCounter, "ops",
+         stats.pack_stretch_reads,
+         "PFS reads of a whole-file pack miss that fetched the file and its "
+         "claimed extent neighbours at once");
+  sample("monarch.pack.readahead_bytes", "", obs::MetricKind::kCounter,
+         "bytes", stats.pack_readahead_bytes,
+         "extent-neighbour bytes stretch reads fetched ahead of demand");
   sample("monarch.files_indexed", "", obs::MetricKind::kGauge, "files",
          stats.files_indexed, "files in the virtual namespace");
   sample("monarch.dataset_bytes", "", obs::MetricKind::kGauge, "bytes",
@@ -554,6 +563,37 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
     joined = Join::kLocal;
     level = info->level.load(std::memory_order_acquire);
   }
+  // Pack mode: a read whose chunks a staging task has claimed joins that
+  // task, promoting it first when it is a queued prefetch (a neighbour
+  // woken when its stretch read queued it waits again); a whole-file miss
+  // nobody stages reads its extent stretch. A claim not yet joinable, or
+  // lost to another reader, is retried. Past three waits or 64 retries
+  // the read goes to the PFS.
+  bool stretched = false;
+  for (int waits = 0, retries = 0; cm != nullptr && length > 0 &&
+                                   level == pfs && waits < 3 && retries < 64;) {
+    if (cm->RangeClaimed(offset, length)) {
+      placement_->PromoteToDemand(info);
+      if (TimedJoin(name, "local", [&] { return info->AwaitJoinable(); })) {
+        joined = Join::kLocal;
+        ++waits;
+      } else {
+        ++retries;
+        std::this_thread::yield();
+      }
+    } else if (ReadStretch(info, offset, access)) {
+      stretched = true;
+      break;
+    } else if (!cm->RangeClaimed(offset, length) &&
+               !cm->RangeResident(offset, length)) {
+      break;  // no stretch read, and nothing to join: read the PFS
+    } else {
+      ++retries;  // another reader won the claim
+    }
+    if (cm->tier() >= 0 && cm->RangeResident(offset, length)) {
+      level = cm->tier();
+    }
+  }
   // ② Read from that tier — unless its circuit breaker is open, in which
   // case the tier is skipped without a doomed attempt.
   if (level != pfs && hierarchy_->NextServingLevel(level) != level) {
@@ -633,9 +673,13 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
     }
   }
   if (level == pfs) {
-    served = access.Fetch(hierarchy_->Level(pfs), name, offset, 0,
-                          access.limit());
-    if (!served.ok()) return served.status();
+    if (stretched) {
+      served = access.Served(static_cast<std::size_t>(info->size));
+    } else {
+      served = access.Fetch(hierarchy_->Level(pfs), name, offset, 0,
+                            access.limit());
+      if (!served.ok()) return served.status();
+    }
   }
 
   if (joined == Join::kLocal && level != pfs && level != peer) {
@@ -643,7 +687,7 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
   } else if (joined == Join::kPeer && level == peer) {
     peer_copy_joins_.fetch_add(1, std::memory_order_relaxed);
   }
-  FinishRead(info, level, offset, served.value());
+  FinishRead(info, level, offset, served.value(), stretched);
   pin_guard.file = nullptr;  // the lease owns the pin from here on
   storage::ReadView view =
       access.lend ? std::move(access.view)
@@ -772,6 +816,87 @@ Result<std::span<const std::byte>> Monarch::ServeChunks(
   return access.Served(static_cast<std::size_t>(length));
 }
 
+bool Monarch::ReadStretch(const FileInfoPtr& info, std::uint64_t offset,
+                          ReadAccess& access) {
+  const qos::TenantContext* tenant = qos::CurrentTenant();
+  if (pack_index_ == nullptr || access.lend || offset != 0 ||
+      access.dst.size() < info->size || placement_->stopped() ||
+      (tenant != nullptr && tenant->low_retention)) {
+    return false;
+  }
+  const pack::PackEntry* entry = pack_index_->Find(info->name);
+  if (entry == nullptr) return false;
+  const std::uint64_t budget =
+      std::min<std::uint64_t>(placement_->buffer_pool().chunk_bytes(),
+                              hierarchy_->TotalWritableFreeBytes());
+  // Grow the stretch [begin, end) of the extent from the file one
+  // neighbour at a time, alternating sides. A side stops at the extent's
+  // edge, at the budget, or at a neighbour that is resident, claimed or
+  // not in the namespace.
+  const std::span<const pack::ExtentMember> members =
+      pack_index_->ExtentMembers(entry->extent);
+  struct Claimed {
+    FileInfoPtr file;
+    const pack::PackEntry* entry;
+    std::vector<std::uint32_t> chunks;
+  };
+  std::vector<Claimed> claimed;
+  std::uint64_t begin = entry->offset;
+  std::uint64_t end = entry->offset;
+  auto claim = [&](std::uint32_t slot) {
+    const pack::PackEntry* at = members[slot].entry;
+    const std::uint64_t from = std::min(begin, at->offset);
+    const std::uint64_t to = std::max(end, at->offset + at->length);
+    FileInfoPtr file = metadata_.Lookup(members[slot].name);
+    if (to - from > budget || file == nullptr) return false;
+    std::vector<std::uint32_t> chunks = placement_->ClaimFile(file);
+    if (chunks.empty()) return false;
+    claimed.push_back({std::move(file), at, std::move(chunks)});
+    begin = from;
+    end = to;
+    return true;
+  };
+  std::uint32_t lo = entry->slot;
+  std::uint32_t hi = entry->slot;
+  if (!claim(hi)) return false;
+  for (bool left = true, right = true; left || right;) {
+    right = right && hi + 1 < members.size() && claim(hi + 1);
+    if (right) ++hi;
+    left = left && lo > 0 && claim(lo - 1);
+    if (left) --lo;
+  }
+
+  thread_local std::vector<std::byte> stretch;
+  stretch.resize(static_cast<std::size_t>(end - begin));
+  auto read = hierarchy_->Pfs().Read(pack_index_->ExtentPathOf(*entry), begin,
+                                     stretch);
+  if (!read.ok() || read.value() != stretch.size()) {
+    for (Claimed& c : claimed) {
+      placement_->ReleaseFileClaims(c.file, std::move(c.chunks));
+    }
+    return false;
+  }
+  stretch_reads_.fetch_add(1, std::memory_order_relaxed);
+  readahead_bytes_.fetch_add(stretch.size() - info->size,
+                             std::memory_order_relaxed);
+  const auto bytes_of = [&](const pack::PackEntry* at) {
+    return std::span<const std::byte>(stretch).subspan(
+        static_cast<std::size_t>(at->offset - begin),
+        static_cast<std::size_t>(at->length));
+  };
+  std::copy_n(bytes_of(entry).begin(), info->size, access.dst.begin());
+  placement_->ScheduleChunkPlacement(
+      info, std::move(claimed[0].chunks), 0, bytes_of(entry),
+      StagingLane::kDemand, static_cast<std::uint32_t>(claimed.size() - 1));
+  for (std::size_t i = 1; i < claimed.size(); ++i) {
+    claimed[i].file->prefetched.store(true, std::memory_order_release);
+    placement_->ScheduleChunkPlacement(
+        std::move(claimed[i].file), std::move(claimed[i].chunks), 0,
+        bytes_of(claimed[i].entry), StagingLane::kPrefetch);
+  }
+  return true;
+}
+
 void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
                                   std::uint64_t offset,
                                   std::span<const std::byte> served) {
@@ -821,7 +946,7 @@ void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
 
 void Monarch::FinishRead(const FileInfoPtr& info, int level,
                          std::uint64_t offset,
-                         std::span<const std::byte> served) {
+                         std::span<const std::byte> served, bool stretched) {
   const int pfs = hierarchy_->pfs_level();
   const int peer = hierarchy_->peer_level();
 
@@ -839,12 +964,15 @@ void Monarch::FinishRead(const FileInfoPtr& info, int level,
     // Pack mode stages chunks, never files: a miss read the request from
     // the authoritative PFS — so PFS traffic scales with bytes *touched*
     // — claims exactly the touched chunks for demand staging, and donates
-    // the served bytes of the chunks it covered in full.
+    // the served bytes of the chunks it covered in full. A stretch read
+    // scheduled its staging already.
     if (level != pfs) {
       chunk_hits_.fetch_add(1, std::memory_order_relaxed);
     } else {
       chunk_misses_.fetch_add(1, std::memory_order_relaxed);
-      TriggerChunkStaging(info, *info->chunk_map(), offset, served);
+      if (!stretched) {
+        TriggerChunkStaging(info, *info->chunk_map(), offset, served);
+      }
     }
   } else if ((level == pfs || level == peer) && !placement_->stopped() &&
              (config_.peer_view == nullptr ||
@@ -914,7 +1042,7 @@ bool Monarch::VerifyTierRead(const FileInfoPtr& info, int level,
   return false;
 }
 
-void Monarch::TimedJoin(std::string_view name, const char* kind,
+bool Monarch::TimedJoin(std::string_view name, const char* kind,
                         const std::function<bool()>& wait) {
   obs::TraceSpan span("monarch.read.join", "core");
   if (span.active()) {
@@ -922,9 +1050,9 @@ void Monarch::TimedJoin(std::string_view name, const char* kind,
                        kind + "\"");
   }
   const Stopwatch timer;
-  if (wait() && read_join_wait_ != nullptr) {
-    read_join_wait_->Record(timer.Elapsed());
-  }
+  if (!wait()) return false;
+  if (read_join_wait_ != nullptr) read_join_wait_->Record(timer.Elapsed());
+  return true;
 }
 
 bool Monarch::StageForPeer(const std::string& name) {
@@ -1141,6 +1269,9 @@ MonarchStats Monarch::Stats() const {
   stats.peer_copy_joins = peer_copy_joins_.load(std::memory_order_relaxed);
   stats.chunk_hits = chunk_hits_.load(std::memory_order_relaxed);
   stats.chunk_misses = chunk_misses_.load(std::memory_order_relaxed);
+  stats.pack_stretch_reads = stretch_reads_.load(std::memory_order_relaxed);
+  stats.pack_readahead_bytes =
+      readahead_bytes_.load(std::memory_order_relaxed);
   if (pack_index_ != nullptr) {
     stats.pack_extents = pack_index_->extent_count();
     stats.pack_logical_files = pack_index_->logical_files();

@@ -120,7 +120,8 @@ struct MonarchStats {
   double metadata_init_seconds = 0;
 
   /// Demand reads served from a cache tier whose copy look-ahead over
-  /// the run schedule (InstallRunSchedule) staged before the read arrived.
+  /// the run schedule (InstallRunSchedule), or a stretch read's
+  /// read-ahead (pack mode), staged before the read arrived.
   std::uint64_t prefetch_hits = 0;
 
   /// Degradation-ladder outcomes (ISSUE 2): reads that a cache tier
@@ -134,8 +135,9 @@ struct MonarchStats {
 
   /// Joins: reads bound for the PFS that instead waited on a copy of
   /// the file already in flight and were served from it — this node's
-  /// own copy, or (peer mode) the copy a non-owner asked the file's
-  /// owner to stage.
+  /// own copy (in pack mode, the staging task holding the read's chunk
+  /// claims), or (peer mode) the copy a non-owner asked the file's owner
+  /// to stage.
   std::uint64_t copy_joins = 0;
   std::uint64_t peer_copy_joins = 0;
 
@@ -150,6 +152,11 @@ struct MonarchStats {
   std::uint64_t pack_extents = 0;
   std::uint64_t pack_logical_files = 0;
   std::uint64_t pack_logical_bytes = 0;
+  /// Stretch reads: PFS reads of a whole-file pack miss that fetched the
+  /// file and the extent neighbours it claimed; and the neighbours'
+  /// bytes those reads fetched ahead of demand.
+  std::uint64_t pack_stretch_reads = 0;
+  std::uint64_t pack_readahead_bytes = 0;
 
   /// Reads served by the last level (the shared PFS).
   [[nodiscard]] std::uint64_t pfs_reads() const {
@@ -314,9 +321,11 @@ class Monarch {
   /// The serve ladder (§III-B): serve from the file's current level —
   /// its resident chunks in pack mode — or a peer's copy, otherwise from
   /// the PFS. A whole-file read bound for the PFS first joins a copy of
-  /// the file already in flight, locally or at its owner. A failed rung
-  /// counts its cause and re-reads from the PFS. The returned lease owns
-  /// the file's eviction read-pin.
+  /// the file already in flight, locally or at its owner; a pack read
+  /// joins the task holding its chunk claims. A packed whole-file miss
+  /// reads its extent stretch (ReadStretch). A failed rung counts its
+  /// cause and re-reads from the PFS. The returned lease owns the file's
+  /// eviction read-pin.
   Result<ReadLease> Ladder(std::string_view name, std::uint64_t offset,
                            ReadAccess& access);
 
@@ -335,9 +344,10 @@ class Monarch {
 
   /// Shared tail of both read paths: serve counters, prefetch-hit
   /// bookkeeping, whole-file or chunk staging trigger, look-ahead top-up.
-  /// `served` holds the bytes handed to the caller.
+  /// `served` holds the bytes handed to the caller; a `stretched` read
+  /// (ReadStretch) has scheduled its chunk staging already.
   void FinishRead(const FileInfoPtr& info, int level, std::uint64_t offset,
-                  std::span<const std::byte> served);
+                  std::span<const std::byte> served, bool stretched);
 
   /// Full-file tier reads against a recorded CRC when verify_on_read is
   /// set. Returns false when the copy is corrupt (and quarantines it).
@@ -346,8 +356,8 @@ class Monarch {
 
   /// Run one join wait (`kind` "local" or "peer") under its own trace
   /// span; `wait` returns whether it waited, and only then is its
-  /// duration recorded.
-  void TimedJoin(std::string_view name, const char* kind,
+  /// duration recorded. Returns what `wait` did.
+  bool TimedJoin(std::string_view name, const char* kind,
                  const std::function<bool()>& wait);
 
   /// The stage entry this instance registers with its peer view: a
@@ -358,6 +368,17 @@ class Monarch {
   /// could not serve and the PFS absorbed.
   void CountDegradedFallback(FallbackCause cause, std::string_view name,
                              int level);
+
+  /// Pack-mode read-ahead for a copy-lane read of a whole packed file:
+  /// claim it and its unclaimed, non-resident extent neighbours (within
+  /// one staging chunk and the tiers' free quota), read that stretch
+  /// with one PFS read, fill `access.dst`, and donate the file's bytes to
+  /// a demand task and each neighbour's to a prefetch task. Returns
+  /// false, holding no claims, when the read does not qualify (stopped
+  /// placement, low-retention tenant), the file is claimed or resident
+  /// in part, or the stretch read failed.
+  bool ReadStretch(const FileInfoPtr& info, std::uint64_t offset,
+                   ReadAccess& access);
 
   /// Claim the non-resident chunks the `served` bytes at `offset`
   /// overlap and enqueue one demand-lane chunk staging task for them,
@@ -411,6 +432,8 @@ class Monarch {
   // `monarch.read.degraded_fallbacks`.
   std::atomic<std::uint64_t> chunk_hits_{0};
   std::atomic<std::uint64_t> chunk_misses_{0};
+  std::atomic<std::uint64_t> stretch_reads_{0};
+  std::atomic<std::uint64_t> readahead_bytes_{0};
   std::array<std::atomic<std::uint64_t>,
              static_cast<std::size_t>(FallbackCause::kCount)>
       fallbacks_{};

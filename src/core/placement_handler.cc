@@ -139,10 +139,45 @@ void PlacementHandler::SchedulePlacement(FileInfoPtr file,
 void PlacementHandler::ScheduleChunkPlacement(
     FileInfoPtr file, std::vector<std::uint32_t> chunks,
     std::uint64_t donated_offset, std::span<const std::byte> donated,
-    StagingLane lane) {
+    StagingLane lane, std::uint32_t neighbours) {
   if (chunks.empty()) return;
-  Enqueue({std::move(file), Donate(donated_offset, donated), lane,
-           std::move(chunks), SnapshotTenant()});
+  StagingTask task{std::move(file), Donate(donated_offset, donated), lane,
+                   std::move(chunks), SnapshotTenant(), neighbours};
+  // A read-ahead neighbour rides on its donation only: re-reading
+  // speculative bytes would cost the PFS op its stretch read saved.
+  if (lane == StagingLane::kPrefetch && !donated.empty() &&
+      task.donation.bytes.empty()) {
+    CancelPrefetch(*task.file);
+    ReleaseClaims(task);
+    return;
+  }
+  Enqueue(std::move(task));
+}
+
+std::vector<std::uint32_t> PlacementHandler::ClaimFile(
+    const FileInfoPtr& file) {
+  pack::ChunkMap* cm = file->EnsureChunkMap(options_.pack.chunk_bytes);
+  std::vector<std::uint32_t> chunks;
+  chunks.reserve(cm->num_chunks());
+  for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
+    if (!cm->TryClaim(c)) {
+      // Another task holds chunk c or it is resident, so the chunk tier
+      // stays assigned: only our claims go.
+      for (const std::uint32_t claimed : chunks) cm->ReleaseClaim(claimed);
+      if (c > 0) file->EndJoinable();
+      return {};
+    }
+    // Joinable from the first claim on: every claimer starts at chunk 0,
+    // so a reader that sees a claim finds it joinable, never between.
+    if (c == 0) file->BeginJoinable();
+    chunks.push_back(c);
+  }
+  return chunks;
+}
+
+void PlacementHandler::ReleaseFileClaims(const FileInfoPtr& file,
+                                         std::vector<std::uint32_t> chunks) {
+  ReleaseClaims({file, {}, StagingLane::kDemand, std::move(chunks), {}, 0});
 }
 
 PlacementHandler::Donation PlacementHandler::Donate(
@@ -178,13 +213,21 @@ void PlacementHandler::Enqueue(StagingTask task) {
   scheduled_.fetch_add(1, std::memory_order_relaxed);
   if (task.lane == StagingLane::kPrefetch) {
     prefetch_scheduled_.fetch_add(1, std::memory_order_relaxed);
-  } else if (task.chunks.empty()) {
+  } else {
     // Before the push: the worker's clear can never precede this set.
     BeginJoinable(*task.file);
   }
   {
     std::lock_guard lock(mu_);
+    // A donated prefetch is a read-ahead neighbour whose claim was
+    // joinable (ClaimFile). Queued, it is not: wake its joiners so they
+    // promote it. Under mu_, so they find it queued and no worker can
+    // have started it.
+    FileInfo& file = *task.file;
+    const bool read_ahead = task.lane == StagingLane::kPrefetch &&
+                            !task.donation.bytes.empty();
     PushLocked(std::move(task));
+    if (read_ahead) file.EndJoinable();
   }
   cv_.notify_one();
 }
@@ -204,7 +247,7 @@ bool PlacementHandler::PromoteToDemand(const FileInfoPtr& file) {
     found->tenant = promoter;
     // Still under mu_, so no worker can have popped (and finished) the
     // task before it is marked.
-    if (found->chunks.empty()) BeginJoinable(*found->file);
+    BeginJoinable(*found->file);
     PushLocked(std::move(*found));
   }
   prefetch_promoted_.fetch_add(1, std::memory_order_relaxed);
@@ -249,16 +292,23 @@ void PlacementHandler::WorkerLoop() {
       }
       task = std::move(*popped);
       ++active_;
+      // A running copy is joinable whatever its lane, from before mu_
+      // drops: a reader that no longer finds the task queued
+      // (PromoteToDemand) finds it joinable. Its end — publish, failure
+      // or refusal — wakes the joiners.
+      BeginJoinable(*task.file);
     }
     // Re-install the scheduling thread's tenant on this worker so every
     // byte the copy moves stays attributable across the thread hop.
     const qos::TenantContext tenant = task.tenant;
     qos::ScopedTenant scope(tenant);
+    const FileInfoPtr file = task.file;
     if (task.chunks.empty()) {
       PlaceFile(std::move(task));
     } else {
       PlaceChunks(std::move(task));
     }
+    EndJoinable(*file);
     {
       std::lock_guard lock(mu_);
       --active_;
@@ -416,14 +466,6 @@ bool PlacementHandler::VerifyStagedCopy(const FileInfoPtr& file,
 
 void PlacementHandler::PlaceFile(StagingTask task) {
   const FileInfoPtr& file = task.file;
-  // A running copy is joinable whatever its lane; every exit below —
-  // publish, failure, refusal — ends it and wakes the joiners.
-  BeginJoinable(*file);
-  struct JoinGuard {
-    PlacementHandler* handler;
-    FileInfo* file;
-    ~JoinGuard() { handler->EndJoinable(*file); }
-  } join_guard{this, file.get()};
   // Spans the whole schedule→complete staging of one file. Args are only
   // rendered when tracing is live (active() gate).
   obs::TraceSpan span("placement.stage", "placement");
@@ -632,10 +674,7 @@ bool PlacementHandler::QuarantineCopy(const FileInfoPtr& file) {
 }
 
 bool PlacementHandler::CleanupCopy(const FileInfoPtr& file) {
-  if (pack::ChunkMap* cm = file->chunk_map();
-      cm != nullptr && cm->ResidentCount() > 0) {
-    return EvictChunks(file) > 0;
-  }
+  if (file->chunk_map() != nullptr) return EvictChunks(file) > 0;
   return DropCopy(file, DropReason::kCleanup);
 }
 
@@ -649,12 +688,11 @@ bool PlacementHandler::EvictOne(const FileInfoPtr& victim) {
       !victim->low_retention.load(std::memory_order_acquire)) {
     return false;
   }
-  // Chunk-resident victims (pack mode) hold per-chunk quota and tier
-  // objects, not a whole-file copy: drop them through the chunk path.
-  if (pack::ChunkMap* cm = victim->chunk_map();
-      cm != nullptr && cm->ResidentCount() > 0) {
-    return EvictChunks(victim) > 0;
-  }
+  // A file with a chunk map (pack mode) holds its quota run by run, never
+  // as a whole-file copy: it drops through the chunk path even while
+  // another evictor has just emptied it. DropCopy would release its
+  // whole size a second time, and the tier would overfill.
+  if (victim->chunk_map() != nullptr) return EvictChunks(victim) > 0;
   return DropCopy(victim, DropReason::kEvict);
 }
 
@@ -723,14 +761,12 @@ std::optional<int> PlacementHandler::EvictAndReserve(
 void PlacementHandler::ReleaseClaims(const StagingTask& task) {
   if (task.chunks.empty()) {
     task.file->AbortFetch(/*permanently=*/false);
-    EndJoinable(*task.file);
-    return;
+  } else if (pack::ChunkMap* cm = task.file->chunk_map(); cm != nullptr) {
+    for (const std::uint32_t c : task.chunks) cm->ReleaseClaim(c);
+    std::lock_guard lock(cm->placement_mutex());
+    cm->MaybeResetTier();
   }
-  pack::ChunkMap* cm = task.file->chunk_map();
-  if (cm == nullptr) return;
-  for (const std::uint32_t c : task.chunks) cm->ReleaseClaim(c);
-  std::lock_guard lock(cm->placement_mutex());
-  cm->MaybeResetTier();
+  EndJoinable(*task.file);
 }
 
 pack::ChunkMap::EvictedRun PlacementHandler::DropRunLocked(
@@ -899,6 +935,7 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
     span.set_args_json("\"file\":" + obs::JsonQuote(file->name) +
                        ",\"chunks\":" + std::to_string(task.chunks.size()) +
                        ",\"runs\":" + std::to_string(runs) +
+                       ",\"neighbours\":" + std::to_string(task.neighbours) +
                        ",\"lane\":\"" + LaneName(task.lane) + "\"");
   };
   if (RefuseScanStaging(task)) {

@@ -19,7 +19,8 @@
 // One staging queue: every task waits in a qos::FairQueue keyed by I/O
 // class. DEMAND tasks come from actual reads and ride their tenant's
 // class; PREFETCH tasks come from look-ahead over the run schedule
-// (TakeAhead) and repair, and ride the prefetch class in the background
+// (TakeAhead), repair and pack-mode read-ahead (a stretch read's extent
+// neighbours), and ride the prefetch class in the background
 // band, so they only run when no demand-band work is queued. A demand
 // read (or a peer's stage request) that overtakes a queued prefetch
 // promotes it: the task is extracted from the prefetch class and
@@ -29,9 +30,13 @@
 // Joinable copies: while a demand task for a file is queued, or any
 // copy of it runs, the handler keeps FileInfo::joinable set (and tells
 // the peer view), so a read that would go to the PFS waits for the copy
-// instead of pulling the file a second time. One guard clears it on
-// every exit of PlaceFile; ReleaseClaims clears it for tasks dropped
-// unrun. Queued prefetch tasks are not joinable.
+// instead of pulling the file a second time — whole files and chunk
+// tasks alike. The worker clears it when a copy ends; ReleaseClaims
+// clears it for tasks dropped unrun. Queued prefetch tasks are not
+// joinable: a reader promotes one first. A pack-mode stretch read's
+// claims (ClaimFile) are joinable while its PFS read is in flight;
+// queuing a neighbour's prefetch task ends that, so its readers promote
+// it.
 //
 // Failure handling (ISSUE 2): backend I/O is retried inside the storage
 // drivers; a staging attempt that still fails is re-tried on a later
@@ -216,11 +221,27 @@ class PlacementHandler {
   /// read pulled; the bytes it covers are staged from it (budget
   /// permitting, as for SchedulePlacement), each stretch it does not is
   /// read from the PFS with one read. Never blocks.
+  /// A donated prefetch (a stretch read's neighbour) whose donation the
+  /// budget refuses is cancelled, never re-read. `neighbours`: see
+  /// StagingTask.
   void ScheduleChunkPlacement(FileInfoPtr file,
                               std::vector<std::uint32_t> chunks,
                               std::uint64_t donated_offset,
                               std::span<const std::byte> donated,
-                              StagingLane lane = StagingLane::kDemand);
+                              StagingLane lane = StagingLane::kDemand,
+                              std::uint32_t neighbours = 0);
+
+  /// Pack-mode stretch read: claim every chunk of `file` for a task the
+  /// caller schedules once the bytes arrive (ScheduleChunkPlacement), and
+  /// mark the file joinable meanwhile, so its readers wait for those
+  /// bytes instead of reading the PFS. Returns the chunks; empty, having
+  /// claimed nothing, when any chunk is resident or claimed.
+  std::vector<std::uint32_t> ClaimFile(const FileInfoPtr& file);
+
+  /// Hand back ClaimFile's claims unscheduled (the stretch read failed)
+  /// and wake the file's joiners.
+  void ReleaseFileClaims(const FileInfoPtr& file,
+                         std::vector<std::uint32_t> chunks);
 
   /// A demand read overtook a queued prefetch of `file`: re-queue the
   /// task on the reader's class so it stops waiting behind other
@@ -348,6 +369,8 @@ class PlacementHandler {
     /// Who this staging serves, captured from the scheduling thread's
     /// ambient tenant and re-installed on the worker (ISSUE 10).
     qos::TenantContext tenant;
+    /// Extent neighbours the stretch read staged alongside (traces).
+    std::uint32_t neighbours = 0;
   };
 
   /// Fair-queue class the task is served on: the prefetch lane always
@@ -435,8 +458,8 @@ class PlacementHandler {
                                      std::optional<int> level = std::nullopt);
   /// Drop one placed copy for space (DropCopy, honouring read pins and
   /// scan resistance). Returns false when the claim failed or the file
-  /// was pinned. A chunk-resident victim drops all of its chunks via
-  /// EvictChunks.
+  /// was pinned. A victim with a chunk map (pack mode) drops all of its
+  /// runs via EvictChunks, never via DropCopy.
   bool EvictOne(const FileInfoPtr& victim);
 
   /// Stage the claimed chunks of one task (pack mode), run by run.

@@ -115,6 +115,19 @@ class ChunkMap {
     return true;
   }
 
+  /// Any chunk overlapping [offset, offset+length) claimed by a staging
+  /// task (the read can join that task's copy)?
+  [[nodiscard]] bool RangeClaimed(std::uint64_t offset,
+                                  std::uint64_t length) const {
+    for (std::uint32_t c = ChunkOf(offset);
+         length > 0 && c <= ChunkOf(offset + length - 1); ++c) {
+      if (claimed_bits_[c / 64].load(std::memory_order_acquire) & Bit(c)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
   [[nodiscard]] std::uint32_t ResidentCount() const {
     return resident_count_.load(std::memory_order_acquire);
   }

@@ -13,6 +13,11 @@
 // Extents store logical bytes verbatim (compression is a *staging-side*
 // transform — see pack/codec.h); the per-entry CRC32C lets any consumer
 // verify a logical file end-to-end no matter which path the bytes took.
+// Files sit back to back in an extent, so a run of neighbours is one
+// contiguous byte range: Monarch serves a cold whole-file read and
+// stages the unstaged neighbours around it from one PFS read of that
+// range (Monarch::ReadStretch), which is what keeps the PFS at
+// O(extents) streams per epoch rather than O(files).
 //
 // Index file format (little-endian):
 //

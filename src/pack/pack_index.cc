@@ -85,6 +85,7 @@ Result<std::shared_ptr<const PackIndex>> PackIndex::Load(
     index->extent_paths_.push_back(ExtentPath(dataset_dir, e));
   }
   index->order_.reserve(static_cast<std::size_t>(entry_count));
+  index->extent_members_.resize(extent_count);
 
   for (std::uint64_t i = 0; i < entry_count; ++i) {
     std::uint32_t name_len = 0;
@@ -102,9 +103,12 @@ Result<std::shared_ptr<const PackIndex>> PackIndex::Load(
                             std::to_string(extent_count));
     }
     index->logical_bytes_ += entry.length;
-    if (!index->entries_.emplace(name, entry).second) {
-      return Torn(path, "duplicate logical name " + name);
-    }
+    std::vector<ExtentMember>& members = index->extent_members_[entry.extent];
+    entry.slot = static_cast<std::uint32_t>(members.size());
+    const auto [it, inserted] = index->entries_.emplace(name, entry);
+    if (!inserted) return Torn(path, "duplicate logical name " + name);
+    // Map nodes are stable, so members can point into entries_.
+    members.push_back({it->first, &it->second});
     index->order_.push_back(std::move(name));
   }
   if (cursor.pos != raw.size()) {

@@ -2,12 +2,15 @@
 // at startup from `<dataset_dir>/.pack/index.mpki`, then immutable —
 // every consumer holds a shared_ptr<const PackIndex> and probes it
 // lock-free (and allocation-free: the map is transparent-keyed, so a
-// string_view path never materialises a std::string).
+// string_view path never materialises a std::string). Each extent also
+// lists its files in order, so a read can find a file's neighbours and
+// fetch a stretch of them with one extent read.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -25,6 +28,13 @@ struct PackEntry {
   std::uint64_t offset = 0;   ///< byte offset inside the extent
   std::uint64_t length = 0;   ///< logical file size
   std::uint32_t crc32c = 0;   ///< CRC32C of the logical bytes
+  std::uint32_t slot = 0;     ///< position in ExtentMembers(extent)
+};
+
+/// One logical file of an extent (PackIndex::ExtentMembers).
+struct ExtentMember {
+  std::string_view name;
+  const PackEntry* entry = nullptr;
 };
 
 class PackIndex {
@@ -46,6 +56,13 @@ class PackIndex {
   [[nodiscard]] const std::string& ExtentPathOf(
       const PackEntry& entry) const {
     return extent_paths_[entry.extent];
+  }
+
+  /// The logical files of `extent` in index order — PackWriter's offset
+  /// order; a file's neighbours sit at entry.slot - 1 and entry.slot + 1.
+  [[nodiscard]] std::span<const ExtentMember> ExtentMembers(
+      std::uint32_t extent) const {
+    return extent_members_[extent];
   }
 
   /// Visit every (logical name, entry) pair; iteration order is the
@@ -78,6 +95,7 @@ class PackIndex {
       entries_;
   std::vector<std::string> order_;        ///< index-file entry order
   std::vector<std::string> extent_paths_;
+  std::vector<std::vector<ExtentMember>> extent_members_;
   std::uint64_t logical_bytes_ = 0;
 };
 

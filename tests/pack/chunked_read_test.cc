@@ -1,7 +1,9 @@
 // End-to-end chunk-granularity staging (ISSUE 9): partial reads must be
 // byte-identical to whole-file reads with the codec on and off, across
 // eviction races and the degradation ladder, and sparse access must
-// stage (and bill) only the chunks actually touched.
+// stage (and bill) only the chunks actually touched. A whole-file miss
+// reads its extent stretch with one PFS op and stages the neighbours it
+// claimed; reads of claimed chunks join the task staging them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +14,15 @@
 #include <thread>
 #include <vector>
 
+#include "../gate_engine.h"
 #include "../test_support.h"
 #include "core/monarch.h"
 #include "core/placement_policy.h"
 #include "pack/chunk_map.h"
+#include "qos/tenant.h"
 #include "storage/faulty_engine.h"
 #include "storage/memory_engine.h"
+#include "util/clock.h"
 #include "util/rng.h"
 #include "workload/small_file_dataset.h"
 
@@ -122,18 +127,54 @@ class ChunkedReadTest : public ::testing::Test {
     return local_->Stats().Snapshot().read_ops;
   }
 
-  /// Names of every object on the cache tier.
-  std::vector<std::string> TierObjects() {
+  /// Names of every object on the cache tier, or of `file`'s run
+  /// objects when given.
+  std::vector<std::string> TierObjects(const std::string& file = "") {
     std::vector<std::string> names;
     auto listed = local_->ListFiles("");
     EXPECT_OK(listed);
     if (listed.ok()) {
       for (const storage::FileStat& stat : listed.value()) {
-        names.push_back(stat.path);
+        if (file.empty() || stat.path.rfind(file + "#", 0) == 0) {
+          names.push_back(stat.path);
+        }
       }
     }
     std::sort(names.begin(), names.end());
     return names;
+  }
+
+  /// The files of `index`'s pack extent (itself included), in extent
+  /// order: the neighbours a whole-file miss of it reads ahead.
+  std::vector<std::uint64_t> ExtentFiles(Monarch& monarch,
+                                         std::uint64_t index) {
+    const pack::PackIndex& pack = *monarch.pack_index();
+    const pack::PackEntry* entry =
+        pack.Find(workload::SmallFilePath(spec_, index));
+    EXPECT_NE(nullptr, entry);
+    std::vector<std::uint64_t> files;
+    for (const pack::ExtentMember& member :
+         pack.ExtentMembers(entry->extent)) {
+      for (std::uint64_t f = 0; f < spec_.num_files; ++f) {
+        if (workload::SmallFilePath(spec_, f) == member.name) {
+          files.push_back(f);
+        }
+      }
+    }
+    return files;
+  }
+
+  /// Stored bytes of every resident run, across all files.
+  std::uint64_t ResidentStoredBytes(Monarch& monarch) {
+    std::uint64_t total = 0;
+    for (std::uint64_t f = 0; f < spec_.num_files; ++f) {
+      const FileInfoPtr info =
+          monarch.metadata().Lookup(workload::SmallFilePath(spec_, f));
+      if (info != nullptr && info->chunk_map() != nullptr) {
+        total += info->chunk_map()->ResidentStoredBytes();
+      }
+    }
+    return total;
   }
 
   /// How many views the lend lane needs for [offset, offset + length):
@@ -324,7 +365,9 @@ TEST_F(ChunkedReadTest, CleanupDropsChunkCopies) {
 
 // Chunk-miss donation: a pack-mode miss already read the requested bytes
 // from the PFS, so the chunks it covered in full are staged from those
-// bytes; only partly covered edge chunks are re-read.
+// bytes; only partly covered edge chunks are re-read. A copy-lane
+// whole-file miss reads its extent stretch, so its neighbours' bytes are
+// donated too; the lend lane never reads ahead.
 TEST_F(ChunkedReadTest, WholeFileMissDonatesEveryChunk) {
   for (const std::string codec : {"none", "lz"}) {
     for (const bool lend : {false, true}) {
@@ -334,23 +377,35 @@ TEST_F(ChunkedReadTest, WholeFileMissDonatesEveryChunk) {
       Monarch& m = **monarch;
       const std::uint64_t f = FileOfAtLeast(3 * 1024);
       const std::uint64_t size = Expected(f).size();
+      const std::vector<std::uint64_t> staged =
+          lend ? std::vector<std::uint64_t>{f} : ExtentFiles(m, f);
+      ASSERT_GT(staged.size(), lend ? 0u : 1u);
+      std::uint64_t staged_bytes = 0;
+      for (const std::uint64_t g : staged) staged_bytes += Expected(g).size();
 
       const std::uint64_t ops_before = PfsReadOps();
       ReadAndCheck(m, lend, f, 0, size);
       m.DrainPlacements();
       EXPECT_EQ(ops_before + 1, PfsReadOps())
           << "staging must reuse the miss's bytes, not re-read the PFS";
-      const pack::ChunkMap& cm = ChunksOf(m, f);
-      EXPECT_EQ(cm.num_chunks(), cm.ResidentCount());
-      EXPECT_EQ(size, m.Stats().placement.donated_bytes);
+      EXPECT_EQ(staged_bytes, m.Stats().placement.donated_bytes);
+      EXPECT_EQ(staged_bytes - size, m.Stats().pack_readahead_bytes);
       EXPECT_EQ(0u, m.Stats().placement.donation_held_bytes);
 
-      // Every chunk now serves byte-identical data from the tier.
+      // Every chunk of every staged file now serves byte-identical data
+      // from the tier.
       const std::uint64_t hits_before = m.Stats().chunk_hits;
-      for (std::uint32_t c = 0; c < cm.num_chunks(); ++c) {
-        ReadAndCheck(m, lend, f, cm.ChunkOffset(c), cm.ChunkLogicalBytes(c));
+      std::uint64_t chunks = 0;
+      for (const std::uint64_t g : staged) {
+        const pack::ChunkMap& cm = ChunksOf(m, g);
+        EXPECT_EQ(cm.num_chunks(), cm.ResidentCount()) << "file " << g;
+        for (std::uint32_t c = 0; c < cm.num_chunks(); ++c) {
+          ReadAndCheck(m, lend, g, cm.ChunkOffset(c),
+                       cm.ChunkLogicalBytes(c));
+        }
+        chunks += cm.num_chunks();
       }
-      EXPECT_EQ(hits_before + cm.num_chunks(), m.Stats().chunk_hits);
+      EXPECT_EQ(hits_before + chunks, m.Stats().chunk_hits);
       EXPECT_EQ(ops_before + 1, PfsReadOps());
     }
   }
@@ -410,12 +465,15 @@ TEST_F(ChunkedReadTest, DonatedChunkFailingReadbackIsDropped) {
       const std::uint64_t f = FileOfAtLeast(3 * 1024);
       const std::uint64_t size = Expected(f).size();
 
+      // The copy lane stages the file's extent neighbours as well: each
+      // staged run fails its readback.
+      const std::uint64_t staged = lend ? 1 : ExtentFiles(m, f).size();
       const std::uint64_t ops_before = PfsReadOps();
       ReadAndCheck(m, lend, f, 0, size);
       m.DrainPlacements();
       EXPECT_EQ(ops_before + 1, PfsReadOps());
       const MonarchStats stats = m.Stats();
-      EXPECT_EQ(1u, stats.placement.quarantined);
+      EXPECT_EQ(staged, stats.placement.quarantined);
       EXPECT_EQ(0u, stats.placement.chunks_staged);
       EXPECT_EQ(0u, ChunksOf(m, f).ResidentCount());
       EXPECT_EQ(0u, local_->TotalBytes()) << "the bad copy must be deleted";
@@ -432,7 +490,8 @@ TEST_F(ChunkedReadTest, DonatedChunkFailingReadbackIsDropped) {
 
 // Run layout: a staging pass writes each stretch of consecutive chunks
 // it claimed as one tier object, and a read fetches each run segment it
-// touches with one tier read.
+// touches with one tier read. A copy-lane whole-file miss stages the file
+// and each extent neighbour it read ahead as one run object apiece.
 TEST_F(ChunkedReadTest, WholeFileMissStagesOneRunObject) {
   for (const std::string codec : {"none", "lz"}) {
     for (const bool lend : {false, true}) {
@@ -441,25 +500,38 @@ TEST_F(ChunkedReadTest, WholeFileMissStagesOneRunObject) {
       ASSERT_OK(monarch);
       Monarch& m = **monarch;
       const std::uint64_t f = FileOfAtLeast(3 * 1024);
-      const std::string name = workload::SmallFilePath(spec_, f);
       const std::uint64_t size = Expected(f).size();
+      const std::vector<std::uint64_t> staged =
+          lend ? std::vector<std::uint64_t>{f} : ExtentFiles(m, f);
 
+      const std::uint64_t pfs_before = PfsReadOps();
       ReadAndCheck(m, lend, f, 0, size);
       m.DrainPlacements();
-      const pack::ChunkMap& cm = ChunksOf(m, f);
-      ASSERT_EQ(cm.num_chunks(), cm.ResidentCount());
-      EXPECT_EQ(std::vector<std::string>{pack::ChunkObjectName(name, 0)},
-                TierObjects());
-      EXPECT_EQ(cm.ResidentStoredBytes(), local_->TotalBytes());
+      std::vector<std::string> objects;
+      std::uint64_t stored = 0;
+      for (const std::uint64_t g : staged) {
+        const pack::ChunkMap& cm = ChunksOf(m, g);
+        ASSERT_EQ(cm.num_chunks(), cm.ResidentCount()) << "file " << g;
+        objects.push_back(
+            pack::ChunkObjectName(workload::SmallFilePath(spec_, g), 0));
+        stored += cm.ResidentStoredBytes();
+      }
+      std::sort(objects.begin(), objects.end());
+      EXPECT_EQ(objects, TierObjects());
+      EXPECT_EQ(stored, local_->TotalBytes());
 
-      // Warm: the copy lane reads the whole file with one tier op; the
-      // lend lane, one chunk per view, with one op per view.
-      const std::uint64_t ops_before = LocalReadOps();
-      const std::uint64_t hits_before = m.Stats().chunk_hits;
-      ReadAndCheck(m, lend, f, 0, size);
-      const std::uint64_t reads = lend ? cm.num_chunks() : 1;
-      EXPECT_EQ(ops_before + reads, LocalReadOps());
-      EXPECT_EQ(hits_before + reads, m.Stats().chunk_hits);
+      // Warm: the copy lane reads each whole file with one tier op; the
+      // lend lane, one chunk per view, with one op per view. None of it
+      // touches the PFS again.
+      for (const std::uint64_t g : staged) {
+        const std::uint64_t ops_before = LocalReadOps();
+        const std::uint64_t hits_before = m.Stats().chunk_hits;
+        ReadAndCheck(m, lend, g, 0, Expected(g).size());
+        const std::uint64_t reads = lend ? ChunksOf(m, g).num_chunks() : 1;
+        EXPECT_EQ(ops_before + reads, LocalReadOps()) << "file " << g;
+        EXPECT_EQ(hits_before + reads, m.Stats().chunk_hits) << "file " << g;
+      }
+      EXPECT_EQ(pfs_before + 1, PfsReadOps());
     }
   }
 }
@@ -572,9 +644,8 @@ TEST_F(ChunkedReadTest, CorruptRunDropsAllItsChunks) {
       EXPECT_EQ(1u, cm.ResidentCount());
       EXPECT_TRUE(cm.IsResident(1));
       EXPECT_EQ(std::vector<std::string>{pack::ChunkObjectName(name, 1)},
-                TierObjects());
-      EXPECT_EQ(cm.ResidentStoredBytes(),
-                m.Stats().levels[0].occupancy_bytes);
+                TierObjects(name));
+      EXPECT_EQ(ResidentStoredBytes(m), m.Stats().levels[0].occupancy_bytes);
 
       // The next pass re-stages it, and the tier serves it again.
       ReadAndCheck(m, lend, f, 0, size);
@@ -636,8 +707,7 @@ TEST_F(ChunkedReadTest, VanishedRunObjectIsDroppedAndRestaged) {
 
       const pack::ChunkMap& cm = ChunksOf(m, f);
       EXPECT_EQ(cm.num_chunks(), cm.ResidentCount());
-      EXPECT_EQ(cm.ResidentStoredBytes(),
-                m.Stats().levels[0].occupancy_bytes)
+      EXPECT_EQ(ResidentStoredBytes(m), m.Stats().levels[0].occupancy_bytes)
           << "the vanished run's quota must be released once";
       const std::uint64_t hits_before = m.Stats().chunk_hits;
       const std::uint64_t pfs_before = PfsReadOps();
@@ -671,6 +741,353 @@ TEST_F(ChunkedReadTest, PrestageReadsEachFileWithOnePfsRead) {
     }
     EXPECT_EQ(ops_before + spec_.num_files, PfsReadOps());
   }
+}
+
+// Read-ahead rides only on copy-lane whole-file misses: a partial read,
+// the lend lane and a low-retention (scan) tenant stage just what they
+// touch, so sparse traffic keeps scaling with bytes touched.
+TEST_F(ChunkedReadTest, PartialLendAndScanMissesNeverReadAhead) {
+  auto monarch = Build("none");
+  ASSERT_OK(monarch);
+  Monarch& m = **monarch;
+  const std::vector<std::uint64_t> extent = ExtentFiles(m, 0);
+  ASSERT_GE(extent.size(), 3u);
+  ReadAndCheck(m, /*lend=*/false, extent[0], 0,
+               Expected(extent[0]).size() - 1);
+  ReadAndCheck(m, /*lend=*/true, extent[1], 0, Expected(extent[1]).size());
+  {
+    qos::TenantContext scan;
+    scan.name = "scan";
+    scan.io_class = qos::IoClass::kScan;
+    scan.low_retention = true;
+    const qos::ScopedTenant scope(scan);
+    ReadAndCheck(m, /*lend=*/false, extent[2], 0,
+                 Expected(extent[2]).size());
+  }
+  m.DrainPlacements();
+  const MonarchStats stats = m.Stats();
+  EXPECT_EQ(0u, stats.pack_stretch_reads);
+  EXPECT_EQ(0u, stats.pack_readahead_bytes);
+  for (std::size_t i = 3; i < extent.size(); ++i) {
+    EXPECT_TRUE(TierObjects(workload::SmallFilePath(spec_, extent[i])).empty())
+        << "file " << extent[i] << " was read ahead";
+  }
+}
+
+TEST_F(ChunkedReadTest, ReadAheadStopsAtTheTierFreeQuota) {
+  std::vector<std::uint64_t> extent;
+  {
+    auto probe = Build("none");
+    ASSERT_OK(probe);
+    extent = ExtentFiles(**probe, 0);
+  }
+  ASSERT_GE(extent.size(), 3u);
+  const std::uint64_t first = Expected(extent[0]).size();
+  const std::uint64_t second = Expected(extent[1]).size();
+  const std::uint64_t third = Expected(extent[2]).size();
+  // Room for the extent's first two files and half of the third.
+  const std::uint64_t quota = first + second + third / 2;
+  auto monarch = Build("none", quota);
+  ASSERT_OK(monarch);
+  Monarch& m = **monarch;
+
+  // The first file of the extent reads ahead to the right only.
+  const std::uint64_t ops_before = PfsReadOps();
+  ReadAndCheck(m, /*lend=*/false, extent[0], 0, first);
+  m.DrainPlacements();
+  EXPECT_EQ(ops_before + 1, PfsReadOps());
+  EXPECT_EQ(1u, m.Stats().pack_stretch_reads);
+  EXPECT_EQ(second, m.Stats().pack_readahead_bytes);
+  for (const std::uint64_t f : {extent[0], extent[1]}) {
+    EXPECT_EQ(ChunksOf(m, f).num_chunks(), ChunksOf(m, f).ResidentCount())
+        << "file " << f;
+  }
+  EXPECT_TRUE(
+      TierObjects(workload::SmallFilePath(spec_, extent[2])).empty());
+  EXPECT_LE(local_->TotalBytes(), quota);
+
+  // The third file no longer fits the free quota: it is read alone.
+  ReadAndCheck(m, /*lend=*/false, extent[2], 0, third);
+  m.DrainPlacements();
+  EXPECT_EQ(ops_before + 2, PfsReadOps());
+  EXPECT_EQ(1u, m.Stats().pack_stretch_reads);
+  EXPECT_EQ(second, m.Stats().pack_readahead_bytes);
+}
+
+// N readers of one cold extent, two per file, all at once: every PFS op
+// is a stretch read, and every other read joins the task staging its
+// file (or finds it resident) instead of reading the PFS.
+TEST_F(ChunkedReadTest, ConcurrentReadersOfOneColdExtentCostOnePfsOpPerStretch) {
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    auto monarch = Build("lz");
+    ASSERT_OK(monarch);
+    Monarch& m = **monarch;
+    const std::vector<std::uint64_t> extent = ExtentFiles(m, 0);
+    const int n = static_cast<int>(2 * extent.size());
+    // Publish the namespace snapshot before the race, so the readers
+    // contend only on the staging paths under test.
+    for (const std::uint64_t f : extent) {
+      ASSERT_NE(nullptr,
+                m.metadata().Lookup(workload::SmallFilePath(spec_, f)));
+    }
+    const std::uint64_t ops_before = PfsReadOps();
+    std::atomic<int> ready{0};
+    std::atomic<bool> wrong{false};
+    std::vector<std::thread> readers;
+    readers.reserve(static_cast<std::size_t>(n));
+    for (int t = 0; t < n; ++t) {
+      readers.emplace_back([&, t] {
+        const std::uint64_t f = extent[static_cast<std::size_t>(t) %
+                                       extent.size()];
+        const std::vector<std::byte> expected = Expected(f);
+        std::vector<std::byte> buf(expected.size());
+        ready.fetch_add(1);
+        while (ready.load() < n) std::this_thread::yield();
+        auto read = m.Read(workload::SmallFilePath(spec_, f), 0, buf);
+        if (!read.ok() || buf != expected) wrong.store(true);
+      });
+    }
+    for (std::thread& reader : readers) reader.join();
+    m.DrainPlacements();
+    EXPECT_FALSE(wrong.load());
+    const MonarchStats stats = m.Stats();
+    EXPECT_GE(stats.pack_stretch_reads, 1u);
+    EXPECT_EQ(ops_before + stats.pack_stretch_reads, PfsReadOps());
+    EXPECT_EQ(stats.pack_stretch_reads, stats.chunk_misses);
+    EXPECT_EQ(static_cast<std::uint64_t>(n),
+              stats.chunk_hits + stats.chunk_misses);
+    for (const std::uint64_t f : extent) {
+      EXPECT_EQ(ChunksOf(m, f).num_chunks(), ChunksOf(m, f).ResidentCount())
+          << "file " << f;
+    }
+  }
+}
+
+// A read of a neighbour whose prefetch task is still queued promotes the
+// task to the demand lane and waits for its copy instead of reading the
+// PFS.
+TEST_F(ChunkedReadTest, ReadOfAQueuedNeighbourPromotesAndJoinsIt) {
+  std::vector<std::uint64_t> ahead;
+  std::uint64_t held = 0;
+  {
+    auto probe = Build("none");
+    ASSERT_OK(probe);
+    ahead = ExtentFiles(**probe, 0);
+    while (std::find(ahead.begin(), ahead.end(), held) != ahead.end()) {
+      ++held;
+    }
+  }
+  ASSERT_GE(ahead.size(), 2u);
+  ASSERT_LT(held, spec_.num_files);
+  std::shared_ptr<testing::GateEngine> gate;
+  auto monarch = Build("lz", 1'000'000, "", [&](MonarchConfig& config) {
+    config.placement.num_threads = 1;
+    gate = std::make_shared<testing::GateEngine>(
+        pack::ChunkObjectName(workload::SmallFilePath(spec_, held), 0),
+        local_);
+    config.cache_tiers[0].engine = gate;
+  });
+  ASSERT_OK(monarch);
+  Monarch& m = **monarch;
+  std::vector<std::byte> head(100);
+  ASSERT_OK(m.Read(workload::SmallFilePath(spec_, held), 0, head));
+  gate->AwaitBlocked();
+  ReadAndCheck(m, /*lend=*/false, ahead[0], 0, Expected(ahead[0]).size());
+  ASSERT_EQ(1u, m.Stats().pack_stretch_reads);
+
+  const std::uint64_t pfs_before = PfsReadOps();
+  std::thread reader([&] {
+    ReadAndCheck(m, /*lend=*/false, ahead[1], 0, Expected(ahead[1]).size());
+  });
+  const Stopwatch waited;
+  while (m.Stats().placement.prefetch_promoted == 0 &&
+         waited.ElapsedSeconds() < 5) {
+    std::this_thread::yield();
+  }
+  gate->ReleaseBlocked();
+  reader.join();
+  m.DrainPlacements();
+  const MonarchStats stats = m.Stats();
+  EXPECT_EQ(1u, stats.placement.prefetch_promoted);
+  EXPECT_EQ(1u, stats.copy_joins);
+  EXPECT_EQ(1u, stats.prefetch_hits);
+  EXPECT_EQ(pfs_before, PfsReadOps()) << "the joined read touched the PFS";
+}
+
+// Read-ahead is speculative: under an evicting policy with no run
+// schedule, a neighbour that finds no room is refused rather than evict
+// a resident, and it still reads correctly, from the PFS.
+TEST_F(ChunkedReadTest, NeighboursNeverEvictWithoutASchedule) {
+  std::vector<std::uint64_t> ahead;
+  std::vector<std::uint64_t> others;
+  {
+    auto probe = Build("none");
+    ASSERT_OK(probe);
+    ahead = ExtentFiles(**probe, 0);
+  }
+  for (std::uint64_t f = 0; f < spec_.num_files; ++f) {
+    if (std::find(ahead.begin(), ahead.end(), f) == ahead.end()) {
+      others.push_back(f);
+    }
+  }
+  ASSERT_GE(ahead.size(), 2u);
+  ASSERT_GE(others.size(), 3u);
+  // One worker, held mid-write on `held`'s staging, so the read-ahead
+  // queues behind it.
+  const std::uint64_t held = others[0];
+  std::shared_ptr<testing::GateEngine> gate;
+  auto monarch = Build("none", 1'000'000, "lru", [&](MonarchConfig& config) {
+    config.placement.num_threads = 1;
+    gate = std::make_shared<testing::GateEngine>(
+        pack::ChunkObjectName(workload::SmallFilePath(spec_, held), 0),
+        local_);
+    config.cache_tiers[0].engine = gate;
+  });
+  ASSERT_OK(monarch);
+  Monarch& m = **monarch;
+  // Two residents, staged on the lend lane (which never reads ahead).
+  const std::vector<std::uint64_t> residents = {others[1], others[2]};
+  for (const std::uint64_t f : residents) {
+    ReadAndCheck(m, /*lend=*/true, f, 0, Expected(f).size());
+  }
+  m.DrainPlacements();
+
+  std::vector<std::byte> head(100);
+  ASSERT_OK(m.Read(workload::SmallFilePath(spec_, held), 0, head));
+  gate->AwaitBlocked();
+  const std::uint64_t y = ahead[0];
+  const std::uint64_t size = Expected(y).size();
+  ReadAndCheck(m, /*lend=*/false, y, 0, size);
+  ASSERT_EQ(1u, m.Stats().pack_stretch_reads);
+  // Leave room for the file alone: its neighbours find none.
+  StorageDriver& tier = m.hierarchy().Level(0);
+  const std::uint64_t squeeze =
+      tier.quota_bytes() - tier.occupancy_bytes() - size;
+  ASSERT_TRUE(tier.Reserve(squeeze));
+  gate->ReleaseBlocked();
+  m.DrainPlacements();
+
+  const MonarchStats stats = m.Stats();
+  EXPECT_EQ(0u, stats.placement.chunks_evicted)
+      << "a speculative neighbour evicted a resident";
+  EXPECT_EQ(ahead.size() - 1, stats.placement.prefetch_cancelled);
+  EXPECT_EQ(ChunksOf(m, y).num_chunks(), ChunksOf(m, y).ResidentCount());
+  for (const std::uint64_t f : residents) {
+    EXPECT_EQ(ChunksOf(m, f).num_chunks(), ChunksOf(m, f).ResidentCount())
+        << "resident " << f;
+  }
+  for (std::size_t i = 1; i < ahead.size(); ++i) {
+    const pack::ChunkMap& cm = ChunksOf(m, ahead[i]);
+    EXPECT_EQ(0u, cm.ResidentCount()) << "neighbour " << ahead[i];
+    EXPECT_EQ(0u, cm.Claims()) << "neighbour " << ahead[i];
+    const std::uint64_t misses = m.Stats().chunk_misses;
+    ReadAndCheck(m, /*lend=*/false, ahead[i], 0, Expected(ahead[i]).size());
+    EXPECT_EQ(misses + 1, m.Stats().chunk_misses) << "served by the PFS";
+  }
+  m.DrainPlacements();
+  tier.Release(squeeze);
+}
+
+// A neighbour whose donation the staging-memory budget refuses is
+// dropped, never re-read: it holds no claim afterwards and reads
+// correctly, from the PFS.
+TEST_F(ChunkedReadTest, NeighbourRefusedByTheStagingBudgetReadsFromPfs) {
+  std::vector<std::uint64_t> ahead;
+  std::uint64_t held = 0;
+  {
+    auto probe = Build("none");
+    ASSERT_OK(probe);
+    ahead = ExtentFiles(**probe, 0);
+    while (std::find(ahead.begin(), ahead.end(), held) != ahead.end()) {
+      ++held;
+    }
+  }
+  ASSERT_GE(ahead.size(), 2u);
+  ASSERT_LT(held, spec_.num_files);
+  // `held`'s partial read donates its fully covered chunks and parks at
+  // the gate; the budget then has room for the stretch's own file but
+  // not for its first neighbour.
+  const std::uint64_t held_size = Expected(held).size();
+  const std::uint64_t held_donation = (held_size - 1) / 1024 * 1024;
+  const std::uint64_t y = ahead[0];
+  const std::uint64_t budget = held_donation + Expected(y).size() +
+                               Expected(ahead[1]).size() / 2;
+  std::shared_ptr<testing::GateEngine> gate;
+  auto monarch = Build("none", 1'000'000, "", [&](MonarchConfig& config) {
+    config.placement.num_threads = 1;
+    config.placement.staging_buffer_bytes = budget;
+    gate = std::make_shared<testing::GateEngine>(
+        pack::ChunkObjectName(workload::SmallFilePath(spec_, held), 0),
+        local_);
+    config.cache_tiers[0].engine = gate;
+  });
+  ASSERT_OK(monarch);
+  Monarch& m = **monarch;
+  ReadAndCheck(m, /*lend=*/false, held, 0, held_size - 1);
+  gate->AwaitBlocked();
+  ASSERT_EQ(held_donation, m.Stats().placement.donation_held_bytes);
+
+  ReadAndCheck(m, /*lend=*/false, y, 0, Expected(y).size());
+  ASSERT_EQ(1u, m.Stats().pack_stretch_reads);
+  gate->ReleaseBlocked();
+  m.DrainPlacements();
+
+  EXPECT_GE(m.Stats().placement.prefetch_cancelled, 1u);
+  EXPECT_EQ(ChunksOf(m, y).num_chunks(), ChunksOf(m, y).ResidentCount());
+  const pack::ChunkMap& refused = ChunksOf(m, ahead[1]);
+  EXPECT_EQ(0u, refused.ResidentCount());
+  EXPECT_EQ(0u, refused.Claims());
+  const std::uint64_t misses = m.Stats().chunk_misses;
+  ReadAndCheck(m, /*lend=*/false, ahead[1], 0, Expected(ahead[1]).size());
+  EXPECT_EQ(misses + 1, m.Stats().chunk_misses) << "served by the PFS";
+  m.DrainPlacements();
+}
+
+// An evictor can find a chunked file still marked placed with no run
+// left: another evictor has just dropped its runs and not yet folded it
+// back. Its quota went with the runs, so the evictor must release
+// nothing more — before the fix it dropped the file as a whole-file copy
+// and released its size a second time, and the tier overfilled.
+TEST_F(ChunkedReadTest, EvictorFindingAnEmptiedChunkFileReleasesNothing) {
+  constexpr std::uint64_t kQuota = 12 * 1024;
+  constexpr std::uint64_t kHead = 3 * 1024;
+  auto monarch = Build("none", kQuota, "lru");
+  ASSERT_OK(monarch);
+  Monarch& m = **monarch;
+  std::vector<std::uint64_t> files;  // partial heads: no read-ahead
+  for (std::uint64_t f = 0; f < spec_.num_files; ++f) {
+    if (Expected(f).size() > kHead) files.push_back(f);
+  }
+  ASSERT_GE(files.size(), 6u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    ReadAndCheck(m, /*lend=*/false, files[i], 0, kHead);
+    m.DrainPlacements();
+  }
+  // The state the first evictor leaves: every run of the oldest file
+  // dropped, its object deleted and its bytes released, but the file not
+  // yet folded back.
+  StorageDriver& tier = m.hierarchy().Level(0);
+  const std::string oldest = workload::SmallFilePath(spec_, files[0]);
+  pack::ChunkMap& cm = ChunksOf(m, files[0]);
+  {
+    std::lock_guard lock(cm.placement_mutex());
+    const pack::ChunkMap::EvictedRun run = cm.TryEvictRun(0);
+    ASSERT_EQ(3u, run.chunks);
+    ASSERT_OK(local_->Delete(pack::ChunkObjectName(oldest, run.start)));
+    tier.Release(run.stored_bytes);
+  }
+  ASSERT_EQ(PlacementState::kPlaced,
+            m.metadata().Lookup(oldest)->state.load());
+  // Two more heads fill the tier; the third must evict, and the LRU
+  // ranking offers the emptied file first.
+  for (std::size_t i = 3; i < 6; ++i) {
+    ReadAndCheck(m, /*lend=*/false, files[i], 0, kHead);
+    m.DrainPlacements();
+  }
+  EXPECT_GT(m.Stats().placement.chunks_evicted, 0u);
+  EXPECT_EQ(ResidentStoredBytes(m), tier.occupancy_bytes());
+  EXPECT_LE(local_->TotalBytes(), kQuota);
 }
 
 // TSan stress: concurrent chunked readers racing chunk eviction driven
