@@ -12,6 +12,12 @@ ctest --test-dir build --output-on-failure
 # only some runs: repeat the chunked-read suite and fail on any failure.
 ./build/tests/monarch_tests --gtest_filter='ChunkedReadTest.*' \
     --gtest_repeat=100 --gtest_brief=1
+# Every file stages as chunk runs, so the failure ledger (retry cap,
+# quarantine parking) and the peer rung race chunk claims too: repeat
+# those suites and fail on any failure.
+./build/tests/monarch_tests \
+    --gtest_filter='ResilienceTest.*:ReadLadderTest.*:PeerCacheTest.*' \
+    --gtest_repeat=20 --gtest_brief=1
 
 cmake -B build-tsan -G Ninja -DMONARCH_SANITIZE=thread \
       -DMONARCH_BUILD_BENCHMARKS=OFF -DMONARCH_BUILD_EXAMPLES=OFF
@@ -20,7 +26,7 @@ cmake --build build-tsan
 # cache, churn, and checkpoint suites are the concurrency-critical ones:
 # they assert the lock-free metrics hot path, the tracer's export-vs-
 # writer race, the FairQueue staging queue (demand priority, promotion,
-# in-flight gauge, buffer pool), the shared copy-drop path (evict,
+# in-flight gauge, buffer pool), the chunk drop path (evict,
 # quarantine, cleanup, vanished) and the run schedule's clock and
 # look-ahead window, the circuit-breaker state machine under
 # concurrent readers, the cluster file directory's register/lookup/evict

@@ -1,14 +1,19 @@
 // FileInfo: the per-file entry of MONARCH's virtual namespace (§III-A,
-// "metadata container"). Tracks the file's size and which storage level
-// currently serves it, plus the placement state machine that makes the
-// first-epoch staging race-free:
+// "metadata container"). Tracks the file's size, its chunk map — which
+// chunks have a staged copy on a cache tier, and which a staging task has
+// claimed — and a placement state that summarises the map for the
+// eviction policies:
 //
-//   kPfsOnly --(first read seen)--> kFetching --(copy done)--> kPlaced
-//        ^                              |
-//        +------(copy failed)----------+
+//   kPfsOnly --(first run published)--> kPlaced
+//      ^                                   |
+//      +---------(last run dropped)--------+
+//   either --(parked: every run dropped)--> kUnplaceable
 //
-// The kPfsOnly->kFetching transition is a CAS, so concurrent reads of the
-// same file schedule exactly one background copy.
+// Claims are per chunk (ChunkMap::TryClaim, a CAS), so concurrent reads
+// of the same cold chunk schedule exactly one background copy. The
+// placement handler makes every transition under the chunk map's
+// placement mutex; a parked file (failure cap, quarantine, no room) is
+// never claimed again.
 #pragma once
 
 #include <atomic>
@@ -21,10 +26,9 @@
 namespace monarch::core {
 
 enum class PlacementState : int {
-  kPfsOnly = 0,   ///< only the PFS copy exists
-  kFetching = 1,  ///< a background copy to an upper tier is in flight
-  kPlaced = 2,    ///< an upper-tier copy exists and serves reads
-  kUnplaceable = 3, ///< no upper tier had room; reads stay on the PFS
+  kPfsOnly = 0,      ///< no chunk is staged
+  kPlaced = 1,       ///< some chunk is staged on an upper tier
+  kUnplaceable = 2,  ///< parked: reads stay on the PFS for good
 };
 
 struct FileInfo {
@@ -34,9 +38,9 @@ struct FileInfo {
   const std::string name;       ///< hierarchy-relative path
   const std::uint64_t size;     ///< bytes (fixed for the job's lifetime)
 
-  /// Storage level whose driver currently serves reads of this file.
-  /// Starts at the PFS level; updated once placement completes (⑤ in the
-  /// paper's operation flow).
+  /// Storage level holding this file's staged chunks while kPlaced, the
+  /// PFS level otherwise (⑤ in the paper's operation flow). Reads route
+  /// by the chunk map; this is the summary operators and hints see.
   std::atomic<int> level;
 
   std::atomic<PlacementState> state{PlacementState::kPfsOnly};
@@ -45,28 +49,23 @@ struct FileInfo {
   /// (the paper's design deliberately never evicts; §III-A).
   std::atomic<std::uint64_t> last_access{0};
 
-  /// CRC32C of the staged tier copy, recorded by the placement handler
-  /// when the copy is written; kNoStagedCrc while no (verified) copy
-  /// exists. Stored widened to 64 bits so the sentinel cannot collide
-  /// with a real checksum.
-  static constexpr std::uint64_t kNoStagedCrc = ~0ull;
-  std::atomic<std::uint64_t> staged_crc{kNoStagedCrc};
-
-  /// Failed staging attempts so far; once this reaches the configured
-  /// cap the placement handler marks the file kUnplaceable so a broken
-  /// file cannot hammer the staging pool on every access.
+  /// Failed staging attempts and quarantined runs so far; once this
+  /// reaches the configured cap the placement handler parks the file
+  /// (kUnplaceable) so a broken file cannot hammer the staging pool on
+  /// every access.
   std::atomic<int> fetch_failures{0};
 
-  /// Set when look-ahead (not a demand read) claimed this file's
-  /// fetch. The read path exchanges it back to false on the first demand
+  /// Set when look-ahead or read-ahead (not a demand read) claimed this
+  /// file's chunks. The read path exchanges it back to false on the first demand
   /// read served from a cache tier — that exchange is one prefetch hit.
   std::atomic<bool> prefetched{false};
 
   /// In-flight demand reads and open visits (Monarch::PinVisit) of this
-  /// file. A nonzero count pins the staged copy against eviction: the
-  /// evictor claims the file, sees the pin, and reverts — so an active
-  /// read never loses its tier copy mid-flight. Readers that pin after the evictor's check fall back to
-  /// the PFS exactly like the pre-pinning eviction race.
+  /// file. A nonzero count pins the staged runs against eviction: the
+  /// evictor sees the pin and picks another victim — so an active read
+  /// never loses its tier copy mid-flight. Readers that pin after the
+  /// evictor's check fall back to the PFS exactly like the pre-pinning
+  /// eviction race.
   std::atomic<int> read_pins{0};
 
   /// Latched when a retryable no-space rejection bounced this file (an
@@ -77,10 +76,10 @@ struct FileInfo {
   /// priority.
   std::atomic<bool> stage_refused{false};
 
-  /// True while a whole-file copy of this file can be joined: a
-  /// demand-lane task for it is queued, or any copy of it is running.
-  /// A read that would go to the PFS waits for it to clear and then
-  /// serves from the copy, so each file crosses the PFS once. The
+  /// True while a copy of this file can be joined: a demand-lane task
+  /// for it is queued, or any task of it is running. A read whose chunks
+  /// are claimed waits for it to clear and then serves from the copy, so
+  /// each chunk crosses the PFS once. The
   /// placement handler sets it and clears it (with a wake-up) on every
   /// exit of the copy and on every path that drops the task unrun. A
   /// queued look-ahead prefetch is never joinable: its worker may be the
@@ -94,23 +93,22 @@ struct FileInfo {
   /// a scan can never push out a trainer's working set.
   std::atomic<bool> low_retention{false};
 
-  /// Chunk-granularity residency (ISSUE 9), lazily allocated by the
-  /// first touch of a file under pack mode and immutable-as-a-pointer
-  /// afterwards: the read hot path does one acquire load, never an
-  /// allocation, and whole-file mode never allocates it at all. Owned
-  /// by this FileInfo (freed in the destructor).
+  /// Chunk residency, lazily allocated by the first read or
+  /// staging claim of the file and immutable-as-a-pointer afterwards: the
+  /// read hot path does one acquire load, never an allocation. Owned by
+  /// this FileInfo (freed in the destructor).
   std::atomic<pack::ChunkMap*> chunks{nullptr};
 
   ~FileInfo() { delete chunks.load(std::memory_order_acquire); }
 
-  /// The chunk map, or nullptr while the file has never been touched
-  /// under pack mode.
+  /// The chunk map, or nullptr while the file has never been read or
+  /// claimed.
   [[nodiscard]] pack::ChunkMap* chunk_map() const noexcept {
     return chunks.load(std::memory_order_acquire);
   }
 
-  /// Get-or-create the chunk map (CAS; the loser frees its copy). Only
-  /// the pack-mode read path calls this — once per file, not per read.
+  /// Get-or-create the chunk map (CAS; the loser frees its copy). Every
+  /// caller passes the staging handler's chunk size.
   pack::ChunkMap* EnsureChunkMap(std::uint64_t chunk_bytes) {
     pack::ChunkMap* existing = chunks.load(std::memory_order_acquire);
     if (existing != nullptr) return existing;
@@ -124,20 +122,14 @@ struct FileInfo {
     return existing;
   }
 
-  /// One-way CAS used by the read path to claim the background fetch.
-  bool TryBeginFetch() noexcept {
-    PlacementState expected = PlacementState::kPfsOnly;
-    return state.compare_exchange_strong(expected, PlacementState::kFetching,
-                                         std::memory_order_acq_rel);
-  }
-
+  /// The first run was published on `new_level`.
   void FinishFetch(int new_level) noexcept {
     level.store(new_level, std::memory_order_release);
     state.store(PlacementState::kPlaced, std::memory_order_release);
   }
 
+  /// Nothing is staged any more: retryable, or parked when `permanently`.
   void AbortFetch(bool permanently) noexcept {
-    staged_crc.store(kNoStagedCrc, std::memory_order_release);
     state.store(permanently ? PlacementState::kUnplaceable
                             : PlacementState::kPfsOnly,
                 std::memory_order_release);
@@ -158,10 +150,6 @@ struct FileInfo {
     if (!joinable.load(std::memory_order_acquire)) return false;
     joinable.wait(true, std::memory_order_acquire);
     return true;
-  }
-
-  [[nodiscard]] bool HasStagedCrc() const noexcept {
-    return staged_crc.load(std::memory_order_acquire) != kNoStagedCrc;
   }
 };
 

@@ -64,9 +64,8 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          "copy) that the PFS absorbed");
   sample("monarch.read.copy_joins", "", obs::MetricKind::kCounter, "ops",
          stats.copy_joins,
-         "reads bound for the PFS served instead from this node's in-flight "
-         "copy of the file (in pack mode, the staging task holding their "
-         "chunk claims), after waiting for it");
+         "reads bound for the PFS served instead from the staging task "
+         "holding their chunk claims, after waiting for it");
   sample("monarch.read.peer_copy_joins", "", obs::MetricKind::kCounter, "ops",
          stats.peer_copy_joins,
          "non-owner reads bound for the PFS served instead over the peer rung "
@@ -84,7 +83,7 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
   sample("monarch.placement.bytes_staged", "", obs::MetricKind::kCounter,
          "bytes", p.bytes_staged, "bytes copied into cache tiers");
   sample("monarch.placement.evictions", "", obs::MetricKind::kCounter, "ops",
-         p.evictions, "placed copies dropped to make room for incoming files");
+         p.evictions, "placed files dropped to make room for incoming runs");
   sample("monarch.placement.evicted_bytes", "", obs::MetricKind::kCounter,
          "bytes", p.evicted_bytes, "bytes freed from cache tiers by evictions");
   sample("monarch.placement.eviction_refused", "", obs::MetricKind::kCounter,
@@ -94,7 +93,7 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          p.retries, "failed stagings left retryable for a later access");
   sample("monarch.placement.quarantined", "", obs::MetricKind::kCounter, "ops",
          p.quarantined,
-         "staged copies deleted because their bytes failed CRC verification");
+         "staged runs deleted because their bytes failed CRC verification");
   sample("monarch.placement.abandoned", "", obs::MetricKind::kCounter, "ops",
          p.abandoned,
          "files marked unplaceable after exhausting max_placement_attempts");
@@ -114,8 +113,8 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          "ops", stats.prefetch_hits,
          "demand reads served from a copy look-ahead or read-ahead staged");
   sample("monarch.placement.chunks_copied", "", obs::MetricKind::kCounter,
-         "chunks", p.chunks_copied,
-         "fixed-size chunk writes performed by the staging pipeline");
+         "objects", p.chunks_copied,
+         "run objects written by the staging pipeline");
   sample("monarch.placement.donated_bytes", "", obs::MetricKind::kCounter,
          "bytes", p.donated_bytes,
          "triggering-read bytes reused by staging instead of re-read");
@@ -149,19 +148,17 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
   sample("monarch.placement.buffer_pool_capacity_bytes", "",
          obs::MetricKind::kGauge, "bytes", p.buffer_pool_capacity_bytes,
          "configured chunk-buffer budget (staging_buffer_bytes)");
-  // Chunk counters and pack gauges are emitted unconditionally (zeros
-  // without pack mode or an index) so the catalogue diff holds on
-  // non-pack instances too.
+  // Pack gauges are emitted unconditionally (zeros without an index) so
+  // the catalogue diff holds on unpacked instances too.
   sample("monarch.chunk.hits", "", obs::MetricKind::kCounter, "ops",
          stats.chunk_hits,
-         "pack-mode reads (not chunks) fully served from resident chunks on "
-         "a cache tier");
+         "reads (not chunks) fully served from resident chunks on a cache "
+         "tier");
   sample("monarch.chunk.misses", "", obs::MetricKind::kCounter, "ops",
          stats.chunk_misses,
-         "pack-mode reads (not chunks) that touched the PFS (non-resident "
-         "chunks)");
+         "reads (not chunks) that touched the PFS (non-resident chunks)");
   sample("monarch.chunk.staged", "", obs::MetricKind::kCounter, "ops",
-         p.chunks_staged, "chunk copies published to cache tiers (pack mode)");
+         p.chunks_staged, "chunk copies published to cache tiers");
   sample("monarch.chunk.stored_bytes", "", obs::MetricKind::kCounter, "bytes",
          p.chunk_stored_bytes,
          "post-codec bytes written to cache tiers by chunk staging");
@@ -218,13 +215,12 @@ Result<std::unique_ptr<Monarch>> Monarch::Create(MonarchConfig config) {
     return InvalidArgumentError(
         "config needs at least one cache tier above the PFS");
   }
-  // Chunk staging never advertises its copies to the cluster directory,
-  // so a packed peer node would serve every file it does not own from
-  // the PFS.
+  // The peer rung addresses a remote file's runs by offset, one chunk
+  // per object; pack-mode runs hold several chunks behind a codec.
   if (config.placement.pack.enabled && config.peer_tier.has_value()) {
     return InvalidArgumentError(
         "pack mode (placement.pack.enabled) cannot be combined with a peer "
-        "tier (peer_tier): chunk copies are never shared with peers");
+        "tier (peer_tier): packed runs are not addressable by offset");
   }
 
   // Small-file packing (ISSUE 9): when pack mode is on and the dataset
@@ -389,37 +385,46 @@ struct Monarch::ReadAccess {
   std::uint64_t max_bytes = 0;
   bool allow_zero_copy = true;
   storage::ReadView view;
+  /// Bytes the read serves from a tier (Ladder sets it), and the lend
+  /// lane's private buffer for them once one object cannot lend them all.
+  std::uint64_t length = 0;
+  std::shared_ptr<std::vector<std::byte>> copy;
 
   [[nodiscard]] std::uint64_t limit() const noexcept {
     return lend ? max_bytes : dst.size();
   }
 
   /// Up to `n` bytes of `object` at `offset` on `tier`: read into
-  /// dst[pos, pos + n), or lent as a view.
+  /// dst[pos, pos + n), or lent as a view when one object holds the
+  /// whole read.
   Result<std::span<const std::byte>> Fetch(StorageDriver& tier,
                                            std::string_view object,
                                            std::uint64_t offset,
                                            std::size_t pos, std::uint64_t n) {
-    if (lend) {
+    if (lend && pos == 0 && n >= length) {
       auto lent = tier.ReadZeroCopy(object, offset, n, allow_zero_copy);
       if (!lent.ok()) return lent.status();
       view = std::move(lent).value();
       return view.data();
     }
-    auto read = tier.Read(object, offset,
-                          dst.subspan(pos, static_cast<std::size_t>(n)));
+    const std::span<std::byte> into =
+        Buffer(pos, static_cast<std::size_t>(n));
+    auto read = tier.Read(object, offset, into);
     if (!read.ok()) return read.status();
-    return std::span<const std::byte>(dst.data() + pos, read.value());
+    return std::span<const std::byte>(into.data(), read.value());
   }
 
-  /// Room for `n` decoded bytes at dst[pos..): the caller's buffer, or a
-  /// private buffer the view keeps alive (decoding is inherently a copy,
-  /// so zero_copy() reports false).
+  /// Room for `n` bytes at dst[pos..): the caller's buffer, or one
+  /// private buffer of `length` bytes the view keeps alive — a read
+  /// spanning several objects, or decoded, is inherently a copy, so
+  /// zero_copy() reports false.
   std::span<std::byte> Buffer(std::size_t pos, std::size_t n) {
     if (!lend) return dst.subspan(pos, n);
-    auto copy = std::make_shared<std::vector<std::byte>>(n);
-    view = storage::ReadView(*copy, copy, /*zero_copy=*/false);
-    return *copy;
+    if (copy == nullptr) {
+      copy = std::make_shared<std::vector<std::byte>>(length);
+      view = storage::ReadView(*copy, copy, /*zero_copy=*/false);
+    }
+    return std::span<std::byte>(*copy).subspan(pos, n);
   }
 
   /// The `n` bytes served so far, wherever they landed.
@@ -525,54 +530,36 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
     }
   } pin_guard{info.get()};
 
-  // ① Consult the namespace for the file's current level — in pack mode
-  // (ISSUE 9) its chunk tier, when every chunk the request touches is
-  // resident. A lent view never spans two chunk objects, so the lend
-  // lane only asks for the first chunk's share (short views are legal —
-  // callers loop).
+  // ① Consult the file's chunk map: serve from its tier when every
+  // chunk the request touches is resident.
   const int pfs = hierarchy_->pfs_level();
   const int peer = hierarchy_->peer_level();
-  int level = info->level.load(std::memory_order_acquire);
-  pack::ChunkMap* cm = nullptr;
+  pack::ChunkMap& cm =
+      *info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
+  int level = pfs;
   std::uint64_t length = 0;
-  if (placement_->options().pack.enabled) {
-    cm = info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
-    level = pfs;
-    if (offset < info->size) {
-      length = std::min<std::uint64_t>(access.limit(), info->size - offset);
-      if (access.lend) {
-        const std::uint32_t c = cm->ChunkOf(offset);
-        length = std::min<std::uint64_t>(
-            length, cm->ChunkOffset(c) + cm->ChunkLogicalBytes(c) - offset);
-      }
-      if (length > 0 && cm->tier() >= 0 && cm->RangeResident(offset, length)) {
-        level = cm->tier();
-      }
-    }
+  if (offset < info->size) {
+    length = std::min<std::uint64_t>(access.limit(), info->size - offset);
   }
-  // Join: a whole-file read bound for the PFS while a copy of the file
-  // is already moving waits for that copy and serves from it, so the
-  // file crosses the PFS once. Afterwards the re-loaded level is the
-  // copy's tier, or still the PFS when the copy failed or was refused.
-  // A queued prefetch is never joinable: FinishRead promotes it, and only
-  // later reads join the promoted copy.
+  access.length = length;
+  // A read at or past the end of a staged file is served (empty) by its
+  // tier, without touching the PFS.
+  if (cm.tier() >= 0 && (length > 0 ? cm.RangeResident(offset, length)
+                                    : cm.ResidentCount() > 0)) {
+    level = cm.tier();
+  }
+  // Join: a read whose chunks a staging task has claimed waits for that
+  // task and serves from its copy, so each chunk crosses the PFS once —
+  // promoting the task first when it is a queued prefetch (a neighbour
+  // woken when its stretch read queued it waits again). A packed
+  // whole-file miss nobody stages reads its extent stretch. A claim not
+  // yet joinable, or lost to another reader, is retried. Past three
+  // waits or 64 retries the read goes to the PFS.
   enum class Join { kNone, kLocal, kPeer } joined = Join::kNone;
-  if (level == pfs && cm == nullptr &&
-      info->joinable.load(std::memory_order_acquire)) {
-    TimedJoin(name, "local", [&] { return info->AwaitJoinable(); });
-    joined = Join::kLocal;
-    level = info->level.load(std::memory_order_acquire);
-  }
-  // Pack mode: a read whose chunks a staging task has claimed joins that
-  // task, promoting it first when it is a queued prefetch (a neighbour
-  // woken when its stretch read queued it waits again); a whole-file miss
-  // nobody stages reads its extent stretch. A claim not yet joinable, or
-  // lost to another reader, is retried. Past three waits or 64 retries
-  // the read goes to the PFS.
   bool stretched = false;
-  for (int waits = 0, retries = 0; cm != nullptr && length > 0 &&
-                                   level == pfs && waits < 3 && retries < 64;) {
-    if (cm->RangeClaimed(offset, length)) {
+  for (int waits = 0, retries = 0;
+       length > 0 && level == pfs && waits < 3 && retries < 64;) {
+    if (cm.RangeClaimed(offset, length)) {
       placement_->PromoteToDemand(info);
       if (TimedJoin(name, "local", [&] { return info->AwaitJoinable(); })) {
         joined = Join::kLocal;
@@ -584,14 +571,14 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
     } else if (ReadStretch(info, offset, access)) {
       stretched = true;
       break;
-    } else if (!cm->RangeClaimed(offset, length) &&
-               !cm->RangeResident(offset, length)) {
+    } else if (!cm.RangeClaimed(offset, length) &&
+               !cm.RangeResident(offset, length)) {
       break;  // no stretch read, and nothing to join: read the PFS
     } else {
       ++retries;  // another reader won the claim
     }
-    if (cm->tier() >= 0 && cm->RangeResident(offset, length)) {
-      level = cm->tier();
+    if (cm.tier() >= 0 && cm.RangeResident(offset, length)) {
+      level = cm.tier();
     }
   }
   // ② Read from that tier — unless its circuit breaker is open, in which
@@ -633,17 +620,7 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
   // sees bytes, never the tier's error.
   Result<std::span<const std::byte>> served = std::span<const std::byte>{};
   if (level != pfs) {
-    if (cm != nullptr) {
-      served = ServeChunks(info, *cm, level, offset, length, access);
-    } else {
-      served = access.Fetch(hierarchy_->Level(level), name, offset, 0,
-                            access.limit());
-      if (served.ok() && level != peer &&
-          !VerifyTierRead(info, level, offset, served.value())) {
-        served = DataLossError("staged copy of '" + info->name +
-                               "' failed verification");
-      }
-    }
+    served = ServeChunks(info, cm, level, offset, length, access);
     if (!served.ok()) {
       // kNotFound means the copy vanished (eviction race or quarantine on
       // another thread) and kDataLoss that it failed verification and was
@@ -660,12 +637,6 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
         CountDegradedFallback(FallbackCause::kCorruption, name, level);
       } else if (code == StatusCode::kNotFound) {
         if (read_pfs_fallbacks_ != nullptr) read_pfs_fallbacks_->Increment();
-        // A whole-file copy that vanished must not stay "placed": drop it
-        // (releasing its quota) so this read re-stages the file. Chunk
-        // runs are dropped by ServeChunks.
-        if (cm == nullptr) {
-          placement_->DropCopy(info, PlacementHandler::DropReason::kVanished);
-        }
       } else {
         CountDegradedFallback(FallbackCause::kTierError, name, level);
       }
@@ -701,15 +672,21 @@ Result<std::span<const std::byte>> Monarch::ServeChunks(
     std::uint64_t offset, std::uint64_t length, ReadAccess& access) {
   StorageDriver& tier = hierarchy_->Level(level);
   const pack::Codec* codec = placement_->pack_codec();
+  // A peer's runs are one uncompressed chunk each (peers exclude pack
+  // mode): the object is named by the chunk and read at the in-chunk
+  // offset, and its CRCs live with the peer.
+  const bool remote = level == hierarchy_->peer_level();
   const std::uint32_t last_touched = cm.ChunkOf(offset + length - 1);
   for (std::uint64_t pos = 0; pos < length;) {
     // One run segment: the touched chunks from here on that share a run
     // object. Their stored bytes sit back to back in it, so one tier
     // read fetches them all.
     const std::uint32_t first = cm.ChunkOf(offset + pos);
-    const pack::ChunkMap::ChunkMeta head = cm.Meta(first);
+    const pack::ChunkMap::ChunkMeta head =
+        remote ? pack::ChunkMap::ChunkMeta{.run_start = first}
+               : cm.Meta(first);
     std::uint32_t last = first;
-    while (last < last_touched &&
+    while (!remote && last < last_touched &&
            cm.Meta(last + 1).run_start == head.run_start) {
       ++last;
     }
@@ -732,8 +709,10 @@ Result<std::span<const std::byte>> Monarch::ServeChunks(
         fetched = got.status();
       } else {
         intact = got.value().size() == n;
-        for (std::uint32_t c = first;
-             intact && config_.resilience.verify_on_read && c <= last; ++c) {
+        for (std::uint32_t c = first; intact && !remote &&
+                                      config_.resilience.verify_on_read &&
+                                      c <= last;
+             ++c) {
           const std::uint64_t chunk_begin = cm.ChunkOffset(c);
           const std::uint32_t logical_n = cm.ChunkLogicalBytes(c);
           if (chunk_begin < begin || chunk_begin + logical_n > end) continue;
@@ -794,20 +773,19 @@ Result<std::span<const std::byte>> Monarch::ServeChunks(
         }
       }
     }
-    // Drop a run whose object is corrupt or gone, so a later miss
-    // re-stages it from the authoritative extent bytes: corruption
-    // degrades to PFS performance, never wrong bytes, and a vanished
-    // object does not stay "resident" forever. Other tier faults leave
-    // the run alone.
+    // Drop a local run whose object is corrupt or gone, so a later miss
+    // re-stages it from the authoritative bytes: corruption degrades to
+    // PFS performance, never wrong bytes, and a vanished object does not
+    // stay "resident" forever. Other tier faults leave the run alone.
     if (fetched.code() == StatusCode::kNotFound) {
-      placement_->DropChunkRun(info, first);
+      if (!remote) placement_->DropChunkRun(info, first, /*corrupt=*/false);
       return fetched;
     }
     if (!fetched.ok()) return fetched;
     if (!intact) {
       MLOG_WARN << "staged run '" << object << "' on tier '" << tier.name()
                 << "' failed verification; dropping it";
-      placement_->DropChunkRun(info, first);
+      if (!remote) placement_->DropChunkRun(info, first, /*corrupt=*/true);
       return DataLossError("staged run '" + object +
                            "' failed verification");
     }
@@ -900,48 +878,51 @@ bool Monarch::ReadStretch(const FileInfoPtr& info, std::uint64_t offset,
 void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
                                   std::uint64_t offset,
                                   std::span<const std::byte> served) {
-  if (served.empty() || placement_->stopped()) return;
-  // Shard ownership (ISSUE 4): chunk staging honours the same gate as
-  // whole-file staging.
+  if (served.empty() || placement_->stopped() ||
+      info->state.load(std::memory_order_acquire) ==
+          PlacementState::kUnplaceable) {
+    return;
+  }
+  // Shard ownership: with a peer view installed, each node
+  // stages only the files it owns.
   if (config_.peer_view != nullptr &&
       !config_.peer_view->ShouldStageLocally(info->name)) {
     return;
   }
-  // An offset-0 read (file open) re-arms a file whose last chunk staging
-  // was refused for space; later chunks of the same pass stay latched.
+  // An offset-0 read (file open) re-arms a file whose last demand
+  // staging was refused by the eviction policy; later reads of the same
+  // pass stay latched, so one open retries at most once.
   if (offset == 0) {
     info->stage_refused.store(false, std::memory_order_release);
   } else if (info->stage_refused.load(std::memory_order_acquire)) {
     return;
   }
+  // The chunks the read touched (§III-B: a partial read still stages the
+  // chunks it touched), or with fetch_full_file_on_partial_read off only
+  // those it covers in full.
   const std::uint64_t end = offset + served.size();
-  const std::uint32_t first = cm.ChunkOf(offset);
-  const std::uint32_t last = cm.ChunkOf(end - 1);
+  const bool touched = placement_->options().fetch_full_file_on_partial_read;
   std::vector<std::uint32_t> claimed;
-  // [donated_begin, donated_end): the span of claimed chunks this read
-  // covers in full — the bytes staging can take from it instead of the
-  // PFS. Partly covered edge chunks are re-read there.
-  std::uint64_t donated_begin = end;
-  std::uint64_t donated_end = offset;
-  for (std::uint32_t c = first; c <= last; ++c) {
-    if (cm.IsResident(c) || !cm.TryClaim(c)) continue;
-    claimed.push_back(c);
+  for (std::uint32_t c = cm.ChunkOf(offset); c <= cm.ChunkOf(end - 1); ++c) {
     const std::uint64_t chunk_begin = cm.ChunkOffset(c);
-    const std::uint64_t chunk_end = chunk_begin + cm.ChunkLogicalBytes(c);
-    if (chunk_begin >= offset && chunk_end <= end) {
-      donated_begin = std::min(donated_begin, chunk_begin);
-      donated_end = std::max(donated_end, chunk_end);
+    if (!touched && (chunk_begin < offset ||
+                     chunk_begin + cm.ChunkLogicalBytes(c) > end)) {
+      continue;
     }
+    if (cm.TryClaim(c)) claimed.push_back(c);
   }
   if (claimed.empty()) return;
-  const std::span<const std::byte> donated =
-      donated_begin < donated_end
-          ? served.subspan(static_cast<std::size_t>(donated_begin - offset),
-                           static_cast<std::size_t>(donated_end -
-                                                    donated_begin))
-          : std::span<const std::byte>{};
-  placement_->ScheduleChunkPlacement(info, std::move(claimed), donated_begin,
-                                     donated);
+  // Donate every served byte inside the claimed chunks: staging reads
+  // only the rest of them from the PFS, one read per stretch.
+  const std::uint64_t from =
+      std::max(offset, cm.ChunkOffset(claimed.front()));
+  const std::uint64_t to =
+      std::min(end, cm.ChunkOffset(claimed.back()) +
+                        cm.ChunkLogicalBytes(claimed.back()));
+  placement_->ScheduleChunkPlacement(
+      info, std::move(claimed), from,
+      served.subspan(static_cast<std::size_t>(from - offset),
+                     static_cast<std::size_t>(to - from)));
 }
 
 void Monarch::FinishRead(const FileInfoPtr& info, int level,
@@ -960,58 +941,18 @@ void Monarch::FinishRead(const FileInfoPtr& info, int level,
     prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  if (placement_->options().pack.enabled) {
-    // Pack mode stages chunks, never files: a miss read the request from
-    // the authoritative PFS — so PFS traffic scales with bytes *touched*
-    // — claims exactly the touched chunks for demand staging, and donates
-    // the served bytes of the chunks it covered in full. A stretch read
-    // scheduled its staging already.
-    if (level != pfs) {
-      chunk_hits_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      chunk_misses_.fetch_add(1, std::memory_order_relaxed);
-      if (!stretched) {
-        TriggerChunkStaging(info, *info->chunk_map(), offset, served);
-      }
-    }
-  } else if ((level == pfs || level == peer) && !placement_->stopped() &&
-             (config_.peer_view == nullptr ||
-              config_.peer_view->ShouldStageLocally(info->name))) {
-    // First access to a PFS-resident file: claim it and stage a copy in
-    // the background (③/④). Any leading bytes the framework's request
-    // already pulled are donated to the placement task — the full file
-    // when the read covered it (old fast path), a prefix otherwise — so
-    // the staging pipeline never re-reads them from the PFS. The §III-B
-    // partial-read optimisation fetches the rest in the background
-    // (disabled => only full reads stage).
-    // Shard ownership (ISSUE 4): with a peer view installed, each node
-    // stages only the files it owns — demand reads of peer-owned files
-    // go owner-first / PFS-second and never trigger local staging. A
-    // read served by a PEER still stages when this node is an owner
-    // (ISSUE 7): with replication > 1 the later owners' reads are
-    // satisfied by the first owner's copy, and without this their
-    // replicas would never materialise — the donated bytes mean the copy
-    // costs no extra PFS traffic.
-    // An offset-0 read (file open) re-arms a file whose last demand
-    // staging was refused by the eviction policy; later chunks of the
-    // same pass leave the latch alone so one open retries at most once.
-    if (offset == 0) info->stage_refused.store(false, std::memory_order_release);
-    const bool full_read = offset == 0 && served.size() == info->size;
-    if ((full_read ||
-         placement_->options().fetch_full_file_on_partial_read) &&
-        !info->stage_refused.load(std::memory_order_acquire)) {
-      if (info->TryBeginFetch()) {
-        // The donation is copied ONLY when a staging task actually claims
-        // the file — never on the per-read hot path.
-        placement_->SchedulePlacement(
-            info, offset == 0 ? served : std::span<const std::byte>{});
-      } else if (info->state.load(std::memory_order_acquire) ==
-                 PlacementState::kFetching) {
-        // Someone else holds the fetch — possibly a prefetch still
-        // queued behind other speculative work. Demand has overtaken it:
-        // move it to the demand lane.
-        placement_->PromoteToDemand(info);
-      }
+  // A read from a local tier hit its resident chunks. Any other read
+  // claims the chunks it touched for demand staging (③/④) and donates
+  // its bytes — a PFS read's traffic scales with the bytes touched, and
+  // an owner's peer-served read (replication > 1) still stages
+  // the replica, at no PFS cost for the bytes it donates. A stretch read
+  // scheduled its staging already.
+  if (level != pfs && level != peer) {
+    chunk_hits_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    if (level == pfs) chunk_misses_.fetch_add(1, std::memory_order_relaxed);
+    if (!stretched) {
+      TriggerChunkStaging(info, *info->chunk_map(), offset, served);
     }
   }
 
@@ -1020,26 +961,6 @@ void Monarch::FinishRead(const FileInfoPtr& info, int level,
   if (offset == 0 && placement_->options().prefetch_lookahead > 0) {
     TopUpPrefetch();
   }
-}
-
-bool Monarch::VerifyTierRead(const FileInfoPtr& info, int level,
-                             std::uint64_t offset,
-                             std::span<const std::byte> data) {
-  // Only whole-file reads can be checked against the staged-copy CRC —
-  // partial reads would need per-block checksums. That covers the dlsim
-  // trainer (sample == file) and any full-fetch read path.
-  if (!config_.resilience.verify_on_read) return true;
-  if (offset != 0 || data.size() != info->size || !info->HasStagedCrc()) {
-    return true;
-  }
-  const std::uint64_t expected =
-      info->staged_crc.load(std::memory_order_acquire);
-  if (Crc32c(data) == expected) return true;
-  MLOG_WARN << "read of '" << info->name << "' from tier '"
-            << hierarchy_->Level(level).name()
-            << "' failed CRC verification; quarantining the copy";
-  placement_->QuarantineCopy(info);
-  return false;
 }
 
 bool Monarch::TimedJoin(std::string_view name, const char* kind,
@@ -1059,13 +980,9 @@ bool Monarch::StageForPeer(const std::string& name) {
   if (placement_->stopped()) return false;
   FileInfoPtr info = metadata_.Lookup(name);
   if (info == nullptr) return false;
-  if (ClaimAndSchedule(info, StagingLane::kDemand, /*lookahead=*/false)) {
-    return true;
-  }
   // Held as a queued prefetch: promote it, as a local read would, so the
   // copy becomes joinable and the peer waits for it instead of the PFS.
-  return info->state.load(std::memory_order_acquire) ==
-             PlacementState::kFetching &&
+  return ClaimAndSchedule(info, StagingLane::kDemand, /*lookahead=*/false) ||
          placement_->PromoteToDemand(info);
 }
 
@@ -1114,30 +1031,23 @@ bool Monarch::ClaimAndSchedule(FileInfoPtr info, StagingLane lane,
                                bool lookahead) {
   // Shard ownership (ISSUE 4): each node stages only its own shard; the
   // rest of the dataset reaches it through the peer tier.
-  if (config_.peer_view != nullptr &&
-      !config_.peer_view->ShouldStageLocally(info->name)) {
+  if ((config_.peer_view != nullptr &&
+       !config_.peer_view->ShouldStageLocally(info->name)) ||
+      info->state.load(std::memory_order_acquire) ==
+          PlacementState::kUnplaceable) {
     return false;
   }
+  // Claim every chunk that is neither resident nor claimed.
+  pack::ChunkMap* cm =
+      info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
   std::vector<std::uint32_t> chunks;
-  if (placement_->options().pack.enabled) {
-    // Chunked files stage whole, but chunk by chunk: claim every
-    // non-resident chunk instead of the file-level fetch flag.
-    pack::ChunkMap* cm =
-        info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
-    for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
-      if (!cm->IsResident(c) && cm->TryClaim(c)) chunks.push_back(c);
-    }
-    if (chunks.empty()) return false;
-  } else if (!info->TryBeginFetch()) {
-    return false;
+  for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
+    if (cm->TryClaim(c)) chunks.push_back(c);
   }
+  if (chunks.empty()) return false;
   if (lookahead) info->prefetched.store(true, std::memory_order_release);
-  if (chunks.empty()) {
-    placement_->SchedulePlacement(std::move(info), {}, lane);
-  } else {
-    placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks), 0,
-                                       {}, lane);
-  }
+  placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks), 0,
+                                     {}, lane);
   return true;
 }
 
@@ -1183,12 +1093,10 @@ std::uint64_t Monarch::ReadvertisePlacedCopies() {
   for (const auto& entry : metadata_.Snapshot()) {
     if (entry.state != PlacementState::kPlaced) continue;
     FileInfoPtr info = metadata_.Lookup(entry.name);
-    if (!info ||
-        info->state.load(std::memory_order_acquire) != PlacementState::kPlaced) {
-      continue;
-    }
-    config_.peer_view->OnStaged(entry.name,
-                                info->level.load(std::memory_order_acquire));
+    // Peers read only fully resident files.
+    const pack::ChunkMap* cm = info ? info->chunk_map() : nullptr;
+    if (cm == nullptr || cm->ResidentCount() != cm->num_chunks()) continue;
+    config_.peer_view->OnStaged(entry.name, cm->tier());
     ++readvertised;
   }
   return readvertised;

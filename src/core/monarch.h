@@ -12,10 +12,11 @@
 //
 // Lifecycle: Create() builds the hierarchy and populates the metadata
 // container by walking the PFS dataset directory (the timed metadata-
-// initialization phase). Reads then flow per §III-B: look up the file's
-// current level, serve from that tier, and — first time a file is seen —
-// kick a background task that copies the whole file to the best tier
-// with room. Shutdown() (or the destructor) drains in-flight staging.
+// initialization phase). Reads then flow per §III-B: look up which of the
+// file's chunks are staged, serve from their tier, and — first time a
+// chunk is seen — kick a background task that copies it to the best tier
+// with room (a file that fits one staging buffer is one chunk).
+// Shutdown() (or the destructor) drains in-flight staging.
 #pragma once
 
 #include <array>
@@ -63,8 +64,9 @@ struct MonarchConfig {
   /// Optional cooperative peer-cache tier (ISSUE 4): an engine serving
   /// other nodes' staged copies over the interconnect, slotted directly
   /// above the PFS as a read-only level. `quota_bytes` is ignored (the
-  /// bytes live on the peers). Requires `peer_view`; cannot be combined
-  /// with pack mode (`placement.pack.enabled`).
+  /// bytes live on the peers), which are read chunk object by chunk
+  /// object. Requires `peer_view`; cannot be combined with pack mode
+  /// (`placement.pack.enabled`).
   std::optional<TierSpec> peer_tier;
   /// Cluster placement knowledge backing the peer tier: shard ownership
   /// for staging decisions, remote-copy lookups for the read path, and
@@ -141,9 +143,9 @@ struct MonarchStats {
   std::uint64_t copy_joins = 0;
   std::uint64_t peer_copy_joins = 0;
 
-  /// Chunk-granularity read outcomes (ISSUE 9; pack mode only). A hit is
-  /// a read fully served from resident chunks on a cache tier; a miss
-  /// touched the PFS (and claimed the touched chunks for staging).
+  /// Chunk-granularity read outcomes. A hit is a read fully
+  /// served from resident chunks on a cache tier; a miss touched the PFS
+  /// (and claimed the touched chunks for staging).
   std::uint64_t chunk_hits = 0;
   std::uint64_t chunk_misses = 0;
 
@@ -318,22 +320,22 @@ class Monarch {
   Result<ReadLease> Serve(std::string_view name, std::uint64_t offset,
                           ReadAccess& access);
 
-  /// The serve ladder (§III-B): serve from the file's current level —
-  /// its resident chunks in pack mode — or a peer's copy, otherwise from
-  /// the PFS. A whole-file read bound for the PFS first joins a copy of
-  /// the file already in flight, locally or at its owner; a pack read
-  /// joins the task holding its chunk claims. A packed whole-file miss
-  /// reads its extent stretch (ReadStretch). A failed rung counts its
-  /// cause and re-reads from the PFS. The returned lease owns the file's
-  /// eviction read-pin.
+  /// The serve ladder (§III-B): serve from the tier holding the file's
+  /// resident chunks, or a peer's copy, otherwise from the PFS. A read
+  /// bound for the PFS first joins the staging task holding its chunk
+  /// claims, or the copy it asked the file's owner to stage. A packed
+  /// whole-file miss reads its extent stretch (ReadStretch). A failed
+  /// rung counts its cause and re-reads from the PFS. The returned lease
+  /// owns the file's eviction read-pin.
   Result<ReadLease> Ladder(std::string_view name, std::uint64_t offset,
                            ReadAccess& access);
 
-  /// Pack-mode rung (ISSUE 9): serve [offset, offset + length) from the
-  /// tier at `level`, one tier read per run segment touched, decoding
-  /// each chunk through the staging codec. A run that fails verification
-  /// is dropped (so staging can retry it) and reported as kDataLoss; one
-  /// whose object vanished is dropped and reported as kNotFound.
+  /// Tier and peer rungs: serve [offset, offset + length) from the level
+  /// `level`, one read per run segment touched (per chunk from a peer),
+  /// decoding each chunk through the staging codec. A local run that
+  /// fails verification is quarantined (so staging can retry it) and
+  /// reported as kDataLoss; one whose object vanished is dropped and
+  /// reported as kNotFound.
   Result<std::span<const std::byte>> ServeChunks(
       const FileInfoPtr& info, pack::ChunkMap& cm, int level,
       std::uint64_t offset, std::uint64_t length, ReadAccess& access);
@@ -343,16 +345,11 @@ class Monarch {
   Result<FileInfoPtr> PrepareRead(std::string_view name, std::uint64_t offset);
 
   /// Shared tail of both read paths: serve counters, prefetch-hit
-  /// bookkeeping, whole-file or chunk staging trigger, look-ahead top-up.
+  /// bookkeeping, chunk staging trigger, look-ahead top-up.
   /// `served` holds the bytes handed to the caller; a `stretched` read
   /// (ReadStretch) has scheduled its chunk staging already.
   void FinishRead(const FileInfoPtr& info, int level, std::uint64_t offset,
                   std::span<const std::byte> served, bool stretched);
-
-  /// Full-file tier reads against a recorded CRC when verify_on_read is
-  /// set. Returns false when the copy is corrupt (and quarantines it).
-  bool VerifyTierRead(const FileInfoPtr& info, int level, std::uint64_t offset,
-                      std::span<const std::byte> data);
 
   /// Run one join wait (`kind` "local" or "peer") under its own trace
   /// span; `wait` returns whether it waited, and only then is its
@@ -381,14 +378,15 @@ class Monarch {
                    ReadAccess& access);
 
   /// Claim the non-resident chunks the `served` bytes at `offset`
-  /// overlap and enqueue one demand-lane chunk staging task for them,
-  /// donating the served bytes of the claimed chunks they fully cover.
+  /// overlap (only those they cover in full without
+  /// fetch_full_file_on_partial_read) and enqueue one demand-lane
+  /// staging task for them, donating every served byte inside them.
   void TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
                            std::uint64_t offset,
                            std::span<const std::byte> served);
 
-  /// Claim `info` for background staging on `lane` — the file-level
-  /// fetch, or every non-resident chunk in pack mode — and enqueue it.
+  /// Claim every chunk of `info` that is neither resident nor claimed
+  /// for background staging on `lane`, and enqueue them.
   /// Skips files another node owns; `lookahead` marks a look-ahead
   /// claim. Returns false when nothing was claimed.
   bool ClaimAndSchedule(FileInfoPtr info, StagingLane lane, bool lookahead);
@@ -427,7 +425,7 @@ class Monarch {
   std::atomic<std::uint64_t> copy_joins_{0};
   std::atomic<std::uint64_t> peer_copy_joins_{0};
 
-  // Chunk-read outcomes (pack mode) and per-cause fallback tallies; the
+  // Chunk-read outcomes and per-cause fallback tallies; the
   // pull source exports them as `monarch.chunk.{hits,misses}` and
   // `monarch.read.degraded_fallbacks`.
   std::atomic<std::uint64_t> chunk_hits_{0};

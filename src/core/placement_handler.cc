@@ -34,13 +34,11 @@ int PlacementHandler::TaskClass(const StagingTask& task) noexcept {
   return qos::ClassIndex(task.tenant.io_class);
 }
 
-double PlacementHandler::TaskCost(const StagingTask& task) const noexcept {
-  if (task.chunks.empty()) {
-    return static_cast<double>(task.file->size);
-  }
-  return static_cast<double>(task.chunks.size()) *
-         static_cast<double>(
-             std::max<std::uint64_t>(1, options_.pack.chunk_bytes));
+double PlacementHandler::TaskCost(const StagingTask& task) noexcept {
+  const pack::ChunkMap& cm = *task.file->chunk_map();
+  double bytes = 0;
+  for (const std::uint32_t c : task.chunks) bytes += cm.ChunkLogicalBytes(c);
+  return bytes;
 }
 
 void PlacementHandler::PushLocked(StagingTask task) {
@@ -94,10 +92,15 @@ PlacementHandler::PlacementHandler(StorageHierarchy& hierarchy,
   queue_.RegisterClass(qos::ClassIndex(qos::IoClass::kPrefetch), 1,
                        q.enabled ? q.drain_weight : 1.0);
   // A logical chunk must fit one pooled buffer: the staging pipeline
-  // reads exactly one chunk per lease.
-  options_.pack.chunk_bytes = std::min<std::uint64_t>(
-      std::max<std::uint64_t>(1, options_.pack.chunk_bytes),
-      pool_.chunk_bytes());
+  // reads exactly one chunk per lease. Without pack mode a chunk is a
+  // whole buffer, so every run is one chunk, and a file that fits one
+  // buffer stages, evicts and serves as one tier object.
+  options_.pack.chunk_bytes =
+      options_.pack.enabled
+          ? std::min<std::uint64_t>(
+                std::max<std::uint64_t>(1, options_.pack.chunk_bytes),
+                pool_.chunk_bytes())
+          : pool_.chunk_bytes();
   if (options_.pack.enabled && options_.pack.codec != "none") {
     auto codec = pack::CodecByName(options_.pack.codec);
     if (codec.ok()) {
@@ -127,15 +130,6 @@ PlacementHandler::~PlacementHandler() {
   }
 }
 
-void PlacementHandler::SchedulePlacement(FileInfoPtr file,
-                                         std::span<const std::byte> prefix,
-                                         StagingLane lane) {
-  // The task owns the FileInfo reference and (budget permitting) the
-  // bytes the read path already fetched, avoiding a second PFS read
-  // (§III-B, ③/④).
-  Enqueue({std::move(file), Donate(0, prefix), lane, {}, SnapshotTenant()});
-}
-
 void PlacementHandler::ScheduleChunkPlacement(
     FileInfoPtr file, std::vector<std::uint32_t> chunks,
     std::uint64_t donated_offset, std::span<const std::byte> donated,
@@ -156,6 +150,10 @@ void PlacementHandler::ScheduleChunkPlacement(
 
 std::vector<std::uint32_t> PlacementHandler::ClaimFile(
     const FileInfoPtr& file) {
+  if (file->state.load(std::memory_order_acquire) ==
+      PlacementState::kUnplaceable) {
+    return {};
+  }
   pack::ChunkMap* cm = file->EnsureChunkMap(options_.pack.chunk_bytes);
   std::vector<std::uint32_t> chunks;
   chunks.reserve(cm->num_chunks());
@@ -303,11 +301,7 @@ void PlacementHandler::WorkerLoop() {
     const qos::TenantContext tenant = task.tenant;
     qos::ScopedTenant scope(tenant);
     const FileInfoPtr file = task.file;
-    if (task.chunks.empty()) {
-      PlaceFile(std::move(task));
-    } else {
-      PlaceChunks(std::move(task));
-    }
+    PlaceChunks(std::move(task));
     EndJoinable(*file);
     {
       std::lock_guard lock(mu_);
@@ -317,26 +311,31 @@ void PlacementHandler::WorkerLoop() {
   }
 }
 
-void PlacementHandler::RecordStagingFailure(const FileInfoPtr& file) {
+void PlacementHandler::RecordStagingFailure(FileInfo& file) {
   failed_.fetch_add(1, std::memory_order_relaxed);
-  file->prefetched.store(false, std::memory_order_relaxed);
+  file.prefetched.store(false, std::memory_order_relaxed);
   const int failures =
-      file->fetch_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (failures >= resilience_.max_placement_attempts) {
-    abandoned_.fetch_add(1, std::memory_order_relaxed);
-    obs::EventTracer& tracer = obs::EventTracer::Global();
-    if (tracer.enabled()) {
-      tracer.RecordInstant("placement.abandoned", "resilience",
-                           "\"file\":" + obs::JsonQuote(file->name) +
-                               ",\"attempts\":" + std::to_string(failures));
-    }
-    MLOG_WARN << "giving up staging '" << file->name << "' after " << failures
-              << " failed attempts; it stays PFS-resident";
-    file->AbortFetch(/*permanently=*/true);
-  } else {
+      file.fetch_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
+  if (failures < resilience_.max_placement_attempts) {
     retries_.fetch_add(1, std::memory_order_relaxed);
-    file->AbortFetch(/*permanently=*/false);
+    return;
   }
+  abandoned_.fetch_add(1, std::memory_order_relaxed);
+  obs::EventTracer& tracer = obs::EventTracer::Global();
+  if (tracer.enabled()) {
+    tracer.RecordInstant("placement.abandoned", "resilience",
+                         "\"file\":" + obs::JsonQuote(file.name) +
+                             ",\"attempts\":" + std::to_string(failures));
+  }
+  MLOG_WARN << "giving up staging '" << file.name << "' after " << failures
+            << " failed attempts; it stays PFS-resident";
+  Park(file);
+}
+
+void PlacementHandler::Park(FileInfo& file) {
+  pack::ChunkMap& cm = *file.chunk_map();
+  std::lock_guard lock(cm.placement_mutex());
+  DropAllLocked(file, cm, /*park=*/true);
 }
 
 bool PlacementHandler::RefuseScanStaging(const StagingTask& task) {
@@ -419,283 +418,6 @@ Result<std::span<const std::byte>> PlacementHandler::SliceSource(
   return std::span<const std::byte>(buffer);
 }
 
-Status PlacementHandler::StreamCopy(const StagingTask& task,
-                                    StorageDriver& destination,
-                                    std::uint32_t& crc) {
-  const FileInfo& file = *task.file;
-  const std::uint64_t chunk_bytes = pool_.chunk_bytes();
-  const std::uint64_t donated_end = task.donation.bytes.size();
-  crc = 0;
-  // The donated prefix first, then the remainder streamed from the PFS
-  // through one pooled buffer — peak staging memory is the pool budget,
-  // never the file size. No slice straddles the end of the prefix, so no
-  // donated byte is re-read.
-  std::optional<BufferPool::Lease> lease;
-  for (std::uint64_t offset = 0; offset < file.size;) {
-    std::uint64_t n = std::min<std::uint64_t>(chunk_bytes, file.size - offset);
-    if (offset < donated_end) n = std::min(n, donated_end - offset);
-    MONARCH_ASSIGN_OR_RETURN(
-        const std::span<const std::byte> slice,
-        SliceSource(task, offset, static_cast<std::size_t>(n), lease));
-    crc = Crc32c(slice, crc);
-    MONARCH_RETURN_IF_ERROR(destination.WriteAt(file.name, offset, slice));
-    offset += n;
-    chunks_copied_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::Ok();
-}
-
-bool PlacementHandler::VerifyStagedCopy(const FileInfoPtr& file,
-                                        StorageDriver& destination,
-                                        std::uint32_t crc) {
-  const std::uint64_t chunk_bytes = pool_.chunk_bytes();
-  BufferPool::Lease lease = pool_.Acquire();
-  std::uint32_t readback_crc = 0;
-  std::uint64_t offset = 0;
-  while (offset < file->size) {
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(chunk_bytes, file->size - offset));
-    const std::span<std::byte> buffer(lease.bytes().data(), n);
-    auto read = destination.Read(file->name, offset, buffer);
-    if (!read.ok() || read.value() != n) return false;
-    readback_crc = Crc32c(buffer, readback_crc);
-    offset += n;
-  }
-  return readback_crc == crc;
-}
-
-void PlacementHandler::PlaceFile(StagingTask task) {
-  const FileInfoPtr& file = task.file;
-  // Spans the whole schedule→complete staging of one file. Args are only
-  // rendered when tracing is live (active() gate).
-  obs::TraceSpan span("placement.stage", "placement");
-  if (span.active()) {
-    span.set_args_json("\"file\":" + obs::JsonQuote(file->name) +
-                       ",\"bytes\":" + std::to_string(file->size) +
-                       ",\"lane\":\"" + LaneName(task.lane) + "\"");
-  }
-  if (RefuseScanStaging(task)) return;
-
-  // 1. Choose (and reserve) the destination level, falling back to
-  // policy-driven eviction when no tier has room (EvictAndReserve gates
-  // on what the policy and lane allow).
-  const std::optional<int> level =
-      EvictAndReserve(file, task.lane, file->size);
-  if (!level.has_value()) {
-    CountNoSpace(task);
-    if (task.lane == StagingLane::kPrefetch) {
-      file->AbortFetch(/*permanently=*/false);
-    } else if (Evicts()) {
-      // Eviction makes quota headroom dynamic: this rejection only means
-      // the policy protected every current resident (or lost the claim
-      // races), not that the file can never fit. Leave it retryable so a
-      // later access tries again against the then-current occupancy —
-      // but latch stage_refused so chunked readers retry once per file
-      // open instead of once per chunk.
-      file->stage_refused.store(true, std::memory_order_release);
-      file->AbortFetch(/*permanently=*/false);
-    } else {
-      // No tier can hold the file and nothing will ever be evicted: it
-      // stays PFS-resident for the whole job (the 200 GiB-dataset
-      // scenario). Mark it so the read path stops retrying placement on
-      // every access.
-      file->AbortFetch(/*permanently=*/true);
-    }
-    return;
-  }
-
-  StorageDriver& destination = hierarchy_.Level(*level);
-  inflight_bytes_.fetch_add(file->size, std::memory_order_relaxed);
-
-  // 2. Copy. A full-content task (the triggering read covered the whole
-  // file) is a single put of bytes already in memory; anything else is
-  // the chunked pipeline: donated prefix first, then streamed PFS reads.
-  std::uint32_t crc = 0;
-  Status written = Status::Ok();
-  if (!task.donation.bytes.empty() &&
-      task.donation.bytes.size() == file->size) {
-    crc = Crc32c(task.donation.bytes);
-    written = destination.Write(file->name, task.donation.bytes);
-    if (written.ok()) {
-      donated_bytes_.fetch_add(file->size, std::memory_order_relaxed);
-    }
-  } else {
-    written = StreamCopy(task, destination, crc);
-  }
-  if (!written.ok()) {
-    MLOG_WARN << "placement copy of '" << file->name << "' to tier '"
-              << destination.name() << "' failed: " << written;
-    // A chunked copy may have landed a partial file; remove it so a
-    // retry starts clean and readers never see a truncated copy.
-    (void)destination.Delete(file->name);
-    destination.Release(file->size);
-    inflight_bytes_.fetch_sub(file->size, std::memory_order_relaxed);
-    RecordStagingFailure(file);
-    return;
-  }
-
-  // 3. Optionally read the copy back (chunked, bounded memory) and prove
-  // the bytes landed intact — a corrupted staged copy must degrade to a
-  // failed placement, never get published as a serving replica.
-  if (resilience_.verify_staged_writes &&
-      !VerifyStagedCopy(file, destination, crc)) {
-    MLOG_WARN << "staged copy of '" << file->name << "' on tier '"
-              << destination.name() << "' failed verification; deleting";
-    // We still hold the Reserve for this copy, so the quota comes back
-    // whether or not the delete found anything on disk.
-    (void)destination.Delete(file->name);
-    destination.Release(file->size);
-    inflight_bytes_.fetch_sub(file->size, std::memory_order_relaxed);
-    quarantined_.fetch_add(1, std::memory_order_relaxed);
-    obs::EventTracer& tracer = obs::EventTracer::Global();
-    if (tracer.enabled()) {
-      tracer.RecordInstant("placement.quarantine", "resilience",
-                           "\"file\":" + obs::JsonQuote(file->name) +
-                               ",\"tier\":" +
-                               obs::JsonQuote(destination.name()) +
-                               ",\"phase\":\"stage\"");
-    }
-    RecordStagingFailure(file);
-    return;
-  }
-
-  // Record the checksum before publishing the level so any reader that
-  // observes kPlaced also observes the CRC it may verify against.
-  file->staged_crc.store(crc, std::memory_order_release);
-  file->fetch_failures.store(0, std::memory_order_relaxed);
-  if (task.tenant.low_retention) {
-    if (!file->low_retention.exchange(true, std::memory_order_acq_rel)) {
-      low_retention_resident_bytes_.fetch_add(file->size,
-                                              std::memory_order_relaxed);
-    }
-  } else {
-    // A demand-class tenant re-staged the file: its copy is a working-
-    // set member again, protected from low-retention evictors.
-    NoteCopyDropped(*file);
-  }
-  file->FinishFetch(*level);
-  // Advertise the copy to the cluster once it is actually readable.
-  if (peer_view_ != nullptr) peer_view_->OnStaged(file->name, *level);
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  bytes_staged_.fetch_add(file->size, std::memory_order_relaxed);
-  if (task.lane == StagingLane::kPrefetch) {
-    prefetch_completed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  inflight_bytes_.fetch_sub(file->size, std::memory_order_relaxed);
-}
-
-bool PlacementHandler::DropCopy(const FileInfoPtr& file, DropReason reason) {
-  FileInfo& f = *file;
-  // Claim the file: kPlaced -> kFetching stops concurrent readers from
-  // trusting its level while the copy is deleted.
-  PlacementState expected = PlacementState::kPlaced;
-  if (!f.state.compare_exchange_strong(expected, PlacementState::kFetching,
-                                       std::memory_order_acq_rel)) {
-    return false;  // already being fetched/evicted/quarantined elsewhere
-  }
-  // Read pins (ISSUE 6): a demand read is mid-flight on this file's
-  // staged copy, so an eviction reverts the claim — its bytes stay until
-  // the read ends. The pin is checked after the claim so a reader that
-  // pinned first is always honoured; one that pins after this check
-  // degrades to the pre-pinning behaviour (kNotFound -> PFS fallback).
-  // Corrupt or vanished bytes and end-of-job cleanup do not wait for
-  // readers.
-  if (reason == DropReason::kEvict &&
-      f.read_pins.load(std::memory_order_acquire) > 0) {
-    f.state.store(PlacementState::kPlaced, std::memory_order_release);
-    eviction_pinned_skips_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const int level = f.level.load(std::memory_order_acquire);
-  if (level == hierarchy_.pfs_level()) {
-    // Nothing staged (stale snapshot); leave the file as we found it.
-    f.state.store(PlacementState::kPlaced, std::memory_order_release);
-    return false;
-  }
-  StorageDriver& tier = hierarchy_.Level(level);
-  f.level.store(hierarchy_.pfs_level(), std::memory_order_release);
-  // Retract the cluster-directory advertisement before the bytes go.
-  if (peer_view_ != nullptr) peer_view_->OnDropped(f.name);
-  if (reason != DropReason::kQuarantine) f.AbortFetch(/*permanently=*/false);
-  if (const Status deleted = tier.Delete(f.name);
-      deleted.ok() || deleted.code() == StatusCode::kNotFound) {
-    tier.Release(f.size);
-  }
-  const bool was_low_retention = NoteCopyDropped(f);
-
-  obs::EventTracer& tracer = obs::EventTracer::Global();
-  switch (reason) {
-    case DropReason::kEvict: {
-      if (const qos::TenantContext* requester = qos::CurrentTenant();
-          requester != nullptr && requester->low_retention &&
-          !was_low_retention) {
-        // Unreachable under EvictOne's guard; counted so a future
-        // regression shows up in `qos.cross_class_evictions`.
-        cross_class_evictions_.fetch_add(1, std::memory_order_relaxed);
-      }
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      evicted_bytes_.fetch_add(f.size, std::memory_order_relaxed);
-      if (tracer.enabled()) {
-        tracer.RecordInstant("placement.evict", "placement",
-                             "\"file\":" + obs::JsonQuote(f.name) +
-                                 ",\"bytes\":" + std::to_string(f.size) +
-                                 ",\"tier\":" + obs::JsonQuote(tier.name()));
-      }
-      break;
-    }
-    case DropReason::kQuarantine:
-      quarantined_.fetch_add(1, std::memory_order_relaxed);
-      if (tracer.enabled()) {
-        tracer.RecordInstant("placement.quarantine", "resilience",
-                             "\"file\":" + obs::JsonQuote(f.name) +
-                                 ",\"tier\":" + obs::JsonQuote(tier.name()) +
-                                 ",\"phase\":\"read\"");
-      }
-      MLOG_WARN << "quarantined corrupt copy of '" << f.name << "' on tier '"
-                << tier.name() << "'; reads fall back to the PFS";
-      break;
-    case DropReason::kCleanup:
-    case DropReason::kVanished:
-      break;
-  }
-  return true;
-}
-
-bool PlacementHandler::QuarantineCopy(const FileInfoPtr& file) {
-  if (!DropCopy(file, DropReason::kQuarantine)) return false;
-  // A corrupt copy counts toward the per-file cap so persistent
-  // corruption eventually parks the file as unplaceable; with
-  // restage_after_quarantine off the file is parked immediately.
-  const int failures =
-      file->fetch_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
-  file->AbortFetch(/*permanently=*/!resilience_.restage_after_quarantine ||
-                   failures >= resilience_.max_placement_attempts);
-  return true;
-}
-
-bool PlacementHandler::CleanupCopy(const FileInfoPtr& file) {
-  if (file->chunk_map() != nullptr) return EvictChunks(file) > 0;
-  return DropCopy(file, DropReason::kCleanup);
-}
-
-bool PlacementHandler::EvictOne(const FileInfoPtr& victim) {
-  // Scan resistance (ISSUE 10): a low-retention requester may only
-  // evict other low-retention copies — it can never push out a demand
-  // working set, so `qos.cross_class_evictions` stays zero by
-  // construction.
-  const qos::TenantContext* requester = qos::CurrentTenant();
-  if (requester != nullptr && requester->low_retention &&
-      !victim->low_retention.load(std::memory_order_acquire)) {
-    return false;
-  }
-  // A file with a chunk map (pack mode) holds its quota run by run, never
-  // as a whole-file copy: it drops through the chunk path even while
-  // another evictor has just emptied it. DropCopy would release its
-  // whole size a second time, and the tier would overfill.
-  if (victim->chunk_map() != nullptr) return EvictChunks(victim) > 0;
-  return DropCopy(victim, DropReason::kEvict);
-}
-
 std::optional<int> PlacementHandler::EvictAndReserve(
     const FileInfoPtr& file, StagingLane lane, std::uint64_t bytes,
     std::optional<int> level) {
@@ -722,7 +444,7 @@ std::optional<int> PlacementHandler::EvictAndReserve(
     ranked = policy_->SelectVictims(metadata_, *file);
   }
 
-  // This loop claims and drops. Re-try the reservation after each
+  // This loop drops victims. Re-try the reservation after each
   // successful eviction — freed space is first-come-first-served under
   // concurrent workers, so the reservation is the only proof.
   // Low-retention (scan) copies are tried first: they are explicitly
@@ -739,13 +461,9 @@ std::optional<int> PlacementHandler::EvictAndReserve(
     if (victim == file) continue;
     if (level.has_value()) {
       const pack::ChunkMap* vcm = victim->chunk_map();
-      const int victim_level =
-          vcm != nullptr && vcm->ResidentCount() > 0
-              ? vcm->tier()
-              : victim->level.load(std::memory_order_acquire);
-      if (victim_level != *level) continue;
+      if (vcm == nullptr || vcm->tier() != *level) continue;
     }
-    if (!EvictOne(victim)) continue;
+    if (!EvictChunks(victim)) continue;
     if (std::optional<int> reserved = reserve()) return reserved;
   }
   eviction_refused_.fetch_add(1, std::memory_order_relaxed);
@@ -759,12 +477,11 @@ std::optional<int> PlacementHandler::EvictAndReserve(
 }
 
 void PlacementHandler::ReleaseClaims(const StagingTask& task) {
-  if (task.chunks.empty()) {
-    task.file->AbortFetch(/*permanently=*/false);
-  } else if (pack::ChunkMap* cm = task.file->chunk_map(); cm != nullptr) {
-    for (const std::uint32_t c : task.chunks) cm->ReleaseClaim(c);
-    std::lock_guard lock(cm->placement_mutex());
-    cm->MaybeResetTier();
+  pack::ChunkMap& cm = *task.file->chunk_map();
+  for (const std::uint32_t c : task.chunks) cm.ReleaseClaim(c);
+  {
+    std::lock_guard lock(cm.placement_mutex());
+    cm.MaybeResetTier();
   }
   EndJoinable(*task.file);
 }
@@ -772,78 +489,133 @@ void PlacementHandler::ReleaseClaims(const StagingTask& task) {
 pack::ChunkMap::EvictedRun PlacementHandler::DropRunLocked(
     const FileInfo& file, pack::ChunkMap& cm, StorageDriver& tier,
     std::uint32_t chunk) {
+  const bool advertised = cm.ResidentCount() == cm.num_chunks();
   const pack::ChunkMap::EvictedRun run = cm.TryEvictRun(chunk);
   if (run.chunks > 0) {
+    // Peers read only fully resident files: retract the advertisement
+    // before the first run's bytes go.
+    if (advertised && peer_view_ != nullptr) peer_view_->OnDropped(file.name);
     (void)tier.Delete(pack::ChunkObjectName(file.name, run.start));
     tier.Release(run.stored_bytes);
   }
   return run;
 }
 
-void PlacementHandler::FoldBackIfEmptyLocked(FileInfo& file,
-                                             pack::ChunkMap& cm) {
+void PlacementHandler::FoldBackLocked(FileInfo& file, pack::ChunkMap& cm,
+                                      bool park) {
   if (cm.ResidentCount() > 0) return;
   cm.MaybeResetTier();
   NoteCopyDropped(file);
-  // The file no longer serves anything from a tier; fold it back to
-  // PFS-resident through the same claim the whole-file evictor uses
-  // (readers mid-lookup fall back to the PFS on kNotFound).
-  PlacementState expected = PlacementState::kPlaced;
-  if (file.state.compare_exchange_strong(expected, PlacementState::kFetching,
-                                         std::memory_order_acq_rel)) {
+  // The file no longer serves anything from a tier: back to PFS-resident
+  // (readers mid-lookup fall back to the PFS on kNotFound), for good
+  // when parked.
+  if (park || file.state.load(std::memory_order_acquire) ==
+                  PlacementState::kPlaced) {
     file.level.store(hierarchy_.pfs_level(), std::memory_order_release);
-    file.AbortFetch(/*permanently=*/false);
+    file.AbortFetch(park);
   }
+}
+
+pack::ChunkMap::EvictedRun PlacementHandler::DropAllLocked(FileInfo& file,
+                                                           pack::ChunkMap& cm,
+                                                           bool park) {
+  pack::ChunkMap::EvictedRun all;
+  if (const int level = cm.tier(); level >= 0) {
+    StorageDriver& tier = hierarchy_.Level(level);
+    for (std::uint32_t c = 0; c < cm.num_chunks(); ++c) {
+      const pack::ChunkMap::EvictedRun run = DropRunLocked(file, cm, tier, c);
+      all.chunks += run.chunks;
+      all.stored_bytes += run.stored_bytes;
+    }
+  }
+  FoldBackLocked(file, cm, park);
+  return all;
 }
 
 void PlacementHandler::DropChunkRun(const FileInfoPtr& file,
-                                    std::uint32_t chunk) {
-  pack::ChunkMap* cm = file->chunk_map();
-  if (cm == nullptr) return;
-  std::lock_guard lock(cm->placement_mutex());
-  const int level = cm->tier();
-  if (level < 0 || level == hierarchy_.pfs_level()) return;
-  DropRunLocked(*file, *cm, hierarchy_.Level(level), chunk);
-  FoldBackIfEmptyLocked(*file, *cm);
+                                    std::uint32_t chunk, bool corrupt) {
+  pack::ChunkMap& cm = *file->chunk_map();
+  std::lock_guard lock(cm.placement_mutex());
+  const int level = cm.tier();
+  if (level < 0) return;
+  StorageDriver& tier = hierarchy_.Level(level);
+  if (DropRunLocked(*file, cm, tier, chunk).chunks == 0 || !corrupt) {
+    FoldBackLocked(*file, cm, /*park=*/false);
+    return;
+  }
+  quarantined_.fetch_add(1, std::memory_order_relaxed);
+  obs::EventTracer& tracer = obs::EventTracer::Global();
+  if (tracer.enabled()) {
+    tracer.RecordInstant("placement.quarantine", "resilience",
+                         "\"file\":" + obs::JsonQuote(file->name) +
+                             ",\"tier\":" + obs::JsonQuote(tier.name()) +
+                             ",\"phase\":\"read\"");
+  }
+  // A corrupt run counts toward the per-file cap so persistent corruption
+  // eventually parks the file as unplaceable; with
+  // restage_after_quarantine off it is parked at once.
+  const int failures =
+      file->fetch_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
+  if (!resilience_.restage_after_quarantine ||
+      failures >= resilience_.max_placement_attempts) {
+    DropAllLocked(*file, cm, /*park=*/true);
+  } else {
+    FoldBackLocked(*file, cm, /*park=*/false);
+  }
 }
 
-std::uint64_t PlacementHandler::EvictChunks(const FileInfoPtr& victim) {
+bool PlacementHandler::CleanupCopy(const FileInfoPtr& file) {
+  pack::ChunkMap* cm = file->chunk_map();
+  if (cm == nullptr) return false;
+  std::lock_guard lock(cm->placement_mutex());
+  return DropAllLocked(*file, *cm, /*park=*/false).chunks > 0;
+}
+
+bool PlacementHandler::EvictChunks(const FileInfoPtr& victim) {
   FileInfo& vf = *victim;
-  pack::ChunkMap* cm = vf.chunk_map();
-  if (cm == nullptr) return 0;
-  // Read pins protect chunked files exactly like whole-file copies: an
-  // active read keeps every resident chunk until it unpins.
+  // Scan resistance: a low-retention requester may only
+  // evict other low-retention copies — it can never push out a demand
+  // working set, so `qos.cross_class_evictions` stays zero by
+  // construction.
+  const qos::TenantContext* requester = qos::CurrentTenant();
+  const bool scan = requester != nullptr && requester->low_retention;
+  if (scan && !vf.low_retention.load(std::memory_order_acquire)) return false;
+  // Read pins: an active read keeps every resident run of the
+  // file until it unpins.
   if (vf.read_pins.load(std::memory_order_acquire) > 0) {
     eviction_pinned_skips_.fetch_add(1, std::memory_order_relaxed);
-    return 0;
+    return false;
   }
-  const int level = cm->tier();
-  if (level < 0 || level == hierarchy_.pfs_level()) return 0;
-  StorageDriver& tier = hierarchy_.Level(level);
-  std::uint64_t freed = 0;
-  std::uint64_t dropped = 0;
+  pack::ChunkMap* cm = vf.chunk_map();
+  if (cm == nullptr) return false;
+  int level = -1;
+  bool was_low_retention = false;
+  pack::ChunkMap::EvictedRun dropped;
   {
     std::lock_guard lock(cm->placement_mutex());
-    for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
-      const pack::ChunkMap::EvictedRun run = DropRunLocked(vf, *cm, tier, c);
-      freed += run.stored_bytes;
-      dropped += run.chunks;
-    }
-    FoldBackIfEmptyLocked(vf, *cm);
+    level = cm->tier();
+    was_low_retention = vf.low_retention.load(std::memory_order_acquire);
+    dropped = DropAllLocked(vf, *cm, /*park=*/false);
   }
-  if (dropped > 0) {
-    chunks_evicted_.fetch_add(dropped, std::memory_order_relaxed);
-    evicted_bytes_.fetch_add(freed, std::memory_order_relaxed);
-    obs::EventTracer& tracer = obs::EventTracer::Global();
-    if (tracer.enabled()) {
-      tracer.RecordInstant("placement.evict", "placement",
-                           "\"file\":" + obs::JsonQuote(vf.name) +
-                               ",\"bytes\":" + std::to_string(freed) +
-                               ",\"chunks\":" + std::to_string(dropped) +
-                               ",\"tier\":" + obs::JsonQuote(tier.name()));
-    }
+  if (dropped.chunks == 0) return false;
+  // Unreachable under the guard above; counted so a future regression
+  // shows up in `qos.cross_class_evictions`.
+  if (scan && !was_low_retention) {
+    cross_class_evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-  return freed;
+  evictions_.fetch_add(1, std::memory_order_relaxed);
+  chunks_evicted_.fetch_add(dropped.chunks, std::memory_order_relaxed);
+  evicted_bytes_.fetch_add(dropped.stored_bytes, std::memory_order_relaxed);
+  obs::EventTracer& tracer = obs::EventTracer::Global();
+  if (tracer.enabled()) {
+    tracer.RecordInstant(
+        "placement.evict", "placement",
+        "\"file\":" + obs::JsonQuote(vf.name) +
+            ",\"bytes\":" + std::to_string(dropped.stored_bytes) +
+            ",\"chunks\":" + std::to_string(dropped.chunks) +
+            ",\"tier\":" + obs::JsonQuote(hierarchy_.Level(level).name()));
+  }
+  return true;
 }
 
 std::optional<int> PlacementHandler::ReserveChunk(const FileInfoPtr& file,
@@ -869,31 +641,41 @@ std::optional<int> PlacementHandler::ReserveChunk(const FileInfoPtr& file,
   return EvictAndReserve(file, lane, stored_bytes, level);
 }
 
-Result<bool> PlacementHandler::StageRun(
-    const StagingTask& task, pack::ChunkMap& cm, std::uint32_t first,
-    std::span<const pack::ChunkMap::ChunkMeta> metas,
+Status PlacementHandler::StageRun(
+    const StagingTask& task, pack::ChunkMap& cm, int level,
+    std::uint32_t first, std::span<const pack::ChunkMap::ChunkMeta> metas,
     std::span<const std::byte> stored) {
   const FileInfoPtr& file = task.file;
-  const std::optional<int> level =
-      ReserveChunk(file, cm, stored.size(), task.lane);
-  if (!level.has_value()) return false;
-  StorageDriver& tier = hierarchy_.Level(*level);
+  StorageDriver& tier = hierarchy_.Level(level);
   const std::string object = pack::ChunkObjectName(file->name, first);
   Status written = tier.Write(object, stored);
+  // Optionally read the run back and prove the bytes landed intact: a
+  // corrupted staged run must degrade to a failed placement, never get
+  // published as a serving replica.
   if (written.ok() && resilience_.verify_staged_writes) {
     std::vector<std::byte> readback(stored.size());
     auto rb = tier.Read(object, 0, readback);
     if (!rb.ok() || rb.value() != stored.size() ||
         Crc32c(std::span<const std::byte>(readback)) != Crc32c(stored)) {
       quarantined_.fetch_add(1, std::memory_order_relaxed);
+      obs::EventTracer& tracer = obs::EventTracer::Global();
+      if (tracer.enabled()) {
+        tracer.RecordInstant("placement.quarantine", "resilience",
+                             "\"file\":" + obs::JsonQuote(file->name) +
+                                 ",\"tier\":" + obs::JsonQuote(tier.name()) +
+                                 ",\"phase\":\"stage\"");
+      }
       written = DataLossError("staged run failed verification: " + object);
     }
   }
   if (!written.ok()) {
+    // A failed write may have landed part of the run; remove it so a
+    // retry starts clean and readers never see a truncated object.
     (void)tier.Delete(object);
     tier.Release(stored.size());
     return written;
   }
+  chunks_copied_.fetch_add(1, std::memory_order_relaxed);
   const auto last =
       static_cast<std::uint32_t>(first + metas.size() - 1);
   const std::uint64_t logical = cm.ChunkOffset(last) +
@@ -901,38 +683,43 @@ Result<bool> PlacementHandler::StageRun(
                                 cm.ChunkOffset(first);
   {
     std::lock_guard lock(cm.placement_mutex());
-    if (cm.PublishRun(first, metas) == 0) {
+    const std::uint32_t before = cm.PublishRun(first, metas);
+    if (before == 0) {
       // First resident run: the file now serves (partially) from a
-      // tier. Flip the whole-file state so the eviction policies see it
-      // as placed and readers route offset lookups via the map.
+      // tier. Flip its state so the eviction policies see it as placed.
       file->fetch_failures.store(0, std::memory_order_relaxed);
       if (task.tenant.low_retention &&
           !file->low_retention.exchange(true, std::memory_order_acq_rel)) {
         low_retention_resident_bytes_.fetch_add(file->size,
                                                 std::memory_order_relaxed);
       }
-      file->FinishFetch(*level);
+      file->FinishFetch(level);
       completed_.fetch_add(1, std::memory_order_relaxed);
       if (task.lane == StagingLane::kPrefetch) {
         prefetch_completed_.fetch_add(1, std::memory_order_relaxed);
       }
     }
+    // Advertise the file to the cluster once every chunk is readable.
+    if (before + metas.size() == cm.num_chunks() && peer_view_ != nullptr) {
+      peer_view_->OnStaged(file->name, level);
+    }
   }
   chunks_staged_.fetch_add(metas.size(), std::memory_order_relaxed);
   chunk_stored_bytes_.fetch_add(stored.size(), std::memory_order_relaxed);
   bytes_staged_.fetch_add(logical, std::memory_order_relaxed);
-  return true;
+  return Status::Ok();
 }
 
 void PlacementHandler::PlaceChunks(StagingTask task) {
   const FileInfoPtr file = task.file;
-  pack::ChunkMap* cm = file->chunk_map();
-  if (cm == nullptr) return;  // claims imply a map; defensive only
-  obs::TraceSpan span("pack.stage", "placement");
+  pack::ChunkMap& cm = *file->chunk_map();
+  obs::TraceSpan span("placement.stage", "placement");
   std::size_t runs = 0;
+  std::uint64_t bytes = 0;
   auto trace_args = [&] {
     if (!span.active()) return;
     span.set_args_json("\"file\":" + obs::JsonQuote(file->name) +
+                       ",\"bytes\":" + std::to_string(bytes) +
                        ",\"chunks\":" + std::to_string(task.chunks.size()) +
                        ",\"runs\":" + std::to_string(runs) +
                        ",\"neighbours\":" + std::to_string(task.neighbours) +
@@ -949,10 +736,13 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
   // its logical bytes fit the lease too). The run's logical bytes come
   // from the donation, or from the pooled lease that the PFS fills once
   // per undonated stretch; the encoder's scratch is reused across runs.
+  // Without a codec a run's stored bytes are its logical bytes, so they
+  // are reserved before the PFS is read: a run no tier has room for
+  // costs no read.
   const std::uint64_t cap =
       std::min<std::uint64_t>(pool_.chunk_bytes(), UINT32_MAX);
   auto max_stored = [&](std::uint32_t c) -> std::uint64_t {
-    const std::uint32_t n = cm->ChunkLogicalBytes(c);
+    const std::uint32_t n = cm.ChunkLogicalBytes(c);
     return codec_ != nullptr ? codec_->MaxStoredSize(n) : n;
   };
   std::optional<BufferPool::Lease> lease;
@@ -973,77 +763,92 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
          ++count) {
       worst += max_stored(first + count);
     }
-    const std::uint64_t run_offset = cm->ChunkOffset(first);
-    auto source = SliceSource(
-        task, run_offset,
-        static_cast<std::size_t>(cm->ChunkOffset(first + count - 1) +
-                                 cm->ChunkLogicalBytes(first + count - 1) -
-                                 run_offset),
-        lease);
-    if (!source.ok()) {
-      failure = source.status();
-      break;
-    }
-    const std::span<const std::byte> logical = source.value();
-
-    metas.clear();
-    encoded.clear();
-    for (std::uint32_t c = first; c < first + count && failure.ok(); ++c) {
-      const std::span<const std::byte> chunk = logical.subspan(
-          static_cast<std::size_t>(cm->ChunkOffset(c) - run_offset),
-          cm->ChunkLogicalBytes(c));
-      pack::ChunkMap::ChunkMeta& meta = metas.emplace_back();
-      meta.crc_logical = Crc32c(chunk);
-      meta.stored_bytes = static_cast<std::uint32_t>(chunk.size());
-      meta.crc_stored = meta.crc_logical;
-      if (codec_ != nullptr) {
-        failure = codec_->Encode(chunk, chunk_out);
-        encoded.insert(encoded.end(), chunk_out.begin(), chunk_out.end());
-        meta.stored_bytes = static_cast<std::uint32_t>(chunk_out.size());
-        meta.crc_stored = Crc32c(chunk_out);
+    const std::uint64_t run_offset = cm.ChunkOffset(first);
+    const std::size_t run_bytes = static_cast<std::size_t>(
+        cm.ChunkOffset(first + count - 1) +
+        cm.ChunkLogicalBytes(first + count - 1) - run_offset);
+    std::optional<int> level;
+    if (codec_ == nullptr) {
+      level = ReserveChunk(file, cm, run_bytes, task.lane);
+      if (!level.has_value()) {
+        rejected = true;
+        break;
       }
     }
-    if (!failure.ok()) break;
-    // Identity codec: the stored run is the logical run itself.
-    Result<bool> staged =
-        StageRun(task, *cm, first, metas,
-                 codec_ != nullptr ? std::span<const std::byte>(encoded)
-                                   : logical);
-    if (!staged.ok()) {
-      failure = staged.status();
-      break;
+    inflight_bytes_.fetch_add(run_bytes, std::memory_order_relaxed);
+    auto source = SliceSource(task, run_offset, run_bytes, lease);
+    if (source.ok()) {
+      const std::span<const std::byte> logical = source.value();
+      metas.clear();
+      encoded.clear();
+      for (std::uint32_t c = first; c < first + count && failure.ok(); ++c) {
+        const std::span<const std::byte> chunk = logical.subspan(
+            static_cast<std::size_t>(cm.ChunkOffset(c) - run_offset),
+            cm.ChunkLogicalBytes(c));
+        pack::ChunkMap::ChunkMeta& meta = metas.emplace_back();
+        meta.crc_logical = Crc32c(chunk);
+        meta.stored_bytes = static_cast<std::uint32_t>(chunk.size());
+        meta.crc_stored = meta.crc_logical;
+        if (codec_ != nullptr) {
+          failure = codec_->Encode(chunk, chunk_out);
+          encoded.insert(encoded.end(), chunk_out.begin(), chunk_out.end());
+          meta.stored_bytes = static_cast<std::uint32_t>(chunk_out.size());
+          meta.crc_stored = Crc32c(chunk_out);
+        }
+      }
+      // Identity codec: the stored run is the logical run itself.
+      const std::span<const std::byte> stored =
+          codec_ != nullptr ? std::span<const std::byte>(encoded) : logical;
+      if (failure.ok() && !level.has_value()) {
+        level = ReserveChunk(file, cm, stored.size(), task.lane);
+        rejected = !level.has_value();
+      }
+      if (failure.ok() && level.has_value()) {
+        failure = StageRun(task, cm, *level, first, metas, stored);
+      } else if (level.has_value()) {
+        hierarchy_.Level(*level).Release(stored.size());
+      }
+    } else {
+      failure = source.status();
+      if (level.has_value()) hierarchy_.Level(*level).Release(run_bytes);
     }
-    if (!staged.value()) {
-      rejected = true;
-      break;
-    }
+    inflight_bytes_.fetch_sub(run_bytes, std::memory_order_relaxed);
+    if (rejected || !failure.ok()) break;
     ++runs;
+    bytes += run_bytes;
     next += count;
   }
   trace_args();
 
   if (next >= task.chunks.size()) return;  // every chunk published
 
-  // Back out the claims we will not stage.
+  if (!rejected) {
+    MLOG_WARN << "staging of '" << file->name << "' failed: " << failure;
+    RecordStagingFailure(*file);
+  } else {
+    CountNoSpace(task);  // cancels a prefetch: never a permanent rejection
+    if (task.lane == StagingLane::kDemand && Evicts()) {
+      // Eviction makes quota headroom dynamic: this rejection only means
+      // the policy protected every current resident (or lost the claim
+      // races), not that the file can never fit. Leave it retryable, but
+      // latch stage_refused so readers retry once per file open instead
+      // of once per chunk.
+      file->stage_refused.store(true, std::memory_order_release);
+    } else if (task.lane == StagingLane::kDemand) {
+      // No tier can hold the file and nothing will ever be evicted: it
+      // stays PFS-resident for the whole job.
+      Park(*file);
+    }
+  }
+  // Back out the claims we will not stage only now that the file is
+  // settled, so a reader woken by the release finds it parked or
+  // retryable, never in between.
   StagingTask rest;
   rest.file = file;
   rest.chunks.assign(task.chunks.begin() +
                          static_cast<std::ptrdiff_t>(next),
                      task.chunks.end());
   ReleaseClaims(rest);
-  if (rejected) {
-    CountNoSpace(task);
-    if (task.lane == StagingLane::kDemand) {
-      // Latch so chunked readers stop re-enqueueing doomed demand
-      // stagings chunk by chunk; the next offset-0 read re-arms it.
-      file->stage_refused.store(true, std::memory_order_release);
-    }
-    return;
-  }
-  chunk_failures_.fetch_add(1, std::memory_order_relaxed);
-  failed_.fetch_add(1, std::memory_order_relaxed);
-  file->prefetched.store(false, std::memory_order_relaxed);
-  MLOG_WARN << "chunk staging of '" << file->name << "' failed: " << failure;
 }
 
 void PlacementHandler::InstallSchedule(
@@ -1105,7 +910,6 @@ PlacementStats PlacementHandler::Stats() const {
   s.chunks_staged = chunks_staged_.load(std::memory_order_relaxed);
   s.chunk_stored_bytes = chunk_stored_bytes_.load(std::memory_order_relaxed);
   s.chunks_evicted = chunks_evicted_.load(std::memory_order_relaxed);
-  s.chunk_failures = chunk_failures_.load(std::memory_order_relaxed);
   s.cross_class_evictions =
       cross_class_evictions_.load(std::memory_order_relaxed);
   s.scan_stage_refusals =

@@ -1,20 +1,25 @@
 // PlacementHandler: MONARCH's background staging engine (§III-A/B),
 // rebuilt as a pipelined copy service behind one fair staging queue.
 //
-// When the read path sees a file that only exists on the PFS, it claims
-// the file (FileInfo CAS) and hands it to this module. Dedicated worker
-// threads — the paper configures 6 — then:
+// One staging unit: every file is a chunk map (pack::ChunkMap). Without
+// pack mode a chunk is one pooled staging buffer (`staging_chunk_bytes`)
+// and the codec is identity, so every run is one chunk and a file of up
+// to one buffer stages, evicts and serves as one tier object
+// (`name#c0`); a larger file becomes one object per chunk. Pack mode
+// picks a smaller chunk and a codec, and a run then holds several
+// chunks. When the read path sees chunks that only exist on the PFS it
+// claims them (ChunkMap::TryClaim) and hands them to this module.
+// Dedicated worker threads — the paper configures 6 — then, run by run:
 //   1. ask the placement policy for a writable level with room
-//      (first-fit top-down in the paper's configuration),
-//   2. stream the file tier-to-tier in fixed-size chunks drawn from a
-//      bounded, reusable buffer pool (peak staging memory is
-//      `staging_buffer_bytes`, never a function of file sizes), reusing
-//      the bytes the triggering read already pulled (its donation)
-//      instead of re-reading them from the PFS,
-//   3. publish the copy — recording its incrementally computed CRC32C
-//      and, when verify_staged_writes is on, reading it back chunk by
-//      chunk to prove the bytes landed intact — and flip the file's
-//      level so subsequent reads are served from it.
+//      (first-fit top-down in the paper's configuration) — before the
+//      PFS is read when the run's stored size is known up front,
+//   2. assemble the run in one buffer from a bounded, reusable pool
+//      (peak staging memory is `staging_buffer_bytes`, never a function
+//      of file sizes), reusing the bytes the triggering read already
+//      pulled (its donation) and reading only the rest from the PFS,
+//   3. write it as one tier object, read it back when
+//      verify_staged_writes is on, and publish it with its CRC32Cs so
+//      later reads of its chunks are served from it.
 //
 // One staging queue: every task waits in a qos::FairQueue keyed by I/O
 // class. DEMAND tasks come from actual reads and ride their tenant's
@@ -28,32 +33,32 @@
 // only by the run schedule, and a prefetch rejection is never permanent.
 //
 // Joinable copies: while a demand task for a file is queued, or any
-// copy of it runs, the handler keeps FileInfo::joinable set (and tells
-// the peer view), so a read that would go to the PFS waits for the copy
-// instead of pulling the file a second time — whole files and chunk
-// tasks alike. The worker clears it when a copy ends; ReleaseClaims
-// clears it for tasks dropped unrun. Queued prefetch tasks are not
-// joinable: a reader promotes one first. A pack-mode stretch read's
-// claims (ClaimFile) are joinable while its PFS read is in flight;
-// queuing a neighbour's prefetch task ends that, so its readers promote
-// it.
+// task of it runs, the handler keeps FileInfo::joinable set (and tells
+// the peer view), so a read whose chunks are claimed waits for the task
+// instead of pulling them a second time. The worker clears it when a
+// task ends; ReleaseClaims clears it for tasks dropped unrun. Queued
+// prefetch tasks are not joinable: a reader promotes one first. A
+// pack-mode stretch read's claims (ClaimFile) are joinable while its PFS
+// read is in flight; queuing a neighbour's prefetch task ends that, so
+// its readers promote it.
 //
-// Failure handling (ISSUE 2): backend I/O is retried inside the storage
-// drivers; a staging attempt that still fails is re-tried on a later
-// access until the per-file cap (max_placement_attempts) marks the file
-// unplaceable. A staged copy whose checksum does not match is
-// QUARANTINED: deleted, its quota released, and the file reset to
-// PFS-resident — corruption degrades to vanilla-PFS performance, never
-// wrong bytes.
+// Failure ledger: backend I/O is retried inside the storage
+// drivers; a staging task that still fails leaves the file retryable on
+// a later access until the per-file cap (max_placement_attempts) parks
+// it: every run dropped, the file unplaceable. A run whose bytes fail
+// verification — on the staging readback or on a tier read — is
+// QUARANTINED: deleted, its quota released, and its chunks served from
+// the PFS again; corruption degrades to vanilla-PFS performance, never
+// wrong bytes, and counts toward the same cap.
 //
 // Evictions (ISSUE 6): the paper's first-fit policy never evicts — with
 // random per-epoch access every file is equally likely, so replacement
 // would only add tier-to-tier traffic ("I/O trashing"). The eviction-
 // capable policies (lru, hotspot; docs/PLACEMENT.md) make the opposite
-// bet for partial-fit datasets: when PickLevel finds no room, the
-// handler walks a victim ranking and drops placed copies — through
-// DropCopy, the one drop path quarantine and cleanup share, honouring
-// read and visit pins — until the incoming file fits. The demand lane
+// bet for partial-fit datasets: when a run finds no room, the handler
+// walks a victim ranking and drops placed files — every run of each
+// (EvictChunks), honouring read and visit pins — until the run fits.
+// The demand lane
 // evicts whenever the policy allows it (or the enable_eviction ablation
 // forces it). The trainer publishes the run's schedule (RunSchedule)
 // once; it feeds look-ahead prefetch, and under an evicting policy the
@@ -97,10 +102,10 @@ struct PlacementOptions {
   /// Background copy threads (paper: 6).
   int num_threads = 6;
 
-  /// When the framework's read covers only part of the file, fetch the
-  /// whole file in the background anyway (§III-B). Disabling this is the
-  /// `abl_design_choices` "no-full-fetch" arm: only full-file reads get
-  /// staged.
+  /// When the framework's read covers only part of a chunk, stage the
+  /// chunk anyway (§III-B: for a file of one chunk, the whole file).
+  /// Disabling this is the `abl_design_choices` "no-full-fetch" arm: a
+  /// read stages only the chunks it covers in full.
   bool fetch_full_file_on_partial_read = true;
 
   /// Force the demand lane to evict even under a policy that does not
@@ -116,7 +121,8 @@ struct PlacementOptions {
   std::uint64_t staging_buffer_bytes = 64ULL * 1024 * 1024;
 
   /// Copy granularity: each pooled buffer holds one chunk of this size
-  /// (`[placement] staging_chunk_bytes`).
+  /// (`[placement] staging_chunk_bytes`); without pack mode it is also
+  /// the staging unit, every file's chunk size.
   std::uint64_t staging_chunk_bytes = 4ULL * 1024 * 1024;
 
   /// How many scheduled files look-ahead keeps in flight ahead of the
@@ -133,11 +139,11 @@ struct PlacementOptions {
   /// queue degenerates to the original demand/prefetch behaviour.
   qos::QosOptions qos;
 
-  /// Small-file packing / chunk-granularity staging (ISSUE 9). When
-  /// `pack.enabled`, dataset files are staged, evicted and served chunk
-  /// by chunk through `ScheduleChunkPlacement` instead of whole-file
-  /// `SchedulePlacement`; `pack.chunk_bytes` is clamped to the staging
-  /// chunk size so a logical chunk always fits one pooled buffer.
+  /// Small-file packing. When `pack.enabled`, files are cut
+  /// into `pack.chunk_bytes` chunks (clamped to the staging chunk size so
+  /// a logical chunk always fits one pooled buffer) stored through
+  /// `pack.codec`; otherwise the handler sets `pack.chunk_bytes` to the
+  /// staging chunk size and stages without a codec.
   pack::PackOptions pack;
 };
 
@@ -147,7 +153,7 @@ struct PlacementStats {
   std::uint64_t rejected_no_space = 0;
   std::uint64_t failed = 0;        ///< backend errors during staging
   std::uint64_t bytes_staged = 0;
-  std::uint64_t evictions = 0;       ///< placed copies dropped for space
+  std::uint64_t evictions = 0;       ///< placed files dropped for space
   std::uint64_t evicted_bytes = 0;   ///< bytes those copies occupied
   /// Evictions the policy refused (no eligible victim) or that freed no
   /// usable room — the incoming file stayed rejected.
@@ -163,7 +169,7 @@ struct PlacementStats {
   std::uint64_t prefetch_completed = 0;  ///< prefetch-lane copies published
   std::uint64_t prefetch_promoted = 0;   ///< prefetches overtaken by demand
   std::uint64_t prefetch_cancelled = 0;  ///< prefetches dropped unstaged
-  std::uint64_t chunks_copied = 0;       ///< chunk writes across all copies
+  std::uint64_t chunks_copied = 0;       ///< run objects written
   std::uint64_t donated_bytes = 0;       ///< triggering-read bytes reused
   std::uint64_t donation_held_bytes = 0;  ///< gauge: donated bytes held
   /// Gauge: staging tasks waiting, per I/O class (qos::ClassIndex).
@@ -172,11 +178,10 @@ struct PlacementStats {
   std::uint64_t buffer_pool_used_bytes = 0;      ///< gauge
   std::uint64_t buffer_pool_capacity_bytes = 0;  ///< gauge
 
-  // Chunk-granularity staging (ISSUE 9; zero when pack mode is off).
+  // Chunk-granularity staging.
   std::uint64_t chunks_staged = 0;        ///< chunk copies published
   std::uint64_t chunk_stored_bytes = 0;   ///< post-codec bytes written
   std::uint64_t chunks_evicted = 0;       ///< chunk copies dropped
-  std::uint64_t chunk_failures = 0;       ///< chunk copies that failed
 
   // Multi-tenant QoS (ISSUE 10; docs/OBSERVABILITY.md §1).
   /// Evictions where a low-retention requester dropped a non-low-
@@ -191,9 +196,9 @@ struct PlacementStats {
 
 class PlacementHandler {
  public:
-  /// `peer_view`, when set, is notified of every publish/drop of a
-  /// placed copy so the cluster's FileDirectory tracks what this node
-  /// can serve to peers (ISSUE 4).
+  /// `peer_view`, when set, learns when a file becomes fully resident
+  /// and when its first run drops, so the cluster's FileDirectory tracks
+  /// what this node can serve to peers.
   PlacementHandler(StorageHierarchy& hierarchy, MetadataContainer& metadata,
                    PlacementPolicyPtr policy, PlacementOptions options,
                    ResilienceOptions resilience = {},
@@ -203,24 +208,15 @@ class PlacementHandler {
   PlacementHandler(const PlacementHandler&) = delete;
   PlacementHandler& operator=(const PlacementHandler&) = delete;
 
-  /// Called after `file` was claimed (TryBeginFetch). `prefix`: bytes
-  /// the triggering read already pulled from offset 0 — the full file, or
-  /// a leading prefix that the chunk pipeline extends with PFS reads. It
-  /// is donated (copied into the task, never re-read) when the staging-
-  /// memory budget has room, else the copy re-reads it from the PFS.
-  /// Never blocks the caller.
-  void SchedulePlacement(FileInfoPtr file, std::span<const std::byte> prefix,
-                         StagingLane lane = StagingLane::kDemand);
-
-  /// Chunk-granularity staging (pack mode). `chunks` are ascending chunk
-  /// indexes the caller already claimed via ChunkMap::TryClaim; the
-  /// handler stages them — codec encode, CRC on both sides — through the
-  /// same staging queue, each run of consecutive chunks as one tier
-  /// object, and releases every claim (publish or back-out). `donated`
-  /// holds the file's bytes from `donated_offset` that the triggering
-  /// read pulled; the bytes it covers are staged from it (budget
-  /// permitting, as for SchedulePlacement), each stretch it does not is
-  /// read from the PFS with one read. Never blocks.
+  /// Stage chunks of `file`. `chunks` are ascending chunk indexes the
+  /// caller already claimed via ChunkMap::TryClaim; the handler stages
+  /// them — codec encode, CRC on both sides — each run of consecutive
+  /// chunks as one tier object, and releases every claim (publish or
+  /// back-out). `donated` holds the file's bytes from `donated_offset`
+  /// that the triggering read pulled; the bytes it covers are staged
+  /// from it when the staging-memory budget has room (copied into the
+  /// task, never re-read), each stretch it does not is read from the PFS
+  /// with one read. Never blocks.
   /// A donated prefetch (a stretch read's neighbour) whose donation the
   /// budget refuses is cancelled, never re-read. `neighbours`: see
   /// StagingTask.
@@ -235,7 +231,8 @@ class PlacementHandler {
   /// caller schedules once the bytes arrive (ScheduleChunkPlacement), and
   /// mark the file joinable meanwhile, so its readers wait for those
   /// bytes instead of reading the PFS. Returns the chunks; empty, having
-  /// claimed nothing, when any chunk is resident or claimed.
+  /// claimed nothing, when any chunk is resident or claimed or the file
+  /// is unplaceable.
   std::vector<std::uint32_t> ClaimFile(const FileInfoPtr& file);
 
   /// Hand back ClaimFile's claims unscheduled (the stretch read failed)
@@ -255,38 +252,19 @@ class PlacementHandler {
   /// the number of cancelled prefetches.
   std::size_t CancelPrefetches();
 
-  /// Why a placed whole-file copy is dropped (counters and traces).
-  /// kVanished: the read path found the tier object gone.
-  enum class DropReason { kEvict, kQuarantine, kCleanup, kVanished };
-  /// Drop `file`'s placed whole-file copy: claim it (kPlaced ->
-  /// kFetching), point the file at the PFS, retract it from the peer
-  /// view, delete the bytes, release the quota (also when the object is
-  /// already gone) and the low-retention share, then count and trace the
-  /// drop under `reason`. All but a quarantined file return to the
-  /// retryable PFS-only state; that one stays claimed for QuarantineCopy
-  /// to settle. A copy whose delete fails stops serving all the same;
-  /// its quota stays reserved. Returns false, leaving the file as it
-  /// was, when the claim fails, nothing is staged, or (eviction only) a
-  /// read pins the file. Thread-safe.
-  bool DropCopy(const FileInfoPtr& file, DropReason reason);
-
-  /// Remove `file`'s tier copy because its bytes failed verification
-  /// (DropCopy), then reset the file to PFS-resident — or unplaceable
-  /// once past the failure cap, or at once with restage_after_quarantine
-  /// off. Returns false when another thread already holds the file in a
-  /// non-kPlaced state. Thread-safe.
-  bool QuarantineCopy(const FileInfoPtr& file);
-
   /// Drop the run holding chunk `chunk` of `file` because the read path
-  /// found its tier object corrupt or gone: delete the object, release
+  /// found its tier object gone, or `corrupt`: delete the object, release
   /// its bytes once, and fold the file back to PFS-resident when nothing
-  /// else stays resident. A later miss re-stages the chunks. Thread-safe.
-  void DropChunkRun(const FileInfoPtr& file, std::uint32_t chunk);
+  /// else stays resident. A later miss re-stages the chunks. A corrupt
+  /// run is quarantined: counted, and charged to the file's failure cap,
+  /// which parks the file — at once with restage_after_quarantine off.
+  /// Thread-safe.
+  void DropChunkRun(const FileInfoPtr& file, std::uint32_t chunk,
+                    bool corrupt);
 
-  /// Remove `file`'s staged copy for the end-of-job cleanup
-  /// (Monarch::CleanupStagedCopies): a whole-file copy through DropCopy,
-  /// read pins notwithstanding; chunk copies (pack mode) through
-  /// EvictChunks, which honours them. Returns true when a copy went.
+  /// Remove every staged run of `file` for the end-of-job cleanup
+  /// (Monarch::CleanupStagedCopies), read pins notwithstanding. Returns
+  /// true when a run went.
   bool CleanupCopy(const FileInfoPtr& file);
 
   /// Install the whole-run demand access sequence
@@ -352,8 +330,7 @@ class PlacementHandler {
   using BudgetCharge = std::unique_ptr<std::atomic<std::uint64_t>, Uncharge>;
 
   /// Bytes the triggering read already pulled: the file's bytes
-  /// [offset, offset + bytes.size()). Whole-file tasks donate from
-  /// offset 0; empty = nothing donated.
+  /// [offset, offset + bytes.size()); empty = nothing donated.
   struct Donation {
     std::uint64_t offset = 0;
     std::vector<std::byte> bytes;
@@ -364,7 +341,7 @@ class PlacementHandler {
     FileInfoPtr file;
     Donation donation;
     StagingLane lane = StagingLane::kDemand;
-    /// Claimed chunk indexes (pack mode); empty = whole-file task.
+    /// Claimed chunk indexes, ascending.
     std::vector<std::uint32_t> chunks;
     /// Who this staging serves, captured from the scheduling thread's
     /// ambient tenant and re-installed on the worker (ISSUE 10).
@@ -378,7 +355,7 @@ class PlacementHandler {
   /// class (interactive/training in band 0, scan in band 1).
   [[nodiscard]] static int TaskClass(const StagingTask& task) noexcept;
   /// Service cost of the task in bytes (fair-queue finish-tag units).
-  [[nodiscard]] double TaskCost(const StagingTask& task) const noexcept;
+  [[nodiscard]] static double TaskCost(const StagingTask& task) noexcept;
   /// Enqueue on the fair queue. Caller holds mu_.
   void PushLocked(StagingTask task);
   /// Copy `bytes` (the file's bytes from `offset`) into a donation when
@@ -388,11 +365,11 @@ class PlacementHandler {
   /// Count and enqueue a claimed task — or, once scheduling stopped,
   /// cancel it and hand its claims back. Never blocks.
   void Enqueue(StagingTask task);
-  /// Back out of a task without staging: abort the file-level fetch
-  /// (ending its joinable copy), or release every chunk claim
-  /// (resetting the chunk tier when nothing ended up resident).
+  /// Back out of a task without staging: release every chunk claim
+  /// (resetting the chunk tier when nothing ended up resident) and end
+  /// its joinable copy.
   void ReleaseClaims(const StagingTask& task);
-  /// Mark `file`'s whole-file copy joinable, here and in the peer view.
+  /// Mark `file`'s copy joinable, here and in the peer view.
   void BeginJoinable(FileInfo& file);
   /// Clear the mark and wake the reads waiting on it.
   void EndJoinable(FileInfo& file);
@@ -406,16 +383,14 @@ class PlacementHandler {
   /// No level had room even after eviction: count the rejection, and
   /// cancel a prefetch task (a prefetch rejection is never permanent).
   void CountNoSpace(const StagingTask& task);
-  /// Low-retention bookkeeping when a staged copy disappears (eviction,
-  /// quarantine, cleanup): clears the file's marking and returns the
-  /// resident gauge's share. Returns whether the copy was low-retention.
+  /// Low-retention bookkeeping when a file's last run disappears
+  /// (eviction, quarantine, cleanup): clears the file's marking and
+  /// returns the resident gauge's share. Returns whether the copy was
+  /// low-retention.
   bool NoteCopyDropped(FileInfo& file) noexcept;
 
   void WorkerLoop();
-  /// Stage one file. Returns normally whether the copy succeeded or
-  /// failed.
-  void PlaceFile(StagingTask task);
-  /// The file's bytes [offset, offset + n) for one staging slice (n fits
+  /// The file's bytes [offset, offset + n) for one staging run (n fits
   /// one pooled buffer): a view of the task's donation when it covers
   /// the whole range, else assembled in the pooled `lease` (acquired on
   /// first use) — the donated part copied in, the stretches before and
@@ -423,18 +398,13 @@ class PlacementHandler {
   Result<std::span<const std::byte>> SliceSource(
       const StagingTask& task, std::uint64_t offset, std::size_t n,
       std::optional<BufferPool::Lease>& lease);
-  /// Chunk loop: write the donated prefix (if any), then stream the rest
-  /// of the file from the PFS through one pooled buffer.
-  /// `crc` accumulates over every byte in file order.
-  Status StreamCopy(const StagingTask& task, StorageDriver& destination,
-                    std::uint32_t& crc);
-  /// Chunked read-back verification against `crc` (bounded memory).
-  bool VerifyStagedCopy(const FileInfoPtr& file, StorageDriver& destination,
-                        std::uint32_t crc);
   /// Count one failed staging attempt and either leave the file
-  /// retryable (a later access re-claims it) or mark it unplaceable once
-  /// the per-file cap is hit.
-  void RecordStagingFailure(const FileInfoPtr& file);
+  /// retryable (a later access re-claims it) or park it once the
+  /// per-file cap is hit.
+  void RecordStagingFailure(FileInfo& file);
+  /// Drop every run of `file` and mark it unplaceable: later reads are
+  /// served from the PFS and never claim its chunks again.
+  void Park(FileInfo& file);
   /// Whether the demand lane may evict: the policy evicts under
   /// pressure, or the enable_eviction ablation forces it.
   [[nodiscard]] bool Evicts() const noexcept {
@@ -445,8 +415,7 @@ class PlacementHandler {
   [[nodiscard]] bool TracksSchedule() const noexcept {
     return policy_->EvictsUnderPressure() || options_.prefetch_lookahead > 0;
   }
-  /// Reserve `bytes` (the whole file, or one stored run in pack mode)
-  /// on the level PickLevel chooses — or only on `level` when set — and,
+  /// Reserve `bytes` (one stored run) on the level PickLevel chooses — or only on `level` when set — and,
   /// when nothing has room, walk the victim ranking (an evicting
   /// policy's run schedule when installed, else the policy's; filtered
   /// to `level` when set), dropping placed copies until the reservation
@@ -456,13 +425,8 @@ class PlacementHandler {
   std::optional<int> EvictAndReserve(const FileInfoPtr& file,
                                      StagingLane lane, std::uint64_t bytes,
                                      std::optional<int> level = std::nullopt);
-  /// Drop one placed copy for space (DropCopy, honouring read pins and
-  /// scan resistance). Returns false when the claim failed or the file
-  /// was pinned. A victim with a chunk map (pack mode) drops all of its
-  /// runs via EvictChunks, never via DropCopy.
-  bool EvictOne(const FileInfoPtr& victim);
 
-  /// Stage the claimed chunks of one task (pack mode), run by run.
+  /// Stage the claimed chunks of one task, run by run.
   void PlaceChunks(StagingTask task);
   /// Ensure `file`'s chunk map has a tier and that tier has room for
   /// `stored_bytes` (reserving them). Evicts per the lane's rules when
@@ -473,28 +437,34 @@ class PlacementHandler {
                                   std::uint64_t stored_bytes,
                                   StagingLane lane);
   /// One run of the task's chunks, [first, first + metas.size()), whose
-  /// stored bytes are `stored`: one reservation, one Write of the run
-  /// object, one verify_staged_writes readback, one publish. Returns
-  /// true once published, false when no tier had room, or the error
-  /// that failed the copy (the object is deleted, its bytes released).
-  Result<bool> StageRun(const StagingTask& task, pack::ChunkMap& cm,
-                        std::uint32_t first,
-                        std::span<const pack::ChunkMap::ChunkMeta> metas,
-                        std::span<const std::byte> stored);
-  /// Drop the run holding `chunk` (if resident): clear its chunks, delete
-  /// its object from `tier` and release its bytes. Caller holds the
-  /// chunk map's placement mutex.
+  /// stored bytes are `stored`, already reserved on `level`: one Write of
+  /// the run object, one verify_staged_writes readback, one publish.
+  /// Returns the error that failed the copy (the object is deleted, its
+  /// bytes released).
+  Status StageRun(const StagingTask& task, pack::ChunkMap& cm, int level,
+                  std::uint32_t first,
+                  std::span<const pack::ChunkMap::ChunkMeta> metas,
+                  std::span<const std::byte> stored);
+  /// Drop the run holding `chunk` (if resident): clear its chunks,
+  /// retract a fully resident file from the peer view, delete the run's
+  /// object from `tier` and release its bytes. Caller holds the chunk
+  /// map's placement mutex.
   pack::ChunkMap::EvictedRun DropRunLocked(const FileInfo& file,
                                            pack::ChunkMap& cm,
                                            StorageDriver& tier,
                                            std::uint32_t chunk);
   /// Once nothing of `file` stays resident, reset its chunk tier and fold
-  /// it back to PFS-resident. Caller holds the placement mutex.
-  void FoldBackIfEmptyLocked(FileInfo& file, pack::ChunkMap& cm);
-  /// Drop every resident run of `victim` and reset it to PFS-resident
-  /// once nothing remains; honours read pins. Returns the stored bytes
-  /// freed.
-  std::uint64_t EvictChunks(const FileInfoPtr& victim);
+  /// it back to PFS-resident — unplaceable when `park`. Caller holds the
+  /// placement mutex.
+  void FoldBackLocked(FileInfo& file, pack::ChunkMap& cm, bool park);
+  /// Drop every resident run of `file`, then FoldBackLocked. Returns the
+  /// chunks and stored bytes dropped. Caller holds the placement mutex.
+  pack::ChunkMap::EvictedRun DropAllLocked(FileInfo& file, pack::ChunkMap& cm,
+                                           bool park);
+  /// Evict `victim` for space: drop every resident run of it, honouring
+  /// read pins and scan resistance, and count one eviction. Returns
+  /// false when the file was pinned, protected or had nothing resident.
+  bool EvictChunks(const FileInfoPtr& victim);
 
   StorageHierarchy& hierarchy_;
   MetadataContainer& metadata_;
@@ -532,14 +502,13 @@ class PlacementHandler {
   std::atomic<std::uint64_t> chunks_staged_{0};
   std::atomic<std::uint64_t> chunk_stored_bytes_{0};
   std::atomic<std::uint64_t> chunks_evicted_{0};
-  std::atomic<std::uint64_t> chunk_failures_{0};
   std::atomic<std::uint64_t> cross_class_evictions_{0};
   std::atomic<std::uint64_t> scan_stage_refusals_{0};
   std::atomic<std::uint64_t> low_retention_resident_bytes_{0};
   std::atomic<std::uint64_t> inflight_bytes_{0};  ///< gauge, all tiers
 
-  /// Codec for chunk staging, resolved once from options_.pack.codec
-  /// (falls back to the identity codec on an unknown name).
+  /// Codec for chunk staging, resolved once from options_.pack.codec in
+  /// pack mode (falls back to the identity codec on an unknown name).
   const pack::Codec* codec_ = nullptr;
 
   // Per-class fair work queue (ISSUE 10; the original two lanes are the

@@ -94,9 +94,9 @@ struct ResilienceOptions {
   /// placement instead of serving wrong bytes forever.
   bool verify_staged_writes = true;
 
-  /// Verify the recorded CRC32C on full-file reads served by a cache
-  /// tier; a mismatch quarantines the copy and re-reads from the PFS.
-  /// Off by default (costs a checksum pass per full read).
+  /// Verify the recorded CRC32C of every whole chunk a cache-tier read
+  /// serves; a mismatch quarantines the run and re-reads from the PFS.
+  /// Off by default (costs a checksum pass per chunk read whole).
   bool verify_on_read = false;
 
   /// Per-file cap on failed staging attempts: after this many the file is
@@ -104,8 +104,9 @@ struct ResilienceOptions {
   /// on every subsequent access (it keeps being served by the PFS).
   int max_placement_attempts = 3;
 
-  /// Schedule a fresh staging attempt after a quarantine removed the
-  /// corrupt copy (subject to max_placement_attempts).
+  /// Let a later read re-stage a file after a quarantine removed its
+  /// corrupt run (subject to max_placement_attempts); off, the first
+  /// quarantine parks the file on the PFS.
   bool restage_after_quarantine = true;
 };
 

@@ -35,6 +35,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace monarch::pack {
@@ -305,12 +306,15 @@ class ChunkMap {
   std::mutex placement_mu_;
 };
 
-/// Tier object name of the run that starts at chunk `index`. '#' cannot
-/// appear in pack logical names (PackWriter rejects it), so run objects
-/// never collide with whole-file staged copies.
+/// Tier object name of the run that starts at chunk `index`.
 inline std::string ChunkObjectName(const std::string& file,
                                    std::uint32_t index) {
   return file + "#c" + std::to_string(index);
+}
+
+/// The file a run object belongs to (ChunkObjectName's inverse).
+inline std::string ChunkObjectFile(std::string_view object) {
+  return std::string(object.substr(0, object.rfind("#c")));
 }
 
 }  // namespace monarch::pack

@@ -10,18 +10,20 @@
 namespace monarch::pack {
 
 struct PackOptions {
-  /// Master switch: stage, evict and serve dataset files at chunk
-  /// granularity (and look for a pack index under the dataset dir at
-  /// startup). Off = the classic whole-file placement unit.
+  /// Master switch: stage, evict and serve dataset files in chunks of
+  /// `chunk_bytes` through `codec` (and look for a pack index under the
+  /// dataset dir at startup). Off, every file is still a chunk map, but
+  /// its chunk is one staging buffer (`[placement] staging_chunk_bytes`)
+  /// stored as is, so a file that fits one buffer is one tier object.
   bool enabled = false;
 
-  /// Staging/serving granularity. Every file is split into fixed-size
-  /// chunks of this many logical bytes (the last chunk may be short).
-  /// Must fit in the staging buffer pool's chunk buffers.
+  /// Staging/serving granularity in pack mode. Every file is split into
+  /// fixed-size chunks of this many logical bytes (the last chunk may be
+  /// short). Clamped to the staging buffer pool's chunk buffers.
   std::uint64_t chunk_bytes = 256 * 1024;
 
-  /// Per-chunk stage-in codec: "none" | "lz". Staged chunks are stored
-  /// post-codec, so tier quota is charged compressed bytes.
+  /// Per-chunk stage-in codec in pack mode: "none" | "lz". Staged chunks
+  /// are stored post-codec, so tier quota is charged compressed bytes.
   std::string codec = "none";
 };
 

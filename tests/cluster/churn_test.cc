@@ -29,6 +29,7 @@
 #include "cluster/peer_group.h"
 #include "cluster/restage_pump.h"
 #include "core/monarch.h"
+#include "pack/chunk_map.h"
 #include "storage/memory_engine.h"
 #include "util/clock.h"
 
@@ -388,6 +389,30 @@ struct ChurnWorld {
     }
   }
 };
+
+TEST(ChurnIntegrationTest, OwnersPeerServedReadStagesItsReplica) {
+  // Two nodes, replication 2: both own every file. Node 1 reads a file
+  // node 0 staged, over the peer rung — and still stages its own replica,
+  // from the bytes the read donated, without touching the PFS.
+  ChurnWorld world(2, /*replication=*/2);
+  ASSERT_EQ(2u, world.nodes.size());
+  std::vector<std::byte> buf(kIntFileBytes);
+  ASSERT_OK(world.nodes[0]->Read(File(0), 0, buf));
+  world.nodes[0]->DrainPlacements();
+  const std::uint64_t pfs_ops = world.pfs->Stats().Snapshot().read_ops;
+
+  ASSERT_OK(world.nodes[1]->Read(File(0), 0, buf));
+  EXPECT_EQ(GoldenPayload(0), buf);
+  world.nodes[1]->DrainPlacements();
+  const core::MonarchStats stats = world.nodes[1]->Stats();
+  const int peer = world.nodes[1]->hierarchy().peer_level();
+  EXPECT_EQ(1u, stats.levels[static_cast<std::size_t>(peer)].reads);
+  EXPECT_EQ(1u, stats.placement.completed) << "the replica was staged";
+  EXPECT_TRUE(world.locals[1]->Exists(pack::ChunkObjectName(File(0), 0))
+                  .value_or(false));
+  EXPECT_EQ(pfs_ops, world.pfs->Stats().Snapshot().read_ops);
+  EXPECT_EQ(2u, world.group->directory().PlacedHolders(File(0), -1).size());
+}
 
 TEST(ChurnIntegrationTest, KillRepairRejoinRestoresReplication) {
   ChurnWorld world(3, /*replication=*/2);

@@ -17,6 +17,7 @@
 #include "../test_support.h"
 #include "cluster/peer_group.h"
 #include "core/monarch.h"
+#include "pack/chunk_map.h"
 #include "storage/faulty_engine.h"
 #include "storage/memory_engine.h"
 
@@ -239,9 +240,10 @@ TEST(PeerCacheTest, VanishedPeerCopyFallsBackAsMiss) {
 
   const std::vector<int> owned0 = world.OwnedFiles(0);
   ASSERT_GE(owned0.size(), 1u);
-  // Rip the staged copy out from under the directory (staged copies keep
-  // the dataset-relative name on the tier engine).
-  ASSERT_OK(world.nodes[0].local_inner->Delete(File(owned0[0])));
+  // Rip the staged copy out from under the directory (a staged file is
+  // its run object, named after the dataset-relative path).
+  ASSERT_OK(world.nodes[0].local_inner->Delete(
+      pack::ChunkObjectName(File(owned0[0]), 0)));
 
   std::vector<std::byte> buf(kFileBytes);
   ASSERT_OK(world.nodes[1].monarch->Read(File(owned0[0]), 0, buf));

@@ -18,6 +18,7 @@
 #include "../test_support.h"
 #include "cluster/peer_group.h"
 #include "core/monarch.h"
+#include "pack/chunk_map.h"
 #include "storage/faulty_engine.h"
 #include "storage/memory_engine.h"
 
@@ -61,12 +62,14 @@ struct Node {
 /// Two nodes sharing a PeerGroup. Node `gated_node`'s local tier holds
 /// the first write of `gated_file` until released. With `gated_lookahead`
 /// set, that node prefetches that far ahead through one placement worker.
+/// `staging_chunk_bytes`, when set, is every node's staging chunk.
 struct JoinWorld {
   std::unique_ptr<PeerGroup> group;
   std::vector<Node> nodes;
 
   explicit JoinWorld(int gated_node = -1, const std::string& gated_file = "",
-                     int gated_lookahead = 0) {
+                     int gated_lookahead = 0,
+                     std::uint64_t staging_chunk_bytes = 0) {
     group = std::make_unique<PeerGroup>(2);
     nodes.resize(2);
     for (int n = 0; n < 2; ++n) {
@@ -79,7 +82,9 @@ struct JoinWorld {
           std::make_shared<MemoryEngine>("local" + std::to_string(n)),
           FaultyEngine::FaultSpec{});
       node.gate = std::make_shared<GateEngine>(
-          n == gated_node ? gated_file : std::string(), node.faulty);
+          n == gated_node ? pack::ChunkObjectName(gated_file, 0)
+                          : std::string(),
+          node.faulty);
       group->RegisterNode(n, node.gate);
 
       core::MonarchConfig config;
@@ -91,6 +96,9 @@ struct JoinWorld {
       config.pfs = core::TierSpec{"pfs", node.pfs, 0};
       config.dataset_dir = "data";
       config.placement.num_threads = 2;
+      if (staging_chunk_bytes > 0) {
+        config.placement.staging_chunk_bytes = staging_chunk_bytes;
+      }
       if (n == gated_node && gated_lookahead > 0) {
         config.placement.prefetch_lookahead = gated_lookahead;
         config.placement.num_threads = 1;
@@ -149,6 +157,33 @@ TEST(PeerJoinTest, NonOwnerColdReadTriggersOneOwnerCopyAndNoPfsRead) {
   world.ReadFile(0, file);
   EXPECT_EQ(1u, world.monarch(1).Stats().placement.scheduled);
   EXPECT_EQ(1u, world.PfsReadOps(1));
+}
+
+TEST(PeerJoinTest, MultiChunkFileServesOracleBytesOverThePeerRung) {
+  // A file of two and a half staging chunks: its owner stages three run
+  // objects, and the non-owner reads them over the peer rung — cold
+  // through the owner's copy, then warm — one fetch per chunk, with the
+  // oracle bytes in both lanes (the lease is one private copy).
+  const int file = FileOwnedBy(1);
+  ASSERT_GE(file, 0);
+  JoinWorld world(/*gated_node=*/-1, "", 0,
+                  /*staging_chunk_bytes=*/kFileBytes * 2 / 5);
+  world.ReadFile(0, file);
+  world.ReadFile(0, file);
+  auto lease = world.monarch(0).ReadZeroCopy(File(file), 0);
+  ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+  EXPECT_FALSE(lease.value().zero_copy());
+  EXPECT_EQ(Payload(file),
+            std::vector<std::byte>(lease.value().data().begin(),
+                                   lease.value().data().end()));
+
+  const core::MonarchStats reader = world.monarch(0).Stats();
+  const int peer = world.monarch(0).hierarchy().peer_level();
+  EXPECT_EQ(0u, world.PfsReadOps(0));
+  EXPECT_EQ(1u, reader.peer_copy_joins);
+  EXPECT_EQ(3u, reader.levels[static_cast<std::size_t>(peer)].reads);
+  EXPECT_EQ(3u + 3u + 3u, world.group->network()->transfers());
+  EXPECT_EQ(3u, world.monarch(1).Stats().placement.chunks_copied);
 }
 
 TEST(PeerJoinTest, FailedOwnerCopyFallsBackToPfs) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "../test_support.h"
+#include "stage_file.h"
 #include "cluster/peer_group.h"
 #include "core/metadata_container.h"
 #include "core/placement_handler.h"
@@ -266,7 +267,8 @@ TEST_F(RunScheduleTest, TakeAheadRestartsOnInstall) {
 class EvictionHandlerTest : public ::testing::Test {
  protected:
   void Build(std::uint64_t quota, PlacementPolicyPtr policy,
-             PeerViewPtr peer_view = nullptr) {
+             PeerViewPtr peer_view = nullptr,
+             std::uint64_t staging_chunk_bytes = 0) {
     pfs_engine_ = std::make_shared<storage::MemoryEngine>("pfs");
     std::vector<StorageDriverPtr> drivers;
     tier_engine_ = std::make_shared<storage::MemoryEngine>("tier0");
@@ -278,6 +280,9 @@ class EvictionHandlerTest : public ::testing::Test {
         std::move(StorageHierarchy::Create(std::move(drivers))).value();
     PlacementOptions options;
     options.num_threads = 2;
+    if (staging_chunk_bytes > 0) {
+      options.staging_chunk_bytes = staging_chunk_bytes;
+    }
     handler_ = std::make_unique<PlacementHandler>(
         *hierarchy_, metadata_, std::move(policy), options,
         ResilienceOptions{}, std::move(peer_view));
@@ -291,15 +296,13 @@ class EvictionHandlerTest : public ::testing::Test {
 
   /// Claim + demand-stage + drain.
   void Stage(const FileInfoPtr& file) {
-    ASSERT_TRUE(file->TryBeginFetch());
-    handler_->SchedulePlacement(file, {});
+    ASSERT_TRUE(StageFile(*handler_, file));
     handler_->Drain();
   }
 
   /// Claim + prefetch-stage + drain.
   void Prefetch(const FileInfoPtr& file) {
-    ASSERT_TRUE(file->TryBeginFetch());
-    handler_->SchedulePlacement(file, {}, StagingLane::kPrefetch);
+    ASSERT_TRUE(StageFile(*handler_, file, {}, StagingLane::kPrefetch));
     handler_->Drain();
   }
 
@@ -335,7 +338,7 @@ TEST_F(EvictionHandlerTest, ReadPinBlocksEvictionUntilReleased) {
   EXPECT_GE(stats.eviction_pinned_skips, 1u);
   EXPECT_GE(stats.eviction_refused, 1u);
   std::vector<std::byte> buf(10);
-  EXPECT_TRUE(tier_engine_->Read("f1", 0, buf).ok())
+  EXPECT_TRUE(tier_engine_->Read("f1#c0", 0, buf).ok())
       << "the pinned copy's bytes must still be on the tier";
 
   // The pin is released (the read finished): now the eviction goes
@@ -437,6 +440,29 @@ TEST_F(EvictionHandlerTest, FirstFitIgnoresTheSchedule) {
   Prefetch(wanted);
   EXPECT_EQ(PlacementState::kPfsOnly, wanted->state.load());
   EXPECT_EQ(PlacementState::kPlaced, resident->state.load());
+}
+
+TEST_F(EvictionHandlerTest, EvictionsCountOneEventPerFileDropped) {
+  // Three-chunk files: an eviction drops every run of its victim, and
+  // counts one eviction per file, not per run.
+  Build(/*quota=*/30, MakeLruPolicy(), nullptr, /*staging_chunk_bytes=*/4);
+  std::vector<FileInfoPtr> files;
+  for (int i = 0; i < 5; ++i) {
+    files.push_back(AddPfsFile("f" + std::to_string(i), "0123456789"));
+    files.back()->last_access.store(static_cast<std::uint64_t>(i + 1));
+    Stage(files.back());
+  }
+  const auto stats = handler_->Stats();
+  EXPECT_EQ(2u, stats.evictions) << "f0 and f1 made room for f3 and f4";
+  EXPECT_EQ(6u, stats.chunks_evicted);
+  EXPECT_EQ(20u, stats.evicted_bytes);
+  EXPECT_EQ(15u, stats.chunks_copied) << "one run object per chunk";
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(i < 2 ? PlacementState::kPfsOnly : PlacementState::kPlaced,
+              files[static_cast<std::size_t>(i)]->state.load())
+        << i;
+  }
+  EXPECT_EQ(30u, hierarchy_->Level(0).occupancy_bytes());
 }
 
 TEST_F(EvictionHandlerTest, EvictionNotifiesPeerDirectory) {

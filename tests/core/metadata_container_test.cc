@@ -76,42 +76,42 @@ TEST(MetadataContainerTest, SnapshotIsSortedAndComplete) {
 
 TEST(FileInfoTest, FetchStateMachine) {
   FileInfo info("f", 10, /*pfs_level=*/1);
-  EXPECT_TRUE(info.TryBeginFetch());
-  EXPECT_FALSE(info.TryBeginFetch()) << "second claim must fail";
-  EXPECT_EQ(PlacementState::kFetching, info.state.load());
+  EXPECT_EQ(PlacementState::kPfsOnly, info.state.load());
 
   info.FinishFetch(0);
   EXPECT_EQ(0, info.level.load());
   EXPECT_EQ(PlacementState::kPlaced, info.state.load());
-  EXPECT_FALSE(info.TryBeginFetch()) << "placed files are never re-fetched";
 }
 
 TEST(FileInfoTest, AbortFetchRestoresOrPoisons) {
   FileInfo transient("f", 10, 1);
-  ASSERT_TRUE(transient.TryBeginFetch());
+  transient.FinishFetch(0);
   transient.AbortFetch(/*permanently=*/false);
-  EXPECT_EQ(PlacementState::kPfsOnly, transient.state.load());
-  EXPECT_TRUE(transient.TryBeginFetch()) << "retry after transient failure";
+  EXPECT_EQ(PlacementState::kPfsOnly, transient.state.load())
+      << "retryable once its last run is gone";
 
   FileInfo permanent("g", 10, 1);
-  ASSERT_TRUE(permanent.TryBeginFetch());
   permanent.AbortFetch(/*permanently=*/true);
   EXPECT_EQ(PlacementState::kUnplaceable, permanent.state.load());
-  EXPECT_FALSE(permanent.TryBeginFetch()) << "no retry once unplaceable";
 }
 
 TEST(FileInfoTest, ConcurrentClaimGrantsExactlyOne) {
+  // Every thread gets the same chunk map, and exactly one of them the
+  // claim on its chunk.
   for (int round = 0; round < 50; ++round) {
     FileInfo info("f", 10, 1);
     std::atomic<int> winners{0};
+    std::vector<pack::ChunkMap*> maps(8, nullptr);
     std::vector<std::thread> threads;
     for (int t = 0; t < 8; ++t) {
-      threads.emplace_back([&] {
-        if (info.TryBeginFetch()) winners.fetch_add(1);
+      threads.emplace_back([&, t] {
+        maps[static_cast<std::size_t>(t)] = info.EnsureChunkMap(16);
+        if (maps[static_cast<std::size_t>(t)]->TryClaim(0)) winners.fetch_add(1);
       });
     }
     for (auto& t : threads) t.join();
     EXPECT_EQ(1, winners.load());
+    for (pack::ChunkMap* map : maps) EXPECT_EQ(info.chunk_map(), map);
   }
 }
 

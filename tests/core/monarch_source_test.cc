@@ -63,7 +63,7 @@ TEST_F(MonarchSourceTest, StreamsRecordsAndTriggersStaging) {
   monarch_->DrainPlacements();
   // The partial reads staged the WHOLE record file.
   EXPECT_EQ(1u, monarch_->Stats().placement.completed);
-  EXPECT_TRUE(local_->Exists("data/train.tfrecord").value());
+  EXPECT_TRUE(local_->Exists("data/train.tfrecord#c0").value());
 }
 
 TEST_F(MonarchSourceTest, SecondEpochIdenticalFromLocalTier) {

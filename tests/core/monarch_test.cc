@@ -116,7 +116,7 @@ TEST_F(MonarchTest, PartialReadTriggersFullFileFetch) {
   monarch.value()->DrainPlacements();
   // The WHOLE file (16 bytes), not just the 4 requested, was staged.
   std::vector<std::byte> staged(16);
-  auto local_read = local_->Read("data/f1", 0, staged);
+  auto local_read = local_->Read("data/f1#c0", 0, staged);
   ASSERT_OK(local_read);
   EXPECT_EQ(16u, local_read.value());
   EXPECT_EQ("0123456789ABCDEF", Text(staged));
@@ -312,6 +312,26 @@ TEST_F(MonarchTest, ConcurrentReadsAcrossManyFilesAllPlace) {
   EXPECT_EQ(40u * 50, stats.levels[0].occupancy_bytes);
 }
 
+TEST_F(MonarchTest, LoaderFirstReadCostsOneMorePfsOpToStage) {
+  // A loader opens a one-chunk shard with a 64 KiB read: the staging task
+  // takes those bytes from the read and fetches only the rest of the
+  // shard, with one PFS read.
+  std::string shard(900 * 1024, '\0');
+  for (std::size_t i = 0; i < shard.size(); ++i) {
+    shard[i] = static_cast<char>('a' + i % 23);
+  }
+  auto monarch = Build(1 << 20, {{"shard", shard}});
+  ASSERT_OK(monarch);
+  std::vector<std::byte> buf(64 * 1024);
+  ASSERT_OK(monarch.value()->Read("data/shard", 0, buf));
+  monarch.value()->DrainPlacements();
+  EXPECT_EQ(2u, pfs_->Stats().Snapshot().read_ops);
+  EXPECT_EQ(64u * 1024, monarch.value()->Stats().placement.donated_bytes);
+  EXPECT_EQ(1u, monarch.value()->Stats().placement.chunks_copied);
+  EXPECT_EQ(shard, ReadAll(**monarch, "data/shard", shard.size()));
+  EXPECT_EQ(2u, pfs_->Stats().Snapshot().read_ops);
+}
+
 TEST_F(MonarchTest, EmptyFileHandled) {
   auto monarch = Build(1000, {{"empty", ""}});
   ASSERT_OK(monarch);
@@ -320,9 +340,10 @@ TEST_F(MonarchTest, EmptyFileHandled) {
   ASSERT_OK(read);
   EXPECT_EQ(0u, read.value());
   monarch.value()->DrainPlacements();
-  // Zero-byte file counts as a full read at offset 0 and stages trivially.
-  EXPECT_EQ(PlacementState::kPlaced,
+  // A zero-byte file has no chunk, so there is nothing to stage.
+  EXPECT_EQ(PlacementState::kPfsOnly,
             monarch.value()->metadata().Lookup("data/empty")->state.load());
+  EXPECT_EQ(0u, monarch.value()->Stats().placement.scheduled);
 }
 
 TEST_F(MonarchTest, QuotaNeverExceededUnderConcurrentPlacement) {
@@ -363,7 +384,7 @@ TEST_F(MonarchTest, FallsBackToPfsWhenTierCopyVanishes) {
 
   // Simulate the eviction race: the tier copy disappears while the
   // namespace still points at level 0.
-  ASSERT_OK(local_->Delete("data/f1"));
+  ASSERT_OK(local_->Delete("data/f1#c0"));
   EXPECT_EQ("resilient-bytes", ReadAll(**monarch, "data/f1", 15))
       << "read must fall back to the authoritative PFS copy";
 

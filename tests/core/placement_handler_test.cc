@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "../test_support.h"
+#include "stage_file.h"
 #include "storage/faulty_engine.h"
 #include "storage/memory_engine.h"
 
@@ -54,8 +55,7 @@ class PlacementHandlerTest : public ::testing::Test {
 TEST_F(PlacementHandlerTest, PlacesFileWithoutContent) {
   Build({100});
   auto file = AddPfsFile("f", "0123456789");
-  ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, {});
+  ASSERT_TRUE(StageFile(*handler_, file));
   handler_->Drain();
 
   EXPECT_EQ(PlacementState::kPlaced, file->state.load());
@@ -64,7 +64,7 @@ TEST_F(PlacementHandlerTest, PlacesFileWithoutContent) {
 
   // The staged copy really exists on the tier engine with exact bytes.
   std::vector<std::byte> buf(10);
-  auto read = cache_engines_[0]->Read("f", 0, buf);
+  auto read = cache_engines_[0]->Read("f#c0", 0, buf);
   ASSERT_OK(read);
   EXPECT_EQ("0123456789", monarch::testing::Text(buf));
 
@@ -79,8 +79,7 @@ TEST_F(PlacementHandlerTest, UsesProvidedContentWithoutPfsRead) {
   auto file = AddPfsFile("f", "abcdefgh");
   const auto before = pfs_engine_->Stats().Snapshot();
 
-  ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, Bytes("abcdefgh"));
+  ASSERT_TRUE(StageFile(*handler_, file, Bytes("abcdefgh")));
   handler_->Drain();
 
   EXPECT_EQ(PlacementState::kPlaced, file->state.load());
@@ -92,8 +91,7 @@ TEST_F(PlacementHandlerTest, UsesProvidedContentWithoutPfsRead) {
 TEST_F(PlacementHandlerTest, NoSpaceMarksUnplaceable) {
   Build({5});
   auto file = AddPfsFile("f", "too-big-for-tier");
-  ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, {});
+  ASSERT_TRUE(StageFile(*handler_, file));
   handler_->Drain();
 
   EXPECT_EQ(PlacementState::kUnplaceable, file->state.load());
@@ -106,11 +104,9 @@ TEST_F(PlacementHandlerTest, SpillsToSecondTierWhenFirstFull) {
   Build({12, 100});
   auto f1 = AddPfsFile("f1", "0123456789");  // 10 bytes -> tier0
   auto f2 = AddPfsFile("f2", "0123456789");  // tier0 full -> tier1
-  ASSERT_TRUE(f1->TryBeginFetch());
-  ASSERT_TRUE(f2->TryBeginFetch());
-  handler_->SchedulePlacement(f1, {});
+  ASSERT_TRUE(StageFile(*handler_, f1));
   handler_->Drain();
-  handler_->SchedulePlacement(f2, {});
+  ASSERT_TRUE(StageFile(*handler_, f2));
   handler_->Drain();
 
   EXPECT_EQ(0, f1->level.load());
@@ -128,8 +124,7 @@ TEST_F(PlacementHandlerTest, PfsReadFailureReleasesReservationAndRetries) {
   // (core/resilience.h) and staging succeeds on the spot; to make the
   // placement itself fail the fault has to outlast the attempt budget.
   faulty->FailNextReads(100);
-  ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, {});
+  ASSERT_TRUE(StageFile(*handler_, file));
   handler_->Drain();
 
   EXPECT_EQ(PlacementState::kPfsOnly, file->state.load())
@@ -141,8 +136,7 @@ TEST_F(PlacementHandlerTest, PfsReadFailureReleasesReservationAndRetries) {
 
   // A later attempt succeeds once the fault clears.
   faulty->FailNextReads(0);
-  ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, {});
+  ASSERT_TRUE(StageFile(*handler_, file));
   handler_->Drain();
   EXPECT_EQ(PlacementState::kPlaced, file->state.load());
 }
@@ -151,8 +145,7 @@ TEST_F(PlacementHandlerTest, StopSchedulingAbortsNewPlacements) {
   Build({100});
   auto file = AddPfsFile("f", "abc");
   handler_->StopScheduling();
-  ASSERT_TRUE(file->TryBeginFetch());
-  handler_->SchedulePlacement(file, {});
+  ASSERT_TRUE(StageFile(*handler_, file));
   handler_->Drain();
   EXPECT_EQ(PlacementState::kPfsOnly, file->state.load());
   EXPECT_EQ(0u, handler_->Stats().scheduled);
@@ -164,8 +157,7 @@ TEST_F(PlacementHandlerTest, ManyFilesAllPlacedConcurrently) {
   for (int i = 0; i < 50; ++i) {
     auto file =
         AddPfsFile("f" + std::to_string(i), std::string(100, 'a' + i % 26));
-    ASSERT_TRUE(file->TryBeginFetch());
-    handler_->SchedulePlacement(file, {});
+    ASSERT_TRUE(StageFile(*handler_, file));
     files.push_back(std::move(file));
   }
   handler_->Drain();
@@ -179,14 +171,12 @@ TEST_F(PlacementHandlerTest, ManyFilesAllPlacedConcurrently) {
 TEST_F(PlacementHandlerTest, EvictionDisabledByDefault) {
   Build({15});
   auto f1 = AddPfsFile("f1", "0123456789");
-  ASSERT_TRUE(f1->TryBeginFetch());
-  handler_->SchedulePlacement(f1, {});
+  ASSERT_TRUE(StageFile(*handler_, f1));
   handler_->Drain();
   ASSERT_EQ(PlacementState::kPlaced, f1->state.load());
 
   auto f2 = AddPfsFile("f2", "0123456789");
-  ASSERT_TRUE(f2->TryBeginFetch());
-  handler_->SchedulePlacement(f2, {});
+  ASSERT_TRUE(StageFile(*handler_, f2));
   handler_->Drain();
 
   // The paper's no-eviction policy: f1 stays, f2 is unplaceable.
@@ -202,15 +192,13 @@ TEST_F(PlacementHandlerTest, EvictionModeMakesRoomLru) {
 
   auto f1 = AddPfsFile("f1", "0123456789");
   f1->last_access.store(1);
-  ASSERT_TRUE(f1->TryBeginFetch());
-  handler_->SchedulePlacement(f1, {});
+  ASSERT_TRUE(StageFile(*handler_, f1));
   handler_->Drain();
   ASSERT_EQ(PlacementState::kPlaced, f1->state.load());
 
   auto f2 = AddPfsFile("f2", "0123456789");
   f2->last_access.store(2);
-  ASSERT_TRUE(f2->TryBeginFetch());
-  handler_->SchedulePlacement(f2, {});
+  ASSERT_TRUE(StageFile(*handler_, f2));
   handler_->Drain();
 
   // f1 (older access) was evicted to admit f2.

@@ -104,7 +104,7 @@ TEST_F(PosixShimTest, ReadsGoThroughMonarchPlacement) {
   monarch_->DrainPlacements();
   // The shim read triggered MONARCH's staging, same as a direct read.
   EXPECT_EQ(1u, monarch_->Stats().placement.completed);
-  EXPECT_TRUE(local_->Exists("data/f2").value());
+  EXPECT_TRUE(local_->Exists("data/f2#c0").value());
 }
 
 /// Write-path stub (ISSUE 5): records what Close commits.

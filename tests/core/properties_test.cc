@@ -124,9 +124,6 @@ TEST_P(PlacementPropertyTest, InvariantsHoldAfterTwoEpochs) {
       case PlacementState::kPfsOnly:
         EXPECT_EQ(pfs_level, entry.level) << entry.name;
         break;
-      case PlacementState::kFetching:
-        ADD_FAILURE() << entry.name << " still fetching after drain";
-        break;
     }
   }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "../test_support.h"
+#include "stage_file.h"
 #include "qos/tenant.h"
 #include "storage/memory_engine.h"
 
@@ -70,9 +71,8 @@ class QosPlacementTest : public ::testing::Test {
   /// Schedule a demand placement with `tenant` installed as the ambient
   /// submitter (the pipeline snapshots it into the task) and drain.
   void StageAs(const qos::TenantContext& tenant, const FileInfoPtr& file) {
-    ASSERT_TRUE(file->TryBeginFetch());
     qos::ScopedTenant scope(tenant);
-    handler_->SchedulePlacement(file, {});
+    ASSERT_TRUE(StageFile(*handler_, file));
     handler_->Drain();
   }
 
@@ -216,8 +216,8 @@ TEST_F(QosPlacementTest, QueuesDrainAcrossAllClasses) {
 }
 
 // ---------------------------------------------------------------------------
-// One copy-drop path: eviction, quarantine and cleanup all drop a placed
-// whole-file copy through PlacementHandler::DropCopy.
+// One drop path: eviction, quarantine, cleanup and a vanished object all
+// drop a placed file's runs through the handler's chunk drop path.
 
 /// Records the drop notifications the cluster directory would receive.
 class RecordingPeerView final : public PeerView {
@@ -271,7 +271,7 @@ TEST_P(CopyDropTest, DropsThePlacedCopyOnce) {
       StageAs(Trainer(), AddPfsFile("train", "01234"));
       break;
     case Drop::kQuarantine:
-      handler_->QuarantineCopy(scan);
+      handler_->DropChunkRun(scan, 0, /*corrupt=*/true);
       break;
     case Drop::kCleanup:
       handler_->CleanupCopy(scan);
@@ -279,8 +279,8 @@ TEST_P(CopyDropTest, DropsThePlacedCopyOnce) {
     case Drop::kVanished:
       // The object went behind the driver; the quota must come back all
       // the same.
-      ASSERT_OK(cache_engine_->Delete("scan"));
-      handler_->DropCopy(scan, PlacementHandler::DropReason::kVanished);
+      ASSERT_OK(cache_engine_->Delete("scan#c0"));
+      handler_->DropChunkRun(scan, 0, /*corrupt=*/false);
       break;
   }
 
@@ -296,7 +296,7 @@ TEST_P(CopyDropTest, DropsThePlacedCopyOnce) {
   }
   EXPECT_NE(PlacementState::kPlaced, scan->state.load());
   EXPECT_EQ(hierarchy_->pfs_level(), scan->level.load());
-  auto exists = cache_engine_->Exists("scan");
+  auto exists = cache_engine_->Exists("scan#c0");
   ASSERT_OK(exists);
   EXPECT_FALSE(exists.value());
   EXPECT_EQ(drop == Drop::kEvict ? 5u : 0u,

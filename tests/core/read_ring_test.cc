@@ -269,7 +269,7 @@ TEST_F(ReadRingTest, AsyncOpFallsDownDegradationLadder) {
 
   // Yank the staged copy behind MONARCH's back: the async lease op sees
   // kNotFound on the local tier and must fall through to the PFS.
-  ASSERT_TRUE(local_->Delete("data/f1").ok());
+  ASSERT_TRUE(local_->Delete("data/f1#c0").ok());
 
   ReadRing& ring = monarch.value()->read_ring();
   std::vector<ReadOp> ops(1);
@@ -381,7 +381,7 @@ TEST_F(ReadRingTest, LeasePinBlocksEviction) {
   monarch.value()->DrainPlacements();
 
   EXPECT_GE(monarch.value()->Stats().placement.eviction_pinned_skips, 1u);
-  EXPECT_TRUE(local_->Exists("data/f1").value_or(false))
+  EXPECT_TRUE(local_->Exists("data/f1#c0").value_or(false))
       << "pinned copy must survive";
   std::span<const std::byte> data = lease.value().data();
   EXPECT_EQ(payload, Text(std::vector<std::byte>(data.begin(), data.end())));
@@ -391,7 +391,7 @@ TEST_F(ReadRingTest, LeasePinBlocksEviction) {
   EXPECT_FALSE(lease.value().pinned());
   ASSERT_TRUE(monarch.value()->Read("data/f2", 0, buf).ok());
   monarch.value()->DrainPlacements();
-  EXPECT_TRUE(local_->Exists("data/f2").value_or(false))
+  EXPECT_TRUE(local_->Exists("data/f2#c0").value_or(false))
       << "eviction proceeds once unpinned";
 }
 
@@ -406,7 +406,7 @@ TEST_F(ReadRingTest, LeaseOutlivesEngineDeleteAndShutdown) {
 
   // Delete the file from the lending engine, then tear the whole
   // instance down: the view's keepalive must keep the bytes valid.
-  ASSERT_TRUE(local_->Delete("data/f1").ok());
+  ASSERT_TRUE(local_->Delete("data/f1#c0").ok());
   monarch.value()->Shutdown();
   monarch.value().reset();
   local_.reset();

@@ -39,7 +39,8 @@ std::vector<std::byte> GoldenPayload(int index) {
 }
 
 /// A two-tier hierarchy ("local" over "pfs") where both engines inject
-/// faults; the inner PFS engine holds `num_files` golden payloads.
+/// faults; the inner PFS engine holds `num_files` golden payloads. `pack`
+/// stages through pack mode's chunk geometry (the files stay loose).
 struct FaultyWorld {
   std::shared_ptr<FaultyEngine> local;
   std::shared_ptr<FaultyEngine> pfs;
@@ -49,7 +50,7 @@ struct FaultyWorld {
 
 FaultyWorld BuildWorld(int num_files, FaultyEngine::FaultSpec local_spec,
                        FaultyEngine::FaultSpec pfs_spec,
-                       ResilienceOptions resilience = {}) {
+                       ResilienceOptions resilience = {}, bool pack = false) {
   FaultyWorld world;
   auto pfs_inner = std::make_shared<MemoryEngine>("pfs");
   for (int i = 0; i < num_files; ++i) {
@@ -68,6 +69,7 @@ FaultyWorld BuildWorld(int num_files, FaultyEngine::FaultSpec local_spec,
   config.pfs = TierSpec{"pfs", world.pfs, 0};
   config.dataset_dir = "data";
   config.resilience = resilience;
+  config.placement.pack.enabled = pack;
   auto monarch = Monarch::Create(std::move(config));
   EXPECT_TRUE(monarch.ok()) << monarch.status().ToString();
   if (monarch.ok()) {
@@ -208,10 +210,10 @@ TEST(ResilienceTest, CorruptStagingIsCaughtByWriteVerification) {
   EXPECT_EQ(GoldenPayload(0), std::vector<std::byte>(buf.begin(), buf.end()));
 }
 
-TEST(ResilienceTest, CorruptTierCopyIsQuarantinedOnRead) {
+void ExpectCorruptTierCopyQuarantinedOnRead(bool pack) {
   ResilienceOptions resilience;
   resilience.verify_on_read = true;
-  auto world = BuildWorld(1, {}, {}, resilience);
+  auto world = BuildWorld(1, {}, {}, resilience, pack);
   ASSERT_TRUE(world.monarch != nullptr);
   std::vector<std::byte> buf(kFileBytes);
 
@@ -234,16 +236,56 @@ TEST(ResilienceTest, CorruptTierCopyIsQuarantinedOnRead) {
   EXPECT_EQ(1u, world.local->injected_corruptions());
 }
 
-TEST(ResilienceTest, PlacementRetryCapMarksFileUnplaceable) {
+TEST(ResilienceTest, CorruptTierCopyIsQuarantinedOnRead) {
+  ExpectCorruptTierCopyQuarantinedOnRead(/*pack=*/false);
+}
+
+TEST(ResilienceTest, PackedCorruptTierCopyIsQuarantinedOnRead) {
+  ExpectCorruptTierCopyQuarantinedOnRead(/*pack=*/true);
+}
+
+TEST(ResilienceTest, QuarantineWithoutRestageParksTheFile) {
+  for (const bool pack : {false, true}) {
+    SCOPED_TRACE(pack ? "pack on" : "pack off");
+    ResilienceOptions resilience;
+    resilience.verify_on_read = true;
+    resilience.restage_after_quarantine = false;
+    auto world = BuildWorld(1, {}, {}, resilience, pack);
+    ASSERT_TRUE(world.monarch != nullptr);
+    std::vector<std::byte> buf(kFileBytes);
+    ASSERT_OK(world.monarch->Read(world.names[0], 0, buf));
+    world.monarch->DrainPlacements();
+
+    // The first corrupt read quarantines the copy and parks the file: the
+    // later reads come from the PFS, so their corruption is never served,
+    // and nothing stages again.
+    for (int i = 0; i < 3; ++i) {
+      world.local->CorruptNextReads(1);
+      ASSERT_OK(world.monarch->Read(world.names[0], 0, buf));
+      EXPECT_EQ(GoldenPayload(0),
+                std::vector<std::byte>(buf.begin(), buf.end()));
+      world.monarch->DrainPlacements();
+    }
+    const auto stats = world.monarch->Stats();
+    EXPECT_EQ(1u, stats.placement.quarantined);
+    EXPECT_EQ(1u, stats.placement.scheduled);
+    EXPECT_EQ(1u, stats.fallbacks_corruption);
+    EXPECT_EQ(PlacementState::kUnplaceable,
+              world.monarch->metadata().Lookup(world.names[0])->state.load());
+    EXPECT_EQ(0u, world.monarch->hierarchy().Level(0).occupancy_bytes());
+  }
+}
+
+void ExpectPlacementRetryCap(bool pack) {
   FaultyEngine::FaultSpec local_spec;
   local_spec.write_failure_rate = 1.0;  // staging can never succeed
   ResilienceOptions resilience;
   resilience.max_placement_attempts = 2;
-  auto world = BuildWorld(1, local_spec, {}, resilience);
+  auto world = BuildWorld(1, local_spec, {}, resilience, pack);
   ASSERT_TRUE(world.monarch != nullptr);
   std::vector<std::byte> buf(kFileBytes);
 
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 6; ++i) {
     ASSERT_OK(world.monarch->Read(world.names[0], 0, buf));
     world.monarch->DrainPlacements();
   }
@@ -254,8 +296,18 @@ TEST(ResilienceTest, PlacementRetryCapMarksFileUnplaceable) {
   // The cap stops further scheduling: reads keep succeeding from the PFS
   // and the staging pool is left alone.
   EXPECT_EQ(2u, stats.placement.scheduled);
+  EXPECT_EQ(PlacementState::kUnplaceable,
+            world.monarch->metadata().Lookup(world.names[0])->state.load());
   ASSERT_OK(world.monarch->Read(world.names[0], 0, buf));
   EXPECT_EQ(GoldenPayload(0), std::vector<std::byte>(buf.begin(), buf.end()));
+}
+
+TEST(ResilienceTest, PlacementRetryCapMarksFileUnplaceable) {
+  ExpectPlacementRetryCap(/*pack=*/false);
+}
+
+TEST(ResilienceTest, PackedPlacementRetryCapMarksFileUnplaceable) {
+  ExpectPlacementRetryCap(/*pack=*/true);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Pipelined staging engine tests: the fair staging queue (demand
-// priority, promotion, in-flight gauge), the chunked copy path (CRC
-// equivalence with the full-buffer fast path, bounded peak memory,
+// priority, promotion, in-flight gauge), the chunked copy path (donated
+// and streamed copies record the same chunk CRCs, bounded peak memory,
 // donated prefixes), the look-ahead prefetch window driven by the run
 // schedule (Monarch::InstallRunSchedule), and reads joining a copy
 // already in flight.
@@ -17,6 +17,7 @@
 
 #include "../gate_engine.h"
 #include "../test_support.h"
+#include "stage_file.h"
 #include "core/monarch.h"
 #include "core/placement_handler.h"
 #include "storage/faulty_engine.h"
@@ -114,12 +115,11 @@ class StagingPipelineTest : public ::testing::Test {
   void Stage(const FileInfoPtr& file,
              std::optional<std::vector<std::byte>> content,
              StagingLane lane = StagingLane::kDemand) {
-    ASSERT_TRUE(file->TryBeginFetch()) << file->name;
-    handler_->SchedulePlacement(
-        file,
-        content ? std::span<const std::byte>(*content)
-                : std::span<const std::byte>{},
-        lane);
+    ASSERT_TRUE(StageFile(*handler_, file,
+                          content ? std::span<const std::byte>(*content)
+                                  : std::span<const std::byte>{},
+                          lane))
+        << file->name;
   }
 
   storage::StorageEnginePtr pfs_engine_;
@@ -128,6 +128,20 @@ class StagingPipelineTest : public ::testing::Test {
   MetadataContainer metadata_;
   std::unique_ptr<PlacementHandler> handler_;
 };
+
+/// The staged bytes of `file`, read back run object by run object.
+std::string StagedBytes(storage::StorageEngine& tier, const FileInfo& file) {
+  const pack::ChunkMap& cm = *file.chunk_map();
+  std::string staged;
+  for (std::uint32_t c = 0; c < cm.num_chunks(); ++c) {
+    std::vector<std::byte> chunk(cm.ChunkLogicalBytes(c));
+    auto read = tier.Read(pack::ChunkObjectName(file.name, c), 0, chunk);
+    EXPECT_TRUE(read.ok()) << read.status();
+    EXPECT_EQ(Crc32c(chunk), cm.Meta(c).crc_logical) << file.name << c;
+    staged += Text(chunk);
+  }
+  return staged;
+}
 
 TEST_F(StagingPipelineTest, ChunkedCopyMatchesFullBufferCrc) {
   PlacementOptions options;
@@ -140,23 +154,25 @@ TEST_F(StagingPipelineTest, ChunkedCopyMatchesFullBufferCrc) {
 
   auto full = AddPfsFile("full", payload);
   auto chunked = AddPfsFile("chunked", payload);
-  Stage(full, Bytes(payload));    // fast path: one Write of bytes in memory
-  Stage(chunked, std::nullopt);   // chunk pipeline: streamed PFS reads
+  Stage(full, Bytes(payload));    // every chunk from the donation
+  Stage(chunked, std::nullopt);   // every chunk from its own PFS read
   handler_->Drain();
 
   ASSERT_EQ(PlacementState::kPlaced, full->state.load());
   ASSERT_EQ(PlacementState::kPlaced, chunked->state.load());
 
-  // Incremental CRC over chunk boundaries == one-shot CRC of the file.
-  EXPECT_EQ(Crc32c(Bytes(payload)), full->staged_crc.load());
-  EXPECT_EQ(full->staged_crc.load(), chunked->staged_crc.load());
-
-  std::vector<std::byte> staged(payload.size());
-  ASSERT_OK(cache_engines_[0]->Read("chunked", 0, staged));
-  EXPECT_EQ(payload, Text(staged));
+  // Every chunk's recorded CRC matches its staged bytes, and both copies
+  // record the same CRCs.
+  EXPECT_EQ(payload, StagedBytes(*cache_engines_[0], *full));
+  EXPECT_EQ(payload, StagedBytes(*cache_engines_[0], *chunked));
+  for (std::uint32_t c = 0; c < 15; ++c) {
+    EXPECT_EQ(full->chunk_map()->Meta(c).crc_logical,
+              chunked->chunk_map()->Meta(c).crc_logical);
+  }
 
   const auto stats = handler_->Stats();
-  EXPECT_GE(stats.chunks_copied, 15u) << "100 bytes / 7-byte chunks";
+  EXPECT_EQ(30u, stats.chunks_copied)
+      << "100 bytes / 7-byte chunks: one run object per chunk per file";
 }
 
 TEST_F(StagingPipelineTest, PeakStagingMemoryBoundedByPool) {
@@ -187,7 +203,7 @@ TEST_F(StagingPipelineTest, PeakStagingMemoryBoundedByPool) {
 }
 
 TEST_F(StagingPipelineTest, DemandNeverQueuedBehindPrefetch) {
-  auto gate = std::make_shared<GateEngine>("blocker");
+  auto gate = std::make_shared<GateEngine>("blocker#c0");
   Build({1000}, {}, /*num_threads=*/1, gate);
 
   // Park the single worker inside a prefetch copy, then queue more
@@ -218,8 +234,8 @@ TEST_F(StagingPipelineTest, DemandNeverQueuedBehindPrefetch) {
 
   const auto order = gate->write_order();
   ASSERT_EQ(6u, order.size());
-  EXPECT_EQ("blocker", order[0]);
-  EXPECT_EQ("demand", order[1])
+  EXPECT_EQ("blocker#c0", order[0]);
+  EXPECT_EQ("demand#c0", order[1])
       << "the demand task must pop before every queued prefetch";
   EXPECT_EQ(PlacementState::kPlaced, demand->state.load());
   for (const auto& file : prefetches) {
@@ -259,7 +275,7 @@ TEST_F(StagingPipelineTest, PrefetchNeverEvictsEvenInEvictionMode) {
 }
 
 TEST_F(StagingPipelineTest, PromoteToDemandJumpsTheQueue) {
-  auto gate = std::make_shared<GateEngine>("blocker");
+  auto gate = std::make_shared<GateEngine>("blocker#c0");
   Build({1000}, {}, /*num_threads=*/1, gate);
 
   auto blocker = AddPfsFile("blocker", "bbbbbbbbbb");
@@ -282,8 +298,8 @@ TEST_F(StagingPipelineTest, PromoteToDemandJumpsTheQueue) {
 
   const auto order = gate->write_order();
   ASSERT_EQ(3u, order.size());
-  EXPECT_EQ("second", order[1]) << "promoted task runs on the demand lane";
-  EXPECT_EQ("first", order[2]);
+  EXPECT_EQ("second#c0", order[1]) << "promoted task runs on the demand lane";
+  EXPECT_EQ("first#c0", order[2]);
   const auto stats = handler_->Stats();
   EXPECT_EQ(1u, stats.prefetch_promoted);
   EXPECT_EQ(1u, stats.prefetch_completed)
@@ -291,7 +307,7 @@ TEST_F(StagingPipelineTest, PromoteToDemandJumpsTheQueue) {
 }
 
 TEST_F(StagingPipelineTest, CancelPrefetchesReturnsFilesRetryable) {
-  auto gate = std::make_shared<GateEngine>("blocker");
+  auto gate = std::make_shared<GateEngine>("blocker#c0");
   Build({1000}, {}, /*num_threads=*/1, gate);
 
   auto blocker = AddPfsFile("blocker", "bbbbbbbbbb");
@@ -342,18 +358,16 @@ TEST_F(StagingPipelineTest, DonatedPrefixIsNotReReadFromPfs) {
       << "donated leading bytes must enter the pipeline from memory";
   EXPECT_EQ(10u, handler_->Stats().donated_bytes);
 
-  std::vector<std::byte> staged(payload.size());
-  ASSERT_OK(cache_engines_[0]->Read("f", 0, staged));
-  EXPECT_EQ(payload, Text(staged));
-  EXPECT_EQ(Crc32c(Bytes(payload)), file->staged_crc.load())
-      << "CRC must accumulate over donated and streamed chunks alike";
+  // Chunk 2 straddles the donation: its donated half came from memory,
+  // its other half from the PFS, and its CRC covers both.
+  EXPECT_EQ(payload, StagedBytes(*cache_engines_[0], *file));
 }
 
 TEST_F(StagingPipelineTest, DonationsShareTheStagingBudget) {
   PlacementOptions options;
   options.staging_chunk_bytes = 4;
   options.staging_buffer_bytes = 20;  // room for two 10-byte donations
-  auto gate = std::make_shared<GateEngine>("held");
+  auto gate = std::make_shared<GateEngine>("held#c0");
   Build({1000}, options, /*num_threads=*/1, gate);
 
   const std::string payload = "0123456789";
@@ -377,9 +391,7 @@ TEST_F(StagingPipelineTest, DonationsShareTheStagingBudget) {
   handler_->Drain();
   for (const auto& file : {held, queued, next}) {
     EXPECT_EQ(PlacementState::kPlaced, file->state.load()) << file->name;
-    std::vector<std::byte> staged(payload.size());
-    ASSERT_OK(cache_engines_[0]->Read(file->name, 0, staged));
-    EXPECT_EQ(payload, Text(staged)) << file->name;
+    EXPECT_EQ(payload, StagedBytes(*cache_engines_[0], *file)) << file->name;
   }
   const auto delta = pfs_engine_->Stats().Snapshot() - before;
   EXPECT_EQ(10u, delta.bytes_read)
@@ -398,7 +410,7 @@ TEST_F(StagingPipelineTest, DonationsShareTheStagingBudget) {
 }
 
 TEST_F(StagingPipelineTest, JoinableMarksDemandCopiesNotQueuedHints) {
-  auto gate = std::make_shared<GateEngine>("blocker");
+  auto gate = std::make_shared<GateEngine>("blocker#c0");
   Build({1000}, {}, /*num_threads=*/1, gate);
 
   // A running copy is joinable whatever its lane.
@@ -535,7 +547,7 @@ TEST_F(StagingPipelineMonarchTest, LookaheadWindowLimitsClaims) {
 }
 
 TEST_F(StagingPipelineMonarchTest, DemandOvertakePromotesQueuedHint) {
-  auto gate = std::make_shared<GateEngine>("data/b");
+  auto gate = std::make_shared<GateEngine>("data/b#c0");
   PlacementOptions placement;
   placement.prefetch_lookahead = 8;
   auto monarch = Build(
@@ -551,27 +563,30 @@ TEST_F(StagingPipelineMonarchTest, DemandOvertakePromotesQueuedHint) {
   monarch.value()->InstallRunSchedule({order});
   gate->AwaitBlocked();
 
-  // Demand overtakes the queued prefetch of f3: the read is served from the
-  // PFS now and the copy moves to the demand lane.
-  EXPECT_EQ("three", ReadAll(**monarch, "data/f3", 5));
+  // Demand overtakes the queued prefetch of f3: the copy moves to the
+  // demand lane, and the read waits for it instead of reading the PFS.
+  std::string read;
+  std::thread reader([&] { read = ReadAll(**monarch, "data/f3", 5); });
+  while (monarch.value()->Stats().placement.prefetch_promoted == 0) {
+    std::this_thread::yield();
+  }
+  gate->ReleaseBlocked();
+  reader.join();
+  monarch.value()->DrainPlacements();
+  EXPECT_EQ("three", read);
   auto stats = monarch.value()->Stats();
   EXPECT_EQ(1u, stats.placement.prefetch_promoted);
-  EXPECT_EQ(1u, stats.pfs_reads());
-
-  gate->ReleaseBlocked();
-  monarch.value()->DrainPlacements();
+  EXPECT_EQ(1u, stats.copy_joins);
+  EXPECT_EQ(0u, stats.pfs_reads()) << "the read was served by the copy";
 
   // The promoted copy ran before the remaining prefetches.
   const auto write_order = gate->write_order();
   ASSERT_EQ(4u, write_order.size());
-  EXPECT_EQ("data/f3", write_order[1]);
-  EXPECT_EQ("three", ReadAll(**monarch, "data/f3", 5));
-  EXPECT_EQ(1u, monarch.value()->Stats().pfs_reads())
-      << "after promotion completes, reads serve from the cache tier";
+  EXPECT_EQ("data/f3#c0", write_order[1]);
 }
 
 TEST_F(StagingPipelineMonarchTest, StopPlacementCancelsQueuedHints) {
-  auto gate = std::make_shared<GateEngine>("data/b");
+  auto gate = std::make_shared<GateEngine>("data/b#c0");
   PlacementOptions placement;
   placement.prefetch_lookahead = 8;
   auto monarch = Build(
@@ -722,7 +737,8 @@ class StagingPipelineJoinTest : public ::testing::Test {
     faulty_ = std::make_shared<storage::FaultyEngine>(
         std::make_shared<storage::MemoryEngine>("local"),
         storage::FaultyEngine::FaultSpec{});
-    gate_ = std::make_shared<GateEngine>(gated, faulty_);
+    gate_ = std::make_shared<GateEngine>(pack::ChunkObjectName(gated, 0),
+                                         faulty_);
     MonarchConfig config;
     config.cache_tiers.push_back(TierSpec{"local", gate_, quota});
     config.pfs = TierSpec{"pfs", pfs_, 0};

@@ -83,7 +83,7 @@ TEST(MonarchEdgeCases, ReadBufferLargerThanFileCountsAsFullRead) {
   // The short read covered the whole file, so the placement reused the
   // bytes: exactly one PFS data read total.
   EXPECT_EQ(1u, pfs->Stats().Snapshot().read_ops);
-  EXPECT_TRUE(local->Exists("data/f").value());
+  EXPECT_TRUE(local->Exists("data/f#c0").value());
 }
 
 TEST(LoaderEdgeCases, MoreReadersThanFiles) {

@@ -177,14 +177,6 @@ class ChunkedReadTest : public ::testing::Test {
     return total;
   }
 
-  /// How many views the lend lane needs for [offset, offset + length):
-  /// one per chunk touched.
-  std::uint64_t ViewsFor(Monarch& monarch, std::uint64_t index,
-                         std::uint64_t offset, std::uint64_t length) {
-    const pack::ChunkMap& cm = ChunksOf(monarch, index);
-    return cm.ChunkOf(offset + length - 1) - cm.ChunkOf(offset) + 1;
-  }
-
   std::vector<std::byte> Expected(std::uint64_t index) const {
     return workload::SmallFilePayload(spec_, index);
   }
@@ -411,7 +403,7 @@ TEST_F(ChunkedReadTest, WholeFileMissDonatesEveryChunk) {
   }
 }
 
-TEST_F(ChunkedReadTest, UnalignedPartialMissDonatesOnlyCoveredChunks) {
+TEST_F(ChunkedReadTest, UnalignedPartialMissDonatesEveryServedByte) {
   for (const std::string codec : {"none", "lz"}) {
     for (const bool lend : {false, true}) {
       SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
@@ -422,13 +414,14 @@ TEST_F(ChunkedReadTest, UnalignedPartialMissDonatesOnlyCoveredChunks) {
       const std::uint64_t size = Expected(f).size();
 
       // [700, 3300) with 1 KiB chunks: chunks 1 and 2 are covered, the
-      // edge chunks 0 and 3 only partly.
+      // edge chunks 0 and 3 only partly. Every served byte is donated;
+      // staging reads only the rest of the edge chunks from the PFS.
       std::uint64_t ops_before = PfsReadOps();
       ReadAndCheck(m, lend, f, 700, 2600);
       m.DrainPlacements();
       EXPECT_EQ(ops_before + 1 + 2, PfsReadOps())
-          << "only the two edge chunks may be re-read";
-      EXPECT_EQ(2u * 1024, m.Stats().placement.donated_bytes);
+          << "only the two edge stretches may be re-read";
+      EXPECT_EQ(2600u, m.Stats().placement.donated_bytes);
       EXPECT_EQ(4u, ChunksOf(m, f).ResidentCount());
 
       // A read from inside chunk 4 to the end of the file covers every
@@ -439,7 +432,7 @@ TEST_F(ChunkedReadTest, UnalignedPartialMissDonatesOnlyCoveredChunks) {
       ReadAndCheck(m, lend, f, from, size - from);
       m.DrainPlacements();
       EXPECT_EQ(ops_before + 1 + 1, PfsReadOps());
-      EXPECT_EQ(donated_before + (size > 5 * 1024 ? size - 5 * 1024 : 0),
+      EXPECT_EQ(donated_before + (size - from),
                 m.Stats().placement.donated_bytes);
 
       // The staged chunks serve the same bytes back.
@@ -520,16 +513,14 @@ TEST_F(ChunkedReadTest, WholeFileMissStagesOneRunObject) {
       EXPECT_EQ(objects, TierObjects());
       EXPECT_EQ(stored, local_->TotalBytes());
 
-      // Warm: the copy lane reads each whole file with one tier op; the
-      // lend lane, one chunk per view, with one op per view. None of it
-      // touches the PFS again.
+      // Warm: either lane reads each whole file with one tier op, and
+      // none of it touches the PFS again.
       for (const std::uint64_t g : staged) {
         const std::uint64_t ops_before = LocalReadOps();
         const std::uint64_t hits_before = m.Stats().chunk_hits;
         ReadAndCheck(m, lend, g, 0, Expected(g).size());
-        const std::uint64_t reads = lend ? ChunksOf(m, g).num_chunks() : 1;
-        EXPECT_EQ(ops_before + reads, LocalReadOps()) << "file " << g;
-        EXPECT_EQ(hits_before + reads, m.Stats().chunk_hits) << "file " << g;
+        EXPECT_EQ(ops_before + 1, LocalReadOps()) << "file " << g;
+        EXPECT_EQ(hits_before + 1, m.Stats().chunk_hits) << "file " << g;
       }
       EXPECT_EQ(pfs_before + 1, PfsReadOps());
     }
@@ -560,13 +551,13 @@ TEST_F(ChunkedReadTest, ReadSpanningTwoRunsCostsOneOpPerRun) {
       EXPECT_EQ(3u, cm.Meta(3).run_start);
 
       // An unaligned read across both runs: oracle bytes from the tier,
-      // one op per run on the copy lane, one per view on the lend lane.
+      // one op per run in either lane (the lend lane's lease is a private
+      // copy of both).
       const std::uint64_t ops_before = LocalReadOps();
       const std::uint64_t hits_before = m.Stats().chunk_hits;
       ReadAndCheck(m, lend, f, 1500, 3900 - 1500);
-      const std::uint64_t views = ViewsFor(m, f, 1500, 2400);
-      EXPECT_EQ(ops_before + (lend ? views : 2), LocalReadOps());
-      EXPECT_EQ(hits_before + (lend ? views : 1), m.Stats().chunk_hits);
+      EXPECT_EQ(ops_before + 2, LocalReadOps());
+      EXPECT_EQ(hits_before + 1, m.Stats().chunk_hits);
     }
   }
 }
@@ -671,10 +662,10 @@ TEST_F(ChunkedReadTest, LendLaneServesChunkFromMiddleOfRun) {
     m.DrainPlacements();
 
     const std::uint64_t ops_before = LocalReadOps();
-    auto lease = m.ReadZeroCopy(name, 2048 + 5);
+    auto lease = m.ReadZeroCopy(name, 2048 + 5, 1024 - 5);
     ASSERT_OK(lease);
     EXPECT_EQ(0, lease.value().level()) << "served by the tier";
-    ASSERT_EQ(1024u - 5, lease.value().size()) << "one chunk per view";
+    ASSERT_EQ(1024u - 5, lease.value().size()) << "the rest of chunk 2";
     EXPECT_TRUE(std::equal(lease.value().data().begin(),
                            lease.value().data().end(),
                            whole.begin() + 2048 + 5));
@@ -1005,11 +996,11 @@ TEST_F(ChunkedReadTest, NeighbourRefusedByTheStagingBudgetReadsFromPfs) {
   }
   ASSERT_GE(ahead.size(), 2u);
   ASSERT_LT(held, spec_.num_files);
-  // `held`'s partial read donates its fully covered chunks and parks at
-  // the gate; the budget then has room for the stretch's own file but
-  // not for its first neighbour.
+  // `held`'s partial read donates every byte it served and parks at the
+  // gate; the budget then has room for the stretch's own file but not
+  // for its first neighbour.
   const std::uint64_t held_size = Expected(held).size();
-  const std::uint64_t held_donation = (held_size - 1) / 1024 * 1024;
+  const std::uint64_t held_donation = held_size - 1;
   const std::uint64_t y = ahead[0];
   const std::uint64_t budget = held_donation + Expected(y).size() +
                                Expected(ahead[1]).size() / 2;

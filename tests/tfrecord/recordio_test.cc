@@ -152,7 +152,7 @@ TEST_F(RecordIoTest, StreamsThroughMonarchUnchanged) {
     monarch.value()->DrainPlacements();
   }
   EXPECT_EQ(1u, monarch.value()->Stats().placement.completed);
-  EXPECT_TRUE(local->Exists("data/shard.rec").value());
+  EXPECT_TRUE(local->Exists("data/shard.rec#c0").value());
 }
 
 }  // namespace
