@@ -3,8 +3,9 @@
 // Four jobs share one PFS and one peer directory. Mid-run a node is
 // killed (its reads pause, its advertisements are retracted, its peers'
 // in-flight RPCs time out and fail over) and later rejoins (surviving
-// copies re-advertised, lost replication repaired through the bounded-
-// rate re-staging pumps). Three arms:
+// copies re-advertised). Each membership change hands the files a live
+// node now owns but holds no copy of to that node's prefetch lane, which
+// the staging queue serves behind demand work. Three arms:
 //
 //   baseline   replication=2, no churn — the digest/traffic reference
 //   churn-r2   replication=2 + kill/revive — failover keeps peer reads
@@ -86,9 +87,6 @@ int Run() {
     config.seed = 5;
     if (arm.churn) {
       config.churn_schedule = schedule;
-      // Cap repair pulls at ~1/4 of the interconnect so re-staging never
-      // crowds out demand traffic.
-      config.restage_bandwidth_bps = config.interconnect_bandwidth_bps / 4;
       // The membership service notices the crash 30ms after the fabric
       // does: survivors dial the dead holder in that window, and the
       // failover rung (r2) or the PFS (r1) absorbs those reads.
@@ -151,8 +149,6 @@ int Run() {
                               static_cast<double>(run.restage_enqueued));
     json_metrics.emplace_back(key + ".restage_completed",
                               static_cast<double>(run.restage_completed));
-    json_metrics.emplace_back(key + ".restage_queue_end",
-                              static_cast<double>(run.restage_queue_end));
     json_metrics.emplace_back(
         key + ".replication_below_target",
         static_cast<double>(run.replication.below_target));
@@ -176,7 +172,8 @@ int Run() {
   std::cout <<
       "\nReading: compare each churn arm against its same-replication "
       "baseline. churn-r2\nrides out the outage on the second replica — "
-      "its PFS delta stays small and the\nrepair pumps restore "
+      "its PFS delta stays small, and the\nrepair copies each membership "
+      "change hands to the new owners' prefetch lanes\nrestore "
       "replication before the run ends (below_target = 0). churn-r1\n"
       "has no second holder, so the same outage is absorbed by the PFS: "
       "its delta over\nbaseline-r1 is the traffic replica failover keeps "

@@ -13,10 +13,11 @@ ctest --test-dir build --output-on-failure
 ./build/tests/monarch_tests --gtest_filter='ChunkedReadTest.*' \
     --gtest_repeat=100 --gtest_brief=1
 # Every file stages as chunk runs, so the failure ledger (retry cap,
-# quarantine parking) and the peer rung race chunk claims too: repeat
-# those suites and fail on any failure.
+# quarantine parking), the peer rung and churn repair (membership
+# changes handing copies to the new owners' staging queues) race chunk
+# claims too: repeat those suites and fail on any failure.
 ./build/tests/monarch_tests \
-    --gtest_filter='ResilienceTest.*:ReadLadderTest.*:PeerCacheTest.*' \
+    --gtest_filter='ResilienceTest.*:ReadLadderTest.*:PeerCacheTest.*:ChurnIntegrationTest.*:MembershipTest.*:RestageTest.*' \
     --gtest_repeat=20 --gtest_brief=1
 
 cmake -B build-tsan -G Ninja -DMONARCH_SANITIZE=thread \
@@ -30,8 +31,8 @@ cmake --build build-tsan
 # quarantine, cleanup, vanished) and the run schedule's clock and
 # look-ahead window, the circuit-breaker state machine under
 # concurrent readers, the cluster file directory's register/lookup/evict
-# and membership-retraction races, the re-staging pumps draining while
-# membership flips, the checkpoint drain lane racing Save/Flush/
+# and membership-retraction races, repair copies claimed by stage
+# entries on the membership thread, the checkpoint drain lane racing Save/Flush/
 # recovery, and the packing tier's chunk-map claim/publish/evict races
 # under concurrent readers, and the QoS fair queue / bandwidth
 # broker / admission controller / rate limiter racing concurrent

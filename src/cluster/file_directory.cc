@@ -58,8 +58,6 @@ FileDirectory::FileDirectory(int num_nodes, int replication,
   for (int node = 0; node < num_nodes_; ++node) {
     remote_hits_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
   }
-  restage_q_.resize(static_cast<std::size_t>(num_nodes_));
-  restage_queued_.resize(static_cast<std::size_t>(num_nodes_));
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   lookups_ = registry.GetCounter(
@@ -71,15 +69,6 @@ FileDirectory::FileDirectory(int num_nodes, int replication,
   transitions_ = registry.GetCounter(
       "cluster.membership.transitions", "ops",
       "cluster membership transitions applied (up/down/join)");
-  restage_enqueued_ = registry.GetCounter(
-      "cluster.restage.enqueued", "files",
-      "repair copies queued to restore replication after churn");
-  restage_completed_ = registry.GetCounter(
-      "cluster.restage.completed", "files",
-      "repair copies claimed and scheduled by the re-staging pumps");
-  restage_bytes_ = registry.GetCounter(
-      "cluster.restage.bytes", "bytes",
-      "bytes staged by replication repair after membership churn");
   obs_source_ = registry.AddSource([this] {
     std::vector<obs::MetricSample> out;
     obs::MetricSample entries;
@@ -110,13 +99,6 @@ FileDirectory::FileDirectory(int num_nodes, int replication,
     live.gauge = live_nodes();
     live.help = "cluster members currently up";
     out.push_back(std::move(live));
-    obs::MetricSample depth;
-    depth.name = "cluster.restage.queue_depth";
-    depth.kind = obs::MetricKind::kGauge;
-    depth.unit = "files";
-    depth.gauge = static_cast<std::int64_t>(RestageQueueDepth());
-    depth.help = "repair copies still queued across all nodes";
-    out.push_back(std::move(depth));
     return out;
   });
 }
@@ -216,7 +198,7 @@ MembershipDelta FileDirectory::NodeDown(int node) {
   const MembershipPtr old_m = membership();
   if (node < 0 || node >= num_nodes_ ||
       old_m->state[static_cast<std::size_t>(node)] != NodeState::kUp) {
-    return MembershipDelta{old_m->version, 0, 0, false};
+    return MembershipDelta{old_m->version, 0, {}, false};
   }
   auto next = std::make_shared<Membership>(*old_m);
   next->version = old_m->version + 1;
@@ -232,7 +214,7 @@ MembershipDelta FileDirectory::NodeUp(int node) {
   const MembershipPtr old_m = membership();
   if (node < 0 || node >= num_nodes_ ||
       old_m->state[static_cast<std::size_t>(node)] != NodeState::kDown) {
-    return MembershipDelta{old_m->version, 0, 0, false};
+    return MembershipDelta{old_m->version, 0, {}, false};
   }
   auto next = std::make_shared<Membership>(*old_m);
   next->version = old_m->version + 1;
@@ -246,7 +228,7 @@ MembershipDelta FileDirectory::NodeJoin(int node) {
   const MembershipPtr old_m = membership();
   if (node < 0 || node >= num_nodes_ ||
       old_m->state[static_cast<std::size_t>(node)] != NodeState::kAbsent) {
-    return MembershipDelta{old_m->version, 0, 0, false};
+    return MembershipDelta{old_m->version, 0, {}, false};
   }
   auto next = std::make_shared<Membership>(*old_m);
   next->version = old_m->version + 1;
@@ -273,7 +255,7 @@ MembershipDelta FileDirectory::FinishTransition(
 
   // Ownership-delta scan: diff the owner set of every known file under
   // the old vs new view, physically retract the downed node's rows, and
-  // queue repair copies for live owners missing a copy.
+  // collect a repair pair for every live owner missing a copy.
   struct Row {
     std::string name;
     std::vector<int> holders;
@@ -285,52 +267,39 @@ MembershipDelta FileDirectory::FinishTransition(
   });
 
   std::vector<std::string> retracted;
-  {
-    std::lock_guard lock(restage_mu_);
-    for (Row& row : rows) {
-      if (retract_node >= 0 && Contains(row.holders, retract_node)) {
-        retracted.push_back(row.name);
-        row.holders.erase(
-            std::remove(row.holders.begin(), row.holders.end(), retract_node),
-            row.holders.end());
-      }
-      const std::vector<int> old_owners = OwnerNodesIn(*old_m, row.name);
-      const std::vector<int> new_owners = OwnerNodesIn(*new_m, row.name);
-      const bool reowned = old_owners != new_owners;
-      if (reowned) ++delta.files_reowned;
+  for (Row& row : rows) {
+    if (retract_node >= 0 && Contains(row.holders, retract_node)) {
+      retracted.push_back(row.name);
+      std::erase(row.holders, retract_node);
+    }
+    const std::vector<int> old_owners = OwnerNodesIn(*old_m, row.name);
+    const std::vector<int> new_owners = OwnerNodesIn(*new_m, row.name);
+    const bool reowned = old_owners != new_owners;
+    if (reowned) ++delta.files_reowned;
 
-      int live_holders = 0;
-      for (const int holder : row.holders) {
-        if (new_m->state[static_cast<std::size_t>(holder)] == NodeState::kUp) {
-          ++live_holders;
-        }
+    int live_holders = 0;
+    for (const int holder : row.holders) {
+      if (new_m->state[static_cast<std::size_t>(holder)] == NodeState::kUp) {
+        ++live_holders;
       }
-      const int target = std::min(replication_, std::max(new_m->live_count, 1));
-      if (live_holders >= target && !reowned) continue;
-      for (const int owner : new_owners) {
-        if (new_m->state[static_cast<std::size_t>(owner)] != NodeState::kUp) {
-          continue;
-        }
-        if (Contains(row.holders, owner)) continue;
-        if (EnqueueRestageLocked(owner, row.name)) ++delta.restage_enqueued;
+    }
+    const int target = std::min(replication_, std::max(new_m->live_count, 1));
+    if (live_holders >= target && !reowned) continue;
+    // Owners are distinct, so each (owner, file) pair appears once.
+    for (const int owner : new_owners) {
+      if (new_m->state[static_cast<std::size_t>(owner)] == NodeState::kUp &&
+          !Contains(row.holders, owner)) {
+        delta.repair.emplace_back(owner, row.name);
       }
     }
   }
   for (const std::string& name : retracted) {
     map_.Update(name, [retract_node](Entry& entry) {
-      entry.holders.erase(
-          std::remove(entry.holders.begin(), entry.holders.end(),
-                      retract_node),
-          entry.holders.end());
+      std::erase(entry.holders, retract_node);
     });
   }
 
   if (transitions_ != nullptr) transitions_->Increment();
-  if (restage_enqueued_ != nullptr && delta.restage_enqueued > 0) {
-    restage_enqueued_->Increment(delta.restage_enqueued);
-  }
-  restage_enqueued_total_.fetch_add(delta.restage_enqueued,
-                                    std::memory_order_relaxed);
   obs::EventTracer& tracer = obs::EventTracer::Global();
   if (tracer.enabled()) {
     tracer.RecordInstant(
@@ -339,52 +308,9 @@ MembershipDelta FileDirectory::FinishTransition(
             ",\"node\":" + std::to_string(node) +
             ",\"version\":" + std::to_string(delta.version) +
             ",\"reowned\":" + std::to_string(delta.files_reowned) +
-            ",\"restage\":" + std::to_string(delta.restage_enqueued));
+            ",\"restage\":" + std::to_string(delta.repair.size()));
   }
   return delta;
-}
-
-bool FileDirectory::EnqueueRestageLocked(int node, const std::string& name) {
-  auto& queued = restage_queued_[static_cast<std::size_t>(node)];
-  if (!queued.insert(name).second) return false;
-  restage_q_[static_cast<std::size_t>(node)].push_back(name);
-  return true;
-}
-
-std::vector<std::string> FileDirectory::TakeRestage(int node,
-                                                    std::size_t max_files) {
-  std::vector<std::string> out;
-  if (node < 0 || node >= num_nodes_ || max_files == 0) return out;
-  std::lock_guard lock(restage_mu_);
-  auto& queue = restage_q_[static_cast<std::size_t>(node)];
-  auto& queued = restage_queued_[static_cast<std::size_t>(node)];
-  while (!queue.empty() && out.size() < max_files) {
-    queued.erase(queue.front());
-    out.push_back(std::move(queue.front()));
-    queue.pop_front();
-  }
-  return out;
-}
-
-std::uint64_t FileDirectory::RestageQueueDepth() const {
-  std::lock_guard lock(restage_mu_);
-  std::uint64_t total = 0;
-  for (const auto& queue : restage_q_) total += queue.size();
-  return total;
-}
-
-std::uint64_t FileDirectory::RestageQueueDepth(int node) const {
-  if (node < 0 || node >= num_nodes_) return 0;
-  std::lock_guard lock(restage_mu_);
-  return restage_q_[static_cast<std::size_t>(node)].size();
-}
-
-void FileDirectory::CountRestageCompleted(std::uint64_t bytes) {
-  restage_completed_total_.fetch_add(1, std::memory_order_relaxed);
-  if (restage_completed_ != nullptr) restage_completed_->Increment();
-  if (restage_bytes_ != nullptr && bytes > 0) {
-    restage_bytes_->Increment(bytes);
-  }
 }
 
 ReplicationHealth FileDirectory::CheckReplication() const {
@@ -528,7 +454,6 @@ DirectoryNodeStats FileDirectory::StatsFor(int node) const {
   stats.node = node;
   if (node < 0 || node >= num_nodes_) return stats;
   stats.state = StateOf(node);
-  stats.restage_pending = RestageQueueDepth(node);
   stats.remote_hits = remote_hits_[static_cast<std::size_t>(node)]->load(
       std::memory_order_relaxed);
   map_.ForEach([&](const std::string& name, const Entry& entry) {

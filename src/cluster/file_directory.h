@@ -18,16 +18,18 @@
 //     ignore nodes that are not live, and membership changes wake them.
 //   * repair — what must move to restore the replication factor after a
 //     loss (or hand a shard to a joiner). Each membership transition
-//     computes the ownership delta and feeds per-node re-staging queues
-//     drained at bounded rate on the prefetch lane (cluster/RestagePump).
+//     computes the ownership delta and returns its repair set: the
+//     (node, file) pairs a live node now owns but holds no live copy of.
+//     PeerGroup hands each pair to that node's staging queue on the
+//     prefetch lane.
 //
 // Membership is a copy-on-write snapshot (ring + per-node state +
 // version) swapped atomically on every NodeUp/NodeDown/NodeJoin: the
 // instant a node is marked down, every reader's PlacedHolders() stops
 // returning it — advertisements from a downed node are retracted
 // atomically, readers never dial a ghost. The slower map scan that
-// physically erases its holder rows and computes the re-staging delta
-// follows outside the readers' path.
+// physically erases its holder rows and computes the repair set follows
+// outside the readers' path.
 //
 // Built on util/ShardedMap: lookups from every node's reader threads and
 // updates from every node's placement pool proceed under striped locks.
@@ -38,13 +40,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -64,10 +64,12 @@ enum class NodeState : std::uint8_t {
 /// NodeJoin so harnesses and tests can assert the consistent-hashing
 /// property (only ~1/N of files re-owned) and the repair work created.
 struct MembershipDelta {
-  std::uint64_t version = 0;          ///< membership version after the change
-  std::uint64_t files_reowned = 0;    ///< entries whose owner set changed
-  std::uint64_t restage_enqueued = 0; ///< (file, node) repair tasks queued
-  bool applied = false;               ///< false: invalid transition, no-op
+  std::uint64_t version = 0;        ///< membership version after the change
+  std::uint64_t files_reowned = 0;  ///< entries whose owner set changed
+  /// (node, file): a live owner of the file holding no copy of it; each
+  /// pair appears once.
+  std::vector<std::pair<int, std::string>> repair;
+  bool applied = false;             ///< false: invalid transition, no-op
 };
 
 /// Cluster-wide replication health: live staged copies per file vs the
@@ -80,16 +82,15 @@ struct ReplicationHealth {
 };
 
 /// Per-node view of the directory for status tooling (monarchctl
-/// peer-status / cluster-status): how much of the namespace the node
+/// peer-status) and cluster results: how much of the namespace the node
 /// owns, how many copies it currently holds, how often peers pulled from
-/// it, and its membership/repair state.
+/// it, and its membership state.
 struct DirectoryNodeStats {
   int node = 0;
   std::uint64_t owned = 0;        ///< entries whose primary owner is node
   std::uint64_t placed = 0;       ///< entries node currently holds
   std::uint64_t remote_hits = 0;  ///< peer reads served from node's copy
   NodeState state = NodeState::kUp;
-  std::uint64_t restage_pending = 0;  ///< repair tasks queued for node
 };
 
 class FileDirectory {
@@ -113,7 +114,7 @@ class FileDirectory {
 
   /// Mark `node` failed: bump the version (readers immediately stop
   /// resolving to it), retract its advertisements, recompute ownership,
-  /// and enqueue re-staging for files that lost a live owner/copy.
+  /// and return the repair set for files that lost a live owner/copy.
   MembershipDelta NodeDown(int node);
 
   /// A previously-down member returns. Its surviving local copies are NOT
@@ -123,8 +124,8 @@ class FileDirectory {
   MembershipDelta NodeUp(int node);
 
   /// A deferred member (kAbsent) joins the ring: its vnodes are added,
-  /// ownership of ~1/N of files moves to it, and the handoff is enqueued
-  /// on its re-staging queue.
+  /// ownership of ~1/N of files moves to it, and the handoff is its
+  /// share of the repair set.
   MembershipDelta NodeJoin(int node);
 
   [[nodiscard]] NodeState StateOf(int node) const;
@@ -184,31 +185,9 @@ class FileDirectory {
   /// copy of `name`. True when it waited.
   bool AwaitCopies(const std::string& name, int exclude_node);
 
-  // ---- re-staging -------------------------------------------------------
-
-  /// Pop up to `max_files` queued repair tasks for `node` (files it now
-  /// owns but holds no live copy of). Consumed by cluster::RestagePump.
-  [[nodiscard]] std::vector<std::string> TakeRestage(int node,
-                                                     std::size_t max_files);
-
-  /// Repair tasks currently queued, cluster-wide / for one node.
-  [[nodiscard]] std::uint64_t RestageQueueDepth() const;
-  [[nodiscard]] std::uint64_t RestageQueueDepth(int node) const;
-
-  /// Record one finished repair copy of `bytes` (pump callback; feeds
-  /// `cluster.restage.completed` / `cluster.restage.bytes`).
-  void CountRestageCompleted(std::uint64_t bytes);
-
-  [[nodiscard]] std::uint64_t restage_enqueued_total() const noexcept {
-    return restage_enqueued_total_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t restage_completed_total() const noexcept {
-    return restage_completed_total_.load(std::memory_order_relaxed);
-  }
+  // ---- stats ------------------------------------------------------------
 
   [[nodiscard]] ReplicationHealth CheckReplication() const;
-
-  // ---- stats ------------------------------------------------------------
 
   /// Files known to the directory (placed at least once).
   [[nodiscard]] std::uint64_t entries() const;
@@ -250,15 +229,11 @@ class FileDirectory {
                                               const std::string& name) const;
 
   /// Shared transition tail: publish `next`, retract the ads of
-  /// `retract_node` (or -1), diff ownership old vs new, enqueue repair.
+  /// `retract_node` (or -1), diff ownership old vs new, collect repair.
   MembershipDelta FinishTransition(const MembershipPtr& old_m,
                                    std::shared_ptr<Membership> next,
                                    int retract_node, const char* kind,
                                    int node);
-
-  /// Enqueue (name -> node) repair if not already queued. Caller holds
-  /// restage_mu_. Returns true when freshly queued.
-  bool EnqueueRestageLocked(int node, const std::string& name);
 
   const int num_nodes_;
   const int replication_;
@@ -275,30 +250,17 @@ class FileDirectory {
   ShardedMap<std::string, Entry> map_;
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> remote_hits_;
 
-  /// Per-node repair queues + dedup sets (a file is queued at most once
-  /// per node until taken).
-  mutable std::mutex restage_mu_;
-  std::vector<std::deque<std::string>> restage_q_;
-  std::vector<std::unordered_set<std::string>> restage_queued_;
-
   /// Joinable copies in flight: file -> nodes copying it. Waiters sleep
   /// on copy_cv_, woken by EndCopy and by every membership transition.
   std::mutex copy_mu_;
   std::condition_variable copy_cv_;
   std::unordered_map<std::string, std::vector<int>> copying_;
 
-  std::atomic<std::uint64_t> restage_enqueued_total_{0};
-  std::atomic<std::uint64_t> restage_completed_total_{0};
-
-  // docs/OBSERVABILITY.md `cluster.directory.*` / `cluster.membership.*`
-  // / `cluster.restage.*`.
+  // docs/OBSERVABILITY.md `cluster.directory.*` / `cluster.membership.*`.
   obs::Counter* lookups_ = nullptr;
   obs::Counter* remote_hits_total_ = nullptr;
   obs::Counter* transitions_ = nullptr;
-  obs::Counter* restage_enqueued_ = nullptr;
-  obs::Counter* restage_completed_ = nullptr;
-  obs::Counter* restage_bytes_ = nullptr;
-  // Last member: the source callback reads map_, membership_, queues.
+  // Last member: the source callback reads map_ and membership_.
   obs::SourceRegistration obs_source_;
 };
 

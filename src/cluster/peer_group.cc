@@ -127,7 +127,7 @@ class DirectoryPeerView final : public core::PeerView {
   bool RequestOwnerStage(const std::string& name) override {
     const int owner = group_->directory().PrimaryOwner(name);
     return owner != self_ && group_->directory().IsLive(owner) &&
-           group_->RequestStage(owner, name);
+           group_->RequestStage(owner, name, core::StagingLane::kDemand) > 0;
   }
 
   bool AwaitRemoteCopy(const std::string& name) override {
@@ -163,6 +163,16 @@ PeerGroup::PeerGroup(int num_nodes, PeerOptions options)
   for (int node = 0; node < directory_.num_nodes(); ++node) {
     holder_state_.push_back(std::make_unique<HolderState>());
   }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  enqueued_counter_ = registry.GetCounter(
+      "cluster.restage.enqueued", "files",
+      "repair copies handed to their new owners' staging queues");
+  completed_counter_ = registry.GetCounter(
+      "cluster.restage.completed", "files",
+      "repair copies their new owners claimed on the prefetch lane");
+  bytes_counter_ = registry.GetCounter(
+      "cluster.restage.bytes", "bytes",
+      "bytes of the files replication repair claimed after churn");
 }
 
 void PeerGroup::RegisterNode(int node, storage::StorageEnginePtr engine) {
@@ -183,12 +193,13 @@ void PeerGroup::SetStageEntry(int node, core::PeerView::StageEntry entry) {
   stage_entries_[static_cast<std::size_t>(node)] = std::move(entry);
 }
 
-bool PeerGroup::RequestStage(int node, const std::string& name) {
-  if (node < 0 || node >= num_nodes()) return false;
+std::uint64_t PeerGroup::RequestStage(int node, const std::string& name,
+                                      core::StagingLane lane) {
+  if (node < 0 || node >= num_nodes()) return 0;
   std::shared_lock lock(stage_mu_);
   const core::PeerView::StageEntry& entry =
       stage_entries_[static_cast<std::size_t>(node)];
-  return entry && entry(name);
+  return entry ? entry(name, lane) : 0;
 }
 
 storage::StorageEnginePtr PeerGroup::MakePeerEngine(int node) {
@@ -208,7 +219,7 @@ MembershipDelta PeerGroup::KillNode(int node) {
   // Fabric first: any transfer racing the directory update times out
   // instead of silently reading a dead node's engine.
   network_->SetNodeDown(node, true);
-  return directory_.NodeDown(node);
+  return Repair(directory_.NodeDown(node));
 }
 
 MembershipDelta PeerGroup::ReviveNode(int node) {
@@ -218,12 +229,26 @@ MembershipDelta PeerGroup::ReviveNode(int node) {
     state.fail_streak.store(0, std::memory_order_relaxed);
     state.quarantined_until_ns.store(0, std::memory_order_relaxed);
   }
-  return directory_.NodeUp(node);
+  return Repair(directory_.NodeUp(node));
 }
 
 MembershipDelta PeerGroup::JoinNode(int node) {
   network_->SetNodeDown(node, false);
-  return directory_.NodeJoin(node);
+  return Repair(directory_.NodeJoin(node));
+}
+
+MembershipDelta PeerGroup::Repair(MembershipDelta delta) {
+  for (const auto& [node, name] : delta.repair) {
+    restage_enqueued_.fetch_add(1, std::memory_order_relaxed);
+    enqueued_counter_->Increment();
+    const std::uint64_t bytes =
+        RequestStage(node, name, core::StagingLane::kPrefetch);
+    if (bytes == 0) continue;  // placed, in flight, or no longer owned
+    restage_completed_.fetch_add(1, std::memory_order_relaxed);
+    completed_counter_->Increment();
+    bytes_counter_->Increment(bytes);
+  }
+  return delta;
 }
 
 int PeerGroup::InflightFor(int node) const {

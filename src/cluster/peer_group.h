@@ -23,7 +23,11 @@
 // Churn control (ISSUE 7): KillNode/ReviveNode/JoinNode drive the
 // directory's membership AND the fabric's reachability together, so a
 // killed node both disappears from holder resolution and times out any
-// RPC that races the membership change.
+// RPC that races the membership change. Each then repairs: every
+// (node, file) pair of the transition's repair set goes to that node's
+// stage entry on the PREFETCH lane, on the calling thread. The staging
+// queue's background band is the only repair throttle, and the chunk
+// claims the entry takes drop a copy already placed or in flight.
 //
 // Usage (dlsim::RunClusterExperiment):
 //   cluster::PeerGroup group(num_jobs, options);
@@ -42,6 +46,7 @@
 #include "cluster/file_directory.h"
 #include "core/peer_view.h"
 #include "net/network_model.h"
+#include "obs/metrics_registry.h"
 #include "storage/storage_engine.h"
 #include "util/clock.h"
 
@@ -89,7 +94,7 @@ class PeerGroup {
   // ---- churn control (ISSUE 7) -----------------------------------------
 
   /// Fail `node`: fabric RPCs to it time out, the directory retracts its
-  /// ads, ownership shifts, repair work is queued for the survivors.
+  /// ads, ownership shifts, and the survivors stage what they now own.
   MembershipDelta KillNode(int node);
 
   /// Bring a killed node back. Call Monarch::ReadvertisePlacedCopies()
@@ -97,8 +102,17 @@ class PeerGroup {
   /// before the rejoin delta decides what still needs repair.
   MembershipDelta ReviveNode(int node);
 
-  /// A deferred member enters the ring (shard handoff gets queued).
+  /// A deferred member enters the ring and stages its shard handoff.
   MembershipDelta JoinNode(int node);
+
+  /// Repair pairs handed to stage entries, and those a copy was claimed
+  /// for (`cluster.restage.enqueued` / `.completed`, this group only).
+  [[nodiscard]] std::uint64_t restage_enqueued() const noexcept {
+    return restage_enqueued_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t restage_completed() const noexcept {
+    return restage_completed_.load(std::memory_order_relaxed);
+  }
 
   // ---- accessors --------------------------------------------------------
 
@@ -120,8 +134,10 @@ class PeerGroup {
   /// RequestStage calls in flight against it.
   void SetStageEntry(int node, core::PeerView::StageEntry entry);
 
-  /// Run `node`'s stage entry for `name`; false when none is installed.
-  bool RequestStage(int node, const std::string& name);
+  /// Run `node`'s stage entry for `name` on `lane`: the bytes it
+  /// claimed, 0 when it claimed nothing or none is installed.
+  std::uint64_t RequestStage(int node, const std::string& name,
+                             core::StagingLane lane);
 
   /// The engine registered for `node`, or null. Used by the resolver.
   [[nodiscard]] storage::StorageEnginePtr NodeEngine(int node) const;
@@ -145,6 +161,9 @@ class PeerGroup {
     std::atomic<std::int64_t> quarantined_until_ns{0};
   };
 
+  /// Dispatch `delta`'s repair set (see the class comment).
+  MembershipDelta Repair(MembershipDelta delta);
+
   PeerOptions options_;
   FileDirectory directory_;
   net::NetworkModelPtr network_;
@@ -157,6 +176,13 @@ class PeerGroup {
   /// SetStageEntry's exclusive lock waits them out.
   std::shared_mutex stage_mu_;
   std::vector<core::PeerView::StageEntry> stage_entries_;
+
+  std::atomic<std::uint64_t> restage_enqueued_{0};
+  std::atomic<std::uint64_t> restage_completed_{0};
+  // docs/OBSERVABILITY.md `cluster.restage.*`.
+  obs::Counter* enqueued_counter_ = nullptr;
+  obs::Counter* completed_counter_ = nullptr;
+  obs::Counter* bytes_counter_ = nullptr;
 };
 
 }  // namespace monarch::cluster

@@ -324,7 +324,9 @@ Result<std::unique_ptr<Monarch>> Monarch::Create(MonarchConfig config) {
   if (monarch->config_.peer_view != nullptr) {
     Monarch* self = monarch.get();
     monarch->config_.peer_view->SetStageEntry(
-        [self](const std::string& name) { return self->StageForPeer(name); });
+        [self](const std::string& name, StagingLane lane) {
+          return self->StageForPeer(name, lane);
+        });
   }
   return monarch;
 }
@@ -976,14 +978,19 @@ bool Monarch::TimedJoin(std::string_view name, const char* kind,
   return true;
 }
 
-bool Monarch::StageForPeer(const std::string& name) {
-  if (placement_->stopped()) return false;
+std::uint64_t Monarch::StageForPeer(const std::string& name,
+                                    StagingLane lane) {
+  if (placement_->stopped()) return 0;
   FileInfoPtr info = metadata_.Lookup(name);
-  if (info == nullptr) return false;
-  // Held as a queued prefetch: promote it, as a local read would, so the
-  // copy becomes joinable and the peer waits for it instead of the PFS.
-  return ClaimAndSchedule(info, StagingLane::kDemand, /*lookahead=*/false) ||
-         placement_->PromoteToDemand(info);
+  if (info == nullptr) return 0;
+  // A peer's demand held as a queued prefetch is promoted, as a local
+  // read would, so the copy becomes joinable and the peer waits for it
+  // instead of the PFS. Repair rides the prefetch lane: the staging
+  // queue serves it only when no demand-band work is queued.
+  const bool claimed =
+      ClaimAndSchedule(info, lane, /*lookahead=*/false) ||
+      (lane == StagingLane::kDemand && placement_->PromoteToDemand(info));
+  return claimed ? info->size : 0;
 }
 
 void Monarch::CountDegradedFallback(FallbackCause cause, std::string_view name,
@@ -1067,24 +1074,6 @@ std::uint64_t Monarch::Prestage(bool block) {
   }
   if (block) placement_->Drain();
   return scheduled;
-}
-
-Result<std::uint64_t> Monarch::RestageFile(const std::string& name) {
-  if (placement_->stopped()) return std::uint64_t{0};
-  FileInfoPtr info = metadata_.Lookup(name);
-  if (!info) {
-    return NotFoundError("restage of unindexed file '" + name + "'");
-  }
-  const std::uint64_t size = info->size;
-  // Ownership may have shifted again since the repair task was queued —
-  // ClaimAndSchedule re-checks the gate at drain time, not enqueue time.
-  // Repair rides the PREFETCH lane: the staging queue serves it only
-  // when no demand-band work is queued.
-  if (!ClaimAndSchedule(std::move(info), StagingLane::kPrefetch,
-                        /*lookahead=*/false)) {
-    return std::uint64_t{0};
-  }
-  return size;
 }
 
 std::uint64_t Monarch::ReadvertisePlacedCopies() {

@@ -69,8 +69,10 @@ struct MonarchConfig {
   /// (`placement.pack.enabled`).
   std::optional<TierSpec> peer_tier;
   /// Cluster placement knowledge backing the peer tier: shard ownership
-  /// for staging decisions, remote-copy lookups for the read path, and
-  /// the directory callbacks placement notifies. Null = single node.
+  /// for staging decisions, remote-copy lookups for the read path, the
+  /// directory callbacks placement notifies, and the stage entry through
+  /// which a peer's read (demand lane) or churn repair (prefetch lane)
+  /// asks this node to stage a file it owns. Null = single node.
   PeerViewPtr peer_view;
   /// Directory on the PFS to index at startup.
   std::string dataset_dir;
@@ -239,15 +241,6 @@ class Monarch {
   /// Returns the number of files scheduled.
   std::uint64_t Prestage(bool block = true);
 
-  /// Replication repair after membership churn (ISSUE 7): claim `name`
-  /// if this node now owns it (per the peer view), it is indexed, and it
-  /// is still PFS-resident, then schedule a PREFETCH-lane copy — repair
-  /// traffic rides the speculative lane and can never starve demand
-  /// staging. Returns the bytes scheduled (0 = nothing to do: not owned,
-  /// already placed/fetching, or placement stopped). Driven by
-  /// cluster::RestagePump at bounded rate.
-  Result<std::uint64_t> RestageFile(const std::string& name);
-
   /// Re-publish every currently-placed local copy to the peer view — a
   /// revived node's surviving copies re-enter the cluster directory
   /// (its advertisements were retracted when it was marked down).
@@ -358,8 +351,11 @@ class Monarch {
                  const std::function<bool()>& wait);
 
   /// The stage entry this instance registers with its peer view: a
-  /// peer asks it, as the file's owner, to claim a demand copy.
-  bool StageForPeer(const std::string& name);
+  /// peer asks it, as the file's owner, to claim a demand copy, and
+  /// replication repair after churn asks it for a prefetch copy. Returns
+  /// the file's bytes when it claimed a copy (0: not owned, unindexed,
+  /// placed or in flight, parked, or placement stopped).
+  std::uint64_t StageForPeer(const std::string& name, StagingLane lane);
 
   /// Count one rung of the degradation ladder: a read the tier at `level`
   /// could not serve and the PFS absorbed.

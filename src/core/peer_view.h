@@ -16,14 +16,23 @@
 //    asks its owner to stage it (RequestOwnerStage), waits for that copy
 //    (AwaitRemoteCopy) and reads it over the peer rung. OnCopyBegin()/
 //    OnCopyEnd() publish this node's joinable copies; SetStageEntry()
-//    is how the owner's Monarch takes those requests.
+//    is how the owner's Monarch takes those requests;
+//  * repair: after a membership change the cluster hands each file a
+//    live node now owns but holds no copy of to that node's stage entry
+//    on the PREFETCH lane, so re-staging is background placement work
+//    like any look-ahead copy.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 
 namespace monarch::core {
+
+/// Which queue a staging task belongs to. Demand tasks (read-triggered)
+/// always pop before prefetch tasks (look-ahead and repair).
+enum class StagingLane { kDemand, kPrefetch };
 
 class PeerView {
  public:
@@ -45,9 +54,11 @@ class PeerView {
   /// shutdown cleanup) — stop advertising it to peers.
   virtual void OnDropped(const std::string& name) = 0;
 
-  /// How a node stages a file on a peer's behalf: claim a demand-lane
-  /// copy of `name`; true when a copy was claimed.
-  using StageEntry = std::function<bool(const std::string& name)>;
+  /// How a node stages a file on the cluster's behalf: claim a copy of
+  /// `name` on `lane` (demand for a peer's read, prefetch for repair).
+  /// Returns the file's bytes when a copy was claimed, 0 otherwise.
+  using StageEntry =
+      std::function<std::uint64_t(const std::string& name, StagingLane lane)>;
 
   /// Install this node's stage entry, or remove it with an empty one.
   /// Removal waits for calls in flight, so the entry's target may be

@@ -683,6 +683,14 @@ Status PlacementHandler::StageRun(
                                 cm.ChunkOffset(first);
   {
     std::lock_guard lock(cm.placement_mutex());
+    if (file->state.load(std::memory_order_acquire) ==
+        PlacementState::kUnplaceable) {
+      // A racing task of this file parked it: publishing would un-park it.
+      (void)tier.Delete(object);
+      tier.Release(stored.size());
+      return FailedPreconditionError("staging run of a parked file: " +
+                                     object);
+    }
     const std::uint32_t before = cm.PublishRun(first, metas);
     if (before == 0) {
       // First resident run: the file now serves (partially) from a
@@ -823,8 +831,12 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
   if (next >= task.chunks.size()) return;  // every chunk published
 
   if (!rejected) {
-    MLOG_WARN << "staging of '" << file->name << "' failed: " << failure;
-    RecordStagingFailure(*file);
+    // A file parked meanwhile has nothing left to retry or count.
+    if (file->state.load(std::memory_order_acquire) !=
+        PlacementState::kUnplaceable) {
+      MLOG_WARN << "staging of '" << file->name << "' failed: " << failure;
+      RecordStagingFailure(*file);
+    }
   } else {
     CountNoSpace(task);  // cancels a prefetch: never a permanent rejection
     if (task.lane == StagingLane::kDemand && Evicts()) {

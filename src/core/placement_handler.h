@@ -94,10 +94,6 @@
 
 namespace monarch::core {
 
-/// Which queue a staging task belongs to. Demand tasks (read-triggered)
-/// always pop before prefetch tasks (look-ahead and repair).
-enum class StagingLane { kDemand, kPrefetch };
-
 struct PlacementOptions {
   /// Background copy threads (paper: 6).
   int num_threads = 6;

@@ -10,7 +10,6 @@
 
 #include "ckpt/checkpoint_manager.h"
 #include "cluster/peer_group.h"
-#include "cluster/restage_pump.h"
 #include "dlsim/monarch_opener.h"
 #include "dlsim/record_opener.h"
 #include "qos/admission.h"
@@ -37,10 +36,27 @@ class ChurnGate {
   explicit ChurnGate(int nodes) : down_(static_cast<std::size_t>(nodes), 0) {}
 
   void CountOpen() {
-    opens_.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++opens_;
+    }
+    opened_cv_.notify_all();
   }
-  [[nodiscard]] std::uint64_t opens() const {
-    return opens_.load(std::memory_order_relaxed);
+
+  /// Block until `target` files have been opened, the run is released,
+  /// or no open arrives for `stall`: then every remaining reader is
+  /// parked behind a gate, and the caller's event must fire anyway — a
+  /// revive must not deadlock against the outage it ends.
+  void AwaitOpens(std::uint64_t target, Duration stall) {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (opens_ < target && !released_) {
+      const std::uint64_t seen = opens_;
+      if (!opened_cv_.wait_for(lock, stall, [&] {
+            return opens_ != seen || released_;
+          })) {
+        return;
+      }
+    }
   }
 
   void SetDown(int node, bool down) {
@@ -58,19 +74,22 @@ class ChurnGate {
     });
   }
 
-  /// End-of-run failsafe: unblock every parked reader unconditionally.
+  /// Training ended: unblock every parked reader, and every open wait,
+  /// unconditionally.
   void ReleaseAll() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       released_ = true;
     }
     cv_.notify_all();
+    opened_cv_.notify_all();
   }
 
  private:
-  std::atomic<std::uint64_t> opens_{0};
   std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;         ///< readers waiting out a downed node
+  std::condition_variable opened_cv_;  ///< the churn driver's open waits
+  std::uint64_t opens_ = 0;
   std::vector<char> down_;
   bool released_ = false;
 };
@@ -452,24 +471,6 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
     }
   }
 
-  // Replication repair: one bounded-rate pump per node drains the
-  // directory's re-staging queue through that node's prefetch lane.
-  std::vector<std::unique_ptr<cluster::RestagePump>> pumps;
-  if (peer_group) {
-    cluster::RestagePump::Options pump_options;
-    pump_options.bandwidth_bps = config.restage_bandwidth_bps;
-    for (int j = 0; j < config.num_jobs; ++j) {
-      core::Monarch* monarch = jobs[static_cast<std::size_t>(j)].monarch.get();
-      if (monarch == nullptr) continue;
-      pumps.push_back(std::make_unique<cluster::RestagePump>(
-          peer_group->directory(), j,
-          [monarch](const std::string& name) {
-            return monarch->RestageFile(name);
-          },
-          pump_options));
-    }
-  }
-
   obs::Counter* failover_counter = obs::MetricsRegistry::Global().GetCounter(
       "net.peer_failover", "ops",
       "peer reads rescued by another live holder after a replica failed");
@@ -519,30 +520,15 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
 
   // The chaos driver: fires each scheduled event once the open counter
   // crosses its threshold. If the counter stalls (every remaining reader
-  // is parked behind a gate, or training already finished) the next event
-  // fires anyway — a revive must not deadlock against the outage it ends.
+  // is parked behind a gate) for the stall window, or training already
+  // finished, the next event fires anyway. Each membership change hands
+  // its repair copies to the new owners' prefetch lanes.
   std::uint64_t events_fired = 0;
   std::thread churn_driver;
-  std::atomic<bool> training_done{false};
   if (churn_active) {
     churn_driver = std::thread([&] {
-      using namespace std::chrono_literals;
-      constexpr auto kStallWindow = 700ms;
       for (const ChurnEvent& event : schedule) {
-        std::uint64_t last_opens = gate->opens();
-        auto last_progress = std::chrono::steady_clock::now();
-        while (gate->opens() < event.after_opens &&
-               !training_done.load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(2ms);
-          const std::uint64_t now_opens = gate->opens();
-          const auto now = std::chrono::steady_clock::now();
-          if (now_opens != last_opens) {
-            last_opens = now_opens;
-            last_progress = now;
-          } else if (now - last_progress > kStallWindow) {
-            break;  // stalled: fire the event to unwedge the cluster
-          }
-        }
+        gate->AwaitOpens(event.after_opens, Millis(700));
         switch (event.kind) {
           case ChurnKind::kKill:
             // Park the node's readers and take it off the fabric FIRST;
@@ -579,21 +565,8 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
   }
 
   for (std::thread& t : threads) t.join();
-  training_done.store(true, std::memory_order_release);
-  if (churn_driver.joinable()) churn_driver.join();
   if (gate) gate->ReleaseAll();
-
-  // Let the repair pumps finish the queued re-staging before stopping
-  // them — replication should be restored by the time we report health.
-  if (peer_group) {
-    const auto drain_deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(3);
-    while (peer_group->directory().RestageQueueDepth() > 0 &&
-           std::chrono::steady_clock::now() < drain_deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    for (auto& pump : pumps) pump->Stop();
-  }
+  if (churn_driver.joinable()) churn_driver.join();
 
   ClusterResult result;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -621,11 +594,8 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
     result.peer_bytes = peer_group->network()->bytes_transferred();
     result.churn_events_fired = events_fired;
     result.membership_version = peer_group->directory().membership_version();
-    result.restage_enqueued =
-        peer_group->directory().restage_enqueued_total();
-    result.restage_completed =
-        peer_group->directory().restage_completed_total();
-    result.restage_queue_end = peer_group->directory().RestageQueueDepth();
+    result.restage_enqueued = peer_group->restage_enqueued();
+    result.restage_completed = peer_group->restage_completed();
     result.rpc_timeouts = peer_group->network()->rpc_timeouts();
     result.peer_failovers = failover_counter->Value() - failovers_before;
     result.replication = peer_group->directory().CheckReplication();

@@ -87,8 +87,8 @@ struct ClusterConfig {
   /// its reads gate — the trainer pauses and resumes on revive — so every
   /// job still consumes every sample and per-epoch digests stay
   /// comparable against a churn-free run. Killed nodes vanish from
-  /// holder resolution; survivors repair replication through per-node
-  /// RestagePumps on the prefetch lane.
+  /// holder resolution; every membership change hands the files a live
+  /// node now owns but holds no copy of to that node's prefetch lane.
   std::vector<ChurnEvent> churn_schedule;
   /// Extra seeded random kill/revive pairs appended to the schedule.
   int churn_random_kills = 0;
@@ -96,8 +96,6 @@ struct ClusterConfig {
   /// Nodes that start OUTSIDE the ring and enter it via a kJoin event
   /// (their reads gate until the join fires).
   std::vector<int> deferred_join_nodes;
-  /// Per-node repair-copy bandwidth cap in bytes/sec (0 = uncapped).
-  double restage_bandwidth_bps = 0;
   /// Failure-detection lag: a kill takes the node off the fabric
   /// immediately but retracts it from the directory only this much
   /// later — the window where survivors still dial the dead holder,
@@ -143,9 +141,8 @@ struct ClusterResult {
   // Churn outcome (defaults without churn / peer sharing).
   std::uint64_t churn_events_fired = 0;
   std::uint64_t membership_version = 0;
-  std::uint64_t restage_enqueued = 0;
-  std::uint64_t restage_completed = 0;
-  std::uint64_t restage_queue_end = 0;   ///< repair tasks left after drain
+  std::uint64_t restage_enqueued = 0;    ///< repair pairs dispatched
+  std::uint64_t restage_completed = 0;   ///< of those, copies claimed
   std::uint64_t rpc_timeouts = 0;        ///< RPCs that dialed a dead node
   std::uint64_t peer_failovers = 0;      ///< reads rescued by a replica
   cluster::ReplicationHealth replication;  ///< post-run, post-repair

@@ -3,13 +3,14 @@
 //
 //   * MembershipTest — the FileDirectory's transition algebra: a down/
 //     join moves only ~1/N of the namespace (consistent hashing), the
-//     repair work it queues is exactly the ownership it moved, and a
+//     repair set it returns is exactly the ownership it moved, and a
 //     downed node's advertisements vanish from every reader atomically.
 //   * MembershipStressTest — MarkEvicted/MarkPlaced racing NodeDown/
 //     NodeUp retraction scans. Run under check.sh's TSan leg (filter
 //     `Membership*`); assertions pin only interleaving-proof invariants.
-//   * RestageTest / ChurnIntegrationTest — the repair pump drains the
-//     queues it is fed, and a real 3-node Monarch cluster survives
+//   * RestageTest / ChurnIntegrationTest — a membership change hands
+//     each repair pair to its new owner's stage entry once, on the
+//     prefetch lane, and a real 3-node Monarch cluster survives
 //     kill -> repair -> rejoin with golden bytes end to end and the
 //     replication factor restored.
 #include <gtest/gtest.h>
@@ -18,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -27,11 +27,10 @@
 #include "../test_support.h"
 #include "cluster/file_directory.h"
 #include "cluster/peer_group.h"
-#include "cluster/restage_pump.h"
 #include "core/monarch.h"
+#include "obs/metrics_registry.h"
 #include "pack/chunk_map.h"
 #include "storage/memory_engine.h"
-#include "util/clock.h"
 
 namespace monarch::cluster {
 namespace {
@@ -73,7 +72,7 @@ TEST(MembershipTest, NodeDownMovesOnlyTheVictimsShard) {
   // Exactly the victim's shard changed hands; every other file kept its
   // owner (the consistent-hashing contract — no full reshuffle).
   EXPECT_EQ(victim_owned, delta.files_reowned);
-  EXPECT_EQ(victim_owned, delta.restage_enqueued);
+  EXPECT_EQ(victim_owned, delta.repair.size());
   const auto after = OwnerMap(directory, kFiles);
   for (int i = 0; i < kFiles; ++i) {
     const auto idx = static_cast<std::size_t>(i);
@@ -84,11 +83,18 @@ TEST(MembershipTest, NodeDownMovesOnlyTheVictimsShard) {
     }
   }
 
-  // The node that inherited each orphaned file got its repair task.
-  std::uint64_t queued = 0;
-  for (int n = 0; n < kNodes; ++n) queued += directory.RestageQueueDepth(n);
-  EXPECT_EQ(delta.restage_enqueued, queued);
-  EXPECT_EQ(delta.restage_enqueued, directory.RestageQueueDepth());
+  // The node that inherited each orphaned file got its repair pair, once.
+  std::set<std::string> repaired;
+  for (const auto& [node, name] : delta.repair) {
+    EXPECT_TRUE(repaired.insert(name).second) << name << " repaired twice";
+    EXPECT_EQ(node, directory.PrimaryOwner(name)) << name;
+    EXPECT_NE(3, node);
+  }
+  for (int i = 0; i < kFiles; ++i) {
+    EXPECT_EQ(before[static_cast<std::size_t>(i)].front() == 3,
+              repaired.count(File(i)) == 1)
+        << File(i);
+  }
 }
 
 TEST(MembershipTest, NodeJoinHandsTheJoinerItsShard) {
@@ -109,7 +115,7 @@ TEST(MembershipTest, NodeJoinHandsTheJoinerItsShard) {
   EXPECT_EQ(NodeState::kUp, directory.StateOf(3));
 
   // ~1/N of the namespace moved to the joiner, and every moved file is
-  // queued on the joiner's (and only the joiner's) repair queue.
+  // in the repair set for the joiner (and only the joiner).
   std::uint64_t joiner_owned = 0;
   for (int i = 0; i < kFiles; ++i) {
     if (directory.PrimaryOwner(File(i)) == 3) ++joiner_owned;
@@ -117,12 +123,9 @@ TEST(MembershipTest, NodeJoinHandsTheJoinerItsShard) {
   EXPECT_GT(joiner_owned, 0u);
   EXPECT_LT(joiner_owned, static_cast<std::uint64_t>(kFiles) / 2);
   EXPECT_EQ(delta.files_reowned, joiner_owned);
-  EXPECT_EQ(delta.restage_enqueued, directory.RestageQueueDepth(3));
-  for (int n = 0; n < 3; ++n) EXPECT_EQ(0u, directory.RestageQueueDepth(n));
-
-  const auto handoff = directory.TakeRestage(3, kFiles);
-  EXPECT_EQ(delta.restage_enqueued, handoff.size());
-  for (const std::string& name : handoff) {
+  EXPECT_EQ(joiner_owned, delta.repair.size());
+  for (const auto& [node, name] : delta.repair) {
+    EXPECT_EQ(3, node) << name;
     EXPECT_TRUE(directory.IsOwner(name, 3)) << name;
   }
 }
@@ -230,75 +233,75 @@ TEST(MembershipStressTest, MarkEvictedRacesRetractionScan) {
   EXPECT_EQ(static_cast<std::uint64_t>(kFiles), directory.entries());
 }
 
-TEST(RestageTest, PumpDrainsQueueAndMetersCompletions) {
+/// One stage entry call: which node's entry, for what, on which lane.
+struct StageCall {
+  int node;
+  std::string name;
+  core::StagingLane lane;
+};
+
+/// Installs a stage entry on every node of `group` that records its
+/// calls and returns `bytes` (0 declines every copy). Repair runs the
+/// entries on the thread that changes membership.
+void RecordStageCalls(PeerGroup& group, std::uint64_t bytes,
+                      std::vector<StageCall>& calls) {
+  for (int n = 0; n < group.num_nodes(); ++n) {
+    group.SetStageEntry(n, [n, bytes, &calls](const std::string& name,
+                                              core::StagingLane lane) {
+      calls.push_back(StageCall{n, name, lane});
+      return bytes;
+    });
+  }
+}
+
+TEST(RestageTest, KillNodeHandsEachRepairToItsNewOwnerOnce) {
   constexpr int kNodes = 3;
   constexpr int kFiles = 96;
-  FileDirectory directory(kNodes);
+  PeerGroup group(kNodes);
+  FileDirectory& directory = group.directory();
   for (int i = 0; i < kFiles; ++i) {
     directory.MarkPlaced(File(i), directory.PrimaryOwner(File(i)), 0);
   }
-  const MembershipDelta delta = directory.NodeDown(2);
-  ASSERT_TRUE(delta.applied);
-  ASSERT_GT(delta.restage_enqueued, 0u);
+  std::vector<StageCall> calls;
+  RecordStageCalls(group, /*bytes=*/4096, calls);
+  obs::Counter* bytes = obs::MetricsRegistry::Global().GetCounter(
+      "cluster.restage.bytes", "bytes", "");
+  const std::uint64_t bytes_before = bytes->Value();
 
-  // One pump per survivor; the StageFn records what it was handed and
-  // reports a fixed 4 KiB copy.
-  std::mutex mu;
-  std::vector<std::string> staged;
-  auto stage = [&mu, &staged](const std::string& name) -> Result<std::uint64_t> {
-    std::lock_guard<std::mutex> lock(mu);
-    staged.push_back(name);
-    return 4096;
-  };
-  {
-    RestagePump::Options options;
-    options.poll = Millis(1);
-    RestagePump pump0(directory, 0, stage, options);
-    RestagePump pump1(directory, 1, stage, options);
-    const TimePoint deadline = SteadyClock::now() + std::chrono::seconds(5);
-    while (directory.RestageQueueDepth() > 0 && SteadyClock::now() < deadline) {
-      PreciseSleep(Millis(1));
-    }
-    pump0.Stop();
-    pump1.Stop();
-    EXPECT_EQ(delta.restage_enqueued,
-              pump0.stats().staged_files + pump1.stats().staged_files);
-    EXPECT_EQ(delta.restage_enqueued * 4096,
-              pump0.stats().staged_bytes + pump1.stats().staged_bytes);
+  // The kill returns with every repair already handed over: no queue is
+  // left to drain.
+  const MembershipDelta delta = group.KillNode(2);
+  ASSERT_TRUE(delta.applied);
+  ASSERT_GT(delta.repair.size(), 0u);
+  EXPECT_EQ(delta.repair.size(), calls.size());
+  std::set<std::string> distinct;
+  for (const StageCall& call : calls) {
+    EXPECT_TRUE(distinct.insert(call.name).second) << call.name;
+    EXPECT_EQ(core::StagingLane::kPrefetch, call.lane) << call.name;
+    EXPECT_EQ(directory.PrimaryOwner(call.name), call.node) << call.name;
+    EXPECT_NE(2, call.node);
   }
-  EXPECT_EQ(0u, directory.RestageQueueDepth());
-  EXPECT_EQ(delta.restage_enqueued, directory.restage_completed_total());
-  // Every repaired file was handed to the node that now owns it.
-  std::set<std::string> distinct(staged.begin(), staged.end());
-  EXPECT_EQ(delta.restage_enqueued, distinct.size());
-  for (const std::string& name : distinct) EXPECT_NE(2, directory.PrimaryOwner(name));
+  EXPECT_EQ(delta.repair.size(), group.restage_enqueued());
+  EXPECT_EQ(delta.repair.size(), group.restage_completed());
+  EXPECT_EQ(delta.repair.size() * 4096, bytes->Value() - bytes_before);
 }
 
 TEST(RestageTest, StaleTasksAreSkippedNotCounted) {
-  FileDirectory directory(2);
+  PeerGroup group(2);
+  FileDirectory& directory = group.directory();
   for (int i = 0; i < 8; ++i) {
     directory.MarkPlaced(File(i), directory.PrimaryOwner(File(i)), 0);
   }
-  const MembershipDelta delta = directory.NodeDown(1);
+  // Entries that decline everything (file already placed / ownership
+  // moved on): every pair is handed over, none is booked as a repair.
+  std::vector<StageCall> calls;
+  RecordStageCalls(group, /*bytes=*/0, calls);
+  const MembershipDelta delta = group.KillNode(1);
   ASSERT_TRUE(delta.applied);
-  ASSERT_GT(delta.restage_enqueued, 0u);
-
-  // A StageFn that declines everything (file already placed / ownership
-  // moved on): the pump must drain the queue without booking repairs.
-  RestagePump::Options options;
-  options.poll = Millis(1);
-  RestagePump pump(directory, 0,
-                   [](const std::string&) -> Result<std::uint64_t> { return 0; },
-                   options);
-  const TimePoint deadline = SteadyClock::now() + std::chrono::seconds(5);
-  while (directory.RestageQueueDepth() > 0 && SteadyClock::now() < deadline) {
-    PreciseSleep(Millis(1));
-  }
-  pump.Stop();
-  EXPECT_EQ(0u, directory.RestageQueueDepth());
-  EXPECT_EQ(0u, pump.stats().staged_files);
-  EXPECT_EQ(delta.restage_enqueued, pump.stats().skipped);
-  EXPECT_EQ(0u, directory.restage_completed_total());
+  ASSERT_GT(delta.repair.size(), 0u);
+  EXPECT_EQ(delta.repair.size(), calls.size());
+  EXPECT_EQ(delta.repair.size(), group.restage_enqueued());
+  EXPECT_EQ(0u, group.restage_completed());
 }
 
 // ---------------------------------------------------------------------------
@@ -372,20 +375,13 @@ struct ChurnWorld {
     }
   }
 
-  /// Drain every live node's repair queue synchronously (no pump timing
-  /// in the assertions path).
+  /// Finish the repair copies the last membership change handed to the
+  /// live nodes' staging queues.
   void Repair() {
     for (std::size_t n = 0; n < nodes.size(); ++n) {
-      if (!group->directory().IsLive(static_cast<int>(n))) continue;
-      for (const std::string& name : group->directory().TakeRestage(
-               static_cast<int>(n), kIntFiles)) {
-        auto scheduled = nodes[n]->RestageFile(name);
-        ASSERT_TRUE(scheduled.ok()) << scheduled.status().ToString();
-        if (scheduled.value() > 0) {
-          group->directory().CountRestageCompleted(scheduled.value());
-        }
+      if (group->directory().IsLive(static_cast<int>(n))) {
+        nodes[n]->DrainPlacements();
       }
-      nodes[n]->DrainPlacements();
     }
   }
 };
@@ -425,28 +421,29 @@ TEST(ChurnIntegrationTest, KillRepairRejoinRestoresReplication) {
   EXPECT_EQ(0u, health.below_target);
   EXPECT_EQ(0u, health.unhosted);
 
-  // Kill node 2. Ads retract, ownership shifts, repair work queues.
+  // Kill node 2. Ads retract, ownership shifts, and the kill hands every
+  // file it left below target to a survivor's prefetch lane before it
+  // returns (the staging workers may already be copying them, so the
+  // degraded health in between is not observable here).
   const MembershipDelta down = world.group->KillNode(2);
   ASSERT_TRUE(down.applied);
   EXPECT_EQ(2, world.group->directory().live_nodes());
+  ASSERT_FALSE(down.repair.empty());
+  EXPECT_EQ(down.repair.size(), world.group->restage_enqueued());
   health = world.group->directory().CheckReplication();
-  EXPECT_GT(health.below_target, 0u);
   EXPECT_EQ(0u, health.unhosted) << "replication 2 must survive one loss";
 
   // Repair: survivors re-stage what the victim owned until the books
-  // say the (2-node) cluster is back at target. (Run before the next
-  // epoch — demand staging would otherwise self-heal the replicas off
-  // peer-served reads and leave the repair queue all stale tasks.)
-  ASSERT_GT(world.group->directory().restage_enqueued_total(), 0u);
+  // say the (2-node) cluster is back at target.
   world.Repair();
-  EXPECT_EQ(0u, world.group->directory().RestageQueueDepth());
   health = world.group->directory().CheckReplication();
   EXPECT_EQ(0u, health.below_target);
-  // Accounting: some queued tasks were stale (the survivor already held
-  // a copy), the rest booked real repair copies — never more than queued.
-  EXPECT_GT(world.group->directory().restage_completed_total(), 0u);
-  EXPECT_LE(world.group->directory().restage_completed_total(),
-            world.group->directory().restage_enqueued_total());
+  // Accounting: some pairs were stale (the survivor already held a
+  // copy), the rest claimed real repair copies — never more than handed
+  // over.
+  EXPECT_GT(world.group->restage_completed(), 0u);
+  EXPECT_LE(world.group->restage_completed(),
+            world.group->restage_enqueued());
 
   // Mid-outage epoch on the survivors: golden bytes, zero app errors —
   // the repaired replicas serve everything, the PFS stays untouched.

@@ -81,7 +81,8 @@ class StagingPipelineTest : public ::testing::Test {
  protected:
   void Build(std::vector<std::uint64_t> quotas, PlacementOptions options = {},
              int num_threads = 2,
-             std::shared_ptr<GateEngine> tier0_engine = nullptr) {
+             std::shared_ptr<GateEngine> tier0_engine = nullptr,
+             ResilienceOptions resilience = {}) {
     pfs_engine_ = std::make_shared<storage::MemoryEngine>("pfs");
     std::vector<StorageDriverPtr> drivers;
     cache_engines_.clear();
@@ -102,7 +103,7 @@ class StagingPipelineTest : public ::testing::Test {
     hierarchy_ = std::move(StorageHierarchy::Create(std::move(drivers))).value();
     options.num_threads = num_threads;
     handler_ = std::make_unique<PlacementHandler>(
-        *hierarchy_, metadata_, MakeFirstFitPolicy(), options);
+        *hierarchy_, metadata_, MakeFirstFitPolicy(), options, resilience);
   }
 
   FileInfoPtr AddPfsFile(const std::string& name, const std::string& data) {
@@ -444,6 +445,49 @@ TEST_F(StagingPipelineTest, JoinableMarksDemandCopiesNotQueuedHints) {
   Stage(late, std::nullopt, StagingLane::kDemand);
   EXPECT_EQ(PlacementState::kPfsOnly, late->state.load());
   EXPECT_FALSE(late->joinable.load());
+}
+
+TEST_F(StagingPipelineTest, RacingRunDoesNotUnparkAParkedFile) {
+  // Two tasks stage one two-chunk file. B's write of chunk 1 is held at
+  // the gate while A's write of chunk 0 fails and, at the one-attempt
+  // cap, parks the file. B's run then lands: it must not be published.
+  auto faulty = std::make_shared<storage::FaultyEngine>(
+      std::make_shared<storage::MemoryEngine>("tier0"),
+      storage::FaultyEngine::FaultSpec{});
+  auto gate = std::make_shared<GateEngine>("racy#c1", faulty);
+  PlacementOptions options;
+  options.staging_chunk_bytes = 8;
+  ResilienceOptions resilience;
+  resilience.max_placement_attempts = 1;
+  Build({1000}, options, /*num_threads=*/2, gate, resilience);
+  const std::string payload = "aaaaaaaabbbbbbbb";
+  auto file = AddPfsFile("racy", payload);
+  pack::ChunkMap* cm = file->EnsureChunkMap(options.staging_chunk_bytes);
+  ASSERT_EQ(2u, cm->num_chunks());
+
+  ASSERT_TRUE(cm->TryClaim(1));
+  handler_->ScheduleChunkPlacement(file, {1}, 0, {}, StagingLane::kDemand);
+  gate->AwaitBlocked();
+
+  faulty->FailUntilHealed();
+  ASSERT_TRUE(cm->TryClaim(0));
+  handler_->ScheduleChunkPlacement(file, {0}, 0, {}, StagingLane::kDemand);
+  // A releases its claim, ending the file's joinable copy, only after
+  // the park.
+  EXPECT_TRUE(file->AwaitJoinable());
+  ASSERT_EQ(PlacementState::kUnplaceable, file->state.load());
+  faulty->Heal();
+
+  gate->ReleaseBlocked();
+  handler_->Drain();
+  EXPECT_EQ(PlacementState::kUnplaceable, file->state.load());
+  EXPECT_EQ(0u, cm->ResidentCount());
+  EXPECT_EQ(0u, hierarchy_->Level(0).occupancy_bytes());
+  EXPECT_FALSE(cache_engines_[0]->Exists("racy#c1").value_or(true));
+  const auto stats = handler_->Stats();
+  EXPECT_EQ(1u, stats.failed) << "the refused run is not a failure";
+  EXPECT_EQ(1u, stats.abandoned);
+  EXPECT_EQ(0u, stats.completed);
 }
 
 // ---------------------------------------------------------------------------

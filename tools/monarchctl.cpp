@@ -186,7 +186,6 @@ void PrintUsage() {
       "  monarchctl faults  [--local-rate R] [--pfs-rate R] [--corrupt-rate R]\n"
       "                     [--epochs N] [--files N] [--outage-epoch E]\n"
       "  monarchctl peer-status [--nodes N] [--files N] [--epochs N] [--replication R]\n"
-      "  monarchctl cluster-status [--nodes N] [--files N] [--replication R] [--kill NODE]\n"
       "  monarchctl read-ring [--files N] [--ops N] [--depth D] [--workers W] [--zero-copy true|false]\n"
       "  monarchctl ckpt-status [--saves N] [--bytes SIZE] [--keep K]\n"
       "  monarchctl qos-status [--bandwidth RATE] [--capacity SIZE]\n";
@@ -961,147 +960,6 @@ int CmdPeerStatus(const Args& args) {
   return 0;
 }
 
-const char* NodeStateName(cluster::NodeState state) {
-  switch (state) {
-    case cluster::NodeState::kAbsent: return "absent";
-    case cluster::NodeState::kUp: return "up";
-    case cluster::NodeState::kDown: return "DOWN";
-  }
-  return "?";
-}
-
-/// The ISSUE-7 churn-survival demo: N in-memory nodes stage a replicated
-/// dataset, one node is killed (ads retracted, ownership shifts, repair
-/// queued), the re-staging pumps restore the replication factor, and the
-/// node rejoins. Dumps per-node liveness, ring version, replication
-/// health, and re-stage queue depth at each step.
-int CmdClusterStatus(const Args& args) {
-  const int nodes = std::max(2, std::atoi(args.GetOr("nodes", "3").c_str()));
-  const int num_files =
-      std::max(1, std::atoi(args.GetOr("files", "9").c_str()));
-  const int replication =
-      std::max(1, std::atoi(args.GetOr("replication", "2").c_str()));
-  const int victim =
-      std::min(nodes - 1,
-               std::max(0, std::atoi(args.GetOr("kill", "1").c_str())));
-
-  constexpr std::size_t kFileBytes = 4096;
-  auto pfs = std::make_shared<storage::MemoryEngine>("demo-pfs");
-  const std::vector<std::byte> payload(kFileBytes);
-  for (int i = 0; i < num_files; ++i) {
-    if (auto s = pfs->Write("data/f" + std::to_string(i) + ".bin", payload);
-        !s.ok()) {
-      std::cerr << "cluster-status: seeding dataset failed: " << s << "\n";
-      return 2;
-    }
-  }
-
-  cluster::PeerOptions options;
-  options.replication = replication;
-  cluster::PeerGroup group(nodes, options);
-  cluster::FileDirectory& directory = group.directory();
-
-  std::vector<std::unique_ptr<core::Monarch>> instances;
-  for (int n = 0; n < nodes; ++n) {
-    auto local = std::make_shared<storage::MemoryEngine>(
-        "local" + std::to_string(n));
-    group.RegisterNode(n, local);
-    core::MonarchConfig config;
-    config.cache_tiers.push_back(
-        core::TierSpec{"local" + std::to_string(n), local,
-                       /*quota_bytes=*/1ull << 20});
-    config.peer_tier = core::TierSpec{"peer", group.MakePeerEngine(n), 0};
-    config.peer_view = group.MakePeerView(n);
-    config.pfs = core::TierSpec{"demo-pfs", pfs, 0};
-    config.dataset_dir = "data";
-    auto monarch = core::Monarch::Create(std::move(config));
-    if (!monarch.ok()) {
-      std::cerr << "cluster-status: node " << n << ": " << monarch.status()
-                << "\n";
-      return 2;
-    }
-    instances.push_back(std::move(monarch).value());
-  }
-
-  // Two staging epochs: every owner (primary and replicas) ends up
-  // holding its shard.
-  std::vector<std::byte> buffer(kFileBytes);
-  for (int epoch = 0; epoch < 2; ++epoch) {
-    for (auto& node : instances) {
-      for (const auto& entry : node->metadata().Snapshot()) {
-        if (auto read = node->Read(entry.name, 0, buffer); !read.ok()) {
-          std::cerr << "cluster-status: read failed: " << read.status()
-                    << "\n";
-          return 2;
-        }
-      }
-      node->DrainPlacements();
-    }
-  }
-
-  const auto print_state = [&](const char* phase) {
-    std::cout << "\n[" << phase << "] ring version "
-              << directory.membership_version() << ", live "
-              << directory.live_nodes() << "/" << nodes << "\n";
-    Table table({"node", "state", "owned", "placed", "remote_hits",
-                 "restage_pending"});
-    for (int n = 0; n < nodes; ++n) {
-      const auto stats = directory.StatsFor(n);
-      table.AddRow({std::to_string(n), NodeStateName(stats.state),
-                    std::to_string(stats.owned),
-                    std::to_string(stats.placed),
-                    std::to_string(stats.remote_hits),
-                    std::to_string(stats.restage_pending)});
-    }
-    table.PrintAscii(std::cout);
-    const auto health = directory.CheckReplication();
-    std::cout << "replication: files=" << health.files << " at_target="
-              << health.at_target << " below_target=" << health.below_target
-              << " unhosted=" << health.unhosted << " (target "
-              << std::min(replication, directory.live_nodes()) << ")\n";
-  };
-
-  std::cout << "cluster churn status (demo: " << nodes << " nodes, "
-            << num_files << " files, replication " << replication << ")\n";
-  print_state("staged");
-
-  // Kill the victim: its ads are retracted atomically, ownership walks
-  // past it, and repair work lands on the survivors' re-stage queues.
-  group.KillNode(victim);
-  print_state("node killed");
-
-  // Drain the repair queues through each survivor's prefetch lane.
-  for (int n = 0; n < nodes; ++n) {
-    for (const std::string& name : directory.TakeRestage(
-             n, static_cast<std::size_t>(num_files))) {
-      auto staged = instances[static_cast<std::size_t>(n)]->RestageFile(name);
-      if (staged.ok() && staged.value() > 0) {
-        directory.CountRestageCompleted(staged.value());
-      }
-    }
-    instances[static_cast<std::size_t>(n)]->DrainPlacements();
-  }
-  print_state("repaired");
-
-  // The victim rejoins: surviving local copies are re-advertised first,
-  // so the rejoin delta only repairs what was actually lost.
-  instances[static_cast<std::size_t>(victim)]->ReadvertisePlacedCopies();
-  group.ReviveNode(victim);
-  print_state("rejoined");
-
-  std::cout << "\nrestage: enqueued=" << directory.restage_enqueued_total()
-            << " completed=" << directory.restage_completed_total()
-            << " queued_now=" << directory.RestageQueueDepth() << "\n";
-  const auto health = directory.CheckReplication();
-  if (health.below_target == 0 && health.unhosted == 0) {
-    std::cout << "HEALTHY: replication restored after churn\n";
-    return 0;
-  }
-  std::cout << "DEGRADED: " << health.below_target
-            << " files below replication target\n";
-  return 2;
-}
-
 /// The write-back checkpoint demo: a CheckpointManager over an in-memory
 /// two-level hierarchy saves N checkpoints, drains them to the demo PFS,
 /// and dumps the manifest table.
@@ -1393,7 +1251,6 @@ int Main(int argc, char** argv) {
   if (command == "pack-status") return CmdPackStatus(*args);
   if (command == "faults") return CmdFaults(*args);
   if (command == "peer-status") return CmdPeerStatus(*args);
-  if (command == "cluster-status") return CmdClusterStatus(*args);
   if (command == "read-ring") return CmdReadRing(*args);
   if (command == "ckpt-status") return CmdCkptStatus(*args);
   if (command == "qos-status") return CmdQosStatus(*args);
