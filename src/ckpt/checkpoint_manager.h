@@ -125,7 +125,7 @@ class CheckpointManager final : public core::CheckpointSink {
     std::uint64_t local_bytes = 0;       ///< quota held by live local copies
   };
 
-  /// One manifest entry as reported by `monarchctl ckpt-status`.
+  /// One manifest entry as reported by ManifestView().
   struct EntryView {
     std::uint64_t gen = 0;
     std::string name;

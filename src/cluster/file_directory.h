@@ -81,10 +81,9 @@ struct ReplicationHealth {
   std::uint64_t unhosted = 0;      ///< no live copy at all (PFS only)
 };
 
-/// Per-node view of the directory for status tooling (monarchctl
-/// peer-status) and cluster results: how much of the namespace the node
-/// owns, how many copies it currently holds, how often peers pulled from
-/// it, and its membership state.
+/// Per-node view of the directory for cluster results and tests: how
+/// much of the namespace the node owns, how many copies it currently
+/// holds, how often peers pulled from it, and its membership state.
 struct DirectoryNodeStats {
   int node = 0;
   std::uint64_t owned = 0;        ///< entries whose primary owner is node

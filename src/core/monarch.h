@@ -273,10 +273,6 @@ class Monarch {
   [[nodiscard]] const MetadataContainer& metadata() const noexcept {
     return metadata_;
   }
-  /// The active placement policy (monarchctl stage-status, tests).
-  [[nodiscard]] const PlacementPolicy& policy() const noexcept {
-    return placement_->policy();
-  }
   /// What ranks evictions (PlacementHandler::EvictionRanking).
   [[nodiscard]] std::string EvictionRanking() const {
     return placement_->EvictionRanking();

@@ -284,10 +284,6 @@ class PlacementHandler {
   /// accesses)" or "policy (<name>)".
   [[nodiscard]] std::string EvictionRanking() const;
 
-  [[nodiscard]] const PlacementPolicy& policy() const noexcept {
-    return *policy_;
-  }
-
   /// Stop scheduling new placements (e.g. the integration layer signals
   /// the end of epoch 1 when tiers filled); in-flight tasks finish.
   void StopScheduling() noexcept { stopped_.store(true); }

@@ -111,7 +111,7 @@ class ReadRing {
   /// in-flight ops finish, join the workers. Idempotent.
   void Shutdown();
 
-  /// Point-in-time ring state for monarchctl / tests.
+  /// Point-in-time ring state for benches and tests.
   struct RingStats {
     int depth = 0;                       ///< configured capacity
     std::size_t queued = 0;              ///< submitted, not yet started

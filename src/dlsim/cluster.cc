@@ -8,18 +8,15 @@
 #include <span>
 #include <thread>
 
-#include "ckpt/checkpoint_manager.h"
 #include "cluster/peer_group.h"
 #include "dlsim/monarch_opener.h"
 #include "dlsim/record_opener.h"
-#include "qos/admission.h"
 #include "qos/bandwidth_broker.h"
 #include "storage/device_model.h"
 #include "storage/engine_factory.h"
 #include "storage/posix_engine.h"
 #include "storage/throttled_engine.h"
 #include "util/clock.h"
-#include "util/rng.h"
 
 namespace monarch::dlsim {
 
@@ -188,64 +185,6 @@ Result<TrainingResult> RunScanJob(const std::vector<std::string>& files,
   return result;
 }
 
-/// Model-serving workload (ISSUE 10): restore the model from the
-/// write-back checkpoint tier, then serve latency-sensitive point reads
-/// (one small read per "request"). Reports the per-request p99 — the
-/// number the interactive class's isolation gate is judged on.
-Result<TrainingResult> RunInferenceJob(const std::vector<std::string>& files,
-                                       RecordFileOpener& opener,
-                                       ckpt::CheckpointManager* ckpt,
-                                       std::uint64_t model_bytes,
-                                       int iterations, std::size_t read_bytes,
-                                       std::uint64_t seed, double* p99_us) {
-  if (ckpt != nullptr) {
-    // Publish the model once, as training would have; every iteration
-    // below restores it the way a (re)starting replica does.
-    std::vector<std::byte> model(model_bytes);
-    for (std::size_t i = 0; i < model.size(); ++i) {
-      model[i] = static_cast<std::byte>((i * 131) & 0xff);
-    }
-    MONARCH_RETURN_IF_ERROR(ckpt->Save("serving-model", model));
-    MONARCH_RETURN_IF_ERROR(ckpt->Flush());
-  }
-  TrainingResult result;
-  std::vector<double> latencies_us;
-  std::vector<std::byte> buffer(std::max<std::size_t>(read_bytes, 1));
-  Xoshiro256 rng(seed);
-  const Stopwatch total;
-  for (int it = 1; it <= std::max(iterations, 1); ++it) {
-    EpochResult epoch;
-    epoch.epoch = it;
-    const Stopwatch watch;
-    if (ckpt != nullptr) {
-      MONARCH_RETURN_IF_ERROR(ckpt->Restore("serving-model").status());
-    }
-    for (std::size_t request = 0; request < files.size(); ++request) {
-      const std::string& path =
-          files[rng.NextBounded(static_cast<std::uint64_t>(files.size()))];
-      const Stopwatch request_watch;
-      MONARCH_ASSIGN_OR_RETURN(tfrecord::RandomAccessSourcePtr source,
-                               opener.Open(path));
-      MONARCH_RETURN_IF_ERROR(
-          source->ReadAt(0, std::span<std::byte>(buffer)).status());
-      latencies_us.push_back(request_watch.ElapsedSeconds() * 1e6);
-      ++epoch.samples;
-    }
-    epoch.wall_seconds = watch.ElapsedSeconds();
-    result.epochs.push_back(epoch);
-  }
-  result.total_seconds = total.ElapsedSeconds();
-  if (p99_us != nullptr && !latencies_us.empty()) {
-    std::sort(latencies_us.begin(), latencies_us.end());
-    const std::size_t idx = std::min(
-        latencies_us.size() - 1,
-        static_cast<std::size_t>(0.99 * static_cast<double>(
-                                            latencies_us.size())));
-    *p99_us = latencies_us[idx];
-  }
-  return result;
-}
-
 }  // namespace
 
 double ClusterResult::MeanEpochSeconds() const {
@@ -315,71 +254,24 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
         Micros(static_cast<std::int64_t>(config.interconnect_latency_us));
     peer_options.directory_shards = config.directory_shards;
     peer_options.replication = config.peer_replication;
-    peer_options.deferred_nodes = config.deferred_join_nodes;
     peer_group =
         std::make_unique<cluster::PeerGroup>(config.num_jobs, peer_options);
   }
 
-  // The chaos schedule: scripted events plus seeded random kill/revive
-  // pairs, all keyed to the cluster-wide open counter. Random kills land
-  // between 15% and 70% of the run's expected opens and revive half an
-  // epoch's worth of opens later.
-  std::vector<ChurnEvent> schedule = config.churn_schedule;
-  if (peer_group && config.churn_random_kills > 0) {
-    Xoshiro256 rng(config.churn_seed);
-    const std::uint64_t opens_per_epoch =
-        manifest.file_paths.size() *
-        static_cast<std::uint64_t>(config.num_jobs);
-    const std::uint64_t total_opens =
-        opens_per_epoch * static_cast<std::uint64_t>(config.epochs);
-    for (int i = 0; i < config.churn_random_kills; ++i) {
-      ChurnEvent kill;
-      kill.kind = ChurnKind::kKill;
-      kill.node = static_cast<int>(
-          rng.NextBounded(static_cast<std::uint64_t>(config.num_jobs)));
-      kill.after_opens =
-          total_opens * 15 / 100 +
-          rng.NextBounded(std::max<std::uint64_t>(total_opens * 55 / 100, 1));
-      ChurnEvent revive;
-      revive.kind = ChurnKind::kRevive;
-      revive.node = kill.node;
-      revive.after_opens = kill.after_opens + opens_per_epoch / 2;
-      schedule.push_back(kill);
-      schedule.push_back(revive);
-    }
-    std::stable_sort(schedule.begin(), schedule.end(),
-                     [](const ChurnEvent& a, const ChurnEvent& b) {
-                       return a.after_opens < b.after_opens;
-                     });
-  }
-  const bool churn_active =
-      peer_group && (!schedule.empty() || !config.deferred_join_nodes.empty());
+  // The chaos schedule is keyed to the cluster-wide open counter.
   std::shared_ptr<ChurnGate> gate;
-  if (churn_active) {
+  if (peer_group && !config.churn_schedule.empty()) {
     gate = std::make_shared<ChurnGate>(config.num_jobs);
-    // Deferred members read nothing until their join event fires.
-    for (const int node : config.deferred_join_nodes) {
-      gate->SetDown(node, true);
-    }
   }
 
-  // Multi-tenant QoS (ISSUE 10): one shared broker + admission gate for
-  // the whole cluster; every job becomes a tenant.
+  // Multi-tenant QoS: one shared broker for the whole cluster; every job
+  // becomes a tenant.
   qos::BandwidthBrokerPtr broker;
   if (config.qos.enabled && config.qos.total_bandwidth_bps > 0) {
     broker = std::make_shared<qos::BandwidthBroker>(
         qos::BandwidthBroker::Options{
             .total_rate_bps = config.qos.total_bandwidth_bps});
   }
-  std::unique_ptr<qos::AdmissionController> admission;
-  if (config.qos.enabled && config.admission_capacity_bytes > 0) {
-    admission = std::make_unique<qos::AdmissionController>(
-        qos::AdmissionController::Options{
-            .capacity_bytes = config.admission_capacity_bytes});
-  }
-  // A job's placement footprint: the dataset it will try to keep
-  // resident (every job here trains/scans the same shared dataset).
-  const std::uint64_t job_footprint_bytes = manifest.total_bytes;
 
   struct Job {
     storage::StorageEnginePtr pfs_engine;
@@ -388,12 +280,8 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
     std::unique_ptr<Trainer> trainer;
     JobSpec spec;                       ///< workload + QoS identity
     qos::TenantContext tenant;
-    /// Set for non-training workloads (the trainer owns it otherwise).
+    /// Set for scan jobs (the trainer owns it otherwise).
     RecordFileOpenerPtr opener;
-    /// Inference jobs restore from here (monarch jobs only).
-    std::unique_ptr<ckpt::CheckpointManager> ckpt;
-    bool admitted = true;               ///< written only by the job thread
-    double read_p99_us = 0;
   };
   std::vector<Job> jobs(static_cast<std::size_t>(config.num_jobs));
 
@@ -454,12 +342,6 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
       if (gate) {
         opener = std::make_unique<GatedOpener>(std::move(opener), gate, j);
       }
-      if (job.spec.workload == JobWorkload::kInference) {
-        ckpt::CheckpointOptions ckpt_options;
-        ckpt_options.qos_broker = broker;
-        job.ckpt = std::make_unique<ckpt::CheckpointManager>(
-            job.monarch->hierarchy(), std::move(ckpt_options));
-      }
     } else {
       opener = std::make_unique<EngineOpener>(job.pfs_engine);
     }
@@ -486,17 +368,10 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
     threads.emplace_back([&, j] {
       Job& job = jobs[j];
       // Install the job's tenant on its host thread: direct monarch calls
-      // (scan/inference) attribute here; the trainer's reader threads get
-      // theirs from the opener's TenantSource wrapper.
+      // (scan) attribute here; the trainer's reader threads get theirs
+      // from the opener's TenantSource wrapper.
       std::optional<qos::ScopedTenant> scope;
       if (config.qos.enabled) scope.emplace(job.tenant);
-      if (admission != nullptr) {
-        if (!admission->AwaitAdmission(job.tenant, job_footprint_bytes)) {
-          job.admitted = false;
-          outcomes[j] = TrainingResult{};  // rejected: the job does no I/O
-          return;
-        }
-      }
       switch (job.spec.workload) {
         case JobWorkload::kTraining:
           outcomes[j] = job.trainer->Train();
@@ -505,16 +380,7 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
           outcomes[j] = RunScanJob(manifest.file_paths, *job.opener,
                                    config.epochs, config.read_chunk_bytes);
           break;
-        case JobWorkload::kInference:
-          outcomes[j] = RunInferenceJob(
-              manifest.file_paths, *job.opener, job.ckpt.get(),
-              /*model_bytes=*/std::uint64_t{4} << 20, config.epochs,
-              config.read_chunk_bytes,
-              config.seed * 131 + static_cast<std::uint64_t>(j),
-              &job.read_p99_us);
-          break;
       }
-      if (admission != nullptr) admission->Release(job.tenant.tenant_id);
     });
   }
 
@@ -525,9 +391,9 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
   // its repair copies to the new owners' prefetch lanes.
   std::uint64_t events_fired = 0;
   std::thread churn_driver;
-  if (churn_active) {
+  if (gate) {
     churn_driver = std::thread([&] {
-      for (const ChurnEvent& event : schedule) {
+      for (const ChurnEvent& event : config.churn_schedule) {
         gate->AwaitOpens(event.after_opens, Millis(700));
         switch (event.kind) {
           case ChurnKind::kKill:
@@ -554,10 +420,6 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
             gate->SetDown(event.node, false);
             break;
           }
-          case ChurnKind::kJoin:
-            peer_group->JoinNode(event.node);
-            gate->SetDown(event.node, false);
-            break;
         }
         ++events_fired;
       }
@@ -576,9 +438,6 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
     job_result.training = std::move(outcomes[j]).value();
     job_result.pfs_stats = jobs[j].pfs_engine->Stats().Snapshot();
     job_result.io_class = jobs[j].tenant.io_class;
-    job_result.admitted = jobs[j].admitted;
-    job_result.read_p99_us = jobs[j].read_p99_us;
-    if (jobs[j].ckpt) jobs[j].ckpt->Shutdown();
     if (jobs[j].monarch) {
       jobs[j].monarch->DrainPlacements();
       job_result.monarch_stats = jobs[j].monarch->Stats();
@@ -599,13 +458,6 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
     result.rpc_timeouts = peer_group->network()->rpc_timeouts();
     result.peer_failovers = failover_counter->Value() - failovers_before;
     result.replication = peer_group->directory().CheckReplication();
-  }
-  if (admission != nullptr) {
-    const qos::AdmissionController::Stats admission_stats =
-        admission->GetStats();
-    result.qos_admitted = admission_stats.admitted;
-    result.qos_queued = admission_stats.queued;
-    result.qos_rejected = admission_stats.rejected;
   }
   return result;
 }

@@ -34,7 +34,7 @@ namespace monarch::dlsim {
 /// Events fire in schedule order once the cluster-wide cumulative
 /// file-open count reaches `after_opens` — a deterministic clock (wall
 /// time varies run to run; the number of record files opened does not).
-enum class ChurnKind { kKill, kRevive, kJoin };
+enum class ChurnKind { kKill, kRevive };
 
 struct ChurnEvent {
   ChurnKind kind = ChurnKind::kKill;
@@ -42,11 +42,10 @@ struct ChurnEvent {
   std::uint64_t after_opens = 0;
 };
 
-/// What a job DOES (ISSUE 10). kTraining is the classic epoch loop;
-/// kInference restores a model from the checkpoint tier and serves
-/// latency-sensitive point reads; kScan is a full-dataset data-prep pass
-/// that must never evict a trainer's working set.
-enum class JobWorkload { kTraining, kInference, kScan };
+/// What a job DOES. kTraining is the classic epoch loop; kScan is a
+/// full-dataset data-prep pass that must never evict a trainer's working
+/// set.
+enum class JobWorkload { kTraining, kScan };
 
 /// Per-job QoS identity. Jobs without a spec default to training.
 struct JobSpec {
@@ -90,12 +89,6 @@ struct ClusterConfig {
   /// holder resolution; every membership change hands the files a live
   /// node now owns but holds no copy of to that node's prefetch lane.
   std::vector<ChurnEvent> churn_schedule;
-  /// Extra seeded random kill/revive pairs appended to the schedule.
-  int churn_random_kills = 0;
-  std::uint64_t churn_seed = 42;
-  /// Nodes that start OUTSIDE the ring and enter it via a kJoin event
-  /// (their reads gate until the join fires).
-  std::vector<int> deferred_join_nodes;
   /// Failure-detection lag: a kill takes the node off the fabric
   /// immediately but retracts it from the directory only this much
   /// later — the window where survivors still dial the dead holder,
@@ -109,9 +102,6 @@ struct ClusterConfig {
   /// their defaults), and scan-class jobs are scan-resistant (they can
   /// never evict demand working sets).
   qos::QosOptions qos;
-  /// Admission control: cluster cache capacity the committed footprints
-  /// are checked against (0 = admit everything).
-  std::uint64_t admission_capacity_bytes = 0;
   /// Per-job identity/workload; jobs beyond the vector are training.
   std::vector<JobSpec> job_specs;
 };
@@ -124,12 +114,7 @@ struct JobResult {
   /// Directory view of this node (zero when peer_sharing is off).
   cluster::DirectoryNodeStats peer_stats;
 
-  // Multi-tenant QoS (ISSUE 10).
   qos::IoClass io_class = qos::IoClass::kTraining;
-  /// False when admission control rejected the job (training is empty).
-  bool admitted = true;
-  /// Inference jobs: p99 of per-read service latency, microseconds.
-  double read_p99_us = 0;
 };
 
 struct ClusterResult {
@@ -146,11 +131,6 @@ struct ClusterResult {
   std::uint64_t rpc_timeouts = 0;        ///< RPCs that dialed a dead node
   std::uint64_t peer_failovers = 0;      ///< reads rescued by a replica
   cluster::ReplicationHealth replication;  ///< post-run, post-repair
-
-  // Admission-control outcome (zero when admission is off).
-  std::uint64_t qos_admitted = 0;
-  std::uint64_t qos_queued = 0;
-  std::uint64_t qos_rejected = 0;
 
   [[nodiscard]] double MeanEpochSeconds() const;
   [[nodiscard]] double MeanTotalSeconds() const;

@@ -75,7 +75,7 @@ class BandwidthBroker {
     return options_.total_rate_bps > 0.0;
   }
 
-  /// Per-tenant accounting snapshot (monarchctl qos-status, benches).
+  /// Per-tenant accounting snapshot (benches, tests).
   struct TenantUsage {
     int tenant_id = 0;
     std::string name;

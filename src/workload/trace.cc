@@ -107,11 +107,15 @@ Result<std::vector<TraceEvent>> ParseTrace(const std::string& text) {
       start = comma + 1;
     }
 
+    // A numeric field must parse whole: "12x" is as malformed as "x".
+    const auto parse = [](const std::string& field, auto& value) {
+      const char* end = field.data() + field.size();
+      const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+      return ec == std::errc{} && ptr == end;
+    };
     TraceEvent ev;
     long long us = 0;
-    auto [p1, ec1] = std::from_chars(
-        fields[0].data(), fields[0].data() + fields[0].size(), us);
-    if (ec1 != std::errc{}) {
+    if (!parse(fields[0], us)) {
       return InvalidArgumentError("trace line " + std::to_string(line_no) +
                                   ": bad timestamp");
     }
@@ -122,10 +126,10 @@ Result<std::vector<TraceEvent>> ParseTrace(const std::string& text) {
     }
     MONARCH_ASSIGN_OR_RETURN(ev.op, ParseOp(fields[1][0]));
     ev.path = fields[2];
-    std::from_chars(fields[3].data(), fields[3].data() + fields[3].size(),
-                    ev.offset);
-    std::from_chars(fields[4].data(), fields[4].data() + fields[4].size(),
-                    ev.length);
+    if (!parse(fields[3], ev.offset) || !parse(fields[4], ev.length)) {
+      return InvalidArgumentError("trace line " + std::to_string(line_no) +
+                                  ": bad offset or length");
+    }
     events.push_back(std::move(ev));
   }
   return events;

@@ -361,6 +361,32 @@ TEST_F(ReadRingTest, RingStatsCountZeroCopyHits) {
   EXPECT_DOUBLE_EQ(0.5, stats.zero_copy_hit_rate());
 }
 
+TEST_F(ReadRingTest, LaneOffServesLeasesByCopy) {
+  // With the zero-copy lane switched off, a lease op on a memory-backed
+  // tier is still served byte-identical, but as a copy.
+  auto monarch = Build(1 << 20, {{"f1", "copied-lease"}},
+                       ReadRingOptions{/*depth=*/8, /*worker_threads=*/1,
+                                       /*zero_copy=*/false});
+  ASSERT_OK(monarch);
+  Stage(**monarch, "data/f1", 12);
+  ReadRing& ring = monarch.value()->read_ring();
+
+  std::vector<ReadOp> ops(1);
+  ops[0].name = "data/f1";
+  ops[0].lease = true;
+  ASSERT_EQ(1u, ring.Submit(std::move(ops)));
+  std::vector<ReadCompletion> done;
+  while (done.empty()) ring.HarvestBlocking(done);
+  ASSERT_OK(done[0].bytes);
+  EXPECT_FALSE(done[0].lease.zero_copy());
+  std::span<const std::byte> data = done[0].lease.data();
+  EXPECT_EQ("copied-lease",
+            Text(std::vector<std::byte>(data.begin(), data.end())));
+  const auto stats = ring.Stats();
+  EXPECT_EQ(0u, stats.zero_copy_reads);
+  EXPECT_EQ(1u, stats.copy_reads);
+}
+
 TEST_F(ReadRingTest, LeasePinBlocksEviction) {
   // Quota fits ONE staged file; staging a second must evict the first —
   // unless a lease pins it.

@@ -367,6 +367,55 @@ TEST(ResilienceTest, TrainingSurvivesProbabilisticFaultsByteIdentical) {
                           stats.placement.failed + app_errors);
 }
 
+TEST(ResilienceTest, FaultsPlusMidRunOutageStayInvisible) {
+  // Transient faults on both tiers all run long, and the local tier hard
+  // down from the middle of epoch 1 to its end: every read still
+  // returns the right bytes.
+  FaultyEngine::FaultSpec local_spec;
+  local_spec.read_failure_rate = 0.05;
+  local_spec.write_failure_rate = 0.05;
+  local_spec.seed = 7;
+  FaultyEngine::FaultSpec pfs_spec;
+  pfs_spec.read_failure_rate = 0.02;
+  pfs_spec.metadata_failure_rate = 0.02;
+  pfs_spec.seed = 11;
+  ResilienceOptions resilience;
+  resilience.health.min_samples = 8;
+  resilience.health.cooldown = Millis(20);
+  auto world = BuildWorld(48, local_spec, pfs_spec, resilience);
+  ASSERT_TRUE(world.monarch != nullptr);
+
+  constexpr int kOutageEpoch = 1;
+  std::uint64_t app_errors = 0;
+  std::uint64_t mismatches = 0;
+  std::vector<std::byte> buf(kFileBytes);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    for (std::size_t f = 0; f < world.names.size(); ++f) {
+      if (epoch == kOutageEpoch && f == world.names.size() / 2) {
+        world.local->FailUntilHealed();
+      }
+      auto read = world.monarch->Read(world.names[f], 0, buf);
+      if (!read.ok() || read.value() != kFileBytes) {
+        ++app_errors;
+      } else if (GoldenPayload(GoldenIndex(world.names[f])) !=
+                 std::vector<std::byte>(buf.begin(), buf.end())) {
+        ++mismatches;
+      }
+    }
+    if (epoch == kOutageEpoch) world.local->Heal();
+    world.monarch->DrainPlacements();
+    // Past the breaker cooldown, so an opened circuit gets its half-open
+    // probe window at the next epoch, as a real epoch boundary would.
+    PreciseSleep(Millis(25));
+  }
+
+  EXPECT_EQ(0u, app_errors);
+  EXPECT_EQ(0u, mismatches);
+  const auto stats = world.monarch->Stats();
+  EXPECT_GT(world.local->injected_failures(), 0u);
+  EXPECT_GT(stats.degraded_fallbacks, 0u);
+}
+
 TEST(ResilienceTest, DlsimTrainingCompletesUnderFaults) {
   // Real TFRecord dataset + dlsim trainer: the framework-visible story.
   auto pfs_inner = std::make_shared<MemoryEngine>("pfs");

@@ -21,7 +21,6 @@
 #include "dlsim/monarch_opener.h"
 #include "dlsim/trainer.h"
 #include "obs/metrics_registry.h"
-#include "qos/admission.h"
 #include "qos/bandwidth_broker.h"
 #include "qos/tenant.h"
 #include "storage/memory_engine.h"
@@ -117,10 +116,9 @@ std::set<std::string> RuntimeNames() {
   EXPECT_TRUE(ckpt_manager.Save("catalogue", payload).ok());
   EXPECT_TRUE(ckpt_manager.Flush().ok());
 
-  // Multi-tenant QoS (ISSUE 10): an enabled bandwidth broker with one
-  // registered, charged tenant registers the qos.* counters and the
-  // per-tenant labelled samples; one admission decision registers the
-  // admission instruments.
+  // Multi-tenant QoS: an enabled bandwidth broker with one registered,
+  // charged tenant registers the qos.* counters and the per-tenant
+  // labelled samples.
   qos::BandwidthBroker::Options broker_options;
   broker_options.total_rate_bps = 1e9;
   qos::BandwidthBroker broker(broker_options);
@@ -129,10 +127,6 @@ std::set<std::string> RuntimeNames() {
   tenant.name = "catalogue-tenant";
   broker.RegisterTenant(tenant);
   broker.Acquire(1, 512);
-  qos::AdmissionController::Options admission_options;
-  admission_options.capacity_bytes = 1ull << 20;
-  qos::AdmissionController admission(admission_options);
-  EXPECT_EQ(qos::AdmissionDecision::kAdmit, admission.Request(tenant, 512));
 
   const auto names = obs::MetricsRegistry::Global().Names();
   return {names.begin(), names.end()};

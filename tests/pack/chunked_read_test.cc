@@ -224,9 +224,15 @@ TEST_F(ChunkedReadTest, PartialReadsMatchWholeFileColdAndWarm) {
       ExpectSliceMatches(**monarch, f, 700, 900);
       ExpectSliceMatches(**monarch, f, 1, 1024);  // straddles chunks 0/1
     }
-    EXPECT_GT(monarch.value()->Stats().chunk_hits, hits_before)
+    const MonarchStats stats = monarch.value()->Stats();
+    EXPECT_GT(stats.chunk_hits, hits_before)
         << "codec " << codec
         << ": warm reads must be served from resident chunks";
+    if (codec == "none") {
+      EXPECT_EQ(stats.placement.bytes_staged,
+                stats.placement.chunk_stored_bytes)
+          << "an uncompressed chunk is stored at its logical size";
+    }
   }
 }
 

@@ -99,6 +99,27 @@ TEST(QosBrokerTest, UsageTracksConsumptionAndThrottling) {
   EXPECT_GT(usage->throttled_us, 0u);
 }
 
+TEST(QosBrokerTest, OnlyTheTenantPastItsShareIsThrottled) {
+  // Three active tenants split the pipe 8:4:2. The demand tenants charge
+  // inside their buckets' burst; the scan overdrives its share, so it
+  // alone waits.
+  BandwidthBroker::Options options;
+  options.total_rate_bps = 2.0 * 1024 * 1024;
+  options.work_conserving = true;
+  BandwidthBroker broker(options);
+  broker.RegisterTenant(MakeTenant(0, 8.0, IoClass::kInteractive));
+  broker.RegisterTenant(MakeTenant(1, 4.0, IoClass::kTraining));
+  broker.RegisterTenant(MakeTenant(2, 2.0, IoClass::kScan));
+  const auto rate = static_cast<std::uint64_t>(options.total_rate_bps);
+  broker.Acquire(0, rate / 200);
+  broker.Acquire(1, rate / 200);
+  broker.Acquire(2, rate / 100);
+  const auto usage = broker.Usage();
+  EXPECT_EQ(0u, FindUsage(usage, 0)->throttle_waits);
+  EXPECT_EQ(0u, FindUsage(usage, 1)->throttle_waits);
+  EXPECT_GE(FindUsage(usage, 2)->throttle_waits, 1u);
+}
+
 TEST(QosBrokerTest, UnknownTenantAutoRegistersWithDefaultWeight) {
   BandwidthBroker::Options options;
   options.total_rate_bps = 10000.0;

@@ -69,6 +69,12 @@ TEST(TraceSerializationTest, ParseRejectsMalformedLines) {
                      ParseTrace("abc,R,path,0,0"));
   EXPECT_STATUS_CODE(StatusCode::kInvalidArgument,
                      ParseTrace("1,Z,path,0,0"));
+  EXPECT_STATUS_CODE(StatusCode::kInvalidArgument,
+                     ParseTrace("1x,R,path,0,0"));
+  EXPECT_STATUS_CODE(StatusCode::kInvalidArgument,
+                     ParseTrace("1,R,path,abc,0"));
+  EXPECT_STATUS_CODE(StatusCode::kInvalidArgument,
+                     ParseTrace("1,R,path,0,12x"));
 }
 
 TEST(TraceSerializationTest, EmptyTraceIsEmpty) {
