@@ -19,6 +19,11 @@ ctest --test-dir build --output-on-failure
 ./build/tests/monarch_tests \
     --gtest_filter='ResilienceTest.*:ReadLadderTest.*:PeerCacheTest.*:ChurnIntegrationTest.*:MembershipTest.*:RestageTest.*' \
     --gtest_repeat=20 --gtest_brief=1
+# A peer run buffered at its first slice must never serve another node,
+# a dead holder or a different run: repeat the peer-run suite (holder
+# kills race the repair staging they trigger) and fail on any failure.
+./build/tests/monarch_tests --gtest_filter='PeerRunTest.*' \
+    --gtest_repeat=100 --gtest_brief=1
 
 cmake -B build-tsan -G Ninja -DMONARCH_SANITIZE=thread \
       -DMONARCH_BUILD_BENCHMARKS=OFF -DMONARCH_BUILD_EXAMPLES=OFF

@@ -1,5 +1,8 @@
 #include "net/peer_engine.h"
 
+#include <algorithm>
+#include <atomic>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -7,6 +10,42 @@
 #include "obs/json.h"
 
 namespace monarch::net {
+
+namespace {
+
+/// The run this thread last fetched whole from a peer, less what it has
+/// served: at most one per reading thread.
+struct PeerRun {
+  std::uint64_t engine = 0;  ///< PeerEngine instance id (0 = none)
+  std::string path;
+  int holder = -1;
+  storage::ReadView bytes;
+
+  void Release() {
+    engine = 0;
+    path.clear();
+    holder = -1;
+    bytes.Reset();
+  }
+};
+
+PeerRun& ThreadRun() {
+  thread_local PeerRun run;
+  return run;
+}
+
+std::atomic<std::uint64_t> next_engine_id{1};
+
+/// `peer.read` span args.
+std::string ReadArgs(const std::string& path, std::size_t bytes, int node,
+                     bool run_hit) {
+  return "\"file\":" + obs::JsonQuote(path) +
+         ",\"bytes\":" + std::to_string(bytes) +
+         ",\"node\":" + std::to_string(node) +
+         ",\"run_hit\":" + (run_hit ? "true" : "false");
+}
+
+}  // namespace
 
 PeerEngine::PeerEngine(std::string name, ResolverPtr resolver,
                        NetworkModelPtr network)
@@ -16,6 +55,7 @@ PeerEngine::PeerEngine(std::string name, ResolverPtr resolver,
 PeerEngine::PeerEngine(std::string name, ResolverPtr resolver,
                        NetworkModelPtr network, Options options)
     : name_(std::move(name)),
+      id_(next_engine_id.fetch_add(1, std::memory_order_relaxed)),
       resolver_(std::move(resolver)),
       network_(std::move(network)),
       options_(options),
@@ -41,6 +81,59 @@ Result<PeerEngine::Resolver::Holder> PeerEngine::ResolveReachable(
   return holder;
 }
 
+std::optional<std::size_t> PeerEngine::ServeBufferedRun(
+    const std::string& path, std::uint64_t offset, std::span<std::byte> dst,
+    obs::TraceSpan& span) {
+  PeerRun& run = ThreadRun();
+  if (run.engine != id_ || run.path != path) return std::nullopt;
+  const std::span<const std::byte> bytes = run.bytes.data();
+  if (offset >= bytes.size() ||
+      !network_->Reachable(options_.self_node, run.holder) ||
+      !resolver_->StillHolds(path, run.holder)) {
+    // The holder died, was cut off or dropped its copy: this read and
+    // the rest of the run go back over the fabric (re-resolved) or, once
+    // the directory retracts the copy, down the ladder.
+    run.Release();
+    return std::nullopt;
+  }
+  const auto n = static_cast<std::size_t>(
+      std::min<std::uint64_t>(dst.size(), bytes.size() - offset));
+  std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(offset), n,
+              dst.begin());
+  if (span.active()) span.set_args_json(ReadArgs(path, n, run.holder, true));
+  if (offset + n == bytes.size()) run.Release();
+  network_->CountRunHit();
+  return n;
+}
+
+Result<std::size_t> PeerEngine::Transfer(const Resolver::Holder& holder,
+                                         const std::string& path,
+                                         std::uint64_t offset,
+                                         std::span<std::byte> dst,
+                                         std::size_t& moved) {
+  if (offset != 0) {
+    MONARCH_ASSIGN_OR_RETURN(moved, holder.engine->Read(path, offset, dst));
+    return moved;
+  }
+  MONARCH_ASSIGN_OR_RETURN(
+      storage::ReadView whole,
+      holder.engine->ReadZeroCopy(path, 0,
+                                  std::numeric_limits<std::uint64_t>::max()));
+  const std::span<const std::byte> bytes = whole.data();
+  const std::size_t n = std::min(dst.size(), bytes.size());
+  std::copy_n(bytes.begin(), n, dst.begin());
+  moved = bytes.size();
+  PeerRun& run = ThreadRun();
+  run.Release();
+  if (n < bytes.size()) {
+    run.engine = id_;
+    run.path = path;
+    run.holder = holder.node;
+    run.bytes = std::move(whole);
+  }
+  return n;
+}
+
 Result<std::size_t> PeerEngine::Read(std::string_view path_view,
                                      std::uint64_t offset,
                                      std::span<std::byte> dst) {
@@ -49,6 +142,10 @@ Result<std::size_t> PeerEngine::Read(std::string_view path_view,
   // Resolver and failover bookkeeping key by owned string; one copy per
   // peer read is fine — the fabric transfer dwarfs it.
   const std::string path(path_view);
+  if (const auto hit = ServeBufferedRun(path, offset, dst, span)) {
+    stats_.RecordRead(*hit, timer.Elapsed());
+    return *hit;
+  }
   std::vector<int> tried;
   Status last_failure = Status::Ok();
   const int max_holders = std::max(1, options_.max_holders);
@@ -74,13 +171,14 @@ Result<std::size_t> PeerEngine::Read(std::string_view path_view,
       tried.push_back(holder.node);
       continue;
     }
-    auto read = holder.engine->Read(path, offset, dst);
+    std::size_t moved = 0;
+    auto read = Transfer(holder, path, offset, dst, moved);
     if (read.ok()) {
       resolver_->OnTransferDone(holder.node, true);
       // The serving node's device really does the read (its cost is
       // charged by that engine), then the bytes cross the fabric.
       const std::size_t n = read.value();
-      network_->ChargeTransfer(n);
+      network_->ChargeTransfer(moved);
       stats_.RecordRead(n, timer.Elapsed());
       if (attempt > 0) {
         failovers_->Increment();
@@ -94,9 +192,7 @@ Result<std::size_t> PeerEngine::Read(std::string_view path_view,
         }
       }
       if (span.active()) {
-        span.set_args_json("\"file\":" + obs::JsonQuote(path) +
-                           ",\"bytes\":" + std::to_string(n) +
-                           ",\"node\":" + std::to_string(holder.node));
+        span.set_args_json(ReadArgs(path, n, holder.node, false));
       }
       return n;
     }
@@ -140,9 +236,7 @@ Result<storage::ReadView> PeerEngine::ReadZeroCopy(std::string_view path_view,
       stats_.RecordRead(n, timer.Elapsed());
       if (attempt > 0) failovers_->Increment();
       if (span.active()) {
-        span.set_args_json("\"file\":" + obs::JsonQuote(path) +
-                           ",\"bytes\":" + std::to_string(n) +
-                           ",\"node\":" + std::to_string(holder.node));
+        span.set_args_json(ReadArgs(path, n, holder.node, false));
       }
       return view;
     }

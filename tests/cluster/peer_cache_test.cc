@@ -8,6 +8,7 @@
 // tests/core/resilience_test.cc, applied to the peer rung).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -32,9 +33,10 @@ constexpr int kFiles = 16;
 
 std::string File(int i) { return "data/f" + std::to_string(i) + ".bin"; }
 
-std::vector<std::byte> GoldenPayload(int index) {
-  std::vector<std::byte> payload(kFileBytes);
-  for (std::size_t b = 0; b < kFileBytes; ++b) {
+std::vector<std::byte> GoldenPayload(int index,
+                                     std::size_t bytes = kFileBytes) {
+  std::vector<std::byte> payload(bytes);
+  for (std::size_t b = 0; b < bytes; ++b) {
     payload[b] = static_cast<std::byte>((b * 31 + index * 7) & 0xff);
   }
   return payload;
@@ -49,16 +51,21 @@ struct Node {
 };
 
 struct PeerWorld {
+  std::size_t file_bytes;
   std::shared_ptr<MemoryEngine> pfs;
   std::unique_ptr<PeerGroup> group;
   std::vector<Node> nodes;
 
-  explicit PeerWorld(int num_nodes) {
+  /// `chunk_bytes` is the staging chunk, and so the largest run object
+  /// a peer serves (0 keeps the default).
+  explicit PeerWorld(int num_nodes, std::size_t bytes = kFileBytes,
+                     PeerOptions options = {}, std::uint64_t chunk_bytes = 0)
+      : file_bytes(bytes) {
     pfs = std::make_shared<MemoryEngine>("pfs");
     for (int i = 0; i < kFiles; ++i) {
-      EXPECT_TRUE(pfs->Write(File(i), GoldenPayload(i)).ok());
+      EXPECT_TRUE(pfs->Write(File(i), GoldenPayload(i, bytes)).ok());
     }
-    group = std::make_unique<PeerGroup>(num_nodes);
+    group = std::make_unique<PeerGroup>(num_nodes, std::move(options));
     nodes.resize(static_cast<std::size_t>(num_nodes));
     for (int n = 0; n < num_nodes; ++n) {
       Node& node = nodes[static_cast<std::size_t>(n)];
@@ -76,6 +83,7 @@ struct PeerWorld {
       config.peer_view = group->MakePeerView(n);
       config.pfs = core::TierSpec{"pfs", pfs, 0};
       config.dataset_dir = "data";
+      if (chunk_bytes > 0) config.placement.staging_chunk_bytes = chunk_bytes;
       auto monarch = core::Monarch::Create(std::move(config));
       EXPECT_TRUE(monarch.ok()) << monarch.status().ToString();
       if (monarch.ok()) node.monarch = std::move(monarch).value();
@@ -84,14 +92,14 @@ struct PeerWorld {
 
   /// One full epoch on `node`: read every file, assert golden bytes.
   void ReadAll(int node) {
-    std::vector<std::byte> buf(kFileBytes);
+    std::vector<std::byte> buf(file_bytes);
     for (int i = 0; i < kFiles; ++i) {
       auto read = nodes[static_cast<std::size_t>(node)].monarch->Read(
           File(i), 0, buf);
       ASSERT_TRUE(read.ok()) << read.status().ToString();
-      ASSERT_EQ(kFileBytes, read.value());
-      ASSERT_EQ(GoldenPayload(i), std::vector<std::byte>(buf.begin(),
-                                                         buf.end()))
+      ASSERT_EQ(file_bytes, read.value());
+      ASSERT_EQ(GoldenPayload(i, file_bytes),
+                std::vector<std::byte>(buf.begin(), buf.end()))
           << "node " << node << " read wrong bytes for " << File(i);
     }
   }
@@ -111,6 +119,29 @@ struct PeerWorld {
       if (group->directory().PrimaryOwner(File(i)) == node) ++owned;
     }
     return owned;
+  }
+
+  /// `count` slices of `slice` bytes of file `i` on `node`, from byte
+  /// `offset` on, each checked against the golden bytes.
+  void ReadSlices(int node, int i, std::uint64_t offset, int count,
+                  std::size_t slice) {
+    const std::vector<std::byte> golden = GoldenPayload(i, file_bytes);
+    std::vector<std::byte> buf(slice);
+    for (int k = 0; k < count; ++k, offset += slice) {
+      auto read = nodes[static_cast<std::size_t>(node)].monarch->Read(
+          File(i), offset, buf);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
+          slice, golden.size() - std::min<std::uint64_t>(offset,
+                                                         golden.size())));
+      ASSERT_EQ(n, read.value()) << File(i) << " @" << offset;
+      ASSERT_TRUE(std::equal(buf.begin(),
+                             buf.begin() + static_cast<std::ptrdiff_t>(n),
+                             golden.begin() +
+                                 static_cast<std::ptrdiff_t>(offset)))
+          << "node " << node << " read wrong bytes for " << File(i) << " @"
+          << offset;
+    }
   }
 
   /// Files whose primary owner is `node`, in index order.
@@ -165,8 +196,9 @@ TEST(PeerCacheTest, ShardedStagingServesSteadyStateWithoutPfs) {
   EXPECT_EQ(0u, pfs_delta.bytes_read);
 
   // The non-owned half of every epoch — the first included — crossed
-  // the fabric; everything reconciles: interconnect transfers ==
-  // peer-level reads == directory remote hits, and the ladder never
+  // the fabric; everything reconciles: interconnect transfers plus
+  // slices served from a buffered run == peer-level reads == directory
+  // remote hits (whole-file reads buffer nothing), and the ladder never
   // fired.
   const auto stats0 = world.nodes[0].monarch->Stats();
   const auto stats1 = world.nodes[1].monarch->Stats();
@@ -174,7 +206,10 @@ TEST(PeerCacheTest, ShardedStagingServesSteadyStateWithoutPfs) {
   EXPECT_EQ(2 * owned0, stats1.levels[peer].reads);
   EXPECT_EQ(0u, stats0.degraded_fallbacks);
   EXPECT_EQ(0u, stats1.degraded_fallbacks);
-  EXPECT_EQ(2 * owned1 + 2 * owned0, world.group->network()->transfers());
+  EXPECT_EQ(stats0.levels[peer].reads + stats1.levels[peer].reads,
+            world.group->network()->transfers() +
+                world.group->network()->run_hits());
+  EXPECT_EQ(0u, world.group->network()->run_hits());
   EXPECT_EQ((2 * owned1 + 2 * owned0) * kFileBytes,
             world.group->network()->bytes_transferred());
   EXPECT_EQ(2 * owned0, world.group->directory().StatsFor(0).remote_hits);
@@ -253,6 +288,192 @@ TEST(PeerCacheTest, VanishedPeerCopyFallsBackAsMiss) {
   EXPECT_EQ(1u, stats.fallbacks_peer_miss);
   EXPECT_EQ(0u, stats.fallbacks_peer_error);
   EXPECT_EQ(1u, stats.degraded_fallbacks);
+}
+
+// One fabric transfer per peer run: the sliced reads of this suite use
+// files of several 64 KiB slices, cut into runs of two slices and a
+// short tail by a 128 KiB staging chunk.
+constexpr std::size_t kSlice = 64 * 1024;
+constexpr std::uint64_t kRunBytes = 2 * kSlice;
+constexpr std::size_t kRunFileBytes = 2 * kRunBytes + 5000;  // 3 runs
+constexpr int kRunFileSlices = 5;
+
+// A peer-served file read in 64 KiB slices moves each run across the
+// fabric once, at its first slice, and serves the run's later slices
+// from that fetch: golden bytes, one transfer and one remote device op
+// per run, every run byte moved once, and peer-level reads still one
+// per slice.
+TEST(PeerRunTest, SlicedPeerReadMovesEachRunOnce) {
+  PeerWorld world(2, kRunFileBytes, {}, kRunBytes);
+  ASSERT_TRUE(world.nodes[0].monarch && world.nodes[1].monarch);
+  world.WarmUp();
+  const std::vector<int> owned0 = world.OwnedFiles(0);
+  ASSERT_FALSE(owned0.empty());
+  const auto& net = *world.group->network();
+  const int peer = world.nodes[1].monarch->hierarchy().peer_level();
+  const std::uint64_t peer_reads =
+      world.nodes[1].monarch->Stats().levels[peer].reads;
+  const std::uint64_t transfers = net.transfers();
+  const std::uint64_t moved = net.bytes_transferred();
+  const std::uint64_t holder_ops =
+      world.nodes[0].local_inner->Stats().Snapshot().read_ops;
+
+  for (const int i : owned0) {
+    world.ReadSlices(1, i, 0, kRunFileSlices, kSlice);
+  }
+  const std::uint64_t files = owned0.size();
+  EXPECT_EQ(3 * files, net.transfers() - transfers);
+  EXPECT_EQ(files * kRunFileBytes, net.bytes_transferred() - moved);
+  EXPECT_EQ(3 * files,
+            world.nodes[0].local_inner->Stats().Snapshot().read_ops -
+                holder_ops);
+  EXPECT_EQ(2 * files, net.run_hits());
+  const auto stats = world.nodes[1].monarch->Stats();
+  EXPECT_EQ(kRunFileSlices * files, stats.levels[peer].reads - peer_reads);
+  EXPECT_EQ(stats.levels[peer].reads - peer_reads,
+            (net.transfers() - transfers) + net.run_hits());
+  EXPECT_EQ(0u, stats.degraded_fallbacks);
+}
+
+// A first read that starts mid-run has no buffered run under it: it
+// moves only its slice. The next run, read from its start, moves whole.
+TEST(PeerRunTest, PeerReadStartingMidRunMovesOnlyItsSlice) {
+  PeerWorld world(2, kRunFileBytes, {}, kRunBytes);
+  ASSERT_TRUE(world.nodes[0].monarch && world.nodes[1].monarch);
+  world.WarmUp();
+  const std::vector<int> owned0 = world.OwnedFiles(0);
+  ASSERT_FALSE(owned0.empty());
+  const auto& net = *world.group->network();
+  const std::uint64_t transfers = net.transfers();
+  const std::uint64_t moved = net.bytes_transferred();
+
+  world.ReadSlices(1, owned0[0], kSlice, 1, kSlice);
+  EXPECT_EQ(1u, net.transfers() - transfers);
+  EXPECT_EQ(kSlice, net.bytes_transferred() - moved);
+  // The next run starts at 2 slices: its first slice fetches it whole,
+  // and its second slice is served from that fetch.
+  world.ReadSlices(1, owned0[0], 2 * kSlice, 2, kSlice);
+  EXPECT_EQ(2u, net.transfers() - transfers);
+  EXPECT_EQ(kSlice + kRunBytes, net.bytes_transferred() - moved);
+  EXPECT_EQ(1u, net.run_hits());
+}
+
+// The holder dies between two slices (replication 1): the directory
+// retracts its copy, so the next slices leave the peer rung exactly as
+// an unbuffered read would — golden bytes, no buffered serve, no fabric
+// trip, no degraded fallback.
+TEST(PeerRunTest, KilledHolderBetweenSlicesLeavesTheBufferedRun) {
+  PeerWorld world(2, kRunFileBytes, {}, kRunBytes);
+  ASSERT_TRUE(world.nodes[0].monarch && world.nodes[1].monarch);
+  world.WarmUp();
+  const std::vector<int> owned0 = world.OwnedFiles(0);
+  ASSERT_FALSE(owned0.empty());
+  const auto& net = *world.group->network();
+  const std::uint64_t transfers = net.transfers();
+
+  world.ReadSlices(1, owned0[0], 0, 1, kSlice);
+  ASSERT_EQ(1u, net.transfers() - transfers);
+  world.group->KillNode(0);
+  world.ReadSlices(1, owned0[0], kSlice, kRunFileSlices - 1, kSlice);
+  EXPECT_EQ(1u, net.transfers() - transfers);
+  EXPECT_EQ(0u, net.run_hits());
+  const auto stats = world.nodes[1].monarch->Stats();
+  EXPECT_EQ(0u, stats.degraded_fallbacks);
+  EXPECT_EQ(0u, stats.fallbacks_peer_miss + stats.fallbacks_peer_error);
+}
+
+// Replicated: the holder that served a run's first slice dies while the
+// other replica still advertises the file. The next slice must not come
+// from the dead holder's buffered run: it re-resolves to the live
+// replica and moves just its slice.
+TEST(PeerRunTest, KilledHolderBetweenSlicesReResolvesToReplica) {
+  constexpr int kNodes = 4;
+  PeerOptions options;
+  options.replication = 2;
+  PeerWorld world(kNodes, kRunFileBytes, options, kRunBytes);
+  for (const Node& node : world.nodes) ASSERT_TRUE(node.monarch);
+  world.WarmUp();
+  FileDirectory& directory = world.group->directory();
+  // A file with two placed replicas, read by a node that owns it neither
+  // now nor after either replica's holder dies (else the reader would
+  // stage the file itself instead of re-resolving).
+  const auto stays_reader = [](int i, int reader, int killed) {
+    FileDirectory after(kNodes, 2);
+    after.NodeDown(killed);
+    return !after.IsOwner(File(i), reader);
+  };
+  int file = -1;
+  int reader = -1;
+  for (int i = 0; i < kFiles && file < 0; ++i) {
+    for (int n = 0; n < kNodes; ++n) {
+      const std::vector<int> holders = directory.PlacedHolders(File(i), n);
+      if (!directory.IsOwner(File(i), n) && holders.size() == 2 &&
+          stays_reader(i, n, holders[0]) && stays_reader(i, n, holders[1])) {
+        file = i;
+        reader = n;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(file, 0) << "no file with two placed replicas";
+  std::vector<std::uint64_t> hits_before;
+  for (int n = 0; n < kNodes; ++n) {
+    hits_before.push_back(directory.StatsFor(n).remote_hits);
+  }
+  const auto& net = *world.group->network();
+  const std::uint64_t transfers = net.transfers();
+  const std::uint64_t moved = net.bytes_transferred();
+
+  world.ReadSlices(reader, file, 0, 1, kSlice);
+  int served_by = -1;
+  for (int n = 0; n < kNodes; ++n) {
+    if (directory.StatsFor(n).remote_hits > hits_before[n]) served_by = n;
+  }
+  ASSERT_GE(served_by, 0);
+  world.group->KillNode(served_by);
+  // Repair may already have placed a copy on the file's new owner; the
+  // dead holder is out of the directory either way.
+  const std::vector<int> live = directory.PlacedHolders(File(file), reader);
+  ASSERT_FALSE(live.empty());
+  ASSERT_EQ(live.end(), std::find(live.begin(), live.end(), served_by));
+
+  world.ReadSlices(reader, file, kSlice, 1, kSlice);
+  EXPECT_EQ(2u, net.transfers() - transfers);
+  EXPECT_EQ(kRunBytes + kSlice, net.bytes_transferred() - moved);
+  EXPECT_EQ(0u, net.run_hits());
+  const auto stats =
+      world.nodes[static_cast<std::size_t>(reader)].monarch->Stats();
+  EXPECT_EQ(0u, stats.degraded_fallbacks);
+}
+
+// Two nodes reading the same remote object from one thread each get
+// their own buffered run: a slice one node fetched whole is never served
+// to the other, and a later fetch by one releases the other's run.
+TEST(PeerRunTest, NodesOnOneThreadNeverShareABufferedRun) {
+  PeerWorld world(3, kRunFileBytes, {}, kRunBytes);
+  for (const Node& node : world.nodes) ASSERT_TRUE(node.monarch);
+  world.WarmUp();
+  const std::vector<int> owned0 = world.OwnedFiles(0);
+  ASSERT_FALSE(owned0.empty());
+  const int file = owned0[0];
+  const auto& net = *world.group->network();
+  const std::uint64_t transfers = net.transfers();
+
+  world.ReadSlices(1, file, 0, 1, kSlice);  // node 1 fetches the run
+  EXPECT_EQ(1u, net.transfers() - transfers);
+  world.ReadSlices(2, file, kSlice, 1, kSlice);  // node 2: its own slice
+  EXPECT_EQ(2u, net.transfers() - transfers);
+  EXPECT_EQ(0u, net.run_hits());
+  world.ReadSlices(1, file, kSlice, 1, kSlice);  // node 1: buffered
+  EXPECT_EQ(2u, net.transfers() - transfers);
+  EXPECT_EQ(1u, net.run_hits());
+
+  world.ReadSlices(1, file, 2 * kSlice, 1, kSlice);  // node 1: next run
+  world.ReadSlices(2, file, 0, 1, kSlice);  // node 2 fetches run 0 whole
+  EXPECT_EQ(4u, net.transfers() - transfers);
+  world.ReadSlices(1, file, 3 * kSlice, 1, kSlice);  // released: a slice
+  EXPECT_EQ(5u, net.transfers() - transfers);
+  EXPECT_EQ(1u, net.run_hits());
 }
 
 // Peer sharing is cooperative, not load-bearing: a cluster of one gets a

@@ -122,7 +122,7 @@ TEST(StorageHierarchyTest, TotalWritableFreeBytesExcludesPfs) {
   auto hierarchy = StorageHierarchy::Create(std::move(drivers));
   ASSERT_OK(hierarchy);
   EXPECT_EQ(150u, hierarchy.value()->TotalWritableFreeBytes());
-  hierarchy.value()->Level(0).Reserve(20);
+  ASSERT_TRUE(hierarchy.value()->Level(0).Reserve(20));
   EXPECT_EQ(130u, hierarchy.value()->TotalWritableFreeBytes());
 }
 

@@ -1,7 +1,8 @@
 // monarchctl — command-line front end for the MONARCH library.
 //
 //   monarchctl gen --dir DIR [--preset tiny|100g|200g] [--scale S]
-//       Generate a synthetic TFRecord dataset into DIR.
+//       Generate a synthetic TFRecord dataset into DIR. --scale sizes
+//       the 100g/200g presets; the fixed-size tiny preset rejects it.
 //
 //   monarchctl inspect --dir DIR [--subdir NAME]
 //       Validate every TFRecord file under a dataset directory (CRC
@@ -9,8 +10,8 @@
 //
 //   monarchctl run --config FILE.ini [--epochs N] [--model NAME]
 //       Build a MONARCH hierarchy from an INI file (see core/config.h),
-//       run a training simulation through it, and print per-epoch times
-//       plus tier statistics.
+//       run a training simulation through it, print per-epoch times
+//       plus tier statistics, then delete the copies it staged.
 //
 //   monarchctl replay --dir DIR --trace FILE [--profile ssd|lustre]
 //                     [--threads N]
@@ -154,7 +155,13 @@ int CmdGen(const Args& args) {
     std::cerr << "gen: " << scale.status() << "\n";
     return 1;
   }
-  auto spec = PresetSpec(args.GetOr("preset", "tiny"), scale.value());
+  const std::string preset = args.GetOr("preset", "tiny");
+  if (preset == "tiny" && args.Get("scale")) {
+    std::cerr << "gen: --scale sizes the 100g and 200g presets; tiny has "
+                 "a fixed size\n";
+    return 1;
+  }
+  auto spec = PresetSpec(preset, scale.value());
   if (!spec.ok()) {
     std::cerr << "gen: " << spec.status() << "\n";
     return 1;
@@ -268,11 +275,12 @@ int CmdRun(const Args& args) {
   std::cout << "training " << tc.model.name << " for " << tc.epochs
             << " epochs over " << files.size() << " files...\n";
   auto result = trainer.Train();
+  (*monarch)->DrainPlacements();
   if (!result.ok()) {
     std::cerr << "run: training failed: " << result.status() << "\n";
+    (*monarch)->CleanupStagedCopies();
     return 2;
   }
-  (*monarch)->DrainPlacements();
 
   Table epochs({"epoch", "seconds", "samples", "cpu_pct", "gpu_pct"});
   for (const auto& epoch : result->epochs) {
@@ -297,6 +305,9 @@ int CmdRun(const Args& args) {
             << " rejected_no_space=" << stats.placement.rejected_no_space
             << " staged=" << FormatByteSize(stats.placement.bytes_staged)
             << "\n";
+  // The tier roots belong to this run only: leave none of its copies
+  // for a later run (another dataset or quota) to inherit.
+  (*monarch)->CleanupStagedCopies();
   return 0;
 }
 
