@@ -24,6 +24,12 @@ ctest --test-dir build --output-on-failure
 # kills race the repair staging they trigger) and fail on any failure.
 ./build/tests/monarch_tests --gtest_filter='PeerRunTest.*' \
     --gtest_repeat=100 --gtest_brief=1
+# A deposit (a staged run's verified bytes kept for its next reader)
+# races the readers it serves, eviction, donations that push it out of
+# the staging budget, and the drop paths: repeat the deposit suite and
+# fail on any failure.
+./build/tests/monarch_tests --gtest_filter='DepositTest.*' \
+    --gtest_repeat=100 --gtest_brief=1
 
 cmake -B build-tsan -G Ninja -DMONARCH_SANITIZE=thread \
       -DMONARCH_BUILD_BENCHMARKS=OFF -DMONARCH_BUILD_EXAMPLES=OFF
@@ -46,10 +52,10 @@ cmake --build build-tsan
 # model", "Checkpoint write-back", "Small-file packing & chunk
 # staging").
 ./build-tsan/tests/monarch_tests \
-    --gtest_filter='MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:RunSchedule*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:ReadLadder*:Pack*:Chunk*:Qos*:FairQueue*:RateLimiter*'
+    --gtest_filter='MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:RunSchedule*:StagingPipeline*:Deposit*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:ReadLadder*:Pack*:Chunk*:Qos*:FairQueue*:RateLimiter*'
 # ... and the rest of the suite.
 ./build-tsan/tests/monarch_tests \
-    --gtest_filter='-MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:RunSchedule*:StagingPipeline*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:ReadLadder*:Pack*:Chunk*:Qos*:FairQueue*:RateLimiter*'
+    --gtest_filter='-MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:RunSchedule*:StagingPipeline*:Deposit*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:ReadLadder*:Pack*:Chunk*:Qos*:FairQueue*:RateLimiter*'
 
 cmake -B build-asan -G Ninja -DMONARCH_SANITIZE=address \
       -DMONARCH_BUILD_BENCHMARKS=OFF -DMONARCH_BUILD_EXAMPLES=OFF

@@ -14,12 +14,24 @@
 // placement handler makes every transition under the chunk map's
 // placement mutex; a parked file (failure cap, quarantine, no room) is
 // never claimed again.
+//
+// Deposits: a staged run whose copy has a reader coming keeps its
+// verified bytes here (PlacementHandler::StageRun), so that reader is
+// served from memory instead of reading the run back from its tier. A
+// deposit goes at the run's last byte, when a later visit begins, and
+// with the run itself (DropRunLocked). A lent view keeps its bytes alive.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "pack/chunk_map.h"
 
@@ -29,6 +41,17 @@ enum class PlacementState : int {
   kPfsOnly = 0,      ///< no chunk is staged
   kPlaced = 1,       ///< some chunk is staged on an upper tier
   kUnplaceable = 2,  ///< parked: reads stay on the PFS for good
+};
+
+/// One staged run's verified bytes (the run object's bytes, identity
+/// codec only), held for the run's next reader.
+struct Deposit {
+  std::uint32_t run_start = 0;  ///< first chunk of the run
+  std::span<const std::byte> bytes;
+  /// Owns `bytes` and their share of the staging-memory budget.
+  std::shared_ptr<const void> keepalive;
+  /// Set once a read was served from it: a later visit drops it.
+  bool served = false;
 };
 
 struct FileInfo {
@@ -67,6 +90,12 @@ struct FileInfo {
   /// evictor's check fall back to the PFS exactly like the pre-pinning
   /// eviction race.
   std::atomic<int> read_pins{0};
+
+  /// Readers still coming for this file's bytes: open visits
+  /// (Monarch::PinVisit) and reads waiting to join its copy
+  /// (AwaitJoinable). A demand copy published while any is counted keeps
+  /// a deposit for them; a read that already has its bytes is not one.
+  std::atomic<int> readers_coming{0};
 
   /// Latched when a retryable no-space rejection bounced this file (an
   /// eviction-capable policy refused to make room). The read path skips
@@ -145,12 +174,75 @@ struct FileInfo {
   }
 
   /// Block until no joinable copy is in flight (an event wait: no sleep,
-  /// no poll, no timeout). Returns false when there was none to join.
-  bool AwaitJoinable() const noexcept {
-    if (!joinable.load(std::memory_order_acquire)) return false;
-    joinable.wait(true, std::memory_order_acquire);
-    return true;
+  /// no poll, no timeout), counted in readers_coming meanwhile. Returns
+  /// false when there was none to join.
+  bool AwaitJoinable() noexcept {
+    readers_coming.fetch_add(1, std::memory_order_acq_rel);
+    const bool joined = joinable.load(std::memory_order_acquire);
+    if (joined) joinable.wait(true, std::memory_order_acquire);
+    readers_coming.fetch_sub(1, std::memory_order_acq_rel);
+    return joined;
   }
+
+  /// Whether any deposit is held: the read path's lock-free check.
+  [[nodiscard]] bool HasDeposits() const noexcept {
+    return deposit_count_.load(std::memory_order_acquire) > 0;
+  }
+
+  /// Hold `deposit` for its run's next reader. A run is published once
+  /// between drops, and a drop takes its deposit, so a run holds at most
+  /// one.
+  void AddDeposit(Deposit deposit) {
+    std::lock_guard lock(deposit_mu_);
+    deposits_.push_back(std::move(deposit));
+    deposit_count_.fetch_add(1, std::memory_order_release);
+  }
+
+  /// The deposit of the run starting at chunk `run_start`, marked
+  /// served, for a read of its bytes up to `read_end`; an empty one (null
+  /// keepalive) when there is none. A read that reaches the run's last
+  /// byte takes it: the file lets go, and the returned copy keeps the
+  /// bytes alive for the caller.
+  Deposit ServeDeposit(std::uint32_t run_start, std::uint64_t read_end) {
+    std::lock_guard lock(deposit_mu_);
+    for (auto it = deposits_.begin(); it != deposits_.end(); ++it) {
+      if (it->run_start != run_start) continue;
+      it->served = true;
+      if (read_end < it->bytes.size()) return *it;
+      Deposit taken = std::move(*it);
+      deposits_.erase(it);
+      deposit_count_.fetch_sub(1, std::memory_order_release);
+      return taken;
+    }
+    return {};
+  }
+
+  /// Drop the deposit of the run starting at chunk `run_start`, if any.
+  void DropDeposit(std::uint32_t run_start) {
+    if (HasDeposits()) (void)ServeDeposit(run_start, UINT64_MAX);
+  }
+
+  /// Drop every deposit — or, with `served_only` (a new visit begins),
+  /// those an earlier visit already read from.
+  void DropDeposits(bool served_only = false) {
+    std::vector<Deposit> dropped;
+    {
+      std::lock_guard lock(deposit_mu_);
+      const auto keep = std::stable_partition(
+          deposits_.begin(), deposits_.end(),
+          [served_only](const Deposit& d) { return served_only && !d.served; });
+      dropped.assign(std::make_move_iterator(keep),
+                     std::make_move_iterator(deposits_.end()));
+      deposits_.erase(keep, deposits_.end());
+      deposit_count_.fetch_sub(static_cast<std::uint32_t>(dropped.size()),
+                               std::memory_order_release);
+    }  // the dropped bytes are freed outside the lock
+  }
+
+ private:
+  std::atomic<std::uint32_t> deposit_count_{0};
+  std::mutex deposit_mu_;
+  std::vector<Deposit> deposits_;  ///< guarded by deposit_mu_
 };
 
 using FileInfoPtr = std::shared_ptr<FileInfo>;

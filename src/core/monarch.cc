@@ -70,6 +70,10 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          stats.peer_copy_joins,
          "non-owner reads bound for the PFS served instead over the peer rung "
          "from the copy they asked the owner to stage");
+  sample("monarch.read.deposit_hits", "", obs::MetricKind::kCounter, "ops",
+         stats.deposit_hits,
+         "reads served from a staged run's deposit (its verified bytes held "
+         "in memory) instead of a tier read");
   const PlacementStats& p = stats.placement;
   sample("monarch.placement.scheduled", "", obs::MetricKind::kCounter, "ops",
          p.scheduled, "background placement tasks enqueued");
@@ -122,6 +126,10 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          "bytes", p.donation_held_bytes,
          "triggering-read bytes queued staging tasks hold (capped by "
          "staging_buffer_bytes)");
+  sample("monarch.placement.deposit_held_bytes", "", obs::MetricKind::kGauge,
+         "bytes", p.deposit_held_bytes,
+         "verified bytes of staged runs held for their next reader (shares "
+         "staging_buffer_bytes with donations)");
   for (int c = 0; c < qos::kNumIoClasses; ++c) {
     sample("monarch.placement.queue_depth",
            qos::IoClassName(static_cast<qos::IoClass>(c)),
@@ -391,6 +399,8 @@ struct Monarch::ReadAccess {
   /// lane's private buffer for them once one object cannot lend them all.
   std::uint64_t length = 0;
   std::shared_ptr<std::vector<std::byte>> copy;
+  /// Whether a deposit served part of the read (ServeChunks).
+  bool deposit = false;
 
   [[nodiscard]] std::uint64_t limit() const noexcept {
     return lend ? max_bytes : dst.size();
@@ -414,6 +424,21 @@ struct Monarch::ReadAccess {
     auto read = tier.Read(object, offset, into);
     if (!read.ok()) return read.status();
     return std::span<const std::byte>(into.data(), read.value());
+  }
+
+  /// `bytes` (a deposit's, kept alive by `keepalive`) at dst[pos..), or
+  /// lent as a view when they are the whole read.
+  std::span<const std::byte> Take(std::span<const std::byte> bytes,
+                                  std::shared_ptr<const void> keepalive,
+                                  std::size_t pos) {
+    deposit = true;
+    if (lend && pos == 0 && bytes.size() >= length && allow_zero_copy) {
+      view = storage::ReadView(bytes, std::move(keepalive), /*zero_copy=*/true);
+      return view.data();
+    }
+    const std::span<std::byte> into = Buffer(pos, bytes.size());
+    std::copy(bytes.begin(), bytes.end(), into.begin());
+    return into;
   }
 
   /// Room for `n` bytes at dst[pos..): the caller's buffer, or one
@@ -460,12 +485,22 @@ Result<ReadLease> Monarch::Serve(std::string_view name, std::uint64_t offset,
   // Instrumentation is lock-free: the counters/histogram below are
   // relaxed atomics resolved at construction, and the span costs one
   // atomic load while tracing is disabled.
-  const obs::TraceSpan span("monarch.read", "core");
+  obs::TraceSpan span("monarch.read", "core");
   if (read_requests_ != nullptr) read_requests_->Increment();
   const Stopwatch timer;
   auto lease = Ladder(name, offset, access);
   if (lease.ok()) {
     if (read_latency_ != nullptr) read_latency_->Record(timer.Elapsed());
+    if (span.active()) {
+      const int level = lease->level();
+      const std::string served =
+          level == hierarchy_->pfs_level()    ? "pfs"
+          : level == hierarchy_->peer_level() ? "peer"
+                                              : hierarchy_->Level(level).name();
+      span.set_args_json("\"level\":" + obs::JsonQuote(served) +
+                         ",\"deposit\":" +
+                         (access.deposit ? "true" : "false"));
+    }
   } else if (read_errors_ != nullptr) {
     read_errors_->Increment();
   }
@@ -502,7 +537,8 @@ ReadLease Monarch::PinVisit(std::string_view name) {
   FileInfoPtr info = metadata_.Lookup(name);
   if (!info) return {};
   info->read_pins.fetch_add(1, std::memory_order_acq_rel);
-  return ReadLease({}, std::move(info), -1);
+  info->readers_coming.fetch_add(1, std::memory_order_acq_rel);
+  return ReadLease({}, std::move(info), -1, /*visit=*/true);
 }
 
 int Monarch::ServingLevelHint(std::string_view name) const {
@@ -538,6 +574,11 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
   const int peer = hierarchy_->peer_level();
   pack::ChunkMap& cm =
       *info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
+  // A new visit begins: deposits an earlier visit already read from are
+  // its leftovers, not this visit's.
+  if (offset == 0 && info->HasDeposits()) {
+    info->DropDeposits(/*served_only=*/true);
+  }
   int level = pfs;
   std::uint64_t length = 0;
   if (offset < info->size) {
@@ -643,6 +684,7 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
         CountDegradedFallback(FallbackCause::kTierError, name, level);
       }
       level = pfs;
+      access.deposit = false;
     }
   }
   if (level == pfs) {
@@ -660,6 +702,7 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
   } else if (joined == Join::kPeer && level == peer) {
     peer_copy_joins_.fetch_add(1, std::memory_order_relaxed);
   }
+  if (access.deposit) deposit_hits_.fetch_add(1, std::memory_order_relaxed);
   FinishRead(info, level, offset, served.value(), stretched);
   pin_guard.file = nullptr;  // the lease owns the pin from here on
   storage::ReadView view =
@@ -700,18 +743,32 @@ Result<std::span<const std::byte>> Monarch::ServeChunks(
     bool intact = false;
     if (codec == nullptr) {
       // Identity codec: the run holds the logical bytes, so the segment
-      // is fetched straight into place. Whole chunks are verified against
-      // their recorded CRC when verify_on_read is set (slices would need
-      // a full-chunk readback to check); a short read is corrupt anyway.
+      // is fetched straight into place — from the run's deposit when it
+      // holds one (verified when it was staged), else from the tier.
+      // Whole chunks read from the tier are verified against their
+      // recorded CRC when verify_on_read is set (slices would need a
+      // full-chunk readback to check); a short read is corrupt anyway.
       const auto n = static_cast<std::size_t>(end - begin);
-      auto got = access.Fetch(tier, object,
-                              head.run_offset + (begin - cm.ChunkOffset(first)),
-                              static_cast<std::size_t>(pos), n);
+      const std::uint64_t at =
+          head.run_offset + (begin - cm.ChunkOffset(first));
+      Deposit deposit;
+      if (!remote && info->HasDeposits()) {
+        deposit = info->ServeDeposit(head.run_start, at + n);
+      }
+      const bool deposited = deposit.bytes.size() >= at + n;
+      auto got = deposited
+                     ? Result<std::span<const std::byte>>(access.Take(
+                           deposit.bytes.subspan(static_cast<std::size_t>(at),
+                                                 n),
+                           std::move(deposit.keepalive),
+                           static_cast<std::size_t>(pos)))
+                     : access.Fetch(tier, object, at,
+                                    static_cast<std::size_t>(pos), n);
       if (!got.ok()) {
         fetched = got.status();
       } else {
         intact = got.value().size() == n;
-        for (std::uint32_t c = first; intact && !remote &&
+        for (std::uint32_t c = first; intact && !remote && !deposited &&
                                       config_.resilience.verify_on_read &&
                                       c <= last;
              ++c) {
@@ -1127,6 +1184,7 @@ void Monarch::Shutdown() {
   // Don't make shutdown wait on speculative copies that nothing will read.
   placement_->CancelPrefetches();
   placement_->Drain();
+  placement_->DropDeposits();
 }
 
 MonarchStats Monarch::Stats() const {
@@ -1164,6 +1222,7 @@ MonarchStats Monarch::Stats() const {
       stats.fallbacks_peer_error;
   stats.copy_joins = copy_joins_.load(std::memory_order_relaxed);
   stats.peer_copy_joins = peer_copy_joins_.load(std::memory_order_relaxed);
+  stats.deposit_hits = deposit_hits_.load(std::memory_order_relaxed);
   stats.chunk_hits = chunk_hits_.load(std::memory_order_relaxed);
   stats.chunk_misses = chunk_misses_.load(std::memory_order_relaxed);
   stats.pack_stretch_reads = stretch_reads_.load(std::memory_order_relaxed);

@@ -145,6 +145,10 @@ struct MonarchStats {
   std::uint64_t copy_joins = 0;
   std::uint64_t peer_copy_joins = 0;
 
+  /// Reads served, in part or whole, from a staged run's deposit: the
+  /// verified bytes staging kept in memory for the run's next reader.
+  std::uint64_t deposit_hits = 0;
+
   /// Chunk-granularity read outcomes. A hit is a read fully
   /// served from resident chunks on a cache tier; a miss touched the PFS
   /// (and claimed the touched chunks for staging).
@@ -416,6 +420,7 @@ class Monarch {
   obs::Histogram* read_join_wait_ = nullptr;
   std::atomic<std::uint64_t> copy_joins_{0};
   std::atomic<std::uint64_t> peer_copy_joins_{0};
+  std::atomic<std::uint64_t> deposit_hits_{0};
 
   // Chunk-read outcomes and per-cause fallback tallies; the
   // pull source exports them as `monarch.chunk.{hits,misses}` and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_set>
 #include <utility>
 
 #include "obs/event_tracer.h"
@@ -75,7 +76,8 @@ PlacementHandler::PlacementHandler(StorageHierarchy& hierarchy,
       pool_(options.staging_buffer_bytes,
             std::min<std::uint64_t>(
                 std::max<std::uint64_t>(1, options.staging_chunk_bytes),
-                std::max<std::uint64_t>(1, options.staging_buffer_bytes))) {
+                std::max<std::uint64_t>(1, options.staging_buffer_bytes))),
+      budget_(std::make_shared<Budget>(options.staging_buffer_bytes)) {
   // Fair-queue classes (ISSUE 10): interactive and training are the
   // demand band, scan/drain/prefetch the background band. With QoS off
   // every class weighs 1 — the queue degenerates to the original
@@ -128,6 +130,7 @@ PlacementHandler::~PlacementHandler() {
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
+  DropDeposits();
 }
 
 void PlacementHandler::ScheduleChunkPlacement(
@@ -178,18 +181,73 @@ void PlacementHandler::ReleaseFileClaims(const FileInfoPtr& file,
   ReleaseClaims({file, {}, StagingLane::kDemand, std::move(chunks), {}, 0});
 }
 
+PlacementHandler::BudgetCharge PlacementHandler::Charge(std::uint64_t bytes,
+                                                        BudgetGauge gauge) {
+  std::uint64_t held = budget_->held.load();
+  do {
+    if (held + bytes > budget_->limit) return {};
+  } while (!budget_->held.compare_exchange_weak(held, held + bytes));
+  ((*budget_).*gauge).fetch_add(bytes);
+  return {budget_, gauge, bytes};
+}
+
 PlacementHandler::Donation PlacementHandler::Donate(
     std::uint64_t offset, std::span<const std::byte> bytes) {
   if (bytes.empty()) return {};
   // Queued donations are capped by the staging-memory budget: past it,
-  // the task goes without and re-reads those bytes from the PFS.
-  std::uint64_t held = donation_held_bytes_.load(std::memory_order_relaxed);
-  do {
-    if (held + bytes.size() > options_.staging_buffer_bytes) return {};
-  } while (!donation_held_bytes_.compare_exchange_weak(
-      held, held + bytes.size(), std::memory_order_relaxed));
+  // the task goes without and re-reads those bytes from the PFS. A
+  // donation saves a PFS read, a deposit only a tier read, so deposits
+  // make room for it.
+  BudgetCharge charge = Charge(bytes.size(), &Budget::donations);
+  if (!charge && ReclaimDeposits(bytes.size())) {
+    charge = Charge(bytes.size(), &Budget::donations);
+  }
+  if (!charge) return {};
   return {offset, std::vector<std::byte>(bytes.begin(), bytes.end()),
-          BudgetCharge(&donation_held_bytes_, Uncharge{bytes.size()})};
+          std::move(charge)};
+}
+
+Deposit PlacementHandler::MakeDeposit(std::uint32_t run_start,
+                                      std::span<const std::byte> stored,
+                                      std::unique_ptr<std::byte[]> readback) {
+  BudgetCharge charge = Charge(stored.size(), &Budget::deposits);
+  if (!charge) return {};
+  if (readback == nullptr) {
+    readback = std::make_unique_for_overwrite<std::byte[]>(stored.size());
+    std::memcpy(readback.get(), stored.data(), stored.size());
+  }
+  struct Held {
+    std::unique_ptr<std::byte[]> bytes;
+    BudgetCharge charge;
+  };
+  const std::span<const std::byte> bytes(readback.get(), stored.size());
+  return {run_start, bytes,
+          std::make_shared<const Held>(
+              Held{std::move(readback), std::move(charge)})};
+}
+
+bool PlacementHandler::ReclaimDeposits(std::uint64_t bytes) {
+  while (budget_->held.load(std::memory_order_relaxed) + bytes >
+         budget_->limit) {
+    FileInfoPtr oldest;
+    {
+      std::lock_guard lock(deposits_mu_);
+      if (depositors_.empty()) return false;
+      oldest = std::move(depositors_.front());
+      depositors_.pop_front();
+    }
+    oldest->DropDeposits();
+  }
+  return true;
+}
+
+void PlacementHandler::DropDeposits() {
+  std::deque<FileInfoPtr> all;
+  {
+    std::lock_guard lock(deposits_mu_);
+    all.swap(depositors_);
+  }
+  for (const FileInfoPtr& file : all) file->DropDeposits();
 }
 
 void PlacementHandler::BeginJoinable(FileInfo& file) {
@@ -487,11 +545,12 @@ void PlacementHandler::ReleaseClaims(const StagingTask& task) {
 }
 
 pack::ChunkMap::EvictedRun PlacementHandler::DropRunLocked(
-    const FileInfo& file, pack::ChunkMap& cm, StorageDriver& tier,
+    FileInfo& file, pack::ChunkMap& cm, StorageDriver& tier,
     std::uint32_t chunk) {
   const bool advertised = cm.ResidentCount() == cm.num_chunks();
   const pack::ChunkMap::EvictedRun run = cm.TryEvictRun(chunk);
   if (run.chunks > 0) {
+    file.DropDeposit(run.start);
     // Peers read only fully resident files: retract the advertisement
     // before the first run's bytes go.
     if (advertised && peer_view_ != nullptr) peer_view_->OnDropped(file.name);
@@ -651,12 +710,14 @@ Status PlacementHandler::StageRun(
   Status written = tier.Write(object, stored);
   // Optionally read the run back and prove the bytes landed intact: a
   // corrupted staged run must degrade to a failed placement, never get
-  // published as a serving replica.
+  // published as a serving replica. Equal bytes imply equal CRCs.
+  std::unique_ptr<std::byte[]> readback;
   if (written.ok() && resilience_.verify_staged_writes) {
-    std::vector<std::byte> readback(stored.size());
-    auto rb = tier.Read(object, 0, readback);
+    readback = std::make_unique_for_overwrite<std::byte[]>(stored.size());
+    auto rb = tier.Read(object, 0,
+                        std::span<std::byte>(readback.get(), stored.size()));
     if (!rb.ok() || rb.value() != stored.size() ||
-        Crc32c(std::span<const std::byte>(readback)) != Crc32c(stored)) {
+        !std::equal(stored.begin(), stored.end(), readback.get())) {
       quarantined_.fetch_add(1, std::memory_order_relaxed);
       obs::EventTracer& tracer = obs::EventTracer::Global();
       if (tracer.enabled()) {
@@ -681,6 +742,19 @@ Status PlacementHandler::StageRun(
   const std::uint64_t logical = cm.ChunkOffset(last) +
                                 cm.ChunkLogicalBytes(last) -
                                 cm.ChunkOffset(first);
+  // A run with a reader coming — a look-ahead or read-ahead prefetch's
+  // next visit, or an open visit or a read joined to this copy — keeps
+  // its verified bytes as a deposit, so that reader does not read them
+  // back from the tier a second time. Codec runs are served decoded,
+  // never from their stored bytes.
+  Deposit deposit;
+  if (codec_ == nullptr &&
+      (file->readers_coming.load(std::memory_order_acquire) > 0 ||
+       (task.lane == StagingLane::kPrefetch &&
+        file->prefetched.load(std::memory_order_acquire)))) {
+    deposit = MakeDeposit(first, stored, std::move(readback));
+  }
+  const bool deposited = deposit.keepalive != nullptr;
   {
     std::lock_guard lock(cm.placement_mutex());
     if (file->state.load(std::memory_order_acquire) ==
@@ -692,6 +766,8 @@ Status PlacementHandler::StageRun(
                                      object);
     }
     const std::uint32_t before = cm.PublishRun(first, metas);
+    // Under the placement mutex, so a drop of the run drops it too.
+    if (deposited) file->AddDeposit(std::move(deposit));
     if (before == 0) {
       // First resident run: the file now serves (partially) from a
       // tier. Flip its state so the eviction policies see it as placed.
@@ -710,6 +786,20 @@ Status PlacementHandler::StageRun(
     // Advertise the file to the cluster once every chunk is readable.
     if (before + metas.size() == cm.num_chunks() && peer_view_ != nullptr) {
       peer_view_->OnStaged(file->name, level);
+    }
+  }
+  if (deposited) {
+    std::lock_guard lock(deposits_mu_);
+    depositors_.push_back(file);
+    // An entry outlives the deposits it was pushed for: once the list
+    // doubles, keep one entry per file that still holds any.
+    if (depositors_.size() >= prune_depositors_at_) {
+      std::unordered_set<const FileInfo*> seen;
+      std::erase_if(depositors_, [&seen](const FileInfoPtr& f) {
+        return !f->HasDeposits() || !seen.insert(f.get()).second;
+      });
+      prune_depositors_at_ =
+          std::max<std::size_t>(64, 2 * depositors_.size());
     }
   }
   chunks_staged_.fetch_add(metas.size(), std::memory_order_relaxed);
@@ -917,8 +1007,8 @@ PlacementStats PlacementHandler::Stats() const {
   s.prefetch_cancelled = prefetch_cancelled_.load(std::memory_order_relaxed);
   s.chunks_copied = chunks_copied_.load(std::memory_order_relaxed);
   s.donated_bytes = donated_bytes_.load(std::memory_order_relaxed);
-  s.donation_held_bytes =
-      donation_held_bytes_.load(std::memory_order_relaxed);
+  s.donation_held_bytes = budget_->donations.load(std::memory_order_relaxed);
+  s.deposit_held_bytes = budget_->deposits.load(std::memory_order_relaxed);
   s.chunks_staged = chunks_staged_.load(std::memory_order_relaxed);
   s.chunk_stored_bytes = chunk_stored_bytes_.load(std::memory_order_relaxed);
   s.chunks_evicted = chunks_evicted_.load(std::memory_order_relaxed);

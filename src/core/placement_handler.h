@@ -71,6 +71,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -113,7 +114,8 @@ struct PlacementOptions {
 
   /// Total budget for the chunk buffer pool — the hard cap on leased
   /// staging buffers (`[placement] staging_buffer_bytes`). Bytes held by
-  /// queued donations are capped at the same amount, counted apart.
+  /// queued donations and by deposits are capped at the same amount
+  /// together, counted apart from the pool.
   std::uint64_t staging_buffer_bytes = 64ULL * 1024 * 1024;
 
   /// Copy granularity: each pooled buffer holds one chunk of this size
@@ -168,6 +170,7 @@ struct PlacementStats {
   std::uint64_t chunks_copied = 0;       ///< run objects written
   std::uint64_t donated_bytes = 0;       ///< triggering-read bytes reused
   std::uint64_t donation_held_bytes = 0;  ///< gauge: donated bytes held
+  std::uint64_t deposit_held_bytes = 0;   ///< gauge: deposited bytes held
   /// Gauge: staging tasks waiting, per I/O class (qos::ClassIndex).
   std::array<std::uint64_t, qos::kNumIoClasses> queue_depth{};
   std::uint64_t inflight_bytes = 0;      ///< gauge: bytes being copied now
@@ -263,6 +266,9 @@ class PlacementHandler {
   /// true when a run went.
   bool CleanupCopy(const FileInfoPtr& file);
 
+  /// Let go of every deposit (Monarch::Shutdown); the runs stay staged.
+  void DropDeposits();
+
   /// Install the whole-run demand access sequence
   /// (Monarch::InstallRunSchedule). Kept when the policy evicts or
   /// look-ahead is on; it ranks victims only under an evicting policy
@@ -311,15 +317,51 @@ class PlacementHandler {
   }
 
  private:
-  /// A donation's share of the staging-memory budget, handed back when
-  /// the owning task is destroyed — finished, backed out or cancelled.
-  struct Uncharge {
-    std::uint64_t bytes;
-    void operator()(std::atomic<std::uint64_t>* held) const noexcept {
-      held->fetch_sub(bytes, std::memory_order_relaxed);
-    }
+  /// The staging-memory budget (`staging_buffer_bytes`) that queued
+  /// donations and deposits share. Each charge holds it, so a lent view
+  /// of a deposit may outlive the handler.
+  struct Budget {
+    explicit Budget(std::uint64_t limit_in) : limit(limit_in) {}
+    const std::uint64_t limit;
+    std::atomic<std::uint64_t> held{0};       ///< donations + deposits
+    std::atomic<std::uint64_t> donations{0};  ///< gauge
+    std::atomic<std::uint64_t> deposits{0};   ///< gauge
   };
-  using BudgetCharge = std::unique_ptr<std::atomic<std::uint64_t>, Uncharge>;
+  using BudgetGauge = std::atomic<std::uint64_t> Budget::*;
+
+  /// One share of the budget, handed back when destroyed: a donation's
+  /// when its task is finished, backed out or cancelled; a deposit's
+  /// when its last holder lets go.
+  class BudgetCharge {
+   public:
+    BudgetCharge() = default;
+    BudgetCharge(std::shared_ptr<Budget> budget, BudgetGauge gauge,
+                 std::uint64_t bytes) noexcept
+        : budget_(std::move(budget)), gauge_(gauge), bytes_(bytes) {}
+    BudgetCharge(BudgetCharge&& other) noexcept = default;
+    BudgetCharge& operator=(BudgetCharge&& other) noexcept {
+      Reset();
+      budget_ = std::move(other.budget_);
+      gauge_ = other.gauge_;
+      bytes_ = other.bytes_;
+      return *this;
+    }
+    ~BudgetCharge() { Reset(); }
+    explicit operator bool() const noexcept { return budget_ != nullptr; }
+
+   private:
+    /// The gauge drops before `held` and rises after it (Charge), so a
+    /// gauge never reads above the budget.
+    void Reset() noexcept {
+      if (budget_ == nullptr) return;
+      ((*budget_).*gauge_).fetch_sub(bytes_);
+      budget_->held.fetch_sub(bytes_);
+      budget_.reset();
+    }
+    std::shared_ptr<Budget> budget_;
+    BudgetGauge gauge_ = nullptr;
+    std::uint64_t bytes_ = 0;
+  };
 
   /// Bytes the triggering read already pulled: the file's bytes
   /// [offset, offset + bytes.size()); empty = nothing donated.
@@ -350,10 +392,22 @@ class PlacementHandler {
   [[nodiscard]] static double TaskCost(const StagingTask& task) noexcept;
   /// Enqueue on the fair queue. Caller holds mu_.
   void PushLocked(StagingTask task);
+  /// Charge `bytes` to the budget and to `gauge` when the held bytes
+  /// plus them fit `staging_buffer_bytes`; an empty charge otherwise.
+  BudgetCharge Charge(std::uint64_t bytes, BudgetGauge gauge);
   /// Copy `bytes` (the file's bytes from `offset`) into a donation when
-  /// the queued donations plus them fit `staging_buffer_bytes`; an empty
-  /// donation otherwise.
+  /// the budget has room for them — dropping deposits to make it, since
+  /// a donation always wins; an empty donation otherwise.
   Donation Donate(std::uint64_t offset, std::span<const std::byte> bytes);
+  /// The deposit of a run about to be published: its verified bytes
+  /// (`readback`, or a copy of `stored` when no readback was made), when
+  /// the budget has room for them; an empty one otherwise.
+  Deposit MakeDeposit(std::uint32_t run_start,
+                      std::span<const std::byte> stored,
+                      std::unique_ptr<std::byte[]> readback);
+  /// Drop the oldest deposits until `bytes` more fit the budget, or none
+  /// is left. Returns whether they fit.
+  bool ReclaimDeposits(std::uint64_t bytes);
   /// Count and enqueue a claimed task — or, once scheduling stopped,
   /// cancel it and hand its claims back. Never blocks.
   void Enqueue(StagingTask task);
@@ -437,11 +491,11 @@ class PlacementHandler {
                   std::uint32_t first,
                   std::span<const pack::ChunkMap::ChunkMeta> metas,
                   std::span<const std::byte> stored);
-  /// Drop the run holding `chunk` (if resident): clear its chunks,
-  /// retract a fully resident file from the peer view, delete the run's
-  /// object from `tier` and release its bytes. Caller holds the chunk
-  /// map's placement mutex.
-  pack::ChunkMap::EvictedRun DropRunLocked(const FileInfo& file,
+  /// Drop the run holding `chunk` (if resident): clear its chunks and
+  /// its deposit, retract a fully resident file from the peer view,
+  /// delete the run's object from `tier` and release its bytes. Caller
+  /// holds the chunk map's placement mutex.
+  pack::ChunkMap::EvictedRun DropRunLocked(FileInfo& file,
                                            pack::ChunkMap& cm,
                                            StorageDriver& tier,
                                            std::uint32_t chunk);
@@ -488,9 +542,13 @@ class PlacementHandler {
   std::atomic<std::uint64_t> prefetch_cancelled_{0};
   std::atomic<std::uint64_t> chunks_copied_{0};
   std::atomic<std::uint64_t> donated_bytes_{0};
-  /// Bytes held by queued and running donations (BudgetCharge). Declared
-  /// before the queues so it outlives the tasks they destroy.
-  std::atomic<std::uint64_t> donation_held_bytes_{0};
+  /// Bytes held by donations and deposits (BudgetCharge).
+  std::shared_ptr<Budget> budget_;
+  /// Files handed a deposit, oldest first, for ReclaimDeposits and
+  /// DropDeposits; an entry may outlive its file's deposits.
+  std::mutex deposits_mu_;
+  std::deque<FileInfoPtr> depositors_;  ///< guarded by deposits_mu_
+  std::size_t prune_depositors_at_ = 64;  ///< guarded by deposits_mu_
   std::atomic<std::uint64_t> chunks_staged_{0};
   std::atomic<std::uint64_t> chunk_stored_bytes_{0};
   std::atomic<std::uint64_t> chunks_evicted_{0};

@@ -26,9 +26,14 @@ class ReadLease {
   ReadLease() = default;
 
   /// Takes ownership of one already-acquired read pin on `info` (may be
-  /// null for anonymous views); the pin is returned on release.
-  ReadLease(storage::ReadView view, FileInfoPtr info, int level) noexcept
-      : view_(std::move(view)), info_(std::move(info)), level_(level) {}
+  /// null for anonymous views) — and, for a `visit`, of one count in
+  /// FileInfo::readers_coming; both are returned on release.
+  ReadLease(storage::ReadView view, FileInfoPtr info, int level,
+            bool visit = false) noexcept
+      : view_(std::move(view)),
+        info_(std::move(info)),
+        level_(level),
+        visit_(visit) {}
 
   ReadLease(const ReadLease&) = delete;
   ReadLease& operator=(const ReadLease&) = delete;
@@ -36,7 +41,8 @@ class ReadLease {
   ReadLease(ReadLease&& other) noexcept
       : view_(std::move(other.view_)),
         info_(std::move(other.info_)),
-        level_(other.level_) {
+        level_(other.level_),
+        visit_(other.visit_) {
     other.view_.Reset();
     other.level_ = -1;
   }
@@ -47,6 +53,7 @@ class ReadLease {
       view_ = std::move(other.view_);
       info_ = std::move(other.info_);
       level_ = other.level_;
+      visit_ = other.visit_;
       other.view_.Reset();
       other.level_ = -1;
     }
@@ -59,6 +66,7 @@ class ReadLease {
   /// span returned by data() must not be touched afterwards.
   void Release() noexcept {
     if (info_) {
+      if (visit_) info_->readers_coming.fetch_sub(1, std::memory_order_acq_rel);
       info_->read_pins.fetch_sub(1, std::memory_order_acq_rel);
       info_.reset();
     }
@@ -82,6 +90,7 @@ class ReadLease {
   storage::ReadView view_;
   FileInfoPtr info_;
   int level_ = -1;
+  bool visit_ = false;
 };
 
 }  // namespace monarch::core

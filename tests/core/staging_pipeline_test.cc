@@ -850,6 +850,10 @@ TEST_F(StagingPipelineJoinTest, JoinerWakesOnPublishAndServesFromTier) {
   const MonarchStats stats = monarch_->Stats();
   EXPECT_EQ(1u, stats.copy_joins);
   EXPECT_EQ(1u, stats.levels[0].reads) << "the joiner read the published copy";
+  EXPECT_EQ(1u, stats.deposit_hits)
+      << "from the deposit its copy kept for it, not from the tier";
+  EXPECT_EQ(1u, faulty_->Stats().Snapshot().read_ops)
+      << "the copy's read-back is the tier's only read";
   EXPECT_EQ(1u, stats.pfs_reads()) << "only the open touched the PFS";
 }
 
@@ -943,9 +947,14 @@ TEST_F(StagingPipelineJoinTest, ColdChunkedReadCostsTwoPfsReads) {
 
   EXPECT_EQ(target_, whole);
   // The open's chunk, then the copy of the remainder — the other chunks
-  // join the copy instead of re-reading the file.
+  // join the copy instead of re-reading the file, and are served from
+  // the deposit it kept for them: the tier is read once, by the copy's
+  // read-back.
   EXPECT_EQ(2u, (pfs_->Stats().Snapshot() - before).read_ops);
   EXPECT_EQ(1u, monarch_->Stats().copy_joins);
+  EXPECT_EQ(kJoinFileBytes / kJoinChunkBytes - 1,
+            monarch_->Stats().deposit_hits);
+  EXPECT_EQ(1u, faulty_->Stats().Snapshot().read_ops);
 }
 
 }  // namespace
