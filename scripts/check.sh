@@ -5,7 +5,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build -G Ninja
-cmake --build build
+# The build must stay warning-free: fail on any compiler warning.
+cmake --build build 2>&1 | tee build/build.log
+if grep -q "warning:" build/build.log; then
+  echo "check.sh: the build printed warnings (build/build.log)" >&2
+  exit 1
+fi
 ctest --test-dir build --output-on-failure
 # The chunk reserve/publish/evict path and the pack-mode joins race the
 # staging workers, so a lost quota release or a missed wake-up shows in
@@ -19,9 +24,11 @@ ctest --test-dir build --output-on-failure
 ./build/tests/monarch_tests \
     --gtest_filter='ResilienceTest.*:ReadLadderTest.*:PeerCacheTest.*:ChurnIntegrationTest.*:MembershipTest.*:RestageTest.*' \
     --gtest_repeat=20 --gtest_brief=1
-# A peer run buffered at its first slice must never serve another node,
-# a dead holder or a different run: repeat the peer-run suite (holder
-# kills race the repair staging they trigger) and fail on any failure.
+# A peer run fetched whole at its first slice is a per-node deposit: it
+# must never serve another node or a different run, never leave the
+# peer rung after a retraction, and never overrun the staging budget:
+# repeat the peer-run suite (holder kills race the repair staging they
+# trigger) and fail on any failure.
 ./build/tests/monarch_tests --gtest_filter='PeerRunTest.*' \
     --gtest_repeat=100 --gtest_brief=1
 # A deposit (a staged run's verified bytes kept for its next reader)

@@ -65,12 +65,6 @@ class GroupResolver final : public net::PeerEngine::Resolver {
     return Holder{chosen, std::move(engine)};
   }
 
-  bool StillHolds(const std::string& path, int node) override {
-    const std::vector<int> holders = group_->directory().PlacedHolders(
-        pack::ChunkObjectFile(path), self_);
-    return std::find(holders.begin(), holders.end(), node) != holders.end();
-  }
-
   void OnTransferStart(int node) override { group_->OnTransferStart(node); }
   void OnTransferDone(int node, bool ok) override {
     group_->OnTransferDone(node, ok);

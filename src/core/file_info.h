@@ -15,11 +15,13 @@
 // placement mutex; a parked file (failure cap, quarantine, no room) is
 // never claimed again.
 //
-// Deposits: a staged run whose copy has a reader coming keeps its
-// verified bytes here (PlacementHandler::StageRun), so that reader is
-// served from memory instead of reading the run back from its tier. A
-// deposit goes at the run's last byte, when a later visit begins, and
-// with the run itself (DropRunLocked). A lent view keeps its bytes alive.
+// Deposits: a run's verified bytes held in memory for the run's next
+// reader — a staged run whose copy has a reader coming
+// (PlacementHandler::StageRun), or a run the peer rung fetched whole at
+// its first slice (Monarch::ServeChunks) — so that reader is served from
+// memory instead of the tier or the fabric. A deposit goes at the run's
+// last byte, when a later visit begins, and with the run itself
+// (DropRunLocked). A lent view keeps its bytes alive.
 #pragma once
 
 #include <algorithm>
@@ -34,6 +36,7 @@
 #include <vector>
 
 #include "pack/chunk_map.h"
+#include "storage/storage_engine.h"
 
 namespace monarch::core {
 
@@ -43,13 +46,13 @@ enum class PlacementState : int {
   kUnplaceable = 2,  ///< parked: reads stay on the PFS for good
 };
 
-/// One staged run's verified bytes (the run object's bytes, identity
-/// codec only), held for the run's next reader.
+/// One run's verified bytes (the run object's bytes, identity codec
+/// only), held for the run's next reader.
 struct Deposit {
   std::uint32_t run_start = 0;  ///< first chunk of the run
-  std::span<const std::byte> bytes;
-  /// Owns `bytes` and their share of the staging-memory budget.
-  std::shared_ptr<const void> keepalive;
+  /// Whose keepalive owns the bytes and their share of the
+  /// staging-memory budget (PlacementHandler::Held).
+  storage::ReadView bytes;
   /// Set once a read was served from it: a later visit drops it.
   bool served = false;
 };
@@ -189,11 +192,16 @@ struct FileInfo {
     return deposit_count_.load(std::memory_order_acquire) > 0;
   }
 
-  /// Hold `deposit` for its run's next reader. A run is published once
-  /// between drops, and a drop takes its deposit, so a run holds at most
-  /// one.
+  /// Hold `deposit` for its run's next reader, in place of any deposit
+  /// the run already holds: a run holds at most one.
   void AddDeposit(Deposit deposit) {
+    Deposit replaced;
     std::lock_guard lock(deposit_mu_);
+    for (Deposit& held : deposits_) {
+      if (held.run_start != deposit.run_start) continue;
+      replaced = std::exchange(held, std::move(deposit));
+      return;
+    }
     deposits_.push_back(std::move(deposit));
     deposit_count_.fetch_add(1, std::memory_order_release);
   }

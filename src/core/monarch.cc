@@ -377,7 +377,7 @@ Monarch::Monarch(MonarchConfig config,
     }
   }
   // The ring is always constructed (its instruments are part of the
-  // stable catalogue); idle workers cost two parked threads.
+  // stable catalogue); its workers start with the first Submit.
   ring_ = std::make_unique<ReadRing>(*this, config_.read);
   obs_source_ = registry.AddSource([this] { return StatsToSamples(Stats()); });
 }
@@ -426,18 +426,15 @@ struct Monarch::ReadAccess {
     return std::span<const std::byte>(into.data(), read.value());
   }
 
-  /// `bytes` (a deposit's, kept alive by `keepalive`) at dst[pos..), or
-  /// lent as a view when they are the whole read.
-  std::span<const std::byte> Take(std::span<const std::byte> bytes,
-                                  std::shared_ptr<const void> keepalive,
-                                  std::size_t pos) {
-    deposit = true;
+  /// Held `bytes` (a deposit's) at dst[pos..), or lent as the view
+  /// itself when they are the whole read.
+  std::span<const std::byte> Take(storage::ReadView bytes, std::size_t pos) {
     if (lend && pos == 0 && bytes.size() >= length && allow_zero_copy) {
-      view = storage::ReadView(bytes, std::move(keepalive), /*zero_copy=*/true);
+      view = std::move(bytes);
       return view.data();
     }
     const std::span<std::byte> into = Buffer(pos, bytes.size());
-    std::copy(bytes.begin(), bytes.end(), into.begin());
+    std::copy(bytes.data().begin(), bytes.data().end(), into.begin());
     return into;
   }
 
@@ -752,15 +749,35 @@ Result<std::span<const std::byte>> Monarch::ServeChunks(
       const std::uint64_t at =
           head.run_offset + (begin - cm.ChunkOffset(first));
       Deposit deposit;
-      if (!remote && info->HasDeposits()) {
+      if (info->HasDeposits()) {
         deposit = info->ServeDeposit(head.run_start, at + n);
       }
-      const bool deposited = deposit.bytes.size() >= at + n;
+      bool deposited = deposit.bytes.size() >= at + n;
+      access.deposit = access.deposit || deposited;
+      // One fabric transfer per peer run: a peer read at a run's start
+      // that leaves part of it unread fetches the whole run when the
+      // staging budget can hold it, and keeps it as the run's deposit
+      // for this node's next slices.
+      const std::uint32_t run_bytes = cm.ChunkLogicalBytes(first);
+      if (!deposited && remote && at == 0 && n < run_bytes) {
+        if (PlacementHandler::BudgetCharge charge =
+                placement_->Charge(run_bytes, PlacementHandler::kDeposit)) {
+          auto whole = tier.ReadZeroCopy(object, 0, run_bytes);
+          if (!whole.ok()) return whole.status();  // a peer run drops nothing
+          if (whole->size() == run_bytes) {
+            deposit = {head.run_start,
+                       PlacementHandler::Held(std::move(whole).value(),
+                                              std::move(charge)),
+                       /*served=*/true};
+            placement_->KeepDeposit(info, deposit);
+            deposited = true;
+          }
+        }
+      }
       auto got = deposited
                      ? Result<std::span<const std::byte>>(access.Take(
-                           deposit.bytes.subspan(static_cast<std::size_t>(at),
-                                                 n),
-                           std::move(deposit.keepalive),
+                           deposit.bytes.Slice(static_cast<std::size_t>(at),
+                                               n),
                            static_cast<std::size_t>(pos)))
                      : access.Fetch(tier, object, at,
                                     static_cast<std::size_t>(pos), n);
@@ -863,13 +880,14 @@ bool Monarch::ReadStretch(const FileInfoPtr& info, std::uint64_t offset,
   }
   const pack::PackEntry* entry = pack_index_->Find(info->name);
   if (entry == nullptr) return false;
-  const std::uint64_t budget =
-      std::min<std::uint64_t>(placement_->buffer_pool().chunk_bytes(),
-                              hierarchy_->TotalWritableFreeBytes());
+  const std::uint64_t budget = std::min(
+      {placement_->buffer_pool().chunk_bytes(),
+       hierarchy_->TotalWritableFreeBytes(), placement_->DonationRoom()});
   // Grow the stretch [begin, end) of the extent from the file one
   // neighbour at a time, alternating sides. A side stops at the extent's
-  // edge, at the budget, or at a neighbour that is resident, claimed or
-  // not in the namespace.
+  // edge, at the budget (one staging buffer, the tiers' free quota and
+  // the staging memory a donation may take), or at a neighbour that is
+  // resident, claimed or not in the namespace.
   const std::span<const pack::ExtentMember> members =
       pack_index_->ExtentMembers(entry->extent);
   struct Claimed {
@@ -903,33 +921,45 @@ bool Monarch::ReadStretch(const FileInfoPtr& info, std::uint64_t offset,
     if (left) --lo;
   }
 
-  thread_local std::vector<std::byte> stretch;
-  stretch.resize(static_cast<std::size_t>(end - begin));
-  auto read = hierarchy_->Pfs().Read(pack_index_->ExtentPathOf(*entry), begin,
-                                     stretch);
-  if (!read.ok() || read.value() != stretch.size()) {
+  // The stretch is charged once, whole, before its PFS read; the file's
+  // and each neighbour's donations are views of it, and the charge
+  // returns when the last of their tasks finishes.
+  const auto size = static_cast<std::size_t>(end - begin);
+  PlacementHandler::BudgetCharge charge =
+      placement_->Charge(size, PlacementHandler::kDonation);
+  std::shared_ptr<std::byte[]> buffer;
+  if (charge) {
+    buffer = std::make_shared_for_overwrite<std::byte[]>(size);
+    auto read = hierarchy_->Pfs().Read(pack_index_->ExtentPathOf(*entry),
+                                       begin, {buffer.get(), size});
+    if (!read.ok() || read.value() != size) buffer.reset();
+  }
+  if (buffer == nullptr) {
     for (Claimed& c : claimed) {
       placement_->ReleaseFileClaims(c.file, std::move(c.chunks));
     }
     return false;
   }
+  const storage::ReadView stretch = PlacementHandler::Held(
+      storage::ReadView({buffer.get(), size}, buffer, /*zero_copy=*/false),
+      std::move(charge));
   stretch_reads_.fetch_add(1, std::memory_order_relaxed);
-  readahead_bytes_.fetch_add(stretch.size() - info->size,
-                             std::memory_order_relaxed);
-  const auto bytes_of = [&](const pack::PackEntry* at) {
-    return std::span<const std::byte>(stretch).subspan(
-        static_cast<std::size_t>(at->offset - begin),
-        static_cast<std::size_t>(at->length));
+  readahead_bytes_.fetch_add(size - info->size, std::memory_order_relaxed);
+  const auto donation_of = [&](const pack::PackEntry* at) {
+    return PlacementHandler::Donation{
+        0, stretch.Slice(static_cast<std::size_t>(at->offset - begin),
+                         static_cast<std::size_t>(at->length))};
   };
-  std::copy_n(bytes_of(entry).begin(), info->size, access.dst.begin());
+  PlacementHandler::Donation own = donation_of(entry);
+  std::copy_n(own.bytes.data().begin(), info->size, access.dst.begin());
   placement_->ScheduleChunkPlacement(
-      info, std::move(claimed[0].chunks), 0, bytes_of(entry),
-      StagingLane::kDemand, static_cast<std::uint32_t>(claimed.size() - 1));
+      info, std::move(claimed[0].chunks), std::move(own), StagingLane::kDemand,
+      static_cast<std::uint32_t>(claimed.size() - 1));
   for (std::size_t i = 1; i < claimed.size(); ++i) {
     claimed[i].file->prefetched.store(true, std::memory_order_release);
     placement_->ScheduleChunkPlacement(
-        std::move(claimed[i].file), std::move(claimed[i].chunks), 0,
-        bytes_of(claimed[i].entry), StagingLane::kPrefetch);
+        std::move(claimed[i].file), std::move(claimed[i].chunks),
+        donation_of(claimed[i].entry), StagingLane::kPrefetch);
   }
   return true;
 }
@@ -979,9 +1009,10 @@ void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
       std::min(end, cm.ChunkOffset(claimed.back()) +
                         cm.ChunkLogicalBytes(claimed.back()));
   placement_->ScheduleChunkPlacement(
-      info, std::move(claimed), from,
-      served.subspan(static_cast<std::size_t>(from - offset),
-                     static_cast<std::size_t>(to - from)));
+      info, std::move(claimed),
+      placement_->Donate(from, served.subspan(
+                                   static_cast<std::size_t>(from - offset),
+                                   static_cast<std::size_t>(to - from))));
 }
 
 void Monarch::FinishRead(const FileInfoPtr& info, int level,
@@ -1110,8 +1141,8 @@ bool Monarch::ClaimAndSchedule(FileInfoPtr info, StagingLane lane,
   }
   if (chunks.empty()) return false;
   if (lookahead) info->prefetched.store(true, std::memory_order_release);
-  placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks), 0,
-                                     {}, lane);
+  placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks), {},
+                                     lane);
   return true;
 }
 
@@ -1168,6 +1199,7 @@ std::uint64_t Monarch::CleanupStagedCopies() {
     FileInfoPtr info = metadata_.Lookup(entry.name);
     if (info && placement_->CleanupCopy(info)) ++removed;
   }
+  placement_->DropDeposits();  // peer runs' deposits too
   return removed;
 }
 

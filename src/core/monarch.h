@@ -145,8 +145,9 @@ struct MonarchStats {
   std::uint64_t copy_joins = 0;
   std::uint64_t peer_copy_joins = 0;
 
-  /// Reads served, in part or whole, from a staged run's deposit: the
-  /// verified bytes staging kept in memory for the run's next reader.
+  /// Reads served, in part or whole, from a run's deposit: the verified
+  /// bytes kept in memory for the run's next reader (a staged run's
+  /// read-back, or a peer run fetched whole at its first slice).
   std::uint64_t deposit_hits = 0;
 
   /// Chunk-granularity read outcomes. A hit is a read fully
@@ -364,12 +365,14 @@ class Monarch {
 
   /// Pack-mode read-ahead for a copy-lane read of a whole packed file:
   /// claim it and its unclaimed, non-resident extent neighbours (within
-  /// one staging chunk and the tiers' free quota), read that stretch
-  /// with one PFS read, fill `access.dst`, and donate the file's bytes to
-  /// a demand task and each neighbour's to a prefetch task. Returns
-  /// false, holding no claims, when the read does not qualify (stopped
-  /// placement, low-retention tenant), the file is claimed or resident
-  /// in part, or the stretch read failed.
+  /// one staging chunk, the tiers' free quota and the staging memory a
+  /// donation may take), charge that stretch to the staging budget, read
+  /// it with one PFS read into one buffer, fill `access.dst`, and donate
+  /// views of it — the file's bytes to a demand task, each neighbour's
+  /// to a prefetch task. Returns false, holding no claims, when the read
+  /// does not qualify (stopped placement, low-retention tenant), the
+  /// file is claimed or resident in part, or the charge or the stretch
+  /// read failed.
   bool ReadStretch(const FileInfoPtr& info, std::uint64_t offset,
                    ReadAccess& access);
 

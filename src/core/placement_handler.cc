@@ -134,21 +134,11 @@ PlacementHandler::~PlacementHandler() {
 }
 
 void PlacementHandler::ScheduleChunkPlacement(
-    FileInfoPtr file, std::vector<std::uint32_t> chunks,
-    std::uint64_t donated_offset, std::span<const std::byte> donated,
+    FileInfoPtr file, std::vector<std::uint32_t> chunks, Donation donation,
     StagingLane lane, std::uint32_t neighbours) {
   if (chunks.empty()) return;
-  StagingTask task{std::move(file), Donate(donated_offset, donated), lane,
-                   std::move(chunks), SnapshotTenant(), neighbours};
-  // A read-ahead neighbour rides on its donation only: re-reading
-  // speculative bytes would cost the PFS op its stretch read saved.
-  if (lane == StagingLane::kPrefetch && !donated.empty() &&
-      task.donation.bytes.empty()) {
-    CancelPrefetch(*task.file);
-    ReleaseClaims(task);
-    return;
-  }
-  Enqueue(std::move(task));
+  Enqueue({std::move(file), std::move(donation), lane, std::move(chunks),
+           SnapshotTenant(), neighbours});
 }
 
 std::vector<std::uint32_t> PlacementHandler::ClaimFile(
@@ -183,52 +173,61 @@ void PlacementHandler::ReleaseFileClaims(const FileInfoPtr& file,
 
 PlacementHandler::BudgetCharge PlacementHandler::Charge(std::uint64_t bytes,
                                                         BudgetGauge gauge) {
-  std::uint64_t held = budget_->held.load();
-  do {
-    if (held + bytes > budget_->limit) return {};
-  } while (!budget_->held.compare_exchange_weak(held, held + bytes));
-  ((*budget_).*gauge).fetch_add(bytes);
+  // A donation saves a PFS read, a deposit only a tier read or a fabric
+  // transfer, so deposits make room for a donation.
+  if (gauge == kDonation && !ReclaimDeposits(bytes)) return {};
+  {
+    std::lock_guard lock(budget_->mu);
+    if (budget_->donations + budget_->deposits + bytes > budget_->limit) {
+      return {};
+    }
+    (*budget_).*gauge += bytes;
+  }
   return {budget_, gauge, bytes};
+}
+
+storage::ReadView PlacementHandler::Held(storage::ReadView bytes,
+                                         BudgetCharge charge) {
+  struct Holder {
+    storage::ReadView bytes;
+    BudgetCharge charge;
+  };
+  const std::span<const std::byte> data = bytes.data();
+  return storage::ReadView(
+      data, std::make_shared<const Holder>(Holder{std::move(bytes),
+                                                  std::move(charge)}),
+      /*zero_copy=*/true);
+}
+
+std::uint64_t PlacementHandler::DonationRoom() const noexcept {
+  std::lock_guard lock(budget_->mu);
+  return budget_->limit - std::min(budget_->limit, budget_->donations);
 }
 
 PlacementHandler::Donation PlacementHandler::Donate(
     std::uint64_t offset, std::span<const std::byte> bytes) {
-  if (bytes.empty()) return {};
   // Queued donations are capped by the staging-memory budget: past it,
-  // the task goes without and re-reads those bytes from the PFS. A
-  // donation saves a PFS read, a deposit only a tier read, so deposits
-  // make room for it.
-  BudgetCharge charge = Charge(bytes.size(), &Budget::donations);
-  if (!charge && ReclaimDeposits(bytes.size())) {
-    charge = Charge(bytes.size(), &Budget::donations);
-  }
+  // the task goes without and re-reads those bytes from the PFS.
+  if (bytes.empty()) return {};
+  BudgetCharge charge = Charge(bytes.size(), kDonation);
   if (!charge) return {};
-  return {offset, std::vector<std::byte>(bytes.begin(), bytes.end()),
-          std::move(charge)};
+  auto copy = std::make_shared<const std::vector<std::byte>>(bytes.begin(),
+                                                             bytes.end());
+  return {offset, Held(storage::ReadView(*copy, copy, /*zero_copy=*/false),
+                       std::move(charge))};
 }
 
-Deposit PlacementHandler::MakeDeposit(std::uint32_t run_start,
-                                      std::span<const std::byte> stored,
-                                      std::unique_ptr<std::byte[]> readback) {
-  BudgetCharge charge = Charge(stored.size(), &Budget::deposits);
-  if (!charge) return {};
-  if (readback == nullptr) {
-    readback = std::make_unique_for_overwrite<std::byte[]>(stored.size());
-    std::memcpy(readback.get(), stored.data(), stored.size());
-  }
-  struct Held {
-    std::unique_ptr<std::byte[]> bytes;
-    BudgetCharge charge;
-  };
-  const std::span<const std::byte> bytes(readback.get(), stored.size());
-  return {run_start, bytes,
-          std::make_shared<const Held>(
-              Held{std::move(readback), std::move(charge)})};
+void PlacementHandler::KeepDeposit(const FileInfoPtr& file, Deposit deposit) {
+  file->AddDeposit(std::move(deposit));
+  NoteDepositor(file);
 }
 
 bool PlacementHandler::ReclaimDeposits(std::uint64_t bytes) {
-  while (budget_->held.load(std::memory_order_relaxed) + bytes >
-         budget_->limit) {
+  const auto fits = [&] {
+    std::lock_guard lock(budget_->mu);
+    return budget_->donations + budget_->deposits + bytes <= budget_->limit;
+  };
+  while (!fits()) {
     FileInfoPtr oldest;
     {
       std::lock_guard lock(deposits_mu_);
@@ -239,6 +238,20 @@ bool PlacementHandler::ReclaimDeposits(std::uint64_t bytes) {
     oldest->DropDeposits();
   }
   return true;
+}
+
+void PlacementHandler::NoteDepositor(const FileInfoPtr& file) {
+  std::lock_guard lock(deposits_mu_);
+  depositors_.push_back(file);
+  // An entry outlives the deposits it was pushed for: once the list
+  // doubles, keep one entry per file that still holds any.
+  if (depositors_.size() >= prune_depositors_at_) {
+    std::unordered_set<const FileInfo*> seen;
+    std::erase_if(depositors_, [&seen](const FileInfoPtr& f) {
+      return !f->HasDeposits() || !seen.insert(f.get()).second;
+    });
+    prune_depositors_at_ = std::max<std::size_t>(64, 2 * depositors_.size());
+  }
 }
 
 void PlacementHandler::DropDeposits() {
@@ -438,11 +451,9 @@ Result<std::span<const std::byte>> PlacementHandler::SliceSource(
       std::min(end, donation.offset + donation.bytes.size());
   std::span<const std::byte> donated;
   if (donated_begin < donated_end) {
-    donated = std::span<const std::byte>(donation.bytes)
-                  .subspan(static_cast<std::size_t>(donated_begin -
-                                                    donation.offset),
-                           static_cast<std::size_t>(donated_end -
-                                                    donated_begin));
+    donated = donation.bytes.data().subspan(
+        static_cast<std::size_t>(donated_begin - donation.offset),
+        static_cast<std::size_t>(donated_end - donated_begin));
   } else {
     donated_begin = donated_end = end;
   }
@@ -745,16 +756,30 @@ Status PlacementHandler::StageRun(
   // A run with a reader coming — a look-ahead or read-ahead prefetch's
   // next visit, or an open visit or a read joined to this copy — keeps
   // its verified bytes as a deposit, so that reader does not read them
-  // back from the tier a second time. Codec runs are served decoded,
-  // never from their stored bytes.
+  // back from the tier a second time; with verification off it keeps a
+  // copy of the bytes written. Codec runs are served decoded, never from
+  // their stored bytes.
   Deposit deposit;
+  deposit.run_start = first;
   if (codec_ == nullptr &&
       (file->readers_coming.load(std::memory_order_acquire) > 0 ||
        (task.lane == StagingLane::kPrefetch &&
         file->prefetched.load(std::memory_order_acquire)))) {
-    deposit = MakeDeposit(first, stored, std::move(readback));
+    if (BudgetCharge charge = Charge(stored.size(), kDeposit)) {
+      if (readback == nullptr) {
+        readback = std::make_unique_for_overwrite<std::byte[]>(stored.size());
+        std::memcpy(readback.get(), stored.data(), stored.size());
+      }
+      const std::span<const std::byte> bytes(readback.get(), stored.size());
+      deposit.bytes = Held(
+          storage::ReadView(bytes,
+                            std::shared_ptr<const std::byte[]>(
+                                std::move(readback)),
+                            /*zero_copy=*/false),
+          std::move(charge));
+    }
   }
-  const bool deposited = deposit.keepalive != nullptr;
+  const bool deposited = !deposit.bytes.empty();
   {
     std::lock_guard lock(cm.placement_mutex());
     if (file->state.load(std::memory_order_acquire) ==
@@ -766,8 +791,14 @@ Status PlacementHandler::StageRun(
                                      object);
     }
     const std::uint32_t before = cm.PublishRun(first, metas);
-    // Under the placement mutex, so a drop of the run drops it too.
-    if (deposited) file->AddDeposit(std::move(deposit));
+    // Under the placement mutex, so a drop of the run drops it too. The
+    // run's own verified bytes, or none, replace any deposit a peer read
+    // left for it.
+    if (deposited) {
+      file->AddDeposit(std::move(deposit));
+    } else {
+      file->DropDeposit(first);
+    }
     if (before == 0) {
       // First resident run: the file now serves (partially) from a
       // tier. Flip its state so the eviction policies see it as placed.
@@ -788,20 +819,7 @@ Status PlacementHandler::StageRun(
       peer_view_->OnStaged(file->name, level);
     }
   }
-  if (deposited) {
-    std::lock_guard lock(deposits_mu_);
-    depositors_.push_back(file);
-    // An entry outlives the deposits it was pushed for: once the list
-    // doubles, keep one entry per file that still holds any.
-    if (depositors_.size() >= prune_depositors_at_) {
-      std::unordered_set<const FileInfo*> seen;
-      std::erase_if(depositors_, [&seen](const FileInfoPtr& f) {
-        return !f->HasDeposits() || !seen.insert(f.get()).second;
-      });
-      prune_depositors_at_ =
-          std::max<std::size_t>(64, 2 * depositors_.size());
-    }
-  }
+  if (deposited) NoteDepositor(file);
   chunks_staged_.fetch_add(metas.size(), std::memory_order_relaxed);
   chunk_stored_bytes_.fetch_add(stored.size(), std::memory_order_relaxed);
   bytes_staged_.fetch_add(logical, std::memory_order_relaxed);
@@ -1007,8 +1025,11 @@ PlacementStats PlacementHandler::Stats() const {
   s.prefetch_cancelled = prefetch_cancelled_.load(std::memory_order_relaxed);
   s.chunks_copied = chunks_copied_.load(std::memory_order_relaxed);
   s.donated_bytes = donated_bytes_.load(std::memory_order_relaxed);
-  s.donation_held_bytes = budget_->donations.load(std::memory_order_relaxed);
-  s.deposit_held_bytes = budget_->deposits.load(std::memory_order_relaxed);
+  {
+    std::lock_guard lock(budget_->mu);
+    s.donation_held_bytes = budget_->donations;
+    s.deposit_held_bytes = budget_->deposits;
+  }
   s.chunks_staged = chunks_staged_.load(std::memory_order_relaxed);
   s.chunk_stored_bytes = chunk_stored_bytes_.load(std::memory_order_relaxed);
   s.chunks_evicted = chunks_evicted_.load(std::memory_order_relaxed);

@@ -113,8 +113,9 @@ struct PlacementOptions {
   bool enable_eviction = false;
 
   /// Total budget for the chunk buffer pool — the hard cap on leased
-  /// staging buffers (`[placement] staging_buffer_bytes`). Bytes held by
-  /// queued donations and by deposits are capped at the same amount
+  /// staging buffers (`[placement] staging_buffer_bytes`). Every byte
+  /// Monarch holds past one request — donations, pack stretches,
+  /// deposits and fetched peer runs — is capped at the same amount
   /// together, counted apart from the pool.
   std::uint64_t staging_buffer_bytes = 64ULL * 1024 * 1024;
 
@@ -207,22 +208,94 @@ class PlacementHandler {
   PlacementHandler(const PlacementHandler&) = delete;
   PlacementHandler& operator=(const PlacementHandler&) = delete;
 
+  /// The staging-memory budget (`staging_buffer_bytes`) that every byte
+  /// Monarch holds past one request shares: donations (a read's bytes
+  /// queued for their staging task, a pack stretch) and deposits (a
+  /// staged or peer-fetched run kept for its next reader). Each charge
+  /// holds it, so a lent view of held bytes may outlive the handler.
+  struct Budget {
+    explicit Budget(std::uint64_t limit_in) : limit(limit_in) {}
+    const std::uint64_t limit;
+    /// Guards both shares, so their sum is always read whole.
+    mutable std::mutex mu;
+    std::uint64_t donations = 0;  ///< gauge; guarded by mu
+    std::uint64_t deposits = 0;   ///< gauge; guarded by mu
+  };
+  /// Which share of the budget held bytes count toward.
+  using BudgetGauge = std::uint64_t Budget::*;
+  static constexpr BudgetGauge kDonation = &Budget::donations;
+  static constexpr BudgetGauge kDeposit = &Budget::deposits;
+
+  /// One share of the budget, handed back when destroyed — with the last
+  /// view of the bytes it was charged for (Held).
+  class BudgetCharge {
+   public:
+    BudgetCharge() = default;
+    BudgetCharge(std::shared_ptr<Budget> budget, BudgetGauge gauge,
+                 std::uint64_t bytes) noexcept
+        : budget_(std::move(budget)), gauge_(gauge), bytes_(bytes) {}
+    BudgetCharge(BudgetCharge&& other) noexcept = default;
+    BudgetCharge& operator=(BudgetCharge&& other) noexcept {
+      Reset();
+      budget_ = std::move(other.budget_);
+      gauge_ = other.gauge_;
+      bytes_ = other.bytes_;
+      return *this;
+    }
+    ~BudgetCharge() { Reset(); }
+    explicit operator bool() const noexcept { return budget_ != nullptr; }
+
+   private:
+    void Reset() noexcept {
+      if (budget_ == nullptr) return;
+      {
+        std::lock_guard lock(budget_->mu);
+        (*budget_).*gauge_ -= bytes_;
+      }
+      budget_.reset();
+    }
+    std::shared_ptr<Budget> budget_;
+    BudgetGauge gauge_ = nullptr;
+    std::uint64_t bytes_ = 0;
+  };
+
+  /// Bytes a read already pulled, handed to the file's staging task: the
+  /// file's bytes [offset, offset + bytes.size()); empty = nothing
+  /// donated. The view's keepalive owns them and their budget charge.
+  struct Donation {
+    std::uint64_t offset = 0;
+    storage::ReadView bytes;
+  };
+
+  /// Charge `bytes` to the budget's `gauge` share when the held bytes
+  /// plus them fit `staging_buffer_bytes` — a donation dropping the
+  /// oldest deposits to make room, since a donation (a saved PFS read)
+  /// always wins over a deposit; an empty charge otherwise.
+  BudgetCharge Charge(std::uint64_t bytes, BudgetGauge gauge);
+  /// The one form in which bytes are held past a request: a view of
+  /// `bytes` whose keepalive owns them and `charge`, so the budget share
+  /// returns with the last view.
+  static storage::ReadView Held(storage::ReadView bytes, BudgetCharge charge);
+  /// The most a donation could be charged now: the free budget plus
+  /// what deposits hold.
+  [[nodiscard]] std::uint64_t DonationRoom() const noexcept;
+  /// A copy of `bytes` (the file's bytes from `offset`) as a donation
+  /// when the budget has room for them; an empty donation otherwise.
+  Donation Donate(std::uint64_t offset, std::span<const std::byte> bytes);
+  /// Hold `deposit` on `file` for its run's next reader, registered for
+  /// oldest-first reclaim (a run the peer rung fetched whole).
+  void KeepDeposit(const FileInfoPtr& file, Deposit deposit);
+
   /// Stage chunks of `file`. `chunks` are ascending chunk indexes the
   /// caller already claimed via ChunkMap::TryClaim; the handler stages
   /// them — codec encode, CRC on both sides — each run of consecutive
   /// chunks as one tier object, and releases every claim (publish or
-  /// back-out). `donated` holds the file's bytes from `donated_offset`
-  /// that the triggering read pulled; the bytes it covers are staged
-  /// from it when the staging-memory budget has room (copied into the
-  /// task, never re-read), each stretch it does not is read from the PFS
-  /// with one read. Never blocks.
-  /// A donated prefetch (a stretch read's neighbour) whose donation the
-  /// budget refuses is cancelled, never re-read. `neighbours`: see
-  /// StagingTask.
+  /// back-out). The bytes `donation` covers are staged from it, never
+  /// re-read; each stretch it does not is read from the PFS with one
+  /// read. Never blocks. `neighbours`: see StagingTask.
   void ScheduleChunkPlacement(FileInfoPtr file,
                               std::vector<std::uint32_t> chunks,
-                              std::uint64_t donated_offset,
-                              std::span<const std::byte> donated,
+                              Donation donation,
                               StagingLane lane = StagingLane::kDemand,
                               std::uint32_t neighbours = 0);
 
@@ -266,7 +339,7 @@ class PlacementHandler {
   /// true when a run went.
   bool CleanupCopy(const FileInfoPtr& file);
 
-  /// Let go of every deposit (Monarch::Shutdown); the runs stay staged.
+  /// Let go of every deposit (Monarch::Shutdown, CleanupStagedCopies).
   void DropDeposits();
 
   /// Install the whole-run demand access sequence
@@ -317,60 +390,6 @@ class PlacementHandler {
   }
 
  private:
-  /// The staging-memory budget (`staging_buffer_bytes`) that queued
-  /// donations and deposits share. Each charge holds it, so a lent view
-  /// of a deposit may outlive the handler.
-  struct Budget {
-    explicit Budget(std::uint64_t limit_in) : limit(limit_in) {}
-    const std::uint64_t limit;
-    std::atomic<std::uint64_t> held{0};       ///< donations + deposits
-    std::atomic<std::uint64_t> donations{0};  ///< gauge
-    std::atomic<std::uint64_t> deposits{0};   ///< gauge
-  };
-  using BudgetGauge = std::atomic<std::uint64_t> Budget::*;
-
-  /// One share of the budget, handed back when destroyed: a donation's
-  /// when its task is finished, backed out or cancelled; a deposit's
-  /// when its last holder lets go.
-  class BudgetCharge {
-   public:
-    BudgetCharge() = default;
-    BudgetCharge(std::shared_ptr<Budget> budget, BudgetGauge gauge,
-                 std::uint64_t bytes) noexcept
-        : budget_(std::move(budget)), gauge_(gauge), bytes_(bytes) {}
-    BudgetCharge(BudgetCharge&& other) noexcept = default;
-    BudgetCharge& operator=(BudgetCharge&& other) noexcept {
-      Reset();
-      budget_ = std::move(other.budget_);
-      gauge_ = other.gauge_;
-      bytes_ = other.bytes_;
-      return *this;
-    }
-    ~BudgetCharge() { Reset(); }
-    explicit operator bool() const noexcept { return budget_ != nullptr; }
-
-   private:
-    /// The gauge drops before `held` and rises after it (Charge), so a
-    /// gauge never reads above the budget.
-    void Reset() noexcept {
-      if (budget_ == nullptr) return;
-      ((*budget_).*gauge_).fetch_sub(bytes_);
-      budget_->held.fetch_sub(bytes_);
-      budget_.reset();
-    }
-    std::shared_ptr<Budget> budget_;
-    BudgetGauge gauge_ = nullptr;
-    std::uint64_t bytes_ = 0;
-  };
-
-  /// Bytes the triggering read already pulled: the file's bytes
-  /// [offset, offset + bytes.size()); empty = nothing donated.
-  struct Donation {
-    std::uint64_t offset = 0;
-    std::vector<std::byte> bytes;
-    BudgetCharge charge;
-  };
-
   struct StagingTask {
     FileInfoPtr file;
     Donation donation;
@@ -392,22 +411,12 @@ class PlacementHandler {
   [[nodiscard]] static double TaskCost(const StagingTask& task) noexcept;
   /// Enqueue on the fair queue. Caller holds mu_.
   void PushLocked(StagingTask task);
-  /// Charge `bytes` to the budget and to `gauge` when the held bytes
-  /// plus them fit `staging_buffer_bytes`; an empty charge otherwise.
-  BudgetCharge Charge(std::uint64_t bytes, BudgetGauge gauge);
-  /// Copy `bytes` (the file's bytes from `offset`) into a donation when
-  /// the budget has room for them — dropping deposits to make it, since
-  /// a donation always wins; an empty donation otherwise.
-  Donation Donate(std::uint64_t offset, std::span<const std::byte> bytes);
-  /// The deposit of a run about to be published: its verified bytes
-  /// (`readback`, or a copy of `stored` when no readback was made), when
-  /// the budget has room for them; an empty one otherwise.
-  Deposit MakeDeposit(std::uint32_t run_start,
-                      std::span<const std::byte> stored,
-                      std::unique_ptr<std::byte[]> readback);
   /// Drop the oldest deposits until `bytes` more fit the budget, or none
   /// is left. Returns whether they fit.
   bool ReclaimDeposits(std::uint64_t bytes);
+  /// Register `file`, just handed a deposit, for ReclaimDeposits and
+  /// DropDeposits.
+  void NoteDepositor(const FileInfoPtr& file);
   /// Count and enqueue a claimed task — or, once scheduling stopped,
   /// cancel it and hand its claims back. Never blocks.
   void Enqueue(StagingTask task);

@@ -43,11 +43,6 @@ ReadRing::ReadRing(Monarch& monarch, ReadRingOptions options)
       "monarch.readring.inflight", "ops",
       "ring ops a worker is currently executing");
   m_depth_->Set(options_.depth);
-
-  workers_.reserve(static_cast<std::size_t>(options_.worker_threads));
-  for (int i = 0; i < options_.worker_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
 }
 
 ReadRing::~ReadRing() { Shutdown(); }
@@ -65,6 +60,14 @@ std::size_t ReadRing::Submit(std::vector<ReadOp> ops,
   std::size_t accepted = 0;
   {
     std::unique_lock lock(mu_);
+    // The workers start with the first submission: a Monarch nobody
+    // submits to costs no ring threads.
+    if (!stop_ && workers_.empty()) {
+      workers_.reserve(static_cast<std::size_t>(options_.worker_threads));
+      for (int i = 0; i < options_.worker_threads; ++i) {
+        workers_.emplace_back([this] { WorkerLoop(); });
+      }
+    }
     for (ReadOp& op : ops) {
       space_cv_.wait(lock, [this] {
         return stop_ ||
@@ -123,8 +126,9 @@ void ReadRing::Shutdown() {
   std::deque<Pending> orphaned;
   {
     std::lock_guard lock(mu_);
-    if (stop_ && workers_.empty()) return;
+    const bool started = !workers_.empty();
     stop_ = true;
+    if (!started) return;  // never started, or already shut down
     orphaned.swap(queue_);
     m_queued_->Set(0);
   }

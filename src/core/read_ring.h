@@ -5,11 +5,12 @@
 // buffer, lease-mode ops ask for a zero-copy ReadLease — and either
 // harvest completions from the completion queue or register a callback
 // that fires as each op finishes (the hook dlsim's prefetch pipeline
-// feeds from). A small worker pool drains the submission queue; each
-// worker pops a batch and sorts it by the files' CURRENT hierarchy level
-// before executing, so ops against the same tier run back-to-back
-// (per-tier coalescing: the tier's breaker/driver state stays hot over
-// the run of ops instead of ping-ponging between tiers).
+// feeds from). A small worker pool, started by the first Submit,
+// drains the submission queue; each worker pops a batch and sorts it by
+// the files' CURRENT hierarchy level before executing, so ops against
+// the same tier run back-to-back (per-tier coalescing: the tier's
+// breaker/driver state stays hot over the run of ops instead of
+// ping-ponging between tiers).
 //
 // Backpressure: the submission queue is bounded by `depth`; Submit
 // blocks while the ring is full, which is what keeps an unbounded

@@ -20,9 +20,6 @@ NetworkModel::NetworkModel(NetworkProfile profile)
   transfers_ = registry.GetCounter(
       "net.transfers", "ops",
       "peer-to-peer transfers carried by the simulated interconnect");
-  run_hits_ = registry.GetCounter(
-      "net.peer_run_hits", "ops",
-      "peer reads served from a run fetched whole, without a fabric trip");
   bytes_transferred_ = registry.GetCounter(
       "net.bytes_transferred", "bytes",
       "bytes moved across the simulated interconnect");
@@ -75,11 +72,6 @@ void NetworkModel::ChargeTransfer(std::uint64_t bytes) {
   bytes_local_.fetch_add(bytes, std::memory_order_relaxed);
   if (transfers_ != nullptr) transfers_->Increment();
   if (bytes_transferred_ != nullptr) bytes_transferred_->Increment(bytes);
-}
-
-void NetworkModel::CountRunHit() {
-  run_hits_local_.fetch_add(1, std::memory_order_relaxed);
-  if (run_hits_ != nullptr) run_hits_->Increment();
 }
 
 void NetworkModel::ChargeRpc() { PreciseSleep(profile_.hop_latency); }

@@ -56,11 +56,6 @@ class NetworkModel {
   /// Block for one metadata round trip (directory lookup, stat).
   void ChargeRpc();
 
-  /// Count one peer read served from a run a PeerEngine already fetched
-  /// whole: bytes delivered without a fabric round trip
-  /// (`net.peer_run_hits`).
-  void CountRunHit();
-
   // ---- fault injection (ISSUE 7) ---------------------------------------
   // Node outages and fabric partitions are modelled as reachability: a
   // peer RPC whose endpoint is down or on the far side of a partition
@@ -108,9 +103,6 @@ class NetworkModel {
   [[nodiscard]] std::uint64_t rpc_timeouts() const noexcept {
     return timeouts_local_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t run_hits() const noexcept {
-    return run_hits_local_.load(std::memory_order_relaxed);
-  }
 
  private:
   NetworkProfile profile_;
@@ -118,13 +110,11 @@ class NetworkModel {
   std::atomic<std::uint64_t> transfers_local_{0};
   std::atomic<std::uint64_t> bytes_local_{0};
   std::atomic<std::uint64_t> timeouts_local_{0};
-  std::atomic<std::uint64_t> run_hits_local_{0};
   /// Bit n set = node n dead / in partition group (ids ≥ 64 unaffected).
   std::atomic<std::uint64_t> down_mask_{0};
   std::atomic<std::uint64_t> partition_mask_{0};
   qos::BandwidthBrokerPtr qos_broker_;      ///< null = no enforcement
   obs::Counter* transfers_ = nullptr;       ///< `net.transfers`
-  obs::Counter* run_hits_ = nullptr;        ///< `net.peer_run_hits`
   obs::Counter* bytes_transferred_ = nullptr;  ///< `net.bytes_transferred`
   obs::Counter* rpc_timeouts_ = nullptr;    ///< `net.rpc_timeouts`
 };

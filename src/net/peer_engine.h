@@ -17,17 +17,12 @@
 // is exhausted does the error escape, and the per-tier circuit breaker
 // above then decides whether the whole peer rung gets quarantined.
 //
-// One fabric transfer per run: a peer's objects are a Monarch's chunk
-// runs (each at most one staging buffer). A copy-lane read at an
-// object's start fetches the whole object from its holder in one
-// transfer (one remote device op) and keeps what the caller did not take
-// as the thread's buffered run; the following reads of that run on the
-// same thread are served from it (`net.peer_run_hits`) while the holder
-// still advertises the copy and is reachable. A thread holds at most one
-// run, keyed by engine instance, object and holder, and releases it when
-// its last byte is served or the thread fetches another run. A read that
-// starts mid-object with no buffered run under it moves just its slice,
-// so random access never pulls whole runs.
+// The engine holds no bytes past a read: every read resolves a holder
+// and crosses the fabric. One fabric transfer per run is the read path's
+// job — Monarch::ServeChunks fetches a run whole at its first slice, one
+// ReadZeroCopy here, and keeps it as a budget-charged deposit for the
+// node's next slices. Read is ReadZeroCopy plus a copy: one resolve /
+// reachability / failover loop serves both.
 //
 // Peer tiers are strictly read-only caches of other nodes' staged
 // copies: Write/WriteAt/Delete fail with kFailedPrecondition, and the
@@ -36,16 +31,11 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 
 #include "net/network_model.h"
 #include "storage/storage_engine.h"
-
-namespace monarch::obs {
-class TraceSpan;
-}  // namespace monarch::obs
 
 namespace monarch::net {
 
@@ -66,11 +56,6 @@ class PeerEngine final : public storage::StorageEngine {
     virtual ~Resolver() = default;
     virtual Result<Holder> ResolveHolder(const std::string& path,
                                          std::span<const int> exclude) = 0;
-    /// Whether `node` still advertises a placed copy of `path`: a run
-    /// buffered from it is served only while this holds.
-    virtual bool StillHolds(const std::string& /*path*/, int /*node*/) {
-      return true;
-    }
     /// Transfer lifecycle callbacks: per-holder in-flight accounting for
     /// power-of-two-choices and failure streaks for quarantine.
     virtual void OnTransferStart(int /*node*/) {}
@@ -90,8 +75,7 @@ class PeerEngine final : public storage::StorageEngine {
   PeerEngine(std::string name, ResolverPtr resolver, NetworkModelPtr network,
              Options options);
 
-  /// Serve from this thread's buffered run, or move the bytes from a
-  /// live holder (the whole object when the read starts at offset 0).
+  /// ReadZeroCopy into `dst`.
   Result<std::size_t> Read(std::string_view path, std::uint64_t offset,
                            std::span<std::byte> dst) override;
   /// Zero-copy peer read: the holder lends its page across the (modelled)
@@ -117,30 +101,15 @@ class PeerEngine final : public storage::StorageEngine {
   }
 
  private:
+  /// UNAVAILABLE after the modelled RPC timeout when the fabric cannot
+  /// reach `node`.
+  Status Reach(const std::string& path, int node);
   /// The chosen holder for one RPC, or UNAVAILABLE after the modelled
   /// timeout when the fabric says it is unreachable.
   Result<Resolver::Holder> ResolveReachable(const std::string& path,
                                             std::span<const int> exclude);
 
-  /// Serve `dst` from this thread's buffered run of `path` when it holds
-  /// `offset` and its holder still qualifies; releases a run that no
-  /// longer does. Returns the bytes served, or nullopt.
-  std::optional<std::size_t> ServeBufferedRun(const std::string& path,
-                                              std::uint64_t offset,
-                                              std::span<std::byte> dst,
-                                              obs::TraceSpan& span);
-
-  /// One holder's bytes at `offset` into `dst`; `moved` gets the bytes
-  /// that crossed the fabric. At offset 0 the whole object moves and
-  /// what `dst` cannot take becomes this thread's buffered run.
-  Result<std::size_t> Transfer(const Resolver::Holder& holder,
-                               const std::string& path, std::uint64_t offset,
-                               std::span<std::byte> dst, std::size_t& moved);
-
   std::string name_;
-  /// Process-unique instance id: keys the thread's buffered run, so two
-  /// nodes driven from one thread never share it.
-  std::uint64_t id_;
   ResolverPtr resolver_;
   NetworkModelPtr network_;
   Options options_;

@@ -50,6 +50,11 @@ class ReadView {
   /// True when the bytes are the engine's own page, not a copy.
   [[nodiscard]] bool zero_copy() const noexcept { return zero_copy_; }
 
+  /// The `n` bytes at `offset` of this view, pinning the same owner.
+  [[nodiscard]] ReadView Slice(std::size_t offset, std::size_t n) const {
+    return ReadView(data_.subspan(offset, n), keepalive_, zero_copy_);
+  }
+
   /// Drop the view (and its pin on the underlying bytes) early.
   void Reset() noexcept {
     data_ = {};

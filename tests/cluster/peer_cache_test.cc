@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../test_support.h"
@@ -57,9 +59,11 @@ struct PeerWorld {
   std::vector<Node> nodes;
 
   /// `chunk_bytes` is the staging chunk, and so the largest run object
-  /// a peer serves (0 keeps the default).
+  /// a peer serves; `buffer_bytes` the staging-memory budget (0 keeps
+  /// either default).
   explicit PeerWorld(int num_nodes, std::size_t bytes = kFileBytes,
-                     PeerOptions options = {}, std::uint64_t chunk_bytes = 0)
+                     PeerOptions options = {}, std::uint64_t chunk_bytes = 0,
+                     std::uint64_t buffer_bytes = 0)
       : file_bytes(bytes) {
     pfs = std::make_shared<MemoryEngine>("pfs");
     for (int i = 0; i < kFiles; ++i) {
@@ -84,6 +88,9 @@ struct PeerWorld {
       config.pfs = core::TierSpec{"pfs", pfs, 0};
       config.dataset_dir = "data";
       if (chunk_bytes > 0) config.placement.staging_chunk_bytes = chunk_bytes;
+      if (buffer_bytes > 0) {
+        config.placement.staging_buffer_bytes = buffer_bytes;
+      }
       auto monarch = core::Monarch::Create(std::move(config));
       EXPECT_TRUE(monarch.ok()) << monarch.status().ToString();
       if (monarch.ok()) node.monarch = std::move(monarch).value();
@@ -197,9 +204,10 @@ TEST(PeerCacheTest, ShardedStagingServesSteadyStateWithoutPfs) {
 
   // The non-owned half of every epoch — the first included — crossed
   // the fabric; everything reconciles: interconnect transfers plus
-  // slices served from a buffered run == peer-level reads == directory
-  // remote hits (whole-file reads buffer nothing), and the ladder never
-  // fired.
+  // slices served from peer deposits == peer-level reads == directory
+  // remote hits (a whole-file read leaves nothing of its run unread, so
+  // it keeps no peer deposit and every peer-level read is a transfer),
+  // and the ladder never fired.
   const auto stats0 = world.nodes[0].monarch->Stats();
   const auto stats1 = world.nodes[1].monarch->Stats();
   EXPECT_EQ(2 * owned1, stats0.levels[peer].reads);
@@ -207,9 +215,7 @@ TEST(PeerCacheTest, ShardedStagingServesSteadyStateWithoutPfs) {
   EXPECT_EQ(0u, stats0.degraded_fallbacks);
   EXPECT_EQ(0u, stats1.degraded_fallbacks);
   EXPECT_EQ(stats0.levels[peer].reads + stats1.levels[peer].reads,
-            world.group->network()->transfers() +
-                world.group->network()->run_hits());
-  EXPECT_EQ(0u, world.group->network()->run_hits());
+            world.group->network()->transfers());
   EXPECT_EQ((2 * owned1 + 2 * owned0) * kFileBytes,
             world.group->network()->bytes_transferred());
   EXPECT_EQ(2 * owned0, world.group->directory().StatsFor(0).remote_hits);
@@ -300,9 +306,9 @@ constexpr int kRunFileSlices = 5;
 
 // A peer-served file read in 64 KiB slices moves each run across the
 // fabric once, at its first slice, and serves the run's later slices
-// from that fetch: golden bytes, one transfer and one remote device op
-// per run, every run byte moved once, and peer-level reads still one
-// per slice.
+// from that fetch, the run's peer deposit: golden bytes, one transfer
+// and one remote device op per run, every run byte moved once, and
+// peer-level reads still one per slice (transfers + deposit hits).
 TEST(PeerRunTest, SlicedPeerReadMovesEachRunOnce) {
   PeerWorld world(2, kRunFileBytes, {}, kRunBytes);
   ASSERT_TRUE(world.nodes[0].monarch && world.nodes[1].monarch);
@@ -317,6 +323,7 @@ TEST(PeerRunTest, SlicedPeerReadMovesEachRunOnce) {
   const std::uint64_t moved = net.bytes_transferred();
   const std::uint64_t holder_ops =
       world.nodes[0].local_inner->Stats().Snapshot().read_ops;
+  const std::uint64_t hits = world.nodes[1].monarch->Stats().deposit_hits;
 
   for (const int i : owned0) {
     world.ReadSlices(1, i, 0, kRunFileSlices, kSlice);
@@ -327,16 +334,18 @@ TEST(PeerRunTest, SlicedPeerReadMovesEachRunOnce) {
   EXPECT_EQ(3 * files,
             world.nodes[0].local_inner->Stats().Snapshot().read_ops -
                 holder_ops);
-  EXPECT_EQ(2 * files, net.run_hits());
   const auto stats = world.nodes[1].monarch->Stats();
+  EXPECT_EQ(2 * files, stats.deposit_hits - hits);
   EXPECT_EQ(kRunFileSlices * files, stats.levels[peer].reads - peer_reads);
   EXPECT_EQ(stats.levels[peer].reads - peer_reads,
-            (net.transfers() - transfers) + net.run_hits());
+            (net.transfers() - transfers) + (stats.deposit_hits - hits));
   EXPECT_EQ(0u, stats.degraded_fallbacks);
+  EXPECT_EQ(0u, stats.placement.deposit_held_bytes)
+      << "every run was read to its last byte";
 }
 
-// A first read that starts mid-run has no buffered run under it: it
-// moves only its slice. The next run, read from its start, moves whole.
+// A first read that starts mid-run has no deposit under it: it moves
+// only its slice. The next run, read from its start, moves whole.
 TEST(PeerRunTest, PeerReadStartingMidRunMovesOnlyItsSlice) {
   PeerWorld world(2, kRunFileBytes, {}, kRunBytes);
   ASSERT_TRUE(world.nodes[0].monarch && world.nodes[1].monarch);
@@ -346,6 +355,7 @@ TEST(PeerRunTest, PeerReadStartingMidRunMovesOnlyItsSlice) {
   const auto& net = *world.group->network();
   const std::uint64_t transfers = net.transfers();
   const std::uint64_t moved = net.bytes_transferred();
+  const std::uint64_t hits = world.nodes[1].monarch->Stats().deposit_hits;
 
   world.ReadSlices(1, owned0[0], kSlice, 1, kSlice);
   EXPECT_EQ(1u, net.transfers() - transfers);
@@ -355,13 +365,14 @@ TEST(PeerRunTest, PeerReadStartingMidRunMovesOnlyItsSlice) {
   world.ReadSlices(1, owned0[0], 2 * kSlice, 2, kSlice);
   EXPECT_EQ(2u, net.transfers() - transfers);
   EXPECT_EQ(kSlice + kRunBytes, net.bytes_transferred() - moved);
-  EXPECT_EQ(1u, net.run_hits());
+  EXPECT_EQ(1u, world.nodes[1].monarch->Stats().deposit_hits - hits);
 }
 
 // The holder dies between two slices (replication 1): the directory
-// retracts its copy, so the next slices leave the peer rung exactly as
-// an unbuffered read would — golden bytes, no buffered serve, no fabric
-// trip, no degraded fallback.
+// retracts its copy, so the next slices leave the peer rung — and the
+// run's peer deposit with it — exactly as a read without one would:
+// golden bytes, no further peer-level read, no fabric trip, no degraded
+// fallback.
 TEST(PeerRunTest, KilledHolderBetweenSlicesLeavesTheBufferedRun) {
   PeerWorld world(2, kRunFileBytes, {}, kRunBytes);
   ASSERT_TRUE(world.nodes[0].monarch && world.nodes[1].monarch);
@@ -370,22 +381,28 @@ TEST(PeerRunTest, KilledHolderBetweenSlicesLeavesTheBufferedRun) {
   ASSERT_FALSE(owned0.empty());
   const auto& net = *world.group->network();
   const std::uint64_t transfers = net.transfers();
+  const int peer = world.nodes[1].monarch->hierarchy().peer_level();
+  const std::uint64_t peer_reads =
+      world.nodes[1].monarch->Stats().levels[peer].reads;
 
   world.ReadSlices(1, owned0[0], 0, 1, kSlice);
   ASSERT_EQ(1u, net.transfers() - transfers);
   world.group->KillNode(0);
   world.ReadSlices(1, owned0[0], kSlice, kRunFileSlices - 1, kSlice);
   EXPECT_EQ(1u, net.transfers() - transfers);
-  EXPECT_EQ(0u, net.run_hits());
   const auto stats = world.nodes[1].monarch->Stats();
+  EXPECT_EQ(peer_reads + 1, stats.levels[peer].reads)
+      << "only the first slice was served at the peer rung";
   EXPECT_EQ(0u, stats.degraded_fallbacks);
   EXPECT_EQ(0u, stats.fallbacks_peer_miss + stats.fallbacks_peer_error);
 }
 
 // Replicated: the holder that served a run's first slice dies while the
-// other replica still advertises the file. The next slice must not come
-// from the dead holder's buffered run: it re-resolves to the live
-// replica and moves just its slice.
+// other replica still advertises the file. The ladder still routes the
+// next slice to the peer rung, and the run's deposit serves it: its
+// bytes crossed the fabric before the kill, the dataset is immutable and
+// the holder verified them when it staged them. One transfer, no fabric
+// trip for the second slice.
 TEST(PeerRunTest, KilledHolderBetweenSlicesReResolvesToReplica) {
   constexpr int kNodes = 4;
   PeerOptions options;
@@ -423,6 +440,8 @@ TEST(PeerRunTest, KilledHolderBetweenSlicesReResolvesToReplica) {
   const auto& net = *world.group->network();
   const std::uint64_t transfers = net.transfers();
   const std::uint64_t moved = net.bytes_transferred();
+  core::Monarch& monarch = *world.nodes[static_cast<std::size_t>(reader)].monarch;
+  const std::uint64_t hits = monarch.Stats().deposit_hits;
 
   world.ReadSlices(reader, file, 0, 1, kSlice);
   int served_by = -1;
@@ -438,17 +457,16 @@ TEST(PeerRunTest, KilledHolderBetweenSlicesReResolvesToReplica) {
   ASSERT_EQ(live.end(), std::find(live.begin(), live.end(), served_by));
 
   world.ReadSlices(reader, file, kSlice, 1, kSlice);
-  EXPECT_EQ(2u, net.transfers() - transfers);
-  EXPECT_EQ(kRunBytes + kSlice, net.bytes_transferred() - moved);
-  EXPECT_EQ(0u, net.run_hits());
-  const auto stats =
-      world.nodes[static_cast<std::size_t>(reader)].monarch->Stats();
+  EXPECT_EQ(1u, net.transfers() - transfers);
+  EXPECT_EQ(kRunBytes, net.bytes_transferred() - moved);
+  const auto stats = monarch.Stats();
+  EXPECT_EQ(1u, stats.deposit_hits - hits);
   EXPECT_EQ(0u, stats.degraded_fallbacks);
 }
 
-// Two nodes reading the same remote object from one thread each get
-// their own buffered run: a slice one node fetched whole is never served
-// to the other, and a later fetch by one releases the other's run.
+// Two nodes reading the same remote object from one thread each keep
+// their own deposits: a run one node fetched whole is never served to
+// the other, and a fetch by one leaves the other's deposit in place.
 TEST(PeerRunTest, NodesOnOneThreadNeverShareABufferedRun) {
   PeerWorld world(3, kRunFileBytes, {}, kRunBytes);
   for (const Node& node : world.nodes) ASSERT_TRUE(node.monarch);
@@ -458,22 +476,180 @@ TEST(PeerRunTest, NodesOnOneThreadNeverShareABufferedRun) {
   const int file = owned0[0];
   const auto& net = *world.group->network();
   const std::uint64_t transfers = net.transfers();
+  const auto hits = [&](int node) {
+    return world.nodes[static_cast<std::size_t>(node)]
+        .monarch->Stats()
+        .deposit_hits;
+  };
+  const std::uint64_t hits1 = hits(1);
+  const std::uint64_t hits2 = hits(2);
 
   world.ReadSlices(1, file, 0, 1, kSlice);  // node 1 fetches the run
   EXPECT_EQ(1u, net.transfers() - transfers);
   world.ReadSlices(2, file, kSlice, 1, kSlice);  // node 2: its own slice
   EXPECT_EQ(2u, net.transfers() - transfers);
-  EXPECT_EQ(0u, net.run_hits());
-  world.ReadSlices(1, file, kSlice, 1, kSlice);  // node 1: buffered
+  EXPECT_EQ(hits2, hits(2));
+  world.ReadSlices(1, file, kSlice, 1, kSlice);  // node 1: its deposit
   EXPECT_EQ(2u, net.transfers() - transfers);
-  EXPECT_EQ(1u, net.run_hits());
+  EXPECT_EQ(hits1 + 1, hits(1));
 
   world.ReadSlices(1, file, 2 * kSlice, 1, kSlice);  // node 1: next run
   world.ReadSlices(2, file, 0, 1, kSlice);  // node 2 fetches run 0 whole
   EXPECT_EQ(4u, net.transfers() - transfers);
-  world.ReadSlices(1, file, 3 * kSlice, 1, kSlice);  // released: a slice
-  EXPECT_EQ(5u, net.transfers() - transfers);
-  EXPECT_EQ(1u, net.run_hits());
+  world.ReadSlices(1, file, 3 * kSlice, 1, kSlice);  // still node 1's
+  EXPECT_EQ(4u, net.transfers() - transfers);
+  EXPECT_EQ(hits1 + 2, hits(1));
+  EXPECT_EQ(hits2, hits(2));
+}
+
+// A run's deposit is the node's, not a thread's: the run one thread
+// fetched whole at its first slice serves another thread's next slice
+// with no fabric trip.
+TEST(PeerRunTest, AnotherThreadOfTheNodeIsServedFromTheRunsDeposit) {
+  PeerWorld world(2, kRunFileBytes, {}, kRunBytes);
+  ASSERT_TRUE(world.nodes[0].monarch && world.nodes[1].monarch);
+  world.WarmUp();
+  const std::vector<int> owned0 = world.OwnedFiles(0);
+  ASSERT_FALSE(owned0.empty());
+  const auto& net = *world.group->network();
+  core::Monarch& reader = *world.nodes[1].monarch;
+  const std::uint64_t transfers = net.transfers();
+  const std::uint64_t moved = net.bytes_transferred();
+  const std::uint64_t hits = reader.Stats().deposit_hits;
+
+  std::thread([&] { world.ReadSlices(1, owned0[0], 0, 1, kSlice); }).join();
+  EXPECT_EQ(1u, net.transfers() - transfers);
+  EXPECT_EQ(kRunBytes, reader.Stats().placement.deposit_held_bytes);
+  std::thread([&] {
+    world.ReadSlices(1, owned0[0], kSlice, 1, kSlice);
+  }).join();
+  EXPECT_EQ(1u, net.transfers() - transfers);
+  EXPECT_EQ(kRunBytes, net.bytes_transferred() - moved);
+  EXPECT_EQ(hits + 1, reader.Stats().deposit_hits);
+  EXPECT_EQ(0u, reader.Stats().placement.deposit_held_bytes)
+      << "released at the run's last byte";
+}
+
+// A peer run is held only when the staging budget has room for it: with
+// the budget full, a read at a run's start moves just its slice and
+// keeps nothing, so the run's next slice crosses the fabric too.
+TEST(PeerRunTest, RunTheStagingBudgetCannotHoldMovesOnlyItsSlice) {
+  PeerWorld world(2, kRunFileBytes, {}, kRunBytes, /*buffer_bytes=*/kRunBytes);
+  ASSERT_TRUE(world.nodes[0].monarch && world.nodes[1].monarch);
+  world.WarmUp();
+  const std::vector<int> owned0 = world.OwnedFiles(0);
+  ASSERT_GE(owned0.size(), 2u);
+  const auto& net = *world.group->network();
+  core::Monarch& reader = *world.nodes[1].monarch;
+  const std::uint64_t transfers = net.transfers();
+  const std::uint64_t moved = net.bytes_transferred();
+  const std::uint64_t hits = reader.Stats().deposit_hits;
+
+  world.ReadSlices(1, owned0[0], 0, 1, kSlice);  // fills the budget
+  ASSERT_EQ(kRunBytes, reader.Stats().placement.deposit_held_bytes);
+  world.ReadSlices(1, owned0[1], 0, 2, kSlice);  // no room: two slices
+  EXPECT_EQ(3u, net.transfers() - transfers);
+  EXPECT_EQ(kRunBytes + 2 * kSlice, net.bytes_transferred() - moved);
+  EXPECT_EQ(hits, reader.Stats().deposit_hits);
+  EXPECT_EQ(kRunBytes, reader.Stats().placement.deposit_held_bytes);
+
+  world.ReadSlices(1, owned0[0], kSlice, 1, kSlice);
+  EXPECT_EQ(hits + 1, reader.Stats().deposit_hits);
+  EXPECT_EQ(0u, reader.Stats().placement.deposit_held_bytes);
+  EXPECT_EQ(0u, reader.Stats().degraded_fallbacks);
+}
+
+// A node that read a run from a peer and then stages that run itself
+// (churn repair, with a visit open) holds one deposit for it: the
+// published run's own verified bytes replace the peer run's.
+TEST(PeerRunTest, LocalPublishReplacesThePeerDeposit) {
+  // Three nodes, so node 1's share of node 0's shard fits its quota
+  // beside its own: repair stages the file whole.
+  constexpr int kNodes = 3;
+  PeerWorld world(kNodes, kRunFileBytes, {}, kRunBytes);
+  for (const Node& node : world.nodes) ASSERT_TRUE(node.monarch);
+  world.WarmUp();
+  FileDirectory after(kNodes);
+  after.NodeDown(0);
+  int file = -1;
+  for (const int i : world.OwnedFiles(0)) {
+    if (after.IsOwner(File(i), 1)) file = i;
+  }
+  ASSERT_GE(file, 0) << "no file of node 0 that node 1 inherits";
+  core::Monarch& reader = *world.nodes[1].monarch;
+  const core::ReadLease visit = reader.PinVisit(File(file));
+
+  world.ReadSlices(1, file, 0, 1, kSlice);
+  ASSERT_EQ(kRunBytes, reader.Stats().placement.deposit_held_bytes);
+  world.group->KillNode(0);  // node 1 now owns the file: repair stages it
+  reader.DrainPlacements();
+  const core::FileInfoPtr info = reader.metadata().Lookup(File(file));
+  ASSERT_NE(nullptr, info);
+  ASSERT_NE(nullptr, info->chunk_map());
+  ASSERT_EQ(info->chunk_map()->num_chunks(),
+            info->chunk_map()->ResidentCount());
+  EXPECT_EQ(kRunFileBytes, reader.Stats().placement.deposit_held_bytes)
+      << "one deposit per run";
+
+  const std::uint64_t hits = reader.Stats().deposit_hits;
+  world.ReadSlices(1, file, kSlice, kRunFileSlices - 1, kSlice);
+  EXPECT_EQ(hits + kRunFileSlices - 1, reader.Stats().deposit_hits);
+  EXPECT_EQ(0u, reader.Stats().placement.deposit_held_bytes);
+}
+
+// Readers on every node race peer-run fetches, owner staging with its
+// donations and deposits, and the reclaim that a small staging budget
+// forces: every byte is golden, a node's donations and deposits together
+// never exceed its budget, and nothing stays held after Shutdown.
+TEST(PeerRunTest, HeldBytesStayInsideTheBudgetUnderPeerReadsAndStaging) {
+  constexpr std::uint64_t kBudget = 3 * kRunBytes;
+  constexpr int kNodes = 2;
+  constexpr int kReaders = 2;
+  PeerWorld world(kNodes, kRunFileBytes, {}, kRunBytes, kBudget);
+  for (const Node& node : world.nodes) ASSERT_TRUE(node.monarch);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> overrun{0};
+  std::thread sampler([&] {
+    while (!done.load()) {
+      for (const Node& node : world.nodes) {
+        const core::PlacementStats p = node.monarch->Stats().placement;
+        const std::uint64_t held = p.donation_held_bytes + p.deposit_held_bytes;
+        if (held > kBudget) overrun.store(held);
+      }
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int n = 0; n < kNodes; ++n) {
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&world, n, r] {
+        for (int epoch = 0; epoch < 2; ++epoch) {
+          for (int k = 0; k < kFiles; ++k) {
+            const int i = (k * 5 + r * 3 + epoch * 7 + n) % kFiles;
+            const core::ReadLease visit =
+                world.nodes[static_cast<std::size_t>(n)].monarch->PinVisit(
+                    File(i));
+            world.ReadSlices(n, i, 0, kRunFileSlices, kSlice);
+          }
+        }
+      });
+    }
+  }
+  for (std::thread& reader : readers) reader.join();
+  done.store(true);
+  sampler.join();
+
+  EXPECT_EQ(0u, overrun.load()) << "held bytes overran the staging budget";
+  std::uint64_t hits = 0;
+  for (const Node& node : world.nodes) hits += node.monarch->Stats().deposit_hits;
+  EXPECT_GT(hits, 0u);
+  for (const Node& node : world.nodes) {
+    node.monarch->Shutdown();
+    const core::PlacementStats p = node.monarch->Stats().placement;
+    EXPECT_EQ(0u, p.donation_held_bytes);
+    EXPECT_EQ(0u, p.deposit_held_bytes);
+  }
 }
 
 // Peer sharing is cooperative, not load-bearing: a cluster of one gets a

@@ -82,8 +82,9 @@ TEST_F(CleanupTest, CleanupReturnsTheLowRetentionShare) {
             monarch.value()->Stats().placement.low_retention_resident_bytes);
   for (int i = 0; i < 4; ++i) {
     const std::string name = "data/f" + std::to_string(i);
-    EXPECT_FALSE(monarch.value()->metadata().Lookup(name)->low_retention)
-        << name;
+    const FileInfoPtr info = monarch.value()->metadata().Lookup(name);
+    ASSERT_NE(nullptr, info) << name;
+    EXPECT_FALSE(info->low_retention) << name;
   }
 }
 

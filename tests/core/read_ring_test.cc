@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -133,6 +134,50 @@ class ReadRingTest : public ::testing::Test {
   storage::StorageEnginePtr pfs_;
   std::shared_ptr<storage::MemoryEngine> local_;
 };
+
+/// Threads of this process (Linux: /proc/self/task, read only).
+std::size_t ProcessThreads() {
+  std::size_t threads = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++threads;
+  }
+  return threads;
+}
+
+// Creating a Monarch starts its placement workers only: the ring's
+// workers start with its first Submit, which still completes, and a ring
+// nobody submitted to shuts down at once.
+TEST_F(ReadRingTest, RingStartsItsWorkersOnFirstSubmit) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task";
+  }
+  const std::size_t before = ProcessThreads();
+  auto monarch = Build(1 << 20, {{"f1", "payload"}});
+  ASSERT_OK(monarch);
+  EXPECT_EQ(before + 2, ProcessThreads()) << "the placement workers only";
+
+  ReadRing& ring = monarch.value()->read_ring();
+  std::vector<std::byte> buffer(7);
+  std::vector<ReadOp> ops(1);
+  ops[0].name = "data/f1";
+  ops[0].dst = buffer;
+  ASSERT_EQ(1u, ring.Submit(std::move(ops)));
+  std::vector<ReadCompletion> done;
+  while (done.size() < 1 && ring.HarvestBlocking(done) > 0) {
+  }
+  ASSERT_EQ(1u, done.size());
+  ASSERT_OK(done[0].bytes);
+  EXPECT_EQ("payload", Text(buffer));
+  EXPECT_EQ(before + 2 + static_cast<std::size_t>(ring.options().worker_threads),
+            ProcessThreads());
+
+  auto idle = Build(1 << 20, {{"f1", "payload"}});
+  ASSERT_OK(idle);
+  idle.value()->read_ring().Shutdown();
+  EXPECT_EQ(0u, idle.value()->read_ring().Stats().submitted);
+}
 
 TEST_F(ReadRingTest, BatchSubmitHarvestsEveryOp) {
   auto monarch = Build(1 << 20, {{"f1", "alpha"}, {"f2", "bravo!"},

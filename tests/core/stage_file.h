@@ -25,7 +25,8 @@ inline bool StageFile(PlacementHandler& handler, const FileInfoPtr& file,
     if (cm->TryClaim(c)) chunks.push_back(c);
   }
   if (chunks.empty()) return false;
-  handler.ScheduleChunkPlacement(file, std::move(chunks), 0, donated, lane);
+  handler.ScheduleChunkPlacement(file, std::move(chunks),
+                                 handler.Donate(0, donated), lane);
   return true;
 }
 

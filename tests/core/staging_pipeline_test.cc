@@ -466,12 +466,12 @@ TEST_F(StagingPipelineTest, RacingRunDoesNotUnparkAParkedFile) {
   ASSERT_EQ(2u, cm->num_chunks());
 
   ASSERT_TRUE(cm->TryClaim(1));
-  handler_->ScheduleChunkPlacement(file, {1}, 0, {}, StagingLane::kDemand);
+  handler_->ScheduleChunkPlacement(file, {1}, {}, StagingLane::kDemand);
   gate->AwaitBlocked();
 
   faulty->FailUntilHealed();
   ASSERT_TRUE(cm->TryClaim(0));
-  handler_->ScheduleChunkPlacement(file, {0}, 0, {}, StagingLane::kDemand);
+  handler_->ScheduleChunkPlacement(file, {0}, {}, StagingLane::kDemand);
   // A releases its claim, ending the file's joinable copy, only after
   // the park.
   EXPECT_TRUE(file->AwaitJoinable());

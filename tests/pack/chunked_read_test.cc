@@ -994,9 +994,9 @@ TEST_F(ChunkedReadTest, NeighboursNeverEvictWithoutASchedule) {
   tier.Release(squeeze);
 }
 
-// A neighbour whose donation the staging-memory budget refuses is
-// dropped, never re-read: it holds no claim afterwards and reads
-// correctly, from the PFS.
+// A neighbour the staging-memory budget cannot hold is never claimed:
+// the stretch stops short of it, so it holds no claim afterwards and
+// reads correctly, from the PFS.
 TEST_F(ChunkedReadTest, NeighbourRefusedByTheStagingBudgetReadsFromPfs) {
   std::vector<std::uint64_t> ahead;
   std::uint64_t held = 0;
@@ -1038,15 +1038,55 @@ TEST_F(ChunkedReadTest, NeighbourRefusedByTheStagingBudgetReadsFromPfs) {
   gate->ReleaseBlocked();
   m.DrainPlacements();
 
-  EXPECT_GE(m.Stats().placement.prefetch_cancelled, 1u);
+  EXPECT_EQ(0u, m.Stats().placement.prefetch_cancelled);
+  EXPECT_EQ(0u, m.Stats().pack_readahead_bytes) << "the stretch is y alone";
   EXPECT_EQ(ChunksOf(m, y).num_chunks(), ChunksOf(m, y).ResidentCount());
-  const pack::ChunkMap& refused = ChunksOf(m, ahead[1]);
-  EXPECT_EQ(0u, refused.ResidentCount());
-  EXPECT_EQ(0u, refused.Claims());
+  const FileInfoPtr refused =
+      m.metadata().Lookup(workload::SmallFilePath(spec_, ahead[1]));
+  ASSERT_NE(nullptr, refused);
+  EXPECT_EQ(nullptr, refused->chunk_map()) << "never claimed";
   const std::uint64_t misses = m.Stats().chunk_misses;
   ReadAndCheck(m, /*lend=*/false, ahead[1], 0, Expected(ahead[1]).size());
   EXPECT_EQ(misses + 1, m.Stats().chunk_misses) << "served by the PFS";
   m.DrainPlacements();
+}
+
+// A stretch is held once, whole: its file's and its neighbours'
+// donations are slices of one buffer, charged to the staging budget
+// until the last of their tasks finishes.
+TEST_F(ChunkedReadTest, StretchIsChargedOnceUntilItsTasksFinish) {
+  std::vector<std::uint64_t> ahead;
+  {
+    auto probe = Build("none");
+    ASSERT_OK(probe);
+    ahead = ExtentFiles(**probe, 0);
+  }
+  ASSERT_GE(ahead.size(), 2u);
+  const std::uint64_t y = ahead[0];
+  std::shared_ptr<testing::GateEngine> gate;
+  auto monarch = Build("none", 1'000'000, "", [&](MonarchConfig& config) {
+    config.placement.num_threads = 1;
+    gate = std::make_shared<testing::GateEngine>(
+        pack::ChunkObjectName(workload::SmallFilePath(spec_, y), 0), local_);
+    config.cache_tiers[0].engine = gate;
+  });
+  ASSERT_OK(monarch);
+  Monarch& m = **monarch;
+  ReadAndCheck(m, /*lend=*/false, y, 0, Expected(y).size());
+  gate->AwaitBlocked();
+  const MonarchStats held = m.Stats();
+  ASSERT_EQ(1u, held.pack_stretch_reads);
+  ASSERT_GT(held.pack_readahead_bytes, 0u);
+  EXPECT_EQ(Expected(y).size() + held.pack_readahead_bytes,
+            held.placement.donation_held_bytes);
+
+  gate->ReleaseBlocked();
+  m.DrainPlacements();
+  const MonarchStats done = m.Stats();
+  EXPECT_EQ(0u, done.placement.donation_held_bytes);
+  EXPECT_EQ(Expected(y).size() + held.pack_readahead_bytes,
+            done.placement.donated_bytes)
+      << "every staged byte came from the stretch";
 }
 
 // An evictor can find a chunked file still marked placed with no run

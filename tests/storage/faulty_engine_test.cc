@@ -139,7 +139,7 @@ TEST(FaultyEngineTest, DeterministicForSeed) {
     spec.read_failure_rate = 0.5;
     spec.seed = seed;
     auto engine = MakeFaulty(spec);
-    engine->Write("f", Bytes("abc")).ok();
+    EXPECT_TRUE(engine->Write("f", Bytes("abc")).ok());
     std::vector<std::byte> buf(3);
     std::string pattern;
     for (int i = 0; i < 64; ++i) {

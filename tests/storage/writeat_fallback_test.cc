@@ -108,8 +108,9 @@ TEST(WriteAtFallbackTest, OverwriteSpliceKeepsSurroundingBytes) {
   const auto patch = Pattern(64, 5);
   ASSERT_OK(engine.WriteAt("f", 500, patch));
 
-  std::vector<std::byte> expect = base;
-  std::copy(patch.begin(), patch.end(), expect.begin() + 500);
+  std::vector<std::byte> expect(base.begin(), base.begin() + 500);
+  expect.insert(expect.end(), patch.begin(), patch.end());
+  expect.insert(expect.end(), base.begin() + 564, base.end());
   std::vector<std::byte> out(expect.size());
   ASSERT_OK(engine.Read("f", 0, out));
   EXPECT_EQ(expect, out);
