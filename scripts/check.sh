@@ -20,21 +20,24 @@ ctest --test-dir build --output-on-failure
 # Every file stages as chunk runs, so the failure ledger (retry cap,
 # quarantine parking), the peer rung and churn repair (membership
 # changes handing copies to the new owners' staging queues) race chunk
-# claims too: repeat those suites and fail on any failure.
+# claims too, and a cluster with look-ahead on must consume the batches
+# and pull the PFS bytes it does with look-ahead off: repeat those
+# suites and fail on any failure.
 ./build/tests/monarch_tests \
-    --gtest_filter='ResilienceTest.*:ReadLadderTest.*:PeerCacheTest.*:ChurnIntegrationTest.*:MembershipTest.*:RestageTest.*' \
+    --gtest_filter='ResilienceTest.*:ReadLadderTest.*:PeerCacheTest.*:ChurnIntegrationTest.*:MembershipTest.*:RestageTest.*:ClusterTest.LookaheadChangesNoBatchAndNoPfsByte' \
     --gtest_repeat=20 --gtest_brief=1
-# A peer run fetched whole at its first slice is a per-node deposit: it
-# must never serve another node or a different run, never leave the
-# peer rung after a retraction, and never overrun the staging budget:
-# repeat the peer-run suite (holder kills race the repair staging they
-# trigger) and fail on any failure.
+# A peer run fetched whole at its first slice, or read ahead by
+# look-ahead, is a per-node deposit: it must never serve another node or
+# a different run, never leave the peer rung after a retraction, never
+# be fetched twice by a reader racing its read-ahead, and never overrun
+# the staging budget: repeat the peer-run suite (holder kills race the
+# repair staging they trigger) and fail on any failure.
 ./build/tests/monarch_tests --gtest_filter='PeerRunTest.*' \
     --gtest_repeat=100 --gtest_brief=1
-# A deposit (a staged run's verified bytes kept for its next reader)
-# races the readers it serves, eviction, donations that push it out of
-# the staging budget, and the drop paths: repeat the deposit suite and
-# fail on any failure.
+# A deposit (a staged run's verified bytes kept for its next reader, or
+# a resident run read ahead) races the readers it serves, eviction,
+# donations that push it out of the staging budget, and the drop paths:
+# repeat the deposit suite and fail on any failure.
 ./build/tests/monarch_tests --gtest_filter='DepositTest.*' \
     --gtest_repeat=100 --gtest_brief=1
 

@@ -27,7 +27,9 @@
 //                           ;   (docs/PLACEMENT.md)
 //   staging_buffer_bytes = 64MiB   ; chunk-buffer-pool budget
 //   staging_chunk_bytes = 4MiB     ; copy granularity
-//   prefetch_lookahead = 0         ; scheduled files staged ahead (0 = off)
+//   prefetch_lookahead = 0         ; scheduled files readied ahead (0 = off):
+//                                  ; staged, or read ahead into deposits
+//                                  ; when resident here or on a peer
 //   hotspot_decay_interval = 256   ; accesses between frequency halvings
 //
 //   [resilience]            ; optional — defaults match ResilienceOptions

@@ -17,11 +17,13 @@
 //
 // Deposits: a run's verified bytes held in memory for the run's next
 // reader — a staged run whose copy has a reader coming
-// (PlacementHandler::StageRun), or a run the peer rung fetched whole at
-// its first slice (Monarch::ServeChunks) — so that reader is served from
-// memory instead of the tier or the fabric. A deposit goes at the run's
-// last byte, when a later visit begins, and with the run itself
-// (DropRunLocked). A lent view keeps its bytes alive.
+// (PlacementHandler::StageRun), a run the peer rung fetched whole at its
+// first slice (Monarch::ServeChunks), or a scheduled run look-ahead read
+// ahead of its reader from a local tier or a peer
+// (PlacementHandler::ReadAhead) — so that reader is served from memory
+// instead of the tier or the fabric. A deposit goes at the run's last
+// byte, when a later visit begins once read from, and with the run
+// itself (DropRunLocked). A lent view keeps its bytes alive.
 #pragma once
 
 #include <algorithm>
@@ -55,6 +57,10 @@ struct Deposit {
   storage::ReadView bytes;
   /// Set once a read was served from it: a later visit drops it.
   bool served = false;
+  /// Made ahead of its reader by look-ahead (a look-ahead staging or a
+  /// read-ahead): its first serve is a prefetch hit, and a drop before
+  /// any serve is counted as unread.
+  bool ahead = false;
 };
 
 struct FileInfo {
@@ -117,6 +123,13 @@ struct FileInfo {
   /// queued look-ahead prefetch is never joinable: its worker may be the
   /// very one the reader is queued behind.
   std::atomic<bool> joinable{false};
+
+  /// True while a read-ahead of this file's runs is queued or running
+  /// (PlacementHandler::ReadAhead): a demand read that reaches the file
+  /// takes the queued task or waits for the running one instead of
+  /// reading its runs again. Unlike `joinable` it is never advertised to
+  /// peers: it moves no bytes into a tier.
+  std::atomic<bool> reading_ahead{false};
 
   /// Scan-resistance marking (ISSUE 10): set when the staged copy was
   /// placed on behalf of a low-retention tenant (a full-scan data-prep
@@ -187,36 +200,57 @@ struct FileInfo {
     return joined;
   }
 
+  /// Clear the read-ahead mark and wake the reads waiting on it.
+  void EndReadAhead() noexcept {
+    reading_ahead.store(false, std::memory_order_release);
+    reading_ahead.notify_all();
+  }
+
   /// Whether any deposit is held: the read path's lock-free check.
   [[nodiscard]] bool HasDeposits() const noexcept {
     return deposit_count_.load(std::memory_order_acquire) > 0;
   }
 
+  /// Whether the run starting at chunk `run_start` holds a deposit.
+  [[nodiscard]] bool HoldsDeposit(std::uint32_t run_start) {
+    if (!HasDeposits()) return false;
+    std::lock_guard lock(deposit_mu_);
+    return std::any_of(
+        deposits_.begin(), deposits_.end(),
+        [run_start](const Deposit& d) { return d.run_start == run_start; });
+  }
+
   /// Hold `deposit` for its run's next reader, in place of any deposit
-  /// the run already holds: a run holds at most one.
-  void AddDeposit(Deposit deposit) {
+  /// the run already holds: a run holds at most one. Returns 1 when the
+  /// replaced deposit was a look-ahead one never read from, else 0.
+  std::uint64_t AddDeposit(Deposit deposit) {
     Deposit replaced;
     std::lock_guard lock(deposit_mu_);
     for (Deposit& held : deposits_) {
       if (held.run_start != deposit.run_start) continue;
       replaced = std::exchange(held, std::move(deposit));
-      return;
+      return Unread(replaced);
     }
     deposits_.push_back(std::move(deposit));
     deposit_count_.fetch_add(1, std::memory_order_release);
+    return 0;
   }
 
-  /// The deposit of the run starting at chunk `run_start`, marked
-  /// served, for a read of its bytes up to `read_end`; an empty one (null
-  /// keepalive) when there is none. A read that reaches the run's last
-  /// byte takes it: the file lets go, and the returned copy keeps the
-  /// bytes alive for the caller.
+  /// The deposit of the run starting at chunk `run_start` as it was
+  /// before this serve (so `served` tells whether this is its first), for
+  /// a read of its bytes up to `read_end`, marking it served; an empty
+  /// one (null keepalive) when there is none. A read that reaches the
+  /// run's last byte takes it: the file lets go, and the returned copy
+  /// keeps the bytes alive for the caller.
   Deposit ServeDeposit(std::uint32_t run_start, std::uint64_t read_end) {
     std::lock_guard lock(deposit_mu_);
     for (auto it = deposits_.begin(); it != deposits_.end(); ++it) {
       if (it->run_start != run_start) continue;
-      it->served = true;
-      if (read_end < it->bytes.size()) return *it;
+      if (read_end < it->bytes.size()) {
+        Deposit before = *it;
+        it->served = true;
+        return before;
+      }
       Deposit taken = std::move(*it);
       deposits_.erase(it);
       deposit_count_.fetch_sub(1, std::memory_order_release);
@@ -226,13 +260,15 @@ struct FileInfo {
   }
 
   /// Drop the deposit of the run starting at chunk `run_start`, if any.
-  void DropDeposit(std::uint32_t run_start) {
-    if (HasDeposits()) (void)ServeDeposit(run_start, UINT64_MAX);
+  /// Returns 1 when it was a look-ahead deposit never read from, else 0.
+  std::uint64_t DropDeposit(std::uint32_t run_start) {
+    return HasDeposits() ? Unread(ServeDeposit(run_start, UINT64_MAX)) : 0;
   }
 
   /// Drop every deposit — or, with `served_only` (a new visit begins),
-  /// those an earlier visit already read from.
-  void DropDeposits(bool served_only = false) {
+  /// those an earlier visit already read from. Returns how many of the
+  /// dropped were look-ahead deposits never read from.
+  std::uint64_t DropDeposits(bool served_only = false) {
     std::vector<Deposit> dropped;
     {
       std::lock_guard lock(deposit_mu_);
@@ -245,9 +281,15 @@ struct FileInfo {
       deposit_count_.fetch_sub(static_cast<std::uint32_t>(dropped.size()),
                                std::memory_order_release);
     }  // the dropped bytes are freed outside the lock
+    return static_cast<std::uint64_t>(
+        std::count_if(dropped.begin(), dropped.end(), Unread));
   }
 
  private:
+  static bool Unread(const Deposit& d) noexcept {
+    return d.ahead && !d.served;
+  }
+
   std::atomic<std::uint32_t> deposit_count_{0};
   std::mutex deposit_mu_;
   std::vector<Deposit> deposits_;  ///< guarded by deposit_mu_

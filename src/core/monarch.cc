@@ -103,10 +103,12 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          "files marked unplaceable after exhausting max_placement_attempts");
   sample("monarch.placement.prefetch_scheduled", "", obs::MetricKind::kCounter,
          "ops", p.prefetch_scheduled,
-         "look-ahead and repair tasks enqueued on the prefetch lane");
+         "look-ahead, read-ahead and repair tasks enqueued on the prefetch "
+         "lane");
   sample("monarch.placement.prefetch_completed", "", obs::MetricKind::kCounter,
          "ops", p.prefetch_completed,
-         "prefetch-lane copies published to a cache tier");
+         "prefetch-lane copies published to a cache tier, and read-aheads "
+         "that left a deposit");
   sample("monarch.placement.prefetch_promoted", "", obs::MetricKind::kCounter,
          "ops", p.prefetch_promoted,
          "queued prefetches moved to the demand lane by an overtaking read");
@@ -115,7 +117,12 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          "prefetches dropped before staging (no space, stop, or shutdown)");
   sample("monarch.placement.prefetch_hits", "", obs::MetricKind::kCounter,
          "ops", stats.prefetch_hits,
-         "demand reads served from a copy look-ahead or read-ahead staged");
+         "demand reads served from a copy look-ahead or a stretch read "
+         "staged, or first served from a run look-ahead read ahead");
+  sample("monarch.placement.readahead_unread", "", obs::MetricKind::kCounter,
+         "ops", p.readahead_unread,
+         "look-ahead deposits (read-ahead or look-ahead staged runs) dropped "
+         "or reclaimed before any read was served from them");
   sample("monarch.placement.chunks_copied", "", obs::MetricKind::kCounter,
          "objects", p.chunks_copied,
          "run objects written by the staging pipeline");
@@ -399,8 +406,11 @@ struct Monarch::ReadAccess {
   /// lane's private buffer for them once one object cannot lend them all.
   std::uint64_t length = 0;
   std::shared_ptr<std::vector<std::byte>> copy;
-  /// Whether a deposit served part of the read (ServeChunks).
+  /// Whether a deposit served part of the read (ServeChunks), and
+  /// whether this read was the first served from the file's look-ahead
+  /// deposit of its first run (a prefetch hit).
   bool deposit = false;
+  bool ahead = false;
 
   [[nodiscard]] std::uint64_t limit() const noexcept {
     return lend ? max_bytes : dst.size();
@@ -660,6 +670,11 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
   // sees bytes, never the tier's error.
   Result<std::span<const std::byte>> served = std::span<const std::byte>{};
   if (level != pfs) {
+    // A read-ahead of the file is queued or running: run it here or wait
+    // for it, so its runs are read once and serve this read from memory.
+    if (info->reading_ahead.load(std::memory_order_acquire)) {
+      TimedJoin(name, "ahead", [&] { return placement_->JoinReadAhead(info); });
+    }
     served = ServeChunks(info, cm, level, offset, length, access);
     if (!served.ok()) {
       // kNotFound means the copy vanished (eviction race or quarantine on
@@ -682,6 +697,7 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
       }
       level = pfs;
       access.deposit = false;
+      access.ahead = false;
     }
   }
   if (level == pfs) {
@@ -700,7 +716,7 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
     peer_copy_joins_.fetch_add(1, std::memory_order_relaxed);
   }
   if (access.deposit) deposit_hits_.fetch_add(1, std::memory_order_relaxed);
-  FinishRead(info, level, offset, served.value(), stretched);
+  FinishRead(info, level, offset, served.value(), stretched, access.ahead);
   pin_guard.file = nullptr;  // the lease owns the pin from here on
   storage::ReadView view =
       access.lend ? std::move(access.view)
@@ -754,6 +770,10 @@ Result<std::span<const std::byte>> Monarch::ServeChunks(
       }
       bool deposited = deposit.bytes.size() >= at + n;
       access.deposit = access.deposit || deposited;
+      // The first serve of a file's look-ahead deposit of its first run is
+      // the prefetch hit (read-ahead deposits a file's runs in order).
+      access.ahead = access.ahead || (deposited && deposit.ahead &&
+                                      !deposit.served && head.run_start == 0);
       // One fabric transfer per peer run: a peer read at a run's start
       // that leaves part of it unread fetches the whole run when the
       // staging budget can hold it, and keeps it as the run's deposit
@@ -1017,7 +1037,8 @@ void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
 
 void Monarch::FinishRead(const FileInfoPtr& info, int level,
                          std::uint64_t offset,
-                         std::span<const std::byte> served, bool stretched) {
+                         std::span<const std::byte> served, bool stretched,
+                         bool ahead) {
   const int pfs = hierarchy_->pfs_level();
   const int peer = hierarchy_->peer_level();
 
@@ -1025,9 +1046,10 @@ void Monarch::FinishRead(const FileInfoPtr& info, int level,
   counters.reads.fetch_add(1, std::memory_order_relaxed);
   counters.bytes.fetch_add(served.size(), std::memory_order_relaxed);
 
-  if (level != pfs && info->prefetched.exchange(false)) {
-    // First demand read of a copy that look-ahead staged: the prefetch
-    // paid off before demand ever touched the PFS.
+  if (level != pfs && (info->prefetched.exchange(false) || ahead)) {
+    // First demand read of a copy that look-ahead staged, or first served
+    // from a run it read ahead: the prefetch paid off before demand ever
+    // touched the PFS, the tier or the fabric.
     prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -1114,11 +1136,33 @@ void Monarch::TopUpPrefetch() {
   if (placement_->stopped()) return;
   for (const std::string& name : placement_->TakeAhead(static_cast<
            std::uint64_t>(placement_->options().prefetch_lookahead))) {
-    // Unknown files cannot be prefetched.
-    if (FileInfoPtr info = metadata_.Lookup(name)) {
-      ClaimAndSchedule(std::move(info), StagingLane::kPrefetch,
-                       /*lookahead=*/true);
+    // Unknown files cannot be prefetched. What this node owns and lacks
+    // is staged; what it or a peer already holds is read ahead.
+    if (FileInfoPtr info = metadata_.Lookup(name);
+        info != nullptr &&
+        !ClaimAndSchedule(info, StagingLane::kPrefetch, /*lookahead=*/true)) {
+      ScheduleReadAhead(info);
     }
+  }
+}
+
+void Monarch::ScheduleReadAhead(const FileInfoPtr& info) {
+  // Deposits hold a run's logical bytes: identity codec only.
+  if (placement_->pack_codec() != nullptr) return;
+  const pack::ChunkMap& cm =
+      *info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
+  const int peer = hierarchy_->peer_level();
+  int level = -1;
+  if (cm.tier() >= 0 && cm.ResidentCount() > 0) {
+    level = cm.tier();
+  } else if (peer >= 0 && !config_.peer_view->ShouldStageLocally(info->name) &&
+             config_.peer_view->HasRemoteCopy(info->name)) {
+    level = peer;
+  }
+  // A level whose breaker is not closed is left to the read ladder.
+  if (level >= 0 &&
+      hierarchy_->Level(level).health().state() == CircuitState::kClosed) {
+    placement_->ScheduleReadAhead(info, level);
   }
 }
 

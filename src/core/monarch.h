@@ -124,8 +124,9 @@ struct MonarchStats {
   double metadata_init_seconds = 0;
 
   /// Demand reads served from a cache tier whose copy look-ahead over
-  /// the run schedule (InstallRunSchedule), or a stretch read's
-  /// read-ahead (pack mode), staged before the read arrived.
+  /// the run schedule (InstallRunSchedule), or a stretch read (pack
+  /// mode), staged before the read arrived, or first served from the
+  /// runs look-ahead read ahead into deposits.
   std::uint64_t prefetch_hits = 0;
 
   /// Degradation-ladder outcomes (ISSUE 2): reads that a cache tier
@@ -229,12 +230,14 @@ class Monarch {
   /// Publish the WHOLE run's access order — every epoch's shuffled file
   /// list, in epoch order — before training starts: the one way to tell
   /// Monarch what is read next. When `[placement] prefetch_lookahead` is
-  /// nonzero, look-ahead stages up to that many scheduled files ahead of
+  /// nonzero, look-ahead readies up to that many scheduled files ahead of
   /// the newest demand read on the PREFETCH lane, across epoch
-  /// boundaries. Under an evicting policy the sequence also ranks
-  /// victims farthest next use first (Belady), and the prefetch lane may
-  /// evict residents needed later than its file. Replaces any previous
-  /// schedule; ignored by a non-evicting policy without look-ahead.
+  /// boundaries: it stages those this node owns and lacks, and reads the
+  /// runs of those a local tier or a peer holds into deposits. Under an
+  /// evicting policy the sequence also ranks victims farthest next use
+  /// first (Belady), and the prefetch lane may evict residents needed
+  /// later than its file. Replaces any previous schedule; ignored by a
+  /// non-evicting policy without look-ahead.
   void InstallRunSchedule(const std::vector<std::vector<std::string>>& epochs);
 
   /// Stage the dataset into the cache tiers BEFORE training — the
@@ -342,8 +345,11 @@ class Monarch {
   /// bookkeeping, chunk staging trigger, look-ahead top-up.
   /// `served` holds the bytes handed to the caller; a `stretched` read
   /// (ReadStretch) has scheduled its chunk staging already.
+  /// `ahead`: the read was the first served from the file's look-ahead
+  /// deposit of its first run.
   void FinishRead(const FileInfoPtr& info, int level, std::uint64_t offset,
-                  std::span<const std::byte> served, bool stretched);
+                  std::span<const std::byte> served, bool stretched,
+                  bool ahead);
 
   /// Run one join wait (`kind` "local" or "peer") under its own trace
   /// span; `wait` returns whether it waited, and only then is its
@@ -390,9 +396,16 @@ class Monarch {
   /// claim. Returns false when nothing was claimed.
   bool ClaimAndSchedule(FileInfoPtr info, StagingLane lane, bool lookahead);
 
-  /// Claim the scheduled files the handler hands out (TakeAhead) that
-  /// are still PFS-only and enqueue them on the prefetch lane.
+  /// Take the scheduled files the handler hands out (TakeAhead) and ready
+  /// each on the prefetch lane: claim and stage what this node owns and
+  /// lacks, read ahead what a tier here or a peer holds.
   void TopUpPrefetch();
+
+  /// Read-ahead of one scheduled file into deposits (identity codec
+  /// only): its resident runs from the local tier holding them, or,
+  /// when another node owns it and advertises a copy, its runs over the
+  /// peer rung. Skipped when the level's breaker is not closed.
+  void ScheduleReadAhead(const FileInfoPtr& info);
 
   MonarchConfig config_;
   std::unique_ptr<StorageHierarchy> hierarchy_;

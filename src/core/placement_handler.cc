@@ -36,6 +36,7 @@ int PlacementHandler::TaskClass(const StagingTask& task) noexcept {
 }
 
 double PlacementHandler::TaskCost(const StagingTask& task) noexcept {
+  if (task.read_ahead >= 0) return static_cast<double>(task.file->size);
   const pack::ChunkMap& cm = *task.file->chunk_map();
   double bytes = 0;
   for (const std::uint32_t c : task.chunks) bytes += cm.ChunkLogicalBytes(c);
@@ -218,7 +219,8 @@ PlacementHandler::Donation PlacementHandler::Donate(
 }
 
 void PlacementHandler::KeepDeposit(const FileInfoPtr& file, Deposit deposit) {
-  file->AddDeposit(std::move(deposit));
+  readahead_unread_.fetch_add(file->AddDeposit(std::move(deposit)),
+                              std::memory_order_relaxed);
   NoteDepositor(file);
 }
 
@@ -235,7 +237,8 @@ bool PlacementHandler::ReclaimDeposits(std::uint64_t bytes) {
       oldest = std::move(depositors_.front());
       depositors_.pop_front();
     }
-    oldest->DropDeposits();
+    readahead_unread_.fetch_add(oldest->DropDeposits(),
+                                std::memory_order_relaxed);
   }
   return true;
 }
@@ -260,7 +263,10 @@ void PlacementHandler::DropDeposits() {
     std::lock_guard lock(deposits_mu_);
     all.swap(depositors_);
   }
-  for (const FileInfoPtr& file : all) file->DropDeposits();
+  for (const FileInfoPtr& file : all) {
+    readahead_unread_.fetch_add(file->DropDeposits(),
+                                std::memory_order_relaxed);
+  }
 }
 
 void PlacementHandler::BeginJoinable(FileInfo& file) {
@@ -275,30 +281,77 @@ void PlacementHandler::EndJoinable(FileInfo& file) {
 
 void PlacementHandler::Enqueue(StagingTask task) {
   if (stopped_.load(std::memory_order_relaxed)) {
-    if (task.lane == StagingLane::kPrefetch) CancelPrefetch(*task.file);
-    ReleaseClaims(task);
+    // A read-ahead holds nothing before its push.
+    if (task.read_ahead < 0) DropUnrun(task);
     return;
   }
-  scheduled_.fetch_add(1, std::memory_order_relaxed);
-  if (task.lane == StagingLane::kPrefetch) {
-    prefetch_scheduled_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // Before the push: the worker's clear can never precede this set.
-    BeginJoinable(*task.file);
-  }
+  FileInfo& file = *task.file;
+  const bool prefetch = task.lane == StagingLane::kPrefetch;
+  // Before the push: the worker's clear can never precede this set.
+  if (!prefetch) BeginJoinable(file);
   {
     std::lock_guard lock(mu_);
-    // A donated prefetch is a read-ahead neighbour whose claim was
+    // One read-ahead per file at a time, marked under mu_: a reader that
+    // finds the mark finds the task queued or running (JoinReadAhead).
+    if (task.read_ahead >= 0 &&
+        file.reading_ahead.exchange(true, std::memory_order_acq_rel)) {
+      return;
+    }
+    scheduled_.fetch_add(1, std::memory_order_relaxed);
+    if (prefetch) prefetch_scheduled_.fetch_add(1, std::memory_order_relaxed);
+    // A donated prefetch is a stretch read's neighbour whose claim was
     // joinable (ClaimFile). Queued, it is not: wake its joiners so they
     // promote it. Under mu_, so they find it queued and no worker can
     // have started it.
-    FileInfo& file = *task.file;
-    const bool read_ahead = task.lane == StagingLane::kPrefetch &&
-                            !task.donation.bytes.empty();
+    const bool handed_off = prefetch && !task.donation.bytes.empty();
     PushLocked(std::move(task));
-    if (read_ahead) file.EndJoinable();
+    if (handed_off) file.EndJoinable();
   }
   cv_.notify_one();
+}
+
+void PlacementHandler::DropUnrun(const StagingTask& task) {
+  if (task.read_ahead >= 0) {
+    prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
+    task.file->EndReadAhead();
+    return;
+  }
+  if (task.lane == StagingLane::kPrefetch) CancelPrefetch(*task.file);
+  // Back to the retryable PFS-only state (chunk tasks hand their chunk
+  // claims back) so a later read can re-trigger staging.
+  ReleaseClaims(task);
+}
+
+void PlacementHandler::ScheduleReadAhead(FileInfoPtr file, int level) {
+  StagingTask task;
+  task.file = std::move(file);
+  task.lane = StagingLane::kPrefetch;
+  task.tenant = SnapshotTenant();
+  task.read_ahead = level;
+  Enqueue(std::move(task));
+}
+
+bool PlacementHandler::JoinReadAhead(const FileInfoPtr& file) {
+  std::optional<StagingTask> queued;
+  {
+    std::lock_guard lock(mu_);
+    queued = queue_.Extract([&file](const StagingTask& t) {
+      return t.file == file && t.read_ahead >= 0;
+    });
+  }
+  if (!queued.has_value()) {
+    // Running (or just finished): its worker clears the mark.
+    const bool running = file->reading_ahead.load(std::memory_order_acquire);
+    if (running) file->reading_ahead.wait(true, std::memory_order_acquire);
+    return running;
+  }
+  // The reader overtook the queued task: it reads the runs itself, now,
+  // so they are its own deposits, not a prefetch's.
+  prefetch_promoted_.fetch_add(1, std::memory_order_relaxed);
+  ReadAhead(*queued, /*ahead=*/false);
+  file->EndReadAhead();
+  drain_cv_.notify_all();
+  return true;
 }
 
 bool PlacementHandler::PromoteToDemand(const FileInfoPtr& file) {
@@ -309,7 +362,8 @@ bool PlacementHandler::PromoteToDemand(const FileInfoPtr& file) {
     std::lock_guard lock(mu_);
     std::optional<StagingTask> found =
         queue_.Extract([&file](const StagingTask& t) {
-          return t.file == file && t.lane == StagingLane::kPrefetch;
+          return t.file == file && t.lane == StagingLane::kPrefetch &&
+                 t.read_ahead < 0;
         });
     if (!found.has_value()) return false;
     found->lane = StagingLane::kDemand;
@@ -337,12 +391,7 @@ std::size_t PlacementHandler::CancelPrefetches() {
       return t.lane == StagingLane::kPrefetch;
     });
   }
-  for (const StagingTask& task : cancelled) {
-    CancelPrefetch(*task.file);
-    // Back to the retryable PFS-only state (chunk tasks hand their chunk
-    // claims back) so a later read can re-trigger staging.
-    ReleaseClaims(task);
-  }
+  for (const StagingTask& task : cancelled) DropUnrun(task);
   drain_cv_.notify_all();
   return cancelled.size();
 }
@@ -364,16 +413,21 @@ void PlacementHandler::WorkerLoop() {
       // A running copy is joinable whatever its lane, from before mu_
       // drops: a reader that no longer finds the task queued
       // (PromoteToDemand) finds it joinable. Its end — publish, failure
-      // or refusal — wakes the joiners.
-      BeginJoinable(*task.file);
+      // or refusal — wakes the joiners. A read-ahead keeps its own mark.
+      if (task.read_ahead < 0) BeginJoinable(*task.file);
     }
     // Re-install the scheduling thread's tenant on this worker so every
     // byte the copy moves stays attributable across the thread hop.
     const qos::TenantContext tenant = task.tenant;
     qos::ScopedTenant scope(tenant);
     const FileInfoPtr file = task.file;
-    PlaceChunks(std::move(task));
-    EndJoinable(*file);
+    if (task.read_ahead >= 0) {
+      ReadAhead(task, /*ahead=*/true);
+      file->EndReadAhead();
+    } else {
+      PlaceChunks(std::move(task));
+      EndJoinable(*file);
+    }
     {
       std::lock_guard lock(mu_);
       --active_;
@@ -561,7 +615,8 @@ pack::ChunkMap::EvictedRun PlacementHandler::DropRunLocked(
   const bool advertised = cm.ResidentCount() == cm.num_chunks();
   const pack::ChunkMap::EvictedRun run = cm.TryEvictRun(chunk);
   if (run.chunks > 0) {
-    file.DropDeposit(run.start);
+    readahead_unread_.fetch_add(file.DropDeposit(run.start),
+                                std::memory_order_relaxed);
     // Peers read only fully resident files: retract the advertisement
     // before the first run's bytes go.
     if (advertised && peer_view_ != nullptr) peer_view_->OnDropped(file.name);
@@ -761,10 +816,11 @@ Status PlacementHandler::StageRun(
   // their stored bytes.
   Deposit deposit;
   deposit.run_start = first;
+  deposit.ahead = task.lane == StagingLane::kPrefetch &&
+                  file->prefetched.load(std::memory_order_acquire);
   if (codec_ == nullptr &&
       (file->readers_coming.load(std::memory_order_acquire) > 0 ||
-       (task.lane == StagingLane::kPrefetch &&
-        file->prefetched.load(std::memory_order_acquire)))) {
+       deposit.ahead)) {
     if (BudgetCharge charge = Charge(stored.size(), kDeposit)) {
       if (readback == nullptr) {
         readback = std::make_unique_for_overwrite<std::byte[]>(stored.size());
@@ -794,11 +850,10 @@ Status PlacementHandler::StageRun(
     // Under the placement mutex, so a drop of the run drops it too. The
     // run's own verified bytes, or none, replace any deposit a peer read
     // left for it.
-    if (deposited) {
-      file->AddDeposit(std::move(deposit));
-    } else {
-      file->DropDeposit(first);
-    }
+    readahead_unread_.fetch_add(deposited
+                                    ? file->AddDeposit(std::move(deposit))
+                                    : file->DropDeposit(first),
+                                std::memory_order_relaxed);
     if (before == 0) {
       // First resident run: the file now serves (partially) from a
       // tier. Flip its state so the eviction policies see it as placed.
@@ -971,6 +1026,100 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
   ReleaseClaims(rest);
 }
 
+void PlacementHandler::ReadAhead(const StagingTask& task, bool ahead) {
+  FileInfo& file = *task.file;
+  pack::ChunkMap* cm = file.chunk_map();
+  if (cm == nullptr) return;
+  const int level = task.read_ahead;
+  const bool remote = level == hierarchy_.peer_level();
+  const bool verify = !remote && resilience_.verify_on_read;
+  // The runs to read: each chunk of a peer's copy is one run object; on
+  // a local tier, the runs its chunk map records as resident there, with
+  // their chunks' CRCs when reads are verified.
+  struct Run {
+    std::uint32_t start = 0;
+    std::uint32_t chunks = 0;
+    std::vector<std::uint32_t> crcs;
+  };
+  std::vector<Run> runs;
+  {
+    std::lock_guard lock(cm->placement_mutex());
+    for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
+      if (remote) {
+        runs.push_back({c, 1, {}});
+        continue;
+      }
+      if (cm->tier() != level || !cm->IsResident(c)) continue;
+      const pack::ChunkMap::ChunkMeta meta = cm->Meta(c);
+      if (meta.run_start == c) {
+        runs.push_back({c, 0, {}});
+      } else if (runs.empty() || runs.back().start != meta.run_start) {
+        continue;  // a run whose head is no longer resident
+      }
+      ++runs.back().chunks;
+      if (verify) runs.back().crcs.push_back(meta.crc_logical);
+    }
+  }
+  obs::TraceSpan span("placement.read_ahead", "placement");
+  StorageDriver& tier = hierarchy_.Level(level);
+  std::uint32_t deposited = 0;
+  std::uint64_t bytes = 0;
+  for (const Run& run : runs) {
+    if (file.HoldsDeposit(run.start)) continue;
+    const std::uint32_t last = run.start + run.chunks - 1;
+    const std::uint64_t begin = cm->ChunkOffset(run.start);
+    const auto run_bytes = static_cast<std::size_t>(
+        cm->ChunkOffset(last) + cm->ChunkLogicalBytes(last) - begin);
+    // A deposit never takes a donation's room: without room, the rest of
+    // the file is read by its reader.
+    BudgetCharge charge = Charge(run_bytes, kDeposit);
+    if (!charge) break;
+    auto whole = tier.ReadZeroCopy(
+        pack::ChunkObjectName(file.name, run.start), 0, run_bytes);
+    // A failed or short read is left to the reader's ladder, which counts
+    // it and drops what must go.
+    if (!whole.ok() || whole->size() != run_bytes) break;
+    bool intact = true;
+    for (std::size_t k = 0; intact && k < run.crcs.size(); ++k) {
+      const auto c = static_cast<std::uint32_t>(run.start + k);
+      intact = Crc32c(whole->data().subspan(
+                   static_cast<std::size_t>(cm->ChunkOffset(c) - begin),
+                   cm->ChunkLogicalBytes(c))) == run.crcs[k];
+    }
+    if (!intact) break;
+    Deposit deposit{run.start,
+                    Held(std::move(whole).value(), std::move(charge)),
+                    /*served=*/false, ahead};
+    std::uint64_t unread = 0;
+    if (remote) {
+      unread = file.AddDeposit(std::move(deposit));
+    } else {
+      // Under the placement mutex, like a publish: a run dropped since it
+      // was read keeps no deposit.
+      std::lock_guard lock(cm->placement_mutex());
+      if (!cm->IsResident(run.start) ||
+          cm->Meta(run.start).run_start != run.start) {
+        continue;
+      }
+      unread = file.AddDeposit(std::move(deposit));
+    }
+    readahead_unread_.fetch_add(unread, std::memory_order_relaxed);
+    NoteDepositor(task.file);
+    ++deposited;
+    bytes += run_bytes;
+  }
+  if (ahead && deposited > 0) {
+    prefetch_completed_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (span.active()) {
+    span.set_args_json("\"file\":" + obs::JsonQuote(file.name) +
+                       ",\"tier\":" + obs::JsonQuote(tier.name()) +
+                       ",\"runs\":" + std::to_string(deposited) +
+                       ",\"bytes\":" + std::to_string(bytes) +
+                       ",\"ahead\":" + (ahead ? "true" : "false"));
+  }
+}
+
 void PlacementHandler::InstallSchedule(
     const std::vector<std::string>& sequence) {
   if (TracksSchedule()) schedule_.Install(sequence);
@@ -1025,6 +1174,7 @@ PlacementStats PlacementHandler::Stats() const {
   s.prefetch_cancelled = prefetch_cancelled_.load(std::memory_order_relaxed);
   s.chunks_copied = chunks_copied_.load(std::memory_order_relaxed);
   s.donated_bytes = donated_bytes_.load(std::memory_order_relaxed);
+  s.readahead_unread = readahead_unread_.load(std::memory_order_relaxed);
   {
     std::lock_guard lock(budget_->mu);
     s.donation_held_bytes = budget_->donations;

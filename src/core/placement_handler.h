@@ -24,13 +24,22 @@
 // One staging queue: every task waits in a qos::FairQueue keyed by I/O
 // class. DEMAND tasks come from actual reads and ride their tenant's
 // class; PREFETCH tasks come from look-ahead over the run schedule
-// (TakeAhead), repair and pack-mode read-ahead (a stretch read's extent
-// neighbours), and ride the prefetch class in the background
+// (TakeAhead), repair and pack-mode stretch reads (a stretch read's
+// extent neighbours), and ride the prefetch class in the background
 // band, so they only run when no demand-band work is queued. A demand
 // read (or a peer's stage request) that overtakes a queued prefetch
 // promotes it: the task is extracted from the prefetch class and
 // re-pushed on the reader's class. Prefetch evicts
 // only by the run schedule, and a prefetch rejection is never permanent.
+//
+// Read-ahead: look-ahead also readies scheduled files it does not stage.
+// A READ-AHEAD task on the prefetch lane reads a file's runs whole — from
+// the local tier holding them, or from a peer over the peer rung — into
+// deposits (kDeposit: never past the budget, never at a donation's
+// cost), kept unserved for the file's next visit. While one is queued or
+// running the file's `reading_ahead` mark is set; a demand read that
+// finds it runs the queued task itself or waits for the running one
+// (JoinReadAhead), so each run is read once.
 //
 // Joinable copies: while a demand task for a file is queued, or any
 // task of it runs, the handler keeps FileInfo::joinable set (and tells
@@ -172,6 +181,9 @@ struct PlacementStats {
   std::uint64_t donated_bytes = 0;       ///< triggering-read bytes reused
   std::uint64_t donation_held_bytes = 0;  ///< gauge: donated bytes held
   std::uint64_t deposit_held_bytes = 0;   ///< gauge: deposited bytes held
+  /// Look-ahead deposits (read-ahead or look-ahead staged runs) dropped
+  /// or reclaimed before any read was served from them.
+  std::uint64_t readahead_unread = 0;
   /// Gauge: staging tasks waiting, per I/O class (qos::ClassIndex).
   std::array<std::uint64_t, qos::kNumIoClasses> queue_depth{};
   std::uint64_t inflight_bytes = 0;      ///< gauge: bytes being copied now
@@ -286,6 +298,17 @@ class PlacementHandler {
   /// oldest-first reclaim (a run the peer rung fetched whole).
   void KeepDeposit(const FileInfoPtr& file, Deposit deposit);
 
+  /// Read `file`'s runs on `level` — the local tier holding them, or the
+  /// peer level — whole into deposits ahead of its next visit, on the
+  /// prefetch lane. Skipped while a read-ahead of the file is queued or
+  /// running, or once scheduling stopped. Never blocks.
+  void ScheduleReadAhead(FileInfoPtr file, int level);
+
+  /// A demand read reached `file` while it is marked reading ahead: run
+  /// the queued read-ahead on the calling thread, or wait for the running
+  /// one. Returns false when there was neither.
+  bool JoinReadAhead(const FileInfoPtr& file);
+
   /// Stage chunks of `file`. `chunks` are ascending chunk indexes the
   /// caller already claimed via ChunkMap::TryClaim; the handler stages
   /// them — codec encode, CRC on both sides — each run of consecutive
@@ -319,9 +342,9 @@ class PlacementHandler {
   /// running or done).
   bool PromoteToDemand(const FileInfoPtr& file);
 
-  /// Drop every queued prefetch task and return the files to the
-  /// retryable PFS-only state. Used at StopPlacement/shutdown; returns
-  /// the number of cancelled prefetches.
+  /// Drop every queued prefetch task — staging ones return their files
+  /// to the retryable PFS-only state, read-aheads their marks. Used at
+  /// StopPlacement/shutdown; returns the number of cancelled prefetches.
   std::size_t CancelPrefetches();
 
   /// Drop the run holding chunk `chunk` of `file` because the read path
@@ -401,6 +424,9 @@ class PlacementHandler {
     qos::TenantContext tenant;
     /// Extent neighbours the stretch read staged alongside (traces).
     std::uint32_t neighbours = 0;
+    /// A read-ahead of the file's runs on this level (ReadAhead) instead
+    /// of a staging; -1 for a staging task.
+    int read_ahead = -1;
   };
 
   /// Fair-queue class the task is served on: the prefetch lane always
@@ -418,8 +444,13 @@ class PlacementHandler {
   /// DropDeposits.
   void NoteDepositor(const FileInfoPtr& file);
   /// Count and enqueue a claimed task — or, once scheduling stopped,
-  /// cancel it and hand its claims back. Never blocks.
+  /// cancel it and hand its claims back. A read-ahead is enqueued only
+  /// when the file has none queued or running. Never blocks.
   void Enqueue(StagingTask task);
+  /// A queued task dropped unrun: count a cancelled prefetch and hand
+  /// back what the task holds — a staging task's chunk claims and
+  /// joinable copy, a read-ahead's mark.
+  void DropUnrun(const StagingTask& task);
   /// Back out of a task without staging: release every chunk claim
   /// (resetting the chunk tier when nothing ended up resident) and end
   /// its joinable copy.
@@ -483,6 +514,12 @@ class PlacementHandler {
 
   /// Stage the claimed chunks of one task, run by run.
   void PlaceChunks(StagingTask task);
+  /// Run a read-ahead task: charge each run of the file on its level
+  /// that holds no deposit yet to the budget (kDeposit), read it whole
+  /// and keep it as an unserved deposit — `ahead` (a prefetch) when a
+  /// worker runs it, not when an overtaking reader does. Stops at the
+  /// first run the budget cannot hold or the level fails to read.
+  void ReadAhead(const StagingTask& task, bool ahead);
   /// Ensure `file`'s chunk map has a tier and that tier has room for
   /// `stored_bytes` (reserving them). Evicts per the lane's rules when
   /// the assigned tier is full. Returns the level, or nullopt when no
@@ -551,6 +588,7 @@ class PlacementHandler {
   std::atomic<std::uint64_t> prefetch_cancelled_{0};
   std::atomic<std::uint64_t> chunks_copied_{0};
   std::atomic<std::uint64_t> donated_bytes_{0};
+  std::atomic<std::uint64_t> readahead_unread_{0};
   /// Bytes held by donations and deposits (BudgetCharge).
   std::shared_ptr<Budget> budget_;
   /// Files handed a deposit, oldest first, for ReclaimDeposits and

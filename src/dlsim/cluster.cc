@@ -321,6 +321,7 @@ Result<ClusterResult> RunClusterExperiment(const fs::path& pfs_root,
       monarch_config.pfs = core::TierSpec{"lustre", job.pfs_engine, 0};
       monarch_config.dataset_dir = config.dataset.directory;
       monarch_config.placement.num_threads = config.placement_threads;
+      monarch_config.placement.prefetch_lookahead = config.prefetch_lookahead;
       if (config.qos.enabled) {
         monarch_config.placement.qos = config.qos;
         monarch_config.qos_broker = broker;

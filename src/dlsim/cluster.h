@@ -68,6 +68,11 @@ struct ClusterConfig {
   std::uint64_t local_quota_bytes = 115ULL * 1024 * 1024;
   int placement_threads = 6;
   std::uint64_t seed = 1;
+  /// Every node's `placement.prefetch_lookahead`: the trainer publishes
+  /// its run schedule, so look-ahead stages the node's own files and
+  /// reads resident and peer-held ones into deposits ahead of its
+  /// reader. 0 turns look-ahead off.
+  int prefetch_lookahead = 8;
 
   /// Cooperative peer caching, set in code (the INI has no peer
   /// section). When set (monarch jobs only), the K nodes share one cluster

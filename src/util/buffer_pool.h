@@ -8,13 +8,17 @@
 //
 // Buffers are created lazily (first Acquire that finds the free list
 // empty) and retained for reuse, so a steady-state pipeline performs no
-// allocation at all.
+// allocation at all. They are allocated for overwrite, never zero-filled:
+// every lease is written before it is read, and a run shorter than a
+// buffer leaves the rest of its pages untouched.
 #pragma once
 
 #include <algorithm>
 #include <condition_variable>
 #include <cstddef>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -32,10 +36,12 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
+  using Buffer = std::unique_ptr<std::byte[]>;
+
   /// RAII lease of one buffer; returns it to the pool on destruction.
   class Lease {
    public:
-    Lease(BufferPool* pool, std::vector<std::byte> buffer)
+    Lease(BufferPool* pool, Buffer buffer)
         : pool_(pool), buffer_(std::move(buffer)) {}
     ~Lease() {
       if (pool_ != nullptr) pool_->Return(std::move(buffer_));
@@ -47,11 +53,14 @@ class BufferPool {
     Lease(const Lease&) = delete;
     Lease& operator=(const Lease&) = delete;
 
-    [[nodiscard]] std::vector<std::byte>& bytes() noexcept { return buffer_; }
+    /// The buffer's chunk_bytes() bytes, uninitialised until written.
+    [[nodiscard]] std::span<std::byte> bytes() noexcept {
+      return {buffer_.get(), pool_ != nullptr ? pool_->chunk_bytes_ : 0};
+    }
 
    private:
     BufferPool* pool_;
-    std::vector<std::byte> buffer_;
+    Buffer buffer_;
   };
 
   /// Take a buffer, blocking until one is free when the whole budget is
@@ -61,13 +70,13 @@ class BufferPool {
     cv_.wait(lock, [this] {
       return !free_.empty() || created_ < max_buffers_;
     });
-    std::vector<std::byte> buffer;
+    Buffer buffer;
     if (!free_.empty()) {
       buffer = std::move(free_.back());
       free_.pop_back();
     } else {
       ++created_;
-      buffer.resize(chunk_bytes_);
+      buffer = std::make_unique_for_overwrite<std::byte[]>(chunk_bytes_);
     }
     ++outstanding_;
     peak_outstanding_ = std::max(peak_outstanding_, outstanding_);
@@ -92,10 +101,9 @@ class BufferPool {
   }
 
  private:
-  void Return(std::vector<std::byte> buffer) {
+  void Return(Buffer buffer) {
     {
       std::lock_guard lock(mu_);
-      buffer.resize(chunk_bytes_);
       free_.push_back(std::move(buffer));
       --outstanding_;
     }
@@ -107,7 +115,7 @@ class BufferPool {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<std::vector<std::byte>> free_;
+  std::vector<Buffer> free_;
   std::size_t created_ = 0;
   std::size_t outstanding_ = 0;
   std::size_t peak_outstanding_ = 0;

@@ -10,13 +10,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "../gate_engine.h"
 #include "../test_support.h"
 #include "cluster/peer_group.h"
 #include "core/monarch.h"
@@ -60,10 +63,11 @@ struct PeerWorld {
 
   /// `chunk_bytes` is the staging chunk, and so the largest run object
   /// a peer serves; `buffer_bytes` the staging-memory budget (0 keeps
-  /// either default).
-  explicit PeerWorld(int num_nodes, std::size_t bytes = kFileBytes,
-                     PeerOptions options = {}, std::uint64_t chunk_bytes = 0,
-                     std::uint64_t buffer_bytes = 0)
+  /// either default); `configure` edits every node's config last.
+  explicit PeerWorld(
+      int num_nodes, std::size_t bytes = kFileBytes, PeerOptions options = {},
+      std::uint64_t chunk_bytes = 0, std::uint64_t buffer_bytes = 0,
+      const std::function<void(core::MonarchConfig&)>& configure = nullptr)
       : file_bytes(bytes) {
     pfs = std::make_shared<MemoryEngine>("pfs");
     for (int i = 0; i < kFiles; ++i) {
@@ -91,6 +95,7 @@ struct PeerWorld {
       if (buffer_bytes > 0) {
         config.placement.staging_buffer_bytes = buffer_bytes;
       }
+      if (configure) configure(config);
       auto monarch = core::Monarch::Create(std::move(config));
       EXPECT_TRUE(monarch.ok()) << monarch.status().ToString();
       if (monarch.ok()) node.monarch = std::move(monarch).value();
@@ -597,16 +602,166 @@ TEST(PeerRunTest, LocalPublishReplacesThePeerDeposit) {
   EXPECT_EQ(0u, reader.Stats().placement.deposit_held_bytes);
 }
 
-// Readers on every node race peer-run fetches, owner staging with its
-// donations and deposits, and the reclaim that a small staging budget
-// forces: every byte is golden, a node's donations and deposits together
-// never exceed its budget, and nothing stays held after Shutdown.
-TEST(PeerRunTest, HeldBytesStayInsideTheBudgetUnderPeerReadsAndStaging) {
+/// Look-ahead `lookahead` on every node of a two-node world of 3-run
+/// files (staging chunk kRunBytes).
+PeerWorld ReadAheadWorld(int lookahead, std::uint64_t buffer_bytes = 0,
+                         int threads = 0) {
+  return PeerWorld(2, kRunFileBytes, {}, kRunBytes, buffer_bytes,
+                   [=](core::MonarchConfig& config) {
+                     config.placement.prefetch_lookahead = lookahead;
+                     if (threads > 0) config.placement.num_threads = threads;
+                   });
+}
+
+std::vector<std::string> Names(const std::vector<int>& files) {
+  std::vector<std::string> names;
+  for (const int i : files) names.push_back(File(i));
+  return names;
+}
+
+// Look-ahead reads the scheduled files another node holds over the peer
+// rung before their reader arrives: each run crosses the fabric once, as
+// one transfer, into a deposit, and the visits that follow are served
+// from memory without a fabric trip.
+TEST(PeerRunTest, ReadAheadMovesEachPeerRunOnceBeforeItsReader) {
+  PeerWorld world = ReadAheadWorld(kFiles);
+  ASSERT_TRUE(world.nodes[0].monarch && world.nodes[1].monarch);
+  world.WarmUp();
+  const std::vector<int> owned0 = world.OwnedFiles(0);
+  ASSERT_FALSE(owned0.empty());
+  const auto& net = *world.group->network();
+  core::Monarch& reader = *world.nodes[1].monarch;
+  const std::uint64_t transfers = net.transfers();
+  const std::uint64_t moved = net.bytes_transferred();
+  const core::MonarchStats before = reader.Stats();
+
+  reader.InstallRunSchedule({Names(owned0)});
+  reader.DrainPlacements();
+  const std::uint64_t files = owned0.size();
+  EXPECT_EQ(3 * files, net.transfers() - transfers) << "one per run";
+  EXPECT_EQ(files * kRunFileBytes, net.bytes_transferred() - moved);
+  const core::MonarchStats ready = reader.Stats();
+  EXPECT_EQ(files * kRunFileBytes, ready.placement.deposit_held_bytes);
+  EXPECT_EQ(files, ready.placement.prefetch_scheduled -
+                       before.placement.prefetch_scheduled);
+  EXPECT_EQ(files, ready.placement.prefetch_completed -
+                       before.placement.prefetch_completed);
+
+  for (const int i : owned0) {
+    world.ReadSlices(1, i, 0, kRunFileSlices, kSlice);
+  }
+  EXPECT_EQ(3 * files, net.transfers() - transfers)
+      << "the visits crossed the fabric";
+  const core::MonarchStats after = reader.Stats();
+  EXPECT_EQ(kRunFileSlices * files, after.deposit_hits - before.deposit_hits);
+  EXPECT_EQ(files, after.prefetch_hits - before.prefetch_hits);
+  EXPECT_EQ(0u, after.placement.readahead_unread);
+  EXPECT_EQ(0u, after.placement.deposit_held_bytes);
+  EXPECT_EQ(0u, after.degraded_fallbacks);
+}
+
+// A demand read that reaches a file whose read-ahead is running waits
+// for it, and one that finds it still queued runs it itself: either way
+// the run crosses the fabric once.
+TEST(PeerRunTest, DemandReadJoinsAQueuedOrRunningReadAhead) {
+  for (const bool running : {true, false}) {
+    SCOPED_TRACE(running ? "running" : "queued");
+    // One placement worker on the reader, so a second read-ahead queues
+    // behind the first, which the holder's gate parks mid-transfer.
+    PeerWorld world = ReadAheadWorld(kFiles, 0, /*threads=*/1);
+    ASSERT_TRUE(world.nodes[0].monarch && world.nodes[1].monarch);
+    world.WarmUp();
+    const std::vector<int> owned0 = world.OwnedFiles(0);
+    ASSERT_GE(owned0.size(), 2u);
+    auto gate = std::make_shared<testing::GateEngine>(
+        pack::ChunkObjectName(File(owned0[0]), 0), world.nodes[0].local,
+        /*gate_reads=*/true);
+    const testing::GateRelease release_gate(gate);
+    world.group->RegisterNode(0, gate);  // peers read node 0 through it
+    const auto& net = *world.group->network();
+    core::Monarch& reader = *world.nodes[1].monarch;
+    const std::uint64_t transfers = net.transfers();
+    const core::MonarchStats before = reader.Stats();
+
+    reader.InstallRunSchedule({Names({owned0[0], owned0[1]})});
+    gate->AwaitBlocked();
+    const int file = running ? owned0[0] : owned0[1];
+    std::thread visit(
+        [&] { world.ReadSlices(1, file, 0, kRunFileSlices, kSlice); });
+    if (running) {
+      // The reader finds the read-ahead running and waits on it.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    } else {
+      visit.join();  // it ran the queued read-ahead itself
+    }
+    gate->ReleaseBlocked();
+    if (visit.joinable()) visit.join();
+    reader.DrainPlacements();
+
+    const core::MonarchStats after = reader.Stats();
+    EXPECT_EQ(6u, net.transfers() - transfers)
+        << "each run of the two files crossed the fabric once";
+    EXPECT_EQ(kRunFileSlices, after.deposit_hits - before.deposit_hits);
+    EXPECT_EQ(running ? 0u : 1u, after.placement.prefetch_promoted -
+                                     before.placement.prefetch_promoted);
+    EXPECT_EQ(0u, after.degraded_fallbacks);
+  }
+}
+
+// A holder killed between the read-ahead and its reader (replication
+// 1): the reader still gets golden bytes.
+TEST(PeerRunTest, HolderKilledBetweenReadAheadAndReaderYieldsGoldenBytes) {
+  PeerWorld world = ReadAheadWorld(kFiles);
+  ASSERT_TRUE(world.nodes[0].monarch && world.nodes[1].monarch);
+  world.WarmUp();
+  const std::vector<int> owned0 = world.OwnedFiles(0);
+  ASSERT_FALSE(owned0.empty());
+  core::Monarch& reader = *world.nodes[1].monarch;
+  reader.InstallRunSchedule({Names(owned0)});
+  reader.DrainPlacements();
+  ASSERT_EQ(owned0.size() * kRunFileBytes,
+            reader.Stats().placement.deposit_held_bytes);
+
+  world.group->KillNode(0);
+  for (const int i : owned0) {
+    world.ReadSlices(1, i, 0, kRunFileSlices, kSlice);
+  }
+  reader.DrainPlacements();
+  EXPECT_EQ(0u, reader.Stats().degraded_fallbacks);
+  reader.Shutdown();
+  EXPECT_EQ(0u, reader.Stats().placement.deposit_held_bytes);
+}
+
+/// Readers on every node race peer-run fetches, owner staging with its
+/// donations and deposits, look-ahead read-aheads when `lookahead` is
+/// set, and the reclaim that a small staging budget forces: every byte
+/// is golden, a node's donations and deposits together never exceed its
+/// budget, and nothing stays held after Shutdown.
+void HeldBytesStayInsideTheBudget(int lookahead) {
   constexpr std::uint64_t kBudget = 3 * kRunBytes;
   constexpr int kNodes = 2;
   constexpr int kReaders = 2;
-  PeerWorld world(kNodes, kRunFileBytes, {}, kRunBytes, kBudget);
+  PeerWorld world(kNodes, kRunFileBytes, {}, kRunBytes, kBudget,
+                  [=](core::MonarchConfig& config) {
+                    config.placement.prefetch_lookahead = lookahead;
+                  });
   for (const Node& node : world.nodes) ASSERT_TRUE(node.monarch);
+  // Each node's schedule is its first reader's order; the second
+  // reader's visits run off it.
+  const auto order = [](int n, int r, int epoch, int k) {
+    return (k * 5 + r * 3 + epoch * 7 + n) % kFiles;
+  };
+  for (int n = 0; n < kNodes; ++n) {
+    std::vector<std::vector<std::string>> epochs(2);
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      for (int k = 0; k < kFiles; ++k) {
+        epochs[static_cast<std::size_t>(epoch)].push_back(
+            File(order(n, 0, epoch, k)));
+      }
+    }
+    world.nodes[static_cast<std::size_t>(n)].monarch->InstallRunSchedule(
+        epochs);
+  }
 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> overrun{0};
@@ -623,10 +778,10 @@ TEST(PeerRunTest, HeldBytesStayInsideTheBudgetUnderPeerReadsAndStaging) {
   std::vector<std::thread> readers;
   for (int n = 0; n < kNodes; ++n) {
     for (int r = 0; r < kReaders; ++r) {
-      readers.emplace_back([&world, n, r] {
+      readers.emplace_back([&world, &order, n, r] {
         for (int epoch = 0; epoch < 2; ++epoch) {
           for (int k = 0; k < kFiles; ++k) {
-            const int i = (k * 5 + r * 3 + epoch * 7 + n) % kFiles;
+            const int i = order(n, r, epoch, k);
             const core::ReadLease visit =
                 world.nodes[static_cast<std::size_t>(n)].monarch->PinVisit(
                     File(i));
@@ -650,6 +805,14 @@ TEST(PeerRunTest, HeldBytesStayInsideTheBudgetUnderPeerReadsAndStaging) {
     EXPECT_EQ(0u, p.donation_held_bytes);
     EXPECT_EQ(0u, p.deposit_held_bytes);
   }
+}
+
+TEST(PeerRunTest, HeldBytesStayInsideTheBudgetUnderPeerReadsAndStaging) {
+  HeldBytesStayInsideTheBudget(/*lookahead=*/0);
+}
+
+TEST(PeerRunTest, HeldBytesStayInsideTheBudgetUnderReadAhead) {
+  HeldBytesStayInsideTheBudget(/*lookahead=*/4);
 }
 
 // Peer sharing is cooperative, not load-bearing: a cluster of one gets a

@@ -21,6 +21,7 @@ namespace monarch::core {
 namespace {
 
 using monarch::testing::GateEngine;
+using monarch::testing::GateRelease;
 
 constexpr std::size_t kRun = 4096;  // staging_chunk_bytes: one run each
 constexpr std::size_t kSlice = 1024;
@@ -104,6 +105,17 @@ class DepositTest : public ::testing::Test {
     monarch_->DrainPlacements();
   }
 
+  /// Demand-stage every file with whole-file reads, which keep no
+  /// deposit: nobody is coming for the bytes.
+  void StageAll() {
+    for (std::size_t f = 0; f < options_.files; ++f) {
+      EXPECT_EQ(Payload(f, options_.file_bytes),
+                Read(f, 0, options_.file_bytes));
+    }
+    monarch_->DrainPlacements();
+    EXPECT_EQ(0u, Held());
+  }
+
   /// `n` bytes of file `f` at `offset`, read on the copy lane.
   std::vector<std::byte> Read(std::size_t f, std::uint64_t offset,
                               std::size_t n) {
@@ -160,6 +172,8 @@ class DepositTest : public ::testing::Test {
   std::shared_ptr<storage::FaultyEngine> faulty_;
   std::shared_ptr<GateEngine> gate_;
   std::unique_ptr<Monarch> monarch_;
+  // After the Monarch: an early return frees the parked write first.
+  GateRelease release_gate_{gate_};
 };
 
 TEST_F(DepositTest, LookaheadVisitReadsNothingBeyondTheReadBack) {
@@ -414,6 +428,131 @@ TEST_F(DepositTest, DepositsYieldToDonations) {
   EXPECT_EQ(PlacementState::kPlaced, StateOf(2));
   EXPECT_EQ(kRun, Held()) << "the oldest deposit made room";
   EXPECT_EQ(0u, stats.placement.donation_held_bytes);
+}
+
+// Look-ahead reads the runs of a scheduled file that is already resident
+// into deposits before its visit: one tier read per run, and the visit
+// reads nothing from the tier, on either lane.
+TEST_F(DepositTest, ResidentFileInTheWindowIsReadAheadBeforeItsVisit) {
+  for (const bool lend : {false, true}) {
+    SCOPED_TRACE(lend ? "lend" : "copy");
+    WorldOptions options;
+    options.lookahead = 8;
+    Build(options);
+    StageAll();
+    const std::uint64_t tier_reads = LocalReads();
+    const MonarchStats staged = monarch_->Stats();
+
+    monarch_->InstallRunSchedule({Names()});
+    monarch_->DrainPlacements();
+    const MonarchStats ready = monarch_->Stats();
+    EXPECT_EQ(3 * options.files, LocalReads() - tier_reads)
+        << "one whole read per run";
+    EXPECT_EQ(options.files * options.file_bytes, Held());
+    EXPECT_EQ(options.files, ready.placement.prefetch_scheduled -
+                                 staged.placement.prefetch_scheduled);
+    EXPECT_EQ(options.files, ready.placement.prefetch_completed -
+                                 staged.placement.prefetch_completed);
+
+    std::vector<ReadLease> leases;
+    for (std::size_t f = 0; f < options.files; ++f) {
+      leases.clear();
+      EXPECT_EQ(Payload(f, options.file_bytes), Visit(f, lend, &leases))
+          << "file " << f;
+      for (const ReadLease& lease : leases) {
+        EXPECT_EQ(lend, lease.zero_copy()) << "a deposit lends its bytes";
+        EXPECT_EQ(0, lease.level());
+      }
+    }
+    leases.clear();
+    EXPECT_EQ(3 * options.files, LocalReads() - tier_reads)
+        << "the visits read nothing from the tier";
+    const MonarchStats read = monarch_->Stats();
+    const std::uint64_t slices = (options.file_bytes + kSlice - 1) / kSlice;
+    EXPECT_EQ(options.files * slices, read.deposit_hits);
+    EXPECT_EQ(options.files, read.prefetch_hits - staged.prefetch_hits);
+    EXPECT_EQ(0u, read.placement.readahead_unread);
+    EXPECT_EQ(0u, Held());
+  }
+}
+
+// Read-ahead never outgrows the staging budget: with room for one run,
+// a window of four holds that one run, and a donation still gets its
+// room by reclaiming it — counted as a look-ahead deposit left unread.
+TEST_F(DepositTest, ReadAheadHoldsWhatTheBudgetHoldsAndYieldsToDonations) {
+  WorldOptions options;
+  options.files = 5;
+  options.file_bytes = kRun;
+  options.staging_buffer_bytes = kRun;
+  options.lookahead = 4;
+  Build(options);
+  for (std::size_t f = 0; f < 4; ++f) {
+    EXPECT_EQ(Payload(f, kRun), Read(f, 0, kRun));
+  }
+  monarch_->DrainPlacements();
+  ASSERT_EQ(0u, Held());
+
+  monarch_->InstallRunSchedule(
+      {{NameOf(0), NameOf(1), NameOf(2), NameOf(3)}});
+  monarch_->DrainPlacements();
+  EXPECT_EQ(kRun, Held()) << "one run fits the budget";
+  EXPECT_EQ(1u, monarch_->Stats().placement.prefetch_completed);
+
+  // File 4's open donates its bytes: the read-ahead deposit makes room.
+  const std::uint64_t pfs_before = PfsReads();
+  const std::uint64_t donated = monarch_->Stats().placement.donated_bytes;
+  EXPECT_EQ(Payload(4, kRun), Read(4, 0, kRun));
+  monarch_->DrainPlacements();
+  const MonarchStats stats = monarch_->Stats();
+  EXPECT_EQ(kRun, stats.placement.donated_bytes - donated);
+  EXPECT_EQ(pfs_before + 1, PfsReads()) << "the copy used the donation";
+  EXPECT_EQ(PlacementState::kPlaced, StateOf(4));
+  EXPECT_EQ(1u, stats.placement.readahead_unread);
+  EXPECT_EQ(0u, Held());
+}
+
+// A read-ahead still queued when its file's visit begins is run by the
+// visit's reader itself — one tier read per run, then slices from memory
+// — and StopPlacement drops the ones still queued, holding nothing.
+TEST_F(DepositTest, QueuedReadAheadIsRunByItsReaderOrDroppedAtStop) {
+  WorldOptions options;
+  options.files = 4;
+  options.lookahead = 8;
+  options.threads = 1;
+  options.gated = pack::ChunkObjectName(NameOf(3), 0);
+  Build(options);
+  for (std::size_t f = 0; f < 3; ++f) {
+    EXPECT_EQ(Payload(f, options.file_bytes),
+              Read(f, 0, options.file_bytes));
+  }
+  monarch_->DrainPlacements();
+  // File 3's copy parks the only worker at the gate; the read-aheads of
+  // the resident files queue behind it.
+  Read(3, 0, kSlice);
+  gate_->AwaitBlocked();
+  monarch_->InstallRunSchedule({{NameOf(0), NameOf(1), NameOf(2)}});
+  const std::uint64_t tier_reads = LocalReads();
+
+  EXPECT_EQ(Payload(0, options.file_bytes), Visit(0, /*lend=*/false));
+  EXPECT_EQ(3u, LocalReads() - tier_reads) << "one read per run";
+  const MonarchStats visited = monarch_->Stats();
+  EXPECT_EQ(1u, visited.placement.prefetch_promoted);
+  EXPECT_EQ((options.file_bytes + kSlice - 1) / kSlice, visited.deposit_hits);
+  EXPECT_EQ(0u, visited.prefetch_hits) << "the reader read its own runs";
+
+  monarch_->StopPlacement();
+  EXPECT_EQ(2u, monarch_->Stats().placement.prefetch_cancelled);
+  for (const std::size_t f : {1, 2}) {
+    EXPECT_FALSE(InfoOf(f)->reading_ahead.load()) << "file " << f;
+  }
+  gate_->ReleaseBlocked();
+  monarch_->DrainPlacements();
+  EXPECT_EQ(4u, LocalReads() - tier_reads)
+      << "nothing read ahead: only file 3's read-back";
+  EXPECT_EQ(0u, Held());
+  EXPECT_EQ(Payload(1, options.file_bytes), Visit(1, /*lend=*/true));
+  monarch_->CleanupStagedCopies();
+  EXPECT_EQ(0u, Held());
 }
 
 TEST_F(DepositTest, WithoutVerificationDepositsTheWrittenBytes) {

@@ -30,6 +30,7 @@ namespace {
 
 using monarch::testing::Bytes;
 using monarch::testing::GateEngine;
+using monarch::testing::GateRelease;
 using monarch::testing::Text;
 
 // ---------------------------------------------------------------------------
@@ -832,6 +833,8 @@ class StagingPipelineJoinTest : public ::testing::Test {
   std::shared_ptr<storage::FaultyEngine> faulty_;
   std::shared_ptr<GateEngine> gate_;
   std::unique_ptr<Monarch> monarch_;
+  // After the Monarch: an early return frees the parked write first.
+  GateRelease release_gate_{gate_};
   std::thread joiner_;
   std::atomic<bool> joiner_done_{false};
   std::string joined_bytes_;

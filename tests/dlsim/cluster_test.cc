@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+
 #include "../test_support.h"
 
 namespace monarch::dlsim {
@@ -210,6 +213,62 @@ TEST_F(ClusterTest, PeerSharingShardsStagingAndCutsPfsTraffic) {
     EXPECT_EQ(0u, job.peer_stats.owned + job.peer_stats.placed +
                       job.peer_stats.remote_hits);
   }
+}
+
+// Look-ahead (on by default) moves reads off the reader's path, never
+// bytes: a seeded 2-node peer cluster consumes identical batches with it
+// off and on, pulls each dataset byte from the PFS once with it on (with
+// it off, an owner's cold read can race the other node's stage request
+// for the same file, and its slice is read from the PFS twice), and
+// moves the same peer bytes and transfers to within one run.
+TEST_F(ClusterTest, LookaheadChangesNoBatchAndNoPfsByte) {
+  ClusterConfig config = MiniConfig(2, true);
+  config.seed = 11;
+  config.peer_sharing = true;
+  ASSERT_GT(config.prefetch_lookahead, 0) << "look-ahead is on by default";
+  auto ahead = RunClusterExperiment(dir_.Sub("pfs"), dir_.Sub("la"), config);
+  ASSERT_OK(ahead);
+  config.prefetch_lookahead = 0;
+  auto plain = RunClusterExperiment(dir_.Sub("pfs"), dir_.Sub("l0"), config);
+  ASSERT_OK(plain);
+
+  for (std::size_t j = 0; j < 2; ++j) {
+    const auto& a_epochs = ahead.value().jobs[j].training.epochs;
+    const auto& p_epochs = plain.value().jobs[j].training.epochs;
+    ASSERT_EQ(p_epochs.size(), a_epochs.size());
+    for (std::size_t e = 0; e < p_epochs.size(); ++e) {
+      EXPECT_NE(0u, p_epochs[e].sample_digest);
+      EXPECT_EQ(p_epochs[e].sample_digest, a_epochs[e].sample_digest)
+          << "job " << j << " epoch " << e;
+    }
+    EXPECT_EQ(0u, ahead.value().jobs[j].monarch_stats.degraded_fallbacks);
+  }
+  // Tiny's files are one staging chunk each: a run is a whole file.
+  std::uint64_t dataset_bytes = 0;
+  std::uint64_t run_bytes = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           dir_.Sub("pfs") / config.dataset.directory)) {
+    if (!entry.is_regular_file() ||
+        entry.path().extension() != ".tfrecord") {
+      continue;
+    }
+    dataset_bytes += entry.file_size();
+    run_bytes = std::max<std::uint64_t>(run_bytes, entry.file_size());
+  }
+  ASSERT_GT(run_bytes, 0u);
+  EXPECT_EQ(dataset_bytes, ahead.value().TotalPfsReadBytes());
+  EXPECT_LE(ahead.value().TotalPfsReadBytes(),
+            plain.value().TotalPfsReadBytes());
+  const auto near = [](std::uint64_t a, std::uint64_t b, std::uint64_t tol) {
+    return (a > b ? a - b : b - a) <= tol;
+  };
+  EXPECT_TRUE(near(plain.value().peer_transfers, ahead.value().peer_transfers,
+                   1))
+      << plain.value().peer_transfers << " vs "
+      << ahead.value().peer_transfers;
+  EXPECT_TRUE(near(plain.value().peer_bytes, ahead.value().peer_bytes,
+                   run_bytes))
+      << plain.value().peer_bytes << " vs " << ahead.value().peer_bytes;
 }
 
 }  // namespace

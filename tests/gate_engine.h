@@ -1,5 +1,7 @@
-// GateEngine: a test storage engine that holds one file's first write
-// until released (shared by the staging-pipeline and peer-join suites).
+// GateEngine: a test storage engine that holds one file's first write —
+// or its first read — until released (shared by the staging-pipeline,
+// deposit, chunked-read and peer suites), and GateRelease, the scope
+// guard that releases it when a test ends early.
 #pragma once
 
 #include <condition_variable>
@@ -17,14 +19,17 @@ namespace monarch::testing {
 /// the order files are first written in and can block the copy of one
 /// chosen file until released — the lever the staging tests use to hold
 /// a worker mid-copy while the queues, or the reads joining that copy,
-/// pile up behind it.
+/// pile up behind it. With `gate_reads` it holds the file's first read
+/// instead (a read-ahead mid-fetch), and lets every write through.
 class GateEngine : public storage::StorageEngine {
  public:
   explicit GateEngine(std::string block_path,
-                      storage::StorageEnginePtr inner = nullptr)
+                      storage::StorageEnginePtr inner = nullptr,
+                      bool gate_reads = false)
       : inner_(inner ? std::move(inner)
                      : std::make_shared<storage::MemoryEngine>("gated")),
-        block_path_(std::move(block_path)) {}
+        block_path_(std::move(block_path)),
+        gate_reads_(gate_reads) {}
 
   ~GateEngine() override { ReleaseBlocked(); }
 
@@ -49,6 +54,7 @@ class GateEngine : public storage::StorageEngine {
 
   Result<std::size_t> Read(std::string_view path, std::uint64_t offset,
                            std::span<std::byte> dst) override {
+    if (gate_reads_) MaybeBlock(path);
     return inner_->Read(path, offset, dst);
   }
   Status Write(const std::string& path,
@@ -79,8 +85,15 @@ class GateEngine : public storage::StorageEngine {
 
  private:
   void RecordAndMaybeBlock(const std::string& path) {
+    {
+      std::lock_guard lock(mu_);
+      order_.push_back(path);
+    }
+    if (!gate_reads_) MaybeBlock(path);
+  }
+
+  void MaybeBlock(std::string_view path) {
     std::unique_lock lock(mu_);
-    order_.push_back(path);
     if (path == block_path_ && !released_) {
       blocked_ = true;
       started_cv_.notify_all();
@@ -90,12 +103,32 @@ class GateEngine : public storage::StorageEngine {
 
   storage::StorageEnginePtr inner_;
   const std::string block_path_;
+  const bool gate_reads_;
   mutable std::mutex mu_;
   std::condition_variable started_cv_;
   std::condition_variable release_cv_;
   std::vector<std::string> order_;
   bool blocked_ = false;
   bool released_ = false;
+};
+
+/// Releases the gate `gate` holds, if any, when it goes out of scope.
+/// Declare it after the Monarch whose staging the gate holds: a test that
+/// ends early (a failed ASSERT) then frees the parked write before
+/// ~Monarch drains the staging queue behind it, and fails instead of
+/// hanging.
+class GateRelease {
+ public:
+  explicit GateRelease(const std::shared_ptr<GateEngine>& gate)
+      : gate_(gate) {}
+  ~GateRelease() {
+    if (gate_ != nullptr) gate_->ReleaseBlocked();
+  }
+  GateRelease(const GateRelease&) = delete;
+  GateRelease& operator=(const GateRelease&) = delete;
+
+ private:
+  const std::shared_ptr<GateEngine>& gate_;
 };
 
 }  // namespace monarch::testing

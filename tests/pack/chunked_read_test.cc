@@ -893,6 +893,8 @@ TEST_F(ChunkedReadTest, ReadOfAQueuedNeighbourPromotesAndJoinsIt) {
         local_);
     config.cache_tiers[0].engine = gate;
   });
+  // After the Monarch: an early return frees the parked write first.
+  const testing::GateRelease release_gate(gate);
   ASSERT_OK(monarch);
   Monarch& m = **monarch;
   std::vector<std::byte> head(100);
@@ -949,6 +951,8 @@ TEST_F(ChunkedReadTest, NeighboursNeverEvictWithoutASchedule) {
         local_);
     config.cache_tiers[0].engine = gate;
   });
+  // After the Monarch: an early return frees the parked write first.
+  const testing::GateRelease release_gate(gate);
   ASSERT_OK(monarch);
   Monarch& m = **monarch;
   // Two residents, staged on the lend lane (which never reads ahead).
@@ -1027,6 +1031,8 @@ TEST_F(ChunkedReadTest, NeighbourRefusedByTheStagingBudgetReadsFromPfs) {
         local_);
     config.cache_tiers[0].engine = gate;
   });
+  // After the Monarch: an early return frees the parked write first.
+  const testing::GateRelease release_gate(gate);
   ASSERT_OK(monarch);
   Monarch& m = **monarch;
   ReadAndCheck(m, /*lend=*/false, held, 0, held_size - 1);
@@ -1070,6 +1076,8 @@ TEST_F(ChunkedReadTest, StretchIsChargedOnceUntilItsTasksFinish) {
         pack::ChunkObjectName(workload::SmallFilePath(spec_, y), 0), local_);
     config.cache_tiers[0].engine = gate;
   });
+  // After the Monarch: an early return frees the parked write first.
+  const testing::GateRelease release_gate(gate);
   ASSERT_OK(monarch);
   Monarch& m = **monarch;
   ReadAndCheck(m, /*lend=*/false, y, 0, Expected(y).size());
