@@ -20,11 +20,12 @@ ctest --test-dir build --output-on-failure
 # Every file stages as chunk runs, so the failure ledger (retry cap,
 # quarantine parking), the peer rung and churn repair (membership
 # changes handing copies to the new owners' staging queues) race chunk
-# claims too, and a cluster with look-ahead on must consume the batches
-# and pull the PFS bytes it does with look-ahead off: repeat those
-# suites and fail on any failure.
+# claims too, a cluster must pull each dataset byte from the PFS once
+# with look-ahead on or off, and an owner's cold read must claim before
+# it reads so a peer's stage request joins it: repeat those suites and
+# fail on any failure.
 ./build/tests/monarch_tests \
-    --gtest_filter='ResilienceTest.*:ReadLadderTest.*:PeerCacheTest.*:ChurnIntegrationTest.*:MembershipTest.*:RestageTest.*:ClusterTest.LookaheadChangesNoBatchAndNoPfsByte' \
+    --gtest_filter='ResilienceTest.*:ReadLadderTest.*:PeerCacheTest.*:ChurnIntegrationTest.*:MembershipTest.*:RestageTest.*:ClusterTest.LookaheadChangesNoBatchAndNoPfsByte:PeerJoinTest.OwnersColdReadClaimsFirstSoAPeerJoinsItsOneRead' \
     --gtest_repeat=20 --gtest_brief=1
 # A peer run fetched whole at its first slice, or read ahead by
 # look-ahead, is a per-node deposit: it must never serve another node or

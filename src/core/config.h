@@ -23,7 +23,7 @@
 //   seed = 42
 //
 //   [placement]             ; optional — staging-pipeline knobs
-//   policy = first-fit      ; first-fit | round-robin | lru | hotspot
+//   policy = first-fit      ; first-fit | lru | hotspot
 //                           ;   (docs/PLACEMENT.md)
 //   staging_buffer_bytes = 64MiB   ; chunk-buffer-pool budget
 //   staging_chunk_bytes = 4MiB     ; copy granularity

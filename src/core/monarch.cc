@@ -107,8 +107,8 @@ std::vector<obs::MetricSample> StatsToSamples(const MonarchStats& stats) {
          "lane");
   sample("monarch.placement.prefetch_completed", "", obs::MetricKind::kCounter,
          "ops", p.prefetch_completed,
-         "prefetch-lane copies published to a cache tier, and read-aheads "
-         "that left a deposit");
+         "prefetch-lane and look-ahead copies published to a cache tier "
+         "(promoted ones included), and read-aheads that left a deposit");
   sample("monarch.placement.prefetch_promoted", "", obs::MetricKind::kCounter,
          "ops", p.prefetch_promoted,
          "queued prefetches moved to the demand lane by an overtaking read");
@@ -578,7 +578,6 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
   // ① Consult the file's chunk map: serve from its tier when every
   // chunk the request touches is resident.
   const int pfs = hierarchy_->pfs_level();
-  const int peer = hierarchy_->peer_level();
   pack::ChunkMap& cm =
       *info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
   // A new visit begins: deposits an earlier visit already read from are
@@ -598,129 +597,74 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
                                     : cm.ResidentCount() > 0)) {
     level = cm.tier();
   }
-  // Join: a read whose chunks a staging task has claimed waits for that
-  // task and serves from its copy, so each chunk crosses the PFS once —
-  // promoting the task first when it is a queued prefetch (a neighbour
-  // woken when its stretch read queued it waits again). A packed
-  // whole-file miss nobody stages reads its extent stretch. A claim not
-  // yet joinable, or lost to another reader, is retried. Past three
-  // waits or 64 retries the read goes to the PFS.
-  enum class Join { kNone, kLocal, kPeer } joined = Join::kNone;
-  bool stretched = false;
+  // Join: a read whose chunks a staging task or another read has claimed
+  // waits for those bytes and serves from their copy, so each chunk
+  // crosses the PFS once — promoting the task first when it is a queued
+  // prefetch (a neighbour woken when its stretch read queued it waits
+  // again). A read with nothing to join misses: it claims, then reads. A
+  // claim not yet joinable, or lost to another reader, is retried. Past
+  // three waits or 64 retries the read misses without joining.
+  bool joined = false;
+  std::optional<Result<std::span<const std::byte>>> served;
   for (int waits = 0, retries = 0;
        length > 0 && level == pfs && waits < 3 && retries < 64;) {
     if (cm.RangeClaimed(offset, length)) {
       placement_->PromoteToDemand(info);
       if (TimedJoin(name, "local", [&] { return info->AwaitJoinable(); })) {
-        joined = Join::kLocal;
+        joined = true;
         ++waits;
       } else {
         ++retries;
         std::this_thread::yield();
       }
-    } else if (ReadStretch(info, offset, access)) {
-      stretched = true;
-      break;
-    } else if (!cm.RangeClaimed(offset, length) &&
-               !cm.RangeResident(offset, length)) {
-      break;  // no stretch read, and nothing to join: read the PFS
+    } else if (cm.RangeResident(offset, length)) {
+      ++retries;  // published meanwhile: served from its tier below
     } else {
-      ++retries;  // another reader won the claim
+      served = Miss(info, cm, offset, access, level, /*may_lose=*/true);
+      if (served.has_value()) break;
+      ++retries;  // another reader won the claim: join it
     }
     if (cm.tier() >= 0 && cm.RangeResident(offset, length)) {
       level = cm.tier();
     }
   }
   // ② Read from that tier — unless its circuit breaker is open, in which
-  // case the tier is skipped without a doomed attempt.
-  if (level != pfs && hierarchy_->NextServingLevel(level) != level) {
-    CountDegradedFallback(FallbackCause::kCircuitOpen, name, level);
-    level = pfs;
-  }
-  // Peer rung (ISSUE 4): a PFS-resident file that another node already
-  // staged is closer over the interconnect than on the shared PFS. Route
-  // the read to the peer level when the cluster directory advertises a
-  // remote copy and the peer breaker admits requests. (`info->name` is
-  // the owned key — no temporary for the directory lookup.)
-  if (level == pfs && peer >= 0 && config_.peer_view != nullptr) {
-    PeerView& view = *config_.peer_view;
-    bool remote = view.HasRemoteCopy(info->name);
-    // Cluster join: a non-owner asks the file's owner to stage it and
-    // waits for that copy rather than pulling the file from the PFS too.
-    if (!remote && !view.ShouldStageLocally(info->name) &&
-        hierarchy_->Level(peer).health().AllowRequest()) {
-      joined = Join::kPeer;
-      TimedJoin(name, "peer", [&] {
-        view.RequestOwnerStage(info->name);
-        return view.AwaitRemoteCopy(info->name);
-      });
-      remote = view.HasRemoteCopy(info->name);
-    }
-    if (remote) {
-      if (hierarchy_->Level(peer).health().AllowRequest()) {
-        level = peer;
-      } else {
-        CountDegradedFallback(FallbackCause::kCircuitOpen, name, peer);
-      }
-    }
-  }
-
-  // The file's only other copy is the authoritative one on the PFS, so
-  // every failed rung of the degradation ladder lands there: the caller
-  // sees bytes, never the tier's error.
-  Result<std::span<const std::byte>> served = std::span<const std::byte>{};
-  if (level != pfs) {
-    // A read-ahead of the file is queued or running: run it here or wait
-    // for it, so its runs are read once and serve this read from memory.
-    if (info->reading_ahead.load(std::memory_order_acquire)) {
-      TimedJoin(name, "ahead", [&] { return placement_->JoinReadAhead(info); });
-    }
-    served = ServeChunks(info, cm, level, offset, length, access);
-    if (!served.ok()) {
-      // kNotFound means the copy vanished (eviction race or quarantine on
-      // another thread) and kDataLoss that it failed verification and was
-      // dropped; anything else is a tier fault that survived the driver's
-      // retries. Peer failures are counted apart so the cluster benches
-      // can reconcile interconnect rescue traffic.
-      const StatusCode code = served.status().code();
-      if (level == peer) {
-        CountDegradedFallback(code == StatusCode::kNotFound
-                                  ? FallbackCause::kPeerMiss
-                                  : FallbackCause::kPeerError,
-                              name, level);
-      } else if (code == StatusCode::kDataLoss) {
-        CountDegradedFallback(FallbackCause::kCorruption, name, level);
-      } else if (code == StatusCode::kNotFound) {
-        if (read_pfs_fallbacks_ != nullptr) read_pfs_fallbacks_->Increment();
-      } else {
-        CountDegradedFallback(FallbackCause::kTierError, name, level);
-      }
-      level = pfs;
-      access.deposit = false;
-      access.ahead = false;
-    }
-  }
-  if (level == pfs) {
-    if (stretched) {
-      served = access.Served(static_cast<std::size_t>(info->size));
+  // case the tier is skipped without a doomed attempt. The file's only
+  // other copy is the authoritative one on the PFS, so every failed rung
+  // misses: the caller sees bytes, never the tier's error. kDataLoss
+  // means the copy failed verification and was dropped, kNotFound that
+  // it vanished (eviction race or quarantine on another thread);
+  // anything else is a tier fault that survived the driver's retries.
+  if (!served.has_value() && level != pfs) {
+    if (hierarchy_->NextServingLevel(level) != level) {
+      CountDegradedFallback(FallbackCause::kCircuitOpen, name, level);
+    } else if (auto tier = ServeChunks(info, cm, level, offset, length,
+                                       access);
+               tier.ok()) {
+      served = std::move(tier);
+    } else if (tier.status().code() == StatusCode::kDataLoss) {
+      CountDegradedFallback(FallbackCause::kCorruption, name, level);
+    } else if (tier.status().code() == StatusCode::kNotFound) {
+      if (read_pfs_fallbacks_ != nullptr) read_pfs_fallbacks_->Increment();
     } else {
-      served = access.Fetch(hierarchy_->Level(pfs), name, offset, 0,
-                            access.limit());
-      if (!served.ok()) return served.status();
+      CountDegradedFallback(FallbackCause::kTierError, name, level);
     }
+    if (!served.has_value()) level = pfs;
   }
+  if (!served.has_value()) {
+    served = Miss(info, cm, offset, access, level, /*may_lose=*/false);
+  }
+  if (!served->ok()) return served->status();
 
-  if (joined == Join::kLocal && level != pfs && level != peer) {
+  if (joined && level != pfs && level != hierarchy_->peer_level()) {
     copy_joins_.fetch_add(1, std::memory_order_relaxed);
-  } else if (joined == Join::kPeer && level == peer) {
-    peer_copy_joins_.fetch_add(1, std::memory_order_relaxed);
   }
   if (access.deposit) deposit_hits_.fetch_add(1, std::memory_order_relaxed);
-  FinishRead(info, level, offset, served.value(), stretched, access.ahead);
+  FinishRead(info, level, offset, served->value().size(), access.ahead);
   pin_guard.file = nullptr;  // the lease owns the pin from here on
   storage::ReadView view =
       access.lend ? std::move(access.view)
-                  : storage::ReadView(served.value(), nullptr,
+                  : storage::ReadView(served->value(), nullptr,
                                       /*zero_copy=*/false);
   return ReadLease(std::move(view), std::move(info), level);
 }
@@ -728,12 +672,21 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
 Result<std::span<const std::byte>> Monarch::ServeChunks(
     const FileInfoPtr& info, pack::ChunkMap& cm, int level,
     std::uint64_t offset, std::uint64_t length, ReadAccess& access) {
+  // A read-ahead of the file is queued or running: run it here or wait
+  // for it, so its runs are read once and serve this read from memory.
+  if (info->reading_ahead.load(std::memory_order_acquire)) {
+    TimedJoin(info->name, "ahead",
+              [&] { return placement_->JoinReadAhead(info); });
+  }
   StorageDriver& tier = hierarchy_->Level(level);
   const pack::Codec* codec = placement_->pack_codec();
   // A peer's runs are one uncompressed chunk each (peers exclude pack
   // mode): the object is named by the chunk and read at the in-chunk
   // offset, and its CRCs live with the peer.
   const bool remote = level == hierarchy_->peer_level();
+  // access.deposit and access.ahead, set once the whole read is served.
+  bool deposit_hit = false;
+  bool ahead = false;
   const std::uint32_t last_touched = cm.ChunkOf(offset + length - 1);
   for (std::uint64_t pos = 0; pos < length;) {
     // One run segment: the touched chunks from here on that share a run
@@ -769,29 +722,23 @@ Result<std::span<const std::byte>> Monarch::ServeChunks(
         deposit = info->ServeDeposit(head.run_start, at + n);
       }
       bool deposited = deposit.bytes.size() >= at + n;
-      access.deposit = access.deposit || deposited;
+      deposit_hit = deposit_hit || deposited;
       // The first serve of a file's look-ahead deposit of its first run is
       // the prefetch hit (read-ahead deposits a file's runs in order).
-      access.ahead = access.ahead || (deposited && deposit.ahead &&
-                                      !deposit.served && head.run_start == 0);
+      ahead = ahead || (deposited && deposit.ahead && !deposit.served &&
+                        head.run_start == 0);
       // One fabric transfer per peer run: a peer read at a run's start
-      // that leaves part of it unread fetches the whole run when the
-      // staging budget can hold it, and keeps it as the run's deposit
-      // for this node's next slices.
+      // that leaves part of it unread fetches the whole run into the
+      // run's deposit (budget permitting), and serves its slice from it,
+      // as this node's next slices will be.
       const std::uint32_t run_bytes = cm.ChunkLogicalBytes(first);
       if (!deposited && remote && at == 0 && n < run_bytes) {
-        if (PlacementHandler::BudgetCharge charge =
-                placement_->Charge(run_bytes, PlacementHandler::kDeposit)) {
-          auto whole = tier.ReadZeroCopy(object, 0, run_bytes);
-          if (!whole.ok()) return whole.status();  // a peer run drops nothing
-          if (whole->size() == run_bytes) {
-            deposit = {head.run_start,
-                       PlacementHandler::Held(std::move(whole).value(),
-                                              std::move(charge)),
-                       /*served=*/true};
-            placement_->KeepDeposit(info, deposit);
-            deposited = true;
-          }
+        auto kept = placement_->DepositRun(info, level, head.run_start,
+                                           run_bytes, {}, /*ahead=*/false);
+        if (!kept.ok()) return kept.status();  // a peer run drops nothing
+        if (kept.value()) {
+          deposit = info->ServeDeposit(head.run_start, at + n);
+          deposited = deposit.bytes.size() >= at + n;
         }
       }
       auto got = deposited
@@ -887,116 +834,165 @@ Result<std::span<const std::byte>> Monarch::ServeChunks(
     }
     pos = end - offset;
   }
+  access.deposit = deposit_hit;
+  access.ahead = ahead;
   return access.Served(static_cast<std::size_t>(length));
 }
 
-bool Monarch::ReadStretch(const FileInfoPtr& info, std::uint64_t offset,
-                          ReadAccess& access) {
-  const qos::TenantContext* tenant = qos::CurrentTenant();
-  if (pack_index_ == nullptr || access.lend || offset != 0 ||
-      access.dst.size() < info->size || placement_->stopped() ||
-      (tenant != nullptr && tenant->low_retention)) {
-    return false;
-  }
-  const pack::PackEntry* entry = pack_index_->Find(info->name);
-  if (entry == nullptr) return false;
-  const std::uint64_t budget = std::min(
-      {placement_->buffer_pool().chunk_bytes(),
-       hierarchy_->TotalWritableFreeBytes(), placement_->DonationRoom()});
-  // Grow the stretch [begin, end) of the extent from the file one
-  // neighbour at a time, alternating sides. A side stops at the extent's
-  // edge, at the budget (one staging buffer, the tiers' free quota and
-  // the staging memory a donation may take), or at a neighbour that is
-  // resident, claimed or not in the namespace.
-  const std::span<const pack::ExtentMember> members =
-      pack_index_->ExtentMembers(entry->extent);
-  struct Claimed {
-    FileInfoPtr file;
-    const pack::PackEntry* entry;
-    std::vector<std::uint32_t> chunks;
-  };
-  std::vector<Claimed> claimed;
-  std::uint64_t begin = entry->offset;
-  std::uint64_t end = entry->offset;
-  auto claim = [&](std::uint32_t slot) {
-    const pack::PackEntry* at = members[slot].entry;
-    const std::uint64_t from = std::min(begin, at->offset);
-    const std::uint64_t to = std::max(end, at->offset + at->length);
-    FileInfoPtr file = metadata_.Lookup(members[slot].name);
-    if (to - from > budget || file == nullptr) return false;
-    std::vector<std::uint32_t> chunks = placement_->ClaimFile(file);
-    if (chunks.empty()) return false;
-    claimed.push_back({std::move(file), at, std::move(chunks)});
-    begin = from;
-    end = to;
-    return true;
-  };
-  std::uint32_t lo = entry->slot;
-  std::uint32_t hi = entry->slot;
-  if (!claim(hi)) return false;
-  for (bool left = true, right = true; left || right;) {
-    right = right && hi + 1 < members.size() && claim(hi + 1);
-    if (right) ++hi;
-    left = left && lo > 0 && claim(lo - 1);
-    if (left) --lo;
+std::optional<Result<std::span<const std::byte>>> Monarch::Miss(
+    const FileInfoPtr& info, pack::ChunkMap& cm, std::uint64_t offset,
+    ReadAccess& access, int& level, bool may_lose) {
+  const int pfs = hierarchy_->pfs_level();
+  const int peer = hierarchy_->peer_level();
+  const std::uint64_t length = access.length;
+  // ① Claim before reading, so a read of the same chunks that arrives
+  // meanwhile — here, or a peer's stage request — joins these bytes
+  // instead of reading them a second time.
+  std::vector<MissClaim> claims = ClaimMiss(info, cm, offset, access);
+  if (claims.empty() && may_lose &&
+      (cm.RangeClaimed(offset, length) || cm.RangeResident(offset, length))) {
+    return std::nullopt;
   }
 
-  // The stretch is charged once, whole, before its PFS read; the file's
-  // and each neighbour's donations are views of it, and the charge
-  // returns when the last of their tasks finishes.
-  const auto size = static_cast<std::size_t>(end - begin);
-  PlacementHandler::BudgetCharge charge =
-      placement_->Charge(size, PlacementHandler::kDonation);
-  std::shared_ptr<std::byte[]> buffer;
-  if (charge) {
-    buffer = std::make_shared_for_overwrite<std::byte[]>(size);
-    auto read = hierarchy_->Pfs().Read(pack_index_->ExtentPathOf(*entry),
-                                       begin, {buffer.get(), size});
-    if (!read.ok() || read.value() != size) buffer.reset();
-  }
-  if (buffer == nullptr) {
-    for (Claimed& c : claimed) {
-      placement_->ReleaseFileClaims(c.file, std::move(c.chunks));
+  // ② Read. A claimed stretch is charged once, whole, and read with one
+  // PFS read; the donations are views of it, and the charge returns when
+  // the last of their tasks finishes. A stretch that cannot be charged
+  // or read hands its neighbours back, and the file is read alone.
+  level = pfs;
+  Result<std::span<const std::byte>> served = std::span<const std::byte>{};
+  storage::ReadView stretch;
+  std::uint64_t begin = 0;
+  if (!claims.empty() && claims[0].entry != nullptr) {
+    std::uint64_t end = 0;
+    begin = UINT64_MAX;
+    for (const MissClaim& c : claims) {
+      begin = std::min(begin, c.entry->offset);
+      end = std::max(end, c.entry->offset + c.entry->length);
     }
-    return false;
+    const auto size = static_cast<std::size_t>(end - begin);
+    PlacementHandler::BudgetCharge charge =
+        placement_->Charge(size, PlacementHandler::kDonation);
+    std::shared_ptr<std::byte[]> buffer;
+    if (charge) {
+      buffer = std::make_shared_for_overwrite<std::byte[]>(size);
+      auto read = hierarchy_->Pfs().Read(
+          pack_index_->ExtentPathOf(*claims[0].entry), begin,
+          {buffer.get(), size});
+      if (!read.ok() || read.value() != size) buffer.reset();
+    }
+    if (buffer != nullptr) {
+      stretch = PlacementHandler::Held(
+          storage::ReadView({buffer.get(), size}, buffer, /*zero_copy=*/false),
+          std::move(charge));
+      stretch_reads_.fetch_add(1, std::memory_order_relaxed);
+      readahead_bytes_.fetch_add(size - info->size, std::memory_order_relaxed);
+      const std::span<const std::byte> own = stretch.data().subspan(
+          static_cast<std::size_t>(claims[0].entry->offset - begin),
+          static_cast<std::size_t>(info->size));
+      std::copy(own.begin(), own.end(), access.dst.begin());
+      served = access.Served(static_cast<std::size_t>(info->size));
+    } else {
+      for (std::size_t i = 1; i < claims.size(); ++i) {
+        placement_->ReleaseClaims(*claims[i].file, claims[i].chunks);
+      }
+      claims.resize(1);
+      claims[0].entry = nullptr;
+    }
   }
-  const storage::ReadView stretch = PlacementHandler::Held(
-      storage::ReadView({buffer.get(), size}, buffer, /*zero_copy=*/false),
-      std::move(charge));
-  stretch_reads_.fetch_add(1, std::memory_order_relaxed);
-  readahead_bytes_.fetch_add(size - info->size, std::memory_order_relaxed);
-  const auto donation_of = [&](const pack::PackEntry* at) {
-    return PlacementHandler::Donation{
-        0, stretch.Slice(static_cast<std::size_t>(at->offset - begin),
-                         static_cast<std::size_t>(at->length))};
-  };
-  PlacementHandler::Donation own = donation_of(entry);
-  std::copy_n(own.bytes.data().begin(), info->size, access.dst.begin());
-  placement_->ScheduleChunkPlacement(
-      info, std::move(claimed[0].chunks), std::move(own), StagingLane::kDemand,
-      static_cast<std::uint32_t>(claimed.size() - 1));
-  for (std::size_t i = 1; i < claimed.size(); ++i) {
-    claimed[i].file->prefetched.store(true, std::memory_order_release);
+  if (stretch.empty()) {
+    // Peer rung: a copy another node advertises is closer over the
+    // interconnect than the shared PFS, while the peer breaker admits
+    // requests.
+    if (peer >= 0) {
+      PeerView& view = *config_.peer_view;
+      bool remote = view.HasRemoteCopy(info->name);
+      // Cluster join: a non-owner asks the file's owner to stage it and
+      // waits for that copy rather than pulling the file from the PFS.
+      bool joined = false;
+      if (!remote && !view.ShouldStageLocally(info->name) &&
+          hierarchy_->Level(peer).health().AllowRequest()) {
+        joined = true;
+        TimedJoin(info->name, "peer", [&] {
+          view.RequestOwnerStage(info->name);
+          return view.AwaitRemoteCopy(info->name);
+        });
+        remote = view.HasRemoteCopy(info->name);
+      }
+      if (remote && !hierarchy_->Level(peer).health().AllowRequest()) {
+        CountDegradedFallback(FallbackCause::kCircuitOpen, info->name, peer);
+      } else if (remote) {
+        served = ServeChunks(info, cm, peer, offset, length, access);
+        if (served.ok()) {
+          level = peer;
+          if (joined) peer_copy_joins_.fetch_add(1, std::memory_order_relaxed);
+        } else {  // counted apart from tier failures
+          CountDegradedFallback(served.status().code() == StatusCode::kNotFound
+                                    ? FallbackCause::kPeerMiss
+                                    : FallbackCause::kPeerError,
+                                info->name, peer);
+        }
+      }
+    }
+    if (level == pfs) {
+      served = access.Fetch(hierarchy_->Level(pfs), info->name, offset, 0,
+                            access.limit());
+    }
+  }
+
+  // ③ Schedule the claims with their donation — a stretch's views, or a
+  // copy of the read's bytes inside its claimed chunks, so staging reads
+  // only the rest of them from the PFS — or hand them back.
+  if (!served.ok()) {
+    for (const MissClaim& c : claims) {
+      placement_->ReleaseClaims(*c.file, c.chunks);
+    }
+    return served;
+  }
+  for (std::size_t i = 0; i < claims.size(); ++i) {
+    MissClaim& c = claims[i];
+    PlacementHandler::Donation donation;
+    if (!stretch.empty()) {
+      donation = {0, stretch.Slice(
+                         static_cast<std::size_t>(c.entry->offset - begin),
+                         static_cast<std::size_t>(c.entry->length))};
+    } else {
+      const std::uint64_t from =
+          std::max(offset, cm.ChunkOffset(c.chunks.front()));
+      const std::uint64_t to =
+          std::min(offset + served.value().size(),
+                   cm.ChunkOffset(c.chunks.back()) +
+                       cm.ChunkLogicalBytes(c.chunks.back()));
+      if (from < to) {
+        donation = placement_->Donate(
+            from, served.value().subspan(
+                      static_cast<std::size_t>(from - offset),
+                      static_cast<std::size_t>(to - from)));
+      }
+    }
+    if (i > 0) c.file->prefetched.store(true, std::memory_order_release);
     placement_->ScheduleChunkPlacement(
-        std::move(claimed[i].file), std::move(claimed[i].chunks),
-        donation_of(claimed[i].entry), StagingLane::kPrefetch);
+        std::move(c.file), std::move(c.chunks), std::move(donation),
+        i == 0 ? StagingLane::kDemand : StagingLane::kPrefetch,
+        i == 0 ? static_cast<std::uint32_t>(claims.size() - 1) : 0);
   }
-  return true;
+  return served;
 }
 
-void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
-                                  std::uint64_t offset,
-                                  std::span<const std::byte> served) {
-  if (served.empty() || placement_->stopped() ||
+std::vector<Monarch::MissClaim> Monarch::ClaimMiss(const FileInfoPtr& info,
+                                                   pack::ChunkMap& cm,
+                                                   std::uint64_t offset,
+                                                   const ReadAccess& access) {
+  const std::uint64_t length = access.length;
+  if (length == 0 || placement_->stopped() ||
       info->state.load(std::memory_order_acquire) ==
           PlacementState::kUnplaceable) {
-    return;
+    return {};
   }
-  // Shard ownership: with a peer view installed, each node
-  // stages only the files it owns.
+  // Shard ownership: with a peer view installed, each node stages only
+  // the files it owns.
   if (config_.peer_view != nullptr &&
       !config_.peer_view->ShouldStageLocally(info->name)) {
-    return;
+    return {};
   }
   // An offset-0 read (file open) re-arms a file whose last demand
   // staging was refused by the eviction policy; later reads of the same
@@ -1004,47 +1000,86 @@ void Monarch::TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
   if (offset == 0) {
     info->stage_refused.store(false, std::memory_order_release);
   } else if (info->stage_refused.load(std::memory_order_acquire)) {
-    return;
+    return {};
   }
-  // The chunks the read touched (§III-B: a partial read still stages the
-  // chunks it touched), or with fetch_full_file_on_partial_read off only
-  // those it covers in full.
-  const std::uint64_t end = offset + served.size();
-  const bool touched = placement_->options().fetch_full_file_on_partial_read;
-  std::vector<std::uint32_t> claimed;
-  for (std::uint32_t c = cm.ChunkOf(offset); c <= cm.ChunkOf(end - 1); ++c) {
-    const std::uint64_t chunk_begin = cm.ChunkOffset(c);
-    if (!touched && (chunk_begin < offset ||
-                     chunk_begin + cm.ChunkLogicalBytes(c) > end)) {
-      continue;
+  std::vector<MissClaim> claims;
+  // Pack shape: a copy-lane read of a whole packed file claims it and
+  // grows the stretch [begin, end) of its extent one neighbour at a
+  // time, alternating sides. A side stops at the extent's edge, at the
+  // budget (one staging buffer, the tiers' free quota and the staging
+  // memory a donation may take), or at a neighbour that is resident,
+  // claimed or not in the namespace.
+  const qos::TenantContext* tenant = qos::CurrentTenant();
+  const pack::PackEntry* entry =
+      pack_index_ == nullptr || access.lend || offset != 0 ||
+              access.dst.size() < info->size ||
+              (tenant != nullptr && tenant->low_retention)
+          ? nullptr
+          : pack_index_->Find(info->name);
+  if (entry != nullptr) {
+    const std::uint64_t budget = std::min(
+        {placement_->buffer_pool().chunk_bytes(),
+         hierarchy_->TotalWritableFreeBytes(), placement_->DonationRoom()});
+    const std::span<const pack::ExtentMember> members =
+        pack_index_->ExtentMembers(entry->extent);
+    std::uint64_t begin = entry->offset;
+    std::uint64_t end = entry->offset;
+    auto claim = [&](std::uint32_t slot) {
+      const pack::PackEntry* at = members[slot].entry;
+      const std::uint64_t from = std::min(begin, at->offset);
+      const std::uint64_t to = std::max(end, at->offset + at->length);
+      FileInfoPtr file = metadata_.Lookup(members[slot].name);
+      if (to - from > budget || file == nullptr) return false;
+      std::vector<std::uint32_t> chunks = placement_->Claim(
+          file, 0, UINT32_MAX, /*whole=*/true, /*joinable=*/true);
+      if (chunks.empty()) return false;
+      claims.push_back({std::move(file), std::move(chunks), at});
+      begin = from;
+      end = to;
+      return true;
+    };
+    std::uint32_t lo = entry->slot;
+    std::uint32_t hi = entry->slot;
+    for (bool left = claim(hi), right = left; left || right;) {
+      right = right && hi + 1 < members.size() && claim(hi + 1);
+      if (right) ++hi;
+      left = left && lo > 0 && claim(lo - 1);
+      if (left) --lo;
     }
-    if (cm.TryClaim(c)) claimed.push_back(c);
   }
-  if (claimed.empty()) return;
-  // Donate every served byte inside the claimed chunks: staging reads
-  // only the rest of them from the PFS, one read per stretch.
-  const std::uint64_t from =
-      std::max(offset, cm.ChunkOffset(claimed.front()));
-  const std::uint64_t to =
-      std::min(end, cm.ChunkOffset(claimed.back()) +
-                        cm.ChunkLogicalBytes(claimed.back()));
-  placement_->ScheduleChunkPlacement(
-      info, std::move(claimed),
-      placement_->Donate(from, served.subspan(
-                                   static_cast<std::size_t>(from - offset),
-                                   static_cast<std::size_t>(to - from))));
+  // Loose shape — or a packed file its stretch could not claim whole
+  // (one claimed in part is joined instead): the chunks the read touched
+  // (§III-B: a partial read still stages the chunks it touched), or with
+  // fetch_full_file_on_partial_read off only those it covers in full.
+  if (claims.empty() &&
+      (entry == nullptr || !cm.RangeClaimed(offset, length))) {
+    const std::uint64_t end = offset + length;
+    std::uint32_t first = cm.ChunkOf(offset);
+    std::uint32_t stop = cm.ChunkOf(end - 1) + 1;
+    if (!placement_->options().fetch_full_file_on_partial_read) {
+      if (cm.ChunkOffset(first) < offset) ++first;
+      if (cm.ChunkOffset(stop - 1) + cm.ChunkLogicalBytes(stop - 1) > end) {
+        --stop;
+      }
+    }
+    if (first < stop) {
+      std::vector<std::uint32_t> chunks = placement_->Claim(
+          info, first, stop, /*whole=*/false, /*joinable=*/true);
+      if (!chunks.empty()) claims.push_back({info, std::move(chunks)});
+    }
+  }
+  return claims;
 }
 
 void Monarch::FinishRead(const FileInfoPtr& info, int level,
-                         std::uint64_t offset,
-                         std::span<const std::byte> served, bool stretched,
+                         std::uint64_t offset, std::uint64_t served,
                          bool ahead) {
   const int pfs = hierarchy_->pfs_level();
   const int peer = hierarchy_->peer_level();
 
   auto& counters = *served_[static_cast<std::size_t>(level)];
   counters.reads.fetch_add(1, std::memory_order_relaxed);
-  counters.bytes.fetch_add(served.size(), std::memory_order_relaxed);
+  counters.bytes.fetch_add(served, std::memory_order_relaxed);
 
   if (level != pfs && (info->prefetched.exchange(false) || ahead)) {
     // First demand read of a copy that look-ahead staged, or first served
@@ -1052,20 +1087,12 @@ void Monarch::FinishRead(const FileInfoPtr& info, int level,
     // touched the PFS, the tier or the fabric.
     prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  // A read from a local tier hit its resident chunks. Any other read
-  // claims the chunks it touched for demand staging (③/④) and donates
-  // its bytes — a PFS read's traffic scales with the bytes touched, and
-  // an owner's peer-served read (replication > 1) still stages
-  // the replica, at no PFS cost for the bytes it donates. A stretch read
-  // scheduled its staging already.
+  // A read from a local tier hit its resident chunks; one from the PFS
+  // missed them (and claimed them before it read, in Miss).
   if (level != pfs && level != peer) {
     chunk_hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    if (level == pfs) chunk_misses_.fetch_add(1, std::memory_order_relaxed);
-    if (!stretched) {
-      TriggerChunkStaging(info, *info->chunk_map(), offset, served);
-    }
+  } else if (level == pfs) {
+    chunk_misses_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Keep the look-ahead window rolling: this visit moved the schedule
@@ -1170,19 +1197,15 @@ bool Monarch::ClaimAndSchedule(FileInfoPtr info, StagingLane lane,
                                bool lookahead) {
   // Shard ownership (ISSUE 4): each node stages only its own shard; the
   // rest of the dataset reaches it through the peer tier.
-  if ((config_.peer_view != nullptr &&
-       !config_.peer_view->ShouldStageLocally(info->name)) ||
-      info->state.load(std::memory_order_acquire) ==
-          PlacementState::kUnplaceable) {
+  if (config_.peer_view != nullptr &&
+      !config_.peer_view->ShouldStageLocally(info->name)) {
     return false;
   }
-  // Claim every chunk that is neither resident nor claimed.
-  pack::ChunkMap* cm =
-      info->EnsureChunkMap(placement_->options().pack.chunk_bytes);
-  std::vector<std::uint32_t> chunks;
-  for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
-    if (cm->TryClaim(c)) chunks.push_back(c);
-  }
+  // Claim every chunk that is neither resident nor claimed; a demand
+  // copy is joinable from its claims on.
+  std::vector<std::uint32_t> chunks =
+      placement_->Claim(info, 0, UINT32_MAX, /*whole=*/false,
+                        /*joinable=*/lane == StagingLane::kDemand);
   if (chunks.empty()) return false;
   if (lookahead) info->prefetched.store(true, std::memory_order_release);
   placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks), {},

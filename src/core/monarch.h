@@ -14,8 +14,8 @@
 // container by walking the PFS dataset directory (the timed metadata-
 // initialization phase). Reads then flow per §III-B: look up which of the
 // file's chunks are staged, serve from their tier, and — first time a
-// chunk is seen — kick a background task that copies it to the best tier
-// with room (a file that fits one staging buffer is one chunk).
+// chunk is seen — claim it, read it, and have a background task copy it
+// to the best tier with room (a file that fits one buffer is one chunk).
 // Shutdown() (or the destructor) drains in-flight staging.
 #pragma once
 
@@ -318,38 +318,64 @@ class Monarch {
                           ReadAccess& access);
 
   /// The serve ladder (§III-B): serve from the tier holding the file's
-  /// resident chunks, or a peer's copy, otherwise from the PFS. A read
-  /// bound for the PFS first joins the staging task holding its chunk
-  /// claims, or the copy it asked the file's owner to stage. A packed
-  /// whole-file miss reads its extent stretch (ReadStretch). A failed
-  /// rung counts its cause and re-reads from the PFS. The returned lease
-  /// owns the file's eviction read-pin.
+  /// resident chunks. A read bound for the PFS first joins the staging
+  /// task or the read holding its chunk claims; with nothing to join it
+  /// misses (Miss). A failed tier rung counts its cause and misses too.
+  /// The returned lease owns the file's eviction read-pin.
   Result<ReadLease> Ladder(std::string_view name, std::uint64_t offset,
                            ReadAccess& access);
 
   /// Tier and peer rungs: serve [offset, offset + length) from the level
-  /// `level`, one read per run segment touched (per chunk from a peer),
-  /// decoding each chunk through the staging codec. A local run that
-  /// fails verification is quarantined (so staging can retry it) and
-  /// reported as kDataLoss; one whose object vanished is dropped and
-  /// reported as kNotFound.
+  /// `level` — after running or waiting out a read-ahead of the file —
+  /// one read per run segment touched (per chunk from a peer), decoding
+  /// each chunk through the staging codec. A local run that fails
+  /// verification is quarantined (so staging can retry it) and reported
+  /// as kDataLoss; one whose object vanished is dropped and reported as
+  /// kNotFound.
   Result<std::span<const std::byte>> ServeChunks(
       const FileInfoPtr& info, pack::ChunkMap& cm, int level,
       std::uint64_t offset, std::uint64_t length, ReadAccess& access);
+
+  /// One file's claims in a miss, and its entry in a pack stretch.
+  struct MissClaim {
+    FileInfoPtr file;
+    std::vector<std::uint32_t> chunks;
+    const pack::PackEntry* entry = nullptr;
+  };
+
+  /// The one cold-read path (§III-B), for a read with nothing to join:
+  /// claim what it will stage (ClaimMiss), read — the claimed pack
+  /// stretch with one PFS read, else over the peer rung (an owner's
+  /// replica, or a non-owner's joined copy) or from the PFS — then
+  /// schedule the claims with their donation, or hand them back if the
+  /// read failed. Sets `level` to the serving level. Returns nullopt,
+  /// having read nothing, when `may_lose` and another claimer took the
+  /// range first: the caller joins it.
+  std::optional<Result<std::span<const std::byte>>> Miss(
+      const FileInfoPtr& info, pack::ChunkMap& cm, std::uint64_t offset,
+      ReadAccess& access, int& level, bool may_lose);
+
+  /// A miss's claims, the read's own file first: the chunks it touches
+  /// (covers in full without fetch_full_file_on_partial_read) — or, for
+  /// a copy-lane read of a whole packed file, the file and the free
+  /// extent neighbours around it within one staging chunk, the tiers'
+  /// free quota and the donation room. None when placement stopped, the
+  /// file is parked or another node's, or its staging was refused this
+  /// visit.
+  std::vector<MissClaim> ClaimMiss(const FileInfoPtr& info,
+                                   pack::ChunkMap& cm, std::uint64_t offset,
+                                   const ReadAccess& access);
 
   /// Shared head of both read paths: look up (or lazily register) the
   /// file, stamp the access clock, and note the policy access.
   Result<FileInfoPtr> PrepareRead(std::string_view name, std::uint64_t offset);
 
   /// Shared tail of both read paths: serve counters, prefetch-hit
-  /// bookkeeping, chunk staging trigger, look-ahead top-up.
-  /// `served` holds the bytes handed to the caller; a `stretched` read
-  /// (ReadStretch) has scheduled its chunk staging already.
-  /// `ahead`: the read was the first served from the file's look-ahead
-  /// deposit of its first run.
+  /// bookkeeping, look-ahead top-up. `served` bytes were handed to the
+  /// caller from `level`; `ahead`: the read was the first served from
+  /// the file's look-ahead deposit of its first run.
   void FinishRead(const FileInfoPtr& info, int level, std::uint64_t offset,
-                  std::span<const std::byte> served, bool stretched,
-                  bool ahead);
+                  std::uint64_t served, bool ahead);
 
   /// Run one join wait (`kind` "local" or "peer") under its own trace
   /// span; `wait` returns whether it waited, and only then is its
@@ -368,27 +394,6 @@ class Monarch {
   /// could not serve and the PFS absorbed.
   void CountDegradedFallback(FallbackCause cause, std::string_view name,
                              int level);
-
-  /// Pack-mode read-ahead for a copy-lane read of a whole packed file:
-  /// claim it and its unclaimed, non-resident extent neighbours (within
-  /// one staging chunk, the tiers' free quota and the staging memory a
-  /// donation may take), charge that stretch to the staging budget, read
-  /// it with one PFS read into one buffer, fill `access.dst`, and donate
-  /// views of it — the file's bytes to a demand task, each neighbour's
-  /// to a prefetch task. Returns false, holding no claims, when the read
-  /// does not qualify (stopped placement, low-retention tenant), the
-  /// file is claimed or resident in part, or the charge or the stretch
-  /// read failed.
-  bool ReadStretch(const FileInfoPtr& info, std::uint64_t offset,
-                   ReadAccess& access);
-
-  /// Claim the non-resident chunks the `served` bytes at `offset`
-  /// overlap (only those they cover in full without
-  /// fetch_full_file_on_partial_read) and enqueue one demand-lane
-  /// staging task for them, donating every served byte inside them.
-  void TriggerChunkStaging(const FileInfoPtr& info, pack::ChunkMap& cm,
-                           std::uint64_t offset,
-                           std::span<const std::byte> served);
 
   /// Claim every chunk of `info` that is neither resident nor claimed
   /// for background staging on `lane`, and enqueue them.

@@ -142,34 +142,29 @@ void PlacementHandler::ScheduleChunkPlacement(
            SnapshotTenant(), neighbours});
 }
 
-std::vector<std::uint32_t> PlacementHandler::ClaimFile(
-    const FileInfoPtr& file) {
+std::vector<std::uint32_t> PlacementHandler::Claim(const FileInfoPtr& file,
+                                                   std::uint32_t first,
+                                                   std::uint32_t stop,
+                                                   bool whole, bool joinable) {
   if (file->state.load(std::memory_order_acquire) ==
       PlacementState::kUnplaceable) {
     return {};
   }
-  pack::ChunkMap* cm = file->EnsureChunkMap(options_.pack.chunk_bytes);
+  pack::ChunkMap& cm = *file->EnsureChunkMap(options_.pack.chunk_bytes);
   std::vector<std::uint32_t> chunks;
-  chunks.reserve(cm->num_chunks());
-  for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
-    if (!cm->TryClaim(c)) {
-      // Another task holds chunk c or it is resident, so the chunk tier
-      // stays assigned: only our claims go.
-      for (const std::uint32_t claimed : chunks) cm->ReleaseClaim(claimed);
-      if (c > 0) file->EndJoinable();
+  for (std::uint32_t c = first; c < std::min(stop, cm.num_chunks()); ++c) {
+    if (cm.TryClaim(c)) {
+      // Joinable from the first claim on, so a reader that finds a claim
+      // finds it joinable.
+      if (joinable && chunks.empty()) BeginJoinable(*file);
+      chunks.push_back(c);
+    } else if (whole) {
+      // Another task holds chunk c or it is resident: only our claims go.
+      if (!chunks.empty()) ReleaseClaims(*file, chunks);
       return {};
     }
-    // Joinable from the first claim on: every claimer starts at chunk 0,
-    // so a reader that sees a claim finds it joinable, never between.
-    if (c == 0) file->BeginJoinable();
-    chunks.push_back(c);
   }
   return chunks;
-}
-
-void PlacementHandler::ReleaseFileClaims(const FileInfoPtr& file,
-                                         std::vector<std::uint32_t> chunks) {
-  ReleaseClaims({file, {}, StagingLane::kDemand, std::move(chunks), {}, 0});
 }
 
 PlacementHandler::BudgetCharge PlacementHandler::Charge(std::uint64_t bytes,
@@ -218,10 +213,44 @@ PlacementHandler::Donation PlacementHandler::Donate(
                        std::move(charge))};
 }
 
-void PlacementHandler::KeepDeposit(const FileInfoPtr& file, Deposit deposit) {
-  readahead_unread_.fetch_add(file->AddDeposit(std::move(deposit)),
-                              std::memory_order_relaxed);
+Result<bool> PlacementHandler::DepositRun(const FileInfoPtr& file, int level,
+                                          std::uint32_t start,
+                                          std::size_t bytes,
+                                          std::span<const std::uint32_t> crcs,
+                                          bool ahead) {
+  // A deposit never takes a donation's room.
+  BudgetCharge charge = Charge(bytes, kDeposit);
+  if (!charge) return false;
+  auto whole = hierarchy_.Level(level).ReadZeroCopy(
+      pack::ChunkObjectName(file->name, start), 0, bytes);
+  if (!whole.ok()) return whole.status();
+  if (whole->size() != bytes) return false;
+  pack::ChunkMap& cm = *file->chunk_map();
+  for (std::size_t k = 0; k < crcs.size(); ++k) {
+    const auto c = static_cast<std::uint32_t>(start + k);
+    if (Crc32c(whole->data().subspan(
+            static_cast<std::size_t>(cm.ChunkOffset(c) - cm.ChunkOffset(start)),
+            cm.ChunkLogicalBytes(c))) != crcs[k]) {
+      return false;
+    }
+  }
+  Deposit deposit{start, Held(std::move(whole).value(), std::move(charge)),
+                  /*served=*/false, ahead};
+  std::uint64_t unread = 0;
+  if (level == hierarchy_.peer_level()) {
+    unread = file->AddDeposit(std::move(deposit));
+  } else {
+    // Under the placement mutex, like a publish: a run dropped since it
+    // was read keeps no deposit.
+    std::lock_guard lock(cm.placement_mutex());
+    if (!cm.IsResident(start) || cm.Meta(start).run_start != start) {
+      return false;
+    }
+    unread = file->AddDeposit(std::move(deposit));
+  }
+  readahead_unread_.fetch_add(unread, std::memory_order_relaxed);
   NoteDepositor(file);
+  return true;
 }
 
 bool PlacementHandler::ReclaimDeposits(std::uint64_t bytes) {
@@ -300,7 +329,7 @@ void PlacementHandler::Enqueue(StagingTask task) {
     scheduled_.fetch_add(1, std::memory_order_relaxed);
     if (prefetch) prefetch_scheduled_.fetch_add(1, std::memory_order_relaxed);
     // A donated prefetch is a stretch read's neighbour whose claim was
-    // joinable (ClaimFile). Queued, it is not: wake its joiners so they
+    // joinable (Claim). Queued, it is not: wake its joiners so they
     // promote it. Under mu_, so they find it queued and no worker can
     // have started it.
     const bool handed_off = prefetch && !task.donation.bytes.empty();
@@ -319,7 +348,7 @@ void PlacementHandler::DropUnrun(const StagingTask& task) {
   if (task.lane == StagingLane::kPrefetch) CancelPrefetch(*task.file);
   // Back to the retryable PFS-only state (chunk tasks hand their chunk
   // claims back) so a later read can re-trigger staging.
-  ReleaseClaims(task);
+  ReleaseClaims(*task.file, task.chunks);
 }
 
 void PlacementHandler::ScheduleReadAhead(FileInfoPtr file, int level) {
@@ -477,7 +506,7 @@ bool PlacementHandler::RefuseScanStaging(const StagingTask& task) {
   scan_stage_refusals_.fetch_add(1, std::memory_order_relaxed);
   if (task.lane == StagingLane::kPrefetch) CancelPrefetch(*task.file);
   task.file->stage_refused.store(true, std::memory_order_release);
-  ReleaseClaims(task);
+  ReleaseClaims(*task.file, task.chunks);
   return true;
 }
 
@@ -599,14 +628,15 @@ std::optional<int> PlacementHandler::EvictAndReserve(
   return std::nullopt;
 }
 
-void PlacementHandler::ReleaseClaims(const StagingTask& task) {
-  pack::ChunkMap& cm = *task.file->chunk_map();
-  for (const std::uint32_t c : task.chunks) cm.ReleaseClaim(c);
+void PlacementHandler::ReleaseClaims(FileInfo& file,
+                                     std::span<const std::uint32_t> chunks) {
+  pack::ChunkMap& cm = *file.chunk_map();
+  for (const std::uint32_t c : chunks) cm.ReleaseClaim(c);
   {
     std::lock_guard lock(cm.placement_mutex());
     cm.MaybeResetTier();
   }
-  EndJoinable(*task.file);
+  EndJoinable(file);
 }
 
 pack::ChunkMap::EvictedRun PlacementHandler::DropRunLocked(
@@ -865,7 +895,10 @@ Status PlacementHandler::StageRun(
       }
       file->FinishFetch(level);
       completed_.fetch_add(1, std::memory_order_relaxed);
-      if (task.lane == StagingLane::kPrefetch) {
+      // A look-ahead copy a demand read promoted still counts: its first
+      // tier read is a prefetch hit.
+      if (task.lane == StagingLane::kPrefetch ||
+          file->prefetched.load(std::memory_order_acquire)) {
         prefetch_completed_.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -1018,12 +1051,7 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
   // Back out the claims we will not stage only now that the file is
   // settled, so a reader woken by the release finds it parked or
   // retryable, never in between.
-  StagingTask rest;
-  rest.file = file;
-  rest.chunks.assign(task.chunks.begin() +
-                         static_cast<std::ptrdiff_t>(next),
-                     task.chunks.end());
-  ReleaseClaims(rest);
+  ReleaseClaims(*file, std::span(task.chunks).subspan(next));
 }
 
 void PlacementHandler::ReadAhead(const StagingTask& task, bool ahead) {
@@ -1061,50 +1089,20 @@ void PlacementHandler::ReadAhead(const StagingTask& task, bool ahead) {
     }
   }
   obs::TraceSpan span("placement.read_ahead", "placement");
-  StorageDriver& tier = hierarchy_.Level(level);
   std::uint32_t deposited = 0;
   std::uint64_t bytes = 0;
   for (const Run& run : runs) {
     if (file.HoldsDeposit(run.start)) continue;
     const std::uint32_t last = run.start + run.chunks - 1;
-    const std::uint64_t begin = cm->ChunkOffset(run.start);
     const auto run_bytes = static_cast<std::size_t>(
-        cm->ChunkOffset(last) + cm->ChunkLogicalBytes(last) - begin);
-    // A deposit never takes a donation's room: without room, the rest of
-    // the file is read by its reader.
-    BudgetCharge charge = Charge(run_bytes, kDeposit);
-    if (!charge) break;
-    auto whole = tier.ReadZeroCopy(
-        pack::ChunkObjectName(file.name, run.start), 0, run_bytes);
+        cm->ChunkOffset(last) + cm->ChunkLogicalBytes(last) -
+        cm->ChunkOffset(run.start));
     // A failed or short read is left to the reader's ladder, which counts
-    // it and drops what must go.
-    if (!whole.ok() || whole->size() != run_bytes) break;
-    bool intact = true;
-    for (std::size_t k = 0; intact && k < run.crcs.size(); ++k) {
-      const auto c = static_cast<std::uint32_t>(run.start + k);
-      intact = Crc32c(whole->data().subspan(
-                   static_cast<std::size_t>(cm->ChunkOffset(c) - begin),
-                   cm->ChunkLogicalBytes(c))) == run.crcs[k];
-    }
-    if (!intact) break;
-    Deposit deposit{run.start,
-                    Held(std::move(whole).value(), std::move(charge)),
-                    /*served=*/false, ahead};
-    std::uint64_t unread = 0;
-    if (remote) {
-      unread = file.AddDeposit(std::move(deposit));
-    } else {
-      // Under the placement mutex, like a publish: a run dropped since it
-      // was read keeps no deposit.
-      std::lock_guard lock(cm->placement_mutex());
-      if (!cm->IsResident(run.start) ||
-          cm->Meta(run.start).run_start != run.start) {
-        continue;
-      }
-      unread = file.AddDeposit(std::move(deposit));
-    }
-    readahead_unread_.fetch_add(unread, std::memory_order_relaxed);
-    NoteDepositor(task.file);
+    // it and drops what must go; without budget room, the rest of the
+    // file is read by its reader.
+    auto kept = DepositRun(task.file, level, run.start, run_bytes, run.crcs,
+                           ahead);
+    if (!kept.ok() || !kept.value()) break;
     ++deposited;
     bytes += run_bytes;
   }
@@ -1113,7 +1111,8 @@ void PlacementHandler::ReadAhead(const StagingTask& task, bool ahead) {
   }
   if (span.active()) {
     span.set_args_json("\"file\":" + obs::JsonQuote(file.name) +
-                       ",\"tier\":" + obs::JsonQuote(tier.name()) +
+                       ",\"tier\":" +
+                       obs::JsonQuote(hierarchy_.Level(level).name()) +
                        ",\"runs\":" + std::to_string(deposited) +
                        ",\"bytes\":" + std::to_string(bytes) +
                        ",\"ahead\":" + (ahead ? "true" : "false"));

@@ -8,7 +8,7 @@
 // (`name#c0`); a larger file becomes one object per chunk. Pack mode
 // picks a smaller chunk and a codec, and a run then holds several
 // chunks. When the read path sees chunks that only exist on the PFS it
-// claims them (ChunkMap::TryClaim) and hands them to this module.
+// claims them (Claim) before it reads them, then hands them over.
 // Dedicated worker threads — the paper configures 6 — then, run by run:
 //   1. ask the placement policy for a writable level with room
 //      (first-fit top-down in the paper's configuration) — before the
@@ -41,15 +41,16 @@
 // finds it runs the queued task itself or waits for the running one
 // (JoinReadAhead), so each run is read once.
 //
-// Joinable copies: while a demand task for a file is queued, or any
-// task of it runs, the handler keeps FileInfo::joinable set (and tells
-// the peer view), so a read whose chunks are claimed waits for the task
-// instead of pulling them a second time. The worker clears it when a
-// task ends; ReleaseClaims clears it for tasks dropped unrun. Queued
-// prefetch tasks are not joinable: a reader promotes one first. A
-// pack-mode stretch read's claims (ClaimFile) are joinable while its PFS
-// read is in flight; queuing a neighbour's prefetch task ends that, so
-// its readers promote it.
+// Joinable copies: from a read's claim (Claim) through its PFS read, and
+// while a demand task for a file is queued, or any task of it runs, the
+// handler keeps FileInfo::joinable set (and tells the peer view), so a
+// read whose chunks are claimed waits for those bytes instead of pulling
+// them a second time. The worker clears it when a task ends;
+// ReleaseClaims clears it for claims dropped unrun. Queued prefetch
+// tasks are not joinable: a reader promotes one first. A pack-mode
+// stretch's neighbours are joinable while its PFS read is in flight;
+// queuing a neighbour's prefetch task ends that, so its readers promote
+// it.
 //
 // Failure ledger: backend I/O is retried inside the storage
 // drivers; a staging task that still fails leaves the file retryable on
@@ -174,7 +175,9 @@ struct PlacementStats {
 
   // Pipelined-staging telemetry (docs/OBSERVABILITY.md §1).
   std::uint64_t prefetch_scheduled = 0;  ///< prefetch-lane tasks enqueued
-  std::uint64_t prefetch_completed = 0;  ///< prefetch-lane copies published
+  /// Prefetch-lane copies, and copies of files look-ahead claimed (on
+  /// either lane), published; read-aheads that left a deposit.
+  std::uint64_t prefetch_completed = 0;
   std::uint64_t prefetch_promoted = 0;   ///< prefetches overtaken by demand
   std::uint64_t prefetch_cancelled = 0;  ///< prefetches dropped unstaged
   std::uint64_t chunks_copied = 0;       ///< run objects written
@@ -294,9 +297,16 @@ class PlacementHandler {
   /// A copy of `bytes` (the file's bytes from `offset`) as a donation
   /// when the budget has room for them; an empty donation otherwise.
   Donation Donate(std::uint64_t offset, std::span<const std::byte> bytes);
-  /// Hold `deposit` on `file` for its run's next reader, registered for
-  /// oldest-first reclaim (a run the peer rung fetched whole).
-  void KeepDeposit(const FileInfoPtr& file, Deposit deposit);
+  /// The one run reader for deposits: charge the `bytes` of `file`'s run
+  /// starting at chunk `start` (kDeposit), read it whole from `level` (a
+  /// local tier or the peer level), check it against `crcs` (its chunks'
+  /// logical CRCs, if any) and keep it as the run's unserved deposit,
+  /// `ahead` when look-ahead made it — a local run under the placement
+  /// mutex, and only while it is still resident. Returns the read's
+  /// error, else whether a deposit was made.
+  Result<bool> DepositRun(const FileInfoPtr& file, int level,
+                          std::uint32_t start, std::size_t bytes,
+                          std::span<const std::uint32_t> crcs, bool ahead);
 
   /// Read `file`'s runs on `level` — the local tier holding them, or the
   /// peer level — whole into deposits ahead of its next visit, on the
@@ -322,18 +332,20 @@ class PlacementHandler {
                               StagingLane lane = StagingLane::kDemand,
                               std::uint32_t neighbours = 0);
 
-  /// Pack-mode stretch read: claim every chunk of `file` for a task the
-  /// caller schedules once the bytes arrive (ScheduleChunkPlacement), and
-  /// mark the file joinable meanwhile, so its readers wait for those
-  /// bytes instead of reading the PFS. Returns the chunks; empty, having
-  /// claimed nothing, when any chunk is resident or claimed or the file
-  /// is unplaceable.
-  std::vector<std::uint32_t> ClaimFile(const FileInfoPtr& file);
+  /// Claim the chunks [first, min(stop, chunk count)) of `file` that are
+  /// neither resident nor claimed — all or none when `whole` — for a
+  /// task the caller schedules or hands back (ReleaseClaims). With
+  /// `joinable` the copy is joinable, here and in the peer view, from the
+  /// first claim on. Returns the claimed chunks, ascending; none when the
+  /// file is parked.
+  std::vector<std::uint32_t> Claim(const FileInfoPtr& file,
+                                   std::uint32_t first, std::uint32_t stop,
+                                   bool whole, bool joinable);
 
-  /// Hand back ClaimFile's claims unscheduled (the stretch read failed)
-  /// and wake the file's joiners.
-  void ReleaseFileClaims(const FileInfoPtr& file,
-                         std::vector<std::uint32_t> chunks);
+  /// Hand back claims of `file` no task will stage (resetting the chunk
+  /// tier when nothing ended up resident) and end its joinable copy,
+  /// waking its joiners.
+  void ReleaseClaims(FileInfo& file, std::span<const std::uint32_t> chunks);
 
   /// A demand read overtook a queued prefetch of `file`: re-queue the
   /// task on the reader's class so it stops waiting behind other
@@ -399,9 +411,6 @@ class PlacementHandler {
   [[nodiscard]] const PlacementOptions& options() const noexcept {
     return options_;
   }
-  [[nodiscard]] const ResilienceOptions& resilience() const noexcept {
-    return resilience_;
-  }
   [[nodiscard]] const BufferPool& buffer_pool() const noexcept {
     return pool_;
   }
@@ -451,10 +460,6 @@ class PlacementHandler {
   /// back what the task holds — a staging task's chunk claims and
   /// joinable copy, a read-ahead's mark.
   void DropUnrun(const StagingTask& task);
-  /// Back out of a task without staging: release every chunk claim
-  /// (resetting the chunk tier when nothing ended up resident) and end
-  /// its joinable copy.
-  void ReleaseClaims(const StagingTask& task);
   /// Mark `file`'s copy joinable, here and in the peer view.
   void BeginJoinable(FileInfo& file);
   /// Clear the mark and wake the reads waiting on it.
@@ -514,11 +519,10 @@ class PlacementHandler {
 
   /// Stage the claimed chunks of one task, run by run.
   void PlaceChunks(StagingTask task);
-  /// Run a read-ahead task: charge each run of the file on its level
-  /// that holds no deposit yet to the budget (kDeposit), read it whole
-  /// and keep it as an unserved deposit — `ahead` (a prefetch) when a
+  /// Run a read-ahead task: deposit each run of the file on its level
+  /// that holds none yet (DepositRun) — `ahead` (a prefetch) when a
   /// worker runs it, not when an overtaking reader does. Stops at the
-  /// first run the budget cannot hold or the level fails to read.
+  /// first run it could not deposit.
   void ReadAhead(const StagingTask& task, bool ahead);
   /// Ensure `file`'s chunk map has a tier and that tier has room for
   /// `stored_bytes` (reserving them). Evicts per the lane's rules when

@@ -60,22 +60,6 @@ std::optional<int> FirstFitPolicy::PickLevel(StorageHierarchy& hierarchy,
   return std::nullopt;
 }
 
-std::optional<int> RoundRobinPolicy::PickLevel(StorageHierarchy& hierarchy,
-                                               std::uint64_t bytes) {
-  const int writable = hierarchy.pfs_level();
-  if (writable <= 0) return std::nullopt;
-  const auto start =
-      next_.fetch_add(1, std::memory_order_relaxed) %
-      static_cast<std::uint64_t>(writable);
-  for (int i = 0; i < writable; ++i) {
-    const int level =
-        static_cast<int>((start + static_cast<std::uint64_t>(i)) %
-                         static_cast<std::uint64_t>(writable));
-    if (hierarchy.Level(level).Reserve(bytes)) return level;
-  }
-  return std::nullopt;
-}
-
 HotspotPolicy::HotspotPolicy(std::uint64_t decay_interval)
     : decay_interval_(std::max<std::uint64_t>(1, decay_interval)) {}
 
@@ -212,9 +196,6 @@ std::optional<std::vector<FileInfoPtr>> RunSchedule::SelectVictims(
 PlacementPolicyPtr MakeFirstFitPolicy() {
   return std::make_unique<FirstFitPolicy>();
 }
-PlacementPolicyPtr MakeRoundRobinPolicy() {
-  return std::make_unique<RoundRobinPolicy>();
-}
 PlacementPolicyPtr MakeLruPolicy() { return std::make_unique<LruPolicy>(); }
 PlacementPolicyPtr MakeHotspotPolicy(std::uint64_t decay_interval) {
   return std::make_unique<HotspotPolicy>(decay_interval);
@@ -223,7 +204,6 @@ PlacementPolicyPtr MakeHotspotPolicy(std::uint64_t decay_interval) {
 Result<PlacementPolicyPtr> MakePlacementPolicyByName(
     const std::string& name, const PlacementPolicyKnobs& knobs) {
   if (name.empty() || name == "first-fit") return MakeFirstFitPolicy();
-  if (name == "round-robin") return MakeRoundRobinPolicy();
   if (name == "lru") return MakeLruPolicy();
   if (name == "hotspot") {
     return MakeHotspotPolicy(knobs.hotspot_decay_interval);
@@ -235,7 +215,7 @@ Result<PlacementPolicyPtr> MakePlacementPolicyByName(
   }
   return InvalidArgumentError(
       "unknown placement policy '" + name +
-      "' (expected first-fit | round-robin | lru | hotspot)");
+      "' (expected first-fit | lru | hotspot)");
 }
 
 }  // namespace monarch::core

@@ -12,11 +12,10 @@
 //   OnAccess         one demand access of a file (policy bookkeeping)
 //
 // Shipped policies (docs/PLACEMENT.md is the handbook):
-//   first-fit    the paper's: fastest-tier-first, never evicts on its own
-//   round-robin  ablation: spread across writable tiers
-//   lru          first-fit staging + least-recently-accessed eviction
-//   hotspot      first-fit staging + dm-cache-style decayed-frequency
-//                eviction (cold files go first)
+//   first-fit  the paper's: fastest-tier-first, never evicts on its own
+//   lru        first-fit staging + least-recently-accessed eviction
+//   hotspot    first-fit staging + dm-cache-style decayed-frequency
+//              eviction (cold files go first)
 //
 // When the trainer publishes the run's schedule, an evicting policy's
 // handler ranks victims by RunSchedule (Belady) instead of the policy's
@@ -29,7 +28,6 @@
 // claim/delete/notify mechanics — a policy only ranks candidates.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -84,18 +82,6 @@ class FirstFitPolicy : public PlacementPolicy {
   std::optional<int> PickLevel(StorageHierarchy& hierarchy,
                                std::uint64_t bytes) override;
   [[nodiscard]] std::string Name() const override { return "first-fit"; }
-};
-
-/// Ablation: spread files across writable tiers round-robin instead of
-/// filling the fastest first (shows why ordering by performance matters).
-class RoundRobinPolicy final : public PlacementPolicy {
- public:
-  std::optional<int> PickLevel(StorageHierarchy& hierarchy,
-                               std::uint64_t bytes) override;
-  [[nodiscard]] std::string Name() const override { return "round-robin"; }
-
- private:
-  std::atomic<std::uint64_t> next_{0};
 };
 
 /// First-fit staging plus least-recently-accessed eviction: the
@@ -190,7 +176,6 @@ class RunSchedule {
 };
 
 PlacementPolicyPtr MakeFirstFitPolicy();
-PlacementPolicyPtr MakeRoundRobinPolicy();
 PlacementPolicyPtr MakeLruPolicy();
 PlacementPolicyPtr MakeHotspotPolicy(std::uint64_t decay_interval = 256);
 
@@ -199,9 +184,9 @@ struct PlacementPolicyKnobs {
   std::uint64_t hotspot_decay_interval = 256;
 };
 
-/// Construct a policy from its config name: first-fit | round-robin |
-/// lru | hotspot. Unknown names are errors (config typos fail before a
-/// multi-hour job starts).
+/// Construct a policy from its config name: first-fit | lru | hotspot.
+/// Unknown names are errors (config typos fail before a multi-hour job
+/// starts).
 Result<PlacementPolicyPtr> MakePlacementPolicyByName(
     const std::string& name, const PlacementPolicyKnobs& knobs = {});
 

@@ -37,9 +37,9 @@ struct ExperimentConfig {
   /// (0 = keep the PlacementOptions defaults).
   std::uint64_t staging_buffer_bytes = 0;
   std::uint64_t staging_chunk_bytes = 0;
-  /// MONARCH placement policy by config name (first-fit | round-robin |
-  /// lru | hotspot); empty = first-fit. The fig4 policy sweep varies
-  /// this; docs/PLACEMENT.md is the handbook.
+  /// MONARCH placement policy by config name (first-fit | lru |
+  /// hotspot); empty = first-fit. The fig4 policy sweep varies this;
+  /// docs/PLACEMENT.md is the handbook.
   std::string placement_policy;
   /// Per-policy eviction knobs (hotspot decay).
   core::PlacementPolicyKnobs policy_knobs;

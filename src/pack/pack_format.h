@@ -16,7 +16,7 @@
 // Files sit back to back in an extent, so a run of neighbours is one
 // contiguous byte range: Monarch serves a cold whole-file read and
 // stages the unstaged neighbours around it from one PFS read of that
-// range (Monarch::ReadStretch), which is what keeps the PFS at
+// range (Monarch::Miss), which is what keeps the PFS at
 // O(extents) streams per epoch rather than O(files).
 //
 // Index file format (little-endian):

@@ -11,7 +11,7 @@
 //     two metadata ops;
 //   * unindexed names (checkpoints, other datasets) pass straight
 //     through to the base engine — extent paths included, which is how
-//     a stretch read (Monarch::ReadStretch) fetches several neighbouring
+//     a stretch read (Monarch::Miss) fetches several neighbouring
 //     logical files with one extent read through the same PFS driver;
 //   * indexed names are immutable — writes/deletes against them are
 //     FAILED_PRECONDITION, never silent extent corruption.

@@ -5,6 +5,7 @@
 // so the PFS reads of each node can be told apart.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -56,20 +57,25 @@ struct Node {
   std::shared_ptr<MemoryEngine> pfs;
   std::shared_ptr<FaultyEngine> faulty;
   std::shared_ptr<GateEngine> gate;
+  /// Holds the PFS reads of the gated file (gate_pfs_reads only).
+  std::shared_ptr<GateEngine> pfs_gate;
   std::unique_ptr<core::Monarch> monarch;
 };
 
 /// Two nodes sharing a PeerGroup. Node `gated_node`'s local tier holds
-/// the first write of `gated_file` until released. With `gated_lookahead`
-/// set, that node prefetches that far ahead through one placement worker.
-/// `staging_chunk_bytes`, when set, is every node's staging chunk.
+/// the first write of `gated_file` until released — or, with
+/// `gate_pfs_reads`, its PFS holds every read of `gated_file`. With
+/// `gated_lookahead` set, that node prefetches that far ahead through one
+/// placement worker. `staging_chunk_bytes`, when set, is every node's
+/// staging chunk.
 struct JoinWorld {
   std::unique_ptr<PeerGroup> group;
   std::vector<Node> nodes;
 
   explicit JoinWorld(int gated_node = -1, const std::string& gated_file = "",
                      int gated_lookahead = 0,
-                     std::uint64_t staging_chunk_bytes = 0) {
+                     std::uint64_t staging_chunk_bytes = 0,
+                     bool gate_pfs_reads = false) {
     group = std::make_unique<PeerGroup>(2);
     nodes.resize(2);
     for (int n = 0; n < 2; ++n) {
@@ -82,10 +88,15 @@ struct JoinWorld {
           std::make_shared<MemoryEngine>("local" + std::to_string(n)),
           FaultyEngine::FaultSpec{});
       node.gate = std::make_shared<GateEngine>(
-          n == gated_node ? pack::ChunkObjectName(gated_file, 0)
-                          : std::string(),
+          n == gated_node && !gate_pfs_reads
+              ? pack::ChunkObjectName(gated_file, 0)
+              : std::string(),
           node.faulty);
       group->RegisterNode(n, node.gate);
+      if (n == gated_node && gate_pfs_reads) {
+        node.pfs_gate = std::make_shared<GateEngine>(gated_file, node.pfs,
+                                                     /*gate_reads=*/true);
+      }
 
       core::MonarchConfig config;
       config.cache_tiers.push_back(
@@ -93,7 +104,12 @@ struct JoinWorld {
       config.peer_tier =
           core::TierSpec{"peer", group->MakePeerEngine(n), /*quota_bytes=*/0};
       config.peer_view = group->MakePeerView(n);
-      config.pfs = core::TierSpec{"pfs", node.pfs, 0};
+      config.pfs = core::TierSpec{
+          "pfs",
+          node.pfs_gate != nullptr
+              ? std::static_pointer_cast<storage::StorageEngine>(node.pfs_gate)
+              : node.pfs,
+          0};
       config.dataset_dir = "data";
       config.placement.num_threads = 2;
       if (staging_chunk_bytes > 0) {
@@ -111,7 +127,10 @@ struct JoinWorld {
   }
 
   ~JoinWorld() {
-    for (Node& node : nodes) node.gate->ReleaseBlocked();
+    for (Node& node : nodes) {
+      node.gate->ReleaseBlocked();
+      if (node.pfs_gate != nullptr) node.pfs_gate->ReleaseBlocked();
+    }
   }
 
   core::Monarch& monarch(int n) {
@@ -222,6 +241,45 @@ TEST(PeerJoinTest, OwnerKilledMidCopyWakesWaiterToPfs) {
 
   world.nodes[1].gate->ReleaseBlocked();
   world.monarch(1).DrainPlacements();
+}
+
+TEST(PeerJoinTest, OwnersColdReadClaimsFirstSoAPeerJoinsItsOneRead) {
+  // The owner's cold offset-0 read of a slice claims the file before it
+  // reads, and the gate holds that PFS read. The non-owner reads the same
+  // file meanwhile: its stage request finds the claim, and it waits for
+  // the owner's copy. The slice is donated to that copy, so the owner's
+  // PFS reads the file's bytes exactly once.
+  const int file = FileOwnedBy(1);
+  ASSERT_GE(file, 0);
+  JoinWorld world(/*gated_node=*/1, File(file), 0, 0,
+                  /*gate_pfs_reads=*/true);
+  const std::shared_ptr<GateEngine> gate = world.nodes[1].pfs_gate;
+
+  std::thread owner([&] {
+    std::vector<std::byte> slice(kFileBytes / 4);
+    auto read = world.monarch(1).Read(File(file), 0, slice);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    ASSERT_EQ(slice.size(), read.value());
+    const std::vector<std::byte> payload = Payload(file);
+    EXPECT_TRUE(std::equal(slice.begin(), slice.end(), payload.begin()));
+  });
+  gate->AwaitBlocked();  // the owner's read is inside its PFS read
+  std::thread reader([&] { world.ReadFile(0, file); });
+  // Let the non-owner's stage request reach the owner before the owner's
+  // read returns.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate->ReleaseBlocked();
+  owner.join();
+  reader.join();
+  world.monarch(1).DrainPlacements();
+
+  EXPECT_EQ(kFileBytes, world.nodes[1].pfs->Stats().Snapshot().bytes_read)
+      << "the owner read the slice and its copy read it again";
+  EXPECT_EQ(0u, world.PfsReadOps(0)) << "the non-owner never read the PFS";
+  EXPECT_EQ(1u, world.monarch(0).Stats().peer_copy_joins);
+  const core::MonarchStats owner_stats = world.monarch(1).Stats();
+  EXPECT_EQ(1u, owner_stats.placement.scheduled);
+  EXPECT_EQ(kFileBytes / 4, owner_stats.placement.donated_bytes);
 }
 
 TEST(PeerJoinTest, StageRequestPromotesOwnersQueuedPrefetch) {

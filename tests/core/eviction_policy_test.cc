@@ -59,7 +59,6 @@ class EvictionPolicyTest : public ::testing::Test {
 TEST_F(EvictionPolicyTest, FactoryKnowsEveryPolicyAndRejectsTypos) {
   for (const auto& [name, evicts] : std::vector<std::pair<std::string, bool>>{
            {"first-fit", false},
-           {"round-robin", false},
            {"lru", true},
            {"hotspot", true}}) {
     auto policy = MakePlacementPolicyByName(name);

@@ -71,34 +71,10 @@ TEST(FirstFitPolicyTest, SkipsFullUpperTier) {
   EXPECT_EQ(0, policy.PickLevel(*hierarchy, 5).value());
 }
 
-TEST(RoundRobinPolicyTest, SpreadsAcrossWritableTiers) {
-  auto hierarchy = MakeHierarchy({1000, 1000});
-  RoundRobinPolicy policy;
-  int level0 = 0;
-  int level1 = 0;
-  for (int i = 0; i < 10; ++i) {
-    const auto level = policy.PickLevel(*hierarchy, 10);
-    ASSERT_TRUE(level.has_value());
-    (level.value() == 0 ? level0 : level1)++;
-  }
-  EXPECT_EQ(5, level0);
-  EXPECT_EQ(5, level1);
-}
-
-TEST(RoundRobinPolicyTest, FallsThroughWhenPreferredFull) {
-  auto hierarchy = MakeHierarchy({15, 1000});
-  RoundRobinPolicy policy;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(policy.PickLevel(*hierarchy, 10).has_value());
-  }
-  // Level 0 holds at most one 10-byte file; everything else spilled.
-  EXPECT_LE(hierarchy->Level(0).occupancy_bytes(), 15u);
-  EXPECT_GE(hierarchy->Level(1).occupancy_bytes(), 70u);
-}
-
 TEST(PolicyFactoryTest, NamesAreStable) {
   EXPECT_EQ("first-fit", MakeFirstFitPolicy()->Name());
-  EXPECT_EQ("round-robin", MakeRoundRobinPolicy()->Name());
+  EXPECT_EQ("lru", MakeLruPolicy()->Name());
+  EXPECT_EQ("hotspot", MakeHotspotPolicy()->Name());
 }
 
 }  // namespace

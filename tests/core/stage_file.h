@@ -18,12 +18,8 @@ namespace monarch::core {
 inline bool StageFile(PlacementHandler& handler, const FileInfoPtr& file,
                       std::span<const std::byte> donated = {},
                       StagingLane lane = StagingLane::kDemand) {
-  pack::ChunkMap* cm =
-      file->EnsureChunkMap(handler.options().pack.chunk_bytes);
-  std::vector<std::uint32_t> chunks;
-  for (std::uint32_t c = 0; c < cm->num_chunks(); ++c) {
-    if (cm->TryClaim(c)) chunks.push_back(c);
-  }
+  std::vector<std::uint32_t> chunks = handler.Claim(
+      file, 0, UINT32_MAX, /*whole=*/false, /*joinable=*/false);
   if (chunks.empty()) return false;
   handler.ScheduleChunkPlacement(file, std::move(chunks),
                                  handler.Donate(0, donated), lane);

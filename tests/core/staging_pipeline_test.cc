@@ -630,6 +630,41 @@ TEST_F(StagingPipelineMonarchTest, DemandOvertakePromotesQueuedHint) {
   EXPECT_EQ("data/f3#c0", write_order[1]);
 }
 
+// A look-ahead copy a demand read promotes still completes as a
+// prefetch: its file keeps `prefetched`, so its first tier read is a
+// prefetch hit, and hits never outnumber completed prefetches.
+TEST_F(StagingPipelineMonarchTest, PromotedLookaheadCompletesAsAPrefetch) {
+  auto gate = std::make_shared<GateEngine>("data/b#c0");
+  PlacementOptions placement;
+  placement.prefetch_lookahead = 8;
+  auto monarch = Build(1 << 20, {{"b", "blocker-bytes"}, {"f2", "two"}},
+                       placement, /*num_threads=*/1, gate);
+  const GateRelease release_gate(gate);
+  ASSERT_OK(monarch);
+  Monarch& m = **monarch;
+  m.InstallRunSchedule({{"data/b", "data/f2"}});
+  gate->AwaitBlocked();
+
+  // f2's look-ahead copy waits behind b's: the read promotes and joins it.
+  std::string read;
+  std::thread reader([&] { read = ReadAll(m, "data/f2", 3); });
+  while (m.Stats().placement.prefetch_promoted == 0) {
+    std::this_thread::yield();
+  }
+  gate->ReleaseBlocked();
+  reader.join();
+  m.DrainPlacements();
+  EXPECT_EQ("two", read);
+  EXPECT_EQ("blocker-bytes", ReadAll(m, "data/b", 13));
+
+  const MonarchStats stats = m.Stats();
+  EXPECT_EQ(1u, stats.placement.prefetch_promoted);
+  EXPECT_EQ(2u, stats.prefetch_hits) << "both reads found look-ahead copies";
+  EXPECT_EQ(2u, stats.placement.prefetch_completed)
+      << "the promoted copy counts as a completed prefetch";
+  EXPECT_LE(stats.prefetch_hits, stats.placement.prefetch_completed);
+}
+
 TEST_F(StagingPipelineMonarchTest, StopPlacementCancelsQueuedHints) {
   auto gate = std::make_shared<GateEngine>("data/b#c0");
   PlacementOptions placement;

@@ -217,9 +217,7 @@ TEST_F(ClusterTest, PeerSharingShardsStagingAndCutsPfsTraffic) {
 
 // Look-ahead (on by default) moves reads off the reader's path, never
 // bytes: a seeded 2-node peer cluster consumes identical batches with it
-// off and on, pulls each dataset byte from the PFS once with it on (with
-// it off, an owner's cold read can race the other node's stage request
-// for the same file, and its slice is read from the PFS twice), and
+// off and on, pulls each dataset byte from the PFS once either way, and
 // moves the same peer bytes and transfers to within one run.
 TEST_F(ClusterTest, LookaheadChangesNoBatchAndNoPfsByte) {
   ClusterConfig config = MiniConfig(2, true);
@@ -257,8 +255,7 @@ TEST_F(ClusterTest, LookaheadChangesNoBatchAndNoPfsByte) {
   }
   ASSERT_GT(run_bytes, 0u);
   EXPECT_EQ(dataset_bytes, ahead.value().TotalPfsReadBytes());
-  EXPECT_LE(ahead.value().TotalPfsReadBytes(),
-            plain.value().TotalPfsReadBytes());
+  EXPECT_EQ(dataset_bytes, plain.value().TotalPfsReadBytes());
   const auto near = [](std::uint64_t a, std::uint64_t b, std::uint64_t tol) {
     return (a > b ? a - b : b - a) <= tol;
   };
