@@ -164,7 +164,7 @@ void BM_MetadataPopulate(benchmark::State& state) {
   }
   for (auto _ : state) {
     core::MetadataContainer container;
-    benchmark::DoNotOptimize(container.Populate(*engine, "data", 1));
+    benchmark::DoNotOptimize(container.Populate(*engine, "data"));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }

@@ -7,8 +7,8 @@
 // The sweep registers 1k -> 1M synthetic small-file names and measures
 // per-lookup latency two ways:
 //   steady p99  — repeated random probes over a fixed sample of names
-//                 (post-warmup, so the cost measured is hash + probe +
-//                 snapshot acquire — the data structure itself). This is
+//                 (post-warmup, so the cost measured is hash + shard
+//                 lock + probe — the data structure itself). This is
 //                 the GATED number: max/min across the sweep must stay
 //                 within MONARCH_META_P99_DRIFT (default 2.0x).
 //   random p99  — single cold probes across the whole namespace,
@@ -31,13 +31,12 @@
 namespace monarch::bench {
 namespace {
 
-constexpr int kPfsLevel = 1;
 constexpr std::size_t kBatches = 256;
 constexpr std::size_t kOpsPerBatch = 512;
 // Steady-state probe set: small enough that the probed buckets, nodes,
 // keys, and refcount lines stay cache-resident at every namespace size,
-// so the gated number isolates the structure (hash + probe + snapshot
-// acquire) from LLC capacity. The ungated random profile uses a bigger,
+// so the gated number isolates the structure (hash + shard lock + probe)
+// from LLC capacity. The ungated random profile uses a bigger,
 // unwarmed pool to keep the capacity effect visible.
 constexpr std::size_t kSteadyPool = 256;
 constexpr std::size_t kRandomPool = 4096;
@@ -132,8 +131,7 @@ int Run() {
     point.container = std::make_unique<core::MetadataContainer>();
     const Stopwatch register_timer;
     for (std::uint64_t i = 0; i < count; ++i) {
-      if (!point.container->Register(NameOf(i), 4096 + (i % 57) * 64,
-                                     kPfsLevel)) {
+      if (!point.container->Register(NameOf(i), 4096 + (i % 57) * 64)) {
         std::cerr << "duplicate register at " << i << "\n";
         return 2;
       }
@@ -153,8 +151,7 @@ int Run() {
     for (std::size_t i = 0; i < kRandomPool; ++i) {
       point.random_pool.push_back(NameOf(point.rng.NextBounded(count)));
     }
-    // Warmup passes build the RCU snapshots and fault the probed nodes
-    // in before anything is timed.
+    // Warmup passes fault the probed nodes in before anything is timed.
     for (int pass = 0; pass < 4; ++pass) {
       for (const std::string& name : point.sample) {
         found += point.container->Lookup(name) != nullptr;

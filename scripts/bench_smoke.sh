@@ -3,8 +3,8 @@
 # plus the multi-job peer-sharing experiment (ext_multijob), the
 # checkpoint write-back comparison (ext_checkpoint), the node-churn
 # chaos experiment (ext_churn), and the fig4 placement-policy sweep
-# (eviction policies vs overcommit, sweep arm only), the async
-# zero-copy read-path gate (micro_read_hotpath), the metadata-flatness
+# (eviction policies vs overcommit, sweep arm only), the read-path
+# contention sweep (micro_read_hotpath), the metadata-flatness
 # gate (micro_metadata_scale), the small-file packing comparison
 # (ext_smallfile), and the multi-tenant QoS isolation gate (ext_qos),
 # producing
@@ -17,8 +17,7 @@
 # direct-PFS vs write-back stall gap, the kill/revive digest and
 # replication-repair check, the per-policy steady epoch and PFS MiB
 # with its evicting-vs-first-fit gate (docs/PLACEMENT.md), the
-# sync-copy vs async-zero-copy reads/sec sweep with its
-# >=2x-at-64-threads acceptance gate, the
+# Monarch::Read reads/sec and latency at 1/8/64 readers, the
 # 1k->1M lookup-p99 drift gate, and the packed-vs-naive sparse-PFS /
 # compression / digest gates (ISSUE 9), and the interactive-p99 /
 # scan-throughput / cross-class-eviction QoS gates (ISSUE 10).
@@ -90,9 +89,8 @@ run_bench ext_churn env MONARCH_BENCH_EPOCHS=3 ./build/bench/ext_churn
 # than 10% slower than first-fit's at the same overcommit.
 run_bench fig4_partial_dataset env MONARCH_FIG4_ARMS=sweep \
   ./build/bench/fig4_partial_dataset
-# Async read-path gate: sync-copy vs async-zero-copy reads/sec at
-# 1/8/64 threads. Exits non-zero when the >=2x-at-64-threads or the
-# p99-no-worse-at-1-thread gate fails, failing the whole smoke pass.
+# Read-path contention sweep: Monarch::Read reads/sec and latency
+# percentiles at 1/8/64 reader threads (no gate).
 run_bench micro_read_hotpath ./build/bench/micro_read_hotpath
 # Metadata-flatness gate (ISSUE 9): registers the 1k->1M (scaled)
 # namespace sweep and exits non-zero when steady-state lookup p99 drifts

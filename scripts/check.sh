@@ -56,17 +56,18 @@ cmake --build build-tsan
 # and membership-retraction races, repair copies claimed by stage
 # entries on the membership thread, the checkpoint drain lane racing Save/Flush/
 # recovery, and the packing tier's chunk-map claim/publish/evict races
-# under concurrent readers, and the QoS fair queue / bandwidth
+# under concurrent readers, the read path's visit pins racing placement
+# and eviction, and the QoS fair queue / bandwidth
 # broker / rate limiter racing concurrent acquirers and waiters stay
 # TSan-clean (docs/OBSERVABILITY.md,
 # DESIGN.md "Failure model", "Cooperative peer cache", "Cluster failure
 # model", "Checkpoint write-back", "Small-file packing & chunk
 # staging").
 ./build-tsan/tests/monarch_tests \
-    --gtest_filter='MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:RunSchedule*:StagingPipeline*:Deposit*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:ReadLadder*:Pack*:Chunk*:Qos*:FairQueue*:RateLimiter*'
+    --gtest_filter='MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:RunSchedule*:StagingPipeline*:Deposit*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadPath*:ReadLadder*:Pack*:Chunk*:Qos*:FairQueue*:RateLimiter*'
 # ... and the rest of the suite.
 ./build-tsan/tests/monarch_tests \
-    --gtest_filter='-MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:RunSchedule*:StagingPipeline*:Deposit*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadRing*:ReadLease*:ReadLadder*:Pack*:Chunk*:Qos*:FairQueue*:RateLimiter*'
+    --gtest_filter='-MetricsRegistry*:EventTracer*:DocCatalogue*:ConfigDoc*:PlacementHandler*:Eviction*:RunSchedule*:StagingPipeline*:Deposit*:BufferPool*:Monarch*:Resilience*:TierHealth*:Peer*:FileDirectory*:NetworkModel*:Cluster*:Churn*:Membership*:Restage*:Ckpt*:Checkpoint*:WriteAtFallback*:ReadPath*:ReadLadder*:Pack*:Chunk*:Qos*:FairQueue*:RateLimiter*'
 
 cmake -B build-asan -G Ninja -DMONARCH_SANITIZE=address \
       -DMONARCH_BUILD_BENCHMARKS=OFF -DMONARCH_BUILD_EXAMPLES=OFF

@@ -44,16 +44,14 @@ Result<std::uint64_t> ParseU64(const std::string& value, int line_no) {
   return out;
 }
 
-// An integer key held in an `int`: a value above INT_MAX or below `min`
-// is an error, not a silent wrap.
-Result<int> ParseInt(const std::string& value, int line_no, int min) {
+// An integer key held in an `int`: a value above INT_MAX is an error,
+// not a silent wrap.
+Result<int> ParseInt(const std::string& value, int line_no) {
   MONARCH_ASSIGN_OR_RETURN(const std::uint64_t n, ParseU64(value, line_no));
-  if (n > static_cast<std::uint64_t>(INT_MAX) ||
-      n < static_cast<std::uint64_t>(min)) {
-    return InvalidArgumentError(
-        "line " + std::to_string(line_no) + ": integer '" + value +
-        "' outside [" + std::to_string(min) + ", " +
-        std::to_string(INT_MAX) + "]");
+  if (n > static_cast<std::uint64_t>(INT_MAX)) {
+    return InvalidArgumentError("line " + std::to_string(line_no) +
+                                ": integer '" + value + "' outside [0, " +
+                                std::to_string(INT_MAX) + "]");
   }
   return static_cast<int>(n);
 }
@@ -72,7 +70,7 @@ Result<double> ParseDouble(const std::string& value, int line_no) {
 Status ApplyResilienceKey(ResilienceOptions& r, const std::string& key,
                           const std::string& value, int line_no) {
   if (key == "retry_max_attempts") {
-    MONARCH_ASSIGN_OR_RETURN(r.retry.max_attempts, ParseInt(value, line_no, 0));
+    MONARCH_ASSIGN_OR_RETURN(r.retry.max_attempts, ParseInt(value, line_no));
   } else if (key == "retry_initial_backoff_us") {
     MONARCH_ASSIGN_OR_RETURN(const std::uint64_t us, ParseU64(value, line_no));
     r.retry.initial_backoff = Micros(static_cast<std::int64_t>(us));
@@ -101,14 +99,14 @@ Status ApplyResilienceKey(ResilienceOptions& r, const std::string& key,
     r.health.cooldown = Micros(static_cast<std::int64_t>(us));
   } else if (key == "health_half_open_successes") {
     MONARCH_ASSIGN_OR_RETURN(r.health.half_open_successes,
-                             ParseInt(value, line_no, 0));
+                             ParseInt(value, line_no));
   } else if (key == "verify_staged_writes") {
     MONARCH_ASSIGN_OR_RETURN(r.verify_staged_writes, ParseBool(value, line_no));
   } else if (key == "verify_on_read") {
     MONARCH_ASSIGN_OR_RETURN(r.verify_on_read, ParseBool(value, line_no));
   } else if (key == "max_placement_attempts") {
     MONARCH_ASSIGN_OR_RETURN(r.max_placement_attempts,
-                             ParseInt(value, line_no, 0));
+                             ParseInt(value, line_no));
   } else if (key == "restage_after_quarantine") {
     MONARCH_ASSIGN_OR_RETURN(r.restage_after_quarantine,
                              ParseBool(value, line_no));
@@ -166,7 +164,7 @@ Status ApplyPlacementKey(ParsedConfig& config, const std::string& key,
     MONARCH_ASSIGN_OR_RETURN(config.staging_chunk_bytes, ParseByteSize(value));
   } else if (key == "prefetch_lookahead") {
     MONARCH_ASSIGN_OR_RETURN(config.prefetch_lookahead,
-                             ParseInt(value, line_no, 0));
+                             ParseInt(value, line_no));
   } else {
     return InvalidArgumentError("line " + std::to_string(line_no) +
                                 ": unknown placement key '" + key + "'");
@@ -228,21 +226,6 @@ Status ApplyQosKey(qos::QosOptions& q, const std::string& key,
   return Status::Ok();
 }
 
-Status ApplyReadKey(ReadRingOptions& read, const std::string& key,
-                    const std::string& value, int line_no) {
-  if (key == "ring_depth") {
-    MONARCH_ASSIGN_OR_RETURN(read.depth, ParseInt(value, line_no, 1));
-  } else if (key == "worker_threads") {
-    MONARCH_ASSIGN_OR_RETURN(read.worker_threads, ParseInt(value, line_no, 1));
-  } else if (key == "zero_copy") {
-    MONARCH_ASSIGN_OR_RETURN(read.zero_copy, ParseBool(value, line_no));
-  } else {
-    return InvalidArgumentError("line " + std::to_string(line_no) +
-                                ": unknown read key '" + key + "'");
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 Result<ParsedConfig> ParseConfig(const std::string& ini_text) {
@@ -258,7 +241,6 @@ Result<ParsedConfig> ParseConfig(const std::string& ini_text) {
     kPfs,
     kPlacement,
     kResilience,
-    kRead,
     kPack,
     kQos
   };
@@ -292,15 +274,13 @@ Result<ParsedConfig> ParseConfig(const std::string& ini_text) {
         section = Section::kPlacement;
       } else if (name == "resilience") {
         section = Section::kResilience;
-      } else if (name == "read") {
-        section = Section::kRead;
       } else if (name == "pack") {
         section = Section::kPack;
       } else if (name == "qos") {
         section = Section::kQos;
       } else if (name.starts_with("tier.")) {
         MONARCH_ASSIGN_OR_RETURN(tier_index,
-                                 ParseInt(name.substr(5), line_no, 0));
+                                 ParseInt(name.substr(5), line_no));
         section = Section::kTier;
         tiers.try_emplace(tier_index);
       } else {
@@ -327,7 +307,7 @@ Result<ParsedConfig> ParseConfig(const std::string& ini_text) {
           config.dataset_dir = value;
         } else if (key == "placement_threads") {
           MONARCH_ASSIGN_OR_RETURN(config.placement_threads,
-                                   ParseInt(value, line_no, 0));
+                                   ParseInt(value, line_no));
         } else if (key == "fetch_full_file") {
           MONARCH_ASSIGN_OR_RETURN(config.fetch_full_file,
                                    ParseBool(value, line_no));
@@ -352,10 +332,6 @@ Result<ParsedConfig> ParseConfig(const std::string& ini_text) {
       case Section::kResilience:
         MONARCH_RETURN_IF_ERROR(
             ApplyResilienceKey(config.resilience, key, value, line_no));
-        break;
-      case Section::kRead:
-        MONARCH_RETURN_IF_ERROR(
-            ApplyReadKey(config.read, key, value, line_no));
         break;
       case Section::kPack:
         MONARCH_RETURN_IF_ERROR(
@@ -437,7 +413,6 @@ Result<MonarchConfig> BuildMonarchConfig(const ParsedConfig& parsed) {
   config.placement.pack = parsed.pack;
   config.placement.qos = parsed.qos;
   config.resilience = parsed.resilience;
-  config.read = parsed.read;
   MONARCH_ASSIGN_OR_RETURN(
       config.policy,
       MakePlacementPolicyByName(parsed.placement_policy, parsed.policy_knobs));
@@ -502,9 +477,6 @@ std::vector<ConfigKeyInfo> ConfigKeyCatalogue() {
       {"qos", "scan_weight", "2"},
       {"qos", "drain_weight", "1"},
       {"qos", "scan_stage_cap", "64MiB"},
-      {"read", "ring_depth", "256"},
-      {"read", "worker_threads", "2"},
-      {"read", "zero_copy", "true"},
   };
 }
 

@@ -54,11 +54,6 @@
 //   chunk_bytes = 256KiB    ; staging/eviction granularity (<= staging_chunk_bytes)
 //   codec = lz              ; none | lz — per-chunk compression on stage-in
 //
-//   [read]                  ; optional — async read-ring hot path
-//   ring_depth = 256        ; submission-queue capacity (Submit blocks when full)
-//   worker_threads = 2      ; ring workers draining the queue
-//   zero_copy = true        ; lend pages from memory-backed tiers (off = copy)
-//
 //   [qos]                   ; optional — multi-tenant QoS
 //   enabled = true          ; weighted fair queue + scan resistance
 //   interactive_weight = 8  ; per-class fair-queue/share weights
@@ -103,8 +98,6 @@ struct ParsedConfig {
   ParsedTier pfs;
   /// `[resilience]` section; defaults when the section is absent.
   ResilienceOptions resilience;
-  /// `[read]` section; ReadRingOptions defaults when absent.
-  ReadRingOptions read;
   /// `[pack]` section; disabled when the section is absent.
   pack::PackOptions pack;
   /// `[qos]` section; disabled when the section is absent.

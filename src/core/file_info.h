@@ -64,16 +64,11 @@ struct Deposit {
 };
 
 struct FileInfo {
-  FileInfo(std::string name_in, std::uint64_t size_in, int pfs_level)
-      : name(std::move(name_in)), size(size_in), level(pfs_level) {}
+  FileInfo(std::string name_in, std::uint64_t size_in)
+      : name(std::move(name_in)), size(size_in) {}
 
   const std::string name;       ///< hierarchy-relative path
   const std::uint64_t size;     ///< bytes (fixed for the job's lifetime)
-
-  /// Storage level holding this file's staged chunks while kPlaced, the
-  /// PFS level otherwise (⑤ in the paper's operation flow). Reads route
-  /// by the chunk map; this is the summary operators and hints see.
-  std::atomic<int> level;
 
   std::atomic<PlacementState> state{PlacementState::kPfsOnly};
 
@@ -167,9 +162,8 @@ struct FileInfo {
     return existing;
   }
 
-  /// The first run was published on `new_level`.
-  void FinishFetch(int new_level) noexcept {
-    level.store(new_level, std::memory_order_release);
+  /// The first run was published (its tier is the chunk map's).
+  void FinishFetch() noexcept {
     state.store(PlacementState::kPlaced, std::memory_order_release);
   }
 

@@ -23,22 +23,21 @@ class MetadataContainer {
   MetadataContainer() = default;
 
   /// Traverse `dataset_dir` on the PFS engine and build a FileInfo per
-  /// file, all initially located at `pfs_level`. Returns the number of
-  /// files registered. The walk's metadata ops hit the PFS engine (they
-  /// are the startup cost the paper measures).
+  /// file, all initially PFS-resident. Returns the number of files
+  /// registered. The walk's metadata ops hit the PFS engine (they are the
+  /// startup cost the paper measures).
   Result<std::uint64_t> Populate(storage::StorageEngine& pfs,
-                                 const std::string& dataset_dir,
-                                 int pfs_level);
+                                 const std::string& dataset_dir);
 
   /// Register a single file (used by tests and by lazy discovery of files
   /// that appeared after startup). Returns false if already present.
-  bool Register(const std::string& name, std::uint64_t size, int pfs_level);
+  bool Register(const std::string& name, std::uint64_t size);
 
-  /// Hot-path lookup: probes the RCU snapshot with no mutex when the
-  /// namespace is quiescent, and never builds a temporary key — reader
-  /// threads call this once per Read.
+  /// Hot-path lookup: probes the file's shard under its shared lock and
+  /// never builds a temporary key — reader threads call this once per
+  /// Read.
   [[nodiscard]] FileInfoPtr Lookup(std::string_view name) const {
-    return files_.FindFast(name).value_or(nullptr);
+    return files_.Find(name).value_or(nullptr);
   }
 
   [[nodiscard]] bool Contains(const std::string& name) const {
@@ -52,11 +51,10 @@ class MetadataContainer {
     return total_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Snapshot of every file's (name, size, level, state); sorted by name.
+  /// Snapshot of every file's (name, size, state); sorted by name.
   struct Entry {
     std::string name;
     std::uint64_t size;
-    int level;
     PlacementState state;
   };
   [[nodiscard]] std::vector<Entry> Snapshot() const;

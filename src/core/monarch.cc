@@ -317,8 +317,7 @@ Result<std::unique_ptr<Monarch>> Monarch::Create(MonarchConfig config) {
   Backoff backoff(monarch->config_.resilience.retry,
                   std::hash<std::string>{}(monarch->config_.dataset_dir));
   Result<std::uint64_t> populated = monarch->metadata_.Populate(
-      monarch->hierarchy_->Pfs().engine(), monarch->config_.dataset_dir,
-      monarch->hierarchy_->pfs_level());
+      monarch->hierarchy_->Pfs().engine(), monarch->config_.dataset_dir);
   while (!populated.ok() && IsRetryableError(populated.status())) {
     const auto delay = backoff.NextDelay();
     if (!delay.has_value()) break;
@@ -327,8 +326,7 @@ Result<std::unique_ptr<Monarch>> Monarch::Create(MonarchConfig config) {
               << "); retrying";
     PreciseSleep(*delay);
     populated = monarch->metadata_.Populate(
-        monarch->hierarchy_->Pfs().engine(), monarch->config_.dataset_dir,
-        monarch->hierarchy_->pfs_level());
+        monarch->hierarchy_->Pfs().engine(), monarch->config_.dataset_dir);
   }
   MONARCH_ASSIGN_OR_RETURN(const std::uint64_t indexed, std::move(populated));
   MLOG_INFO << "monarch: indexed " << indexed << " files from '"
@@ -383,135 +381,72 @@ Monarch::Monarch(MonarchConfig config,
           .SetQosBroker(config_.qos_broker, config_.tenant);
     }
   }
-  // The ring is always constructed (its instruments are part of the
-  // stable catalogue); its workers start with the first Submit.
-  ring_ = std::make_unique<ReadRing>(*this, config_.read);
   obs_source_ = registry.AddSource([this] { return StatsToSamples(Stats()); });
 }
 
 Monarch::~Monarch() { Shutdown(); }
 
-/// The caller's end of one read. Every rung fetches through it, so both
-/// lanes run the same ladder and the same checks; only where the bytes
-/// land differs.
+/// The caller's end of one read: its buffer, the bytes the read serves
+/// into it, and where they came from. Every rung fills it the same way.
 struct Monarch::ReadAccess {
-  /// Copy lane: the caller's buffer, filled in place.
   std::span<std::byte> dst;
-  /// Lend lane: the byte cap, the A/B lever, and the view being served.
-  bool lend = false;
-  std::uint64_t max_bytes = 0;
-  bool allow_zero_copy = true;
-  storage::ReadView view;
-  /// Bytes the read serves from a tier (Ladder sets it), and the lend
-  /// lane's private buffer for them once one object cannot lend them all.
+  /// Bytes the read serves from a tier (Ladder sets it): dst's size,
+  /// clipped at the end of the file.
   std::uint64_t length = 0;
-  std::shared_ptr<std::vector<std::byte>> copy;
   /// Whether a deposit served part of the read (ServeChunks), and
   /// whether this read was the first served from the file's look-ahead
   /// deposit of its first run (a prefetch hit).
   bool deposit = false;
   bool ahead = false;
 
-  [[nodiscard]] std::uint64_t limit() const noexcept {
-    return lend ? max_bytes : dst.size();
-  }
-
-  /// Up to `n` bytes of `object` at `offset` on `tier`: read into
-  /// dst[pos, pos + n), or lent as a view when one object holds the
-  /// whole read.
+  /// Up to `n` bytes of `object` at `offset` on `tier`, read into
+  /// dst[pos, pos + n).
   Result<std::span<const std::byte>> Fetch(StorageDriver& tier,
                                            std::string_view object,
                                            std::uint64_t offset,
                                            std::size_t pos, std::uint64_t n) {
-    if (lend && pos == 0 && n >= length) {
-      auto lent = tier.ReadZeroCopy(object, offset, n, allow_zero_copy);
-      if (!lent.ok()) return lent.status();
-      view = std::move(lent).value();
-      return view.data();
-    }
     const std::span<std::byte> into =
-        Buffer(pos, static_cast<std::size_t>(n));
+        dst.subspan(pos, static_cast<std::size_t>(n));
     auto read = tier.Read(object, offset, into);
     if (!read.ok()) return read.status();
     return std::span<const std::byte>(into.data(), read.value());
   }
 
-  /// Held `bytes` (a deposit's) at dst[pos..), or lent as the view
-  /// itself when they are the whole read.
-  std::span<const std::byte> Take(storage::ReadView bytes, std::size_t pos) {
-    if (lend && pos == 0 && bytes.size() >= length && allow_zero_copy) {
-      view = std::move(bytes);
-      return view.data();
-    }
-    const std::span<std::byte> into = Buffer(pos, bytes.size());
+  /// Held `bytes` (a deposit's) copied to dst[pos..).
+  std::span<const std::byte> Take(const storage::ReadView& bytes,
+                                  std::size_t pos) {
+    const std::span<std::byte> into = dst.subspan(pos, bytes.size());
     std::copy(bytes.data().begin(), bytes.data().end(), into.begin());
     return into;
-  }
-
-  /// Room for `n` bytes at dst[pos..): the caller's buffer, or one
-  /// private buffer of `length` bytes the view keeps alive — a read
-  /// spanning several objects, or decoded, is inherently a copy, so
-  /// zero_copy() reports false.
-  std::span<std::byte> Buffer(std::size_t pos, std::size_t n) {
-    if (!lend) return dst.subspan(pos, n);
-    if (copy == nullptr) {
-      copy = std::make_shared<std::vector<std::byte>>(length);
-      view = storage::ReadView(*copy, copy, /*zero_copy=*/false);
-    }
-    return std::span<std::byte>(*copy).subspan(pos, n);
-  }
-
-  /// The `n` bytes served so far, wherever they landed.
-  [[nodiscard]] std::span<const std::byte> Served(std::size_t n) const {
-    return lend ? view.data() : std::span<const std::byte>(dst.data(), n);
   }
 };
 
 Result<std::size_t> Monarch::Read(std::string_view name, std::uint64_t offset,
                                   std::span<std::byte> dst) {
-  ReadAccess access;
-  access.dst = dst;
-  auto lease = Serve(name, offset, access);
-  if (!lease.ok()) return lease.status();
-  return lease->size();
-}
-
-Result<ReadLease> Monarch::ReadZeroCopy(std::string_view name,
-                                        std::uint64_t offset,
-                                        std::uint64_t max_bytes,
-                                        bool allow_zero_copy) {
-  ReadAccess access;
-  access.lend = true;
-  access.max_bytes = max_bytes;
-  access.allow_zero_copy = allow_zero_copy;
-  return Serve(name, offset, access);
-}
-
-Result<ReadLease> Monarch::Serve(std::string_view name, std::uint64_t offset,
-                                 ReadAccess& access) {
   // Instrumentation is lock-free: the counters/histogram below are
   // relaxed atomics resolved at construction, and the span costs one
   // atomic load while tracing is disabled.
   obs::TraceSpan span("monarch.read", "core");
   if (read_requests_ != nullptr) read_requests_->Increment();
   const Stopwatch timer;
-  auto lease = Ladder(name, offset, access);
-  if (lease.ok()) {
-    if (read_latency_ != nullptr) read_latency_->Record(timer.Elapsed());
-    if (span.active()) {
-      const int level = lease->level();
-      const std::string served =
-          level == hierarchy_->pfs_level()    ? "pfs"
-          : level == hierarchy_->peer_level() ? "peer"
-                                              : hierarchy_->Level(level).name();
-      span.set_args_json("\"level\":" + obs::JsonQuote(served) +
-                         ",\"deposit\":" +
-                         (access.deposit ? "true" : "false"));
-    }
-  } else if (read_errors_ != nullptr) {
-    read_errors_->Increment();
+  ReadAccess access;
+  access.dst = dst;
+  auto served = Ladder(name, offset, access);
+  if (!served.ok()) {
+    if (read_errors_ != nullptr) read_errors_->Increment();
+    return served.status();
   }
-  return lease;
+  if (read_latency_ != nullptr) read_latency_->Record(timer.Elapsed());
+  if (span.active()) {
+    const int level = served->level;
+    const std::string tier =
+        level == hierarchy_->pfs_level()    ? "pfs"
+        : level == hierarchy_->peer_level() ? "peer"
+                                            : hierarchy_->Level(level).name();
+    span.set_args_json("\"level\":" + obs::JsonQuote(tier) +
+                       ",\"deposit\":" + (access.deposit ? "true" : "false"));
+  }
+  return served->bytes;
 }
 
 Result<FileInfoPtr> Monarch::PrepareRead(std::string_view name,
@@ -524,7 +459,7 @@ Result<FileInfoPtr> Monarch::PrepareRead(std::string_view name,
     const std::string owned(name);
     MONARCH_ASSIGN_OR_RETURN(const std::uint64_t size,
                              hierarchy_->Pfs().engine().FileSize(owned));
-    metadata_.Register(owned, size, hierarchy_->pfs_level());
+    metadata_.Register(owned, size);
     info = metadata_.Lookup(name);
     if (!info) return InternalError("metadata race on '" + owned + "'");
   }
@@ -545,35 +480,22 @@ ReadLease Monarch::PinVisit(std::string_view name) {
   if (!info) return {};
   info->read_pins.fetch_add(1, std::memory_order_acq_rel);
   info->readers_coming.fetch_add(1, std::memory_order_acq_rel);
-  return ReadLease({}, std::move(info), -1, /*visit=*/true);
+  return ReadLease(std::move(info));
 }
 
-int Monarch::ServingLevelHint(std::string_view name) const {
-  if (FileInfoPtr info = metadata_.Lookup(name)) {
-    return info->level.load(std::memory_order_relaxed);
-  }
-  return hierarchy_->pfs_level();
-}
-
-Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
-                                  ReadAccess& access) {
+Result<Monarch::ServedRead> Monarch::Ladder(std::string_view name,
+                                            std::uint64_t offset,
+                                            ReadAccess& access) {
   MONARCH_ASSIGN_OR_RETURN(FileInfoPtr info, PrepareRead(name, offset));
 
   // Pin the file for the duration of this read (ISSUE 6): an eviction
   // that claims it while the pin is held reverts and picks another
-  // victim, so an in-flight demand read never loses its tier copy. On
-  // success the pin moves into the returned lease — Read drops it on
-  // return, ReadZeroCopy keeps it until the caller is done with the lent
-  // bytes.
+  // victim, so an in-flight demand read never loses its tier copy.
   info->read_pins.fetch_add(1, std::memory_order_acq_rel);
   struct PinGuard {
-    FileInfo* file;
-    ~PinGuard() {
-      if (file != nullptr) {
-        file->read_pins.fetch_sub(1, std::memory_order_acq_rel);
-      }
-    }
-  } pin_guard{info.get()};
+    FileInfo& file;
+    ~PinGuard() { file.read_pins.fetch_sub(1, std::memory_order_acq_rel); }
+  } pin_guard{*info};
 
   // ① Consult the file's chunk map: serve from its tier when every
   // chunk the request touches is resident.
@@ -588,7 +510,7 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
   int level = pfs;
   std::uint64_t length = 0;
   if (offset < info->size) {
-    length = std::min<std::uint64_t>(access.limit(), info->size - offset);
+    length = std::min<std::uint64_t>(access.dst.size(), info->size - offset);
   }
   access.length = length;
   // A read at or past the end of a staged file is served (empty) by its
@@ -661,12 +583,7 @@ Result<ReadLease> Monarch::Ladder(std::string_view name, std::uint64_t offset,
   }
   if (access.deposit) deposit_hits_.fetch_add(1, std::memory_order_relaxed);
   FinishRead(info, level, offset, served->value().size(), access.ahead);
-  pin_guard.file = nullptr;  // the lease owns the pin from here on
-  storage::ReadView view =
-      access.lend ? std::move(access.view)
-                  : storage::ReadView(served->value(), nullptr,
-                                      /*zero_copy=*/false);
-  return ReadLease(std::move(view), std::move(info), level);
+  return ServedRead{served->value().size(), level};
 }
 
 Result<std::span<const std::byte>> Monarch::ServeChunks(
@@ -801,7 +718,7 @@ Result<std::span<const std::byte>> Monarch::ServeChunks(
           const obs::TraceSpan span("pack.decompress", "core");
           const bool whole = n == logical_n;
           const std::span<std::byte> out =
-              access.Buffer(static_cast<std::size_t>(from - offset), n);
+              access.dst.subspan(static_cast<std::size_t>(from - offset), n);
           if (!whole) scratch.resize(logical_n);
           const std::span<std::byte> logical =
               whole ? out : std::span<std::byte>(scratch);
@@ -836,7 +753,8 @@ Result<std::span<const std::byte>> Monarch::ServeChunks(
   }
   access.deposit = deposit_hit;
   access.ahead = ahead;
-  return access.Served(static_cast<std::size_t>(length));
+  return std::span<const std::byte>(
+      access.dst.first(static_cast<std::size_t>(length)));
 }
 
 std::optional<Result<std::span<const std::byte>>> Monarch::Miss(
@@ -890,7 +808,7 @@ std::optional<Result<std::span<const std::byte>>> Monarch::Miss(
           static_cast<std::size_t>(claims[0].entry->offset - begin),
           static_cast<std::size_t>(info->size));
       std::copy(own.begin(), own.end(), access.dst.begin());
-      served = access.Served(static_cast<std::size_t>(info->size));
+      served = std::span<const std::byte>(access.dst.first(own.size()));
     } else {
       for (std::size_t i = 1; i < claims.size(); ++i) {
         placement_->ReleaseClaims(*claims[i].file, claims[i].chunks);
@@ -935,7 +853,7 @@ std::optional<Result<std::span<const std::byte>>> Monarch::Miss(
     }
     if (level == pfs) {
       served = access.Fetch(hierarchy_->Level(pfs), info->name, offset, 0,
-                            access.limit());
+                            access.dst.size());
     }
   }
 
@@ -1003,7 +921,7 @@ std::vector<Monarch::MissClaim> Monarch::ClaimMiss(const FileInfoPtr& info,
     return {};
   }
   std::vector<MissClaim> claims;
-  // Pack shape: a copy-lane read of a whole packed file claims it and
+  // Pack shape: a read of a whole packed file claims it and
   // grows the stretch [begin, end) of its extent one neighbour at a
   // time, alternating sides. A side stops at the extent's edge, at the
   // budget (one staging buffer, the tiers' free quota and the staging
@@ -1011,7 +929,7 @@ std::vector<Monarch::MissClaim> Monarch::ClaimMiss(const FileInfoPtr& info,
   // claimed or not in the namespace.
   const qos::TenantContext* tenant = qos::CurrentTenant();
   const pack::PackEntry* entry =
-      pack_index_ == nullptr || access.lend || offset != 0 ||
+      pack_index_ == nullptr || offset != 0 ||
               access.dst.size() < info->size ||
               (tenant != nullptr && tenant->low_retention)
           ? nullptr
@@ -1275,9 +1193,6 @@ void Monarch::Shutdown() {
   shut_down_ = true;
   // No more stage requests from peers; waits out any in flight.
   if (config_.peer_view != nullptr) config_.peer_view->SetStageEntry(nullptr);
-  // Quiesce the async ring first: queued ops cancel, in-flight ops finish
-  // against a still-fully-alive instance, workers join.
-  if (ring_) ring_->Shutdown();
   if (config_.cleanup_staged_on_shutdown) CleanupStagedCopies();
   placement_->StopScheduling();
   // Don't make shutdown wait on speculative copies that nothing will read.

@@ -23,7 +23,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -36,7 +35,6 @@
 #include "core/placement_handler.h"
 #include "core/placement_policy.h"
 #include "core/read_lease.h"
-#include "core/read_ring.h"
 #include "core/resilience.h"
 #include "core/storage_hierarchy.h"
 #include "core/tier_health.h"
@@ -87,9 +85,6 @@ struct MonarchConfig {
   /// ephemeral job model). Off by default so post-mortem inspection of
   /// the tiers remains possible.
   bool cleanup_staged_on_shutdown = false;
-  /// Async submission/completion ring over the read path (`[read]` in
-  /// the INI dialect): ring depth, worker pool size, zero-copy lane.
-  ReadRingOptions read;
   /// Multi-tenant QoS (ISSUE 10). When set, every tier driver charges
   /// its bytes through this broker, attributed to the calling thread's
   /// ambient tenant (qos::CurrentTenant()) with `tenant` as fallback.
@@ -192,22 +187,10 @@ class Monarch {
   /// Contrary to pread it takes the *filename*, not a descriptor. Returns
   /// bytes read (0 at EOF). Thread-safe; called concurrently by all of
   /// the framework's reader threads. Takes string_view — the hot path
-  /// never copies the key (satellite of the async-read tentpole).
+  /// never copies the key. The one way in: every read, whatever level
+  /// serves it, lands in `dst`.
   Result<std::size_t> Read(std::string_view name, std::uint64_t offset,
                            std::span<std::byte> dst);
-
-  /// Zero-copy variant of Read: instead of filling a caller buffer, the
-  /// serving tier lends (memory-backed tiers) or privately copies
-  /// (POSIX-backed tiers) up to `max_bytes` from `offset`, returned as a
-  /// ReadLease that (a) keeps the underlying page alive and (b) holds the
-  /// file's eviction read-pin until released. Runs the same degradation
-  /// ladder, CRC verification, staging triggers, and look-ahead
-  /// bookkeeping as Read. `allow_zero_copy=false` forces the copying
-  /// lane (the benches' A/B lever).
-  Result<ReadLease> ReadZeroCopy(
-      std::string_view name, std::uint64_t offset,
-      std::uint64_t max_bytes = std::numeric_limits<std::uint64_t>::max(),
-      bool allow_zero_copy = true);
 
   /// Pin `name` for one file visit (a MonarchSource holds this from its
   /// construction to its destruction): eviction skips the file's staged
@@ -218,14 +201,6 @@ class Monarch {
   /// File size from the virtual namespace (no backend round trip for
   /// indexed files).
   Result<std::uint64_t> FileSize(std::string_view name);
-
-  /// Cheap, possibly-stale serving-level estimate (the ring's per-tier
-  /// coalescing sort key). Unknown files report the PFS level.
-  [[nodiscard]] int ServingLevelHint(std::string_view name) const;
-
-  /// The async submission/completion ring over this instance's read path
-  /// (always constructed; sized by MonarchConfig::read).
-  [[nodiscard]] ReadRing& read_ring() noexcept { return *ring_; }
 
   /// Publish the WHOLE run's access order — every epoch's shuffled file
   /// list, in epoch order — before training starts: the one way to tell
@@ -308,22 +283,23 @@ class Monarch {
     kCount
   };
 
-  /// The caller's end of one read (monarch.cc): Read copies into its
-  /// span, ReadZeroCopy lends a view.
+  /// The caller's end of one read (monarch.cc): its buffer, and what
+  /// served it.
   struct ReadAccess;
 
-  /// Read() and ReadZeroCopy(): the span, the request/error counters and
-  /// the latency histogram around Ladder().
-  Result<ReadLease> Serve(std::string_view name, std::uint64_t offset,
-                          ReadAccess& access);
+  /// What one read served: its bytes, and the level they came from.
+  struct ServedRead {
+    std::size_t bytes = 0;
+    int level = -1;
+  };
 
   /// The serve ladder (§III-B): serve from the tier holding the file's
   /// resident chunks. A read bound for the PFS first joins the staging
   /// task or the read holding its chunk claims; with nothing to join it
   /// misses (Miss). A failed tier rung counts its cause and misses too.
-  /// The returned lease owns the file's eviction read-pin.
-  Result<ReadLease> Ladder(std::string_view name, std::uint64_t offset,
-                           ReadAccess& access);
+  /// Holds the file's eviction read-pin until it returns.
+  Result<ServedRead> Ladder(std::string_view name, std::uint64_t offset,
+                            ReadAccess& access);
 
   /// Tier and peer rungs: serve [offset, offset + length) from the level
   /// `level` — after running or waiting out a read-ahead of the file —
@@ -357,7 +333,7 @@ class Monarch {
 
   /// A miss's claims, the read's own file first: the chunks it touches
   /// (covers in full without fetch_full_file_on_partial_read) — or, for
-  /// a copy-lane read of a whole packed file, the file and the free
+  /// a read of a whole packed file, the file and the free
   /// extent neighbours around it within one staging chunk, the tiers'
   /// free quota and the donation room. None when placement stopped, the
   /// file is parked or another node's, or its staging was refused this
@@ -366,14 +342,14 @@ class Monarch {
                                    pack::ChunkMap& cm, std::uint64_t offset,
                                    const ReadAccess& access);
 
-  /// Shared head of both read paths: look up (or lazily register) the
-  /// file, stamp the access clock, and note the policy access.
+  /// Head of the ladder: look up (or lazily register) the file, stamp
+  /// the access clock, and note the policy access.
   Result<FileInfoPtr> PrepareRead(std::string_view name, std::uint64_t offset);
 
-  /// Shared tail of both read paths: serve counters, prefetch-hit
-  /// bookkeeping, look-ahead top-up. `served` bytes were handed to the
-  /// caller from `level`; `ahead`: the read was the first served from
-  /// the file's look-ahead deposit of its first run.
+  /// Tail of the ladder: serve counters, prefetch-hit bookkeeping,
+  /// look-ahead top-up. `served` bytes were handed to the caller from
+  /// `level`; `ahead`: the read was the first served from the file's
+  /// look-ahead deposit of its first run.
   void FinishRead(const FileInfoPtr& info, int level, std::uint64_t offset,
                   std::uint64_t served, bool ahead);
 
@@ -453,10 +429,6 @@ class Monarch {
   std::array<std::atomic<std::uint64_t>,
              static_cast<std::size_t>(FallbackCause::kCount)>
       fallbacks_{};
-
-  // The async submission/completion ring (declared after everything its
-  // workers touch; destroyed — joining the workers — before any of it).
-  std::unique_ptr<ReadRing> ring_;
 
   // Pull source exporting Stats() as `monarch.level.*`/`monarch.placement.*`
   // metrics. Last member: deregisters before the state its callback reads

@@ -666,7 +666,6 @@ void PlacementHandler::FoldBackLocked(FileInfo& file, pack::ChunkMap& cm,
   // when parked.
   if (park || file.state.load(std::memory_order_acquire) ==
                   PlacementState::kPlaced) {
-    file.level.store(hierarchy_.pfs_level(), std::memory_order_release);
     file.AbortFetch(park);
   }
 }
@@ -893,7 +892,7 @@ Status PlacementHandler::StageRun(
         low_retention_resident_bytes_.fetch_add(file->size,
                                                 std::memory_order_relaxed);
       }
-      file->FinishFetch(level);
+      file->FinishFetch();
       completed_.fetch_add(1, std::memory_order_relaxed);
       // A look-ahead copy a demand read promoted still counts: its first
       // tier read is a prefetch hit.

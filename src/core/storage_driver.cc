@@ -82,18 +82,12 @@ Result<std::size_t> StorageDriver::Read(std::string_view path,
 
 Result<storage::ReadView> StorageDriver::ReadZeroCopy(std::string_view path,
                                                       std::uint64_t offset,
-                                                      std::uint64_t max_bytes,
-                                                      bool allow_zero_copy) {
+                                                      std::uint64_t max_bytes) {
   ChargeQos(max_bytes);
   Backoff backoff(retry_, std::hash<std::string>{}(name_) ^
                               std::hash<std::string_view>{}(path));
   for (;;) {
-    // The qualified call is the non-virtual base implementation: always a
-    // private copy routed through the engine's own Read.
-    auto view = allow_zero_copy
-                    ? engine_->ReadZeroCopy(path, offset, max_bytes)
-                    : engine_->storage::StorageEngine::ReadZeroCopy(
-                          path, offset, max_bytes);
+    auto view = engine_->ReadZeroCopy(path, offset, max_bytes);
     if (view.ok()) {
       health_.RecordSuccess();
       return view;

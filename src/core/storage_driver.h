@@ -51,13 +51,10 @@ class StorageDriver {
 
   /// Zero-copy read with the same retry/health envelope as Read: the
   /// engine lends (or copies, if it can't lend) up to `max_bytes` from
-  /// `offset` as an immutable ReadView. `allow_zero_copy == false`
-  /// forces the base copying fallback even on lending engines — the A/B
-  /// lever the read-hotpath bench uses to isolate the memcpy cost.
+  /// `offset` as an immutable ReadView.
   Result<storage::ReadView> ReadZeroCopy(std::string_view path,
                                          std::uint64_t offset,
-                                         std::uint64_t max_bytes,
-                                         bool allow_zero_copy = true);
+                                         std::uint64_t max_bytes);
 
   /// Write a staged copy, with the same retry/health envelope as Read.
   /// The caller must hold a successful Reserve for data.size() — the

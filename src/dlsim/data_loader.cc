@@ -1,11 +1,8 @@
 #include "dlsim/data_loader.h"
 
 #include <algorithm>
-#include <deque>
-#include <future>
 #include <utility>
 
-#include "core/read_ring.h"
 #include "util/rng.h"
 
 namespace monarch::dlsim {
@@ -97,15 +94,6 @@ void EpochLoader::ReaderLoop() {
   reader_options.buffer_bytes = config_.read_chunk_bytes;
   reader_options.verify_checksums = config_.verify_checksums;
 
-  if (config_.use_read_ring) {
-    if (core::ReadRing* ring = opener_.read_ring()) {
-      RingReaderLoop(*ring);
-      if (active_readers_.fetch_sub(1) == 1) queue_.Close();
-      return;
-    }
-    // Opener has no ring (vanilla setups): fall through to the sync path.
-  }
-
   for (;;) {
     const std::size_t index =
         next_file_.fetch_add(1, std::memory_order_relaxed);
@@ -128,65 +116,6 @@ void EpochLoader::ReaderLoop() {
 
   if (active_readers_.fetch_sub(1) == 1) {
     queue_.Close();  // last reader out: signal end of epoch
-  }
-}
-
-void EpochLoader::RingReaderLoop(core::ReadRing& ring) {
-  tfrecord::ReaderOptions reader_options;
-  reader_options.buffer_bytes = config_.read_chunk_bytes;
-  reader_options.verify_checksums = config_.verify_checksums;
-
-  // Per-reader pipeline: keep `ring_window` whole-file lease reads in
-  // flight, parse the oldest completed file while the ring prefetches
-  // the rest. Completions are routed through per-op futures so readers
-  // never steal each other's results from the shared completion queue.
-  struct InFlight {
-    std::string path;
-    std::future<core::ReadCompletion> done;
-  };
-  std::deque<InFlight> window;
-
-  auto submit_next = [&]() -> bool {
-    const std::size_t index =
-        next_file_.fetch_add(1, std::memory_order_relaxed);
-    if (index >= shuffled_files_.size()) return false;
-    const std::string& path = shuffled_files_[index];
-    auto promise = std::make_shared<std::promise<core::ReadCompletion>>();
-    InFlight entry{path, promise->get_future()};
-    std::vector<core::ReadOp> ops(1);
-    ops[0].name = path;
-    ops[0].lease = true;
-    if (ring.Submit(std::move(ops), [promise](core::ReadCompletion c) {
-          promise->set_value(std::move(c));
-        }) == 0) {
-      return false;  // ring shut down mid-epoch; drop the claimed index
-    }
-    window.push_back(std::move(entry));
-    return true;
-  };
-
-  const int depth = std::max(1, config_.ring_window);
-  for (int i = 0; i < depth && submit_next(); ++i) {
-  }
-
-  while (!window.empty()) {
-    InFlight current = std::move(window.front());
-    window.pop_front();
-    const Stopwatch file_timer;
-    core::ReadCompletion completion = current.done.get();
-    submit_next();  // refill the window before parsing
-
-    if (!completion.bytes.ok()) {
-      RecordError(completion.bytes.status());
-      queue_.Close();
-      return;
-    }
-    // Parse straight out of the leased pages; the lease's read pin keeps
-    // eviction away from the staged copy until the file is consumed.
-    tfrecord::SpanSource source(completion.lease.data(), current.path);
-    if (!PumpRecords(source, reader_options)) return;
-    files_read_.fetch_add(1, std::memory_order_relaxed);
-    monitor_.AddBusy(Resource::kCpu, file_timer.Elapsed() / 8);
   }
 }
 

@@ -38,11 +38,6 @@ struct LoaderConfig {
   std::uint64_t shuffle_seed = 1;  ///< per-run seed; epoch index is mixed in
   /// Simulated per-sample preprocess cost; taken from the model profile.
   Duration preprocess_per_sample = kZeroDuration;
-  /// Pump whole-file lease reads through the opener's async ReadRing
-  /// (no-op for openers without one): each reader keeps `ring_window`
-  /// files in flight and parses records straight out of the lent pages.
-  bool use_read_ring = false;
-  int ring_window = 2;  ///< per-reader files in flight when ring-fed
 };
 
 struct Sample {
@@ -88,9 +83,6 @@ class EpochLoader {
 
  private:
   void ReaderLoop();
-  /// Ring-fed variant of ReaderLoop: pipelines lease-mode reads through
-  /// `ring`, parsing each completed file from its leased span.
-  void RingReaderLoop(core::ReadRing& ring);
   /// Stream one opened file's records into the sample queue. Returns
   /// false when the reader thread must exit (error or queue closed).
   bool PumpRecords(tfrecord::RandomAccessSource& source,

@@ -83,10 +83,6 @@ class MonarchOpener final : public RecordFileOpener {
     monarch_.InstallRunSchedule(epochs);
   }
 
-  [[nodiscard]] core::ReadRing* read_ring() override {
-    return &monarch_.read_ring();
-  }
-
   [[nodiscard]] std::string Name() const override { return "monarch"; }
 
  private:

@@ -49,9 +49,10 @@ class RecordFileOpener {
   virtual void OnRunSchedule(
       const std::vector<std::vector<std::string>>& /*epochs*/) {}
 
-  /// Async submission ring behind this opener's store, or nullptr when
-  /// the backend has none. A loader with `use_read_ring` set pumps
-  /// whole-file lease reads through it instead of calling Open().
+  /// Always null: no store has an async read ring any more (every read
+  /// goes through Open()'s source). It stays only because the benchmark
+  /// suite's timing opener overrides it, and goes with the next change
+  /// to that suite, like OnEpochOrder.
   [[nodiscard]] virtual core::ReadRing* read_ring() { return nullptr; }
 
   [[nodiscard]] virtual std::string Name() const = 0;

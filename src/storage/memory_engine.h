@@ -1,8 +1,9 @@
 // In-RAM engine: the persistent-memory/RAM tier the paper's §VI suggests
 // exploring, and the fast backend for unit tests.
 //
-// Files are held as immutable shared buffers so the zero-copy read lane
-// can lend a page span to callers: a ReadView pins the buffer it was cut
+// Files are held as immutable shared buffers so ReadZeroCopy can lend a
+// page span to callers (a run read whole into a deposit, a peer's run
+// fetched over the fabric): a ReadView pins the buffer it was cut
 // from, and writers swap in a fresh buffer instead of mutating in place,
 // so a lent span is never recycled mid-read even across Delete/Write.
 #pragma once

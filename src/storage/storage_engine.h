@@ -28,13 +28,13 @@ struct FileStat {
   std::uint64_t size = 0;
 };
 
-/// An immutable span of file bytes LENT by an engine (the zero-copy read
-/// lane). `keepalive` pins whatever owns the bytes — for MemoryEngine the
+/// An immutable span of file bytes LENT by an engine (ReadZeroCopy).
+/// `keepalive` pins whatever owns the bytes — for MemoryEngine the
 /// file's current buffer — so the view stays valid even if the file is
 /// deleted, overwritten, or the engine torn down while the view is held.
 /// Engines that cannot lend (POSIX, modelled-latency decorators) return a
 /// view over a private copy instead; `zero_copy()` tells the caller which
-/// lane actually served the read.
+/// one it got.
 class ReadView {
  public:
   ReadView() = default;

@@ -5,10 +5,8 @@
 // the pread call inside TensorFlow's file-system driver.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -34,33 +32,6 @@ class RandomAccessSource {
 };
 
 using RandomAccessSourcePtr = std::unique_ptr<RandomAccessSource>;
-
-/// Adapter: an in-memory byte span the caller keeps alive (a zero-copy
-/// ReadLease from the async read ring, a staged buffer, a test vector).
-/// The reader parses straight out of the lent pages — the only copies
-/// left are the record payloads themselves.
-class SpanSource final : public RandomAccessSource {
- public:
-  SpanSource(std::span<const std::byte> data, std::string name)
-      : data_(data), name_(std::move(name)) {}
-
-  Result<std::size_t> ReadAt(std::uint64_t offset,
-                             std::span<std::byte> dst) override {
-    if (offset >= data_.size()) return std::size_t{0};  // EOF
-    const std::size_t n =
-        std::min(dst.size(), data_.size() - static_cast<std::size_t>(offset));
-    std::memcpy(dst.data(), data_.data() + offset, n);
-    return n;
-  }
-
-  Result<std::uint64_t> Size() override { return data_.size(); }
-
-  [[nodiscard]] std::string Name() const override { return name_; }
-
- private:
-  std::span<const std::byte> data_;
-  std::string name_;
-};
 
 /// Adapter: one file on one storage engine.
 class EngineSource final : public RandomAccessSource {

@@ -2,20 +2,14 @@
 // Abseil containers the MONARCH prototype used for its metadata container
 // (§III-C). Striped locking keeps concurrent lookups from the DL
 // framework's reader threads and updates from the placement thread pool
-// from serialising on one mutex.
-//
-// On top of the striped locks each shard publishes an RCU-style immutable
-// snapshot of its table: FindFast() loads it with one atomic acquire and
-// probes without taking any mutex. Mutators invalidate the snapshot; the
-// next FindFast rebuilds it under the shared lock. Because the metadata
-// namespace is append-mostly (files register once, then only their
-// atomics change), the steady-state read path is mutex-free.
+// from serialising on one mutex: a lookup takes only its shard's shared
+// lock.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
@@ -42,11 +36,8 @@ template <typename K, typename V, typename Hash = std::hash<K>,
 class ShardedMap {
  public:
   /// `shard_count` is rounded up to a power of two (default 16).
-  explicit ShardedMap(std::size_t shard_count = 16) {
-    std::size_t n = 1;
-    while (n < shard_count) n <<= 1;
-    shards_ = std::vector<Shard>(n);
-  }
+  explicit ShardedMap(std::size_t shard_count = 16)
+      : shards_(std::bit_ceil(std::max<std::size_t>(shard_count, 1))) {}
 
   ShardedMap(const ShardedMap&) = delete;
   ShardedMap& operator=(const ShardedMap&) = delete;
@@ -55,9 +46,7 @@ class ShardedMap {
   bool Insert(const K& key, V value) {
     Shard& shard = ShardFor(key);
     std::unique_lock lock(shard.mu);
-    const bool inserted = shard.map.emplace(key, std::move(value)).second;
-    if (inserted) shard.snapshot.store(nullptr, std::memory_order_release);
-    return inserted;
+    return shard.map.emplace(key, std::move(value)).second;
   }
 
   /// Insert or overwrite.
@@ -65,30 +54,17 @@ class ShardedMap {
     Shard& shard = ShardFor(key);
     std::unique_lock lock(shard.mu);
     shard.map.insert_or_assign(key, std::move(value));
-    shard.snapshot.store(nullptr, std::memory_order_release);
   }
 
-  /// Copy out the value for `key`, if present.
-  [[nodiscard]] std::optional<V> Find(const K& key) const {
+  /// Copy out the value for `key`, if present, under the shard's shared
+  /// lock. `key` can be any type the map's (transparent) Hash/Eq accept —
+  /// a string_view probes a string-keyed map with no temporary.
+  template <typename Key>
+  [[nodiscard]] std::optional<V> Find(const Key& key) const {
     const Shard& shard = ShardFor(key);
     std::shared_lock lock(shard.mu);
     auto it = shard.map.find(key);
     if (it == shard.map.end()) return std::nullopt;
-    return it->second;
-  }
-
-  /// Mutex-free lookup on the RCU snapshot. `key` can be any type the
-  /// map's (transparent) Hash/Eq accept — a string_view probes a
-  /// string-keyed map with no temporary. When the snapshot is stale
-  /// (first call after a mutation) it is rebuilt under the shared lock;
-  /// quiescent callers touch no lock at all.
-  template <typename Key>
-  [[nodiscard]] std::optional<V> FindFast(const Key& key) const {
-    const Shard& shard = ShardFor(key);
-    SnapshotPtr snap = shard.snapshot.load(std::memory_order_acquire);
-    if (!snap) snap = RebuildSnapshot(shard);
-    auto it = snap->find(key);
-    if (it == snap->end()) return std::nullopt;
     return it->second;
   }
 
@@ -102,17 +78,11 @@ class ShardedMap {
   bool Erase(const K& key) {
     Shard& shard = ShardFor(key);
     std::unique_lock lock(shard.mu);
-    const bool erased = shard.map.erase(key) > 0;
-    if (erased) shard.snapshot.store(nullptr, std::memory_order_release);
-    return erased;
+    return shard.map.erase(key) > 0;
   }
 
   /// Apply `fn(V&)` to the mapped value under the shard's exclusive lock.
   /// Returns false when the key is absent (fn not called).
-  /// NOTE: this mutates the mapped value in place, so it also invalidates
-  /// the shard snapshot. Values that only need atomic-field updates (the
-  /// FileInfoPtr pattern) should Find/FindFast the shared_ptr and mutate
-  /// through it instead — that leaves the snapshot intact.
   template <typename Fn>
   bool Update(const K& key, Fn&& fn) {
     Shard& shard = ShardFor(key);
@@ -120,7 +90,6 @@ class ShardedMap {
     auto it = shard.map.find(key);
     if (it == shard.map.end()) return false;
     std::forward<Fn>(fn)(it->second);
-    shard.snapshot.store(nullptr, std::memory_order_release);
     return true;
   }
 
@@ -149,7 +118,6 @@ class ShardedMap {
     for (Shard& shard : shards_) {
       std::unique_lock lock(shard.mu);
       shard.map.clear();
-      shard.snapshot.store(nullptr, std::memory_order_release);
     }
   }
 
@@ -158,30 +126,10 @@ class ShardedMap {
   }
 
  private:
-  using Map = std::unordered_map<K, V, Hash, Eq>;
-  using SnapshotPtr = std::shared_ptr<const Map>;
-
   struct Shard {
     mutable std::shared_mutex mu;
-    Map map;
-    // RCU publication point: an immutable copy of `map`, or nullptr when
-    // a mutation has invalidated it. Readers retire the old copy via
-    // shared_ptr refcounting — the grace period falls out for free.
-    mutable std::atomic<std::shared_ptr<const Map>> snapshot;
-
-    Shard() = default;
-    Shard(const Shard&) = delete;
-    Shard& operator=(const Shard&) = delete;
-    Shard(Shard&&) noexcept {}
-    Shard& operator=(Shard&&) noexcept { return *this; }
+    std::unordered_map<K, V, Hash, Eq> map;
   };
-
-  [[nodiscard]] SnapshotPtr RebuildSnapshot(const Shard& shard) const {
-    std::shared_lock lock(shard.mu);
-    auto snap = std::make_shared<const Map>(shard.map);
-    shard.snapshot.store(snap, std::memory_order_release);
-    return snap;
-  }
 
   template <typename Key>
   Shard& ShardFor(const Key& key) {

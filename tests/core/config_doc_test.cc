@@ -118,7 +118,7 @@ TEST(ConfigDocTest, EveryCatalogueSampleParses) {
   // Spot-check that the samples flowed through to the parsed view.
   EXPECT_EQ(parsed->placement_policy, "lru");
   EXPECT_EQ(parsed->policy_knobs.hotspot_decay_interval, 256u);
-  EXPECT_EQ(catalogue.size(), 44u);
+  EXPECT_EQ(catalogue.size(), 41u);
   ASSERT_EQ(parsed->cache_tiers.size(), 1u);
 }
 

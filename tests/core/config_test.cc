@@ -174,18 +174,27 @@ TEST(ParseConfigTest, RejectsIntegersThatDoNotFitInt) {
   rejected("[monarch]\nplacement_threads = 4294967297\n");
   rejected("[placement]\nprefetch_lookahead = 4294967295\n");
   rejected("[resilience]\nretry_max_attempts = 2147483648\n");
-  rejected("[read]\nworker_threads = 4294967296\n");
-  rejected("[read]\nring_depth = 0\n");
-  rejected("[read]\nworker_threads = 0\n");
 
   const auto at_max =
       ParseConfig(std::string(kBase) +
-                  "[monarch]\nplacement_threads = 2147483647\n"
-                  "[read]\nring_depth = 2147483647\n");
+                  "[monarch]\nplacement_threads = 2147483647\n");
   ASSERT_OK(at_max);
   EXPECT_EQ(2147483647, at_max->placement_threads);
-  EXPECT_EQ(2147483647, at_max->read.depth);
   EXPECT_EQ(1024u, at_max->cache_tiers[0].quota_bytes);
+}
+
+// No read ring is left for a `[read]` section to size: an INI that
+// still carries one fails instead of parsing into nothing.
+TEST(ParseConfigTest, RejectsRemovedReadSection) {
+  for (const std::string key : {"ring_depth", "worker_threads", "zero_copy"}) {
+    SCOPED_TRACE(key);
+    const auto parsed =
+        ParseConfig(std::string(kValidIni) + "[read]\n" + key + " = 1\n");
+    EXPECT_STATUS_CODE(StatusCode::kInvalidArgument, parsed);
+    EXPECT_NE(parsed.status().message().find("unknown section 'read'"),
+              std::string::npos)
+        << parsed.status();
+  }
 }
 
 TEST(BuildMonarchConfigTest, UnknownProfileRejected) {

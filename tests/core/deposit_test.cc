@@ -116,7 +116,7 @@ class DepositTest : public ::testing::Test {
     EXPECT_EQ(0u, Held());
   }
 
-  /// `n` bytes of file `f` at `offset`, read on the copy lane.
+  /// `n` bytes of file `f` at `offset`.
   std::vector<std::byte> Read(std::size_t f, std::uint64_t offset,
                               std::size_t n) {
     std::vector<std::byte> buf(n);
@@ -126,24 +126,14 @@ class DepositTest : public ::testing::Test {
     return buf;
   }
 
-  /// One visit of file `f` in kSlice reads on either lane; a lend-lane
-  /// visit keeps its leases in `leases` when given.
-  std::vector<std::byte> Visit(std::size_t f, bool lend,
-                               std::vector<ReadLease>* leases = nullptr) {
+  /// One visit of file `f`: its pin, and kSlice reads.
+  std::vector<std::byte> Visit(std::size_t f) {
     ReadLease visit = monarch_->PinVisit(NameOf(f));
     std::vector<std::byte> out;
     for (std::uint64_t offset = 0; offset < options_.file_bytes;
          offset += kSlice) {
-      if (!lend) {
-        const std::vector<std::byte> slice = Read(f, offset, kSlice);
-        out.insert(out.end(), slice.begin(), slice.end());
-        continue;
-      }
-      auto lease = monarch_->ReadZeroCopy(NameOf(f), offset, kSlice);
-      EXPECT_OK(lease);
-      if (!lease.ok()) break;
-      out.insert(out.end(), lease->data().begin(), lease->data().end());
-      if (leases != nullptr) leases->push_back(std::move(lease).value());
+      const std::vector<std::byte> slice = Read(f, offset, kSlice);
+      out.insert(out.end(), slice.begin(), slice.end());
     }
     return out;
   }
@@ -152,6 +142,8 @@ class DepositTest : public ::testing::Test {
   std::uint64_t PfsReads() { return pfs_->Stats().Snapshot().read_ops; }
   /// Reads the PFS level served (staging's own PFS reads not counted).
   std::uint64_t PfsServed() { return monarch_->Stats().pfs_reads(); }
+  /// Reads the local tier (level 0) served, from its objects or deposits.
+  std::uint64_t TierServed() { return monarch_->Stats().levels[0].reads; }
   std::uint64_t Held() {
     return monarch_->Stats().placement.deposit_held_bytes;
   }
@@ -177,39 +169,27 @@ class DepositTest : public ::testing::Test {
 };
 
 TEST_F(DepositTest, LookaheadVisitReadsNothingBeyondTheReadBack) {
-  for (const bool lend : {false, true}) {
-    SCOPED_TRACE(lend ? "lend" : "copy");
-    WorldOptions options;
-    options.lookahead = 8;
-    Build(options);
-    Prefetch();
-    const MonarchStats staged = monarch_->Stats();
-    ASSERT_EQ(options.files, staged.placement.prefetch_completed);
-    const std::uint64_t runs = staged.placement.chunks_copied;
-    EXPECT_EQ(3 * options.files, runs);
-    EXPECT_EQ(runs, LocalReads()) << "one read-back per staged run";
-    EXPECT_EQ(options.files * options.file_bytes, Held());
+  WorldOptions options;
+  options.lookahead = 8;
+  Build(options);
+  Prefetch();
+  const MonarchStats staged = monarch_->Stats();
+  ASSERT_EQ(options.files, staged.placement.prefetch_completed);
+  const std::uint64_t runs = staged.placement.chunks_copied;
+  EXPECT_EQ(3 * options.files, runs);
+  EXPECT_EQ(runs, LocalReads()) << "one read-back per staged run";
+  EXPECT_EQ(options.files * options.file_bytes, Held());
 
-    std::vector<ReadLease> leases;
-    for (std::size_t f = 0; f < options.files; ++f) {
-      leases.clear();
-      EXPECT_EQ(Payload(f, options.file_bytes), Visit(f, lend, &leases))
-          << "file " << f;
-      for (const ReadLease& lease : leases) {
-        EXPECT_EQ(lend, lease.zero_copy()) << "a deposit lends its bytes";
-        EXPECT_EQ(0, lease.level());
-      }
-    }
-    EXPECT_EQ(runs, LocalReads()) << "the visits read nothing from the tier";
-    EXPECT_EQ(0u, monarch_->Stats().pfs_reads());
-    const std::uint64_t slices = (options.file_bytes + kSlice - 1) / kSlice;
-    EXPECT_EQ(options.files * slices, Hits());
-    // Every run's last byte was served, so no file holds a deposit; only
-    // the last file's lent views still keep theirs alive.
-    EXPECT_EQ(lend ? options.file_bytes : 0, Held());
-    leases.clear();
-    EXPECT_EQ(0u, Held());
+  for (std::size_t f = 0; f < options.files; ++f) {
+    EXPECT_EQ(Payload(f, options.file_bytes), Visit(f)) << "file " << f;
   }
+  EXPECT_EQ(runs, LocalReads()) << "the visits read nothing from the tier";
+  EXPECT_EQ(0u, monarch_->Stats().pfs_reads());
+  const std::uint64_t slices = (options.file_bytes + kSlice - 1) / kSlice;
+  EXPECT_EQ(options.files * slices, TierServed()) << "every slice from level 0";
+  EXPECT_EQ(options.files * slices, Hits());
+  // Every run's last byte was served, so no file holds a deposit.
+  EXPECT_EQ(0u, Held());
 }
 
 TEST_F(DepositTest, JoinedReaderGetsRemainingSlicesFromDeposit) {
@@ -400,7 +380,7 @@ TEST_F(DepositTest, CorruptReadBackDepositsNothingAndQuarantines) {
 
   // The next visit re-stages the file; only a copy that passed its
   // read-back may serve it from memory.
-  EXPECT_EQ(Payload(0, kRun), Visit(0, /*lend=*/false));
+  EXPECT_EQ(Payload(0, kRun), Visit(0));
   monarch_->DrainPlacements();
   EXPECT_EQ(1u, monarch_->Stats().placement.completed);
   EXPECT_EQ(1u, monarch_->Stats().placement.quarantined);
@@ -432,48 +412,40 @@ TEST_F(DepositTest, DepositsYieldToDonations) {
 
 // Look-ahead reads the runs of a scheduled file that is already resident
 // into deposits before its visit: one tier read per run, and the visit
-// reads nothing from the tier, on either lane.
+// reads nothing from the tier.
 TEST_F(DepositTest, ResidentFileInTheWindowIsReadAheadBeforeItsVisit) {
-  for (const bool lend : {false, true}) {
-    SCOPED_TRACE(lend ? "lend" : "copy");
-    WorldOptions options;
-    options.lookahead = 8;
-    Build(options);
-    StageAll();
-    const std::uint64_t tier_reads = LocalReads();
-    const MonarchStats staged = monarch_->Stats();
+  WorldOptions options;
+  options.lookahead = 8;
+  Build(options);
+  StageAll();
+  const std::uint64_t tier_reads = LocalReads();
+  const MonarchStats staged = monarch_->Stats();
 
-    monarch_->InstallRunSchedule({Names()});
-    monarch_->DrainPlacements();
-    const MonarchStats ready = monarch_->Stats();
-    EXPECT_EQ(3 * options.files, LocalReads() - tier_reads)
-        << "one whole read per run";
-    EXPECT_EQ(options.files * options.file_bytes, Held());
-    EXPECT_EQ(options.files, ready.placement.prefetch_scheduled -
-                                 staged.placement.prefetch_scheduled);
-    EXPECT_EQ(options.files, ready.placement.prefetch_completed -
-                                 staged.placement.prefetch_completed);
+  monarch_->InstallRunSchedule({Names()});
+  monarch_->DrainPlacements();
+  const MonarchStats ready = monarch_->Stats();
+  EXPECT_EQ(3 * options.files, LocalReads() - tier_reads)
+      << "one whole read per run";
+  EXPECT_EQ(options.files * options.file_bytes, Held());
+  EXPECT_EQ(options.files, ready.placement.prefetch_scheduled -
+                               staged.placement.prefetch_scheduled);
+  EXPECT_EQ(options.files, ready.placement.prefetch_completed -
+                               staged.placement.prefetch_completed);
 
-    std::vector<ReadLease> leases;
-    for (std::size_t f = 0; f < options.files; ++f) {
-      leases.clear();
-      EXPECT_EQ(Payload(f, options.file_bytes), Visit(f, lend, &leases))
-          << "file " << f;
-      for (const ReadLease& lease : leases) {
-        EXPECT_EQ(lend, lease.zero_copy()) << "a deposit lends its bytes";
-        EXPECT_EQ(0, lease.level());
-      }
-    }
-    leases.clear();
-    EXPECT_EQ(3 * options.files, LocalReads() - tier_reads)
-        << "the visits read nothing from the tier";
-    const MonarchStats read = monarch_->Stats();
-    const std::uint64_t slices = (options.file_bytes + kSlice - 1) / kSlice;
-    EXPECT_EQ(options.files * slices, read.deposit_hits);
-    EXPECT_EQ(options.files, read.prefetch_hits - staged.prefetch_hits);
-    EXPECT_EQ(0u, read.placement.readahead_unread);
-    EXPECT_EQ(0u, Held());
+  const std::uint64_t served_before = TierServed();
+  for (std::size_t f = 0; f < options.files; ++f) {
+    EXPECT_EQ(Payload(f, options.file_bytes), Visit(f)) << "file " << f;
   }
+  EXPECT_EQ(3 * options.files, LocalReads() - tier_reads)
+      << "the visits read nothing from the tier";
+  const MonarchStats read = monarch_->Stats();
+  const std::uint64_t slices = (options.file_bytes + kSlice - 1) / kSlice;
+  EXPECT_EQ(options.files * slices, TierServed() - served_before)
+      << "every slice from level 0";
+  EXPECT_EQ(options.files * slices, read.deposit_hits);
+  EXPECT_EQ(options.files, read.prefetch_hits - staged.prefetch_hits);
+  EXPECT_EQ(0u, read.placement.readahead_unread);
+  EXPECT_EQ(0u, Held());
 }
 
 // Read-ahead never outgrows the staging budget: with room for one run,
@@ -533,7 +505,7 @@ TEST_F(DepositTest, QueuedReadAheadIsRunByItsReaderOrDroppedAtStop) {
   monarch_->InstallRunSchedule({{NameOf(0), NameOf(1), NameOf(2)}});
   const std::uint64_t tier_reads = LocalReads();
 
-  EXPECT_EQ(Payload(0, options.file_bytes), Visit(0, /*lend=*/false));
+  EXPECT_EQ(Payload(0, options.file_bytes), Visit(0));
   EXPECT_EQ(3u, LocalReads() - tier_reads) << "one read per run";
   const MonarchStats visited = monarch_->Stats();
   EXPECT_EQ(1u, visited.placement.prefetch_promoted);
@@ -550,7 +522,7 @@ TEST_F(DepositTest, QueuedReadAheadIsRunByItsReaderOrDroppedAtStop) {
   EXPECT_EQ(4u, LocalReads() - tier_reads)
       << "nothing read ahead: only file 3's read-back";
   EXPECT_EQ(0u, Held());
-  EXPECT_EQ(Payload(1, options.file_bytes), Visit(1, /*lend=*/true));
+  EXPECT_EQ(Payload(1, options.file_bytes), Visit(1));
   monarch_->CleanupStagedCopies();
   EXPECT_EQ(0u, Held());
 }
@@ -564,14 +536,14 @@ TEST_F(DepositTest, WithoutVerificationDepositsTheWrittenBytes) {
   EXPECT_EQ(0u, LocalReads()) << "no read-back";
   EXPECT_EQ(options.files * options.file_bytes, Held());
   for (std::size_t f = 0; f < options.files; ++f) {
-    EXPECT_EQ(Payload(f, options.file_bytes), Visit(f, f % 2 == 1))
+    EXPECT_EQ(Payload(f, options.file_bytes), Visit(f))
         << "file " << f;
   }
   EXPECT_EQ(0u, LocalReads());
   EXPECT_EQ(0u, Held());
 }
 
-// Readers on both lanes race look-ahead staging, LRU eviction and the
+// Readers race look-ahead staging, LRU eviction and the
 // donations that push deposits out of a small budget: every byte served
 // is the oracle's, the budget is never overrun, and nothing stays held.
 TEST_F(DepositTest, ReadersEvictionAndStagingStress) {
@@ -609,11 +581,11 @@ TEST_F(DepositTest, ReadersEvictionAndStagingStress) {
   });
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&, r] {
+    readers.emplace_back([&] {
       for (std::size_t i = next++; i < order.size(); i = next++) {
         const std::size_t f = static_cast<std::size_t>(
             std::stoul(order[i].substr(NameOf(0).size() - 1)));
-        if (Visit(f, r == 1) != Payload(f, options.file_bytes)) ++mismatches;
+        if (Visit(f) != Payload(f, options.file_bytes)) ++mismatches;
       }
     });
   }

@@ -29,13 +29,11 @@ using monarch::testing::Bytes;
 
 class EvictionPolicyTest : public ::testing::Test {
  protected:
-  static constexpr int kPfsLevel = 1;
-
   /// Register a file and mark it placed on level 0.
   FileInfoPtr Placed(const std::string& name, std::uint64_t last_access = 0) {
-    metadata_.Register(name, 16, kPfsLevel);
+    metadata_.Register(name, 16);
     FileInfoPtr info = metadata_.Lookup(name);
-    info->level.store(0);
+    info->EnsureChunkMap(16)->AssignTier(0);
     info->state.store(PlacementState::kPlaced);
     info->last_access.store(last_access);
     return info;
@@ -43,7 +41,7 @@ class EvictionPolicyTest : public ::testing::Test {
 
   /// Register a PFS-only file (an eviction's "incoming" side).
   FileInfoPtr Incoming(const std::string& name) {
-    metadata_.Register(name, 16, kPfsLevel);
+    metadata_.Register(name, 16);
     return metadata_.Lookup(name);
   }
 
@@ -289,7 +287,7 @@ class EvictionHandlerTest : public ::testing::Test {
 
   FileInfoPtr AddPfsFile(const std::string& name, const std::string& data) {
     EXPECT_TRUE(pfs_engine_->Write(name, Bytes(data)).ok());
-    metadata_.Register(name, data.size(), hierarchy_->pfs_level());
+    metadata_.Register(name, data.size());
     return metadata_.Lookup(name);
   }
 
@@ -329,7 +327,7 @@ TEST_F(EvictionHandlerTest, ReadPinBlocksEvictionUntilReleased) {
   // The only victim was pinned: f1 survives with its copy intact, f2
   // bounces as retryable (not unplaceable) with stage_refused latched.
   EXPECT_EQ(PlacementState::kPlaced, f1->state.load());
-  EXPECT_EQ(0, f1->level.load());
+  EXPECT_EQ(0, f1->chunk_map()->tier());
   EXPECT_EQ(PlacementState::kPfsOnly, f2->state.load());
   EXPECT_TRUE(f2->stage_refused.load());
   const auto stats = handler_->Stats();

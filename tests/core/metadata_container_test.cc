@@ -23,14 +23,14 @@ TEST(MetadataContainerTest, StartsEmpty) {
 
 TEST(MetadataContainerTest, RegisterAndLookup) {
   MetadataContainer container;
-  EXPECT_TRUE(container.Register("dataset/f1", 100, /*pfs_level=*/1));
-  EXPECT_FALSE(container.Register("dataset/f1", 100, 1)) << "no duplicates";
+  EXPECT_TRUE(container.Register("dataset/f1", 100));
+  EXPECT_FALSE(container.Register("dataset/f1", 100)) << "no duplicates";
 
   auto info = container.Lookup("dataset/f1");
   ASSERT_NE(nullptr, info);
   EXPECT_EQ("dataset/f1", info->name);
   EXPECT_EQ(100u, info->size);
-  EXPECT_EQ(1, info->level.load());
+  EXPECT_EQ(nullptr, info->chunk_map()) << "never read: no tier holds it";
   EXPECT_EQ(PlacementState::kPfsOnly, info->state.load());
   EXPECT_EQ(1u, container.FileCount());
   EXPECT_EQ(100u, container.TotalBytes());
@@ -43,7 +43,7 @@ TEST(MetadataContainerTest, PopulateWalksDatasetDirectory) {
   ASSERT_OK(engine->Write("elsewhere/f3", Bytes("x")));
 
   MetadataContainer container;
-  auto count = container.Populate(*engine, "data", /*pfs_level=*/1);
+  auto count = container.Populate(*engine, "data");
   ASSERT_OK(count);
   EXPECT_EQ(2u, count.value());
   EXPECT_EQ(2u, container.FileCount());
@@ -57,14 +57,14 @@ TEST(MetadataContainerTest, PopulateMissingDirFails) {
   auto engine = std::make_shared<storage::MemoryEngine>();
   MetadataContainer container;
   EXPECT_STATUS_CODE(StatusCode::kNotFound,
-                     container.Populate(*engine, "absent", 1));
+                     container.Populate(*engine, "absent"));
 }
 
 TEST(MetadataContainerTest, SnapshotIsSortedAndComplete) {
   MetadataContainer container;
-  container.Register("c", 3, 1);
-  container.Register("a", 1, 1);
-  container.Register("b", 2, 1);
+  container.Register("c", 3);
+  container.Register("a", 1);
+  container.Register("b", 2);
   const auto snapshot = container.Snapshot();
   ASSERT_EQ(3u, snapshot.size());
   EXPECT_EQ("a", snapshot[0].name);
@@ -75,22 +75,21 @@ TEST(MetadataContainerTest, SnapshotIsSortedAndComplete) {
 }
 
 TEST(FileInfoTest, FetchStateMachine) {
-  FileInfo info("f", 10, /*pfs_level=*/1);
+  FileInfo info("f", 10);
   EXPECT_EQ(PlacementState::kPfsOnly, info.state.load());
 
-  info.FinishFetch(0);
-  EXPECT_EQ(0, info.level.load());
+  info.FinishFetch();
   EXPECT_EQ(PlacementState::kPlaced, info.state.load());
 }
 
 TEST(FileInfoTest, AbortFetchRestoresOrPoisons) {
-  FileInfo transient("f", 10, 1);
-  transient.FinishFetch(0);
+  FileInfo transient("f", 10);
+  transient.FinishFetch();
   transient.AbortFetch(/*permanently=*/false);
   EXPECT_EQ(PlacementState::kPfsOnly, transient.state.load())
       << "retryable once its last run is gone";
 
-  FileInfo permanent("g", 10, 1);
+  FileInfo permanent("g", 10);
   permanent.AbortFetch(/*permanently=*/true);
   EXPECT_EQ(PlacementState::kUnplaceable, permanent.state.load());
 }
@@ -99,7 +98,7 @@ TEST(FileInfoTest, ConcurrentClaimGrantsExactlyOne) {
   // Every thread gets the same chunk map, and exactly one of them the
   // claim on its chunk.
   for (int round = 0; round < 50; ++round) {
-    FileInfo info("f", 10, 1);
+    FileInfo info("f", 10);
     std::atomic<int> winners{0};
     std::vector<pack::ChunkMap*> maps(8, nullptr);
     std::vector<std::thread> threads;
@@ -122,7 +121,7 @@ TEST(MetadataContainerTest, ConcurrentRegisterAndLookup) {
     threads.emplace_back([&container, t] {
       for (int i = 0; i < 1000; ++i) {
         container.Register("f" + std::to_string(t) + "_" + std::to_string(i),
-                           1, 1);
+                           1);
         // Thread 0's files may not be registered yet; found, they are
         // whole.
         if (const FileInfoPtr info =

@@ -380,7 +380,8 @@ TEST_F(MonarchTest, FallsBackToPfsWhenTierCopyVanishes) {
   ASSERT_OK(monarch);
   ReadAll(**monarch, "data/f1", 15);
   monarch.value()->DrainPlacements();
-  ASSERT_EQ(0, monarch.value()->metadata().Lookup("data/f1")->level.load());
+  ASSERT_EQ(
+      0, monarch.value()->metadata().Lookup("data/f1")->chunk_map()->tier());
 
   // Simulate the eviction race: the tier copy disappears while the
   // namespace still points at level 0.

@@ -41,7 +41,7 @@ class PlacementHandlerTest : public ::testing::Test {
   /// Put a file on the simulated PFS and register it.
   FileInfoPtr AddPfsFile(const std::string& name, const std::string& data) {
     EXPECT_TRUE(pfs_engine_->Write(name, Bytes(data)).ok());
-    metadata_.Register(name, data.size(), hierarchy_->pfs_level());
+    metadata_.Register(name, data.size());
     return metadata_.Lookup(name);
   }
 
@@ -59,7 +59,7 @@ TEST_F(PlacementHandlerTest, PlacesFileWithoutContent) {
   handler_->Drain();
 
   EXPECT_EQ(PlacementState::kPlaced, file->state.load());
-  EXPECT_EQ(0, file->level.load());
+  EXPECT_EQ(0, file->chunk_map()->tier());
   EXPECT_EQ(10u, hierarchy_->Level(0).occupancy_bytes());
 
   // The staged copy really exists on the tier engine with exact bytes.
@@ -95,7 +95,7 @@ TEST_F(PlacementHandlerTest, NoSpaceMarksUnplaceable) {
   handler_->Drain();
 
   EXPECT_EQ(PlacementState::kUnplaceable, file->state.load());
-  EXPECT_EQ(hierarchy_->pfs_level(), file->level.load());
+  EXPECT_EQ(-1, file->chunk_map()->tier());
   EXPECT_EQ(1u, handler_->Stats().rejected_no_space);
   EXPECT_EQ(0u, hierarchy_->Level(0).occupancy_bytes());
 }
@@ -109,8 +109,8 @@ TEST_F(PlacementHandlerTest, SpillsToSecondTierWhenFirstFull) {
   ASSERT_TRUE(StageFile(*handler_, f2));
   handler_->Drain();
 
-  EXPECT_EQ(0, f1->level.load());
-  EXPECT_EQ(1, f2->level.load());
+  EXPECT_EQ(0, f1->chunk_map()->tier());
+  EXPECT_EQ(1, f2->chunk_map()->tier());
 }
 
 TEST_F(PlacementHandlerTest, PfsReadFailureReleasesReservationAndRetries) {
@@ -203,9 +203,9 @@ TEST_F(PlacementHandlerTest, EvictionModeMakesRoomLru) {
 
   // f1 (older access) was evicted to admit f2.
   EXPECT_EQ(PlacementState::kPlaced, f2->state.load());
-  EXPECT_EQ(0, f2->level.load());
+  EXPECT_EQ(0, f2->chunk_map()->tier());
   EXPECT_EQ(PlacementState::kPfsOnly, f1->state.load());
-  EXPECT_EQ(hierarchy_->pfs_level(), f1->level.load());
+  EXPECT_EQ(-1, f1->chunk_map()->tier());
   EXPECT_EQ(1u, handler_->Stats().evictions);
   EXPECT_EQ(10u, hierarchy_->Level(0).occupancy_bytes());
 }

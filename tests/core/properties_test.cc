@@ -112,17 +112,24 @@ TEST_P(PlacementPropertyTest, InvariantsHoldAfterTwoEpochs) {
   }
 
   // INVARIANT 2: every file is in a consistent terminal state, and its
-  // level agrees with that state.
+  // chunk map agrees with that state: a placed file's chunks sit on a
+  // cache tier, any other file has none resident.
   std::uint64_t placed_bytes = 0;
   for (const auto& entry : snapshot) {
+    const FileInfoPtr info = monarch_->metadata().Lookup(entry.name);
+    ASSERT_NE(nullptr, info) << entry.name;
+    const pack::ChunkMap* cm = info->chunk_map();
     switch (entry.state) {
       case PlacementState::kPlaced:
-        EXPECT_LT(entry.level, pfs_level) << entry.name;
+        ASSERT_NE(nullptr, cm) << entry.name;
+        EXPECT_GE(cm->tier(), 0) << entry.name;
+        EXPECT_LT(cm->tier(), pfs_level) << entry.name;
+        EXPECT_GT(cm->ResidentCount(), 0u) << entry.name;
         placed_bytes += entry.size;
         break;
       case PlacementState::kUnplaceable:
       case PlacementState::kPfsOnly:
-        EXPECT_EQ(pfs_level, entry.level) << entry.name;
+        EXPECT_TRUE(cm == nullptr || cm->ResidentCount() == 0) << entry.name;
         break;
     }
   }

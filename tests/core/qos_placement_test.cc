@@ -64,7 +64,7 @@ class QosPlacementTest : public ::testing::Test {
 
   FileInfoPtr AddPfsFile(const std::string& name, const std::string& data) {
     EXPECT_TRUE(pfs_engine_->Write(name, Bytes(data)).ok());
-    metadata_.Register(name, data.size(), hierarchy_->pfs_level());
+    metadata_.Register(name, data.size());
     return metadata_.Lookup(name);
   }
 
@@ -287,7 +287,7 @@ TEST_P(CopyDropTest, DropsThePlacedCopyOnce) {
   if (pinned && drop == Drop::kEvict) {
     // Only eviction waits for the reader mid-flight on the copy.
     EXPECT_EQ(PlacementState::kPlaced, scan->state.load());
-    EXPECT_EQ(0, scan->level.load());
+    EXPECT_EQ(0, scan->chunk_map()->tier());
     EXPECT_EQ(10u, hierarchy_->Level(0).occupancy_bytes());
     EXPECT_TRUE(peers->dropped().empty());
     EXPECT_EQ(10u, handler_->Stats().low_retention_resident_bytes);
@@ -295,7 +295,7 @@ TEST_P(CopyDropTest, DropsThePlacedCopyOnce) {
     return;
   }
   EXPECT_NE(PlacementState::kPlaced, scan->state.load());
-  EXPECT_EQ(hierarchy_->pfs_level(), scan->level.load());
+  EXPECT_EQ(-1, scan->chunk_map()->tier());
   auto exists = cache_engine_->Exists("scan#c0");
   ASSERT_OK(exists);
   EXPECT_FALSE(exists.value());

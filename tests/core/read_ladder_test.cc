@@ -1,9 +1,8 @@
-// The serve ladder's contract, checked lane by lane. For every storage
-// layout (loose files of one staging chunk or of two and a half, pack
-// mode with and without compression) and every
-// rung outcome (cold, warm, corrupt staged copy, open tier breaker, copy
-// deleted behind the driver), Read and ReadZeroCopy must return the PFS
-// bytes, move the same MonarchStats fallback cause by the same amount,
+// The serve ladder's contract. For every storage layout (loose files of
+// one staging chunk or of two and a half, pack mode with and without
+// compression) and every rung outcome (cold, warm, corrupt staged copy,
+// open tier breaker, copy deleted behind the driver), Read must return
+// the PFS bytes, move the expected MonarchStats fallback cause by one,
 // and hand the file's eviction read-pin back.
 #include <gtest/gtest.h>
 
@@ -35,7 +34,6 @@ enum class Layout { kLoose, kLooseMultiChunk, kPackNone, kPackLz };
 
 /// kLooseMultiChunk's staging chunk: the file is 2.5 chunks.
 constexpr std::uint64_t kStagingChunkBytes = kFileBytes * 2 / 5;
-enum class Lane { kCopy, kLend };
 enum class Scenario { kCold, kWarm, kCorrupt, kBreakerOpen, kDeleted };
 
 /// Fallback tallies in MonarchStats order: circuit_open, tier_error,
@@ -155,77 +153,62 @@ struct Outcome {
   int level = -1;  ///< hierarchy level that served the read
 };
 
-/// The measured read, through `lane`. Also checks that the read pin is
-/// held exactly while a lease is alive.
-Outcome Measure(World& world, Lane lane) {
+/// The measured read, and the level that served it. Also checks that
+/// the read hands its pin back.
+Outcome Measure(World& world) {
   Outcome out;
   const FileInfoPtr info = world.monarch->metadata().Lookup(kName);
   EXPECT_TRUE(info != nullptr);
   if (info == nullptr) return out;
-  if (lane == Lane::kCopy) {
-    const MonarchStats before = world.monarch->Stats();
-    out.bytes.resize(kFileBytes);
-    auto read = world.monarch->Read(kName, 0, out.bytes);
-    EXPECT_OK(read);
-    out.bytes.resize(read.ok() ? read.value() : 0);
-    const MonarchStats after = world.monarch->Stats();
-    for (std::size_t l = 0; l < after.levels.size(); ++l) {
-      if (after.levels[l].reads != before.levels[l].reads) {
-        out.level = static_cast<int>(l);
-      }
-    }
-  } else {
-    auto lease = world.monarch->ReadZeroCopy(kName, 0);
-    EXPECT_OK(lease);
-    if (lease.ok()) {
-      EXPECT_EQ(1, info->read_pins.load()) << "a live lease holds the pin";
-      out.bytes.assign(lease.value().data().begin(),
-                       lease.value().data().end());
-      out.level = lease.value().level();
+  const MonarchStats before = world.monarch->Stats();
+  out.bytes.resize(kFileBytes);
+  auto read = world.monarch->Read(kName, 0, out.bytes);
+  EXPECT_OK(read);
+  out.bytes.resize(read.ok() ? read.value() : 0);
+  const MonarchStats after = world.monarch->Stats();
+  for (std::size_t l = 0; l < after.levels.size(); ++l) {
+    if (after.levels[l].reads != before.levels[l].reads) {
+      out.level = static_cast<int>(l);
     }
   }
   EXPECT_EQ(0, info->read_pins.load());
   return out;
 }
 
-TEST(ReadLadderTest, EveryRungServesOracleBytesAlikeInBothLanes) {
+TEST(ReadLadderTest, EveryRungServesOracleBytes) {
   const std::vector<std::byte> oracle = Oracle();
   for (const Layout layout : {Layout::kLoose, Layout::kLooseMultiChunk,
                               Layout::kPackNone, Layout::kPackLz}) {
-    for (const Lane lane : {Lane::kCopy, Lane::kLend}) {
-      for (const Scenario scenario :
-           {Scenario::kCold, Scenario::kWarm, Scenario::kCorrupt,
-            Scenario::kBreakerOpen, Scenario::kDeleted}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "layout " << static_cast<int>(layout) << " lane "
-                     << static_cast<int>(lane) << " scenario "
-                     << static_cast<int>(scenario));
-        World world = Build(layout);
-        ASSERT_TRUE(world.monarch != nullptr);
-        Arrange(world, scenario);
-        if (::testing::Test::HasFatalFailure()) return;
+    for (const Scenario scenario :
+         {Scenario::kCold, Scenario::kWarm, Scenario::kCorrupt,
+          Scenario::kBreakerOpen, Scenario::kDeleted}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "layout " << static_cast<int>(layout) << " scenario "
+                   << static_cast<int>(scenario));
+      World world = Build(layout);
+      ASSERT_TRUE(world.monarch != nullptr);
+      Arrange(world, scenario);
+      if (::testing::Test::HasFatalFailure()) return;
 
-        const Fallbacks before = FallbacksOf(world.monarch->Stats());
-        const Outcome out = Measure(world, lane);
-        const Fallbacks after = FallbacksOf(world.monarch->Stats());
+      const Fallbacks before = FallbacksOf(world.monarch->Stats());
+      const Outcome out = Measure(world);
+      const Fallbacks after = FallbacksOf(world.monarch->Stats());
 
-        // The bytes are the PFS oracle's, the whole file in either lane
-        // (a lease spanning several run objects is a private copy).
-        EXPECT_EQ(oracle, out.bytes);
+      // The bytes are the PFS oracle's, the whole file.
+      EXPECT_EQ(oracle, out.bytes);
 
-        // Only a warm copy is served by the tier (level 0); every other
-        // rung lands on the PFS (level 1).
-        EXPECT_EQ(scenario == Scenario::kWarm ? 0 : 1, out.level);
+      // Only a warm copy is served by the tier (level 0); every other
+      // rung lands on the PFS (level 1).
+      EXPECT_EQ(scenario == Scenario::kWarm ? 0 : 1, out.level);
 
-        Fallbacks moved{};
-        for (std::size_t i = 0; i < moved.size(); ++i) {
-          moved[i] = after[i] - before[i];
-        }
-        Fallbacks expected{};
-        if (scenario == Scenario::kBreakerOpen) expected[0] = 1;
-        if (scenario == Scenario::kCorrupt) expected[2] = 1;
-        EXPECT_EQ(expected, moved);
+      Fallbacks moved{};
+      for (std::size_t i = 0; i < moved.size(); ++i) {
+        moved[i] = after[i] - before[i];
       }
+      Fallbacks expected{};
+      if (scenario == Scenario::kBreakerOpen) expected[0] = 1;
+      if (scenario == Scenario::kCorrupt) expected[2] = 1;
+      EXPECT_EQ(expected, moved);
     }
   }
 }

@@ -109,7 +109,7 @@ class StagingPipelineTest : public ::testing::Test {
 
   FileInfoPtr AddPfsFile(const std::string& name, const std::string& data) {
     EXPECT_TRUE(pfs_engine_->Write(name, Bytes(data)).ok());
-    metadata_.Register(name, data.size(), hierarchy_->pfs_level());
+    metadata_.Register(name, data.size());
     return metadata_.Lookup(name);
   }
 

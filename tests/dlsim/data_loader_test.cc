@@ -6,9 +6,6 @@
 #include <set>
 
 #include "../test_support.h"
-#include "core/monarch.h"
-#include "core/read_ring.h"
-#include "dlsim/monarch_opener.h"
 #include "storage/faulty_engine.h"
 #include "storage/memory_engine.h"
 #include "workload/dataset_generator.h"
@@ -165,53 +162,6 @@ TEST_F(DataLoaderTest, PreprocessCostAccountedAsCpu) {
   EXPECT_GT(report.cpu, 0.0);
   EXPECT_LE(report.cpu, 1.0);
   EXPECT_EQ(spec_.total_samples(), n);
-}
-
-TEST_F(DataLoaderTest, RingFedLoaderProducesEverySampleExactlyOnce) {
-  // Same exactly-once contract as the sync path, but pumped through
-  // MONARCH's async ReadRing: whole-file lease reads, records parsed
-  // straight out of the lent pages (DESIGN.md "Async read path").
-  auto local = std::make_shared<storage::MemoryEngine>("local");
-  core::MonarchConfig config;
-  config.cache_tiers.push_back(core::TierSpec{"local", local, 1ULL << 20});
-  config.pfs = core::TierSpec{"pfs", engine_, 0};
-  config.dataset_dir = spec_.directory;
-  config.placement.num_threads = 2;
-  auto monarch = core::Monarch::Create(std::move(config));
-  ASSERT_OK(monarch);
-
-  MonarchOpener opener(**monarch);
-  ResourceMonitor monitor(3, 1);
-  LoaderConfig loader_config = FastConfig();
-  loader_config.use_read_ring = true;
-  loader_config.ring_window = 2;
-  EpochLoader loader(files_, /*epoch=*/1, opener, monitor, loader_config);
-
-  std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
-  std::uint64_t count = 0;
-  while (auto sample = loader.queue().Pop()) {
-    ASSERT_GE(sample->payload.size(), 20u);
-    std::uint64_t file = 0;
-    std::uint64_t idx = 0;
-    for (int i = 7; i >= 0; --i) {
-      file = (file << 8) |
-             std::to_integer<std::uint64_t>(sample->payload[4 + i]);
-      idx = (idx << 8) |
-            std::to_integer<std::uint64_t>(sample->payload[12 + i]);
-    }
-    EXPECT_TRUE(seen.emplace(file, idx).second)
-        << "duplicate sample " << file << "/" << idx;
-    ++count;
-  }
-  loader.Finish();
-  ASSERT_OK(loader.status());
-  EXPECT_EQ(spec_.total_samples(), count);
-  EXPECT_EQ(spec_.num_files, loader.files_read());
-  // Every file went through the ring as a lease op.
-  const auto ring_stats = monarch.value()->read_ring().Stats();
-  EXPECT_GE(ring_stats.completed, static_cast<std::uint64_t>(spec_.num_files));
-  monarch.value()->DrainPlacements();
-  monarch.value()->Shutdown();
 }
 
 TEST_F(DataLoaderTest, EmptyFileListProducesNothing) {

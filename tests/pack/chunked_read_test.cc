@@ -74,29 +74,16 @@ class ChunkedReadTest : public ::testing::Test {
     return Monarch::Create(std::move(config));
   }
 
-  /// Read `length` bytes of file `index` at `offset` on the copy lane
-  /// (Monarch::Read) or the lend lane (ReadZeroCopy, looping over short
-  /// views) and check them against the generator's payload.
-  void ReadAndCheck(Monarch& monarch, bool lend, std::uint64_t index,
+  /// Read `length` bytes of file `index` at `offset` and check them
+  /// against the generator's payload.
+  void ReadAndCheck(Monarch& monarch, std::uint64_t index,
                     std::uint64_t offset, std::uint64_t length) {
     const std::vector<std::byte> whole = Expected(index);
     const std::string name = workload::SmallFilePath(spec_, index);
     std::vector<std::byte> got(length);
-    if (lend) {
-      got.clear();
-      while (got.size() < length) {
-        auto lease = monarch.ReadZeroCopy(name, offset + got.size(),
-                                          length - got.size());
-        ASSERT_OK(lease);
-        ASSERT_GT(lease.value().size(), 0u);
-        got.insert(got.end(), lease.value().data().begin(),
-                   lease.value().data().end());
-      }
-    } else {
-      auto read = monarch.Read(name, offset, got);
-      ASSERT_OK(read);
-      got.resize(read.value());
-    }
+    auto read = monarch.Read(name, offset, got);
+    ASSERT_OK(read);
+    got.resize(read.value());
     ASSERT_EQ(length, got.size()) << "file " << index << " offset " << offset;
     EXPECT_TRUE(std::equal(
         got.begin(), got.end(),
@@ -320,32 +307,6 @@ TEST_F(ChunkedReadTest, EvictionUnderPressureKeepsReadsCorrect) {
   }
 }
 
-TEST_F(ChunkedReadTest, ZeroCopyLaneAssemblesIdenticalBytes) {
-  for (const std::string codec : {"none", "lz"}) {
-    auto monarch = Build(codec);
-    ASSERT_OK(monarch);
-    for (int pass = 0; pass < 2; ++pass) {  // cold then chunk-resident
-      for (std::uint64_t f = 0; f < spec_.num_files; ++f) {
-        const std::vector<std::byte> whole = Expected(f);
-        const std::string name = workload::SmallFilePath(spec_, f);
-        std::vector<std::byte> assembled;
-        std::uint64_t offset = 0;
-        while (offset < whole.size()) {
-          auto lease = monarch.value()->ReadZeroCopy(name, offset);
-          ASSERT_OK(lease);
-          ASSERT_GT(lease.value().size(), 0u);
-          const std::span<const std::byte> data = lease.value().data();
-          assembled.insert(assembled.end(), data.begin(), data.end());
-          offset += lease.value().size();
-        }
-        EXPECT_EQ(whole, assembled) << "codec " << codec << " file " << f
-                                    << " pass " << pass;
-      }
-      monarch.value()->DrainPlacements();
-    }
-  }
-}
-
 TEST_F(ChunkedReadTest, CleanupDropsChunkCopies) {
   auto monarch = Build("none");
   ASSERT_OK(monarch);
@@ -363,307 +324,288 @@ TEST_F(ChunkedReadTest, CleanupDropsChunkCopies) {
 
 // Chunk-miss donation: a pack-mode miss already read the requested bytes
 // from the PFS, so the chunks it covered in full are staged from those
-// bytes; only partly covered edge chunks are re-read. A copy-lane
-// whole-file miss reads its extent stretch, so its neighbours' bytes are
-// donated too; the lend lane never reads ahead.
+// bytes; only partly covered edge chunks are re-read. A whole-file miss
+// reads its extent stretch, so its neighbours' bytes are donated too.
 TEST_F(ChunkedReadTest, WholeFileMissDonatesEveryChunk) {
   for (const std::string codec : {"none", "lz"}) {
-    for (const bool lend : {false, true}) {
-      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
-      auto monarch = Build(codec);
-      ASSERT_OK(monarch);
-      Monarch& m = **monarch;
-      const std::uint64_t f = FileOfAtLeast(3 * 1024);
-      const std::uint64_t size = Expected(f).size();
-      const std::vector<std::uint64_t> staged =
-          lend ? std::vector<std::uint64_t>{f} : ExtentFiles(m, f);
-      ASSERT_GT(staged.size(), lend ? 0u : 1u);
-      std::uint64_t staged_bytes = 0;
-      for (const std::uint64_t g : staged) staged_bytes += Expected(g).size();
+    SCOPED_TRACE("codec " + codec);
+    auto monarch = Build(codec);
+    ASSERT_OK(monarch);
+    Monarch& m = **monarch;
+    const std::uint64_t f = FileOfAtLeast(3 * 1024);
+    const std::uint64_t size = Expected(f).size();
+    const std::vector<std::uint64_t> staged = ExtentFiles(m, f);
+    ASSERT_GT(staged.size(), 1u);
+    std::uint64_t staged_bytes = 0;
+    for (const std::uint64_t g : staged) staged_bytes += Expected(g).size();
 
-      const std::uint64_t ops_before = PfsReadOps();
-      ReadAndCheck(m, lend, f, 0, size);
-      m.DrainPlacements();
-      EXPECT_EQ(ops_before + 1, PfsReadOps())
-          << "staging must reuse the miss's bytes, not re-read the PFS";
-      EXPECT_EQ(staged_bytes, m.Stats().placement.donated_bytes);
-      EXPECT_EQ(staged_bytes - size, m.Stats().pack_readahead_bytes);
-      EXPECT_EQ(0u, m.Stats().placement.donation_held_bytes);
+    const std::uint64_t ops_before = PfsReadOps();
+    ReadAndCheck(m, f, 0, size);
+    m.DrainPlacements();
+    EXPECT_EQ(ops_before + 1, PfsReadOps())
+        << "staging must reuse the miss's bytes, not re-read the PFS";
+    EXPECT_EQ(staged_bytes, m.Stats().placement.donated_bytes);
+    EXPECT_EQ(staged_bytes - size, m.Stats().pack_readahead_bytes);
+    EXPECT_EQ(0u, m.Stats().placement.donation_held_bytes);
 
-      // Every chunk of every staged file now serves byte-identical data
-      // from the tier.
-      const std::uint64_t hits_before = m.Stats().chunk_hits;
-      std::uint64_t chunks = 0;
-      for (const std::uint64_t g : staged) {
-        const pack::ChunkMap& cm = ChunksOf(m, g);
-        EXPECT_EQ(cm.num_chunks(), cm.ResidentCount()) << "file " << g;
-        for (std::uint32_t c = 0; c < cm.num_chunks(); ++c) {
-          ReadAndCheck(m, lend, g, cm.ChunkOffset(c),
-                       cm.ChunkLogicalBytes(c));
-        }
-        chunks += cm.num_chunks();
+    // Every chunk of every staged file now serves byte-identical data
+    // from the tier.
+    const std::uint64_t hits_before = m.Stats().chunk_hits;
+    std::uint64_t chunks = 0;
+    for (const std::uint64_t g : staged) {
+      const pack::ChunkMap& cm = ChunksOf(m, g);
+      EXPECT_EQ(cm.num_chunks(), cm.ResidentCount()) << "file " << g;
+      for (std::uint32_t c = 0; c < cm.num_chunks(); ++c) {
+        ReadAndCheck(m, g, cm.ChunkOffset(c), cm.ChunkLogicalBytes(c));
       }
-      EXPECT_EQ(hits_before + chunks, m.Stats().chunk_hits);
-      EXPECT_EQ(ops_before + 1, PfsReadOps());
+      chunks += cm.num_chunks();
     }
+    EXPECT_EQ(hits_before + chunks, m.Stats().chunk_hits);
+    EXPECT_EQ(ops_before + 1, PfsReadOps());
   }
 }
 
 TEST_F(ChunkedReadTest, UnalignedPartialMissDonatesEveryServedByte) {
   for (const std::string codec : {"none", "lz"}) {
-    for (const bool lend : {false, true}) {
-      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
-      auto monarch = Build(codec);
-      ASSERT_OK(monarch);
-      Monarch& m = **monarch;
-      const std::uint64_t f = FileOfAtLeast(4 * 1024 + 1);
-      const std::uint64_t size = Expected(f).size();
+    SCOPED_TRACE("codec " + codec);
+    auto monarch = Build(codec);
+    ASSERT_OK(monarch);
+    Monarch& m = **monarch;
+    const std::uint64_t f = FileOfAtLeast(4 * 1024 + 1);
+    const std::uint64_t size = Expected(f).size();
 
-      // [700, 3300) with 1 KiB chunks: chunks 1 and 2 are covered, the
-      // edge chunks 0 and 3 only partly. Every served byte is donated;
-      // staging reads only the rest of the edge chunks from the PFS.
-      std::uint64_t ops_before = PfsReadOps();
-      ReadAndCheck(m, lend, f, 700, 2600);
-      m.DrainPlacements();
-      EXPECT_EQ(ops_before + 1 + 2, PfsReadOps())
-          << "only the two edge stretches may be re-read";
-      EXPECT_EQ(2600u, m.Stats().placement.donated_bytes);
-      EXPECT_EQ(4u, ChunksOf(m, f).ResidentCount());
+    // [700, 3300) with 1 KiB chunks: chunks 1 and 2 are covered, the
+    // edge chunks 0 and 3 only partly. Every served byte is donated;
+    // staging reads only the rest of the edge chunks from the PFS.
+    std::uint64_t ops_before = PfsReadOps();
+    ReadAndCheck(m, f, 700, 2600);
+    m.DrainPlacements();
+    EXPECT_EQ(ops_before + 1 + 2, PfsReadOps())
+        << "only the two edge stretches may be re-read";
+    EXPECT_EQ(2600u, m.Stats().placement.donated_bytes);
+    EXPECT_EQ(4u, ChunksOf(m, f).ResidentCount());
 
-      // A read from inside chunk 4 to the end of the file covers every
-      // later chunk, the short last one included: one edge re-read.
-      const std::uint64_t from = 4 * 1024 + 1;
-      ops_before = PfsReadOps();
-      const std::uint64_t donated_before = m.Stats().placement.donated_bytes;
-      ReadAndCheck(m, lend, f, from, size - from);
-      m.DrainPlacements();
-      EXPECT_EQ(ops_before + 1 + 1, PfsReadOps());
-      EXPECT_EQ(donated_before + (size - from),
-                m.Stats().placement.donated_bytes);
+    // A read from inside chunk 4 to the end of the file covers every
+    // later chunk, the short last one included: one edge re-read.
+    const std::uint64_t from = 4 * 1024 + 1;
+    ops_before = PfsReadOps();
+    const std::uint64_t donated_before = m.Stats().placement.donated_bytes;
+    ReadAndCheck(m, f, from, size - from);
+    m.DrainPlacements();
+    EXPECT_EQ(ops_before + 1 + 1, PfsReadOps());
+    EXPECT_EQ(donated_before + (size - from),
+              m.Stats().placement.donated_bytes);
 
-      // The staged chunks serve the same bytes back.
-      ReadAndCheck(m, lend, f, 1024, 2048);
-      ReadAndCheck(m, lend, f, 0, 700);
-    }
+    // The staged chunks serve the same bytes back.
+    ReadAndCheck(m, f, 1024, 2048);
+    ReadAndCheck(m, f, 0, 700);
   }
 }
 
 TEST_F(ChunkedReadTest, DonatedChunkFailingReadbackIsDropped) {
   for (const std::string codec : {"none", "lz"}) {
-    for (const bool lend : {false, true}) {
-      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
-      storage::FaultyEngine::FaultSpec faults;
-      faults.read_corruption_rate = 1.0;  // every readback is corrupt
-      auto monarch = Build(codec, 1'000'000, "", [&](MonarchConfig& config) {
-        config.resilience.verify_staged_writes = true;
-        config.cache_tiers[0].engine =
-            std::make_shared<storage::FaultyEngine>(local_, faults);
-      });
-      ASSERT_OK(monarch);
-      Monarch& m = **monarch;
-      const std::uint64_t f = FileOfAtLeast(3 * 1024);
-      const std::uint64_t size = Expected(f).size();
+    SCOPED_TRACE("codec " + codec);
+    storage::FaultyEngine::FaultSpec faults;
+    faults.read_corruption_rate = 1.0;  // every readback is corrupt
+    auto monarch = Build(codec, 1'000'000, "", [&](MonarchConfig& config) {
+      config.resilience.verify_staged_writes = true;
+      config.cache_tiers[0].engine =
+          std::make_shared<storage::FaultyEngine>(local_, faults);
+    });
+    ASSERT_OK(monarch);
+    Monarch& m = **monarch;
+    const std::uint64_t f = FileOfAtLeast(3 * 1024);
+    const std::uint64_t size = Expected(f).size();
 
-      // The copy lane stages the file's extent neighbours as well: each
-      // staged run fails its readback.
-      const std::uint64_t staged = lend ? 1 : ExtentFiles(m, f).size();
-      const std::uint64_t ops_before = PfsReadOps();
-      ReadAndCheck(m, lend, f, 0, size);
-      m.DrainPlacements();
-      EXPECT_EQ(ops_before + 1, PfsReadOps());
-      const MonarchStats stats = m.Stats();
-      EXPECT_EQ(staged, stats.placement.quarantined);
-      EXPECT_EQ(0u, stats.placement.chunks_staged);
-      EXPECT_EQ(0u, ChunksOf(m, f).ResidentCount());
-      EXPECT_EQ(0u, local_->TotalBytes()) << "the bad copy must be deleted";
-      EXPECT_EQ(0u, stats.levels[0].occupancy_bytes);
+    // The miss stages the file's extent neighbours as well: each staged
+    // run fails its readback.
+    const std::uint64_t staged = ExtentFiles(m, f).size();
+    const std::uint64_t ops_before = PfsReadOps();
+    ReadAndCheck(m, f, 0, size);
+    m.DrainPlacements();
+    EXPECT_EQ(ops_before + 1, PfsReadOps());
+    const MonarchStats stats = m.Stats();
+    EXPECT_EQ(staged, stats.placement.quarantined);
+    EXPECT_EQ(0u, stats.placement.chunks_staged);
+    EXPECT_EQ(0u, ChunksOf(m, f).ResidentCount());
+    EXPECT_EQ(0u, local_->TotalBytes()) << "the bad copy must be deleted";
+    EXPECT_EQ(0u, stats.levels[0].occupancy_bytes);
 
-      // The file still reads correctly, from the PFS.
-      const std::uint64_t misses_before = stats.chunk_misses;
-      ReadAndCheck(m, lend, f, 0, size);
-      EXPECT_EQ(misses_before + 1, m.Stats().chunk_misses);
-      m.DrainPlacements();
-    }
+    // The file still reads correctly, from the PFS.
+    const std::uint64_t misses_before = stats.chunk_misses;
+    ReadAndCheck(m, f, 0, size);
+    EXPECT_EQ(misses_before + 1, m.Stats().chunk_misses);
+    m.DrainPlacements();
   }
 }
 
 // Run layout: a staging pass writes each stretch of consecutive chunks
 // it claimed as one tier object, and a read fetches each run segment it
-// touches with one tier read. A copy-lane whole-file miss stages the file
+// touches with one tier read. A whole-file miss stages the file
 // and each extent neighbour it read ahead as one run object apiece.
 TEST_F(ChunkedReadTest, WholeFileMissStagesOneRunObject) {
   for (const std::string codec : {"none", "lz"}) {
-    for (const bool lend : {false, true}) {
-      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
-      auto monarch = Build(codec);
-      ASSERT_OK(monarch);
-      Monarch& m = **monarch;
-      const std::uint64_t f = FileOfAtLeast(3 * 1024);
-      const std::uint64_t size = Expected(f).size();
-      const std::vector<std::uint64_t> staged =
-          lend ? std::vector<std::uint64_t>{f} : ExtentFiles(m, f);
+    SCOPED_TRACE("codec " + codec);
+    auto monarch = Build(codec);
+    ASSERT_OK(monarch);
+    Monarch& m = **monarch;
+    const std::uint64_t f = FileOfAtLeast(3 * 1024);
+    const std::uint64_t size = Expected(f).size();
+    const std::vector<std::uint64_t> staged = ExtentFiles(m, f);
 
-      const std::uint64_t pfs_before = PfsReadOps();
-      ReadAndCheck(m, lend, f, 0, size);
-      m.DrainPlacements();
-      std::vector<std::string> objects;
-      std::uint64_t stored = 0;
-      for (const std::uint64_t g : staged) {
-        const pack::ChunkMap& cm = ChunksOf(m, g);
-        ASSERT_EQ(cm.num_chunks(), cm.ResidentCount()) << "file " << g;
-        objects.push_back(
-            pack::ChunkObjectName(workload::SmallFilePath(spec_, g), 0));
-        stored += cm.ResidentStoredBytes();
-      }
-      std::sort(objects.begin(), objects.end());
-      EXPECT_EQ(objects, TierObjects());
-      EXPECT_EQ(stored, local_->TotalBytes());
-
-      // Warm: either lane reads each whole file with one tier op, and
-      // none of it touches the PFS again. Without a codec, a read-ahead
-      // neighbour's first read is served from its deposit instead (the
-      // verified bytes its staging kept for it): no tier op at all.
-      for (const std::uint64_t g : staged) {
-        const bool deposit = codec == "none" && g != f;
-        const std::uint64_t ops_before = LocalReadOps();
-        const std::uint64_t hits_before = m.Stats().chunk_hits;
-        const std::uint64_t deposit_hits_before = m.Stats().deposit_hits;
-        ReadAndCheck(m, lend, g, 0, Expected(g).size());
-        EXPECT_EQ(ops_before + (deposit ? 0 : 1), LocalReadOps())
-            << "file " << g;
-        EXPECT_EQ(hits_before + 1, m.Stats().chunk_hits) << "file " << g;
-        EXPECT_EQ(deposit_hits_before + (deposit ? 1 : 0),
-                  m.Stats().deposit_hits)
-            << "file " << g;
-      }
-      EXPECT_EQ(pfs_before + 1, PfsReadOps());
+    const std::uint64_t pfs_before = PfsReadOps();
+    ReadAndCheck(m, f, 0, size);
+    m.DrainPlacements();
+    std::vector<std::string> objects;
+    std::uint64_t stored = 0;
+    for (const std::uint64_t g : staged) {
+      const pack::ChunkMap& cm = ChunksOf(m, g);
+      ASSERT_EQ(cm.num_chunks(), cm.ResidentCount()) << "file " << g;
+      objects.push_back(
+          pack::ChunkObjectName(workload::SmallFilePath(spec_, g), 0));
+      stored += cm.ResidentStoredBytes();
     }
+    std::sort(objects.begin(), objects.end());
+    EXPECT_EQ(objects, TierObjects());
+    EXPECT_EQ(stored, local_->TotalBytes());
+
+    // Warm: a read of each whole file costs one tier op, and
+    // none of it touches the PFS again. Without a codec, a read-ahead
+    // neighbour's first read is served from its deposit instead (the
+    // verified bytes its staging kept for it): no tier op at all.
+    for (const std::uint64_t g : staged) {
+      const bool deposit = codec == "none" && g != f;
+      const std::uint64_t ops_before = LocalReadOps();
+      const std::uint64_t hits_before = m.Stats().chunk_hits;
+      const std::uint64_t deposit_hits_before = m.Stats().deposit_hits;
+      ReadAndCheck(m, g, 0, Expected(g).size());
+      EXPECT_EQ(ops_before + (deposit ? 0 : 1), LocalReadOps())
+          << "file " << g;
+      EXPECT_EQ(hits_before + 1, m.Stats().chunk_hits) << "file " << g;
+      EXPECT_EQ(deposit_hits_before + (deposit ? 1 : 0),
+                m.Stats().deposit_hits)
+          << "file " << g;
+    }
+    EXPECT_EQ(pfs_before + 1, PfsReadOps());
   }
 }
 
 TEST_F(ChunkedReadTest, ReadSpanningTwoRunsCostsOneOpPerRun) {
   for (const std::string codec : {"none", "lz"}) {
-    for (const bool lend : {false, true}) {
-      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
-      auto monarch = Build(codec);
-      ASSERT_OK(monarch);
-      Monarch& m = **monarch;
-      const std::uint64_t f = FileOfAtLeast(4 * 1024);
-      const std::string name = workload::SmallFilePath(spec_, f);
+    SCOPED_TRACE("codec " + codec);
+    auto monarch = Build(codec);
+    ASSERT_OK(monarch);
+    Monarch& m = **monarch;
+    const std::uint64_t f = FileOfAtLeast(4 * 1024);
+    const std::string name = workload::SmallFilePath(spec_, f);
 
-      // Two misses, two runs: [700, 2600) claims chunks 0-2, and
-      // [2600, 4096) then claims chunk 3 (chunk 2 is already resident).
-      ReadAndCheck(m, lend, f, 700, 1900);
-      m.DrainPlacements();
-      ReadAndCheck(m, lend, f, 2600, 4096 - 2600);
-      m.DrainPlacements();
-      EXPECT_EQ((std::vector<std::string>{pack::ChunkObjectName(name, 0),
-                                          pack::ChunkObjectName(name, 3)}),
-                TierObjects());
-      const pack::ChunkMap& cm = ChunksOf(m, f);
-      EXPECT_EQ(0u, cm.Meta(2).run_start);
-      EXPECT_EQ(3u, cm.Meta(3).run_start);
+    // Two misses, two runs: [700, 2600) claims chunks 0-2, and
+    // [2600, 4096) then claims chunk 3 (chunk 2 is already resident).
+    ReadAndCheck(m, f, 700, 1900);
+    m.DrainPlacements();
+    ReadAndCheck(m, f, 2600, 4096 - 2600);
+    m.DrainPlacements();
+    EXPECT_EQ((std::vector<std::string>{pack::ChunkObjectName(name, 0),
+                                        pack::ChunkObjectName(name, 3)}),
+              TierObjects());
+    const pack::ChunkMap& cm = ChunksOf(m, f);
+    EXPECT_EQ(0u, cm.Meta(2).run_start);
+    EXPECT_EQ(3u, cm.Meta(3).run_start);
 
-      // An unaligned read across both runs: oracle bytes from the tier,
-      // one op per run in either lane (the lend lane's lease is a private
-      // copy of both).
-      const std::uint64_t ops_before = LocalReadOps();
-      const std::uint64_t hits_before = m.Stats().chunk_hits;
-      ReadAndCheck(m, lend, f, 1500, 3900 - 1500);
-      EXPECT_EQ(ops_before + 2, LocalReadOps());
-      EXPECT_EQ(hits_before + 1, m.Stats().chunk_hits);
-    }
+    // An unaligned read across both runs: oracle bytes from the tier,
+    // one op per run.
+    const std::uint64_t ops_before = LocalReadOps();
+    const std::uint64_t hits_before = m.Stats().chunk_hits;
+    ReadAndCheck(m, f, 1500, 3900 - 1500);
+    EXPECT_EQ(ops_before + 2, LocalReadOps());
+    EXPECT_EQ(hits_before + 1, m.Stats().chunk_hits);
   }
 }
 
 TEST_F(ChunkedReadTest, EvictionAndCleanupDeleteEveryRunObject) {
   for (const std::string codec : {"none", "lz"}) {
-    for (const bool lend : {false, true}) {
-      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
-      // Quota for ~3 files: LRU evicts whole files, run by run.
-      auto monarch = Build(codec, /*quota=*/6 * 1024, "lru");
-      ASSERT_OK(monarch);
-      Monarch& m = **monarch;
-      for (int pass = 0; pass < 2; ++pass) {
-        for (std::uint64_t f = 0; f < spec_.num_files; ++f) {
-          const std::uint64_t size = Expected(f).size();
-          // Two misses per file: its head, then the rest — two runs.
-          ReadAndCheck(m, lend, f, 0, std::min<std::uint64_t>(size, 1500));
-          m.DrainPlacements();
-          if (size > 1500) ReadAndCheck(m, lend, f, 1500, size - 1500);
-          m.DrainPlacements();
-        }
-      }
-      EXPECT_GT(m.Stats().placement.chunks_evicted, 0u);
-      // No orphan: every object on the tier is a resident run.
-      std::uint64_t resident = 0;
+    SCOPED_TRACE("codec " + codec);
+    // Quota for ~3 files: LRU evicts whole files, run by run.
+    auto monarch = Build(codec, /*quota=*/6 * 1024, "lru");
+    ASSERT_OK(monarch);
+    Monarch& m = **monarch;
+    for (int pass = 0; pass < 2; ++pass) {
       for (std::uint64_t f = 0; f < spec_.num_files; ++f) {
-        resident += ChunksOf(m, f).ResidentStoredBytes();
+        const std::uint64_t size = Expected(f).size();
+        // Two misses per file: its head, then the rest — two runs.
+        ReadAndCheck(m, f, 0, std::min<std::uint64_t>(size, 1500));
+        m.DrainPlacements();
+        if (size > 1500) ReadAndCheck(m, f, 1500, size - 1500);
+        m.DrainPlacements();
       }
-      EXPECT_EQ(resident, local_->TotalBytes());
-      EXPECT_EQ(resident, m.Stats().levels[0].occupancy_bytes);
-
-      EXPECT_GT(m.CleanupStagedCopies(), 0u);
-      EXPECT_TRUE(TierObjects().empty());
-      EXPECT_EQ(0u, m.Stats().levels[0].occupancy_bytes);
     }
+    EXPECT_GT(m.Stats().placement.chunks_evicted, 0u);
+    // No orphan: every object on the tier is a resident run.
+    std::uint64_t resident = 0;
+    for (std::uint64_t f = 0; f < spec_.num_files; ++f) {
+      resident += ChunksOf(m, f).ResidentStoredBytes();
+    }
+    EXPECT_EQ(resident, local_->TotalBytes());
+    EXPECT_EQ(resident, m.Stats().levels[0].occupancy_bytes);
+
+    EXPECT_GT(m.CleanupStagedCopies(), 0u);
+    EXPECT_TRUE(TierObjects().empty());
+    EXPECT_EQ(0u, m.Stats().levels[0].occupancy_bytes);
   }
 }
 
 TEST_F(ChunkedReadTest, CorruptRunDropsAllItsChunks) {
   for (const std::string codec : {"none", "lz"}) {
-    for (const bool lend : {false, true}) {
-      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
-      // The identity codec only checks whole chunks, and only with
-      // verify_on_read.
-      auto monarch = Build(codec, 1'000'000, "", [](MonarchConfig& config) {
-        config.resilience.verify_on_read = true;
-      });
-      ASSERT_OK(monarch);
-      Monarch& m = **monarch;
-      const std::uint64_t f = FileOfAtLeast(3 * 1024);
-      const std::string name = workload::SmallFilePath(spec_, f);
-      const std::uint64_t size = Expected(f).size();
-      ReadAndCheck(m, lend, f, 0, size);
-      m.DrainPlacements();
-      const pack::ChunkMap& cm = ChunksOf(m, f);
-      ASSERT_EQ(cm.num_chunks(), cm.ResidentCount());
+    SCOPED_TRACE("codec " + codec);
+    // The identity codec only checks whole chunks, and only with
+    // verify_on_read.
+    auto monarch = Build(codec, 1'000'000, "", [](MonarchConfig& config) {
+      config.resilience.verify_on_read = true;
+    });
+    ASSERT_OK(monarch);
+    Monarch& m = **monarch;
+    const std::uint64_t f = FileOfAtLeast(3 * 1024);
+    const std::string name = workload::SmallFilePath(spec_, f);
+    const std::uint64_t size = Expected(f).size();
+    ReadAndCheck(m, f, 0, size);
+    m.DrainPlacements();
+    const pack::ChunkMap& cm = ChunksOf(m, f);
+    ASSERT_EQ(cm.num_chunks(), cm.ResidentCount());
 
-      // Garble the middle of the run object, inside chunk 1's bytes.
-      const std::string object = pack::ChunkObjectName(name, 0);
-      std::vector<std::byte> bytes(local_->FileSize(object).value());
-      ASSERT_OK(local_->Read(object, 0, bytes));
-      const std::uint32_t at = cm.Meta(1).run_offset;
-      for (std::uint32_t b = 0; b < cm.Meta(1).stored_bytes; ++b) {
-        bytes[at + b] ^= std::byte{0x5C};
-      }
-      ASSERT_OK(local_->Write(object, bytes));
-
-      // A read of chunk 1 alone still returns oracle bytes, and drops the
-      // whole run: every chunk, the object and its quota. Its PFS miss
-      // then stages chunk 1 alone, as a run of its own.
-      const auto corrupt_before = m.Stats().fallbacks_corruption;
-      ReadAndCheck(m, lend, f, 1024, 1024);
-      EXPECT_EQ(corrupt_before + 1, m.Stats().fallbacks_corruption);
-      m.DrainPlacements();
-      EXPECT_EQ(1u, cm.ResidentCount());
-      EXPECT_TRUE(cm.IsResident(1));
-      EXPECT_EQ(std::vector<std::string>{pack::ChunkObjectName(name, 1)},
-                TierObjects(name));
-      EXPECT_EQ(ResidentStoredBytes(m), m.Stats().levels[0].occupancy_bytes);
-
-      // The next pass re-stages it, and the tier serves it again.
-      ReadAndCheck(m, lend, f, 0, size);
-      m.DrainPlacements();
-      EXPECT_EQ(cm.num_chunks(), cm.ResidentCount());
-      const std::uint64_t hits_before = m.Stats().chunk_hits;
-      ReadAndCheck(m, lend, f, 1024, 1024);
-      EXPECT_EQ(hits_before + 1, m.Stats().chunk_hits);
+    // Garble the middle of the run object, inside chunk 1's bytes.
+    const std::string object = pack::ChunkObjectName(name, 0);
+    std::vector<std::byte> bytes(local_->FileSize(object).value());
+    ASSERT_OK(local_->Read(object, 0, bytes));
+    const std::uint32_t at = cm.Meta(1).run_offset;
+    for (std::uint32_t b = 0; b < cm.Meta(1).stored_bytes; ++b) {
+      bytes[at + b] ^= std::byte{0x5C};
     }
+    ASSERT_OK(local_->Write(object, bytes));
+
+    // A read of chunk 1 alone still returns oracle bytes, and drops the
+    // whole run: every chunk, the object and its quota. Its PFS miss
+    // then stages chunk 1 alone, as a run of its own.
+    const auto corrupt_before = m.Stats().fallbacks_corruption;
+    ReadAndCheck(m, f, 1024, 1024);
+    EXPECT_EQ(corrupt_before + 1, m.Stats().fallbacks_corruption);
+    m.DrainPlacements();
+    EXPECT_EQ(1u, cm.ResidentCount());
+    EXPECT_TRUE(cm.IsResident(1));
+    EXPECT_EQ(std::vector<std::string>{pack::ChunkObjectName(name, 1)},
+              TierObjects(name));
+    EXPECT_EQ(ResidentStoredBytes(m), m.Stats().levels[0].occupancy_bytes);
+
+    // The next pass re-stages it, and the tier serves it again.
+    ReadAndCheck(m, f, 0, size);
+    m.DrainPlacements();
+    EXPECT_EQ(cm.num_chunks(), cm.ResidentCount());
+    const std::uint64_t hits_before = m.Stats().chunk_hits;
+    ReadAndCheck(m, f, 1024, 1024);
+    EXPECT_EQ(hits_before + 1, m.Stats().chunk_hits);
   }
 }
 
-TEST_F(ChunkedReadTest, LendLaneServesChunkFromMiddleOfRun) {
+TEST_F(ChunkedReadTest, ReadServesChunkFromMiddleOfRun) {
   for (const std::string codec : {"none", "lz"}) {
     SCOPED_TRACE("codec " + codec);
     auto monarch = Build(codec);
@@ -672,18 +614,18 @@ TEST_F(ChunkedReadTest, LendLaneServesChunkFromMiddleOfRun) {
     const std::uint64_t f = FileOfAtLeast(3 * 1024);
     const std::vector<std::byte> whole = Expected(f);
     const std::string name = workload::SmallFilePath(spec_, f);
-    ReadAndCheck(m, /*lend=*/false, f, 0, whole.size());
+    ReadAndCheck(m, f, 0, whole.size());
     m.DrainPlacements();
 
     const std::uint64_t ops_before = LocalReadOps();
-    auto lease = m.ReadZeroCopy(name, 2048 + 5, 1024 - 5);
-    ASSERT_OK(lease);
-    EXPECT_EQ(0, lease.value().level()) << "served by the tier";
-    ASSERT_EQ(1024u - 5, lease.value().size()) << "the rest of chunk 2";
-    EXPECT_TRUE(std::equal(lease.value().data().begin(),
-                           lease.value().data().end(),
-                           whole.begin() + 2048 + 5));
-    EXPECT_EQ(codec == "none", lease.value().zero_copy());
+    const std::uint64_t served_before = m.Stats().levels[0].reads;
+    std::vector<std::byte> got(1024 - 5);
+    auto read = m.Read(name, 2048 + 5, got);
+    ASSERT_OK(read);
+    EXPECT_EQ(served_before + 1, m.Stats().levels[0].reads)
+        << "served by the tier";
+    ASSERT_EQ(1024u - 5, read.value()) << "the rest of chunk 2";
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), whole.begin() + 2048 + 5));
     EXPECT_EQ(ops_before + 1, LocalReadOps());
   }
 }
@@ -693,33 +635,31 @@ TEST_F(ChunkedReadTest, LendLaneServesChunkFromMiddleOfRun) {
 // re-stages it and later reads are served by the tier again.
 TEST_F(ChunkedReadTest, VanishedRunObjectIsDroppedAndRestaged) {
   for (const std::string codec : {"none", "lz"}) {
-    for (const bool lend : {false, true}) {
-      SCOPED_TRACE("codec " + codec + (lend ? " lend" : " copy"));
-      auto monarch = Build(codec);
-      ASSERT_OK(monarch);
-      Monarch& m = **monarch;
-      const std::uint64_t f = FileOfAtLeast(3 * 1024);
-      const std::string name = workload::SmallFilePath(spec_, f);
-      const std::uint64_t size = Expected(f).size();
-      ReadAndCheck(m, lend, f, 0, size);
-      m.DrainPlacements();
-      ASSERT_OK(local_->Delete(pack::ChunkObjectName(name, 0)));
+    SCOPED_TRACE("codec " + codec);
+    auto monarch = Build(codec);
+    ASSERT_OK(monarch);
+    Monarch& m = **monarch;
+    const std::uint64_t f = FileOfAtLeast(3 * 1024);
+    const std::string name = workload::SmallFilePath(spec_, f);
+    const std::uint64_t size = Expected(f).size();
+    ReadAndCheck(m, f, 0, size);
+    m.DrainPlacements();
+    ASSERT_OK(local_->Delete(pack::ChunkObjectName(name, 0)));
 
-      const std::uint64_t misses_before = m.Stats().chunk_misses;
-      ReadAndCheck(m, lend, f, 0, size);  // from the PFS
-      EXPECT_LT(misses_before, m.Stats().chunk_misses);
-      m.DrainPlacements();
+    const std::uint64_t misses_before = m.Stats().chunk_misses;
+    ReadAndCheck(m, f, 0, size);  // from the PFS
+    EXPECT_LT(misses_before, m.Stats().chunk_misses);
+    m.DrainPlacements();
 
-      const pack::ChunkMap& cm = ChunksOf(m, f);
-      EXPECT_EQ(cm.num_chunks(), cm.ResidentCount());
-      EXPECT_EQ(ResidentStoredBytes(m), m.Stats().levels[0].occupancy_bytes)
-          << "the vanished run's quota must be released once";
-      const std::uint64_t hits_before = m.Stats().chunk_hits;
-      const std::uint64_t pfs_before = PfsReadOps();
-      ReadAndCheck(m, lend, f, 0, size);
-      EXPECT_LT(hits_before, m.Stats().chunk_hits);
-      EXPECT_EQ(pfs_before, PfsReadOps()) << "the tier serves it again";
-    }
+    const pack::ChunkMap& cm = ChunksOf(m, f);
+    EXPECT_EQ(cm.num_chunks(), cm.ResidentCount());
+    EXPECT_EQ(ResidentStoredBytes(m), m.Stats().levels[0].occupancy_bytes)
+        << "the vanished run's quota must be released once";
+    const std::uint64_t hits_before = m.Stats().chunk_hits;
+    const std::uint64_t pfs_before = PfsReadOps();
+    ReadAndCheck(m, f, 0, size);
+    EXPECT_LT(hits_before, m.Stats().chunk_hits);
+    EXPECT_EQ(pfs_before, PfsReadOps()) << "the tier serves it again";
   }
 }
 
@@ -742,32 +682,29 @@ TEST_F(ChunkedReadTest, PrestageReadsEachFileWithOnePfsRead) {
     EXPECT_EQ(chunks, m.Stats().placement.chunks_staged);
     EXPECT_EQ(spec_.num_files, TierObjects().size());
     for (std::uint64_t f = 0; f < spec_.num_files; ++f) {
-      ReadAndCheck(m, /*lend=*/false, f, 0, Expected(f).size());
+      ReadAndCheck(m, f, 0, Expected(f).size());
     }
     EXPECT_EQ(ops_before + spec_.num_files, PfsReadOps());
   }
 }
 
-// Read-ahead rides only on copy-lane whole-file misses: a partial read,
-// the lend lane and a low-retention (scan) tenant stage just what they
-// touch, so sparse traffic keeps scaling with bytes touched.
-TEST_F(ChunkedReadTest, PartialLendAndScanMissesNeverReadAhead) {
+// Read-ahead rides only on whole-file misses: a partial read and a
+// low-retention (scan) tenant stage just what they touch, so sparse
+// traffic keeps scaling with bytes touched.
+TEST_F(ChunkedReadTest, PartialAndScanMissesNeverReadAhead) {
   auto monarch = Build("none");
   ASSERT_OK(monarch);
   Monarch& m = **monarch;
   const std::vector<std::uint64_t> extent = ExtentFiles(m, 0);
   ASSERT_GE(extent.size(), 3u);
-  ReadAndCheck(m, /*lend=*/false, extent[0], 0,
-               Expected(extent[0]).size() - 1);
-  ReadAndCheck(m, /*lend=*/true, extent[1], 0, Expected(extent[1]).size());
+  ReadAndCheck(m, extent[0], 0, Expected(extent[0]).size() - 1);
   {
     qos::TenantContext scan;
     scan.name = "scan";
     scan.io_class = qos::IoClass::kScan;
     scan.low_retention = true;
     const qos::ScopedTenant scope(scan);
-    ReadAndCheck(m, /*lend=*/false, extent[2], 0,
-                 Expected(extent[2]).size());
+    ReadAndCheck(m, extent[2], 0, Expected(extent[2]).size());
   }
   m.DrainPlacements();
   const MonarchStats stats = m.Stats();
@@ -798,7 +735,7 @@ TEST_F(ChunkedReadTest, ReadAheadStopsAtTheTierFreeQuota) {
 
   // The first file of the extent reads ahead to the right only.
   const std::uint64_t ops_before = PfsReadOps();
-  ReadAndCheck(m, /*lend=*/false, extent[0], 0, first);
+  ReadAndCheck(m, extent[0], 0, first);
   m.DrainPlacements();
   EXPECT_EQ(ops_before + 1, PfsReadOps());
   EXPECT_EQ(1u, m.Stats().pack_stretch_reads);
@@ -812,7 +749,7 @@ TEST_F(ChunkedReadTest, ReadAheadStopsAtTheTierFreeQuota) {
   EXPECT_LE(local_->TotalBytes(), quota);
 
   // The third file no longer fits the free quota: it is read alone.
-  ReadAndCheck(m, /*lend=*/false, extent[2], 0, third);
+  ReadAndCheck(m, extent[2], 0, third);
   m.DrainPlacements();
   EXPECT_EQ(ops_before + 2, PfsReadOps());
   EXPECT_EQ(1u, m.Stats().pack_stretch_reads);
@@ -900,12 +837,12 @@ TEST_F(ChunkedReadTest, ReadOfAQueuedNeighbourPromotesAndJoinsIt) {
   std::vector<std::byte> head(100);
   ASSERT_OK(m.Read(workload::SmallFilePath(spec_, held), 0, head));
   gate->AwaitBlocked();
-  ReadAndCheck(m, /*lend=*/false, ahead[0], 0, Expected(ahead[0]).size());
+  ReadAndCheck(m, ahead[0], 0, Expected(ahead[0]).size());
   ASSERT_EQ(1u, m.Stats().pack_stretch_reads);
 
   const std::uint64_t pfs_before = PfsReadOps();
   std::thread reader([&] {
-    ReadAndCheck(m, /*lend=*/false, ahead[1], 0, Expected(ahead[1]).size());
+    ReadAndCheck(m, ahead[1], 0, Expected(ahead[1]).size());
   });
   const Stopwatch waited;
   while (m.Stats().placement.prefetch_promoted == 0 &&
@@ -955,10 +892,12 @@ TEST_F(ChunkedReadTest, NeighboursNeverEvictWithoutASchedule) {
   const testing::GateRelease release_gate(gate);
   ASSERT_OK(monarch);
   Monarch& m = **monarch;
-  // Two residents, staged on the lend lane (which never reads ahead).
+  // Two residents, staged by partial reads (which never read ahead).
   const std::vector<std::uint64_t> residents = {others[1], others[2]};
   for (const std::uint64_t f : residents) {
-    ReadAndCheck(m, /*lend=*/true, f, 0, Expected(f).size());
+    const std::uint64_t size = Expected(f).size();
+    ReadAndCheck(m, f, 0, size - 1);
+    ReadAndCheck(m, f, size - 1, 1);
   }
   m.DrainPlacements();
 
@@ -967,7 +906,7 @@ TEST_F(ChunkedReadTest, NeighboursNeverEvictWithoutASchedule) {
   gate->AwaitBlocked();
   const std::uint64_t y = ahead[0];
   const std::uint64_t size = Expected(y).size();
-  ReadAndCheck(m, /*lend=*/false, y, 0, size);
+  ReadAndCheck(m, y, 0, size);
   ASSERT_EQ(1u, m.Stats().pack_stretch_reads);
   // Leave room for the file alone: its neighbours find none.
   StorageDriver& tier = m.hierarchy().Level(0);
@@ -991,7 +930,7 @@ TEST_F(ChunkedReadTest, NeighboursNeverEvictWithoutASchedule) {
     EXPECT_EQ(0u, cm.ResidentCount()) << "neighbour " << ahead[i];
     EXPECT_EQ(0u, cm.Claims()) << "neighbour " << ahead[i];
     const std::uint64_t misses = m.Stats().chunk_misses;
-    ReadAndCheck(m, /*lend=*/false, ahead[i], 0, Expected(ahead[i]).size());
+    ReadAndCheck(m, ahead[i], 0, Expected(ahead[i]).size());
     EXPECT_EQ(misses + 1, m.Stats().chunk_misses) << "served by the PFS";
   }
   m.DrainPlacements();
@@ -1035,11 +974,11 @@ TEST_F(ChunkedReadTest, NeighbourRefusedByTheStagingBudgetReadsFromPfs) {
   const testing::GateRelease release_gate(gate);
   ASSERT_OK(monarch);
   Monarch& m = **monarch;
-  ReadAndCheck(m, /*lend=*/false, held, 0, held_size - 1);
+  ReadAndCheck(m, held, 0, held_size - 1);
   gate->AwaitBlocked();
   ASSERT_EQ(held_donation, m.Stats().placement.donation_held_bytes);
 
-  ReadAndCheck(m, /*lend=*/false, y, 0, Expected(y).size());
+  ReadAndCheck(m, y, 0, Expected(y).size());
   ASSERT_EQ(1u, m.Stats().pack_stretch_reads);
   gate->ReleaseBlocked();
   m.DrainPlacements();
@@ -1052,7 +991,7 @@ TEST_F(ChunkedReadTest, NeighbourRefusedByTheStagingBudgetReadsFromPfs) {
   ASSERT_NE(nullptr, refused);
   EXPECT_EQ(nullptr, refused->chunk_map()) << "never claimed";
   const std::uint64_t misses = m.Stats().chunk_misses;
-  ReadAndCheck(m, /*lend=*/false, ahead[1], 0, Expected(ahead[1]).size());
+  ReadAndCheck(m, ahead[1], 0, Expected(ahead[1]).size());
   EXPECT_EQ(misses + 1, m.Stats().chunk_misses) << "served by the PFS";
   m.DrainPlacements();
 }
@@ -1080,7 +1019,7 @@ TEST_F(ChunkedReadTest, StretchIsChargedOnceUntilItsTasksFinish) {
   const testing::GateRelease release_gate(gate);
   ASSERT_OK(monarch);
   Monarch& m = **monarch;
-  ReadAndCheck(m, /*lend=*/false, y, 0, Expected(y).size());
+  ReadAndCheck(m, y, 0, Expected(y).size());
   gate->AwaitBlocked();
   const MonarchStats held = m.Stats();
   ASSERT_EQ(1u, held.pack_stretch_reads);
@@ -1114,7 +1053,7 @@ TEST_F(ChunkedReadTest, EvictorFindingAnEmptiedChunkFileReleasesNothing) {
   }
   ASSERT_GE(files.size(), 6u);
   for (std::size_t i = 0; i < 3; ++i) {
-    ReadAndCheck(m, /*lend=*/false, files[i], 0, kHead);
+    ReadAndCheck(m, files[i], 0, kHead);
     m.DrainPlacements();
   }
   // The state the first evictor leaves: every run of the oldest file
@@ -1135,7 +1074,7 @@ TEST_F(ChunkedReadTest, EvictorFindingAnEmptiedChunkFileReleasesNothing) {
   // Two more heads fill the tier; the third must evict, and the LRU
   // ranking offers the emptied file first.
   for (std::size_t i = 3; i < 6; ++i) {
-    ReadAndCheck(m, /*lend=*/false, files[i], 0, kHead);
+    ReadAndCheck(m, files[i], 0, kHead);
     m.DrainPlacements();
   }
   EXPECT_GT(m.Stats().placement.chunks_evicted, 0u);
