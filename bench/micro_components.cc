@@ -39,7 +39,19 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(65536)->Arg(1 << 20);
+// 64 B to 1 MiB in steps of 4; 16 KiB is cluster-peer's sample size.
+BENCHMARK(BM_Crc32c)->RangeMultiplier(4)->Range(64, 1 << 20);
+
+// The slice-by-8 fallback Crc32c uses on CPUs without SSE4.2.
+void BM_Crc32cSoftware(benchmark::State& state) {
+  const auto data = RandomBytes(static_cast<std::size_t>(state.range(0)), 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detail::Crc32cSoftware(data, 0));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32cSoftware)->RangeMultiplier(4)->Range(64, 1 << 20);
 
 void BM_TFRecordEncode(benchmark::State& state) {
   const auto payload =

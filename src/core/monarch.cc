@@ -1045,6 +1045,12 @@ std::uint64_t Monarch::StageForPeer(const std::string& name,
   const bool claimed =
       ClaimAndSchedule(info, lane, /*lookahead=*/false) ||
       (lane == StagingLane::kDemand && placement_->PromoteToDemand(info));
+  // A joinable claim this request lost is advertised, and a run is
+  // published and advertised, under the placement mutex: once it is free,
+  // the asking peer finds the copy in flight or placed, never between.
+  if (pack::ChunkMap* cm = info->chunk_map(); !claimed && cm != nullptr) {
+    const std::lock_guard lock(cm->placement_mutex());
+  }
   return claimed ? info->size : 0;
 }
 

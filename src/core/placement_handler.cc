@@ -153,10 +153,13 @@ std::vector<std::uint32_t> PlacementHandler::Claim(const FileInfoPtr& file,
   pack::ChunkMap& cm = *file->EnsureChunkMap(options_.pack.chunk_bytes);
   std::vector<std::uint32_t> chunks;
   for (std::uint32_t c = first; c < std::min(stop, cm.num_chunks()); ++c) {
+    // Joinable from the first claim on, and advertised under the
+    // placement mutex with it: a claimer that loses this claim and then
+    // takes the mutex (Monarch::StageForPeer) finds the copy joinable.
+    std::unique_lock lock(cm.placement_mutex(), std::defer_lock);
+    if (joinable && chunks.empty()) lock.lock();
     if (cm.TryClaim(c)) {
-      // Joinable from the first claim on, so a reader that finds a claim
-      // finds it joinable.
-      if (joinable && chunks.empty()) BeginJoinable(*file);
+      if (lock.owns_lock()) BeginJoinable(*file);
       chunks.push_back(c);
     } else if (whole) {
       // Another task holds chunk c or it is resident: only our claims go.

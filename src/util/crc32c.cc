@@ -1,6 +1,11 @@
 #include "util/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace monarch {
 
@@ -45,8 +50,10 @@ inline std::uint32_t LoadLe32(const std::byte* p) noexcept {
 
 }  // namespace
 
-std::uint32_t Crc32c(std::span<const std::byte> data,
-                     std::uint32_t crc) noexcept {
+namespace detail {
+
+std::uint32_t Crc32cSoftware(std::span<const std::byte> data,
+                             std::uint32_t crc) noexcept {
   const auto& t = Tables().t;
   crc = ~crc;
 
@@ -69,6 +76,47 @@ std::uint32_t Crc32c(std::span<const std::byte> data,
           (crc >> 8);
   }
   return ~crc;
+}
+
+#if defined(__x86_64__)
+__attribute__((target("sse4.2"))) std::uint32_t Crc32cHardware(
+    std::span<const std::byte> data, std::uint32_t crc) noexcept {
+  std::uint64_t crc64 = ~crc;
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+  while (n >= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    crc64 = _mm_crc32_u64(crc64, word);
+    p += 8;
+    n -= 8;
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc64);
+  while (n-- > 0) {
+    crc32 = _mm_crc32_u8(crc32, std::to_integer<std::uint8_t>(*p++));
+  }
+  return ~crc32;
+}
+#endif
+
+Crc32cFn SelectedCrc32c() noexcept {
+  // A function-local static, and cpu_init before the query, keep the choice
+  // safe for callers that run during static initialisation.
+  static const Crc32cFn selected = [] {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sse4.2")) return &Crc32cHardware;
+#endif
+    return &Crc32cSoftware;
+  }();
+  return selected;
+}
+
+}  // namespace detail
+
+std::uint32_t Crc32c(std::span<const std::byte> data,
+                     std::uint32_t crc) noexcept {
+  return detail::SelectedCrc32c()(data, crc);
 }
 
 }  // namespace monarch

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -13,6 +15,23 @@ namespace {
 
 std::uint32_t CrcOfString(const std::string& text) {
   return Crc32c(text.data(), text.size());
+}
+
+// Every implementation this CPU can run: the software fallback always, the
+// SSE4.2 path where the CPU has it.
+std::vector<std::pair<const char*, detail::Crc32cFn>> Implementations() {
+  std::vector<std::pair<const char*, detail::Crc32cFn>> impls = {
+      {"software", &detail::Crc32cSoftware}};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2")) {
+    impls.emplace_back("hardware", &detail::Crc32cHardware);
+  }
+#endif
+  return impls;
+}
+
+std::span<const std::byte> AsBytes(const std::string& text) {
+  return std::as_bytes(std::span(text.data(), text.size()));
 }
 
 // Known-answer vectors from the CRC32C (Castagnoli) specification / RFC
@@ -33,6 +52,71 @@ TEST(Crc32cTest, KnownVectors) {
   std::vector<std::byte> ascending(32);
   for (int i = 0; i < 32; ++i) ascending[i] = static_cast<std::byte>(i);
   EXPECT_EQ(0x46DD794Eu, Crc32c(ascending));
+
+  for (const auto& [name, crc32c] : Implementations()) {
+    EXPECT_EQ(0u, crc32c({}, 0)) << name;
+    EXPECT_EQ(0xE3069283u, crc32c(AsBytes("123456789"), 0)) << name;
+    EXPECT_EQ(0x8A9136AAu, crc32c(zeros, 0)) << name;
+    EXPECT_EQ(0x62A8AB43u, crc32c(ones, 0)) << name;
+    EXPECT_EQ(0x46DD794Eu, crc32c(ascending, 0)) << name;
+  }
+}
+
+// A CPU with SSE4.2 must get the hardware path: a broken dispatch would
+// otherwise fall back to software without any value changing.
+TEST(Crc32cTest, DispatchUsesHardwareWhereTheCpuHasIt) {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2")) {
+    EXPECT_EQ(&detail::Crc32cHardware, detail::SelectedCrc32c());
+    return;
+  }
+#endif
+  EXPECT_EQ(&detail::Crc32cSoftware, detail::SelectedCrc32c());
+}
+
+TEST(Crc32cTest, ImplementationsAgreeOnRandomInputs) {
+  const auto impls = Implementations();
+  Xoshiro256 rng(31);
+  constexpr std::size_t kMaxLen = 1 << 20;
+  constexpr std::size_t kMaxOffset = 63;
+  std::vector<std::byte> buffer(kMaxLen + kMaxOffset);
+  for (auto& b : buffer) b = static_cast<std::byte>(rng() & 0xFF);
+
+  for (int trial = 0; trial < 300; ++trial) {
+    // Half the lengths are short so the byte tails get covered densely.
+    const std::size_t len =
+        trial % 2 == 0 ? rng() % 64 : rng() % (kMaxLen + 1);
+    const std::size_t offset = rng() % (kMaxOffset + 1);
+    const auto seed = static_cast<std::uint32_t>(rng());
+    const std::span<const std::byte> data(buffer.data() + offset, len);
+    const std::uint32_t reference = detail::Crc32cSoftware(data, seed);
+    EXPECT_EQ(reference, Crc32c(data, seed))
+        << "len=" << len << " offset=" << offset;
+    for (const auto& [name, crc32c] : impls) {
+      EXPECT_EQ(reference, crc32c(data, seed))
+          << name << " len=" << len << " offset=" << offset;
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainingAcrossImplementationsMatchesOneShot) {
+  const auto impls = Implementations();
+  Xoshiro256 rng(17);
+  std::vector<std::byte> data(4099);
+  for (auto& b : data) b = static_cast<std::byte>(rng() & 0xFF);
+  const std::uint32_t whole = detail::Crc32cSoftware(data, 0);
+
+  for (const auto& [prefix_name, prefix_fn] : impls) {
+    for (const auto& [suffix_name, suffix_fn] : impls) {
+      for (const std::size_t split : {0u, 1u, 7u, 8u, 9u, 2048u, 4098u,
+                                      4099u}) {
+        const std::span<const std::byte> all(data);
+        const std::uint32_t prefix = prefix_fn(all.first(split), 0);
+        EXPECT_EQ(whole, suffix_fn(all.subspan(split), prefix))
+            << prefix_name << " then " << suffix_name << " split=" << split;
+      }
+    }
+  }
 }
 
 TEST(Crc32cTest, IncrementalMatchesOneShot) {
@@ -62,7 +146,8 @@ TEST(Crc32cTest, SensitiveToSingleBitFlips) {
 }
 
 TEST(Crc32cTest, UnalignedOffsetsAgree) {
-  // The slice-by-8 loop must not depend on data alignment.
+  // Neither the slice-by-8 loop nor the SSE4.2 loop's 8-byte loads may
+  // depend on data alignment.
   std::vector<std::byte> padded(64 + 16);
   Xoshiro256 rng(5);
   for (auto& b : padded) b = static_cast<std::byte>(rng() & 0xFF);
