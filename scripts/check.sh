@@ -41,6 +41,13 @@ ctest --test-dir build --output-on-failure
 # repeat the deposit suite and fail on any failure.
 ./build/tests/monarch_tests --gtest_filter='DepositTest.*' \
     --gtest_repeat=100 --gtest_brief=1
+# Save keeps its verified read-back in drain-lane pool leases that the
+# drain thread hands back as it writes each chunk to the PFS, and a
+# drain that finds its local copy corrupt or gone prunes the generation
+# while Save, Restore and Flush run: repeat the checkpoint suites and
+# fail on any failure.
+./build/tests/monarch_tests --gtest_filter='Checkpoint*' \
+    --gtest_repeat=50 --gtest_brief=1
 
 cmake -B build-tsan -G Ninja -DMONARCH_SANITIZE=thread \
       -DMONARCH_BUILD_BENCHMARKS=OFF -DMONARCH_BUILD_EXAMPLES=OFF

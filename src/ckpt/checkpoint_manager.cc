@@ -72,6 +72,9 @@ CheckpointManager::CheckpointManager(core::StorageHierarchy& hierarchy,
                                 "checkpoints made durable by the drain lane");
   drain_bytes_counter_ = registry.GetCounter(
       "ckpt.drain_bytes", "bytes", "bytes drained to the PFS and verified");
+  drain_local_bytes_ = registry.GetCounter(
+      "ckpt.drain_local_bytes", "bytes",
+      "bytes the drain lane read from a cache tier (0 for a held drain)");
   drain_retries_ = registry.GetCounter(
       "ckpt.drain_retries", "ops",
       "drain attempts parked by PFS errors or an open circuit breaker");
@@ -292,6 +295,7 @@ Status CheckpointManager::Save(const std::string& name,
 
   const std::string local_path = LocalPath(name, gen);
   bool landed_local = false;
+  std::vector<storage::ReadView> held;  // verified chunks kept for the drain
   if (level.has_value()) {
     core::StorageDriver& driver = hierarchy_.Level(*level);
     Status write = Status::Ok();
@@ -303,7 +307,7 @@ Status CheckpointManager::Save(const std::string& name,
       if (!write.ok()) break;
     }
     if (write.ok() && options_.verify_local_writes) {
-      auto readback = ChecksumFile(driver, local_path, data.size());
+      auto readback = ChecksumFile(driver, local_path, data.size(), &held);
       if (!readback.ok()) {
         write = readback.status();
       } else if (readback.value() != crc) {
@@ -317,6 +321,7 @@ Status CheckpointManager::Save(const std::string& name,
     if (write.ok()) {
       landed_local = true;
     } else {
+      held.clear();  // return the leases before a direct PFS write
       (void)driver.Delete(local_path);
       driver.Release(data.size());
     }
@@ -354,6 +359,10 @@ Status CheckpointManager::Save(const std::string& name,
     if (entry.local_present) {
       stats_.local_bytes += entry.bytes;
       entries_[gen] = entry;
+      if (std::any_of(held.begin(), held.end(),
+                      [](const storage::ReadView& v) { return !v.empty(); })) {
+        held_[gen] = std::move(held);
+      }
       drain_queue_.push_back(gen);
       ++pending_drains_;
       pending_drains_gauge_->Set(static_cast<std::int64_t>(pending_drains_));
@@ -474,6 +483,7 @@ void CheckpointManager::DrainLoop() {
   while (true) {
     std::uint64_t gen = 0;
     Entry snapshot;
+    std::vector<storage::ReadView> held;
     {
       std::unique_lock<std::mutex> lock(mu_);
       drain_cv_.wait(lock,
@@ -481,14 +491,21 @@ void CheckpointManager::DrainLoop() {
       if (stop_) return;
       gen = drain_queue_.front();
       drain_queue_.pop_front();
+      if (auto node = held_.extract(gen); !node.empty()) {
+        held = std::move(node.mapped());
+      }
       auto it = entries_.find(gen);
       if (it == entries_.end() || it->second.pruned ||
-          it->second.state == CkptState::kDurable ||
-          !it->second.local_present) {
+          it->second.state == CkptState::kDurable) {
         --pending_drains_;
         pending_drains_gauge_->Set(
             static_cast<std::int64_t>(pending_drains_));
         flush_cv_.notify_all();
+        continue;
+      }
+      if (!it->second.local_present) {
+        // Restore quarantined the only copy before its drain began.
+        DropLostLocked(it->second);
         continue;
       }
       it->second.state = CkptState::kDraining;
@@ -500,9 +517,11 @@ void CheckpointManager::DrainLoop() {
     // Durability is mandatory: park with capped backoff across PFS
     // outages (the driver's bounded retries + circuit breaker decide
     // when an attempt has failed) and start the copy over — the
-    // gen-qualified PFS path makes restarts idempotent.
+    // gen-qualified PFS path makes restarts idempotent. A local copy
+    // that is corrupt or gone cannot heal, so it ends the loop instead.
     auto backoff = std::chrono::milliseconds(1);
-    while (!DrainOnce(snapshot)) {
+    DrainOutcome outcome = DrainOutcome::kRetry;
+    while ((outcome = DrainOnce(snapshot, held)) == DrainOutcome::kRetry) {
       {
         std::lock_guard<std::mutex> lock(mu_);
         if (stop_) return;  // pending drains stay journalled
@@ -515,6 +534,16 @@ void CheckpointManager::DrainLoop() {
         std::lock_guard<std::mutex> lock(mu_);
         if (stop_) return;
       }
+    }
+
+    if (outcome == DrainOutcome::kLocalLost) {
+      // Drop whatever part of the copy reached the PFS before the
+      // mismatch showed; nothing will ever reference it.
+      (void)pfs_writer_->Delete(PfsPath(snapshot.name, gen));
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = entries_.find(gen);
+      if (it != entries_.end()) DropLostLocked(it->second);
+      continue;
     }
 
     // Journal `durable` before publishing the state so a crash between
@@ -537,10 +566,11 @@ void CheckpointManager::DrainLoop() {
   }
 }
 
-bool CheckpointManager::DrainOnce(const Entry& snapshot) {
+CheckpointManager::DrainOutcome CheckpointManager::DrainOnce(
+    const Entry& snapshot, std::vector<storage::ReadView>& held) {
   // Respect the breaker before burning a retry budget against a tier the
   // resilience layer already routed around.
-  if (!pfs_writer_->health().AllowRequest()) return false;
+  if (!pfs_writer_->health().AllowRequest()) return DrainOutcome::kRetry;
 
   obs::TraceSpan span("ckpt.drain", "ckpt");
   if (span.active()) {
@@ -554,27 +584,82 @@ bool CheckpointManager::DrainOnce(const Entry& snapshot) {
   const std::string pfs_path = PfsPath(snapshot.name, snapshot.gen);
 
   std::uint32_t crc = 0;
+  std::size_t index = 0;
   for (std::uint64_t offset = 0; offset < snapshot.bytes;
-       offset += options_.chunk_bytes) {
+       offset += options_.chunk_bytes, ++index) {
     const std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(options_.chunk_bytes,
                                 snapshot.bytes - offset));
-    BufferPool::Lease lease = pool_.Acquire();
-    std::span<std::byte> chunk(lease.bytes().data(), n);
-    auto read = local.Read(local_path, offset, chunk);
-    if (!read.ok() || read.value() != n) return false;
+    // Save's read-back of this chunk, CRC-verified with the whole copy,
+    // or a fresh read of the local copy (not held, or already written by
+    // an earlier attempt that then failed).
+    storage::ReadView* view =
+        index < held.size() && !held[index].empty() ? &held[index] : nullptr;
+    std::optional<BufferPool::Lease> lease;
+    std::span<const std::byte> chunk;
+    if (view != nullptr) {
+      chunk = view->data();
+    } else {
+      lease.emplace(pool_.Acquire());
+      std::span<std::byte> buffer(lease->bytes().data(), n);
+      auto read = local.Read(local_path, offset, buffer);
+      if (!read.ok()) {
+        return read.status().code() == StatusCode::kNotFound
+                   ? DrainOutcome::kLocalLost
+                   : DrainOutcome::kRetry;
+      }
+      drain_local_bytes_->Increment(read.value());
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        stats_.drain_local_bytes += read.value();
+      }
+      if (read.value() != n) return DrainOutcome::kLocalLost;  // truncated
+      chunk = buffer;
+    }
     crc = Crc32c(chunk, crc);
-    if (!pfs_writer_->WriteAt(pfs_path, offset, chunk).ok()) return false;
+    if (!pfs_writer_->WriteAt(pfs_path, offset, chunk).ok()) {
+      return DrainOutcome::kRetry;
+    }
+    if (view != nullptr) view->Reset();  // on the PFS: return the lease
   }
-  if (crc != snapshot.crc) return false;  // local copy did not checksum
+  if (crc != snapshot.crc) return DrainOutcome::kLocalLost;
 
   if (options_.verify_drained_writes) {
     auto size = pfs_writer_->engine().FileSize(pfs_path);
-    if (!size.ok() || size.value() != snapshot.bytes) return false;
+    if (!size.ok() || size.value() != snapshot.bytes) {
+      return DrainOutcome::kRetry;
+    }
     auto readback = ChecksumFile(*pfs_writer_, pfs_path, snapshot.bytes);
-    if (!readback.ok() || readback.value() != snapshot.crc) return false;
+    if (!readback.ok() || readback.value() != snapshot.crc) {
+      return DrainOutcome::kRetry;
+    }
   }
-  return true;
+  return DrainOutcome::kDurable;
+}
+
+void CheckpointManager::DropLostLocked(Entry& entry) {
+  // The only copy of a not-yet-durable generation is corrupt or gone:
+  // prune it as recovery prunes a lost local copy, so Flush returns and
+  // Restore serves an older generation, never this one.
+  if (entry.local_present) {
+    core::StorageDriver& driver = hierarchy_.Level(entry.level);
+    if (driver.Delete(LocalPath(entry.name, entry.gen)).ok()) {
+      ++stats_.local_quarantined;  // corrupt, not vanished
+    }
+    if (entry.quota_held) {
+      driver.Release(entry.bytes);
+      stats_.local_bytes -= entry.bytes;
+    }
+    entry.local_present = false;
+    entry.quota_held = false;
+  }
+  entry.pruned = true;
+  ++stats_.dropped_orphans;
+  (void)journal_->Append(
+      {ManifestOp::kPrune, entry.gen, entry.name, entry.bytes, 0, -1});
+  --pending_drains_;
+  pending_drains_gauge_->Set(static_cast<std::int64_t>(pending_drains_));
+  flush_cv_.notify_all();
 }
 
 bool CheckpointManager::EvictOneLocalLocked() {
@@ -652,15 +737,20 @@ void CheckpointManager::ApplyRetentionLocked() {
 }
 
 Result<std::uint32_t> CheckpointManager::ChecksumFile(
-    core::StorageDriver& driver, const std::string& path,
-    std::uint64_t bytes) {
+    core::StorageDriver& driver, const std::string& path, std::uint64_t bytes,
+    std::vector<storage::ReadView>* hold) {
   std::uint32_t crc = 0;
   for (std::uint64_t offset = 0; offset < bytes;
        offset += options_.chunk_bytes) {
     const std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(options_.chunk_bytes, bytes - offset));
-    BufferPool::Lease lease = pool_.Acquire();
-    std::span<std::byte> chunk(lease.bytes().data(), n);
+    // A kept chunk never takes the pool's last buffer, so the drain lane
+    // (one transient lease at a time) always has one to make progress.
+    std::optional<BufferPool::Lease> lease =
+        hold != nullptr ? pool_.TryAcquire(/*keep_free=*/1) : std::nullopt;
+    const bool keep = lease.has_value();
+    if (!keep) lease.emplace(pool_.Acquire());
+    std::span<std::byte> chunk(lease->bytes().data(), n);
     MONARCH_ASSIGN_OR_RETURN(const std::size_t read,
                              driver.Read(path, offset, chunk));
     if (read != n) {
@@ -668,6 +758,14 @@ Result<std::uint32_t> CheckpointManager::ChecksumFile(
                            " of '" + path + "'");
     }
     crc = Crc32c(chunk, crc);
+    if (hold == nullptr) continue;
+    if (keep) {
+      hold->emplace_back(
+          chunk, std::make_shared<BufferPool::Lease>(std::move(*lease)),
+          /*zero_copy=*/false);
+    } else {
+      hold->emplace_back();
+    }
   }
   return crc;
 }

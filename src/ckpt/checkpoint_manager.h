@@ -23,6 +23,12 @@
 // a drain that exhausts its driver-level retries parks with capped
 // backoff and tries again until it succeeds or the manager shuts down —
 // the manifest lets an interrupted drain resume across a crash.
+// Save's verify read-back keeps the chunks it could lease from the pool
+// without taking its last buffer; the drain writes those from memory and
+// hands each lease back once its chunk is on the PFS, so a held
+// checkpoint is read from the local tier once, not twice. A local copy
+// the drain finds corrupt or gone loses its generation: it is pruned, as
+// recovery prunes a lost copy, instead of retried forever.
 //
 // Restore() serves from the CRC-verified local copy when present and
 // falls back to the (equally verified) PFS copy otherwise. A corrupt
@@ -50,6 +56,7 @@
 #include "obs/metrics_registry.h"
 #include "qos/bandwidth_broker.h"
 #include "qos/tenant.h"
+#include "storage/storage_engine.h"
 #include "util/buffer_pool.h"
 
 namespace monarch::ckpt {
@@ -74,7 +81,9 @@ struct CheckpointOptions {
 
   int drain_threads = 1;
 
-  /// Chunk size and total buffer budget of the drain lane's copies.
+  /// Chunk size and total buffer budget of the drain lane's copies,
+  /// which also bounds the verified read-backs Save keeps for the drain
+  /// (at most buffer_bytes - chunk_bytes of them).
   std::size_t chunk_bytes = std::size_t{1} << 22;          // 4 MiB
   std::size_t buffer_bytes = std::size_t{1} << 24;         // 16 MiB
 
@@ -113,13 +122,14 @@ class CheckpointManager final : public core::CheckpointSink {
     std::uint64_t restores_pfs = 0;
     std::uint64_t drains_completed = 0;
     std::uint64_t drain_bytes = 0;       ///< bytes made durable this process
+    std::uint64_t drain_local_bytes = 0; ///< read by the drain from a cache tier
     std::uint64_t drain_retries = 0;     ///< parked/backed-off drain attempts
     std::uint64_t local_evictions = 0;   ///< durable local copies dropped
     std::uint64_t pruned = 0;            ///< checkpoints retired (keep-last-K)
     std::uint64_t direct_pfs_writes = 0; ///< Saves that bypassed the tiers
     std::uint64_t local_quarantined = 0; ///< corrupt local copies deleted
     std::uint64_t resumed_drains = 0;    ///< drains re-queued by recovery
-    std::uint64_t dropped_orphans = 0;   ///< uncommitted temp copies removed
+    std::uint64_t dropped_orphans = 0;   ///< uncommitted or lost copies dropped
     std::uint64_t torn_tail_bytes = 0;   ///< journal bytes dropped at replay
     std::uint64_t pending_drains = 0;    ///< committed but not yet durable
     std::uint64_t local_bytes = 0;       ///< quota held by live local copies
@@ -191,18 +201,30 @@ class CheckpointManager final : public core::CheckpointSink {
   [[nodiscard]] std::string PfsPath(const std::string& name,
                                     std::uint64_t gen) const;
 
+  enum class DrainOutcome {
+    kDurable,    ///< PFS copy written and verified
+    kRetry,      ///< PFS or transient failure: park and try again
+    kLocalLost,  ///< local copy corrupt or gone: nothing left to drain
+  };
+
   void Recover();
   void DrainLoop();
-  /// One full chunked local->PFS copy + verify; false on failure (the
-  /// caller parks and retries).
-  bool DrainOnce(const Entry& snapshot);
+  /// One full chunked copy to the PFS + verify. Chunk i comes from
+  /// `held[i]` when Save kept it (the view is reset once written, which
+  /// returns its lease), else from the local copy.
+  DrainOutcome DrainOnce(const Entry& snapshot,
+                         std::vector<storage::ReadView>& held);
+  /// Prune a not-yet-durable generation whose only copy is lost.
+  void DropLostLocked(Entry& entry);
   /// Evict the oldest durable local copy to make room; false when none.
   bool EvictOneLocalLocked();
   void ApplyRetentionLocked();
-  /// Chunked CRC32C of `path` on `driver` (pool-buffered).
-  Result<std::uint32_t> ChecksumFile(core::StorageDriver& driver,
-                                     const std::string& path,
-                                     std::uint64_t bytes);
+  /// Chunked CRC32C of `path` on `driver` (pool-buffered). With `hold`,
+  /// one view per chunk is appended: the chunk's bytes when a lease was
+  /// free without taking the pool's last buffer, else an empty view.
+  Result<std::uint32_t> ChecksumFile(
+      core::StorageDriver& driver, const std::string& path,
+      std::uint64_t bytes, std::vector<storage::ReadView>* hold = nullptr);
   Status WriteDirectToPfs(const Entry& entry,
                           std::span<const std::byte> data);
 
@@ -221,6 +243,9 @@ class CheckpointManager final : public core::CheckpointSink {
   std::condition_variable drain_cv_;   ///< wakes drain workers
   std::condition_variable flush_cv_;   ///< wakes Flush waiters
   std::map<std::uint64_t, Entry> entries_;  ///< by gen (ordered = oldest first)
+  /// Save's verified read-backs awaiting their drain, by gen; each view
+  /// pins a pool_ lease (declared after pool_, so destroyed before it).
+  std::map<std::uint64_t, std::vector<storage::ReadView>> held_;
   std::deque<std::uint64_t> drain_queue_;
   std::uint64_t next_gen_ = 1;
   std::uint64_t pending_drains_ = 0;
@@ -238,6 +263,7 @@ class CheckpointManager final : public core::CheckpointSink {
   obs::Counter* restores_ = nullptr;
   obs::Counter* drains_ = nullptr;
   obs::Counter* drain_bytes_counter_ = nullptr;
+  obs::Counter* drain_local_bytes_ = nullptr;
   obs::Counter* drain_retries_ = nullptr;
   obs::Counter* local_evictions_ = nullptr;
   obs::Counter* pruned_counter_ = nullptr;

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -67,20 +68,18 @@ class BufferPool {
   /// leased out.
   Lease Acquire() {
     std::unique_lock lock(mu_);
-    cv_.wait(lock, [this] {
-      return !free_.empty() || created_ < max_buffers_;
-    });
-    Buffer buffer;
-    if (!free_.empty()) {
-      buffer = std::move(free_.back());
-      free_.pop_back();
-    } else {
-      ++created_;
-      buffer = std::make_unique_for_overwrite<std::byte[]>(chunk_bytes_);
-    }
-    ++outstanding_;
-    peak_outstanding_ = std::max(peak_outstanding_, outstanding_);
-    return Lease(this, std::move(buffer));
+    cv_.wait(lock, [this] { return AvailableLocked() > 0; });
+    return TakeLocked();
+  }
+
+  /// Take a buffer without blocking, and only while `keep_free` more
+  /// would stay available after it; nullopt otherwise. A holder that
+  /// keeps leases for a long time takes them with `keep_free` = 1, so a
+  /// lane that Acquire()s one buffer at a time can always proceed.
+  std::optional<Lease> TryAcquire(std::size_t keep_free) {
+    std::lock_guard lock(mu_);
+    if (AvailableLocked() <= keep_free) return std::nullopt;
+    return TakeLocked();
   }
 
   [[nodiscard]] std::size_t chunk_bytes() const noexcept {
@@ -101,6 +100,24 @@ class BufferPool {
   }
 
  private:
+  std::size_t AvailableLocked() const {
+    return free_.size() + (max_buffers_ - created_);
+  }
+
+  Lease TakeLocked() {
+    Buffer buffer;
+    if (!free_.empty()) {
+      buffer = std::move(free_.back());
+      free_.pop_back();
+    } else {
+      ++created_;
+      buffer = std::make_unique_for_overwrite<std::byte[]>(chunk_bytes_);
+    }
+    ++outstanding_;
+    peak_outstanding_ = std::max(peak_outstanding_, outstanding_);
+    return Lease(this, std::move(buffer));
+  }
+
   void Return(Buffer buffer) {
     {
       std::lock_guard lock(mu_);

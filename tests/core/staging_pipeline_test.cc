@@ -75,6 +75,25 @@ TEST(BufferPoolTest, AcquireBlocksWhenBudgetExhausted) {
   EXPECT_EQ(8u, pool.peak_in_use_bytes()) << "budget was never exceeded";
 }
 
+TEST(BufferPoolTest, TryAcquireNeverBlocksAndLeavesTheSpareItIsAskedFor) {
+  BufferPool pool(/*capacity_bytes=*/24, /*chunk_bytes=*/8);  // three
+  auto first = pool.TryAcquire(/*keep_free=*/1);
+  auto second = pool.TryAcquire(/*keep_free=*/1);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  // One buffer left: a holder keeping one free is refused at once, a
+  // TryAcquire keeping none free takes it, and then even that is refused.
+  EXPECT_FALSE(pool.TryAcquire(/*keep_free=*/1).has_value());
+  auto last = pool.TryAcquire(/*keep_free=*/0);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_FALSE(pool.TryAcquire(/*keep_free=*/0).has_value());
+  EXPECT_EQ(24u, pool.in_use_bytes());
+  first.reset();
+  EXPECT_TRUE(pool.TryAcquire(/*keep_free=*/0).has_value())
+      << "a returned buffer is reused";
+  EXPECT_EQ(24u, pool.peak_in_use_bytes());
+}
+
 // ---------------------------------------------------------------------------
 // PlacementHandler two-lane pipeline
 
