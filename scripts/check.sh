@@ -41,6 +41,12 @@ ctest --test-dir build --output-on-failure
 # repeat the deposit suite and fail on any failure.
 ./build/tests/monarch_tests --gtest_filter='DepositTest.*' \
     --gtest_repeat=100 --gtest_brief=1
+# A file's state word is set and cleared by readers, staging workers and
+# the queue at once, and every join wakes on a clear of one of its bits
+# (a copy's end, a read-ahead's end): repeat the staging-pipeline and
+# FileInfo suites and fail on any failure.
+./build/tests/monarch_tests --gtest_filter='StagingPipeline*:FileInfo*' \
+    --gtest_repeat=50 --gtest_brief=1
 # Save keeps its verified read-back in drain-lane pool leases that the
 # drain thread hands back as it writes each chunk to the PFS, and a
 # drain that finds its local copy corrupt or gone prunes the generation

@@ -521,7 +521,9 @@ void CheckpointManager::DrainLoop() {
     // that is corrupt or gone cannot heal, so it ends the loop instead.
     auto backoff = std::chrono::milliseconds(1);
     DrainOutcome outcome = DrainOutcome::kRetry;
-    while ((outcome = DrainOnce(snapshot, held)) == DrainOutcome::kRetry) {
+    for (bool retry = false;
+         (outcome = DrainOnce(snapshot, held, retry)) == DrainOutcome::kRetry;
+         retry = true) {
       {
         std::lock_guard<std::mutex> lock(mu_);
         if (stop_) return;  // pending drains stay journalled
@@ -567,7 +569,8 @@ void CheckpointManager::DrainLoop() {
 }
 
 CheckpointManager::DrainOutcome CheckpointManager::DrainOnce(
-    const Entry& snapshot, std::vector<storage::ReadView>& held) {
+    const Entry& snapshot, std::vector<storage::ReadView>& held,
+    bool retry) {
   // Respect the breaker before burning a retry budget against a tier the
   // resilience layer already routed around.
   if (!pfs_writer_->health().AllowRequest()) return DrainOutcome::kRetry;
@@ -583,6 +586,10 @@ CheckpointManager::DrainOutcome CheckpointManager::DrainOnce(
   const std::string local_path = LocalPath(snapshot.name, snapshot.gen);
   const std::string pfs_path = PfsPath(snapshot.name, snapshot.gen);
 
+  // A retry reads no local chunk before the PFS takes a write: through
+  // an outage each admitted attempt would read one only to drop it when
+  // its write fails. An empty write probes the PFS first.
+  bool pfs_writes = !retry;
   std::uint32_t crc = 0;
   std::size_t index = 0;
   for (std::uint64_t offset = 0; offset < snapshot.bytes;
@@ -600,6 +607,9 @@ CheckpointManager::DrainOutcome CheckpointManager::DrainOnce(
     if (view != nullptr) {
       chunk = view->data();
     } else {
+      if (!pfs_writes && !pfs_writer_->WriteAt(pfs_path, 0, {}).ok()) {
+        return DrainOutcome::kRetry;
+      }
       lease.emplace(pool_.Acquire());
       std::span<std::byte> buffer(lease->bytes().data(), n);
       auto read = local.Read(local_path, offset, buffer);
@@ -620,6 +630,7 @@ CheckpointManager::DrainOutcome CheckpointManager::DrainOnce(
     if (!pfs_writer_->WriteAt(pfs_path, offset, chunk).ok()) {
       return DrainOutcome::kRetry;
     }
+    pfs_writes = true;
     if (view != nullptr) view->Reset();  // on the PFS: return the lease
   }
   if (crc != snapshot.crc) return DrainOutcome::kLocalLost;

@@ -211,9 +211,10 @@ class CheckpointManager final : public core::CheckpointSink {
   void DrainLoop();
   /// One full chunked copy to the PFS + verify. Chunk i comes from
   /// `held[i]` when Save kept it (the view is reset once written, which
-  /// returns its lease), else from the local copy.
+  /// returns its lease), else from the local copy. A `retry` reads no
+  /// local chunk until the PFS has taken a write this attempt.
   DrainOutcome DrainOnce(const Entry& snapshot,
-                         std::vector<storage::ReadView>& held);
+                         std::vector<storage::ReadView>& held, bool retry);
   /// Prune a not-yet-durable generation whose only copy is lost.
   void DropLostLocked(Entry& entry);
   /// Evict the oldest durable local copy to make room; false when none.

@@ -1,19 +1,15 @@
 // FileInfo: the per-file entry of MONARCH's virtual namespace (§III-A,
 // "metadata container"). Tracks the file's size, its chunk map — which
 // chunks have a staged copy on a cache tier, and which a staging task has
-// claimed — and a placement state that summarises the map for the
-// eviction policies:
-//
-//   kPfsOnly --(first run published)--> kPlaced
-//      ^                                   |
-//      +---------(last run dropped)--------+
-//   either --(parked: every run dropped)--> kUnplaceable
+// claimed — and one state word of lifecycle bits. A file is placed while
+// its chunk map holds a resident run (Placed); every other lifecycle fact
+// is a bit of the word, set and cleared through one function (Transition)
+// and waited on through one (Await). DESIGN §3 lists every bit: who sets
+// it, who clears it, under which lock, and who waits on it.
 //
 // Claims are per chunk (ChunkMap::TryClaim, a CAS), so concurrent reads
-// of the same cold chunk schedule exactly one background copy. The
-// placement handler makes every transition under the chunk map's
-// placement mutex; a parked file (failure cap, quarantine, no room) is
-// never claimed again.
+// of the same cold chunk schedule exactly one background copy; a parked
+// file (failure cap, quarantine, no room) is never claimed again.
 //
 // Deposits: a run's verified bytes held in memory for the run's next
 // reader — a staged run whose copy has a reader coming
@@ -28,6 +24,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -41,12 +38,6 @@
 #include "storage/storage_engine.h"
 
 namespace monarch::core {
-
-enum class PlacementState : int {
-  kPfsOnly = 0,      ///< no chunk is staged
-  kPlaced = 1,       ///< some chunk is staged on an upper tier
-  kUnplaceable = 2,  ///< parked: reads stay on the PFS for good
-};
 
 /// One run's verified bytes (the run object's bytes, identity codec
 /// only), held for the run's next reader.
@@ -70,22 +61,22 @@ struct FileInfo {
   const std::string name;       ///< hierarchy-relative path
   const std::uint64_t size;     ///< bytes (fixed for the job's lifetime)
 
-  std::atomic<PlacementState> state{PlacementState::kPfsOnly};
+  /// The state word's bits (DESIGN §3 has the transition table).
+  static constexpr std::uint32_t kParked = 1u << 0;     ///< never clears
+  static constexpr std::uint32_t kJoinable = 1u << 1;   ///< a copy to join
+  static constexpr std::uint32_t kReadingAhead = 1u << 2;
+  static constexpr std::uint32_t kLookahead = 1u << 3;  ///< look-ahead origin
+  static constexpr std::uint32_t kStageRefused = 1u << 4;
+  /// The bits a reader waits on (Await): clearing one wakes it.
+  static constexpr std::uint32_t kWaitBits = kJoinable | kReadingAhead;
 
   /// Monotonic access stamp, maintained for the eviction-policy ablation
   /// (the paper's design deliberately never evicts; §III-A).
   std::atomic<std::uint64_t> last_access{0};
 
   /// Failed staging attempts and quarantined runs so far; once this
-  /// reaches the configured cap the placement handler parks the file
-  /// (kUnplaceable) so a broken file cannot hammer the staging pool on
-  /// every access.
+  /// reaches the configured cap the placement handler parks the file.
   std::atomic<int> fetch_failures{0};
-
-  /// Set when look-ahead or read-ahead (not a demand read) claimed this
-  /// file's chunks. The read path exchanges it back to false on the first demand
-  /// read served from a cache tier — that exchange is one prefetch hit.
-  std::atomic<bool> prefetched{false};
 
   /// In-flight demand reads and open visits (Monarch::PinVisit) of this
   /// file. A nonzero count pins the staged runs against eviction: the
@@ -96,35 +87,10 @@ struct FileInfo {
   std::atomic<int> read_pins{0};
 
   /// Readers still coming for this file's bytes: open visits
-  /// (Monarch::PinVisit) and reads waiting to join its copy
-  /// (AwaitJoinable). A demand copy published while any is counted keeps
-  /// a deposit for them; a read that already has its bytes is not one.
+  /// (Monarch::PinVisit) and reads waiting in Await(kJoinable). A
+  /// demand copy published while any is counted keeps a deposit for
+  /// them; a read that already has its bytes is not one.
   std::atomic<int> readers_coming{0};
-
-  /// Latched when a retryable no-space rejection bounced this file (an
-  /// eviction-capable policy refused to make room). The read path skips
-  /// re-claiming a latched file until the next offset-0 read re-arms it:
-  /// chunked readers would otherwise re-enqueue a doomed demand staging
-  /// per chunk and starve the prefetch lane behind the demand lane's
-  /// priority.
-  std::atomic<bool> stage_refused{false};
-
-  /// True while a copy of this file can be joined: a demand-lane task
-  /// for it is queued, or any task of it is running. A read whose chunks
-  /// are claimed waits for it to clear and then serves from the copy, so
-  /// each chunk crosses the PFS once. The
-  /// placement handler sets it and clears it (with a wake-up) on every
-  /// exit of the copy and on every path that drops the task unrun. A
-  /// queued look-ahead prefetch is never joinable: its worker may be the
-  /// very one the reader is queued behind.
-  std::atomic<bool> joinable{false};
-
-  /// True while a read-ahead of this file's runs is queued or running
-  /// (PlacementHandler::ReadAhead): a demand read that reaches the file
-  /// takes the queued task or waits for the running one instead of
-  /// reading its runs again. Unlike `joinable` it is never advertised to
-  /// peers: it moves no bytes into a tier.
-  std::atomic<bool> reading_ahead{false};
 
   /// Scan-resistance marking (ISSUE 10): set when the staged copy was
   /// placed on behalf of a low-retention tenant (a full-scan data-prep
@@ -162,42 +128,50 @@ struct FileInfo {
     return existing;
   }
 
-  /// The first run was published (its tier is the chunk map's).
-  void FinishFetch() noexcept {
-    state.store(PlacementState::kPlaced, std::memory_order_release);
+  /// Whether the chunk map holds a resident run: the file serves (some
+  /// of) its bytes from a tier. Published and folded back under the
+  /// placement mutex; a parked file holds none.
+  [[nodiscard]] bool Placed() const noexcept {
+    const pack::ChunkMap* cm = chunk_map();
+    return cm != nullptr && cm->ResidentCount() > 0;
   }
 
-  /// Nothing is staged any more: retryable, or parked when `permanently`.
-  void AbortFetch(bool permanently) noexcept {
-    state.store(permanently ? PlacementState::kUnplaceable
-                            : PlacementState::kPfsOnly,
-                std::memory_order_release);
+  /// Whether any of `bits` is set: one plain load.
+  [[nodiscard]] bool Has(std::uint32_t bits) const noexcept {
+    return (state_.load(std::memory_order_acquire) & bits) != 0;
   }
 
-  void BeginJoinable() noexcept {
-    joinable.store(true, std::memory_order_release);
+  /// Set `set` or clear `clear` (one of the two) as one atomic step of
+  /// the word; returns the word before it. Clearing a wait bit that was
+  /// set wakes every Await. Debug builds assert the transition is legal:
+  /// kParked never clears, and kReadingAhead is set only while clear.
+  std::uint32_t Transition(std::uint32_t set,
+                           std::uint32_t clear = 0) noexcept {
+    assert((clear & kParked) == 0 && (set == 0 || clear == 0));
+    const std::uint32_t before =
+        set != 0 ? state_.fetch_or(set, std::memory_order_acq_rel)
+                 : state_.fetch_and(~clear, std::memory_order_acq_rel);
+    assert((set & before & kReadingAhead) == 0);
+    if ((before & clear & kWaitBits) != 0) state_.notify_all();
+    return before;
   }
 
-  void EndJoinable() noexcept {
-    joinable.store(false, std::memory_order_release);
-    joinable.notify_all();
-  }
-
-  /// Block until no joinable copy is in flight (an event wait: no sleep,
-  /// no poll, no timeout), counted in readers_coming meanwhile. Returns
-  /// false when there was none to join.
-  bool AwaitJoinable() noexcept {
-    readers_coming.fetch_add(1, std::memory_order_acq_rel);
-    const bool joined = joinable.load(std::memory_order_acquire);
-    if (joined) joinable.wait(true, std::memory_order_acquire);
-    readers_coming.fetch_sub(1, std::memory_order_acq_rel);
-    return joined;
-  }
-
-  /// Clear the read-ahead mark and wake the reads waiting on it.
-  void EndReadAhead() noexcept {
-    reading_ahead.store(false, std::memory_order_release);
-    reading_ahead.notify_all();
+  /// Block while any of `bits` (wait bits) is set — an event wait: no
+  /// sleep, no poll, no timeout. A copy's joiner (kJoinable) is counted
+  /// in readers_coming meanwhile; a read-ahead's is not, as it is bound
+  /// for runs already on a tier. Returns false when none was set.
+  bool Await(std::uint32_t bits) noexcept {
+    assert((bits & ~kWaitBits) == 0);
+    const int coming = (bits & kJoinable) != 0 ? 1 : 0;
+    readers_coming.fetch_add(coming, std::memory_order_acq_rel);
+    std::uint32_t word = state_.load(std::memory_order_acquire);
+    const bool waited = (word & bits) != 0;
+    while ((word & bits) != 0) {
+      state_.wait(word, std::memory_order_acquire);
+      word = state_.load(std::memory_order_acquire);
+    }
+    readers_coming.fetch_sub(coming, std::memory_order_acq_rel);
+    return waited;
   }
 
   /// Whether any deposit is held: the read path's lock-free check.
@@ -284,6 +258,7 @@ struct FileInfo {
     return d.ahead && !d.served;
   }
 
+  std::atomic<std::uint32_t> state_{0};
   std::atomic<std::uint32_t> deposit_count_{0};
   std::mutex deposit_mu_;
   std::vector<Deposit> deposits_;  ///< guarded by deposit_mu_

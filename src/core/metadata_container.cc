@@ -30,8 +30,7 @@ std::vector<MetadataContainer::Entry> MetadataContainer::Snapshot() const {
   std::vector<Entry> out;
   out.reserve(files_.Size());
   files_.ForEach([&](const std::string& name, const FileInfoPtr& info) {
-    out.push_back(Entry{name, info->size,
-                        info->state.load(std::memory_order_relaxed)});
+    out.push_back(Entry{name, info->size});
   });
   std::sort(out.begin(), out.end(),
             [](const Entry& a, const Entry& b) { return a.name < b.name; });

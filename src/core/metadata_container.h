@@ -51,11 +51,10 @@ class MetadataContainer {
     return total_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Snapshot of every file's (name, size, state); sorted by name.
+  /// Snapshot of every file's (name, size); sorted by name.
   struct Entry {
     std::string name;
     std::uint64_t size;
-    PlacementState state;
   };
   [[nodiscard]] std::vector<Entry> Snapshot() const;
 

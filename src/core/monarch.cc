@@ -532,7 +532,8 @@ Result<Monarch::ServedRead> Monarch::Ladder(std::string_view name,
        length > 0 && level == pfs && waits < 3 && retries < 64;) {
     if (cm.RangeClaimed(offset, length)) {
       placement_->PromoteToDemand(info);
-      if (TimedJoin(name, "local", [&] { return info->AwaitJoinable(); })) {
+      if (TimedJoin(name, "local",
+                    [&] { return info->Await(FileInfo::kJoinable); })) {
         joined = true;
         ++waits;
       } else {
@@ -591,7 +592,7 @@ Result<std::span<const std::byte>> Monarch::ServeChunks(
     std::uint64_t offset, std::uint64_t length, ReadAccess& access) {
   // A read-ahead of the file is queued or running: run it here or wait
   // for it, so its runs are read once and serve this read from memory.
-  if (info->reading_ahead.load(std::memory_order_acquire)) {
+  if (info->Has(FileInfo::kReadingAhead)) {
     TimedJoin(info->name, "ahead",
               [&] { return placement_->JoinReadAhead(info); });
   }
@@ -887,7 +888,7 @@ std::optional<Result<std::span<const std::byte>>> Monarch::Miss(
                       static_cast<std::size_t>(to - from)));
       }
     }
-    if (i > 0) c.file->prefetched.store(true, std::memory_order_release);
+    if (i > 0) c.file->Transition(FileInfo::kLookahead);
     placement_->ScheduleChunkPlacement(
         std::move(c.file), std::move(c.chunks), std::move(donation),
         i == 0 ? StagingLane::kDemand : StagingLane::kPrefetch,
@@ -902,8 +903,7 @@ std::vector<Monarch::MissClaim> Monarch::ClaimMiss(const FileInfoPtr& info,
                                                    const ReadAccess& access) {
   const std::uint64_t length = access.length;
   if (length == 0 || placement_->stopped() ||
-      info->state.load(std::memory_order_acquire) ==
-          PlacementState::kUnplaceable) {
+      info->Has(FileInfo::kParked)) {
     return {};
   }
   // Shard ownership: with a peer view installed, each node stages only
@@ -915,10 +915,9 @@ std::vector<Monarch::MissClaim> Monarch::ClaimMiss(const FileInfoPtr& info,
   // An offset-0 read (file open) re-arms a file whose last demand
   // staging was refused by the eviction policy; later reads of the same
   // pass stay latched, so one open retries at most once.
-  if (offset == 0) {
-    info->stage_refused.store(false, std::memory_order_release);
-  } else if (info->stage_refused.load(std::memory_order_acquire)) {
-    return {};
+  if (info->Has(FileInfo::kStageRefused)) {
+    if (offset != 0) return {};
+    info->Transition(0, FileInfo::kStageRefused);
   }
   std::vector<MissClaim> claims;
   // Pack shape: a read of a whole packed file claims it and
@@ -999,7 +998,11 @@ void Monarch::FinishRead(const FileInfoPtr& info, int level,
   counters.reads.fetch_add(1, std::memory_order_relaxed);
   counters.bytes.fetch_add(served, std::memory_order_relaxed);
 
-  if (level != pfs && (info->prefetched.exchange(false) || ahead)) {
+  // The look-ahead bit costs one plain load while clear.
+  if (level != pfs && ((info->Has(FileInfo::kLookahead) &&
+                        (info->Transition(0, FileInfo::kLookahead) &
+                         FileInfo::kLookahead) != 0) ||
+                       ahead)) {
     // First demand read of a copy that look-ahead staged, or first served
     // from a run it read ahead: the prefetch paid off before demand ever
     // touched the PFS, the tier or the fabric.
@@ -1085,11 +1088,16 @@ void Monarch::InstallRunSchedule(
 
 void Monarch::TopUpPrefetch() {
   if (placement_->stopped()) return;
-  for (const std::string& name : placement_->TakeAhead(static_cast<
-           std::uint64_t>(placement_->options().prefetch_lookahead))) {
+  const std::vector<std::string> names = placement_->TakeAhead(
+      static_cast<std::uint64_t>(placement_->options().prefetch_lookahead));
+  for (auto it = names.begin(); it != names.end(); ++it) {
+    // A file taken twice is readied once: whether its second turn found
+    // the first one's copy still in flight or already placed would
+    // decide, by timing alone, whether it is also read ahead.
+    if (std::find(names.begin(), it, *it) != it) continue;
     // Unknown files cannot be prefetched. What this node owns and lacks
     // is staged; what it or a peer already holds is read ahead.
-    if (FileInfoPtr info = metadata_.Lookup(name);
+    if (FileInfoPtr info = metadata_.Lookup(*it);
         info != nullptr &&
         !ClaimAndSchedule(info, StagingLane::kPrefetch, /*lookahead=*/true)) {
       ScheduleReadAhead(info);
@@ -1131,7 +1139,7 @@ bool Monarch::ClaimAndSchedule(FileInfoPtr info, StagingLane lane,
       placement_->Claim(info, 0, UINT32_MAX, /*whole=*/false,
                         /*joinable=*/lane == StagingLane::kDemand);
   if (chunks.empty()) return false;
-  if (lookahead) info->prefetched.store(true, std::memory_order_release);
+  if (lookahead) info->Transition(FileInfo::kLookahead);
   placement_->ScheduleChunkPlacement(std::move(info), std::move(chunks), {},
                                      lane);
   return true;
@@ -1159,11 +1167,11 @@ std::uint64_t Monarch::ReadvertisePlacedCopies() {
   if (config_.peer_view == nullptr) return 0;
   std::uint64_t readvertised = 0;
   for (const auto& entry : metadata_.Snapshot()) {
-    if (entry.state != PlacementState::kPlaced) continue;
     FileInfoPtr info = metadata_.Lookup(entry.name);
+    if (info == nullptr || !info->Placed()) continue;
     // Peers read only fully resident files.
-    const pack::ChunkMap* cm = info ? info->chunk_map() : nullptr;
-    if (cm == nullptr || cm->ResidentCount() != cm->num_chunks()) continue;
+    const pack::ChunkMap* cm = info->chunk_map();
+    if (cm->ResidentCount() != cm->num_chunks()) continue;
     config_.peer_view->OnStaged(entry.name, cm->tier());
     ++readvertised;
   }
@@ -1186,9 +1194,8 @@ std::uint64_t Monarch::CleanupStagedCopies() {
 
   std::uint64_t removed = 0;
   for (const auto& entry : metadata_.Snapshot()) {
-    if (entry.state != PlacementState::kPlaced) continue;
     FileInfoPtr info = metadata_.Lookup(entry.name);
-    if (info && placement_->CleanupCopy(info)) ++removed;
+    if (info && info->Placed() && placement_->CleanupCopy(info)) ++removed;
   }
   placement_->DropDeposits();  // peer runs' deposits too
   return removed;

@@ -74,8 +74,8 @@ class PeerView {
   /// membership changes wake the wait. True when it waited.
   virtual bool AwaitRemoteCopy(const std::string& name) = 0;
 
-  /// This node's joinable copy of `name` began / ended (reported where
-  /// the placement handler sets and clears FileInfo::joinable).
+  /// This node's joinable copy of `name` began / ended (reported on the
+  /// set and clear edges of the file's FileInfo::kJoinable bit).
   virtual void OnCopyBegin(const std::string& name) = 0;
   virtual void OnCopyEnd(const std::string& name) = 0;
 };

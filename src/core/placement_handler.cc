@@ -59,7 +59,7 @@ bool PlacementHandler::NoteCopyDropped(FileInfo& file) noexcept {
 
 void PlacementHandler::CancelPrefetch(FileInfo& file) noexcept {
   prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
-  file.prefetched.store(false, std::memory_order_relaxed);
+  file.Transition(0, FileInfo::kLookahead);
 }
 
 PlacementHandler::PlacementHandler(StorageHierarchy& hierarchy,
@@ -146,10 +146,7 @@ std::vector<std::uint32_t> PlacementHandler::Claim(const FileInfoPtr& file,
                                                    std::uint32_t first,
                                                    std::uint32_t stop,
                                                    bool whole, bool joinable) {
-  if (file->state.load(std::memory_order_acquire) ==
-      PlacementState::kUnplaceable) {
-    return {};
-  }
+  if (file->Has(FileInfo::kParked)) return {};
   pack::ChunkMap& cm = *file->EnsureChunkMap(options_.pack.chunk_bytes);
   std::vector<std::uint32_t> chunks;
   for (std::uint32_t c = first; c < std::min(stop, cm.num_chunks()); ++c) {
@@ -302,13 +299,19 @@ void PlacementHandler::DropDeposits() {
 }
 
 void PlacementHandler::BeginJoinable(FileInfo& file) {
-  file.BeginJoinable();
-  if (peer_view_ != nullptr) peer_view_->OnCopyBegin(file.name);
+  std::unique_lock lock(copy_edge_mu_, std::defer_lock);
+  if (peer_view_ != nullptr) lock.lock();
+  const bool edge =
+      (file.Transition(FileInfo::kJoinable) & FileInfo::kJoinable) == 0;
+  if (edge && peer_view_ != nullptr) peer_view_->OnCopyBegin(file.name);
 }
 
 void PlacementHandler::EndJoinable(FileInfo& file) {
-  file.EndJoinable();
-  if (peer_view_ != nullptr) peer_view_->OnCopyEnd(file.name);
+  std::unique_lock lock(copy_edge_mu_, std::defer_lock);
+  if (peer_view_ != nullptr) lock.lock();
+  const bool edge =
+      (file.Transition(0, FileInfo::kJoinable) & FileInfo::kJoinable) != 0;
+  if (edge && peer_view_ != nullptr) peer_view_->OnCopyEnd(file.name);
 }
 
 void PlacementHandler::Enqueue(StagingTask task) {
@@ -325,9 +328,9 @@ void PlacementHandler::Enqueue(StagingTask task) {
     std::lock_guard lock(mu_);
     // One read-ahead per file at a time, marked under mu_: a reader that
     // finds the mark finds the task queued or running (JoinReadAhead).
-    if (task.read_ahead >= 0 &&
-        file.reading_ahead.exchange(true, std::memory_order_acq_rel)) {
-      return;
+    if (task.read_ahead >= 0) {
+      if (file.Has(FileInfo::kReadingAhead)) return;
+      file.Transition(FileInfo::kReadingAhead);
     }
     scheduled_.fetch_add(1, std::memory_order_relaxed);
     if (prefetch) prefetch_scheduled_.fetch_add(1, std::memory_order_relaxed);
@@ -337,7 +340,7 @@ void PlacementHandler::Enqueue(StagingTask task) {
     // have started it.
     const bool handed_off = prefetch && !task.donation.bytes.empty();
     PushLocked(std::move(task));
-    if (handed_off) file.EndJoinable();
+    if (handed_off) EndJoinable(file);
   }
   cv_.notify_one();
 }
@@ -345,7 +348,7 @@ void PlacementHandler::Enqueue(StagingTask task) {
 void PlacementHandler::DropUnrun(const StagingTask& task) {
   if (task.read_ahead >= 0) {
     prefetch_cancelled_.fetch_add(1, std::memory_order_relaxed);
-    task.file->EndReadAhead();
+    task.file->Transition(0, FileInfo::kReadingAhead);
     return;
   }
   if (task.lane == StagingLane::kPrefetch) CancelPrefetch(*task.file);
@@ -373,15 +376,13 @@ bool PlacementHandler::JoinReadAhead(const FileInfoPtr& file) {
   }
   if (!queued.has_value()) {
     // Running (or just finished): its worker clears the mark.
-    const bool running = file->reading_ahead.load(std::memory_order_acquire);
-    if (running) file->reading_ahead.wait(true, std::memory_order_acquire);
-    return running;
+    return file->Await(FileInfo::kReadingAhead);
   }
   // The reader overtook the queued task: it reads the runs itself, now,
   // so they are its own deposits, not a prefetch's.
   prefetch_promoted_.fetch_add(1, std::memory_order_relaxed);
   ReadAhead(*queued, /*ahead=*/false);
-  file->EndReadAhead();
+  file->Transition(0, FileInfo::kReadingAhead);
   drain_cv_.notify_all();
   return true;
 }
@@ -455,7 +456,7 @@ void PlacementHandler::WorkerLoop() {
     const FileInfoPtr file = task.file;
     if (task.read_ahead >= 0) {
       ReadAhead(task, /*ahead=*/true);
-      file->EndReadAhead();
+      file->Transition(0, FileInfo::kReadingAhead);
     } else {
       PlaceChunks(std::move(task));
       EndJoinable(*file);
@@ -470,7 +471,7 @@ void PlacementHandler::WorkerLoop() {
 
 void PlacementHandler::RecordStagingFailure(FileInfo& file) {
   failed_.fetch_add(1, std::memory_order_relaxed);
-  file.prefetched.store(false, std::memory_order_relaxed);
+  file.Transition(0, FileInfo::kLookahead);
   const int failures =
       file.fetch_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (failures < resilience_.max_placement_attempts) {
@@ -508,7 +509,7 @@ bool PlacementHandler::RefuseScanStaging(const StagingTask& task) {
   }
   scan_stage_refusals_.fetch_add(1, std::memory_order_relaxed);
   if (task.lane == StagingLane::kPrefetch) CancelPrefetch(*task.file);
-  task.file->stage_refused.store(true, std::memory_order_release);
+  task.file->Transition(FileInfo::kStageRefused);
   ReleaseClaims(*task.file, task.chunks);
   return true;
 }
@@ -667,10 +668,7 @@ void PlacementHandler::FoldBackLocked(FileInfo& file, pack::ChunkMap& cm,
   // The file no longer serves anything from a tier: back to PFS-resident
   // (readers mid-lookup fall back to the PFS on kNotFound), for good
   // when parked.
-  if (park || file.state.load(std::memory_order_acquire) ==
-                  PlacementState::kPlaced) {
-    file.AbortFetch(park);
-  }
+  if (park) file.Transition(FileInfo::kParked);
 }
 
 pack::ChunkMap::EvictedRun PlacementHandler::DropAllLocked(FileInfo& file,
@@ -849,7 +847,7 @@ Status PlacementHandler::StageRun(
   Deposit deposit;
   deposit.run_start = first;
   deposit.ahead = task.lane == StagingLane::kPrefetch &&
-                  file->prefetched.load(std::memory_order_acquire);
+                  file->Has(FileInfo::kLookahead);
   if (codec_ == nullptr &&
       (file->readers_coming.load(std::memory_order_acquire) > 0 ||
        deposit.ahead)) {
@@ -870,8 +868,7 @@ Status PlacementHandler::StageRun(
   const bool deposited = !deposit.bytes.empty();
   {
     std::lock_guard lock(cm.placement_mutex());
-    if (file->state.load(std::memory_order_acquire) ==
-        PlacementState::kUnplaceable) {
+    if (file->Has(FileInfo::kParked)) {
       // A racing task of this file parked it: publishing would un-park it.
       (void)tier.Delete(object);
       tier.Release(stored.size());
@@ -888,19 +885,18 @@ Status PlacementHandler::StageRun(
                                 std::memory_order_relaxed);
     if (before == 0) {
       // First resident run: the file now serves (partially) from a
-      // tier. Flip its state so the eviction policies see it as placed.
+      // tier, so the eviction policies see it as placed.
       file->fetch_failures.store(0, std::memory_order_relaxed);
       if (task.tenant.low_retention &&
           !file->low_retention.exchange(true, std::memory_order_acq_rel)) {
         low_retention_resident_bytes_.fetch_add(file->size,
                                                 std::memory_order_relaxed);
       }
-      file->FinishFetch();
       completed_.fetch_add(1, std::memory_order_relaxed);
       // A look-ahead copy a demand read promoted still counts: its first
       // tier read is a prefetch hit.
       if (task.lane == StagingLane::kPrefetch ||
-          file->prefetched.load(std::memory_order_acquire)) {
+          file->Has(FileInfo::kLookahead)) {
         prefetch_completed_.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -1030,8 +1026,7 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
 
   if (!rejected) {
     // A file parked meanwhile has nothing left to retry or count.
-    if (file->state.load(std::memory_order_acquire) !=
-        PlacementState::kUnplaceable) {
+    if (!file->Has(FileInfo::kParked)) {
       MLOG_WARN << "staging of '" << file->name << "' failed: " << failure;
       RecordStagingFailure(*file);
     }
@@ -1041,9 +1036,9 @@ void PlacementHandler::PlaceChunks(StagingTask task) {
       // Eviction makes quota headroom dynamic: this rejection only means
       // the policy protected every current resident (or lost the claim
       // races), not that the file can never fit. Leave it retryable, but
-      // latch stage_refused so readers retry once per file open instead
+      // latch kStageRefused so readers retry once per file open instead
       // of once per chunk.
-      file->stage_refused.store(true, std::memory_order_release);
+      file->Transition(FileInfo::kStageRefused);
     } else if (task.lane == StagingLane::kDemand) {
       // No tier can hold the file and nothing will ever be evicted: it
       // stays PFS-resident for the whole job.

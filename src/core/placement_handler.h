@@ -36,21 +36,13 @@
 // A READ-AHEAD task on the prefetch lane reads a file's runs whole — from
 // the local tier holding them, or from a peer over the peer rung — into
 // deposits (kDeposit: never past the budget, never at a donation's
-// cost), kept unserved for the file's next visit. While one is queued or
-// running the file's `reading_ahead` mark is set; a demand read that
-// finds it runs the queued task itself or waits for the running one
-// (JoinReadAhead), so each run is read once.
+// cost), kept unserved for the file's next visit.
 //
-// Joinable copies: from a read's claim (Claim) through its PFS read, and
-// while a demand task for a file is queued, or any task of it runs, the
-// handler keeps FileInfo::joinable set (and tells the peer view), so a
-// read whose chunks are claimed waits for those bytes instead of pulling
-// them a second time. The worker clears it when a task ends;
-// ReleaseClaims clears it for claims dropped unrun. Queued prefetch
-// tasks are not joinable: a reader promotes one first. A pack-mode
-// stretch's neighbours are joinable while its PFS read is in flight;
-// queuing a neighbour's prefetch task ends that, so its readers promote
-// it.
+// Joins: a read whose chunks are claimed waits for the file's joinable
+// copy, and one bound for a tier waits for its read-ahead, instead of
+// reading those bytes a second time. Both are bits of the file's state
+// word (FileInfo::kJoinable, kReadingAhead); DESIGN §3's transition
+// table lists who sets and clears each, and under which lock.
 //
 // Failure ledger: backend I/O is retried inside the storage
 // drivers; a staging task that still fails leaves the file retryable on
@@ -460,16 +452,19 @@ class PlacementHandler {
   /// back what the task holds — a staging task's chunk claims and
   /// joinable copy, a read-ahead's mark.
   void DropUnrun(const StagingTask& task);
-  /// Mark `file`'s copy joinable, here and in the peer view.
+  /// Set `file`'s kJoinable bit; the peer view hears OnCopyBegin on the
+  /// set edge only. One copy's bit is set at its claim, its queueing and
+  /// its pop, so only edges keep the view's begins and ends paired.
   void BeginJoinable(FileInfo& file);
-  /// Clear the mark and wake the reads waiting on it.
+  /// Clear it, waking its joiners; the peer view hears OnCopyEnd on the
+  /// clear edge only.
   void EndJoinable(FileInfo& file);
   /// A speculative task dropped before staging: count it and clear the
   /// file's look-ahead marking.
   void CancelPrefetch(FileInfo& file) noexcept;
   /// Scan resistance (ISSUE 10): true when a low-retention task would
   /// push its tenant past `qos.scan_stage_cap_bytes`; the refusal is
-  /// counted, stage_refused latched and the task's claims released.
+  /// counted, kStageRefused latched and the task's claims released.
   bool RefuseScanStaging(const StagingTask& task);
   /// No level had room even after eviction: count the rejection, and
   /// cancel a prefetch task (a prefetch rejection is never permanent).
@@ -571,6 +566,11 @@ class PlacementHandler {
   PlacementOptions options_;
   ResilienceOptions resilience_;
   PeerViewPtr peer_view_;
+  /// Makes a kJoinable edge and its peer-view report one step: reported
+  /// out of the word's order, an end could land before its begin and
+  /// leave the directory showing a copy that no longer runs. Taken only
+  /// with a peer view: without one there is nothing to order.
+  std::mutex copy_edge_mu_;
   BufferPool pool_;
 
   std::atomic<bool> stopped_{false};

@@ -19,10 +19,9 @@ std::vector<FileInfoPtr> RankedPlacedFiles(const MetadataContainer& metadata,
   };
   std::vector<Candidate> candidates;
   for (const auto& entry : metadata.Snapshot()) {
-    if (entry.state != PlacementState::kPlaced) continue;
     if (entry.name == incoming.name) continue;
     FileInfoPtr info = metadata.Lookup(entry.name);
-    if (!info) continue;
+    if (!info || !info->Placed()) continue;
     const std::optional<std::uint64_t> k = key(*info);
     if (!k.has_value()) continue;  // the key fn vetoed this candidate
     candidates.push_back(Candidate{std::move(info), *k});

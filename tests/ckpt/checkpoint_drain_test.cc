@@ -301,6 +301,42 @@ TEST(CheckpointDrainTest, TwoChunkPoolDrainsUnheldAndHeldSavesThroughAnOutage) {
   }
 }
 
+TEST(CheckpointDrainTest, OutageRetriesReadNoLocalChunk) {
+  // Nothing is held, so every chunk is drained from the local copy. The
+  // first attempt reads chunk 0 before its write fails; each retry the
+  // breaker admits finds the PFS still refusing writes and reads nothing.
+  constexpr std::size_t kBytes = 3 * kChunk;
+  Node node;
+  CheckpointOptions options = ChunkedOptions(4);
+  options.verify_local_writes = false;
+  auto manager = node.Boot(options);
+  node.pfs->FailUntilHealed();
+  const auto data = Payload(kBytes, 5);
+  ASSERT_OK(manager->Save("model", data));
+
+  // The breaker judges after 16 outcomes, and each admitted attempt's
+  // write is tried 4 times: attempts 1–4 are all admitted.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (manager->GetStats().drain_retries < 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(manager->GetStats().drain_retries, 4u)
+      << "the drain never reached four retries";
+  EXPECT_GE(node.pfs->injected_failures(), 16u) << "four admitted attempts";
+  EXPECT_EQ(kChunk, manager->GetStats().drain_local_bytes)
+      << "only the first attempt read a chunk";
+
+  node.pfs->Heal();
+  ASSERT_TRUE(FlushSettles(*manager));
+  const auto stats = manager->GetStats();
+  EXPECT_EQ(kChunk + kBytes, stats.drain_local_bytes)
+      << "the first attempt's chunk, then the copy once";
+  EXPECT_EQ(1u, stats.drains_completed);
+  EXPECT_EQ(data, node.PfsCopy("ckpt/model.g1", kBytes));
+}
+
 TEST(CheckpointDrainTest, UnverifiedSavesHoldNothingAndTheDrainReadsLocal) {
   constexpr std::size_t kBytes = 2 * kChunk;
   Node node;

@@ -13,6 +13,7 @@
 
 #include "../gate_engine.h"
 #include "../test_support.h"
+#include "file_state.h"
 #include "core/monarch.h"
 #include "storage/faulty_engine.h"
 #include "storage/memory_engine.h"
@@ -148,14 +149,15 @@ class DepositTest : public ::testing::Test {
     return monarch_->Stats().placement.deposit_held_bytes;
   }
   std::uint64_t Hits() { return monarch_->Stats().deposit_hits; }
+  /// A test that passed leaves its Monarch quiescent.
+  void TearDown() override {
+    if (monarch_ != nullptr && !HasFailure()) ExpectQuiescent(*monarch_);
+  }
+
   FileInfoPtr InfoOf(std::size_t f) {
     FileInfoPtr info = monarch_->metadata().Lookup(NameOf(f));
     if (info == nullptr) ADD_FAILURE() << NameOf(f) << " is not indexed";
     return info;
-  }
-  PlacementState StateOf(std::size_t f) {
-    const FileInfoPtr info = InfoOf(f);
-    return info != nullptr ? info->state.load() : PlacementState::kPfsOnly;
   }
 
   WorldOptions options_;
@@ -211,7 +213,7 @@ TEST_F(DepositTest, JoinedReaderGetsRemainingSlicesFromDeposit) {
       whole.insert(whole.end(), slice.begin(), slice.end());
     }
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(AwaitJoiners(*InfoOf(0))) << "the joiner waits on the copy";
   gate_->ReleaseBlocked();
   joiner.join();
   monarch_->DrainPlacements();
@@ -238,7 +240,7 @@ TEST_F(DepositTest, FinishedReaderLeavesNoDeposit) {
   gate_->AwaitBlocked();
   gate_->ReleaseBlocked();
   monarch_->DrainPlacements();
-  EXPECT_EQ(PlacementState::kPlaced, StateOf(0));
+  EXPECT_TRUE(InfoOf(0)->Placed());
   EXPECT_EQ(0u, Held());
   EXPECT_EQ(Payload(0, kRun), Read(0, 0, kRun));
   EXPECT_EQ(2u, LocalReads()) << "the read-back, then the tier read";
@@ -265,7 +267,7 @@ TEST_F(DepositTest, EvictionDropsTheDeposit) {
   Read(1, 0, kRun);
   monarch_->DrainPlacements();
   EXPECT_EQ(1u, monarch_->Stats().placement.evictions);
-  EXPECT_EQ(PlacementState::kPfsOnly, StateOf(0));
+  EXPECT_TRUE(PfsOnly(*InfoOf(0)));
   EXPECT_EQ(0u, Held());
 
   const std::vector<std::byte> expected = Payload(0, kRun);
@@ -301,7 +303,7 @@ TEST_F(DepositTest, QuarantineParksTheFileAndDropsItsDeposits) {
   const MonarchStats stats = monarch_->Stats();
   EXPECT_EQ(1u, stats.placement.quarantined);
   EXPECT_EQ(1u, stats.fallbacks_corruption);
-  EXPECT_EQ(PlacementState::kUnplaceable, StateOf(0));
+  EXPECT_TRUE(Parked(*InfoOf(0)));
   EXPECT_EQ(0u, Held());
 
   const std::uint64_t pfs_before = PfsServed();
@@ -324,7 +326,7 @@ TEST_F(DepositTest, NoRoomParkDropsTheDeposit) {
     EXPECT_EQ(expected, Read(0, 0, 2 * kRun));
     monarch_->DrainPlacements();
   }
-  EXPECT_EQ(PlacementState::kUnplaceable, StateOf(0));
+  EXPECT_TRUE(Parked(*InfoOf(0)));
   EXPECT_EQ(0u, monarch_->Stats().levels[0].occupancy_bytes);
   EXPECT_EQ(0u, Held()) << "run 0's deposit went when the file was parked";
 
@@ -405,7 +407,7 @@ TEST_F(DepositTest, DepositsYieldToDonations) {
   const MonarchStats stats = monarch_->Stats();
   EXPECT_EQ(kRun, stats.placement.donated_bytes);
   EXPECT_EQ(pfs_before + 1, PfsReads()) << "the copy used the donation";
-  EXPECT_EQ(PlacementState::kPlaced, StateOf(2));
+  EXPECT_TRUE(InfoOf(2)->Placed());
   EXPECT_EQ(kRun, Held()) << "the oldest deposit made room";
   EXPECT_EQ(0u, stats.placement.donation_held_bytes);
 }
@@ -478,7 +480,7 @@ TEST_F(DepositTest, ReadAheadHoldsWhatTheBudgetHoldsAndYieldsToDonations) {
   const MonarchStats stats = monarch_->Stats();
   EXPECT_EQ(kRun, stats.placement.donated_bytes - donated);
   EXPECT_EQ(pfs_before + 1, PfsReads()) << "the copy used the donation";
-  EXPECT_EQ(PlacementState::kPlaced, StateOf(4));
+  EXPECT_TRUE(InfoOf(4)->Placed());
   EXPECT_EQ(1u, stats.placement.readahead_unread);
   EXPECT_EQ(0u, Held());
 }
@@ -515,7 +517,7 @@ TEST_F(DepositTest, QueuedReadAheadIsRunByItsReaderOrDroppedAtStop) {
   monarch_->StopPlacement();
   EXPECT_EQ(2u, monarch_->Stats().placement.prefetch_cancelled);
   for (const std::size_t f : {1, 2}) {
-    EXPECT_FALSE(InfoOf(f)->reading_ahead.load()) << "file " << f;
+    EXPECT_FALSE(InfoOf(f)->Has(FileInfo::kReadingAhead)) << "file " << f;
   }
   gate_->ReleaseBlocked();
   monarch_->DrainPlacements();

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "../test_support.h"
+#include "file_state.h"
 #include "stage_file.h"
 #include "cluster/peer_group.h"
 #include "core/metadata_container.h"
@@ -33,8 +34,7 @@ class EvictionPolicyTest : public ::testing::Test {
   FileInfoPtr Placed(const std::string& name, std::uint64_t last_access = 0) {
     metadata_.Register(name, 16);
     FileInfoPtr info = metadata_.Lookup(name);
-    info->EnsureChunkMap(16)->AssignTier(0);
-    info->state.store(PlacementState::kPlaced);
+    PublishFirstChunk(*info, 16);
     info->last_access.store(last_access);
     return info;
   }
@@ -315,7 +315,7 @@ TEST_F(EvictionHandlerTest, ReadPinBlocksEvictionUntilReleased) {
   auto f1 = AddPfsFile("f1", "0123456789");
   f1->last_access.store(1);
   Stage(f1);
-  ASSERT_EQ(PlacementState::kPlaced, f1->state.load());
+  ASSERT_TRUE(f1->Placed());
 
   // A demand read is mid-flight on f1's staged copy.
   f1->read_pins.fetch_add(1);
@@ -325,11 +325,11 @@ TEST_F(EvictionHandlerTest, ReadPinBlocksEvictionUntilReleased) {
   Stage(f2);
 
   // The only victim was pinned: f1 survives with its copy intact, f2
-  // bounces as retryable (not unplaceable) with stage_refused latched.
-  EXPECT_EQ(PlacementState::kPlaced, f1->state.load());
+  // bounces as retryable (not unplaceable) with kStageRefused latched.
+  EXPECT_TRUE(f1->Placed());
   EXPECT_EQ(0, f1->chunk_map()->tier());
-  EXPECT_EQ(PlacementState::kPfsOnly, f2->state.load());
-  EXPECT_TRUE(f2->stage_refused.load());
+  EXPECT_TRUE(PfsOnly(*f2));
+  EXPECT_TRUE(f2->Has(FileInfo::kStageRefused));
   const auto stats = handler_->Stats();
   EXPECT_EQ(0u, stats.evictions);
   EXPECT_GE(stats.eviction_pinned_skips, 1u);
@@ -339,13 +339,13 @@ TEST_F(EvictionHandlerTest, ReadPinBlocksEvictionUntilReleased) {
       << "the pinned copy's bytes must still be on the tier";
 
   // The pin is released (the read finished): now the eviction goes
-  // through. The next visit's offset-0 read re-arms stage_refused; the
+  // through. The next visit's offset-0 read re-arms kStageRefused; the
   // handler-level equivalent is clearing it before re-claiming.
   f1->read_pins.fetch_sub(1);
-  f2->stage_refused.store(false);
+  f2->Transition(0, FileInfo::kStageRefused);
   Stage(f2);
-  EXPECT_EQ(PlacementState::kPlaced, f2->state.load());
-  EXPECT_EQ(PlacementState::kPfsOnly, f1->state.load());
+  EXPECT_TRUE(f2->Placed());
+  EXPECT_TRUE(PfsOnly(*f1));
   EXPECT_EQ(1u, handler_->Stats().evictions);
 }
 
@@ -354,18 +354,18 @@ TEST_F(EvictionHandlerTest, DynamicHeadroomAfterRefusal) {
   // eviction-capable policy a no-space rejection must stay retryable,
   // because headroom is dynamic — the same file can fit later once an
   // eviction frees room. (Under first-fit the same rejection is
-  // terminal: kUnplaceable.)
+  // terminal: the file is parked.)
   Build(/*quota=*/15, MakeLruPolicy());
   auto resident = AddPfsFile("resident", "0123456789");
   Stage(resident);
-  ASSERT_EQ(PlacementState::kPlaced, resident->state.load());
+  ASSERT_TRUE(resident->Placed());
 
   // The schedule says the resident is needed before "blocked" is ever
   // read, so a prefetch of "blocked" may not displace it.
   auto blocked = AddPfsFile("blocked", "0123456789");
   handler_->InstallSchedule({"resident", "blocked"});
   Prefetch(blocked);
-  EXPECT_EQ(PlacementState::kPfsOnly, blocked->state.load())
+  EXPECT_TRUE(PfsOnly(*blocked))
       << "refusal must leave the file retryable, not unplaceable";
   EXPECT_GE(handler_->Stats().eviction_refused, 1u);
 
@@ -373,8 +373,8 @@ TEST_F(EvictionHandlerTest, DynamicHeadroomAfterRefusal) {
   // incoming file wins and the previously-refused placement succeeds.
   handler_->NoteAccess(*resident);
   Prefetch(blocked);
-  EXPECT_EQ(PlacementState::kPlaced, blocked->state.load());
-  EXPECT_EQ(PlacementState::kPfsOnly, resident->state.load());
+  EXPECT_TRUE(blocked->Placed());
+  EXPECT_TRUE(PfsOnly(*resident));
   EXPECT_EQ(1u, handler_->Stats().evictions);
   EXPECT_EQ(10u, hierarchy_->Level(0).occupancy_bytes())
       << "evicted quota must be released, placed quota reserved";
@@ -398,10 +398,10 @@ TEST_F(EvictionHandlerTest, ScheduledLruEvictsFarthestNextUse) {
   handler_->NoteAccess(*incoming);
   EXPECT_EQ("schedule (clock 1 of 3 accesses)", handler_->EvictionRanking());
   Stage(incoming);
-  EXPECT_EQ(PlacementState::kPlaced, incoming->state.load());
-  EXPECT_EQ(PlacementState::kPlaced, stale->state.load())
+  EXPECT_TRUE(incoming->Placed());
+  EXPECT_TRUE(stale->Placed())
       << "the least recent file is needed soonest and must stay";
-  EXPECT_EQ(PlacementState::kPfsOnly, recent->state.load());
+  EXPECT_TRUE(PfsOnly(*recent));
 }
 
 TEST_F(EvictionHandlerTest, ScheduledPrefetchMayEvictUnderLru) {
@@ -413,15 +413,15 @@ TEST_F(EvictionHandlerTest, ScheduledPrefetchMayEvictUnderLru) {
 
   // Without a schedule a prefetch is a guess and may not evict.
   Prefetch(wanted);
-  EXPECT_EQ(PlacementState::kPfsOnly, wanted->state.load());
-  EXPECT_EQ(PlacementState::kPlaced, resident->state.load());
+  EXPECT_TRUE(PfsOnly(*wanted));
+  EXPECT_TRUE(resident->Placed());
 
   // With one, "wanted" is a certain read ahead of the resident's next
   // use, so the prefetch lane takes its space.
   handler_->InstallSchedule({"wanted", "resident"});
   Prefetch(wanted);
-  EXPECT_EQ(PlacementState::kPlaced, wanted->state.load());
-  EXPECT_EQ(PlacementState::kPfsOnly, resident->state.load());
+  EXPECT_TRUE(wanted->Placed());
+  EXPECT_TRUE(PfsOnly(*resident));
   EXPECT_EQ(1u, handler_->Stats().prefetch_completed);
 }
 
@@ -435,8 +435,8 @@ TEST_F(EvictionHandlerTest, FirstFitIgnoresTheSchedule) {
   EXPECT_EQ("policy (first-fit)", handler_->EvictionRanking());
   auto wanted = AddPfsFile("wanted", "0123456789");
   Prefetch(wanted);
-  EXPECT_EQ(PlacementState::kPfsOnly, wanted->state.load());
-  EXPECT_EQ(PlacementState::kPlaced, resident->state.load());
+  EXPECT_TRUE(PfsOnly(*wanted));
+  EXPECT_TRUE(resident->Placed());
 }
 
 TEST_F(EvictionHandlerTest, EvictionsCountOneEventPerFileDropped) {
@@ -455,9 +455,8 @@ TEST_F(EvictionHandlerTest, EvictionsCountOneEventPerFileDropped) {
   EXPECT_EQ(20u, stats.evicted_bytes);
   EXPECT_EQ(15u, stats.chunks_copied) << "one run object per chunk";
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(i < 2 ? PlacementState::kPfsOnly : PlacementState::kPlaced,
-              files[static_cast<std::size_t>(i)]->state.load())
-        << i;
+    const FileInfo& file = *files[static_cast<std::size_t>(i)];
+    EXPECT_TRUE(i < 2 ? PfsOnly(file) : file.Placed()) << i;
   }
   EXPECT_EQ(30u, hierarchy_->Level(0).occupancy_bytes());
 }
@@ -473,7 +472,7 @@ TEST_F(EvictionHandlerTest, EvictionNotifiesPeerDirectory) {
   auto f1 = AddPfsFile("data/f1", "0123456789");
   f1->last_access.store(1);
   Stage(f1);
-  ASSERT_EQ(PlacementState::kPlaced, f1->state.load());
+  ASSERT_TRUE(f1->Placed());
   EXPECT_TRUE(group.directory().PlacedHolder("data/f1", /*exclude_node=*/1)
                   .has_value())
       << "publishing must advertise the copy to peers";
@@ -481,7 +480,7 @@ TEST_F(EvictionHandlerTest, EvictionNotifiesPeerDirectory) {
   auto f2 = AddPfsFile("data/f2", "0123456789");
   f2->last_access.store(2);
   Stage(f2);
-  ASSERT_EQ(PlacementState::kPfsOnly, f1->state.load());
+  ASSERT_TRUE(PfsOnly(*f1));
   EXPECT_FALSE(group.directory().PlacedHolder("data/f1", /*exclude_node=*/1)
                    .has_value())
       << "eviction must retract the peer advertisement (MarkEvicted)";

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "../test_support.h"
+#include "file_state.h"
 #include "storage/memory_engine.h"
 
 namespace monarch::core {
@@ -31,7 +32,7 @@ TEST(MetadataContainerTest, RegisterAndLookup) {
   EXPECT_EQ("dataset/f1", info->name);
   EXPECT_EQ(100u, info->size);
   EXPECT_EQ(nullptr, info->chunk_map()) << "never read: no tier holds it";
-  EXPECT_EQ(PlacementState::kPfsOnly, info->state.load());
+  EXPECT_TRUE(PfsOnly(*info));
   EXPECT_EQ(1u, container.FileCount());
   EXPECT_EQ(100u, container.TotalBytes());
 }
@@ -71,27 +72,29 @@ TEST(MetadataContainerTest, SnapshotIsSortedAndComplete) {
   EXPECT_EQ("b", snapshot[1].name);
   EXPECT_EQ("c", snapshot[2].name);
   EXPECT_EQ(2u, snapshot[1].size);
-  EXPECT_EQ(PlacementState::kPfsOnly, snapshot[0].state);
+  EXPECT_TRUE(PfsOnly(*container.Lookup("a")));
 }
 
 TEST(FileInfoTest, FetchStateMachine) {
   FileInfo info("f", 10);
-  EXPECT_EQ(PlacementState::kPfsOnly, info.state.load());
+  EXPECT_TRUE(PfsOnly(info));
 
-  info.FinishFetch();
-  EXPECT_EQ(PlacementState::kPlaced, info.state.load());
+  ASSERT_TRUE(PublishFirstChunk(info, 10));
+  EXPECT_TRUE(info.Placed()) << "its first run is published";
+  EXPECT_FALSE(PfsOnly(info));
 }
 
 TEST(FileInfoTest, AbortFetchRestoresOrPoisons) {
   FileInfo transient("f", 10);
-  transient.FinishFetch();
-  transient.AbortFetch(/*permanently=*/false);
-  EXPECT_EQ(PlacementState::kPfsOnly, transient.state.load())
+  ASSERT_TRUE(PublishFirstChunk(transient, 10));
+  ASSERT_EQ(1u, transient.chunk_map()->TryEvictRun(0).chunks);
+  EXPECT_TRUE(PfsOnly(transient))
       << "retryable once its last run is gone";
 
   FileInfo permanent("g", 10);
-  permanent.AbortFetch(/*permanently=*/true);
-  EXPECT_EQ(PlacementState::kUnplaceable, permanent.state.load());
+  permanent.Transition(FileInfo::kParked);
+  EXPECT_TRUE(Parked(permanent));
+  EXPECT_FALSE(PfsOnly(permanent));
 }
 
 TEST(FileInfoTest, ConcurrentClaimGrantsExactlyOne) {

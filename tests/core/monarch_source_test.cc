@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "../test_support.h"
+#include "file_state.h"
 #include "storage/memory_engine.h"
 #include "tfrecord/reader.h"
 #include "tfrecord/writer.h"
@@ -146,18 +147,18 @@ TEST_F(MonarchSourceTest, OpenSourcePinsItsStagedCopyAgainstEviction) {
     std::vector<std::byte> head(64);
     ASSERT_OK(source.ReadAt(0, head));
     monarch_->DrainPlacements();
-    ASSERT_EQ(PlacementState::kPlaced, train->state.load());
+    ASSERT_TRUE(train->Placed());
 
     read_other();
-    EXPECT_EQ(PlacementState::kPlaced, train->state.load())
+    EXPECT_TRUE(train->Placed())
         << "the open visit must keep its staged copy";
-    EXPECT_NE(PlacementState::kPlaced, other->state.load());
+    EXPECT_FALSE(other->Placed());
     EXPECT_GE(monarch_->Stats().placement.eviction_pinned_skips, 1u);
     ASSERT_OK(source.ReadAt(file_bytes - 64, head));
   }
   read_other();  // the next visit's offset-0 read re-arms the staging
-  EXPECT_EQ(PlacementState::kPlaced, other->state.load());
-  EXPECT_EQ(PlacementState::kPfsOnly, train->state.load())
+  EXPECT_TRUE(other->Placed());
+  EXPECT_TRUE(PfsOnly(*train))
       << "a closed visit no longer protects the copy";
   EXPECT_EQ(1u, monarch_->Stats().placement.evictions);
 }

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "../test_support.h"
+#include "file_state.h"
 #include "storage/memory_engine.h"
 
 namespace monarch::core {
@@ -177,7 +178,7 @@ TEST_F(MonarchTest, OversizedFileStaysOnPfs) {
   EXPECT_EQ(1u, stats.placement.rejected_no_space);
   EXPECT_EQ(0u, stats.levels[0].occupancy_bytes);
   // Subsequent reads keep hitting the PFS but do NOT re-schedule
-  // placement (state is kUnplaceable).
+  // placement (the file is parked).
   ReadAll(**monarch, "data/big", 24);
   monarch.value()->DrainPlacements();
   EXPECT_EQ(1u, monarch.value()->Stats().placement.scheduled);
@@ -245,8 +246,7 @@ TEST_F(MonarchTest, StopPlacementFreezesStaging) {
   monarch.value()->DrainPlacements();
   const auto stats = monarch.value()->Stats();
   EXPECT_EQ(1u, stats.placement.completed);
-  EXPECT_EQ(PlacementState::kPfsOnly,
-            monarch.value()->metadata().Lookup("data/f2")->state.load());
+  EXPECT_TRUE(PfsOnly(*monarch.value()->metadata().Lookup("data/f2")));
 }
 
 TEST_F(MonarchTest, ShutdownIsIdempotentAndDrains) {
@@ -341,8 +341,7 @@ TEST_F(MonarchTest, EmptyFileHandled) {
   EXPECT_EQ(0u, read.value());
   monarch.value()->DrainPlacements();
   // A zero-byte file has no chunk, so there is nothing to stage.
-  EXPECT_EQ(PlacementState::kPfsOnly,
-            monarch.value()->metadata().Lookup("data/empty")->state.load());
+  EXPECT_TRUE(PfsOnly(*monarch.value()->metadata().Lookup("data/empty")));
   EXPECT_EQ(0u, monarch.value()->Stats().placement.scheduled);
 }
 

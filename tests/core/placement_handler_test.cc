@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "../test_support.h"
+#include "file_state.h"
 #include "stage_file.h"
 #include "storage/faulty_engine.h"
 #include "storage/memory_engine.h"
@@ -58,7 +59,7 @@ TEST_F(PlacementHandlerTest, PlacesFileWithoutContent) {
   ASSERT_TRUE(StageFile(*handler_, file));
   handler_->Drain();
 
-  EXPECT_EQ(PlacementState::kPlaced, file->state.load());
+  EXPECT_TRUE(file->Placed());
   EXPECT_EQ(0, file->chunk_map()->tier());
   EXPECT_EQ(10u, hierarchy_->Level(0).occupancy_bytes());
 
@@ -82,7 +83,7 @@ TEST_F(PlacementHandlerTest, UsesProvidedContentWithoutPfsRead) {
   ASSERT_TRUE(StageFile(*handler_, file, Bytes("abcdefgh")));
   handler_->Drain();
 
-  EXPECT_EQ(PlacementState::kPlaced, file->state.load());
+  EXPECT_TRUE(file->Placed());
   const auto delta = pfs_engine_->Stats().Snapshot() - before;
   EXPECT_EQ(0u, delta.read_ops)
       << "content supplied by the read path must not trigger a PFS read";
@@ -94,7 +95,7 @@ TEST_F(PlacementHandlerTest, NoSpaceMarksUnplaceable) {
   ASSERT_TRUE(StageFile(*handler_, file));
   handler_->Drain();
 
-  EXPECT_EQ(PlacementState::kUnplaceable, file->state.load());
+  EXPECT_TRUE(Parked(*file));
   EXPECT_EQ(-1, file->chunk_map()->tier());
   EXPECT_EQ(1u, handler_->Stats().rejected_no_space);
   EXPECT_EQ(0u, hierarchy_->Level(0).occupancy_bytes());
@@ -127,7 +128,7 @@ TEST_F(PlacementHandlerTest, PfsReadFailureReleasesReservationAndRetries) {
   ASSERT_TRUE(StageFile(*handler_, file));
   handler_->Drain();
 
-  EXPECT_EQ(PlacementState::kPfsOnly, file->state.load())
+  EXPECT_TRUE(PfsOnly(*file))
       << "transient failure must return the file to the retryable state";
   EXPECT_EQ(0u, hierarchy_->Level(0).occupancy_bytes())
       << "failed placement must release its reservation";
@@ -138,7 +139,7 @@ TEST_F(PlacementHandlerTest, PfsReadFailureReleasesReservationAndRetries) {
   faulty->FailNextReads(0);
   ASSERT_TRUE(StageFile(*handler_, file));
   handler_->Drain();
-  EXPECT_EQ(PlacementState::kPlaced, file->state.load());
+  EXPECT_TRUE(file->Placed());
 }
 
 TEST_F(PlacementHandlerTest, StopSchedulingAbortsNewPlacements) {
@@ -147,7 +148,7 @@ TEST_F(PlacementHandlerTest, StopSchedulingAbortsNewPlacements) {
   handler_->StopScheduling();
   ASSERT_TRUE(StageFile(*handler_, file));
   handler_->Drain();
-  EXPECT_EQ(PlacementState::kPfsOnly, file->state.load());
+  EXPECT_TRUE(PfsOnly(*file));
   EXPECT_EQ(0u, handler_->Stats().scheduled);
 }
 
@@ -162,7 +163,7 @@ TEST_F(PlacementHandlerTest, ManyFilesAllPlacedConcurrently) {
   }
   handler_->Drain();
   for (const auto& file : files) {
-    EXPECT_EQ(PlacementState::kPlaced, file->state.load()) << file->name;
+    EXPECT_TRUE(file->Placed()) << file->name;
   }
   EXPECT_EQ(50u * 100, hierarchy_->Level(0).occupancy_bytes());
   EXPECT_EQ(50u, handler_->Stats().completed);
@@ -173,15 +174,15 @@ TEST_F(PlacementHandlerTest, EvictionDisabledByDefault) {
   auto f1 = AddPfsFile("f1", "0123456789");
   ASSERT_TRUE(StageFile(*handler_, f1));
   handler_->Drain();
-  ASSERT_EQ(PlacementState::kPlaced, f1->state.load());
+  ASSERT_TRUE(f1->Placed());
 
   auto f2 = AddPfsFile("f2", "0123456789");
   ASSERT_TRUE(StageFile(*handler_, f2));
   handler_->Drain();
 
   // The paper's no-eviction policy: f1 stays, f2 is unplaceable.
-  EXPECT_EQ(PlacementState::kPlaced, f1->state.load());
-  EXPECT_EQ(PlacementState::kUnplaceable, f2->state.load());
+  EXPECT_TRUE(f1->Placed());
+  EXPECT_TRUE(Parked(*f2));
   EXPECT_EQ(0u, handler_->Stats().evictions);
 }
 
@@ -194,7 +195,7 @@ TEST_F(PlacementHandlerTest, EvictionModeMakesRoomLru) {
   f1->last_access.store(1);
   ASSERT_TRUE(StageFile(*handler_, f1));
   handler_->Drain();
-  ASSERT_EQ(PlacementState::kPlaced, f1->state.load());
+  ASSERT_TRUE(f1->Placed());
 
   auto f2 = AddPfsFile("f2", "0123456789");
   f2->last_access.store(2);
@@ -202,9 +203,9 @@ TEST_F(PlacementHandlerTest, EvictionModeMakesRoomLru) {
   handler_->Drain();
 
   // f1 (older access) was evicted to admit f2.
-  EXPECT_EQ(PlacementState::kPlaced, f2->state.load());
+  EXPECT_TRUE(f2->Placed());
   EXPECT_EQ(0, f2->chunk_map()->tier());
-  EXPECT_EQ(PlacementState::kPfsOnly, f1->state.load());
+  EXPECT_TRUE(PfsOnly(*f1));
   EXPECT_EQ(-1, f1->chunk_map()->tier());
   EXPECT_EQ(1u, handler_->Stats().evictions);
   EXPECT_EQ(10u, hierarchy_->Level(0).occupancy_bytes());

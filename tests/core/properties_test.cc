@@ -119,18 +119,13 @@ TEST_P(PlacementPropertyTest, InvariantsHoldAfterTwoEpochs) {
     const FileInfoPtr info = monarch_->metadata().Lookup(entry.name);
     ASSERT_NE(nullptr, info) << entry.name;
     const pack::ChunkMap* cm = info->chunk_map();
-    switch (entry.state) {
-      case PlacementState::kPlaced:
-        ASSERT_NE(nullptr, cm) << entry.name;
-        EXPECT_GE(cm->tier(), 0) << entry.name;
-        EXPECT_LT(cm->tier(), pfs_level) << entry.name;
-        EXPECT_GT(cm->ResidentCount(), 0u) << entry.name;
-        placed_bytes += entry.size;
-        break;
-      case PlacementState::kUnplaceable:
-      case PlacementState::kPfsOnly:
-        EXPECT_TRUE(cm == nullptr || cm->ResidentCount() == 0) << entry.name;
-        break;
+    if (info->Placed()) {
+      EXPECT_FALSE(info->Has(FileInfo::kParked)) << entry.name;
+      EXPECT_GE(cm->tier(), 0) << entry.name;
+      EXPECT_LT(cm->tier(), pfs_level) << entry.name;
+      placed_bytes += entry.size;
+    } else {
+      EXPECT_TRUE(cm == nullptr || cm->ResidentCount() == 0) << entry.name;
     }
   }
 

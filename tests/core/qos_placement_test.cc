@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "../test_support.h"
+#include "file_state.h"
 #include "stage_file.h"
 #include "qos/tenant.h"
 #include "storage/memory_engine.h"
@@ -88,7 +89,7 @@ TEST_F(QosPlacementTest, ScanCopiesAreMarkedLowRetention) {
   auto file = AddPfsFile("scan-file", "0123456789");
   StageAs(Scanner(), file);
 
-  EXPECT_EQ(PlacementState::kPlaced, file->state.load());
+  EXPECT_TRUE(file->Placed());
   EXPECT_TRUE(file->low_retention.load());
   EXPECT_EQ(10u, handler_->Stats().low_retention_resident_bytes);
 }
@@ -98,7 +99,7 @@ TEST_F(QosPlacementTest, TrainerCopiesAreNotLowRetention) {
   auto file = AddPfsFile("train-file", "0123456789");
   StageAs(Trainer(), file);
 
-  EXPECT_EQ(PlacementState::kPlaced, file->state.load());
+  EXPECT_TRUE(file->Placed());
   EXPECT_FALSE(file->low_retention.load());
   EXPECT_EQ(0u, handler_->Stats().low_retention_resident_bytes);
 }
@@ -108,7 +109,7 @@ TEST_F(QosPlacementTest, ScanCannotEvictTrainingWorkingSet) {
   auto working_set = AddPfsFile("train-file", "0123456789");
   working_set->last_access.store(1);
   StageAs(Trainer(), working_set);
-  ASSERT_EQ(PlacementState::kPlaced, working_set->state.load());
+  ASSERT_TRUE(working_set->Placed());
 
   auto scan_file = AddPfsFile("scan-file", "0123456789");
   scan_file->last_access.store(2);
@@ -116,8 +117,8 @@ TEST_F(QosPlacementTest, ScanCannotEvictTrainingWorkingSet) {
 
   // The trainer's copy survives; the scan's placement is refused (and
   // stays retryable), and the cross-class canary never fires.
-  EXPECT_EQ(PlacementState::kPlaced, working_set->state.load());
-  EXPECT_NE(PlacementState::kPlaced, scan_file->state.load());
+  EXPECT_TRUE(working_set->Placed());
+  EXPECT_FALSE(scan_file->Placed());
   const auto stats = handler_->Stats();
   EXPECT_EQ(0u, stats.evictions);
   EXPECT_EQ(0u, stats.cross_class_evictions);
@@ -129,14 +130,14 @@ TEST_F(QosPlacementTest, ScanMayEvictOtherScanCopies) {
   auto first = AddPfsFile("scan-a", "0123456789");
   first->last_access.store(1);
   StageAs(Scanner(), first);
-  ASSERT_EQ(PlacementState::kPlaced, first->state.load());
+  ASSERT_TRUE(first->Placed());
 
   auto second = AddPfsFile("scan-b", "0123456789");
   second->last_access.store(2);
   StageAs(Scanner(), second);
 
-  EXPECT_EQ(PlacementState::kPlaced, second->state.load());
-  EXPECT_EQ(PlacementState::kPfsOnly, first->state.load());
+  EXPECT_TRUE(second->Placed());
+  EXPECT_TRUE(PfsOnly(*first));
   const auto stats = handler_->Stats();
   EXPECT_EQ(1u, stats.evictions);
   EXPECT_EQ(0u, stats.cross_class_evictions);
@@ -153,8 +154,8 @@ TEST_F(QosPlacementTest, TrainerReclaimsScanSpaceFirst) {
   auto scan_file = AddPfsFile("scan-file", "0123456789");
   scan_file->last_access.store(5);  // most recently used resident
   StageAs(Scanner(), scan_file);
-  ASSERT_EQ(PlacementState::kPlaced, old_train->state.load());
-  ASSERT_EQ(PlacementState::kPlaced, scan_file->state.load());
+  ASSERT_TRUE(old_train->Placed());
+  ASSERT_TRUE(scan_file->Placed());
 
   auto new_train = AddPfsFile("train-new", "0123456789");
   new_train->last_access.store(9);
@@ -162,9 +163,9 @@ TEST_F(QosPlacementTest, TrainerReclaimsScanSpaceFirst) {
 
   // Low-retention victims are tried before LRU order: the scan copy
   // goes even though the old training copy is least recently used.
-  EXPECT_EQ(PlacementState::kPlaced, new_train->state.load());
-  EXPECT_EQ(PlacementState::kPlaced, old_train->state.load());
-  EXPECT_EQ(PlacementState::kPfsOnly, scan_file->state.load());
+  EXPECT_TRUE(new_train->Placed());
+  EXPECT_TRUE(old_train->Placed());
+  EXPECT_TRUE(PfsOnly(*scan_file));
   EXPECT_EQ(0u, handler_->Stats().low_retention_resident_bytes);
 }
 
@@ -175,16 +176,16 @@ TEST_F(QosPlacementTest, ScanStageCapRefusesFurtherStagings) {
 
   auto first = AddPfsFile("scan-a", "0123456789");
   StageAs(Scanner(), first);
-  ASSERT_EQ(PlacementState::kPlaced, first->state.load());
+  ASSERT_TRUE(first->Placed());
 
   auto second = AddPfsFile("scan-b", "0123456789");
   StageAs(Scanner(), second);
 
   // 10 resident + 10 new > 12: the second staging is refused without
-  // touching the tier, but stays retryable (kPfsOnly, stage_refused
+  // touching the tier, but stays retryable (PfsOnly, kStageRefused
   // latched so the read path serves from the PFS without re-queuing).
-  EXPECT_EQ(PlacementState::kPfsOnly, second->state.load());
-  EXPECT_TRUE(second->stage_refused.load());
+  EXPECT_TRUE(PfsOnly(*second));
+  EXPECT_TRUE(second->Has(FileInfo::kStageRefused));
   const auto stats = handler_->Stats();
   EXPECT_GE(stats.scan_stage_refusals, 1u);
   EXPECT_EQ(10u, stats.low_retention_resident_bytes);
@@ -199,7 +200,7 @@ TEST_F(QosPlacementTest, TrainingStagingsIgnoreTheScanCap) {
   auto file = AddPfsFile("train-file", "0123456789");
   StageAs(Trainer(), file);
 
-  EXPECT_EQ(PlacementState::kPlaced, file->state.load());
+  EXPECT_TRUE(file->Placed());
   EXPECT_EQ(0u, handler_->Stats().scan_stage_refusals);
 }
 
@@ -261,7 +262,7 @@ TEST_P(CopyDropTest, DropsThePlacedCopyOnce) {
 
   auto scan = AddPfsFile("scan", "0123456789");
   StageAs(Scanner(), scan);
-  ASSERT_EQ(PlacementState::kPlaced, scan->state.load());
+  ASSERT_TRUE(scan->Placed());
   ASSERT_EQ(10u, handler_->Stats().low_retention_resident_bytes);
   if (pinned) scan->read_pins.fetch_add(1);
 
@@ -286,7 +287,7 @@ TEST_P(CopyDropTest, DropsThePlacedCopyOnce) {
 
   if (pinned && drop == Drop::kEvict) {
     // Only eviction waits for the reader mid-flight on the copy.
-    EXPECT_EQ(PlacementState::kPlaced, scan->state.load());
+    EXPECT_TRUE(scan->Placed());
     EXPECT_EQ(0, scan->chunk_map()->tier());
     EXPECT_EQ(10u, hierarchy_->Level(0).occupancy_bytes());
     EXPECT_TRUE(peers->dropped().empty());
@@ -294,7 +295,7 @@ TEST_P(CopyDropTest, DropsThePlacedCopyOnce) {
     EXPECT_EQ(1u, handler_->Stats().eviction_pinned_skips);
     return;
   }
-  EXPECT_NE(PlacementState::kPlaced, scan->state.load());
+  EXPECT_FALSE(scan->Placed());
   EXPECT_EQ(-1, scan->chunk_map()->tier());
   auto exists = cache_engine_->Exists("scan#c0");
   ASSERT_OK(exists);
@@ -309,7 +310,7 @@ TEST_P(CopyDropTest, DropsThePlacedCopyOnce) {
   // scan cap again.
   auto fresh = AddPfsFile("fresh", "abcde");
   StageAs(Scanner(), fresh);
-  EXPECT_EQ(PlacementState::kPlaced, fresh->state.load());
+  EXPECT_TRUE(fresh->Placed());
   EXPECT_EQ(0u, handler_->Stats().scan_stage_refusals);
   EXPECT_EQ(5u, handler_->Stats().low_retention_resident_bytes);
 }

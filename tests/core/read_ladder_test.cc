@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "../test_support.h"
+#include "file_state.h"
 #include "core/monarch.h"
 #include "pack/chunk_map.h"
 #include "storage/faulty_engine.h"
@@ -209,6 +210,7 @@ TEST(ReadLadderTest, EveryRungServesOracleBytes) {
       if (scenario == Scenario::kBreakerOpen) expected[0] = 1;
       if (scenario == Scenario::kCorrupt) expected[2] = 1;
       EXPECT_EQ(expected, moved);
+      ExpectQuiescent(*world.monarch);
     }
   }
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "../test_support.h"
+#include "file_state.h"
 #include "core/monarch.h"
 #include "core/storage_driver.h"
 #include "dlsim/monarch_opener.h"
@@ -270,8 +271,7 @@ TEST(ResilienceTest, QuarantineWithoutRestageParksTheFile) {
     EXPECT_EQ(1u, stats.placement.quarantined);
     EXPECT_EQ(1u, stats.placement.scheduled);
     EXPECT_EQ(1u, stats.fallbacks_corruption);
-    EXPECT_EQ(PlacementState::kUnplaceable,
-              world.monarch->metadata().Lookup(world.names[0])->state.load());
+    EXPECT_TRUE(Parked(*world.monarch->metadata().Lookup(world.names[0])));
     EXPECT_EQ(0u, world.monarch->hierarchy().Level(0).occupancy_bytes());
   }
 }
@@ -296,8 +296,7 @@ void ExpectPlacementRetryCap(bool pack) {
   // The cap stops further scheduling: reads keep succeeding from the PFS
   // and the staging pool is left alone.
   EXPECT_EQ(2u, stats.placement.scheduled);
-  EXPECT_EQ(PlacementState::kUnplaceable,
-            world.monarch->metadata().Lookup(world.names[0])->state.load());
+  EXPECT_TRUE(Parked(*world.monarch->metadata().Lookup(world.names[0])));
   ASSERT_OK(world.monarch->Read(world.names[0], 0, buf));
   EXPECT_EQ(GoldenPayload(0), std::vector<std::byte>(buf.begin(), buf.end()));
 }

@@ -10,13 +10,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "../gate_engine.h"
 #include "../test_support.h"
+#include "file_state.h"
 #include "stage_file.h"
 #include "core/monarch.h"
 #include "core/placement_handler.h"
@@ -102,7 +106,8 @@ class StagingPipelineTest : public ::testing::Test {
   void Build(std::vector<std::uint64_t> quotas, PlacementOptions options = {},
              int num_threads = 2,
              std::shared_ptr<GateEngine> tier0_engine = nullptr,
-             ResilienceOptions resilience = {}) {
+             ResilienceOptions resilience = {},
+             PeerViewPtr peer_view = nullptr) {
     pfs_engine_ = std::make_shared<storage::MemoryEngine>("pfs");
     std::vector<StorageDriverPtr> drivers;
     cache_engines_.clear();
@@ -123,7 +128,8 @@ class StagingPipelineTest : public ::testing::Test {
     hierarchy_ = std::move(StorageHierarchy::Create(std::move(drivers))).value();
     options.num_threads = num_threads;
     handler_ = std::make_unique<PlacementHandler>(
-        *hierarchy_, metadata_, MakeFirstFitPolicy(), options, resilience);
+        *hierarchy_, metadata_, MakeFirstFitPolicy(), options, resilience,
+        std::move(peer_view));
   }
 
   FileInfoPtr AddPfsFile(const std::string& name, const std::string& data) {
@@ -179,8 +185,8 @@ TEST_F(StagingPipelineTest, ChunkedCopyMatchesFullBufferCrc) {
   Stage(chunked, std::nullopt);   // every chunk from its own PFS read
   handler_->Drain();
 
-  ASSERT_EQ(PlacementState::kPlaced, full->state.load());
-  ASSERT_EQ(PlacementState::kPlaced, chunked->state.load());
+  ASSERT_TRUE(full->Placed());
+  ASSERT_TRUE(chunked->Placed());
 
   // Every chunk's recorded CRC matches its staged bytes, and both copies
   // record the same CRCs.
@@ -214,7 +220,7 @@ TEST_F(StagingPipelineTest, PeakStagingMemoryBoundedByPool) {
   handler_->Drain();
 
   for (const auto& file : files) {
-    EXPECT_EQ(PlacementState::kPlaced, file->state.load()) << file->name;
+    EXPECT_TRUE(file->Placed()) << file->name;
   }
   EXPECT_EQ(4096u, handler_->buffer_pool().capacity_bytes());
   EXPECT_LE(handler_->buffer_pool().peak_in_use_bytes(),
@@ -258,9 +264,9 @@ TEST_F(StagingPipelineTest, DemandNeverQueuedBehindPrefetch) {
   EXPECT_EQ("blocker#c0", order[0]);
   EXPECT_EQ("demand#c0", order[1])
       << "the demand task must pop before every queued prefetch";
-  EXPECT_EQ(PlacementState::kPlaced, demand->state.load());
+  EXPECT_TRUE(demand->Placed());
   for (const auto& file : prefetches) {
-    EXPECT_EQ(PlacementState::kPlaced, file->state.load()) << file->name;
+    EXPECT_TRUE(file->Placed()) << file->name;
   }
   EXPECT_EQ(5u, handler_->Stats().prefetch_scheduled);
   EXPECT_EQ(5u, handler_->Stats().prefetch_completed);
@@ -275,23 +281,23 @@ TEST_F(StagingPipelineTest, PrefetchNeverEvictsEvenInEvictionMode) {
   placed->last_access.store(1);
   Stage(placed, std::nullopt);
   handler_->Drain();
-  ASSERT_EQ(PlacementState::kPlaced, placed->state.load());
+  ASSERT_TRUE(placed->Placed());
 
   // Speculative work must not push a placed file out...
   auto hinted = AddPfsFile("hinted", "0123456789");
   Stage(hinted, std::nullopt, StagingLane::kPrefetch);
   handler_->Drain();
-  EXPECT_EQ(PlacementState::kPlaced, placed->state.load());
-  EXPECT_EQ(PlacementState::kPfsOnly, hinted->state.load())
-      << "a prefetch rejection is retryable, never kUnplaceable";
+  EXPECT_TRUE(placed->Placed());
+  EXPECT_TRUE(PfsOnly(*hinted))
+      << "a prefetch rejection is retryable, never parks";
   EXPECT_EQ(0u, handler_->Stats().evictions);
   EXPECT_EQ(1u, handler_->Stats().prefetch_cancelled);
 
   // ...but the same file staged on the demand lane may evict.
   Stage(hinted, std::nullopt, StagingLane::kDemand);
   handler_->Drain();
-  EXPECT_EQ(PlacementState::kPlaced, hinted->state.load());
-  EXPECT_EQ(PlacementState::kPfsOnly, placed->state.load());
+  EXPECT_TRUE(hinted->Placed());
+  EXPECT_TRUE(PfsOnly(*placed));
   EXPECT_EQ(1u, handler_->Stats().evictions);
 }
 
@@ -338,15 +344,15 @@ TEST_F(StagingPipelineTest, CancelPrefetchesReturnsFilesRetryable) {
   std::vector<FileInfoPtr> hinted;
   for (int i = 0; i < 3; ++i) {
     auto file = AddPfsFile("h" + std::to_string(i), "hhhhhhhhhh");
-    file->prefetched.store(true);
+    file->Transition(FileInfo::kLookahead);
     Stage(file, std::nullopt, StagingLane::kPrefetch);
     hinted.push_back(std::move(file));
   }
 
   EXPECT_EQ(3u, handler_->CancelPrefetches());
   for (const auto& file : hinted) {
-    EXPECT_EQ(PlacementState::kPfsOnly, file->state.load()) << file->name;
-    EXPECT_FALSE(file->prefetched.load()) << file->name;
+    EXPECT_TRUE(PfsOnly(*file)) << file->name;
+    EXPECT_FALSE(file->Has(FileInfo::kLookahead)) << file->name;
   }
   EXPECT_EQ(3u, handler_->Stats().prefetch_cancelled);
 
@@ -355,7 +361,7 @@ TEST_F(StagingPipelineTest, CancelPrefetchesReturnsFilesRetryable) {
   // Cancelled != abandoned: the files can be staged again later.
   Stage(hinted[0], std::nullopt, StagingLane::kDemand);
   handler_->Drain();
-  EXPECT_EQ(PlacementState::kPlaced, hinted[0]->state.load());
+  EXPECT_TRUE(hinted[0]->Placed());
 }
 
 TEST_F(StagingPipelineTest, DonatedPrefixIsNotReReadFromPfs) {
@@ -373,7 +379,7 @@ TEST_F(StagingPipelineTest, DonatedPrefixIsNotReReadFromPfs) {
   Stage(file, Bytes(payload.substr(0, 10)));
   handler_->Drain();
 
-  ASSERT_EQ(PlacementState::kPlaced, file->state.load());
+  ASSERT_TRUE(file->Placed());
   const auto delta = pfs_engine_->Stats().Snapshot() - before;
   EXPECT_EQ(10u, delta.bytes_read)
       << "donated leading bytes must enter the pipeline from memory";
@@ -411,7 +417,7 @@ TEST_F(StagingPipelineTest, DonationsShareTheStagingBudget) {
   gate->ReleaseBlocked();
   handler_->Drain();
   for (const auto& file : {held, queued, next}) {
-    EXPECT_EQ(PlacementState::kPlaced, file->state.load()) << file->name;
+    EXPECT_TRUE(file->Placed()) << file->name;
     EXPECT_EQ(payload, StagedBytes(*cache_engines_[0], *file)) << file->name;
   }
   const auto delta = pfs_engine_->Stats().Snapshot() - before;
@@ -426,7 +432,7 @@ TEST_F(StagingPipelineTest, DonationsShareTheStagingBudget) {
   auto late = AddPfsFile("late", payload);
   handler_->StopScheduling();
   Stage(late, Bytes(payload));
-  EXPECT_EQ(PlacementState::kPfsOnly, late->state.load());
+  EXPECT_TRUE(PfsOnly(*late));
   EXPECT_EQ(0u, handler_->Stats().donation_held_bytes);
 }
 
@@ -438,7 +444,7 @@ TEST_F(StagingPipelineTest, JoinableMarksDemandCopiesNotQueuedHints) {
   auto blocker = AddPfsFile("blocker", "bbbbbbbbbb");
   Stage(blocker, Bytes("bbbbbbbbbb"), StagingLane::kPrefetch);
   gate->AwaitBlocked();
-  EXPECT_TRUE(blocker->joinable.load());
+  EXPECT_TRUE(blocker->Has(FileInfo::kJoinable));
 
   // Queued behind it: the demand copy is joinable, the hint is not —
   // until a demand read promotes it.
@@ -446,25 +452,92 @@ TEST_F(StagingPipelineTest, JoinableMarksDemandCopiesNotQueuedHints) {
   auto hinted = AddPfsFile("hinted", "hhhhhhhhhh");
   Stage(demand, std::nullopt, StagingLane::kDemand);
   Stage(hinted, std::nullopt, StagingLane::kPrefetch);
-  EXPECT_TRUE(demand->joinable.load());
-  EXPECT_FALSE(hinted->joinable.load());
+  EXPECT_TRUE(demand->Has(FileInfo::kJoinable));
+  EXPECT_FALSE(hinted->Has(FileInfo::kJoinable));
   EXPECT_TRUE(handler_->PromoteToDemand(hinted));
-  EXPECT_TRUE(hinted->joinable.load());
+  EXPECT_TRUE(hinted->Has(FileInfo::kJoinable));
 
   gate->ReleaseBlocked();
   handler_->Drain();
   for (const auto& file : {blocker, demand, hinted}) {
-    EXPECT_EQ(PlacementState::kPlaced, file->state.load()) << file->name;
-    EXPECT_FALSE(file->joinable.load()) << file->name;
-    EXPECT_FALSE(file->AwaitJoinable()) << "nothing left to join";
+    EXPECT_TRUE(file->Placed()) << file->name;
+    EXPECT_FALSE(file->Has(FileInfo::kJoinable)) << file->name;
+    EXPECT_FALSE(file->Await(FileInfo::kJoinable)) << "nothing left to join";
   }
 
   // A task dropped unrun (enqueued after stop) leaves nothing to join.
   auto late = AddPfsFile("late", "llllllllll");
   handler_->StopScheduling();
   Stage(late, std::nullopt, StagingLane::kDemand);
-  EXPECT_EQ(PlacementState::kPfsOnly, late->state.load());
-  EXPECT_FALSE(late->joinable.load());
+  EXPECT_TRUE(PfsOnly(*late));
+  EXPECT_FALSE(late->Has(FileInfo::kJoinable));
+}
+
+/// A peer view that counts each file's OnCopyBegin / OnCopyEnd.
+class CountingPeerView final : public PeerView {
+ public:
+  bool HasRemoteCopy(const std::string&) override { return false; }
+  bool ShouldStageLocally(const std::string&) override { return true; }
+  void OnStaged(const std::string&, int) override {}
+  void OnDropped(const std::string&) override {}
+  void SetStageEntry(StageEntry) override {}
+  bool RequestOwnerStage(const std::string&) override { return false; }
+  bool AwaitRemoteCopy(const std::string&) override { return false; }
+  void OnCopyBegin(const std::string& name) override {
+    std::lock_guard lock(mu_);
+    ++counts_[name].first;
+  }
+  void OnCopyEnd(const std::string& name) override {
+    std::lock_guard lock(mu_);
+    ++counts_[name].second;
+  }
+
+  /// (begins, ends) reported for `name`.
+  std::pair<int, int> Counts(const std::string& name) const {
+    std::lock_guard lock(mu_);
+    const auto it = counts_.find(name);
+    return it != counts_.end() ? it->second : std::pair<int, int>{};
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::map<std::string, std::pair<int, int>> counts_;
+};
+
+TEST_F(StagingPipelineTest, JoinableCopyReachesThePeerViewOnEdgesOnly) {
+  auto gate = std::make_shared<GateEngine>("blocker#c0");
+  auto peers = std::make_shared<CountingPeerView>();
+  Build({1000}, {}, /*num_threads=*/1, gate, {}, peers);
+  auto blocker = AddPfsFile("blocker", "bbbbbbbbbb");
+  Stage(blocker, Bytes("bbbbbbbbbb"), StagingLane::kPrefetch);
+  gate->AwaitBlocked();
+
+  // A demand copy as a read's miss makes it: a joinable claim, then the
+  // demand task, then the worker that runs it. Each of the three marks
+  // the copy joinable; the peer view hears the first only.
+  auto demand = AddPfsFile("demand", "dddddddddd");
+  std::vector<std::uint32_t> chunks = handler_->Claim(
+      demand, 0, UINT32_MAX, /*whole=*/false, /*joinable=*/true);
+  ASSERT_EQ(1u, chunks.size());
+  EXPECT_EQ(std::make_pair(1, 0), peers->Counts("demand"));
+  handler_->ScheduleChunkPlacement(demand, std::move(chunks), {},
+                                   StagingLane::kDemand);
+  EXPECT_EQ(std::make_pair(1, 0), peers->Counts("demand"));
+
+  // A queued look-ahead copy is not joinable until a read promotes it.
+  auto ahead = AddPfsFile("ahead", "aaaaaaaaaa");
+  ahead->Transition(FileInfo::kLookahead);
+  Stage(ahead, std::nullopt, StagingLane::kPrefetch);
+  EXPECT_EQ(std::make_pair(0, 0), peers->Counts("ahead"));
+  ASSERT_TRUE(handler_->PromoteToDemand(ahead));
+  EXPECT_EQ(std::make_pair(1, 0), peers->Counts("ahead"));
+
+  gate->ReleaseBlocked();
+  handler_->Drain();
+  for (const auto& file : {blocker, demand, ahead}) {
+    EXPECT_TRUE(file->Placed()) << file->name;
+    EXPECT_EQ(std::make_pair(1, 1), peers->Counts(file->name)) << file->name;
+  }
 }
 
 TEST_F(StagingPipelineTest, RacingRunDoesNotUnparkAParkedFile) {
@@ -494,13 +567,13 @@ TEST_F(StagingPipelineTest, RacingRunDoesNotUnparkAParkedFile) {
   handler_->ScheduleChunkPlacement(file, {0}, {}, StagingLane::kDemand);
   // A releases its claim, ending the file's joinable copy, only after
   // the park.
-  EXPECT_TRUE(file->AwaitJoinable());
-  ASSERT_EQ(PlacementState::kUnplaceable, file->state.load());
+  EXPECT_TRUE(file->Await(FileInfo::kJoinable));
+  ASSERT_TRUE(Parked(*file));
   faulty->Heal();
 
   gate->ReleaseBlocked();
   handler_->Drain();
-  EXPECT_EQ(PlacementState::kUnplaceable, file->state.load());
+  EXPECT_TRUE(Parked(*file));
   EXPECT_EQ(0u, cm->ResidentCount());
   EXPECT_EQ(0u, hierarchy_->Level(0).occupancy_bytes());
   EXPECT_FALSE(cache_engines_[0]->Exists("racy#c1").value_or(true));
@@ -650,7 +723,7 @@ TEST_F(StagingPipelineMonarchTest, DemandOvertakePromotesQueuedHint) {
 }
 
 // A look-ahead copy a demand read promotes still completes as a
-// prefetch: its file keeps `prefetched`, so its first tier read is a
+// prefetch: its file keeps its kLookahead bit, so its first tier read is a
 // prefetch hit, and hits never outnumber completed prefetches.
 TEST_F(StagingPipelineMonarchTest, PromotedLookaheadCompletesAsAPrefetch) {
   auto gate = std::make_shared<GateEngine>("data/b#c0");
@@ -798,10 +871,9 @@ TEST_F(StagingPipelineMonarchTest,
   ReadAll(**monarch, "data/f3", 3);
   monarch.value()->DrainPlacements();
   const MetadataContainer& metadata = monarch.value()->metadata();
-  EXPECT_EQ(PlacementState::kPfsOnly,
-            metadata.Lookup("data/f1")->state.load());
-  EXPECT_EQ(PlacementState::kPlaced, metadata.Lookup("data/f2")->state.load());
-  EXPECT_EQ(PlacementState::kPlaced, metadata.Lookup("data/f3")->state.load());
+  EXPECT_TRUE(PfsOnly(*metadata.Lookup("data/f1")));
+  EXPECT_TRUE(metadata.Lookup("data/f2")->Placed());
+  EXPECT_TRUE(metadata.Lookup("data/f3")->Placed());
   EXPECT_EQ(1u, monarch.value()->Stats().placement.evictions);
 }
 
@@ -850,6 +922,11 @@ class StagingPipelineJoinTest : public ::testing::Test {
     monarch_ = std::move(monarch).value();
   }
 
+  /// A test that passed leaves its Monarch quiescent.
+  void TearDown() override {
+    if (monarch_ != nullptr && !HasFailure()) ExpectQuiescent(*monarch_);
+  }
+
   /// The `kJoinChunkBytes` of `name` at `offset`.
   std::string ReadChunk(const std::string& name, std::uint64_t offset) {
     std::vector<std::byte> buf(kJoinChunkBytes);
@@ -860,15 +937,18 @@ class StagingPipelineJoinTest : public ::testing::Test {
   }
 
   /// Read a later chunk of the target on another thread — the read that
-  /// joins the in-flight copy — and check it is still waiting.
+  /// joins the in-flight copy — and check it is waiting on that copy.
   void StartJoiner() {
     joiner_ = std::thread([this] {
       joined_bytes_ = ReadChunk("data/target", kJoinChunkBytes);
       joiner_done_.store(true);
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(joiner_done_.load())
+    const FileInfoPtr info = monarch_->metadata().Lookup("data/target");
+    ASSERT_TRUE(info != nullptr);
+    EXPECT_TRUE(AwaitJoiners(*info))
         << "a read bound for the PFS must wait for the copy in flight";
+    EXPECT_TRUE(info->Has(FileInfo::kJoinable));
+    EXPECT_FALSE(joiner_done_.load());
   }
 
   /// Wait for the joiner, check it got the right bytes, and let the
@@ -879,7 +959,7 @@ class StagingPipelineJoinTest : public ::testing::Test {
     monarch_->DrainPlacements();
     const FileInfoPtr info = monarch_->metadata().Lookup("data/target");
     ASSERT_TRUE(info != nullptr);
-    EXPECT_FALSE(info->joinable.load());
+    EXPECT_FALSE(info->Has(FileInfo::kJoinable));
   }
 
   const std::string target_ = JoinPayload('t');
@@ -963,7 +1043,7 @@ TEST_F(StagingPipelineJoinTest, JoinerWakesOnLruNoSpaceRefusalToPfs) {
   EXPECT_EQ(1u, stats.placement.rejected_no_space);
   const FileInfoPtr info = monarch_->metadata().Lookup("data/target");
   ASSERT_TRUE(info != nullptr);
-  EXPECT_TRUE(info->stage_refused.load());
+  EXPECT_TRUE(info->Has(FileInfo::kStageRefused));
 }
 
 TEST_F(StagingPipelineJoinTest, JoinerWakesAcrossShutdownWithQueuedCopy) {
@@ -994,10 +1074,9 @@ TEST_F(StagingPipelineJoinTest, ColdChunkedReadCostsTwoPfsReads) {
       whole += ReadChunk("data/target", offset);
     }
   });
-  // Hold the copy long enough that reads which did not join it would
-  // all have reached the PFS.
+  // Hold the copy until the next read waits on it.
   gate_->AwaitBlocked();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(AwaitJoiners(*monarch_->metadata().Lookup("data/target")));
   gate_->ReleaseBlocked();
   reader.join();
   monarch_->DrainPlacements();

@@ -10,12 +10,15 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "../gate_engine.h"
 #include "../test_support.h"
+#include "../core/file_state.h"
 #include "core/monarch.h"
 #include "core/placement_policy.h"
 #include "pack/chunk_map.h"
@@ -46,7 +49,8 @@ class ChunkedReadTest : public ::testing::Test {
   /// Packed dataset + pack-enabled Monarch over a memory PFS and one
   /// memory cache tier.
   /// `configure` may adjust the config last (resilience, tier engines).
-  Result<std::unique_ptr<Monarch>> Build(
+  /// The fixture owns every Monarch it builds until the test ends.
+  Result<Monarch*> Build(
       const std::string& codec, std::uint64_t quota = 1'000'000,
       const std::string& policy = "",
       const std::function<void(MonarchConfig&)>& configure = {}) {
@@ -71,7 +75,18 @@ class ChunkedReadTest : public ::testing::Test {
       config.policy = std::move(made).value();
     }
     if (configure) configure(config);
-    return Monarch::Create(std::move(config));
+    auto monarch = Monarch::Create(std::move(config));
+    if (!monarch.ok()) return monarch.status();
+    built_.push_back(std::move(monarch).value());
+    return built_.back().get();
+  }
+
+  /// A test that passed leaves every Monarch it built quiescent.
+  void TearDown() override {
+    if (HasFailure()) return;
+    for (const std::unique_ptr<Monarch>& monarch : built_) {
+      ExpectQuiescent(*monarch);
+    }
   }
 
   /// Read `length` bytes of file `index` at `offset` and check them
@@ -191,6 +206,7 @@ class ChunkedReadTest : public ::testing::Test {
   std::shared_ptr<storage::MemoryEngine> pfs_;
   std::shared_ptr<storage::MemoryEngine> local_;
   std::uint64_t total_bytes_ = 0;
+  std::vector<std::unique_ptr<Monarch>> built_;
 };
 
 TEST_F(ChunkedReadTest, PartialReadsMatchWholeFileColdAndWarm) {
@@ -1036,15 +1052,46 @@ TEST_F(ChunkedReadTest, StretchIsChargedOnceUntilItsTasksFinish) {
       << "every staged byte came from the stretch";
 }
 
-// An evictor can find a chunked file still marked placed with no run
-// left: another evictor has just dropped its runs and not yet folded it
-// back. Its quota went with the runs, so the evictor must release
-// nothing more — before the fix it dropped the file as a whole-file copy
-// and released its size a second time, and the tier overfilled.
+/// LRU ranking, except that the first victim of the first ranking after
+/// `empty` is set is handed to `empty` between the ranking and the
+/// evictor's walk: the test empties it there, as a second evictor
+/// racing this one would.
+class EmptyFirstVictimPolicy final : public PlacementPolicy {
+ public:
+  std::function<void(const FileInfoPtr&)> empty;
+
+  std::optional<int> PickLevel(StorageHierarchy& hierarchy,
+                               std::uint64_t bytes) override {
+    return lru_->PickLevel(hierarchy, bytes);
+  }
+  [[nodiscard]] std::string Name() const override { return lru_->Name(); }
+  [[nodiscard]] bool EvictsUnderPressure() const override { return true; }
+  std::vector<FileInfoPtr> SelectVictims(const MetadataContainer& metadata,
+                                         const FileInfo& incoming) override {
+    std::vector<FileInfoPtr> ranked = lru_->SelectVictims(metadata, incoming);
+    if (empty && !ranked.empty()) std::exchange(empty, {})(ranked.front());
+    return ranked;
+  }
+
+ private:
+  PlacementPolicyPtr lru_ = MakeLruPolicy();
+};
+
+// An evictor can find a chunked file it ranked as placed with no run
+// left: another evictor dropped its runs after the ranking and has not
+// yet folded it back. Its quota went with the runs, so the evictor must
+// release nothing more and count no eviction — before the fix it
+// dropped the file as a whole-file copy and released its size a second
+// time, and the tier overfilled.
 TEST_F(ChunkedReadTest, EvictorFindingAnEmptiedChunkFileReleasesNothing) {
   constexpr std::uint64_t kQuota = 12 * 1024;
   constexpr std::uint64_t kHead = 3 * 1024;
-  auto monarch = Build("none", kQuota, "lru");
+  EmptyFirstVictimPolicy* policy = nullptr;
+  auto monarch = Build("none", kQuota, "", [&](MonarchConfig& config) {
+    auto owned = std::make_unique<EmptyFirstVictimPolicy>();
+    policy = owned.get();
+    config.policy = std::move(owned);
+  });
   ASSERT_OK(monarch);
   Monarch& m = **monarch;
   std::vector<std::uint64_t> files;  // partial heads: no read-ahead
@@ -1052,32 +1099,44 @@ TEST_F(ChunkedReadTest, EvictorFindingAnEmptiedChunkFileReleasesNothing) {
     if (Expected(f).size() > kHead) files.push_back(f);
   }
   ASSERT_GE(files.size(), 6u);
-  for (std::size_t i = 0; i < 3; ++i) {
+  for (std::size_t i = 0; i < 4; ++i) {
     ReadAndCheck(m, files[i], 0, kHead);
     m.DrainPlacements();
   }
-  // The state the first evictor leaves: every run of the oldest file
-  // dropped, its object deleted and its bytes released, but the file not
-  // yet folded back.
+  // The tier is full. The next head must evict, and the LRU ranking
+  // offers the oldest file first; between the ranking and the evictor's
+  // walk, every run of it is dropped, its object deleted and its bytes
+  // released, as the racing evictor does before its fold-back.
   StorageDriver& tier = m.hierarchy().Level(0);
-  const std::string oldest = workload::SmallFilePath(spec_, files[0]);
-  pack::ChunkMap& cm = ChunksOf(m, files[0]);
-  {
+  std::string emptied;
+  policy->empty = [&](const FileInfoPtr& victim) {
+    emptied = victim->name;
+    pack::ChunkMap& cm = *victim->chunk_map();
     std::lock_guard lock(cm.placement_mutex());
-    const pack::ChunkMap::EvictedRun run = cm.TryEvictRun(0);
-    ASSERT_EQ(3u, run.chunks);
-    ASSERT_OK(local_->Delete(pack::ChunkObjectName(oldest, run.start)));
-    tier.Release(run.stored_bytes);
-  }
-  ASSERT_EQ(PlacementState::kPlaced,
-            m.metadata().Lookup(oldest)->state.load());
-  // Two more heads fill the tier; the third must evict, and the LRU
-  // ranking offers the emptied file first.
-  for (std::size_t i = 3; i < 6; ++i) {
+    for (std::uint32_t c = 0; c < cm.num_chunks(); ++c) {
+      const pack::ChunkMap::EvictedRun run = cm.TryEvictRun(c);
+      if (run.chunks == 0) continue;
+      EXPECT_OK(local_->Delete(pack::ChunkObjectName(victim->name, run.start)));
+      tier.Release(run.stored_bytes);
+    }
+  };
+  for (std::size_t i = 4; i < 6; ++i) {
     ReadAndCheck(m, files[i], 0, kHead);
     m.DrainPlacements();
   }
-  EXPECT_GT(m.Stats().placement.chunks_evicted, 0u);
+  ASSERT_EQ(workload::SmallFilePath(spec_, files[0]), emptied)
+      << "the evictor met the emptied file first";
+  EXPECT_FALSE(m.metadata().Lookup(emptied)->Placed());
+  // Every eviction counted dropped a file that still held its runs.
+  std::uint64_t dropped = 0;
+  for (std::size_t i = 1; i < 6; ++i) {
+    const std::string name = workload::SmallFilePath(spec_, files[i]);
+    if (!m.metadata().Lookup(name)->Placed()) ++dropped;
+  }
+  const PlacementStats placement = m.Stats().placement;
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(dropped, placement.evictions) << "the emptied file is not one";
+  EXPECT_GT(placement.chunks_evicted, 0u);
   EXPECT_EQ(ResidentStoredBytes(m), tier.occupancy_bytes());
   EXPECT_LE(local_->TotalBytes(), kQuota);
 }
